@@ -8,10 +8,10 @@
 #include "baselines/gfm.hpp"
 #include "bench_support/circuits.hpp"
 #include "core/burkard.hpp"
+#include "core/delta_evaluator.hpp"
 #include "core/multilevel.hpp"
 #include "core/initial.hpp"
 #include "core/qhat.hpp"
-#include "partition/cost.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
@@ -60,22 +60,21 @@ BENCHMARK(BM_Wirelength);
 
 void BM_MoveDeltaPenalized(benchmark::State& state) {
   const auto& problem = cktb_instance().problem;
-  const QhatMatrix qhat(problem, 50.0);
+  const DeltaEvaluator evaluator(problem, 50.0);
   Rng rng(1);
   for (auto _ : state) {
     const auto j = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
     const auto target =
         static_cast<PartitionId>(rng.next_below(problem.num_partitions()));
-    benchmark::DoNotOptimize(
-        qhat.move_delta_penalized(cktb_start(), j, target));
+    benchmark::DoNotOptimize(evaluator.move_delta(cktb_start(), j, target));
   }
 }
 BENCHMARK(BM_MoveDeltaPenalized);
 
 void BM_SwapDeltaPenalized(benchmark::State& state) {
   const auto& problem = cktb_instance().problem;
-  const QhatMatrix qhat(problem, 50.0);
+  const DeltaEvaluator evaluator(problem, 50.0);
   Rng rng(2);
   for (auto _ : state) {
     const auto a = static_cast<std::int32_t>(
@@ -83,7 +82,7 @@ void BM_SwapDeltaPenalized(benchmark::State& state) {
     const auto b = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
     if (a == b) continue;
-    benchmark::DoNotOptimize(qhat.swap_delta_penalized(cktb_start(), a, b));
+    benchmark::DoNotOptimize(evaluator.swap_delta(cktb_start(), a, b));
   }
 }
 BENCHMARK(BM_SwapDeltaPenalized);

@@ -6,10 +6,11 @@
 //   # parallel portfolio: 16 independent starts on 8 threads, best wins
 //   ./qbpart_cli --problem sample.qp --starts 16 --threads 8
 //
-// Methods: qbp (the paper's solver), multilevel, gfm, gkl, sa.  With
-// --starts > 1 (or --portfolio) the run goes through the engine's parallel
-// portfolio driver: start points derive deterministically from --seed, so
-// the chosen assignment is identical for any --threads value.  Single-start
+// Methods: qbp (the paper's solver), multilevel, gfm, gkl, sa.  Every run
+// goes through engine::SolvePipeline (presolve, solve, lift, validate).
+// With --starts > 1 (or --portfolio) it runs the engine's parallel
+// portfolio: start points derive deterministically from --seed, so the
+// chosen assignment is identical for any --threads value.  Single-start
 // GFM/GKL/SA need a feasible start, produced QBP(B=0)-style; QBP accepts
 // any start (--start random).  The result assignment is written in the
 // `assign` format of core/problem_io.hpp and can be fed back via --initial.
@@ -17,13 +18,8 @@
 #include <fstream>
 #include <memory>
 
-#include "baselines/gfm.hpp"
-#include "baselines/gkl.hpp"
-#include "baselines/sa.hpp"
 #include "bench_support/circuits.hpp"
-#include "core/burkard.hpp"
 #include "core/initial.hpp"
-#include "core/multilevel.hpp"
 #include "core/presolve.hpp"
 #include "core/problem_io.hpp"
 #include "core/report.hpp"
@@ -206,33 +202,36 @@ int main(int argc, char** argv) {
               static_cast<long long>(problem.netlist().total_wires()),
               static_cast<long long>(problem.timing().count()));
 
+  // Every path -- one start or a portfolio -- runs the same normalize ->
+  // presolve -> solve -> lift -> validate pipeline.
+  std::unique_ptr<qbp::engine::Solver> solver;
+  if (method == "qbp") {
+    qbp::BurkardOptions options;
+    options.iterations = static_cast<std::int32_t>(iterations);
+    options.inner_threads = static_cast<std::int32_t>(inner_threads);
+    solver = std::make_unique<qbp::engine::BurkardSolver>(options);
+  } else if (method == "multilevel") {
+    solver = std::make_unique<qbp::engine::MultilevelSolver>(ml_options);
+  } else {
+    solver = qbp::engine::make_solver(method);
+  }
+  if (!solver) {
+    std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
+    return 1;
+  }
+  qbp::engine::PipelineOptions pipeline_options;
+  pipeline_options.presolve = presolve_options;
+  pipeline_options.portfolio.seed = static_cast<std::uint64_t>(seed);
+  pipeline_options.portfolio.threads = static_cast<std::int32_t>(threads);
+  const qbp::engine::SolvePipeline pipeline(problem, pipeline_options);
+  if (pipeline.reduced()) {
+    print_presolve(pipeline.presolve_stats(), problem.num_components());
+  }
+
   // Parallel portfolio path: K deterministic starts, best result wins.
   if (portfolio || starts > 1) {
-    std::unique_ptr<qbp::engine::Solver> solver;
-    if (method == "qbp") {
-      qbp::BurkardOptions options;
-      options.iterations = static_cast<std::int32_t>(iterations);
-      options.inner_threads = static_cast<std::int32_t>(inner_threads);
-      solver = std::make_unique<qbp::engine::BurkardSolver>(options);
-    } else if (method == "multilevel") {
-      solver = std::make_unique<qbp::engine::MultilevelSolver>(ml_options);
-    } else {
-      solver = qbp::engine::make_solver(method);
-    }
-    if (!solver) {
-      std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
-      return 1;
-    }
-    qbp::engine::PipelineOptions options;
-    options.presolve = presolve_options;
-    options.portfolio.seed = static_cast<std::uint64_t>(seed);
-    options.portfolio.threads = static_cast<std::int32_t>(threads);
-    const qbp::engine::SolvePipeline pipeline(problem, options);
     const auto run =
         pipeline.run(*solver, static_cast<std::int32_t>(starts));
-    if (run.reduced) {
-      print_presolve(run.presolve, problem.num_components());
-    }
     const auto& result = run.portfolio;
     std::printf(
         "portfolio: %d/%d starts on %d threads, %.2f s wall (%.2f s total "
@@ -280,97 +279,26 @@ int main(int argc, char** argv) {
   std::printf("start: objective %.1f, feasible: %s\n",
               problem.objective(initial), initial_feasible ? "yes" : "no");
 
-  // Solve.
-  qbp::Assignment final_assignment = initial;
-  if (method == "qbp") {
-    qbp::BurkardOptions options;
-    options.iterations = static_cast<std::int32_t>(iterations);
-    options.inner_threads = static_cast<std::int32_t>(inner_threads);
-    options.presolve = presolve_options;  // solver reduces + lifts itself
-    const auto result = qbp::solve_qbp(problem, initial, options);
-    if (!result.found_feasible) {
-      std::fprintf(stderr,
-                   "QBP found no fully feasible solution (best penalized "
-                   "value %.1f); rerun with more --iterations\n",
-                   result.best_penalized);
-      return 2;
-    }
-    final_assignment = result.best_feasible;
-    std::printf("QBP: %d iterations, %.2f s\n", result.iterations_run,
-                result.seconds);
-  } else if (method == "multilevel") {
-    // The V-cycle presolves at its own top level (hierarchy built on the
-    // reduced instance, finest result lifted back).
-    ml_options.presolve = presolve_options;
-    const auto result = qbp::solve_qbp_multilevel(problem, initial, ml_options);
-    if (!result.finest.found_feasible) {
-      std::fprintf(stderr,
-                   "multilevel found no fully feasible solution (best "
-                   "penalized value %.1f); rerun with more --ml-refine-passes "
-                   "or a different --seed\n",
-                   result.finest.best_penalized);
-      return 2;
-    }
-    final_assignment = result.finest.best_feasible;
-    std::printf("multilevel: %d levels (%.2f s coarsening), %.2f s total\n",
-                result.levels_used, result.coarsen_seconds, result.seconds);
-  } else if (method == "gfm" || method == "gkl" || method == "sa") {
-    if (!initial_feasible) {
-      std::fprintf(stderr, "%s requires a feasible starting assignment\n",
-                   method.c_str());
-      return 2;
-    }
-    // Presolve wrap for the baseline heuristics: solve the reduced instance,
-    // lift the final assignment back.  Identity reductions keep the original
-    // problem, so the run is bit-identical to --presolve=off.
-    qbp::ReducedProblem reduced;
-    bool use_reduced = false;
-    if (presolve_options.enabled) {
-      const bool needs_normalize =
-          problem.alpha() != 1.0 || problem.beta() != 1.0;
-      reduced = qbp::presolve(
-          needs_normalize ? problem.normalized() : problem, presolve_options);
-      use_reduced = !reduced.identity() || reduced.rn_feasible;
-      if (use_reduced) print_presolve(reduced.stats, problem.num_components());
-    }
-    if (use_reduced && reduced.rn_feasible) {
-      final_assignment = reduced.lift.lift(reduced.rn_assignment);
-      std::printf("presolve: remainder solved exactly (RN), objective %.1f\n",
-                  reduced.rn_objective + reduced.lift.objective_offset);
-    } else {
-      const qbp::PartitionProblem& solve_problem =
-          use_reduced ? reduced.problem : problem;
-      const qbp::Assignment solve_start =
-          use_reduced ? reduced.lift.restrict_to_reduced(initial) : initial;
-      if (method == "gfm") {
-        const auto result = qbp::solve_gfm(solve_problem, solve_start);
-        final_assignment = result.assignment;
-        std::printf("GFM: %d passes, %lld moves kept, %.2f s\n", result.passes,
-                    static_cast<long long>(result.moves_kept), result.seconds);
-      } else if (method == "gkl") {
-        const auto result = qbp::solve_gkl(solve_problem, solve_start);
-        final_assignment = result.assignment;
-        std::printf("GKL: %d outer loops, %lld swaps kept, %.2f s\n",
-                    result.outer_loops,
-                    static_cast<long long>(result.swaps_kept), result.seconds);
-      } else {
-        qbp::SaOptions options;
-        options.seed = static_cast<std::uint64_t>(seed);
-        const auto result = qbp::solve_sa(solve_problem, solve_start, options);
-        final_assignment = result.assignment;
-        std::printf("SA: %d temperature steps, %lld/%lld accepted, %.2f s\n",
-                    result.temperature_steps,
-                    static_cast<long long>(result.accepted),
-                    static_cast<long long>(result.proposed), result.seconds);
-      }
-      if (use_reduced) {
-        final_assignment = reduced.lift.lift(final_assignment);
-      }
-    }
-  } else {
-    std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
-    return 1;
+  // Single start.  The feasible-region walks (GFM/GKL/SA) insist on a
+  // feasible start instead of letting the adapter legalize one.
+  if ((method == "gfm" || method == "gkl" || method == "sa") &&
+      !initial_feasible) {
+    std::fprintf(stderr, "%s requires a feasible starting assignment\n",
+                 method.c_str());
+    return 2;
   }
-
-  return finish(problem, final_assignment, quiet, out_path);
+  const auto result =
+      pipeline.solve_one(*solver, {initial, static_cast<std::uint64_t>(seed)});
+  if (!result.found_feasible) {
+    std::fprintf(stderr,
+                 "%s found no fully feasible solution (best penalized value "
+                 "%.1f); rerun with more --iterations or a different --seed\n",
+                 method.c_str(), result.best_penalized);
+    return 2;
+  }
+  // `iterations` is the solver's own progress unit (Burkard iterations,
+  // FM/KL passes, SA temperature steps).
+  std::printf("%s: %lld iterations, %.2f s\n", method.c_str(),
+              static_cast<long long>(result.iterations), result.seconds);
+  return finish(problem, result.best_feasible, quiet, out_path);
 }

@@ -3,7 +3,7 @@
 #include <queue>
 #include <vector>
 
-#include "partition/cost.hpp"
+#include "core/delta_evaluator.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
@@ -42,8 +42,8 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
   const auto& sizes = problem.netlist().sizes();
-  const auto& p = problem.linear_cost_matrix();
   const auto& adjacency = problem.netlist().connection_matrix();
+  const DeltaEvaluator evaluator(problem);
 
   GfmResult result;
   result.assignment = initial;
@@ -55,9 +55,7 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
 
   const auto move_gain = [&](std::int32_t j, PartitionId target) {
-    return -move_delta_objective(problem.netlist(), problem.topology(), p,
-                                 problem.alpha(), problem.beta(), assignment, j,
-                                 target);
+    return -evaluator.move_delta(assignment, j, target);
   };
   const auto move_feasible = [&](std::int32_t j, PartitionId target) {
     if (!ledger.fits(target, sizes[static_cast<std::size_t>(j)])) return false;

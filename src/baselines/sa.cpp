@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "partition/cost.hpp"
+#include "core/delta_evaluator.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -32,8 +32,8 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
   const auto& sizes = problem.netlist().sizes();
-  const auto& p = problem.linear_cost_matrix();
   const auto& topology = problem.topology();
+  const DeltaEvaluator evaluator(problem);
   Rng rng(options.seed);
 
   Assignment current = initial;
@@ -68,9 +68,7 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
                                                   pa, proposal.a, pb)) {
         return false;
       }
-      proposal.delta =
-          swap_delta_objective(problem.netlist(), topology, p, problem.alpha(),
-                               problem.beta(), current, proposal.a, proposal.b);
+      proposal.delta = evaluator.swap_delta(current, proposal.a, proposal.b);
     } else {
       proposal.a = static_cast<std::int32_t>(
           rng.next_below(static_cast<std::uint64_t>(n)));
@@ -85,10 +83,7 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
                                                   proposal.target)) {
         return false;
       }
-      proposal.delta =
-          move_delta_objective(problem.netlist(), topology, p, problem.alpha(),
-                               problem.beta(), current, proposal.a,
-                               proposal.target);
+      proposal.delta = evaluator.move_delta(current, proposal.a, proposal.target);
     }
     return true;
   };

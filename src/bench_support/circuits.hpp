@@ -67,7 +67,7 @@ struct CircuitConfig {
 [[nodiscard]] CircuitInstance make_circuit(const CircuitPreset& preset,
                                            const CircuitConfig& config = {});
 
-/// Fixed-density scaling instance (the bench_scaling / bench_runner sweep):
+/// Fixed-density scaling instance (the bench_runner scaling/vcycle sweeps):
 /// N components, wires ~ 6N, timing constraints ~ 3N, M = 16 on a 4 x 4
 /// Manhattan grid, capacities 15% above the generator's hidden placement.
 /// Deterministic in (n, seed).

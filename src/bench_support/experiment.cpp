@@ -1,12 +1,11 @@
 #include "bench_support/experiment.hpp"
 
 #include <cstdio>
-#include <sstream>
 
 #include "core/initial.hpp"
+#include "engine/adapters.hpp"
+#include "engine/pipeline.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
-#include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace qbp {
@@ -50,9 +49,12 @@ ExperimentRow run_experiment_from(const std::string& circuit_name,
     options.iterations = config.qbp_iterations;
     options.penalty = config.penalty;
     options.inner_threads = config.inner_threads;
-    options.presolve = config.presolve;
+    engine::PipelineOptions pipeline_options;
+    pipeline_options.presolve = config.presolve;
     const Timer timer;
-    const BurkardResult qbp = solve_qbp(problem, initial.assignment, options);
+    const engine::SolvePipeline pipeline(problem, pipeline_options);
+    const engine::SolverResult qbp = pipeline.solve_one(
+        engine::BurkardSolver(options), {initial.assignment, config.seed});
     row.qbp.cpu_seconds = timer.seconds();
     const Assignment& chosen = qbp.found_feasible ? qbp.best_feasible : qbp.best;
     row.qbp.final_cost = problem.wirelength(chosen);
@@ -81,51 +83,6 @@ ExperimentRow run_experiment_from(const std::string& circuit_name,
   }
 
   return row;
-}
-
-std::string format_table(const std::string& title,
-                         const std::vector<ExperimentRow>& rows) {
-  TextTable table({"circuits", "start", "QBP final", "(-%)", "cpu", "GFM final",
-                   "(-%)", "cpu", "GKL final", "(-%)", "cpu"});
-  table.set_alignment({TextTable::Align::kLeft});
-  for (const auto& row : rows) {
-    const auto cost = [](double value) {
-      return format_grouped(static_cast<long long>(value + 0.5));
-    };
-    table.add_row({row.circuit, cost(row.start_cost), cost(row.qbp.final_cost),
-                   format_double(row.qbp.improvement_pct, 1),
-                   format_double(row.qbp.cpu_seconds, 1),
-                   cost(row.gfm.final_cost),
-                   format_double(row.gfm.improvement_pct, 1),
-                   format_double(row.gfm.cpu_seconds, 1),
-                   cost(row.gkl.final_cost),
-                   format_double(row.gkl.improvement_pct, 1),
-                   format_double(row.gkl.cpu_seconds, 1)});
-  }
-  std::ostringstream out;
-  out << title << "\n" << table.render();
-  return out.str();
-}
-
-std::string rows_to_csv(const std::vector<ExperimentRow>& rows) {
-  std::ostringstream out;
-  out << "circuit,start,qbp_final,qbp_pct,qbp_cpu,qbp_feasible,"
-         "gfm_final,gfm_pct,gfm_cpu,gfm_feasible,"
-         "gkl_final,gkl_pct,gkl_cpu,gkl_feasible\n";
-  for (const auto& row : rows) {
-    const auto method = [&](const MethodOutcome& outcome) {
-      std::ostringstream cell;
-      cell << format_double(outcome.final_cost, 1) << ","
-           << format_double(outcome.improvement_pct, 2) << ","
-           << format_double(outcome.cpu_seconds, 3) << ","
-           << (outcome.feasible ? 1 : 0);
-      return cell.str();
-    };
-    out << row.circuit << "," << format_double(row.start_cost, 1) << ","
-        << method(row.qbp) << "," << method(row.gfm) << "," << method(row.gkl)
-        << "\n";
-  }
-  return out.str();
 }
 
 bool write_bench_json(const std::string& path, const json::Value& value) {

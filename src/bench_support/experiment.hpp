@@ -16,6 +16,7 @@
 #include "baselines/gkl.hpp"
 #include "bench_support/circuits.hpp"
 #include "core/burkard.hpp"
+#include "core/presolve.hpp"
 #include "util/json.hpp"
 
 namespace qbp {
@@ -29,9 +30,10 @@ struct ExperimentConfig {
   std::int32_t inner_threads = 1;
   /// Seed for the shared initial solution.
   std::uint64_t seed = 1993;
-  /// Presolve configuration for the QBP leg (off by default, matching the
-  /// paper protocol; the standard circuits reduce to nothing anyway, so
-  /// enabling it leaves objectives bit-identical).
+  /// Presolve configuration for the QBP leg, which runs through
+  /// engine::SolvePipeline (off by default, matching the paper protocol;
+  /// the standard circuits reduce to nothing anyway, so enabling it leaves
+  /// objectives bit-identical).
   PresolveOptions presolve{.enabled = false};
   bool run_qbp = true;
   bool run_gfm = true;
@@ -69,23 +71,15 @@ struct ExperimentRow {
                                                 bool initial_feasible,
                                                 const ExperimentConfig& config);
 
-/// Render rows in the paper's table layout.
-[[nodiscard]] std::string format_table(const std::string& title,
-                                       const std::vector<ExperimentRow>& rows);
-
-/// Comma-separated dump for downstream plotting.
-[[nodiscard]] std::string rows_to_csv(const std::vector<ExperimentRow>& rows);
-
 /// Machine-readable dump: an array of row objects, one member per method
-/// ({final, improvement_pct, cpu_s, feasible}).  The benches write this via
-/// --json so the perf trajectory (bench/BENCH_*.json) diffs cleanly across
-/// commits -- wall-clock fields aside.
+/// ({final, improvement_pct, cpu_s, feasible}).  bench_runner writes these
+/// as its table2/table3 rows, so the perf trajectory (bench/BENCH_*.json)
+/// diffs cleanly across commits -- wall-clock fields aside.
 [[nodiscard]] json::Value rows_to_json(const std::vector<ExperimentRow>& rows);
 
-/// Shared --json tail of every bench binary: write `value` to `path`
-/// (no-op returning true when `path` is empty), printing a diagnostic to
-/// stderr on I/O failure.  Keeps the rows-to-file logic in one place
-/// instead of per bench target.
+/// The --json tail of bench_runner: write `value` to `path` (no-op
+/// returning true when `path` is empty), printing a diagnostic to stderr on
+/// I/O failure.
 [[nodiscard]] bool write_bench_json(const std::string& path,
                                     const json::Value& value);
 

@@ -4,7 +4,6 @@
 
 #include "core/delta_evaluator.hpp"
 #include "core/qhat.hpp"
-#include "core/validate.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/prof.hpp"
@@ -119,80 +118,8 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
   }
 }
 
-/// Map a reduced-space BurkardResult back onto the original problem: lift
-/// both incumbents, shift objectives by the folded constant, recompute the
-/// penalized value from scratch on the original instance (the reduced-space
-/// value is only offset-exact for capacity-feasible iterates), and
-/// shadow-check the lifted claims against the original problem.
-BurkardResult lift_burkard_result(const PartitionProblem& original,
-                                  const ReducedProblem& reduced,
-                                  BurkardResult result, double penalty) {
-  const double offset = reduced.lift.objective_offset;
-  result.best = reduced.lift.lift(result.best);
-  result.best_penalized =
-      QhatMatrix(original, penalty).penalized_value(result.best);
-  if (result.found_feasible) {
-    result.best_feasible = reduced.lift.lift(result.best_feasible);
-    result.best_feasible_objective += offset;
-  }
-  for (double& incumbent : result.history) incumbent += offset;
-  if (validation_enabled()) {
-    ValidateOptions validate_options;
-    validate_options.penalty = penalty;
-    ReportedOutcome outcome;
-    outcome.best = &result.best;
-    outcome.best_penalized = result.best_penalized;
-    if (result.found_feasible) {
-      outcome.best_feasible = &result.best_feasible;
-      outcome.best_feasible_objective = result.best_feasible_objective;
-    }
-    enforce(validate_outcome(original, outcome, validate_options),
-            "presolve.lift(qbp)");
-  }
-  return result;
-}
-
-/// Exact remainder solution (RN) as a BurkardResult, lifted and checked.
-BurkardResult rn_burkard_result(const PartitionProblem& original,
-                                const ReducedProblem& reduced, double penalty) {
-  BurkardResult result;
-  result.best = reduced.rn_assignment;
-  result.best_feasible = reduced.rn_assignment;
-  result.best_feasible_objective = reduced.rn_objective;
-  result.found_feasible = true;
-  return lift_burkard_result(original, reduced, std::move(result), penalty);
-}
-
 BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initial,
                         const BurkardOptions& options) {
-  if (options.presolve.enabled) {
-    const Timer timer;
-    const bool needs_normalize =
-        problem.alpha() != 1.0 || problem.beta() != 1.0;
-    const ReducedProblem reduced =
-        needs_normalize ? presolve(problem.normalized(), options.presolve)
-                        : presolve(problem, options.presolve);
-    BurkardOptions inner = options;
-    inner.presolve.enabled = false;
-    if (reduced.identity() && !reduced.rn_feasible) {
-      // No rule fired: run on the untouched original, bit-identical to
-      // presolve off.
-      return solve_qbp(problem, initial, inner);
-    }
-    BurkardResult result;
-    if (reduced.rn_feasible) {
-      result = rn_burkard_result(problem, reduced, options.penalty);
-    } else {
-      const Assignment start = reduced.lift.restrict_to_reduced(initial);
-      result = lift_burkard_result(problem, reduced,
-                                   solve_qbp(reduced.problem, start, inner),
-                                   options.penalty);
-    }
-    result.seconds = timer.seconds();
-    result.seconds_best_start = result.seconds;
-    return result;
-  }
-
   QBP_CHECK_EQ(initial.num_components(), problem.num_components());
   QBP_CHECK(initial.is_complete()) << "the starting solution must satisfy C3";
 
@@ -363,66 +290,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   }
 
   result.seconds = timer.seconds();
-  result.seconds_best_start = result.seconds;
   return result;
-}
-
-BurkardResult solve_qbp_multistart(const PartitionProblem& problem,
-                                   std::int32_t starts, std::uint64_t seed,
-                                   const BurkardOptions& options) {
-  QBP_CHECK_GE(starts, 1);
-  if (options.presolve.enabled) {
-    // Reduce once, share the reduced instance across every start.
-    const Timer timer;
-    const bool needs_normalize =
-        problem.alpha() != 1.0 || problem.beta() != 1.0;
-    const ReducedProblem reduced =
-        needs_normalize ? presolve(problem.normalized(), options.presolve)
-                        : presolve(problem, options.presolve);
-    BurkardOptions inner = options;
-    inner.presolve.enabled = false;
-    if (reduced.identity() && !reduced.rn_feasible) {
-      return solve_qbp_multistart(problem, starts, seed, inner);
-    }
-    BurkardResult result =
-        reduced.rn_feasible
-            ? rn_burkard_result(problem, reduced, options.penalty)
-            : lift_burkard_result(
-                  problem, reduced,
-                  solve_qbp_multistart(reduced.problem, starts, seed, inner),
-                  options.penalty);
-    result.seconds = timer.seconds();
-    return result;
-  }
-  const Timer timer;
-  Rng rng(seed);
-  BurkardResult best;
-  bool have_best = false;
-  for (std::int32_t attempt = 0; attempt < starts; ++attempt) {
-    if (attempt > 0 && options.should_stop && options.should_stop()) break;
-    Assignment start(problem.num_components(), problem.num_partitions());
-    for (std::int32_t j = 0; j < problem.num_components(); ++j) {
-      start.set(j, static_cast<PartitionId>(rng.next_below(
-                       static_cast<std::uint64_t>(problem.num_partitions()))));
-    }
-    BurkardResult candidate = solve_qbp(problem, start, options);
-    const bool better =
-        !have_best ||
-        (candidate.found_feasible &&
-         (!best.found_feasible ||
-          candidate.best_feasible_objective < best.best_feasible_objective)) ||
-        (!candidate.found_feasible && !best.found_feasible &&
-         candidate.best_penalized < best.best_penalized);
-    if (better) {
-      best = std::move(candidate);
-      have_best = true;
-    }
-  }
-  // Timing accounting: `seconds` is the total across all starts (what the
-  // caller actually waited for); the winner's own runtime survives in
-  // `seconds_best_start` (set by its solve_qbp call).
-  best.seconds = timer.seconds();
-  return best;
 }
 
 }  // namespace qbp

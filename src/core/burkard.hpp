@@ -42,7 +42,6 @@
 
 #include "assign/gap.hpp"
 #include "core/embedding.hpp"
-#include "core/presolve.hpp"
 #include "core/problem.hpp"
 
 namespace qbp {
@@ -102,20 +101,10 @@ struct BurkardOptions {
   /// between iterations ("the user can have precise control over the total
   /// runtime" -- this adds the wall-clock variant of that control).
   double time_budget_seconds = 0.0;
-  /// Cooperative cancellation hook, checked between iterations (and between
-  /// starts in the multistart driver).  Empty means never stop.  The engine
-  /// portfolio wires a std::stop_token through this to cancel stragglers.
+  /// Cooperative cancellation hook, checked between iterations.  Empty means
+  /// never stop.  The engine portfolio wires a std::stop_token through this
+  /// to cancel stragglers.
   std::function<bool()> should_stop;
-  /// Presolve the instance before iterating (core/presolve.hpp): the solve
-  /// then runs normalize -> reduce -> solve(reduced) -> lift -> validate,
-  /// with the lifted outcome shadow-checked against the *original* problem
-  /// when validation is on.  Disabled by default at this layer -- the
-  /// paper's listing runs on the raw instance, and inner solves (the B = 0
-  /// initial construction, multilevel levels, portfolio starts on an
-  /// already-reduced instance) must not re-reduce.  Entry points (CLI,
-  /// service, bench harness) opt in.  When no rule fires the solve is
-  /// bit-identical to presolve.enabled = false.
-  PresolveOptions presolve{.enabled = false};
 };
 
 struct BurkardResult {
@@ -136,16 +125,14 @@ struct BurkardResult {
   /// Incumbent penalized value after each iteration (empty unless
   /// record_history).
   std::vector<double> history;
-  /// Total wall clock of the call that produced this result.  For
-  /// solve_qbp_multistart this is the time across *all* starts, not just
-  /// the winner's.
+  /// Wall clock of the solve.
   double seconds = 0.0;
-  /// Wall clock of the single winning start (== seconds for solve_qbp).
-  double seconds_best_start = 0.0;
 };
 
 /// Run the heuristic from `initial` (any complete assignment -- Section 5:
-/// "QBP can start from any random solution").
+/// "QBP can start from any random solution") on the instance as given.
+/// Presolve, multistart and lifting live one layer up, in
+/// engine::SolvePipeline and engine::Portfolio.
 [[nodiscard]] BurkardResult solve_qbp(const PartitionProblem& problem,
                                       const Assignment& initial,
                                       const BurkardOptions& options = {});
@@ -162,33 +149,5 @@ class DeltaEvaluator;
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed, std::int32_t inner_threads);
-
-/// Map a reduced-space result (from a solve on ReducedProblem::problem) back
-/// onto the original instance: lift both incumbents, shift objectives by the
-/// folded constant, recompute the penalized value from scratch on the
-/// original (the reduced value is only offset-exact for capacity-feasible
-/// iterates), and -- when validation is enabled -- shadow-check the lifted
-/// claims against the original problem.  Shared by solve_qbp, the multilevel
-/// driver, and the engine pipeline.
-[[nodiscard]] BurkardResult lift_burkard_result(const PartitionProblem& original,
-                                                const ReducedProblem& reduced,
-                                                BurkardResult result,
-                                                double penalty);
-
-/// The RN exact remainder solution as a lifted, validated BurkardResult.
-/// Requires reduced.rn_feasible.
-[[nodiscard]] BurkardResult rn_burkard_result(const PartitionProblem& original,
-                                              const ReducedProblem& reduced,
-                                              double penalty);
-
-/// Multistart driver: `starts` independent runs from random assignments
-/// seeded by `seed`, best feasible result wins (best penalized when none
-/// is feasible).  Exploits the Section 5 observation that QBP is
-/// insensitive to its start -- several cheap starts beat one long run on
-/// rugged instances.
-[[nodiscard]] BurkardResult solve_qbp_multistart(const PartitionProblem& problem,
-                                                 std::int32_t starts,
-                                                 std::uint64_t seed,
-                                                 const BurkardOptions& options = {});
 
 }  // namespace qbp

@@ -2,17 +2,86 @@
 
 #include <algorithm>
 
-#include "partition/cost.hpp"
-
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/prof.hpp"
 
 namespace qbp {
 
-namespace delta_detail {
-
 namespace {
+
+/// Change in the objective if `component` moved from its current partition
+/// to `target` (everything else fixed).  O(degree(component)).
+double move_delta_objective(const PartitionProblem& problem,
+                            const Assignment& assignment,
+                            std::int32_t component, PartitionId target) {
+  const PartitionId source = assignment[component];
+  const auto& topology = problem.topology();
+  double quadratic = 0.0;
+  if (source != target) {
+    const auto& adjacency = problem.netlist().connection_matrix();
+    const auto neighbors = adjacency.row_indices(component);
+    const auto weights = adjacency.row_values(component);
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const PartitionId other = assignment[neighbors[k]];
+      quadratic += weights[k] * (topology.wire_cost(target, other) +
+                                 topology.wire_cost(other, target) -
+                                 topology.wire_cost(source, other) -
+                                 topology.wire_cost(other, source));
+    }
+  }
+  double delta = problem.beta() * quadratic;
+  const auto& p = problem.linear_cost_matrix();
+  if (!p.empty()) {
+    delta += problem.alpha() * (p(target, component) - p(source, component));
+  }
+  return delta;
+}
+
+/// Change in the objective if two components swap partitions.
+/// O(degree(a) + degree(b)).
+double swap_delta_objective(const PartitionProblem& problem,
+                            const Assignment& assignment,
+                            std::int32_t component_a, std::int32_t component_b) {
+  const PartitionId pa = assignment[component_a];
+  const PartitionId pb = assignment[component_b];
+  if (pa == pb) return 0.0;
+  const auto& topology = problem.topology();
+  const auto& adjacency = problem.netlist().connection_matrix();
+
+  // Quadratic cost incident to {a, b} given (partition of a, partition of b);
+  // the a-b bundle itself is accounted once, in a's row.
+  const auto incident = [&](PartitionId part_a, PartitionId part_b) {
+    double total = 0.0;
+    const auto neighbors_a = adjacency.row_indices(component_a);
+    const auto weights_a = adjacency.row_values(component_a);
+    for (std::size_t k = 0; k < neighbors_a.size(); ++k) {
+      const std::int32_t other = neighbors_a[k];
+      const PartitionId part_other =
+          other == component_b ? part_b : assignment[other];
+      total += weights_a[k] * (topology.wire_cost(part_a, part_other) +
+                               topology.wire_cost(part_other, part_a));
+    }
+    const auto neighbors_b = adjacency.row_indices(component_b);
+    const auto weights_b = adjacency.row_values(component_b);
+    for (std::size_t k = 0; k < neighbors_b.size(); ++k) {
+      const std::int32_t other = neighbors_b[k];
+      if (other == component_a) continue;
+      const PartitionId part_other = assignment[other];
+      total += weights_b[k] * (topology.wire_cost(part_b, part_other) +
+                               topology.wire_cost(part_other, part_b));
+    }
+    return total;
+  };
+
+  double delta = problem.beta() * (incident(pb, pa) - incident(pa, pb));
+  const auto& p = problem.linear_cost_matrix();
+  if (!p.empty()) {
+    delta += problem.alpha() * (p(pb, component_a) - p(pa, component_a) +
+                                p(pa, component_b) - p(pb, component_b));
+  }
+  return delta;
+}
 
 /// Sum of (penalty - wire term) over the ordered violating pairs involving
 /// `component` if it sat in partition `i`, with the position of one partner
@@ -54,22 +123,21 @@ double violation_contribution(const PartitionProblem& problem, double penalty,
   return total;
 }
 
-}  // namespace
-
+/// Change in the penalized value y^T Qhat y (objective + penalty embedding)
+/// if `component` moved to `target`.
 double move_delta_penalized(const PartitionProblem& problem, double penalty,
                             const Assignment& assignment,
                             std::int32_t component, PartitionId target) {
   const PartitionId source = assignment[component];
   if (source == target) return 0.0;
-  return move_delta_objective(problem.netlist(), problem.topology(),
-                              problem.linear_cost_matrix(), problem.alpha(),
-                              problem.beta(), assignment, component, target) +
+  return move_delta_objective(problem, assignment, component, target) +
          violation_contribution(problem, penalty, assignment, component, target,
                                 -1, Assignment::kUnassigned) -
          violation_contribution(problem, penalty, assignment, component, source,
                                 -1, Assignment::kUnassigned);
 }
 
+/// Change in the penalized value if the two components exchanged partitions.
 double swap_delta_penalized(const PartitionProblem& problem, double penalty,
                             const Assignment& assignment,
                             std::int32_t component_a, std::int32_t component_b) {
@@ -88,14 +156,11 @@ double swap_delta_penalized(const PartitionProblem& problem, double penalty,
                                   at_b, component_a, at_a, component_a);
   };
 
-  return swap_delta_objective(problem.netlist(), problem.topology(),
-                              problem.linear_cost_matrix(), problem.alpha(),
-                              problem.beta(), assignment, component_a,
-                              component_b) +
+  return swap_delta_objective(problem, assignment, component_a, component_b) +
          correction(pb, pa) - correction(pa, pb);
 }
 
-}  // namespace delta_detail
+}  // namespace
 
 DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
     : problem_(&problem),
@@ -109,25 +174,20 @@ double DeltaEvaluator::move_delta(const Assignment& assignment,
                                   std::int32_t component,
                                   PartitionId target) const {
   if (penalty_ > 0.0) {
-    return delta_detail::move_delta_penalized(*problem_, penalty_, assignment,
-                                              component, target);
+    return move_delta_penalized(*problem_, penalty_, assignment, component,
+                                target);
   }
-  return move_delta_objective(problem_->netlist(), problem_->topology(),
-                              problem_->linear_cost_matrix(), problem_->alpha(),
-                              problem_->beta(), assignment, component, target);
+  return move_delta_objective(*problem_, assignment, component, target);
 }
 
 double DeltaEvaluator::swap_delta(const Assignment& assignment,
                                   std::int32_t component_a,
                                   std::int32_t component_b) const {
   if (penalty_ > 0.0) {
-    return delta_detail::swap_delta_penalized(*problem_, penalty_, assignment,
-                                              component_a, component_b);
+    return swap_delta_penalized(*problem_, penalty_, assignment, component_a,
+                                component_b);
   }
-  return swap_delta_objective(problem_->netlist(), problem_->topology(),
-                              problem_->linear_cost_matrix(), problem_->alpha(),
-                              problem_->beta(), assignment, component_a,
-                              component_b);
+  return swap_delta_objective(*problem_, assignment, component_a, component_b);
 }
 
 void DeltaEvaluator::mark_dependents_stale(std::int32_t component) {

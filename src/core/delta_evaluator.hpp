@@ -1,18 +1,15 @@
 // Unified incremental cost evaluation for single moves and pairwise swaps.
 //
 // Every local-search loop in the library (the Burkard iterate polish, the
-// GFM/GKL/SA baselines, the engine portfolio's solvers) needs the same two
-// primitives: "what does the objective do if component j moves to partition
-// i?" and "... if components a and b swap?".  Historically the penalized
-// variants lived in QhatMatrix and the plain-objective variants in
-// partition/cost.hpp, with the swap logic implemented twice.  This module is
-// the single implementation:
+// GFM/SA baselines, the shadow validator) needs the same two primitives:
+// "what does the objective do if component j moves to partition i?" and
+// "... if components a and b swap?".  This module is their single
+// implementation:
 //
-//   * delta_detail::{move,swap}_delta_penalized are the one true penalized
-//     deltas -- QhatMatrix::{move,swap}_delta_penalized delegate here, and
-//     both are expressed as the plain-objective delta (partition/cost.hpp)
-//     plus a timing-violation correction, so the wire/linear arithmetic
-//     exists exactly once;
+//   * move_delta / swap_delta are the exact one-off deltas.  With a penalty
+//     they are the plain-objective delta plus a timing-violation
+//     correction, so the wire/linear arithmetic exists exactly once, in
+//     delta_evaluator.cpp;
 //   * DeltaEvaluator adds per-component contribution caching on top: the
 //     full "incident cost of j by candidate partition" row is built once in
 //     O((deg_A(j) + deg_Dc(j)) * M) and stays valid until a neighbor or
@@ -35,26 +32,6 @@
 
 namespace qbp {
 
-namespace delta_detail {
-
-/// Change in the penalized value y^T Qhat y (objective + penalty embedding)
-/// if `component` moved to `target`.  Single shared implementation used by
-/// QhatMatrix::move_delta_penalized and DeltaEvaluator.
-[[nodiscard]] double move_delta_penalized(const PartitionProblem& problem,
-                                          double penalty,
-                                          const Assignment& assignment,
-                                          std::int32_t component,
-                                          PartitionId target);
-
-/// Change in the penalized value if the two components exchanged partitions.
-[[nodiscard]] double swap_delta_penalized(const PartitionProblem& problem,
-                                          double penalty,
-                                          const Assignment& assignment,
-                                          std::int32_t component_a,
-                                          std::int32_t component_b);
-
-}  // namespace delta_detail
-
 class DeltaEvaluator {
  public:
   /// `penalty > 0`: deltas are on the penalized objective y^T Qhat y (the
@@ -65,7 +42,10 @@ class DeltaEvaluator {
 
   [[nodiscard]] double penalty() const noexcept { return penalty_; }
 
-  /// Exact one-off deltas (no caching).
+  /// Exact one-off deltas (no caching): the change in y^T Qhat y (penalized
+  /// mode) or in the objective if `component` moved to `target` --
+  /// O(degree in A + degree in Dc) -- or if the two components exchanged
+  /// partitions, O(degree(a) + degree(b)).
   [[nodiscard]] double move_delta(const Assignment& assignment,
                                   std::int32_t component,
                                   PartitionId target) const;

@@ -235,38 +235,6 @@ BurkardResult wrap_refined(const PartitionProblem& problem, Assignment u,
 MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
                                       const Assignment& initial,
                                       const MultilevelOptions& options) {
-  if (options.presolve.enabled) {
-    // Reduce once, build the whole V-cycle on the reduced instance, lift
-    // the finest result back.  Identity reductions recurse untouched so the
-    // run stays bit-identical to presolve off.
-    const Timer timer;
-    const bool needs_normalize =
-        problem.alpha() != 1.0 || problem.beta() != 1.0;
-    const ReducedProblem reduced =
-        needs_normalize ? presolve(problem.normalized(), options.presolve)
-                        : presolve(problem, options.presolve);
-    MultilevelOptions inner = options;
-    inner.presolve.enabled = false;
-    inner.coarse_solver.presolve.enabled = false;
-    inner.refine_solver.presolve.enabled = false;
-    if (reduced.identity() && !reduced.rn_feasible) {
-      return solve_qbp_multilevel(problem, initial, inner);
-    }
-    MultilevelResult lifted;
-    const double penalty = options.refine_solver.penalty;
-    if (reduced.rn_feasible) {
-      lifted.finest = rn_burkard_result(problem, reduced, penalty);
-    } else {
-      const Assignment start = reduced.lift.restrict_to_reduced(initial);
-      MultilevelResult run = solve_qbp_multilevel(reduced.problem, start, inner);
-      lifted = std::move(run);
-      lifted.finest = lift_burkard_result(problem, reduced,
-                                          std::move(lifted.finest), penalty);
-    }
-    lifted.seconds = timer.seconds();
-    return lifted;
-  }
-
   const Timer timer;
   MultilevelResult result;
 

@@ -109,12 +109,6 @@ struct MultilevelOptions {
   /// refinement work while the projection still reaches the finest level).
   /// Empty = never stop.
   std::function<bool()> should_stop;
-  /// Presolve the instance before building the V-cycle (core/presolve.hpp);
-  /// the whole hierarchy is then built on the reduced instance and the
-  /// finest result is lifted back.  Disabled by default at this layer (see
-  /// BurkardOptions::presolve); per-level Burkard presolve is always forced
-  /// off -- reducing an already-reduced level would only waste time.
-  PresolveOptions presolve{.enabled = false};
 
   /// Hard cap on hierarchy depth (the level storage is reserved up front so
   /// the per-level problem pointers stay stable).

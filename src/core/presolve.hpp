@@ -54,10 +54,10 @@
 namespace qbp {
 
 struct PresolveOptions {
-  /// Master switch.  presolve() returns an identity reduction when false;
-  /// layers that embed these options (BurkardOptions, MultilevelOptions)
-  /// default it OFF so inner solves never re-reduce, and entry points (CLI,
-  /// service, bench harness) opt in.
+  /// Master switch.  presolve() returns an identity reduction when false.
+  /// engine::SolvePipeline is the only place an instance is reduced before
+  /// a solve; entry points (CLI, service, bench harness) set this per run,
+  /// and the core solvers never presolve on their own.
   bool enabled = true;
   bool rule_r0 = true;
   bool rule_r1 = true;

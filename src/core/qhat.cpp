@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/delta_evaluator.hpp"
-#include "partition/cost.hpp"
 #include "util/parallel.hpp"
 #include "util/simd.hpp"
 
@@ -69,20 +67,6 @@ double QhatMatrix::penalized_value(const Assignment& assignment) const {
         }
       });
   return value;
-}
-
-double QhatMatrix::move_delta_penalized(const Assignment& assignment,
-                                        std::int32_t component,
-                                        PartitionId target) const {
-  return delta_detail::move_delta_penalized(*problem_, penalty_, assignment,
-                                            component, target);
-}
-
-double QhatMatrix::swap_delta_penalized(const Assignment& assignment,
-                                        std::int32_t component_a,
-                                        std::int32_t component_b) const {
-  return delta_detail::swap_delta_penalized(*problem_, penalty_, assignment,
-                                            component_a, component_b);
 }
 
 void QhatMatrix::eta(const Assignment& u, std::span<double> eta,

@@ -53,19 +53,8 @@ class QhatMatrix {
   /// the penalty.
   [[nodiscard]] std::int64_t ordered_violations(const Assignment& assignment) const;
 
-  /// Change in penalized_value if `component` moved to `target`, everything
-  /// else fixed.  O(degree in A + degree in Dc).  Delegates to the shared
-  /// implementation in core/delta_evaluator.hpp (the DeltaEvaluator adds
-  /// per-component caching on top for all-targets scans).
-  [[nodiscard]] double move_delta_penalized(const Assignment& assignment,
-                                            std::int32_t component,
-                                            PartitionId target) const;
-
-  /// Change in penalized_value if the two components exchanged partitions.
-  /// O(degree(j1) + degree(j2)) over both A and Dc.
-  [[nodiscard]] double swap_delta_penalized(const Assignment& assignment,
-                                            std::int32_t component_a,
-                                            std::int32_t component_b) const;
+  // Move/swap deltas of penalized_value: DeltaEvaluator
+  // (core/delta_evaluator.hpp) in penalized mode.
 
   /// STEP 3 gather: eta[s] = sum_r q-hat(r, s) * u_r for a complete
   /// assignment u; `eta` must have flat_size() entries.

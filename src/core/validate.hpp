@@ -88,9 +88,9 @@ struct ReportedOutcome {
     const ValidateOptions& options = {});
 
 /// Cross-check the incremental delta machinery at `assignment`: sampled
-/// moves and swaps evaluated through DeltaEvaluator (cached and one-off
-/// paths) and QhatMatrix::{move,swap}_delta_penalized must all agree with a
-/// full from-scratch re-evaluation of the mutated assignment.
+/// moves (DeltaEvaluator's cached row and one-off delta) and swaps
+/// (one-off delta) must agree with a full from-scratch re-evaluation of the
+/// mutated assignment through QhatMatrix::penalized_value.
 [[nodiscard]] ValidationReport validate_deltas(
     const PartitionProblem& problem, const Assignment& assignment,
     const ValidateOptions& options = {});

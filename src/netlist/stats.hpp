@@ -1,6 +1,6 @@
-// Summary statistics of a netlist, used by bench_table1 to print the
-// analogue of the paper's Table I and by tests to pin the generator's
-// output to its targets.
+// Summary statistics of a netlist, used by bench_runner's table1 suite to
+// print the analogue of the paper's Table I and by tests to pin the
+// generator's output to its targets.
 #pragma once
 
 #include <cstdint>

@@ -51,80 +51,4 @@ double objective(const Netlist& netlist, const PartitionTopology& topology,
          beta * quadratic_cost(netlist, topology, assignment);
 }
 
-double move_delta_quadratic(const Netlist& netlist,
-                            const PartitionTopology& topology,
-                            const Assignment& assignment,
-                            std::int32_t component, PartitionId target) {
-  const PartitionId source = assignment[component];
-  if (source == target) return 0.0;
-  const auto& adjacency = netlist.connection_matrix();
-  const auto neighbors = adjacency.row_indices(component);
-  const auto weights = adjacency.row_values(component);
-  double delta = 0.0;
-  for (std::size_t k = 0; k < neighbors.size(); ++k) {
-    const PartitionId other = assignment[neighbors[k]];
-    delta += weights[k] *
-             (topology.wire_cost(target, other) + topology.wire_cost(other, target) -
-              topology.wire_cost(source, other) - topology.wire_cost(other, source));
-  }
-  return delta;
-}
-
-double move_delta_objective(const Netlist& netlist,
-                            const PartitionTopology& topology,
-                            const Matrix<double>& p, double alpha, double beta,
-                            const Assignment& assignment,
-                            std::int32_t component, PartitionId target) {
-  const PartitionId source = assignment[component];
-  double delta =
-      beta * move_delta_quadratic(netlist, topology, assignment, component, target);
-  if (!p.empty()) {
-    delta += alpha * (p(target, component) - p(source, component));
-  }
-  return delta;
-}
-
-double swap_delta_objective(const Netlist& netlist,
-                            const PartitionTopology& topology,
-                            const Matrix<double>& p, double alpha, double beta,
-                            const Assignment& assignment,
-                            std::int32_t component_a, std::int32_t component_b) {
-  const PartitionId pa = assignment[component_a];
-  const PartitionId pb = assignment[component_b];
-  if (pa == pb) return 0.0;
-  const auto& adjacency = netlist.connection_matrix();
-
-  // Quadratic cost incident to {a, b} given (partition of a, partition of b);
-  // the a-b bundle itself is accounted once, in a's row.
-  const auto incident = [&](PartitionId part_a, PartitionId part_b) {
-    double total = 0.0;
-    const auto neighbors_a = adjacency.row_indices(component_a);
-    const auto weights_a = adjacency.row_values(component_a);
-    for (std::size_t k = 0; k < neighbors_a.size(); ++k) {
-      const std::int32_t other = neighbors_a[k];
-      const PartitionId part_other =
-          other == component_b ? part_b : assignment[other];
-      total += weights_a[k] * (topology.wire_cost(part_a, part_other) +
-                               topology.wire_cost(part_other, part_a));
-    }
-    const auto neighbors_b = adjacency.row_indices(component_b);
-    const auto weights_b = adjacency.row_values(component_b);
-    for (std::size_t k = 0; k < neighbors_b.size(); ++k) {
-      const std::int32_t other = neighbors_b[k];
-      if (other == component_a) continue;
-      const PartitionId part_other = assignment[other];
-      total += weights_b[k] * (topology.wire_cost(part_b, part_other) +
-                               topology.wire_cost(part_other, part_b));
-    }
-    return total;
-  };
-
-  double delta = beta * (incident(pb, pa) - incident(pa, pb));
-  if (!p.empty()) {
-    delta += alpha * (p(pb, component_a) - p(pa, component_a) +
-                      p(pa, component_b) - p(pb, component_b));
-  }
-  return delta;
-}
-
 }  // namespace qbp

@@ -44,31 +44,4 @@ namespace qbp {
                                const Matrix<double>& p, double alpha, double beta,
                                const Assignment& assignment);
 
-/// Change in quadratic_cost if `component` moved from its current partition
-/// to `target` (everything else fixed).  O(degree(component)).
-[[nodiscard]] double move_delta_quadratic(const Netlist& netlist,
-                                          const PartitionTopology& topology,
-                                          const Assignment& assignment,
-                                          std::int32_t component,
-                                          PartitionId target);
-
-/// Change in the full objective for the same move.
-[[nodiscard]] double move_delta_objective(const Netlist& netlist,
-                                          const PartitionTopology& topology,
-                                          const Matrix<double>& p, double alpha,
-                                          double beta,
-                                          const Assignment& assignment,
-                                          std::int32_t component,
-                                          PartitionId target);
-
-/// Change in the full objective if two components swap partitions.
-/// O(degree(a) + degree(b)).
-[[nodiscard]] double swap_delta_objective(const Netlist& netlist,
-                                          const PartitionTopology& topology,
-                                          const Matrix<double>& p, double alpha,
-                                          double beta,
-                                          const Assignment& assignment,
-                                          std::int32_t component_a,
-                                          std::int32_t component_b);
-
 }  // namespace qbp

@@ -1,7 +1,8 @@
 // Plain-text table rendering for the experiment harness.
 //
 // Renders the same row/column structure as the paper's Tables I-III so that
-// `bench_table2` output can be eyeballed against the original side by side.
+// `bench_runner --suite table2` output can be eyeballed against the
+// original side by side.
 #pragma once
 
 #include <string>

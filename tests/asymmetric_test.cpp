@@ -9,10 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.hpp"
-#include "core/burkard.hpp"
+#include "core/delta_evaluator.hpp"
 #include "core/initial.hpp"
 #include "core/qhat.hpp"
-#include "partition/cost.hpp"
+#include "engine/adapters.hpp"
+#include "engine/portfolio.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -117,6 +118,7 @@ TEST_P(AsymmetricSweep, EtaMatchesDenseGather) {
 TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
   const auto problem = make_asymmetric_problem(GetParam());
   const QhatMatrix qhat(problem, 100.0);
+  const DeltaEvaluator evaluator(problem, 100.0);
   Rng rng(GetParam() ^ 0xcc);
   Assignment assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
@@ -126,7 +128,7 @@ TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
     const auto target = static_cast<PartitionId>(
         rng.next_below(problem.num_partitions()));
     const double before = qhat.penalized_value(assignment);
-    EXPECT_NEAR(qhat.move_delta_penalized(assignment, j, target),
+    EXPECT_NEAR(evaluator.move_delta(assignment, j, target),
                 [&] {
                   Assignment moved = assignment;
                   moved.set(j, target);
@@ -138,7 +140,7 @@ TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
     const auto b = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
     if (a != b) {
-      EXPECT_NEAR(qhat.swap_delta_penalized(assignment, a, b),
+      EXPECT_NEAR(evaluator.swap_delta(assignment, a, b),
                   [&] {
                     Assignment swapped = assignment;
                     swapped.set(a, assignment[b]);
@@ -156,16 +158,14 @@ TEST_P(AsymmetricSweep, CostDeltasExact) {
   Rng rng(GetParam() ^ 0xdd);
   Assignment assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
-  const Matrix<double> empty_p;
+  const DeltaEvaluator evaluator(problem);
   for (int trial = 0; trial < 30; ++trial) {
     const auto j = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
     const auto target = static_cast<PartitionId>(
         rng.next_below(problem.num_partitions()));
     const double before = problem.objective(assignment);
-    const double delta = move_delta_objective(
-        problem.netlist(), problem.topology(), empty_p, problem.alpha(),
-        problem.beta(), assignment, j, target);
+    const double delta = evaluator.move_delta(assignment, j, target);
     Assignment moved = assignment;
     moved.set(j, target);
     EXPECT_NEAR(delta, problem.objective(moved) - before, 1e-9);
@@ -185,7 +185,13 @@ TEST_P(AsymmetricSweep, BurkardSoundAndNearOptimalOnAsymmetricInstances) {
   BurkardOptions options;
   options.iterations = 80;
   options.penalty = 200.0;  // entries of B reach 9 * multiplicity 4 = 36
-  const auto result = solve_qbp_multistart(problem, 4, GetParam(), options);
+  engine::PortfolioOptions portfolio;
+  portfolio.seed = GetParam();
+  portfolio.threads = 1;
+  const engine::SolverResult result =
+      engine::Portfolio(portfolio)
+          .run(problem, engine::BurkardSolver(options), 4)
+          .best;
   ASSERT_TRUE(result.found_feasible);
   EXPECT_TRUE(problem.is_feasible(result.best_feasible));
   EXPECT_GE(result.best_feasible_objective, exact.value - 1e-9);

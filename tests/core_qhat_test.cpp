@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.hpp"
+#include "core/delta_evaluator.hpp"
 #include "core/embedding.hpp"
 #include "core/qhat.hpp"
 #include "test_support.hpp"
@@ -207,6 +208,7 @@ TEST_P(QhatSweep, MoveDeltaPenalizedMatchesRecomputation) {
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
   const QhatMatrix qhat(problem, 50.0);
+  const DeltaEvaluator evaluator(problem, 50.0);
   Rng rng(GetParam() ^ 0xcccc);
   Assignment assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
@@ -216,7 +218,7 @@ TEST_P(QhatSweep, MoveDeltaPenalizedMatchesRecomputation) {
     const auto target = static_cast<PartitionId>(
         rng.next_below(problem.num_partitions()));
     const double before = qhat.penalized_value(assignment);
-    const double delta = qhat.move_delta_penalized(assignment, j, target);
+    const double delta = evaluator.move_delta(assignment, j, target);
     Assignment moved = assignment;
     moved.set(j, target);
     EXPECT_NEAR(delta, qhat.penalized_value(moved) - before, 1e-9);
@@ -230,6 +232,7 @@ TEST_P(QhatSweep, SwapDeltaPenalizedMatchesRecomputation) {
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
   const QhatMatrix qhat(problem, 50.0);
+  const DeltaEvaluator evaluator(problem, 50.0);
   Rng rng(GetParam() ^ 0xdddd);
   Assignment assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
@@ -240,7 +243,7 @@ TEST_P(QhatSweep, SwapDeltaPenalizedMatchesRecomputation) {
         rng.next_below(problem.num_components()));
     if (a == b) continue;
     const double before = qhat.penalized_value(assignment);
-    const double delta = qhat.swap_delta_penalized(assignment, a, b);
+    const double delta = evaluator.swap_delta(assignment, a, b);
     Assignment swapped = assignment;
     swapped.set(a, assignment[b]);
     swapped.set(b, assignment[a]);

@@ -37,9 +37,6 @@ TEST(DeltaEvaluator, MoveDeltaMatchesPenalizedValueDifference) {
     const double exact = qhat.penalized_value(moved) - before;
 
     EXPECT_NEAR(evaluator.move_delta(assignment, j, target), exact, 1e-9);
-    // The QhatMatrix methods delegate to the same implementation.
-    EXPECT_DOUBLE_EQ(evaluator.move_delta(assignment, j, target),
-                     qhat.move_delta_penalized(assignment, j, target));
 
     evaluator.invalidate();
     const auto deltas = evaluator.move_deltas(assignment, j);
@@ -70,8 +67,6 @@ TEST(DeltaEvaluator, SwapDeltaMatchesPenalizedValueDifference) {
     const double exact = qhat.penalized_value(swapped) - before;
 
     EXPECT_NEAR(evaluator.swap_delta(assignment, a, b), exact, 1e-9);
-    EXPECT_DOUBLE_EQ(evaluator.swap_delta(assignment, a, b),
-                     qhat.swap_delta_penalized(assignment, a, b));
   }
 }
 

@@ -153,17 +153,6 @@ TEST(Adapters, StopTokenAlreadyFiredReturnsQuicklyAndMarksCancelled) {
   ASSERT_TRUE(result.best.is_complete());
 }
 
-TEST(MultistartTiming, ReportsTotalAndBestStartSeconds) {
-  const PartitionProblem problem = engine_problem();
-  const BurkardResult result =
-      solve_qbp_multistart(problem, /*starts=*/4, /*seed=*/77,
-                           fast_qbp_options());
-  // `seconds` is the whole multistart wall clock; `seconds_best_start` only
-  // the winning start's, so it can never exceed the total.
-  EXPECT_GE(result.seconds, result.seconds_best_start);
-  EXPECT_GT(result.seconds_best_start, 0.0);
-}
-
 // The satellite requirement: same master seed + same start count =>
 // bit-identical chosen assignment regardless of thread count.  Run under
 // ThreadSanitizer in CI (QBPART_SANITIZE=tsan) this is also the data-race

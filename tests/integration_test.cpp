@@ -183,22 +183,15 @@ TEST(Harness, TableFormatting) {
   row.qbp = {17457, 15.9, 86.8, true};
   row.gfm = {18894, 9.0, 12.2, true};
   row.gkl = {17526, 15.6, 544.3, true};
-  const auto table = format_table("Table II", {row});
-  EXPECT_NE(table.find("Table II"), std::string::npos);
-  EXPECT_NE(table.find("cktx"), std::string::npos);
-  EXPECT_NE(table.find("20,756"), std::string::npos);
-  EXPECT_NE(table.find("17,457"), std::string::npos);
-  EXPECT_NE(table.find("15.9"), std::string::npos);
-}
-
-TEST(Harness, CsvFormatting) {
-  ExperimentRow row;
-  row.circuit = "ckty";
-  row.start_cost = 100;
-  row.qbp = {80, 20.0, 1.5, true};
-  const auto csv = rows_to_csv({row});
-  EXPECT_NE(csv.find("circuit,start"), std::string::npos);
-  EXPECT_NE(csv.find("ckty,100.0,80.0,20.00,1.500,1"), std::string::npos);
+  const json::Value rows = rows_to_json({row});
+  ASSERT_EQ(rows.size(), 1u);
+  const json::Value& entry = rows.at(0);
+  EXPECT_EQ(entry.get_string("circuit"), "cktx");
+  EXPECT_EQ(entry.get_number("start", 0.0), 20756.0);
+  ASSERT_NE(entry.find("qbp"), nullptr);
+  EXPECT_EQ(entry.find("qbp")->get_number("final", 0.0), 17457.0);
+  EXPECT_EQ(entry.find("gkl")->get_number("cpu_s", 0.0), 544.3);
+  EXPECT_TRUE(entry.find("gfm")->get_bool("feasible", false));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/delta_evaluator.hpp"
 #include "netlist/generator.hpp"
 #include "partition/assignment.hpp"
 #include "partition/cost.hpp"
@@ -229,6 +230,7 @@ TEST_P(MoveDeltaSweep, MoveDeltaMatchesRecomputation) {
   Assignment assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
   const auto& p = problem.linear_cost_matrix();
+  const DeltaEvaluator evaluator(problem);
   for (int trial = 0; trial < 30; ++trial) {
     const auto j = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
@@ -236,10 +238,7 @@ TEST_P(MoveDeltaSweep, MoveDeltaMatchesRecomputation) {
         rng.next_below(problem.num_partitions()));
     const double before = objective(problem.netlist(), problem.topology(), p,
                                     problem.alpha(), problem.beta(), assignment);
-    const double delta =
-        move_delta_objective(problem.netlist(), problem.topology(), p,
-                             problem.alpha(), problem.beta(), assignment, j,
-                             target);
+    const double delta = evaluator.move_delta(assignment, j, target);
     Assignment moved = assignment;
     moved.set(j, target);
     const double after = objective(problem.netlist(), problem.topology(), p,
@@ -256,6 +255,7 @@ TEST_P(MoveDeltaSweep, SwapDeltaMatchesRecomputation) {
   Assignment assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
   const auto& p = problem.linear_cost_matrix();
+  const DeltaEvaluator evaluator(problem);
   for (int trial = 0; trial < 30; ++trial) {
     const auto a = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
@@ -264,9 +264,7 @@ TEST_P(MoveDeltaSweep, SwapDeltaMatchesRecomputation) {
     if (a == b) continue;
     const double before = objective(problem.netlist(), problem.topology(), p,
                                     problem.alpha(), problem.beta(), assignment);
-    const double delta =
-        swap_delta_objective(problem.netlist(), problem.topology(), p,
-                             problem.alpha(), problem.beta(), assignment, a, b);
+    const double delta = evaluator.swap_delta(assignment, a, b);
     Assignment swapped = assignment;
     swapped.set(a, assignment[b]);
     swapped.set(b, assignment[a]);

@@ -241,31 +241,28 @@ TEST(PresolveIdentity, StandardCircuitsDoNotReduce) {
   EXPECT_TRUE(reduced.identity());
 }
 
+// The pipeline with presolve on (its default) must be bit-identical to a
+// direct solve_qbp when no rule fires.
 TEST(PresolveIdentity, SolveQbpBitIdenticalOnOffWhenNothingReduces) {
   const auto instance = make_circuit(*find_preset("cktb"));
   const auto initial = make_initial(instance.problem,
                                     InitialStrategy::kQbpZeroWireCost, 1993);
-  BurkardOptions off;
-  off.iterations = 12;
-  BurkardOptions on = off;
-  on.presolve.enabled = true;
-  const BurkardResult result_off =
-      solve_qbp(instance.problem, initial.assignment, off);
-  const BurkardResult result_on =
-      solve_qbp(instance.problem, initial.assignment, on);
-  EXPECT_EQ(result_off.best_penalized, result_on.best_penalized);
-  EXPECT_EQ(result_off.found_feasible, result_on.found_feasible);
-  if (result_off.found_feasible) {
-    EXPECT_EQ(result_off.best_feasible_objective,
-              result_on.best_feasible_objective);
-    for (std::int32_t j = 0; j < instance.problem.num_components(); ++j) {
-      EXPECT_EQ(result_off.best_feasible[j], result_on.best_feasible[j]);
-    }
+  BurkardOptions options;
+  options.iterations = 12;
+  const BurkardResult direct =
+      solve_qbp(instance.problem, initial.assignment, options);
+  const engine::SolvePipeline pipeline(instance.problem);
+  ASSERT_FALSE(pipeline.reduced());
+  const engine::SolverResult piped = pipeline.solve_one(
+      engine::BurkardSolver(options), {initial.assignment, 0});
+  EXPECT_EQ(direct.best_penalized, piped.best_penalized);
+  EXPECT_EQ(direct.best, piped.best);
+  EXPECT_EQ(direct.found_feasible, piped.found_feasible);
+  if (direct.found_feasible) {
+    EXPECT_EQ(direct.best_feasible_objective, piped.best_feasible_objective);
+    EXPECT_EQ(direct.best_feasible, piped.best_feasible);
   }
-  ASSERT_EQ(result_off.history.size(), result_on.history.size());
-  for (std::size_t k = 0; k < result_off.history.size(); ++k) {
-    EXPECT_EQ(result_off.history[k], result_on.history[k]);
-  }
+  EXPECT_EQ(direct.history, piped.history);
 }
 
 // Reducible instances: presolve-on must still produce valid (shadow-checked)
@@ -285,10 +282,11 @@ TEST(PresolveReducing, BenchFamilyReducesAndSolvesValidly) {
       make_initial(problem, InitialStrategy::kQbpZeroWireCost, 7);
   BurkardOptions options;
   options.iterations = 20;
-  options.presolve.enabled = true;
   const bool was_validating = validation_enabled();
   set_validation_enabled(true);  // shadow-check the lift on the original
-  const BurkardResult result = solve_qbp(problem, initial.assignment, options);
+  const engine::SolvePipeline pipeline(problem);
+  const engine::SolverResult result = pipeline.solve_one(
+      engine::BurkardSolver(options), {initial.assignment, 0});
   set_validation_enabled(was_validating);
   ASSERT_TRUE(result.found_feasible);
   EXPECT_TRUE(problem.is_feasible(result.best_feasible));
@@ -301,15 +299,15 @@ TEST(PresolveReducing, MultilevelLiftsReducedSolve) {
   const auto initial =
       make_initial(problem, InitialStrategy::kQbpZeroWireCost, 7);
   MultilevelOptions options;
-  options.presolve.enabled = true;
   options.coarse_solver.iterations = 10;
   options.refine_solver.iterations = 10;
-  const MultilevelResult result =
-      solve_qbp_multilevel(problem, initial.assignment, options);
-  ASSERT_TRUE(result.finest.found_feasible);
-  EXPECT_EQ(result.finest.best_feasible.num_components(),
-            problem.num_components());
-  EXPECT_TRUE(problem.is_feasible(result.finest.best_feasible));
+  const engine::SolvePipeline pipeline(problem);
+  ASSERT_TRUE(pipeline.reduced());
+  const engine::SolverResult result = pipeline.solve_one(
+      engine::MultilevelSolver(options), {initial.assignment, 0});
+  ASSERT_TRUE(result.found_feasible);
+  EXPECT_EQ(result.best_feasible.num_components(), problem.num_components());
+  EXPECT_TRUE(problem.is_feasible(result.best_feasible));
 }
 
 // --- special-cases cross-check (satellite): the reducer must agree with the

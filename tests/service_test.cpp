@@ -818,6 +818,9 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
   const std::string problem = tiny_problem_text();
   constexpr int kJobs = 6;
 
+  // Submit k carries seed 7 + k, so no two submits share a cache key: which
+  // of several identical submits hit the cache would depend on how the
+  // workers are scheduled, not on the framing under test.
   for (const std::int32_t workers : {1, 4}) {
     ResponseLog ndjson_log;
     {
@@ -826,7 +829,7 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
       Server server(options);
       for (int k = 0; k < kJobs; ++k) {
         const auto request =
-            make_wire_request("j" + std::to_string(k), problem, 7);
+            make_wire_request("j" + std::to_string(k), problem, 7 + k);
         server.handle_line(format_request(request), ndjson_log.sink());
       }
       server.drain();
@@ -838,7 +841,7 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
       Server server(options);
       for (int k = 0; k < kJobs; ++k) {
         const auto request =
-            make_wire_request("j" + std::to_string(k), problem, 7);
+            make_wire_request("j" + std::to_string(k), problem, 7 + k);
         const std::string frame = wire_frame(request);
         wire::FrameView view;
         std::string error;

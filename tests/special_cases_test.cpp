@@ -7,6 +7,8 @@
 #include "core/initial.hpp"
 #include "bench_support/circuits.hpp"
 #include "core/special_cases.hpp"
+#include "engine/adapters.hpp"
+#include "engine/portfolio.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -138,13 +140,26 @@ TEST(SpecialCases, GapReductionMatchesDedicatedSolverSemantics) {
 
 // ----------------------------------------------- multistart and budget ----
 
+/// `starts` Burkard runs through the engine portfolio on one thread; the
+/// winner's result.
+engine::SolverResult multistart(const PartitionProblem& problem,
+                                std::int32_t starts, std::uint64_t seed,
+                                const BurkardOptions& options) {
+  engine::PortfolioOptions portfolio;
+  portfolio.seed = seed;
+  portfolio.threads = 1;
+  return engine::Portfolio(portfolio)
+      .run(problem, engine::BurkardSolver(options), starts)
+      .best;
+}
+
 TEST(Multistart, AtLeastAsGoodAsSingleRun) {
   const auto problem = test::make_tiny_problem({.seed = 8});
   if (!brute_force_constrained(problem).found) GTEST_SKIP();
   BurkardOptions options;
   options.iterations = 20;
-  const auto single = solve_qbp_multistart(problem, 1, 7, options);
-  const auto multi = solve_qbp_multistart(problem, 5, 7, options);
+  const auto single = multistart(problem, 1, 7, options);
+  const auto multi = multistart(problem, 5, 7, options);
   ASSERT_TRUE(multi.found_feasible);
   if (single.found_feasible) {
     EXPECT_LE(multi.best_feasible_objective,
@@ -156,8 +171,8 @@ TEST(Multistart, DeterministicInSeed) {
   const auto problem = test::make_tiny_problem({.seed = 9});
   BurkardOptions options;
   options.iterations = 15;
-  const auto a = solve_qbp_multistart(problem, 3, 21, options);
-  const auto b = solve_qbp_multistart(problem, 3, 21, options);
+  const auto a = multistart(problem, 3, 21, options);
+  const auto b = multistart(problem, 3, 21, options);
   EXPECT_EQ(a.best, b.best);
   EXPECT_DOUBLE_EQ(a.best_penalized, b.best_penalized);
 }
