@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_support/circuits.hpp"
@@ -159,18 +160,28 @@ Value run_paper_table(bool with_timing, const RunnerConfig& config) {
   return qbp::rows_to_json(rows);
 }
 
+/// Full-mode scaling rows from this N up also solve at every hardware
+/// thread, for the thread-scaling check (scaling_thread_bounds).
+constexpr std::int32_t kThreadCheckMinN = 1600;
+
 // Scaling: flat QBP whole-solve time on fixed-density generated instances.
 Value run_scaling(const RunnerConfig& config) {
   qbp::BurkardOptions options;
   options.iterations = config.smoke ? 10 : 30;
   options.inner_threads = inner_threads(config);
   const qbp::engine::BurkardSolver solver(options);
+  options.inner_threads = 0;  // all hardware
+  const qbp::engine::BurkardSolver nproc_solver(options);
 
   Value rows = Value::array();
   for (const std::int32_t n : scaling_sizes(config)) {
     const auto problem = qbp::make_scaling_problem(n, 7);
     const auto initial = qbp::make_initial(
         problem, qbp::InitialStrategy::kQbpZeroWireCost, 7);
+    const auto final_of = [&](const qbp::engine::SolverResult& result) {
+      return problem.wirelength(result.found_feasible ? result.best_feasible
+                                                      : initial.assignment);
+    };
     const qbp::Timer timer;
     const auto result =
         pipeline_solve(problem, solver, initial.assignment, config.presolve);
@@ -187,10 +198,17 @@ Value run_scaling(const RunnerConfig& config) {
                                ? seconds * 1000.0 /
                                      static_cast<double>(result.iterations)
                                : 0.0);
-    row.set("final", problem.wirelength(result.found_feasible
-                                            ? result.best_feasible
-                                            : initial.assignment));
+    row.set("final", final_of(result));
     row.set("feasible", result.found_feasible);
+    if (!config.smoke && n >= kThreadCheckMinN) {
+      const qbp::Timer nproc_timer;
+      const auto nproc = pipeline_solve(problem, nproc_solver,
+                                        initial.assignment, config.presolve);
+      row.set("threads_nproc", static_cast<int>(std::max(
+                                   1u, std::thread::hardware_concurrency())));
+      row.set("seconds_nproc", nproc_timer.seconds());
+      row.set("final_nproc", final_of(nproc));
+    }
     rows.push_back(std::move(row));
     std::fprintf(stderr, "  N=%d done (%.2fs)\n", n, seconds);
   }
@@ -491,6 +509,43 @@ void eco_bounds(Gate& gate, const Value& rows, const RunnerConfig& config) {
   }
 }
 
+// The thread-scaling check: on every row that also solved at all hardware
+// threads, that solve must give the same answer and hold its wall clock to
+// seconds * (1 + time_tolerance) + 0.1 s -- intra-solve threads must not
+// lose on the cores that exist.  Full mode must carry such rows, so the
+// check cannot pass vacuously; the smoke ladder stops below them.
+void scaling_thread_bounds(Gate& gate, const Value& rows,
+                           const RunnerConfig& config) {
+  if (config.smoke) return;
+  int checked = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Value& row = rows.at(r);
+    const Value* seconds_nproc = row.find("seconds_nproc");
+    if (seconds_nproc == nullptr) continue;
+    ++checked;
+    const std::string where = "scaling/n=" + member(row, "n")->dump();
+    if (!(*member(row, "final_nproc") == *member(row, "final"))) {
+      gate.fail(where + "/final_nproc",
+                "answer changed with threads (final " +
+                    member(row, "final")->dump() + ", at nproc " +
+                    member(row, "final_nproc")->dump() + ")");
+    }
+    const double seconds = row.get_number("seconds", 0.0);
+    const double limit = seconds * (1.0 + gate.time_tolerance) + 0.1;
+    if (seconds_nproc->as_number() > limit) {
+      gate.fail(where + "/seconds_nproc",
+                "slower at " + member(row, "threads_nproc")->dump() +
+                    " threads (" + qbp::format_double(seconds, 3) +
+                    "s at threads=" + member(row, "threads")->dump() +
+                    ", limit " + qbp::format_double(limit, 3) + "s, now " +
+                    qbp::format_double(seconds_nproc->as_number(), 3) + "s)");
+    }
+  }
+  if (checked == 0) {
+    gate.fail("scaling", "no row solved at nproc threads");
+  }
+}
+
 // Serve: every reply must be a result; within one run each binary row must
 // hash identically to the NDJSON row of the same (scenario, workers) --
 // bit-identical results across framings and worker counts; and the binary
@@ -599,7 +654,9 @@ const std::vector<Suite>& declared_suites() {
                    {"solve (s)", "seconds"},
                    {"ms / iteration", "ms_per_iter", 1},
                    {"final", "final", 1},
-                   {"feasible", "feasible"}}},
+                   {"feasible", "feasible"},
+                   {"nproc (s)", "seconds_nproc"}},
+       .cross_check = scaling_thread_bounds},
       {.name = "presolve",
        .title = "Presolve (reducible instances)",
        .run = run_presolve,

@@ -6,7 +6,6 @@
 #include <queue>
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/simd.hpp"
 
@@ -17,13 +16,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-12;
 constexpr double kCapTolerance = 1e-9;
-
-/// Chunk grains for the parallel scans.  Pure layout constants (never a
-/// function of the thread count): items whose inner work is O(M) chunk at
-/// 128, the O(1)-per-item swap predicate at 512.  Ranges that fit in one
-/// chunk run inline, so small instances never pay pool overhead.
-constexpr std::int64_t kItemGrain = 128;
-constexpr std::int64_t kSwapGrain = 512;
 
 /// Column-major cost view: item j's M agent costs are contiguous at
 /// [j*M, (j+1)*M).  Every phase of the heuristic scans per-item agent costs,
@@ -198,19 +190,8 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
     };
     std::priority_queue<HeapEntry> heap;
     std::vector<std::int32_t> hopeless;  // no feasible agent right now
-    // The initial best-pair batch reads only the pristine slack vector, so
-    // the per-item scans run in parallel into per-item slots; the heap is
-    // then filled sequentially in item order, giving the identical heap.
-    std::vector<BestPair> initial(static_cast<std::size_t>(n));
-    par::parallel_for(n, kItemGrain, options.threads,
-                      [&](std::int64_t begin, std::int64_t end, std::int32_t) {
-                        for (std::int64_t j = begin; j < end; ++j) {
-                          initial[static_cast<std::size_t>(j)] = best_agents(
-                              cost, sizes, slack, static_cast<std::int32_t>(j));
-                        }
-                      });
     for (std::int32_t j = 0; j < n; ++j) {
-      const BestPair& best = initial[static_cast<std::size_t>(j)];
+      const BestPair best = best_agents(cost, sizes, slack, j);
       if (best.best_agent < 0) {
         hopeless.push_back(j);
       } else {
@@ -281,67 +262,40 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
 
     // Cheapest move (cost delta per unit size) out of `worst` into an agent
     // with room; if no fitting target exists, fall back to the move that
-    // reduces total overflow the most.  The whole scan reads state frozen
-    // for this repair step, so it is a parallel reduction: one candidate
-    // pair per chunk, folded in chunk order with the same strict
-    // comparisons as the serial scan (earlier items win ties).
-    struct RepairCand {
-      std::int32_t move_item = -1;
-      std::int32_t move_target = -1;
-      double move_score = kInf;
-      std::int32_t fallback_item = -1;
-      std::int32_t fallback_target = -1;
-      double fallback_slack = -kInf;
-    };
-    const RepairCand cand = par::parallel_reduce(
-        n, kItemGrain, options.threads, RepairCand{},
-        [&](std::int64_t begin, std::int64_t end) {
-          RepairCand local;
-          for (std::int64_t j64 = begin; j64 < end; ++j64) {
-            const auto j = static_cast<std::int32_t>(j64);
-            if (result.agent_of_item[static_cast<std::size_t>(j)] != worst)
-              continue;
-            const double size = problem.sizes[static_cast<std::size_t>(j)];
-            const double* column = cost.col(j);
-            for (std::int32_t i = 0; i < m; ++i) {
-              if (i == worst) continue;
-              const double target_slack = slack[static_cast<std::size_t>(i)];
-              if (target_slack + kCapTolerance >= size) {
-                const double delta = column[i] - column[worst];
-                const double score = delta / size;
-                if (score < local.move_score) {
-                  local.move_score = score;
-                  local.move_item = j;
-                  local.move_target = i;
-                }
-              } else if (target_slack > local.fallback_slack) {
-                local.fallback_slack = target_slack;
-                local.fallback_item = j;
-                local.fallback_target = i;
-              }
-            }
+    // reduces total overflow the most.  Strict comparisons: earlier items
+    // win ties.
+    std::int32_t move_item = -1;
+    std::int32_t move_target = -1;
+    double move_score = kInf;
+    std::int32_t fallback_item = -1;
+    std::int32_t fallback_target = -1;
+    double fallback_slack = -kInf;
+    for (std::int32_t j = 0; j < n; ++j) {
+      if (result.agent_of_item[static_cast<std::size_t>(j)] != worst) continue;
+      const double size = problem.sizes[static_cast<std::size_t>(j)];
+      const double* column = cost.col(j);
+      for (std::int32_t i = 0; i < m; ++i) {
+        if (i == worst) continue;
+        const double target_slack = slack[static_cast<std::size_t>(i)];
+        if (target_slack + kCapTolerance >= size) {
+          const double delta = column[i] - column[worst];
+          const double score = delta / size;
+          if (score < move_score) {
+            move_score = score;
+            move_item = j;
+            move_target = i;
           }
-          return local;
-        },
-        [](RepairCand acc, const RepairCand& part) {
-          if (part.move_score < acc.move_score) {
-            acc.move_score = part.move_score;
-            acc.move_item = part.move_item;
-            acc.move_target = part.move_target;
-          }
-          if (part.fallback_slack > acc.fallback_slack) {
-            acc.fallback_slack = part.fallback_slack;
-            acc.fallback_item = part.fallback_item;
-            acc.fallback_target = part.fallback_target;
-          }
-          return acc;
-        });
-    std::int32_t move_item = cand.move_item;
-    std::int32_t move_target = cand.move_target;
+        } else if (target_slack > fallback_slack) {
+          fallback_slack = target_slack;
+          fallback_item = j;
+          fallback_target = i;
+        }
+      }
+    }
     if (move_item < 0) {
-      if (cand.fallback_item < 0) break;  // agent has no items or no other agent
-      move_item = cand.fallback_item;
-      move_target = cand.fallback_target;
+      if (fallback_item < 0) break;  // agent has no items or no other agent
+      move_item = fallback_item;
+      move_target = fallback_target;
     }
     const double size = problem.sizes[static_cast<std::size_t>(move_item)];
     slack[static_cast<std::size_t>(worst)] += size;
@@ -371,55 +325,32 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
     assigned_cost.resize(static_cast<std::size_t>(n));
     masked_column.resize(static_cast<std::size_t>(m));
   }
-  // The two improvement scans are first-improvement loops: items that do
-  // not commit have zero side effects, so "scan ascending, commit when a
-  // predicate fires" is exactly "find the first item whose predicate holds
-  // against the state frozen since the last commit, commit it, resume one
-  // past it".  That restatement is what parallelizes: chunks evaluate the
-  // pure predicate concurrently, the first hit (in index order) is taken,
-  // and every commit stays on the calling thread in the original order --
-  // bit-identical to the serial pass at any thread count.
-  const auto best_reassign = [&](std::int32_t j) -> std::int32_t {
-    const std::int32_t from = result.agent_of_item[static_cast<std::size_t>(j)];
-    const double size = problem.sizes[static_cast<std::size_t>(j)];
-    const double* column = cost.col(j);
-    const double from_cost = column[from];
-    std::int32_t best_to = -1;
-    double best_delta = -kEps;
-    for (std::int32_t i = 0; i < m; ++i) {
-      if (i == from) continue;
-      if (slack[static_cast<std::size_t>(i)] + kCapTolerance < size) continue;
-      const double delta = column[i] - from_cost;
-      if (delta < best_delta) {
-        best_delta = delta;
-        best_to = i;
-      }
-    }
-    return best_to;
-  };
+  // Both improvement passes are first-improvement walks: scan ascending
+  // and commit each profitable item (or pair) as soon as it is found.
   for (int pass = 0; pass < options.improvement_passes; ++pass) {
     QBP_PROF_SCOPE("gap.improve");
     bool improved = false;
-    std::int64_t cursor = 0;
-    while (cursor < n) {
-      const std::int64_t j64 = par::find_first(
-          n, cursor, kItemGrain, options.threads,
-          [&](std::int64_t begin, std::int64_t end) -> std::int64_t {
-            for (std::int64_t jj = begin; jj < end; ++jj) {
-              if (best_reassign(static_cast<std::int32_t>(jj)) >= 0) return jj;
-            }
-            return -1;
-          });
-      if (j64 < 0) break;
-      const auto j = static_cast<std::int32_t>(j64);
+    for (std::int32_t j = 0; j < n; ++j) {
       const std::int32_t from = result.agent_of_item[static_cast<std::size_t>(j)];
-      const std::int32_t best_to = best_reassign(j);
       const double size = problem.sizes[static_cast<std::size_t>(j)];
+      const double* column = cost.col(j);
+      const double from_cost = column[from];
+      std::int32_t best_to = -1;
+      double best_delta = -kEps;
+      for (std::int32_t i = 0; i < m; ++i) {
+        if (i == from) continue;
+        if (slack[static_cast<std::size_t>(i)] + kCapTolerance < size) continue;
+        const double delta = column[i] - from_cost;
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_to = i;
+        }
+      }
+      if (best_to < 0) continue;
       slack[static_cast<std::size_t>(from)] += size;
       slack[static_cast<std::size_t>(best_to)] -= size;
       result.agent_of_item[static_cast<std::size_t>(j)] = best_to;
       improved = true;
-      cursor = j64 + 1;
     }
     if (options.swap_improvement) {
       QBP_PROF_SCOPE("gap.improve_swap");
@@ -451,46 +382,27 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
         double* masked = masked_column.data();
         for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
         masked[a1] = kInf;
-        // Same find-first restatement as the reassignment pass: the
-        // profitability + capacity predicate reads only state that is
-        // frozen between commits (masked/row1/c11/limit1 are refreshed at
-        // each commit, before the next search begins).
-        std::int64_t swap_cursor = j1 + 1;
-        while (swap_cursor < n) {
-          const std::int64_t hit = par::find_first(
-              n, swap_cursor, kSwapGrain, options.threads,
-              [&](std::int64_t begin, std::int64_t end) -> std::int64_t {
-                // Profitability pre-filter first: the SIMD scan returns the
-                // first j2 with
-                //   masked[agent[j2]] + row1[j2] - c11 - assigned_cost[j2]
-                //     < -kEps
-                // (same association as the scalar formulation, bit-identical
-                // by the util/simd.hpp contract), then the rare candidates
-                // pay the capacity checks; rejected candidates resume the
-                // scan one past themselves, exactly like the scalar
-                // `continue`.
-                std::int64_t jj = begin;
-                while (jj < end) {
-                  const std::int64_t cand = simd::swap_profit_scan(
-                      masked, agent, row1, assigned_cost.data(), c11, -kEps,
-                      jj, end);
-                  if (cand < 0) return -1;
-                  const auto j2 = static_cast<std::int32_t>(cand);
-                  const double s2 = problem.sizes[static_cast<std::size_t>(j2)];
-                  if (limit1 >= s2 &&
-                      slack[static_cast<std::size_t>(agent[j2])] + s2 +
-                              kCapTolerance >=
-                          s1) {
-                    return cand;
-                  }
-                  jj = cand + 1;
-                }
-                return -1;
-              });
-          if (hit < 0) break;
-          const auto j2 = static_cast<std::int32_t>(hit);
+        // Profitability pre-filter first: the SIMD scan returns the first
+        // j2 in [cursor, n) with
+        //   masked[agent[j2]] + row1[j2] - c11 - assigned_cost[j2] < -kEps
+        // (same association as the scalar formulation, bit-identical by the
+        // util/simd.hpp contract), then the rare candidates pay the
+        // capacity checks; a rejected candidate resumes the scan one past
+        // itself, exactly like the scalar `continue`.
+        std::int64_t cursor = j1 + 1;
+        while (cursor < n) {
+          const std::int64_t cand = simd::swap_profit_scan(
+              masked, agent, row1, assigned_cost.data(), c11, -kEps, cursor,
+              n);
+          if (cand < 0) break;
+          cursor = cand + 1;
+          const auto j2 = static_cast<std::int32_t>(cand);
           const std::int32_t a2 = agent[j2];
           const double s2 = problem.sizes[static_cast<std::size_t>(j2)];
+          const bool fits =
+              limit1 >= s2 &&
+              slack[static_cast<std::size_t>(a2)] + s2 + kCapTolerance >= s1;
+          if (!fits) continue;
           const double c12 = row1[j2];  // cost(a1, j2)
           slack[static_cast<std::size_t>(a1)] += s1 - s2;
           slack[static_cast<std::size_t>(a2)] += s2 - s1;
@@ -506,7 +418,6 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
                                         static_cast<std::size_t>(n);
           for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
           masked[a1] = kInf;
-          swap_cursor = hit + 1;
         }
       }
     }

@@ -71,12 +71,6 @@ struct GapOptions {
   /// Abort repair after this many single-item moves (guards against cycling
   /// on infeasible instances).
   std::int64_t max_repair_moves = -1;  // -1 => 8 * N
-  /// Threads for the candidate scans (construction best-pair batch, repair
-  /// argmin, improve/swap first-improvement searches) through the shared
-  /// util/parallel pool.  Results are bit-identical at every value: chunk
-  /// layouts are thread-count independent, reductions fold in chunk order,
-  /// and all commits stay sequential.
-  std::int32_t threads = 1;
 };
 
 struct GapResult {

@@ -26,7 +26,7 @@ namespace qbp {
 /// the same descent as its per-level refinement.
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
-                    std::uint64_t sweep_seed, std::int32_t inner_threads) {
+                    std::uint64_t sweep_seed) {
   if (max_sweeps <= 0) return;
   evaluator.invalidate();  // `u` changed hands since the last polish
   const std::int32_t n = problem.num_components();
@@ -63,15 +63,6 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
   for (std::int32_t sweep = 0; sweep < max_sweeps; ++sweep) {
     QBP_PROF_SCOPE("polish.sweep");
     bool improved = false;
-
-    // Build all stale evaluator rows for the sweep up front, in parallel.
-    // A row still valid when the serial scan below reaches it is byte-for-
-    // byte what the lazy build would have produced (its component's
-    // neighbors have not moved since, by definition of validity), so this
-    // only shifts *when* rows are built -- results are unchanged, and at
-    // inner_threads == 1 the prefetch is skipped to keep the serial path
-    // free of double builds.
-    if (inner_threads > 1) evaluator.prefetch_rows(u, inner_threads);
 
     // Move sweep: best capacity-feasible improving move per component,
     // selected from the evaluator's cached all-targets row.
@@ -128,8 +119,8 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   DeltaEvaluator evaluator(problem, options.penalty);
   const std::vector<double> omega = qhat.omega();  // STEP 2 bounds
 
-  // Intra-solve thread budget; every hot phase below receives it.  The
-  // shared pool fair-shares when several solves run concurrently.
+  // Intra-solve thread budget for the STEP 3 gather.  The shared pool
+  // fair-shares when several solves run concurrently.
   const std::int32_t inner = par::resolve_threads(options.inner_threads);
 
   // The flat eta / h vectors (r = i + j * M) are exactly the column-major
@@ -139,10 +130,6 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   gap.flat_agents = problem.num_partitions();
   gap.sizes = problem.netlist().sizes();
   gap.capacities = problem.topology().capacities();
-  GapOptions gap_step4 = options.gap_step4;
-  gap_step4.threads = inner;
-  GapOptions gap_step6 = options.gap_step6;
-  gap_step6.threads = inner;
 
   BurkardResult result;
   // STEP 2: u* <- u(1), z* <- u*^T Qhat u*.
@@ -190,24 +177,17 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     {
       QBP_PROF_SCOPE("burkard.step4_gap");
       gap.cost_flat = std::span<const double>(eta);
-      const GapResult step4 = solve_gap(gap, gap_step4);
+      const GapResult step4 = solve_gap(gap, options.gap_step4);
       if (!step4.feasible) ++result.infeasible_inner_solves;
       z = step4.cost;
     }
 
-    // STEP 5: accumulate the normalized direction.  Element-wise over
-    // fixed chunks: no FP reassociation, bit-identical at any thread count.
+    // STEP 5: accumulate the normalized direction, h += eta * scale (the
+    // SIMD kernel is bit-identical to the scalar loop).
     {
       QBP_PROF_SCOPE("burkard.step5_h");
       const double scale = 1.0 / std::max(1.0, std::abs(z - xi));
-      par::parallel_for(flat_size, /*grain=*/8192, inner,
-                        [&](std::int64_t begin, std::int64_t end,
-                            std::int32_t) {
-                          // h[s] += eta[s] * scale over the chunk; the SIMD
-                          // kernel is bit-identical to the scalar loop.
-                          simd::axpy(scale, eta.data() + begin,
-                                     h.data() + begin, end - begin);
-                        });
+      simd::axpy(scale, eta.data(), h.data(), flat_size);
     }
 
     // STEP 6: u(k+1) = argmin_{u in S} h . u.
@@ -215,7 +195,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     {
       QBP_PROF_SCOPE("burkard.step6_gap");
       gap.cost_flat = std::span<const double>(h);
-      step6_result = solve_gap(gap, gap_step6);
+      step6_result = solve_gap(gap, options.gap_step6);
     }
     const GapResult& step6 = *step6_result;
     if (!step6.feasible) ++result.infeasible_inner_solves;
@@ -225,7 +205,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     // (capacity-preserving moves only) before evaluating it.
     if (step6.feasible) {
       polish_iterate(problem, evaluator, next, options.polish_sweeps,
-                     0x9b1eu ^ static_cast<std::uint64_t>(k), inner);
+                     0x9b1eu ^ static_cast<std::uint64_t>(k));
     }
 
     // STEP 7: incumbent update by penalized value; feasible incumbent is
@@ -269,7 +249,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
         // only diversifies if the following descent happens before the
         // global field re-absorbs it.
         polish_iterate(problem, evaluator, u, options.polish_sweeps,
-                       0x15edu ^ static_cast<std::uint64_t>(k), inner);
+                       0x15edu ^ static_cast<std::uint64_t>(k));
         const double kicked = qhat.penalized_value(u);
         if (kicked < result.best_penalized) {
           result.best_penalized = kicked;

@@ -75,14 +75,14 @@ struct BurkardOptions {
   /// evaluates the iterate.  0 reproduces the literal STEP 1-8 listing;
   /// the ablation bench quantifies the difference.
   std::int32_t polish_sweeps = 3;
-  /// Intra-solve parallelism: threads for the hot phases of ONE solve (the
-  /// STEP 3 eta gather, the GAP candidate scans of STEPs 4/6, the STEP 5
-  /// accumulation, and the polish row prefetch), executed on the shared
-  /// deterministic pool in util/parallel.  Results are bit-identical at
-  /// every value -- this knob trades wall-clock only.  1 (default) keeps
-  /// the hot loops on the calling thread; <= 0 means "all hardware".
-  /// Orthogonal to portfolio `threads` (across-start parallelism); the
-  /// pool fair-shares when both are active.
+  /// Intra-solve parallelism: threads for the STEP 3 eta gather of ONE
+  /// solve, executed on the shared deterministic pool in util/parallel.
+  /// STEPs 4-6 and the polish run serially: threads measured slower there
+  /// on real cores (DESIGN.md section 11).
+  /// Results are bit-identical at every value -- this knob trades
+  /// wall-clock only.  1 (default) keeps the gather on the calling thread;
+  /// <= 0 means "all hardware".  Orthogonal to portfolio `threads`
+  /// (across-start parallelism); the pool fair-shares when both are active.
   std::int32_t inner_threads = 1;
   /// Restart the line search every `restart_period` iterations: h is reset
   /// to zero and the iteration continues from the best incumbent so far.
@@ -142,12 +142,11 @@ class DeltaEvaluator;
 /// The iterate polish as a standalone primitive: up to `max_sweeps` rounds
 /// of best-improvement moves plus first-improvement swaps (connected pairs,
 /// constrained pairs, and a seeded random sample) descending the *penalized*
-/// objective, capacity C1 invariant throughout.  Deterministic in
-/// `sweep_seed` and bit-identical at every `inner_threads` (the only
-/// parallel phase is the evaluator row prefetch).  Used after STEP 6 inside
-/// solve_qbp and as the per-level refinement of the multilevel V-cycle.
+/// objective, capacity C1 invariant throughout.  Serial and deterministic
+/// in `sweep_seed`.  Used after STEP 6 inside solve_qbp and as the
+/// per-level refinement of the multilevel V-cycle.
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
-                    std::uint64_t sweep_seed, std::int32_t inner_threads);
+                    std::uint64_t sweep_seed);
 
 }  // namespace qbp

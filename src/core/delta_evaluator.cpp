@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/prof.hpp"
 
 namespace qbp {
@@ -288,30 +287,6 @@ void DeltaEvaluator::commit_swap(Assignment& assignment,
   assignment.set(component_b, pa);
   mark_dependents_stale(component_a);
   mark_dependents_stale(component_b);
-}
-
-void DeltaEvaluator::prefetch_rows(const Assignment& assignment,
-                                   std::int32_t threads) {
-  QBP_PROF_SCOPE("delta.prefetch");
-  const auto n = static_cast<std::int64_t>(rows_.size());
-  // Each chunk owns a disjoint slice of rows_, and build_row writes only
-  // its own row, so the parallel build is race-free.  The miss counter is
-  // summed from per-chunk partials afterwards (no atomics on results).
-  const std::int64_t built = par::parallel_reduce(
-      n, /*grain=*/32, threads, std::int64_t{0},
-      [&](std::int64_t begin, std::int64_t end) {
-        std::int64_t count = 0;
-        for (std::int64_t j = begin; j < end; ++j) {
-          Row& row = rows_[static_cast<std::size_t>(j)];
-          if (row.valid) continue;
-          build_row(assignment, static_cast<std::int32_t>(j), row);
-          row.valid = true;
-          ++count;
-        }
-        return count;
-      },
-      [](std::int64_t acc, std::int64_t part) { return acc + part; });
-  misses_ += static_cast<std::uint64_t>(built);
 }
 
 void DeltaEvaluator::invalidate() {

@@ -69,16 +69,6 @@ class DeltaEvaluator {
   void commit_swap(Assignment& assignment, std::int32_t component_a,
                    std::int32_t component_b);
 
-  /// Build every currently-invalid row for `assignment` up front, in
-  /// parallel through the shared util/parallel pool.  A row is a pure
-  /// function of its component's neighbors'/partners' positions, so
-  /// prefetching it produces the same bits lazy building would; a sweep
-  /// that then invalidates some rows rebuilds those serially as before.
-  /// Bit-identical results at every thread count -- only the timing (and
-  /// the hit/miss counters) change.  Safe only while no other call is
-  /// active on this evaluator.
-  void prefetch_rows(const Assignment& assignment, std::int32_t threads);
-
   /// Drop all cached rows (the assignment changed externally).
   void invalidate();
 

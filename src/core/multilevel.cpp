@@ -182,8 +182,7 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
   if (options.refine_passes > 0) {
     QBP_PROF_SCOPE("multilevel.refine.polish");
     DeltaEvaluator evaluator(problem, options.refine_solver.penalty);
-    polish_iterate(problem, evaluator, u, options.refine_passes, level_seed,
-                   options.refine_solver.inner_threads);
+    polish_iterate(problem, evaluator, u, options.refine_passes, level_seed);
   }
 
   bool feasible = problem.is_feasible(u);

@@ -100,8 +100,8 @@ struct MultilevelOptions {
   std::int32_t refine_burkard_max_n = 0;
   /// Burkard budget on the coarsest problem.
   BurkardOptions coarse_solver;
-  /// Burkard budget for the small-level refinement runs; its `penalty` and
-  /// `inner_threads` also drive the polish refinement on every level.
+  /// Burkard budget for the small-level refinement runs; its `penalty` also
+  /// drives the (serial) polish refinement on every level.
   BurkardOptions refine_solver;
   CoarsenOptions coarsen;
   /// Cooperative cancellation hook, forwarded into every per-level solver

@@ -81,6 +81,13 @@ void audit_result(const PartitionProblem& problem, const Solver& solver,
 
 }  // namespace
 
+std::int32_t portfolio_workers(std::int32_t threads, std::int32_t starts) {
+  if (threads <= 0) {
+    threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
+  }
+  return std::clamp(threads, 1, std::max(1, starts));
+}
+
 PortfolioResult Portfolio::run(const PartitionProblem& problem,
                                const Solver& solver,
                                std::int32_t starts) const {
@@ -101,11 +108,7 @@ PortfolioResult Portfolio::run(
     return result;
   }
 
-  std::int32_t threads = options_.threads;
-  if (threads <= 0) {
-    threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
-  }
-  threads = std::clamp(threads, 1, num_starts);
+  const std::int32_t threads = portfolio_workers(options_.threads, num_starts);
 
   // Nested-parallelism arbitration: when starts carry an inner_threads
   // budget, grow the shared util/parallel pool once up front (instead of

@@ -99,6 +99,13 @@ struct PortfolioResult {
   std::int32_t threads_used = 0;
 };
 
+/// Start workers a portfolio of `starts` starts runs on: `threads` <= 0
+/// means std::thread::hardware_concurrency(), and the count is clamped to
+/// [1, max(1, starts)].  Thread budgets that count concurrent starts (the
+/// server's inner_threads clamp) must use this same reading.
+[[nodiscard]] std::int32_t portfolio_workers(std::int32_t threads,
+                                             std::int32_t starts);
+
 class Portfolio {
  public:
   explicit Portfolio(PortfolioOptions options = {}) : options_(options) {}

@@ -15,6 +15,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include "engine/portfolio.hpp"
 #include "service/wire.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
@@ -232,8 +233,10 @@ std::int32_t Server::clamp_inner_threads(const SolverSpec& spec) const {
   }
   // Concurrent leaf threads: server workers x concurrently-running portfolio
   // starts x inner solver threads.  Only the last factor is ours to shrink.
+  // The start count is the portfolio's own reading of `threads`, so 0 (all
+  // hardware) counts as up to nproc concurrent starts, not one.
   const std::int32_t concurrent_starts =
-      std::max<std::int32_t>(1, std::min(spec.threads, spec.starts));
+      engine::portfolio_workers(spec.threads, spec.starts);
   const std::int32_t per_job = std::max<std::int32_t>(
       1, limit / std::max<std::int32_t>(1, options_.workers));
   const std::int32_t allowed = std::max<std::int32_t>(

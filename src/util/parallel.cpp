@@ -74,14 +74,6 @@ std::int32_t Pool::helpers_busy() const {
   return busy_;
 }
 
-std::uint64_t Pool::regions_run() const noexcept {
-  return regions_run_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Pool::regions_parallel() const noexcept {
-  return regions_parallel_.load(std::memory_order_relaxed);
-}
-
 void Pool::process_chunks(Task& task) {
   for (;;) {
     const std::int32_t chunk =
@@ -97,7 +89,6 @@ void Pool::run(std::int64_t n, std::int64_t grain, std::int32_t threads,
   QBP_CHECK(body != nullptr) << "parallel region without a body";
   const ChunkPlan plan = ChunkPlan::make(n, grain);
   if (plan.count == 0) return;
-  regions_run_.fetch_add(1, std::memory_order_relaxed);
 
   // Inline fast path: a 1-thread request, too few chunks to be worth a
   // helper wakeup, or a nested region on a pool thread.  Chunk boundaries
@@ -132,7 +123,6 @@ void Pool::run(std::int64_t n, std::int64_t grain, std::int32_t threads,
     }
   }
   if (task.helpers_allowed > 0) {
-    regions_parallel_.fetch_add(1, std::memory_order_relaxed);
     // Wake exactly as many helpers as the region may recruit; notify_all
     // would stampede every idle helper through mu_ for each tiny region.
     if (task.helpers_allowed == 1) {

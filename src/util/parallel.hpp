@@ -1,4 +1,8 @@
-// Deterministic fork-join parallelism for the solver hot paths.
+// Deterministic fork-join parallelism for the two solver phases that win
+// from threads on real cores: the STEP 3 eta gather (QhatMatrix::eta) and
+// the multilevel coarsening proposal scan.  Every other phase of a solve
+// runs serially; a new parallel region must first beat its serial form on
+// the bench_runner scaling thread check (DESIGN.md section 11).
 //
 // The repo-wide invariant is bit-identical assignments and objectives at
 // every thread count (engine determinism tests, the shadow validator, and
@@ -10,12 +14,8 @@
 //      Thread count only decides which thread *executes* a chunk, and every
 //      chunk writes to its own disjoint outputs, so FP results cannot
 //      re-associate across thread counts.
-//   2. Fixed reduction tree.  parallel_reduce stores one partial per chunk
-//      and folds them left-to-right in chunk-index order on the calling
-//      thread.  Running with 1 thread or 64 produces the same fold.
-//   3. No atomics on results.  Atomics are used only to hand out chunks and
-//      (in find_first) to skip chunks that provably cannot contain the
-//      answer; results always travel through per-chunk slots.
+//   2. No atomics on results.  Atomics only hand out chunks; results always
+//      travel through chunk-private outputs.
 //
 // Execution model: one process-wide pool of helper threads, grown lazily
 // and shared by every caller (portfolio starts included).  A parallel
@@ -26,18 +26,16 @@
 // results.  Nested regions (a parallel_for issued from inside a pool
 // worker) always run inline for the same reason.
 //
-// The bodies/maps/scans passed in run concurrently on pool threads: they
-// must only write state that is private per chunk (or per call), and any
-// shared state they read must be frozen for the duration of the region.
+// The bodies passed in run concurrently on pool threads: they must only
+// write state that is private per chunk, and any shared state they read
+// must be frozen for the duration of the region.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/annotations.hpp"
@@ -49,10 +47,10 @@ namespace qbp::par {
 inline constexpr std::int32_t kMaxHelpers = 63;
 
 /// Regions with fewer chunks than this run inline even when threads were
-/// requested: waking a helper costs microseconds, so tiny scans (small
-/// problems, a find_first cursor near the end of its range) would pay more
-/// in scheduling than the chunks are worth.  Scheduling-only -- the chunk
-/// plan is the same either way, so results cannot change.
+/// requested: waking a helper costs microseconds, so a small problem's
+/// gather would pay more in scheduling than its chunks are worth.
+/// Scheduling-only -- the chunk plan is the same either way, so results
+/// cannot change.
 inline constexpr std::int32_t kMinFanoutChunks = 4;
 
 /// The static chunk layout for a range: a pure function of (n, grain) so
@@ -117,10 +115,6 @@ class Pool {
   /// Observability for the metrics layer (instantaneous).
   [[nodiscard]] std::int32_t helpers_spawned() const;
   [[nodiscard]] std::int32_t helpers_busy() const;
-  /// Cumulative region counts: every run() call, and the subset that
-  /// actually fanned out to at least one helper.
-  [[nodiscard]] std::uint64_t regions_run() const noexcept;
-  [[nodiscard]] std::uint64_t regions_parallel() const noexcept;
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
@@ -157,8 +151,6 @@ class Pool {
   std::int32_t active_regions_ QBP_GUARDED_BY(mu_) = 0;
   std::int32_t busy_ QBP_GUARDED_BY(mu_) = 0;
   bool stop_ QBP_GUARDED_BY(mu_) = false;
-  std::atomic<std::uint64_t> regions_run_{0};
-  std::atomic<std::uint64_t> regions_parallel_{0};
 };
 
 /// Instantaneous pool utilization in [0, 1]: busy helpers / spawned
@@ -195,86 +187,6 @@ void parallel_for(std::int64_t n, std::int64_t grain, std::int32_t threads,
   using Fn = std::remove_reference_t<Body>;
   Pool::instance().run(n, grain, threads, &detail::invoke_body<Fn>,
                        const_cast<void*>(static_cast<const void*>(&body)));
-}
-
-/// Chunk-wise reduction with a fixed tree: map(chunk_begin, chunk_end)
-/// produces one partial per chunk (in parallel), then the partials are
-/// folded left-to-right in chunk order on the calling thread:
-/// combine(combine(init, p0), p1)...  Identical at every thread count.
-template <class T, class Map, class Combine>
-[[nodiscard]] T parallel_reduce(std::int64_t n, std::int64_t grain,
-                                std::int32_t threads, T init, Map&& map,
-                                Combine&& combine) {
-  const ChunkPlan plan = ChunkPlan::make(n, grain);
-  if (plan.count == 0) return init;
-  if (plan.count == 1) return combine(std::move(init), map(plan.begin(0), plan.end(0)));
-  std::vector<T> partial(static_cast<std::size_t>(plan.count));
-  parallel_for(n, grain, threads,
-               [&](std::int64_t begin, std::int64_t end, std::int32_t chunk) {
-                 partial[static_cast<std::size_t>(chunk)] = map(begin, end);
-               });
-  T acc = std::move(init);
-  for (std::int32_t c = 0; c < plan.count; ++c) {
-    acc = combine(std::move(acc), std::move(partial[static_cast<std::size_t>(c)]));
-  }
-  return acc;
-}
-
-/// First index in [start, n) accepted by `scan`, or -1.  `scan(begin, end)`
-/// must return the smallest accepted index in [begin, end) or -1, reading
-/// only state that is frozen for the duration of the call.  Results travel
-/// through per-chunk slots; a relaxed atomic only *skips* chunks that lie
-/// entirely after an already-found index (those cannot contain the
-/// answer), so the returned index is the true first at every thread count.
-template <class Scan>
-[[nodiscard]] std::int64_t find_first(std::int64_t n, std::int64_t start,
-                                      std::int64_t grain, std::int32_t threads,
-                                      Scan&& scan) {
-  if (start < 0) start = 0;
-  if (start >= n) return -1;
-  const ChunkPlan plan = ChunkPlan::make(n, grain);
-  // Serial when few chunks remain past the cursor: the parallel path would
-  // dispatch every chunk (pre-cursor ones no-op) only to inline them below
-  // the pool's own fan-out threshold anyway, and the serial walk stops at
-  // the first hit mid-chunk instead of finishing the chunk.
-  const std::int32_t start_chunk =
-      static_cast<std::int32_t>(start / plan.grain);
-  const bool serial = threads <= 1 ||
-                      plan.count - start_chunk < kMinFanoutChunks ||
-                      Pool::on_worker_thread();
-  if (serial) {
-    // Same chunk walk as the parallel path, stopping at the first hit --
-    // this is exactly the plain left-to-right scan.
-    for (std::int32_t c = 0; c < plan.count; ++c) {
-      const std::int64_t begin = std::max(plan.begin(c), start);
-      const std::int64_t end = plan.end(c);
-      if (begin >= end) continue;
-      const std::int64_t index = scan(begin, end);
-      if (index >= 0) return index;
-    }
-    return -1;
-  }
-  std::vector<std::int64_t> found(static_cast<std::size_t>(plan.count), -1);
-  std::atomic<std::int64_t> hint{std::numeric_limits<std::int64_t>::max()};
-  parallel_for(n, grain, threads,
-               [&](std::int64_t begin, std::int64_t end, std::int32_t chunk) {
-                 if (begin > hint.load(std::memory_order_relaxed)) return;
-                 if (begin < start) begin = start;
-                 if (begin >= end) return;
-                 const std::int64_t index = scan(begin, end);
-                 if (index < 0) return;
-                 found[static_cast<std::size_t>(chunk)] = index;
-                 std::int64_t cur = hint.load(std::memory_order_relaxed);
-                 while (index < cur && !hint.compare_exchange_weak(
-                                           cur, index, std::memory_order_relaxed)) {
-                 }
-               });
-  for (std::int32_t c = 0; c < plan.count; ++c) {
-    if (found[static_cast<std::size_t>(c)] >= 0) {
-      return found[static_cast<std::size_t>(c)];
-    }
-  }
-  return -1;
 }
 
 }  // namespace qbp::par

@@ -230,33 +230,6 @@ TEST_P(GapQualitySweep, FeasibleWheneverBruteForceIsTight) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GapQualitySweep,
                          ::testing::Range<std::uint64_t>(1, 11));
 
-// GapOptions::threads is a pure scheduling knob: the candidate scans run
-// on the shared deterministic pool, so the assignment (not just the cost)
-// must be identical at every thread count.  Instances are sized past the
-// chunk grains so the scans genuinely fan out.
-TEST(Gap, ThreadCountNeverChangesTheResult) {
-  for (const std::uint64_t seed : {3u, 17u, 91u}) {
-    // Tight capacities so repair runs; 2600 items keeps even the coarse
-    // swap-pass chunking (grain 512) above the pool's fan-out threshold.
-    const auto problem = random_gap(8, 2600, 1.15, seed);
-    GapOptions base;
-    base.improvement_passes = 3;
-    base.swap_improvement = true;
-    const GapResult reference = solve_gap(problem, base);
-    for (const std::int32_t threads : {2, 8}) {
-      GapOptions options = base;
-      options.threads = threads;
-      const GapResult result = solve_gap(problem, options);
-      EXPECT_EQ(result.agent_of_item, reference.agent_of_item)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(result.cost, reference.cost);
-      EXPECT_EQ(result.feasible, reference.feasible);
-      EXPECT_EQ(result.repair_moves, reference.repair_moves);
-      EXPECT_EQ(result.construction_failures, reference.construction_failures);
-    }
-  }
-}
-
 TEST(Gap, RepairsOverflowWhenConstructionFails) {
   // One big item per agent fits only in a specific arrangement; greedy
   // construction by cost alone would overflow.

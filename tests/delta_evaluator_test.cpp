@@ -159,38 +159,5 @@ TEST(DeltaEvaluator, SameComponentRepeatedQueriesHitCache) {
   EXPECT_EQ(evaluator.cache_hits(), 6u);
 }
 
-// prefetch_rows builds the same rows lazy evaluation would, just earlier
-// and in parallel: every subsequent move_deltas must return the same
-// values as a fresh lazily-filled evaluator, and hit the cache.
-TEST(DeltaEvaluator, PrefetchMatchesLazyBuildAtEveryThreadCount) {
-  const PartitionProblem problem =
-      test::make_tiny_problem({.num_components = 200, .num_partitions = 6,
-                               .with_linear_term = true, .seed = 31});
-  Rng rng(9);
-  const Assignment assignment = test::random_complete(
-      problem.num_components(), problem.num_partitions(), rng);
-
-  DeltaEvaluator lazy(problem, kPenalty);
-  std::vector<std::vector<double>> expected;
-  for (std::int32_t j = 0; j < problem.num_components(); ++j) {
-    const auto deltas = lazy.move_deltas(assignment, j);
-    expected.emplace_back(deltas.begin(), deltas.end());
-  }
-
-  for (const std::int32_t threads : {1, 2, 8}) {
-    DeltaEvaluator prefetched(problem, kPenalty);
-    prefetched.prefetch_rows(assignment, threads);
-    const auto n = static_cast<std::uint64_t>(problem.num_components());
-    EXPECT_EQ(prefetched.cache_misses(), n) << "threads " << threads;
-    for (std::int32_t j = 0; j < problem.num_components(); ++j) {
-      const auto deltas = prefetched.move_deltas(assignment, j);
-      const std::vector<double> got(deltas.begin(), deltas.end());
-      ASSERT_EQ(got, expected[static_cast<std::size_t>(j)])
-          << "component " << j << " threads " << threads;
-    }
-    EXPECT_EQ(prefetched.cache_hits(), n);  // every read was a prefetch hit
-  }
-}
-
 }  // namespace
 }  // namespace qbp

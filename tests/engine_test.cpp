@@ -382,12 +382,12 @@ TEST(Portfolio, MismatchedOrIncompleteInitialIsIgnored) {
   EXPECT_EQ(incomplete.starts[0].best, plain.starts[0].best);
 }
 
-// The PR-5 tentpole contract: intra-solve parallelism must be invisible in
-// the results.  Sweep inner_threads over {1, 2, 8} on an instance large
-// enough that every parallel phase (eta gather, GAP construct/repair/
-// improve/swap scans, polish row prefetch) actually chunks, and require
-// bit-identical assignments and objectives.  Under TSan this doubles as
-// the race check for the shared pool.
+// Intra-solve parallelism must be invisible in the results.  Sweep
+// inner_threads over {1, 2, 8} on an instance large enough that the STEP 3
+// eta gather (the solve's one threaded phase) fans out -- N=800 gives 13
+// chunks of 64, above kMinFanoutChunks -- and require bit-identical
+// assignments and objectives.  Under TSan this doubles as the race check
+// for the shared pool.
 TEST(InnerThreads, BitIdenticalAcrossInnerThreadCounts) {
   const PartitionProblem problem = make_scaling_problem(800, 7);
   const Assignment initial =

@@ -219,7 +219,7 @@ TEST_P(CoarsenSweep, ProjectThenPolishKeepsCapacity) {
     Assignment u = uncoarsen(coarse, coarse_assignment);
     ASSERT_TRUE(problem.is_feasible(u));
     DeltaEvaluator evaluator(problem, kPaperPenalty);
-    polish_iterate(problem, evaluator, u, 3, GetParam(), 1);
+    polish_iterate(problem, evaluator, u, 3, GetParam());
     EXPECT_TRUE(problem.satisfies_capacity(u));
     break;
   }

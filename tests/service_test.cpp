@@ -487,12 +487,10 @@ TEST(Server, InnerThreadsAreBitIdenticalEndToEnd) {
   }
 }
 
-TEST(Server, OversubscribedInnerThreadsAreClampedAndReported) {
-  // workers x concurrent starts x inner_threads must fit thread_limit: a
-  // spec asking for 2 x 2 x 8 = 32 leaf threads against a budget of 8 gets
-  // inner_threads clamped to 8 / 2 workers / 2 concurrent starts = 2, and
-  // the stats snapshot reports both the clamp and the pool gauge.
-  const std::string problem = tiny_problem_text();
+/// Runs one 4-start job asking for 8 inner threads, with `start_threads`
+/// portfolio threads, on a 2-worker server whose thread limit is 8, and
+/// returns the `gauges` of the stats snapshot taken afterwards.
+json::Value clamp_gauges(std::int32_t start_threads) {
   ResponseLog log;
   ServerOptions options;
   options.workers = 2;
@@ -502,9 +500,9 @@ TEST(Server, OversubscribedInnerThreadsAreClampedAndReported) {
   Request request;
   request.type = RequestType::kSubmit;
   request.id = "greedy";
-  request.problem_text = problem;
+  request.problem_text = tiny_problem_text();
   request.solver.starts = 4;
-  request.solver.threads = 2;
+  request.solver.threads = start_threads;
   request.solver.iterations = 10;
   request.solver.inner_threads = 8;
   server.handle_line(format_request(request), log.sink());
@@ -512,19 +510,38 @@ TEST(Server, OversubscribedInnerThreadsAreClampedAndReported) {
   server.handle_line("{\"type\":\"stats\"}", log.sink());
 
   const auto results = log.results();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results.front().status, "ok");
-
+  EXPECT_EQ(results.size(), 1u);
+  if (!results.empty()) {
+    EXPECT_EQ(results.front().status, "ok");
+  }
   json::Value stats;
-  ASSERT_TRUE(json::parse(log.lines().back(), stats).ok);
+  EXPECT_TRUE(json::parse(log.lines().back(), stats).ok);
   const json::Value* gauges = stats.find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  EXPECT_EQ(gauges->get_number("inner_threads_effective", -1.0), 2.0);
+  EXPECT_NE(gauges, nullptr);
+  return gauges != nullptr ? *gauges : json::Value::object();
+}
+
+TEST(Server, OversubscribedInnerThreadsAreClampedAndReported) {
+  // workers x concurrent starts x inner_threads must fit thread_limit: a
+  // spec asking for 2 x 2 x 8 = 32 leaf threads against a budget of 8 gets
+  // inner_threads clamped to 8 / 2 workers / 2 concurrent starts = 2, and
+  // the stats snapshot reports both the clamp and the pool gauge.
+  const json::Value gauges = clamp_gauges(2);
+  EXPECT_EQ(gauges.get_number("inner_threads_effective", -1.0), 2.0);
   // The utilization gauge always exists; its value is a point-in-time
   // sample in [0, 100].
-  const double utilization = gauges->get_number("pool_utilization", -1.0);
+  const double utilization = gauges.get_number("pool_utilization", -1.0);
   EXPECT_GE(utilization, 0.0);
   EXPECT_LE(utilization, 100.0);
+}
+
+TEST(Server, ZeroStartThreadsClampAsAllHardware) {
+  // "threads":0 means all hardware to the portfolio, so 4 starts run up to
+  // min(nproc, 4) at once, and the clamp must count them that way.
+  const auto hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  EXPECT_EQ(clamp_gauges(0).get_number("inner_threads_effective", -1.0),
+            static_cast<double>(std::max(1, 4 / std::min(hardware, 4))));
 }
 
 TEST(Server, PerJobValidateFlagShadowAuditsEveryStart) {

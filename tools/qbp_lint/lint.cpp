@@ -199,8 +199,8 @@ const std::vector<RuleInfo> kRules = {
      "iterating an unordered container yields implementation-defined order; "
      "iterate a sorted view or switch container"},
     {"unordered-reduce",
-     "std::reduce/std::transform_reduce outside util/parallel accumulates "
-     "floating point in unspecified order"},
+     "std::reduce/std::transform_reduce accumulates floating point in "
+     "unspecified order"},
     {"dangling-span",
      "std::span bound to a by-value accessor temporary dangles at the end "
      "of the statement"},
@@ -219,9 +219,7 @@ bool path_contains(const std::string& path, const char* needle) {
 
 /// Directory exemptions: the one sanctioned home for each primitive.
 bool rule_exempt(const std::string& rule, const std::string& path) {
-  if (rule == "raw-thread" || rule == "unordered-reduce") {
-    return path_contains(path, "util/parallel");
-  }
+  if (rule == "raw-thread") return path_contains(path, "util/parallel");
   if (rule == "raw-rng") return path_contains(path, "util/rng");
   return false;
 }
@@ -349,8 +347,8 @@ struct Linter {
         if (name == "reduce" || name == "transform_reduce") {
           report(file_index, "unordered-reduce", token.line,
                  "std::" + name +
-                     " accumulates in unspecified order; use the pool's "
-                     "ordered reduction");
+                     " accumulates in unspecified order; use "
+                     "std::accumulate (strictly left to right)");
         }
       }
 

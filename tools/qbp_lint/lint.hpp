@@ -15,7 +15,7 @@
 //                   none of that.
 //   raw-thread      `std::thread` / `std::jthread` / `std::async` outside
 //                   util/parallel.  Ad-hoc threads bypass the deterministic
-//                   work pool and its ordered reduction, the foundation of
+//                   work pool and its static chunking, the foundation of
 //                   the bit-identical-results contract.  Static member
 //                   access (`std::thread::hardware_concurrency`) is allowed.
 //   raw-rng         `rand` / `srand` / `random_device` / `drand48` outside
@@ -26,10 +26,10 @@
 //                   scanned tree.  Unordered iteration order is
 //                   implementation-defined, so anything derived from it is
 //                   not deterministic.
-//   unordered-reduce `std::reduce` / `std::transform_reduce` outside
-//                   util/parallel.  Unordered floating-point accumulation
-//                   breaks bit-identical results; the Pool's ordered
-//                   reduction is the sanctioned alternative.
+//   unordered-reduce `std::reduce` / `std::transform_reduce` anywhere.
+//                   Unordered floating-point accumulation
+//                   breaks bit-identical results; std::accumulate (strictly
+//                   left to right) is the sanctioned alternative.
 //   dangling-span   A `std::span` variable initialized from a by-value
 //                   accessor call (currently: `omega()`).  The temporary
 //                   dies at the end of the statement and the span dangles --
