@@ -23,12 +23,11 @@
 #include "core/presolve.hpp"
 #include "core/problem_io.hpp"
 #include "core/report.hpp"
-#include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
+#include "engine/spec.hpp"
+#include "solver_flags.hpp"
 #include "util/cli.hpp"
 #include "util/prof.hpp"
 #include "util/simd.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
@@ -77,72 +76,35 @@ void print_presolve(const qbp::PresolveStats& stats, std::int32_t original) {
 
 int main(int argc, char** argv) {
   std::string problem_path;
-  std::string method = "qbp";
   std::string out_path;
   std::string initial_path;
   std::string emit_sample_path;
   std::string start = "qbp0";
-  std::int64_t iterations = 100;
-  std::int64_t seed = 1993;
-  std::int64_t starts = 1;
-  std::int64_t threads = 0;
-  std::int64_t inner_threads = 1;
   bool portfolio = false;
   bool quiet = false;
   bool profile = false;
-  std::string presolve_mode = "on";
-  std::string presolve_rules = "r0,r1,r2,rn";
-  std::int64_t presolve_rn = 4;
-  std::int64_t ml_levels = 0;
-  double ml_min_shrink = 0.0;
-  std::int64_t ml_refine_passes = -1;
   std::string simd_mode = "on";
 
   qbp::CliParser cli("qbpart_cli",
                      "timing- and capacity-constrained partitioning from a "
                      ".qp problem file");
   cli.add_string("problem", problem_path, "input problem file (.qp)");
-  cli.add_string("method", method, "qbp | multilevel | gfm | gkl | sa");
+  qbp::engine::SolverSpec defaults;
+  defaults.threads = 0;  // a local run may use every core
+  qbp::SolverFlags solver_flags(cli, defaults);
   cli.add_string("out", out_path, "write the final assignment here");
   cli.add_string("initial", initial_path,
                  "read the starting assignment from this file");
   cli.add_string("start", start,
                  "start strategy when --initial absent: qbp0 | random | greedy");
-  cli.add_int("iterations", iterations, "QBP iteration budget");
-  cli.add_int("seed", seed, "random seed");
-  cli.add_int("starts", starts,
-              "independent portfolio starts (> 1 implies --portfolio)");
-  cli.add_int("threads", threads,
-              "portfolio worker threads (0 = all hardware threads)");
-  cli.add_int("inner-threads", inner_threads,
-              "threads inside one QBP solve (0 = all hardware threads); "
-              "results are bit-identical at every value");
   cli.add_flag("portfolio", portfolio,
-               "run through the parallel portfolio driver even for 1 start");
+               "run through the parallel portfolio driver even for 1 start "
+               "(implied by --starts > 1)");
   cli.add_string("emit-sample", emit_sample_path,
                  "write a sample problem file and exit");
   cli.add_flag("quiet", quiet, "suppress the capacity report");
   cli.add_flag("profile", profile,
                "time solver phases; the report gains a phase breakdown");
-  cli.add_string("presolve", presolve_mode,
-                 "on | off: reduce the instance (forced fixes, interaction "
-                 "elimination, co-location merges, exact tiny remainders) "
-                 "before solving; bit-identical to off when nothing reduces");
-  cli.add_string("presolve-rules", presolve_rules,
-                 "comma list of enabled reduction rules (subset of "
-                 "r0,r1,r2,rn)");
-  cli.add_int("presolve-rn", presolve_rn,
-              "solve remainders with at most this many free components "
-              "exactly (RN rule)");
-  cli.add_int("ml-levels", ml_levels,
-              "multilevel: total V-cycle levels including the finest "
-              "(1 = flat solve; 0 = solver default)");
-  cli.add_double("ml-min-shrink", ml_min_shrink,
-                 "multilevel: stop coarsening when a level shrinks by less "
-                 "than this factor, in [0, 1) (0 = solver default)");
-  cli.add_int("ml-refine-passes", ml_refine_passes,
-              "multilevel: polish sweeps per uncoarsened level "
-              "(-1 = solver default)");
   cli.add_string("simd", simd_mode,
                  "on | off: vectorized eta/GAP kernels (util/simd); results "
                  "are bit-identical either way");
@@ -152,35 +114,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   qbp::simd::set_enabled(simd_mode == "on");
-  if (ml_levels < 0 || ml_min_shrink < 0.0 || ml_min_shrink >= 1.0 ||
-      ml_refine_passes < -1) {
-    std::fprintf(stderr,
-                 "--ml-levels must be >= 0, --ml-min-shrink in [0, 1), "
-                 "--ml-refine-passes >= -1\n");
-    return 1;
-  }
-  qbp::MultilevelOptions ml_options;
-  ml_options.coarsen.inner_threads = static_cast<std::int32_t>(inner_threads);
-  ml_options.coarse_solver.inner_threads =
-      static_cast<std::int32_t>(inner_threads);
-  ml_options.refine_solver.inner_threads =
-      static_cast<std::int32_t>(inner_threads);
-  if (ml_levels > 0) ml_options.max_levels = static_cast<std::int32_t>(ml_levels);
-  if (ml_min_shrink > 0.0) ml_options.min_shrink = ml_min_shrink;
-  if (ml_refine_passes >= 0) {
-    ml_options.refine_passes = static_cast<std::int32_t>(ml_refine_passes);
-  }
-  if (presolve_mode != "on" && presolve_mode != "off") {
-    std::fprintf(stderr, "--presolve must be on|off\n");
-    return 1;
-  }
-  qbp::PresolveOptions presolve_options;
-  presolve_options.enabled = presolve_mode == "on";
-  presolve_options.rule_r0 = presolve_rules.find("r0") != std::string::npos;
-  presolve_options.rule_r1 = presolve_rules.find("r1") != std::string::npos;
-  presolve_options.rule_r2 = presolve_rules.find("r2") != std::string::npos;
-  presolve_options.rule_rn = presolve_rules.find("rn") != std::string::npos;
-  presolve_options.rn_max_components = static_cast<std::int32_t>(presolve_rn);
+  const auto spec = solver_flags.spec();
+  if (!spec) return 1;
   if (profile) qbp::prof::set_enabled(true);
   if (!emit_sample_path.empty()) return emit_sample(emit_sample_path);
   if (problem_path.empty()) {
@@ -204,41 +139,26 @@ int main(int argc, char** argv) {
 
   // Every path -- one start or a portfolio -- runs the same normalize ->
   // presolve -> solve -> lift -> validate pipeline.
-  std::unique_ptr<qbp::engine::Solver> solver;
-  if (method == "qbp") {
-    qbp::BurkardOptions options;
-    options.iterations = static_cast<std::int32_t>(iterations);
-    options.inner_threads = static_cast<std::int32_t>(inner_threads);
-    solver = std::make_unique<qbp::engine::BurkardSolver>(options);
-  } else if (method == "multilevel") {
-    solver = std::make_unique<qbp::engine::MultilevelSolver>(ml_options);
-  } else {
-    solver = qbp::engine::make_solver(method);
-  }
+  const auto solver = qbp::engine::make_solver(*spec);
   if (!solver) {
-    std::fprintf(stderr, "unknown --method '%s'\n", method.c_str());
+    std::fprintf(stderr, "unknown --method '%s'\n", spec->method.c_str());
     return 1;
   }
-  qbp::engine::PipelineOptions pipeline_options;
-  pipeline_options.presolve = presolve_options;
-  pipeline_options.portfolio.seed = static_cast<std::uint64_t>(seed);
-  pipeline_options.portfolio.threads = static_cast<std::int32_t>(threads);
-  const qbp::engine::SolvePipeline pipeline(problem, pipeline_options);
+  const qbp::engine::SolvePipeline pipeline(
+      problem, qbp::engine::pipeline_options(*spec));
   if (pipeline.reduced()) {
     print_presolve(pipeline.presolve_stats(), problem.num_components());
   }
 
   // Parallel portfolio path: K deterministic starts, best result wins.
-  if (portfolio || starts > 1) {
-    const auto run =
-        pipeline.run(*solver, static_cast<std::int32_t>(starts));
+  if (portfolio || spec->starts > 1) {
+    const auto run = pipeline.run(*solver, spec->starts);
     const auto& result = run.portfolio;
     std::printf(
         "portfolio: %d/%d starts on %d threads, %.2f s wall (%.2f s total "
         "work, winner start %d in %.2f s)\n",
-        result.starts_run, static_cast<std::int32_t>(starts),
-        result.threads_used, result.seconds, result.seconds_total,
-        result.best_start, result.seconds_best_start);
+        result.starts_run, spec->starts, result.threads_used, result.seconds,
+        result.seconds_total, result.best_start, result.seconds_best_start);
     if (!result.best.found_feasible) {
       std::fprintf(stderr,
                    "no start found a fully feasible solution (best penalized "
@@ -271,8 +191,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown --start '%s'\n", start.c_str());
       return 1;
     }
-    const auto made = qbp::make_initial(problem, strategy,
-                                        static_cast<std::uint64_t>(seed));
+    const auto made = qbp::make_initial(problem, strategy, spec->seed);
     initial = made.assignment;
     initial_feasible = made.feasible;
   }
@@ -281,14 +200,14 @@ int main(int argc, char** argv) {
 
   // Single start.  The feasible-region walks (GFM/GKL/SA) insist on a
   // feasible start instead of letting the adapter legalize one.
+  const std::string& method = spec->method;
   if ((method == "gfm" || method == "gkl" || method == "sa") &&
       !initial_feasible) {
     std::fprintf(stderr, "%s requires a feasible starting assignment\n",
                  method.c_str());
     return 2;
   }
-  const auto result =
-      pipeline.solve_one(*solver, {initial, static_cast<std::uint64_t>(seed)});
+  const auto result = pipeline.solve_one(*solver, {initial, spec->seed});
   if (!result.found_feasible) {
     std::fprintf(stderr,
                  "%s found no fully feasible solution (best penalized value "

@@ -22,6 +22,7 @@
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/wire.hpp"
+#include "solver_flags.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 
@@ -99,23 +100,11 @@ bool print_reply_frame(std::uint8_t type, const std::string& payload,
 
 int main(int argc, char** argv) {
   std::string problem_path;
-  std::string method = "qbp";
   std::string id;
   std::string cancel_id;
-  std::int64_t starts = 1;
-  std::int64_t threads = 1;
-  std::int64_t inner_threads = 1;
-  std::int64_t iterations = 100;
-  std::int64_t seed = 1993;
   std::int64_t priority = 0;
   std::int64_t count = 1;
   std::int64_t tcp_port = -1;
-  std::int64_t presolve_rn = 4;
-  std::int64_t ml_levels = 0;
-  double ml_min_shrink = 0.0;
-  std::int64_t ml_refine_passes = -1;
-  std::string presolve_mode = "on";
-  std::string presolve_rules = "r0,r1,r2,rn";
   std::string cache_mode = "on";
   std::string warm_mode = "on";
   double deadline_ms = 0.0;
@@ -129,31 +118,8 @@ int main(int argc, char** argv) {
                      "compose qbpartd job requests; print them or deliver "
                      "them over TCP");
   cli.add_string("problem", problem_path, "problem file (.qp) to submit");
-  cli.add_string("method", method, "qbp | multilevel | gfm | gkl | sa");
+  qbp::SolverFlags solver_flags(cli, {});
   cli.add_string("id", id, "job id (server assigns one when empty)");
-  cli.add_int("starts", starts, "portfolio start count");
-  cli.add_int("threads", threads, "portfolio threads per job");
-  cli.add_int("inner-threads", inner_threads,
-              "threads inside one solve (0 = all hardware; the server "
-              "clamps against its combined thread budget)");
-  cli.add_int("iterations", iterations, "QBP iteration budget");
-  cli.add_int("seed", seed, "random seed (determinism key)");
-  cli.add_string("presolve", presolve_mode,
-                 "on | off: reduce the instance server-side before solving");
-  cli.add_int("presolve-rn", presolve_rn,
-              "exact brute-force threshold for tiny presolved remainders");
-  cli.add_string("presolve-rules", presolve_rules,
-                 "comma-separated reduction rules to run (subset of "
-                 "r0,r1,r2,rn; same grammar as qbpart_cli)");
-  cli.add_int("ml-levels", ml_levels,
-              "multilevel method: total V-cycle levels including the finest "
-              "(1 = flat; 0 = server default)");
-  cli.add_double("ml-min-shrink", ml_min_shrink,
-                 "multilevel method: coarsening shrink floor in [0, 1) "
-                 "(0 = server default)");
-  cli.add_int("ml-refine-passes", ml_refine_passes,
-              "multilevel method: polish sweeps per uncoarsened level "
-              "(-1 = server default)");
   cli.add_string("cache", cache_mode,
                  "on | off: let the server answer from its solution cache");
   cli.add_string("warm-start", warm_mode,
@@ -175,23 +141,14 @@ int main(int argc, char** argv) {
                  "locally and ships wire frames (docs/PROTOCOL.md); "
                  "replies print as the same NDJSON lines either way");
   if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
-  if (presolve_mode != "on" && presolve_mode != "off") {
-    std::fprintf(stderr, "--presolve must be on|off\n");
-    return 1;
-  }
+  const auto spec = solver_flags.spec();
+  if (!spec) return 1;
   if (cache_mode != "on" && cache_mode != "off") {
     std::fprintf(stderr, "--cache must be on|off\n");
     return 1;
   }
   if (warm_mode != "on" && warm_mode != "off") {
     std::fprintf(stderr, "--warm-start must be on|off\n");
-    return 1;
-  }
-  if (ml_levels < 0 || ml_min_shrink < 0.0 || ml_min_shrink >= 1.0 ||
-      ml_refine_passes < -1) {
-    std::fprintf(stderr,
-                 "--ml-levels must be >= 0, --ml-min-shrink in [0, 1), "
-                 "--ml-refine-passes >= -1\n");
     return 1;
   }
   if (wire != "ndjson" && wire != "binary") {
@@ -216,18 +173,7 @@ int main(int argc, char** argv) {
   if (!problem_path.empty()) {
     qbp::service::Request request;
     request.type = qbp::service::RequestType::kSubmit;
-    request.solver.method = method;
-    request.solver.starts = static_cast<std::int32_t>(starts);
-    request.solver.threads = static_cast<std::int32_t>(threads);
-    request.solver.inner_threads = static_cast<std::int32_t>(inner_threads);
-    request.solver.iterations = static_cast<std::int32_t>(iterations);
-    request.solver.seed = static_cast<std::uint64_t>(seed);
-    request.solver.presolve = presolve_mode == "on";
-    request.solver.presolve_rn = static_cast<std::int32_t>(presolve_rn);
-    request.solver.presolve_rules = presolve_rules;
-    request.solver.ml_levels = static_cast<std::int32_t>(ml_levels);
-    request.solver.ml_min_shrink = ml_min_shrink;
-    request.solver.ml_refine_passes = static_cast<std::int32_t>(ml_refine_passes);
+    request.solver = *spec;
     request.cache = cache_mode == "on";
     request.warm_start = warm_mode == "on";
     request.deadline_ms = deadline_ms;

@@ -159,13 +159,4 @@ SolverResult SaSolver::solve(const PartitionProblem& problem,
                           stop);
 }
 
-std::unique_ptr<Solver> make_solver(std::string_view solver_name) {
-  if (solver_name == "qbp") return std::make_unique<BurkardSolver>();
-  if (solver_name == "multilevel") return std::make_unique<MultilevelSolver>();
-  if (solver_name == "gfm") return std::make_unique<GfmSolver>();
-  if (solver_name == "gkl") return std::make_unique<GklSolver>();
-  if (solver_name == "sa") return std::make_unique<SaSolver>();
-  return nullptr;
-}
-
 }  // namespace qbp::engine

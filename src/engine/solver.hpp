@@ -18,12 +18,12 @@
 //     fires (result.cancelled = true).
 //
 // Adapters for the concrete optimizers live in engine/adapters.hpp; the
-// parallel multistart/portfolio driver in engine/portfolio.hpp.
+// parallel multistart/portfolio driver in engine/portfolio.hpp; building a
+// solver from a named spec in engine/spec.hpp.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <stop_token>
 #include <string>
 #include <string_view>
@@ -127,9 +127,5 @@ class Solver {
   /// bit-identical at every value.
   [[nodiscard]] virtual std::int32_t inner_threads() const { return 1; }
 };
-
-/// Build a solver by name: "qbp", "multilevel", "gfm", "gkl", "sa".
-/// Returns nullptr for unknown names.  Defined in adapters.cpp.
-[[nodiscard]] std::unique_ptr<Solver> make_solver(std::string_view name);
 
 }  // namespace qbp::engine

@@ -85,7 +85,12 @@ Hash128 spec_fingerprint(const SolverSpec& spec, bool effective_validate) {
   hasher.absorb(static_cast<std::uint64_t>(effective_validate ? 1 : 0));
   hasher.absorb(static_cast<std::uint64_t>(spec.presolve ? 1 : 0));
   hasher.absorb(spec.presolve_rn);
-  hasher.absorb_bytes(spec.presolve_rules);
+  // The rule set, not its spelling: "rn,r0" and "r0,rn" solve alike.
+  const PresolveOptions rules = engine::pipeline_options(spec).presolve;
+  hasher.absorb(static_cast<std::uint64_t>(rules.rule_r0) |
+                static_cast<std::uint64_t>(rules.rule_r1) << 1 |
+                static_cast<std::uint64_t>(rules.rule_r2) << 2 |
+                static_cast<std::uint64_t>(rules.rule_rn) << 3);
   // The V-cycle shape changes the answer (threads do not, so they stay
   // excluded above).
   hasher.absorb(spec.ml_levels);

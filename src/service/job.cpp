@@ -10,8 +10,7 @@
 #include "core/fingerprint.hpp"
 #include "core/problem_io.hpp"
 #include "core/validate.hpp"
-#include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
+#include "engine/spec.hpp"
 #include "partition/deviation.hpp"
 #include "service/cache.hpp"
 #include "service/eco.hpp"
@@ -21,30 +20,6 @@
 namespace qbp::service {
 
 namespace {
-
-/// Build the engine solver for a spec; nullptr for unknown method names.
-std::unique_ptr<engine::Solver> make_spec_solver(const SolverSpec& spec) {
-  if (spec.method == "qbp") {
-    BurkardOptions options;
-    options.iterations = spec.iterations;
-    options.inner_threads = spec.inner_threads;
-    return std::make_unique<engine::BurkardSolver>(options);
-  }
-  if (spec.method == "multilevel") {
-    MultilevelOptions options;
-    options.coarsen.inner_threads = spec.inner_threads;
-    options.coarse_solver.inner_threads = spec.inner_threads;
-    options.refine_solver.inner_threads = spec.inner_threads;
-    // Sentinels (0 / 0.0 / -1) keep the core/multilevel.hpp defaults.
-    if (spec.ml_levels > 0) options.max_levels = spec.ml_levels;
-    if (spec.ml_min_shrink > 0.0) options.min_shrink = spec.ml_min_shrink;
-    if (spec.ml_refine_passes >= 0) {
-      options.refine_passes = spec.ml_refine_passes;
-    }
-    return std::make_unique<engine::MultilevelSolver>(options);
-  }
-  return engine::make_solver(spec.method);
-}
 
 JobResult error_result(const Job& job, std::string reason) {
   JobResult result;
@@ -65,17 +40,6 @@ class TextBuf : public std::streambuf {
     setg(base, base, base + text.size());
   }
 };
-
-void apply_presolve_spec(engine::PipelineOptions& options,
-                         const SolverSpec& spec) {
-  options.presolve.enabled = spec.presolve;
-  options.presolve.rn_max_components = spec.presolve_rn;
-  const std::string& rules = spec.presolve_rules;
-  options.presolve.rule_r0 = rules.find("r0") != std::string::npos;
-  options.presolve.rule_r1 = rules.find("r1") != std::string::npos;
-  options.presolve.rule_r2 = rules.find("r2") != std::string::npos;
-  options.presolve.rule_rn = rules.find("rn") != std::string::npos;
-}
 
 CachedSolve to_cached(const JobResult& result) {
   CachedSolve cached;
@@ -133,14 +97,12 @@ bool try_warm_solve(const Job& job, const PartitionProblem& problem,
   Assignment seed(neighbor.solve.assignment, problem.num_partitions());
 
   const EcoPolishSolver eco;
-  engine::PipelineOptions options;
+  engine::PipelineOptions options = engine::pipeline_options(job.solver);
   // The warm run works on the raw submitted instance: no presolve, one
   // start, the cached assignment injected as that start's initial.
   options.presolve.enabled = false;
-  options.portfolio.seed = job.solver.seed;
   options.portfolio.threads = 1;
   options.portfolio.keep_start_results = false;
-  options.portfolio.validate = job.solver.validate;
   options.portfolio.initial = seed;
   if (job.stop != nullptr) options.portfolio.stop = job.stop->get_token();
 
@@ -258,18 +220,14 @@ JobResult run_job(const Job& job, SolutionCache* cache) {
     }
   }
 
-  const auto solver = make_spec_solver(job.solver);
+  const auto solver = engine::make_solver(job.solver);
   if (solver == nullptr) {
     return error_result(job, "unknown solver method '" + job.solver.method +
                                  "' (qbp|multilevel|gfm|gkl|sa)");
   }
 
-  engine::PipelineOptions options;
-  apply_presolve_spec(options, job.solver);
-  options.portfolio.seed = job.solver.seed;
-  options.portfolio.threads = job.solver.threads;
+  engine::PipelineOptions options = engine::pipeline_options(job.solver);
   options.portfolio.keep_start_results = false;
-  options.portfolio.validate = job.solver.validate;  // absent = default
   if (job.stop != nullptr) options.portfolio.stop = job.stop->get_token();
 
   engine::PipelineResult pipeline_result;

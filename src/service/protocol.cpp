@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace qbp::service {
 
@@ -69,18 +70,12 @@ ParseResult parse_request(std::string_view line, Request& out) {
         !read_int32(*solver, "threads", out.solver.threads, error) ||
         !read_int32(*solver, "inner_threads", out.solver.inner_threads,
                     error) ||
-        !read_int32(*solver, "iterations", out.solver.iterations, error)) {
+        !read_int32(*solver, "iterations", out.solver.iterations, error) ||
+        !read_int32(*solver, "presolve_rn", out.solver.presolve_rn, error) ||
+        !read_int32(*solver, "ml_levels", out.solver.ml_levels, error) ||
+        !read_int32(*solver, "ml_refine_passes", out.solver.ml_refine_passes,
+                    error)) {
       return {false, error};
-    }
-    if (out.solver.starts < 1) return {false, "'starts' must be >= 1"};
-    if (out.solver.threads < 0) return {false, "'threads' must be >= 0"};
-    if (out.solver.inner_threads < 0) {
-      return {false, "'inner_threads' must be >= 0"};
-    }
-    if (out.solver.iterations < 1) return {false, "'iterations' must be >= 1"};
-    const double seed = solver->get_number("seed", -1.0);
-    if (seed >= 0.0 && std::isfinite(seed)) {
-      out.solver.seed = static_cast<std::uint64_t>(seed);
     }
     if (const json::Value* validate = solver->find("validate");
         validate != nullptr) {
@@ -92,12 +87,6 @@ ParseResult parse_request(std::string_view line, Request& out) {
       if (!presolve->is_bool()) return {false, "'presolve' must be a boolean"};
       out.solver.presolve = presolve->as_bool(true);
     }
-    if (!read_int32(*solver, "presolve_rn", out.solver.presolve_rn, error)) {
-      return {false, error};
-    }
-    if (out.solver.presolve_rn < 0) {
-      return {false, "'presolve_rn' must be >= 0"};
-    }
     if (const json::Value* rules = solver->find("presolve_rules");
         rules != nullptr) {
       if (!rules->is_string()) {
@@ -105,25 +94,22 @@ ParseResult parse_request(std::string_view line, Request& out) {
       }
       out.solver.presolve_rules = rules->as_string();
     }
-    if (!read_int32(*solver, "ml_levels", out.solver.ml_levels, error) ||
-        !read_int32(*solver, "ml_refine_passes", out.solver.ml_refine_passes,
-                    error)) {
-      return {false, error};
-    }
-    if (out.solver.ml_levels < 0) {
-      return {false, "'ml_levels' must be >= 0 (0 = solver default)"};
-    }
-    if (out.solver.ml_refine_passes < -1) {
-      return {false, "'ml_refine_passes' must be >= -1 (-1 = solver default)"};
+    // Values check_spec must refuse are read as such: anything but an
+    // integer in [0, 2^64) as the largest seed, a non-number shrink as NaN.
+    if (const json::Value* seed = solver->find("seed"); seed != nullptr) {
+      const double number = seed->as_number(-1.0);
+      out.solver.seed =
+          number >= 0.0 && number < 0x1p64 && number == std::floor(number)
+              ? static_cast<std::uint64_t>(number)
+              : std::numeric_limits<std::uint64_t>::max();
     }
     if (const json::Value* shrink = solver->find("ml_min_shrink");
         shrink != nullptr) {
-      const double ratio = shrink->as_number(std::nan(""));
-      if (!std::isfinite(ratio) || ratio < 0.0 || ratio >= 1.0) {
-        return {false, "'ml_min_shrink' must be in [0, 1)"};
-      }
-      out.solver.ml_min_shrink = ratio;
+      out.solver.ml_min_shrink = shrink->as_number(std::nan(""));
     }
+  }
+  if (std::string bad = engine::check_spec(out.solver); !bad.empty()) {
+    return {false, std::move(bad)};
   }
 
   if (const json::Value* cache = value.find("cache"); cache != nullptr) {

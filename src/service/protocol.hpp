@@ -12,6 +12,14 @@
 //   {"type":"stats"}
 //   {"type":"shutdown"}            (drain accepted jobs, then exit)
 //
+// The "solver" object carries engine::SolverSpec field by field (method,
+// starts, threads, inner_threads, iterations, seed, validate, presolve,
+// presolve_rn, presolve_rules, ml_levels, ml_min_shrink, ml_refine_passes);
+// absent fields keep the SolverSpec defaults.  A spec engine::check_spec
+// refuses -- e.g. a seed outside [0, 2^53) or an unknown presolve rule --
+// fails the line with check_spec's message, the one a binary submit frame
+// gets too.
+//
 // Responses (server -> client), one line each, in completion order:
 //
 //   {"type":"result","id":"j1","status":"ok","feasible":true,
@@ -42,11 +50,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "engine/spec.hpp"
 #include "netlist/io.hpp"  // ParseResult
 #include "util/json.hpp"
 
@@ -56,45 +64,9 @@ class PartitionProblem;
 
 namespace qbp::service {
 
-/// How to solve one job: a named engine solver fanned out over a
-/// deterministic portfolio.  `threads` is the per-job portfolio pool; the
-/// chosen assignment is independent of it (engine determinism contract).
-struct SolverSpec {
-  std::string method = "qbp";     // qbp | multilevel | gfm | gkl | sa
-  std::int32_t starts = 1;        // independent portfolio starts
-  std::int32_t threads = 1;       // portfolio worker threads for this job
-  /// Intra-solve threads per start on the shared deterministic pool (qbp /
-  /// multilevel methods; 0 = all hardware).  Pure wall-clock knob: results
-  /// are bit-identical at every value.  The server clamps the combined
-  /// workers x starts x inner_threads budget against the machine.
-  std::int32_t inner_threads = 1;
-  std::int32_t iterations = 100;  // QBP iteration budget (qbp method only)
-  std::uint64_t seed = 1993;      // master seed; determinism anchor
-  /// Per-job shadow validation ("validate": true|false): every portfolio
-  /// start is re-verified from scratch (core/validate.hpp).  Absent =
-  /// follow the server's process default.
-  std::optional<bool> validate;
-  /// Presolve the instance before solving ("presolve": true|false).  On by
-  /// default: the job runs through engine::SolvePipeline (normalize ->
-  /// reduce -> solve -> lift -> validate); bit-identical to off whenever no
-  /// reduction rule fires.
-  bool presolve = true;
-  /// RN brute-force threshold ("presolve_rn"): remainders with at most this
-  /// many free components are solved exactly instead of heuristically.
-  std::int32_t presolve_rn = 4;
-  /// Which reduction rules run ("presolve_rules": comma-separated subset of
-  /// r0,r1,r2,rn); same grammar as qbpart_cli --presolve-rules.
-  std::string presolve_rules = "r0,r1,r2,rn";
-  /// Multilevel V-cycle shape ("ml_levels" / "ml_min_shrink" /
-  /// "ml_refine_passes"; multilevel method only, ignored otherwise).  The
-  /// sentinels keep the library defaults (core/multilevel.hpp): 0 levels =
-  /// default depth, 0 shrink = default floor, -1 passes = default count.
-  /// Unlike the thread knobs these shape the answer, so they are part of
-  /// the cache spec fingerprint.
-  std::int32_t ml_levels = 0;       // total levels incl. finest; 1 = flat
-  double ml_min_shrink = 0.0;       // stop when a level shrinks less than this
-  std::int32_t ml_refine_passes = -1;  // polish sweeps per uncoarsened level
-};
+/// How to solve one job (engine/spec.hpp).  Both codecs read its fields
+/// and leave every range check to engine::check_spec.
+using engine::SolverSpec;
 
 enum class RequestType { kSubmit, kCancel, kStats, kShutdown };
 

@@ -58,11 +58,11 @@ Server::Server(ServerOptions options)
       workers_busy_(metrics_.gauge("workers_busy")),
       inner_threads_effective_(metrics_.gauge("inner_threads_effective")),
       pool_utilization_(metrics_.gauge("pool_utilization")),
-      presolve_r0_(metrics_.gauge("presolve.r0")),
-      presolve_r1_(metrics_.gauge("presolve.r1")),
-      presolve_r2_(metrics_.gauge("presolve.r2")),
-      presolve_rn_(metrics_.gauge("presolve.rn")),
-      presolve_removed_(metrics_.gauge("presolve.components_removed")),
+      presolve_r0_(metrics_.counter("presolve.r0")),
+      presolve_r1_(metrics_.counter("presolve.r1")),
+      presolve_r2_(metrics_.counter("presolve.r2")),
+      presolve_rn_(metrics_.counter("presolve.rn")),
+      presolve_removed_(metrics_.counter("presolve.components_removed")),
       presolve_seconds_(metrics_.histogram("presolve.seconds",
                                            Histogram::latency_bounds())),
       cache_hits_(metrics_.gauge("cache.hits")),
@@ -71,9 +71,9 @@ Server::Server(ServerOptions options)
       cache_inserts_(metrics_.gauge("cache.inserts")),
       cache_entries_(metrics_.gauge("cache.entries")),
       cache_bytes_(metrics_.gauge("cache.bytes")),
-      eco_exact_hits_(metrics_.gauge("eco.exact_hits")),
-      eco_warm_starts_(metrics_.gauge("eco.warm_starts")),
-      eco_repairs_(metrics_.gauge("eco.repairs")),
+      eco_exact_hits_(metrics_.counter("eco.exact_hits")),
+      eco_warm_starts_(metrics_.counter("eco.warm_starts")),
+      eco_repairs_(metrics_.counter("eco.repairs")),
       queue_wait_seconds_(metrics_.histogram("queue_wait_seconds",
                                              Histogram::latency_bounds())),
       solve_seconds_(
@@ -462,16 +462,16 @@ void Server::finish_job(const Job& job, JobResult result) {
   queue_wait_seconds_.observe(result.queue_wait_s);
   if (result.solve_s > 0.0) solve_seconds_.observe(result.solve_s);
   if (result.feasible) objective_.observe(result.objective);
-  presolve_r0_.add(result.presolve_r0);
-  presolve_r1_.add(result.presolve_r1);
-  presolve_r2_.add(result.presolve_r2);
-  presolve_rn_.add(result.presolve_rn);
-  presolve_removed_.add(result.presolve_removed);
+  presolve_r0_.inc(result.presolve_r0);
+  presolve_r1_.inc(result.presolve_r1);
+  presolve_r2_.inc(result.presolve_r2);
+  presolve_rn_.inc(result.presolve_rn);
+  presolve_removed_.inc(result.presolve_removed);
   if (result.presolve_s > 0.0) presolve_seconds_.observe(result.presolve_s);
-  if (result.cache_hit) eco_exact_hits_.add(1);
+  if (result.cache_hit) eco_exact_hits_.inc();
   if (result.warm_start) {
-    eco_warm_starts_.add(1);
-    eco_repairs_.add(result.eco_repairs);
+    eco_warm_starts_.inc();
+    eco_repairs_.inc(result.eco_repairs);
   }
 
   {

@@ -208,12 +208,12 @@ class Server {
   Gauge& inner_threads_effective_;
   Gauge& pool_utilization_;
   // Cumulative presolve reduction totals across all completed jobs, plus
-  // the wall clock the most recent reducing job spent in presolve.
-  Gauge& presolve_r0_;
-  Gauge& presolve_r1_;
-  Gauge& presolve_r2_;
-  Gauge& presolve_rn_;
-  Gauge& presolve_removed_;
+  // the per-job presolve wall clock.
+  Counter& presolve_r0_;
+  Counter& presolve_r1_;
+  Counter& presolve_r2_;
+  Counter& presolve_rn_;
+  Counter& presolve_removed_;
   Histogram& presolve_seconds_;
   // Solution-cache snapshot (mirrored from SolutionCache::stats() when a
   // stats line renders) and cumulative ECO totals across completed jobs.
@@ -223,9 +223,9 @@ class Server {
   Gauge& cache_inserts_;
   Gauge& cache_entries_;
   Gauge& cache_bytes_;
-  Gauge& eco_exact_hits_;
-  Gauge& eco_warm_starts_;
-  Gauge& eco_repairs_;
+  Counter& eco_exact_hits_;
+  Counter& eco_warm_starts_;
+  Counter& eco_repairs_;
   Histogram& queue_wait_seconds_;
   Histogram& solve_seconds_;
   Histogram& objective_;

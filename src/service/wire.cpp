@@ -403,15 +403,6 @@ bool decode_submit(std::string_view payload, Request& out, std::string& error) {
       !read_i32(reader, out.solver.iterations, error, "iterations")) {
     return false;
   }
-  // Same bounds (and messages) as parse_request.
-  if (out.solver.starts < 1) return fail(error, "'starts' must be >= 1");
-  if (out.solver.threads < 0) return fail(error, "'threads' must be >= 0");
-  if (out.solver.inner_threads < 0) {
-    return fail(error, "'inner_threads' must be >= 0");
-  }
-  if (out.solver.iterations < 1) {
-    return fail(error, "'iterations' must be >= 1");
-  }
   if (!reader.varint(out.solver.seed)) {
     return fail(error, "truncated solver seed");
   }
@@ -424,29 +415,21 @@ bool decode_submit(std::string_view payload, Request& out, std::string& error) {
       !read_i32(reader, out.solver.presolve_rn, error, "presolve_rn")) {
     return false;
   }
-  if (out.solver.presolve_rn < 0) {
-    return fail(error, "'presolve_rn' must be >= 0");
-  }
   std::string_view rules;
   if (!reader.string(rules)) return fail(error, "truncated presolve_rules");
   out.solver.presolve_rules = std::string(rules);
   if (!read_i32(reader, out.solver.ml_levels, error, "ml_levels")) {
     return false;
   }
-  if (out.solver.ml_levels < 0) {
-    return fail(error, "'ml_levels' must be >= 0 (0 = solver default)");
-  }
-  if (!reader.f64(out.solver.ml_min_shrink) ||
-      !std::isfinite(out.solver.ml_min_shrink) ||
-      out.solver.ml_min_shrink < 0.0 || out.solver.ml_min_shrink >= 1.0) {
-    return fail(error, "'ml_min_shrink' must be in [0, 1)");
+  if (!reader.f64(out.solver.ml_min_shrink)) {
+    return fail(error, "truncated ml_min_shrink");
   }
   if (!read_i32(reader, out.solver.ml_refine_passes, error,
                 "ml_refine_passes")) {
     return false;
   }
-  if (out.solver.ml_refine_passes < -1) {
-    return fail(error, "'ml_refine_passes' must be >= -1 (-1 = solver default)");
+  if (std::string bad = engine::check_spec(out.solver); !bad.empty()) {
+    return fail(error, std::move(bad));
   }
   if (!reader.f64(out.deadline_ms) || !std::isfinite(out.deadline_ms) ||
       out.deadline_ms < 0.0) {

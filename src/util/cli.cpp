@@ -21,6 +21,12 @@ void CliParser::add_int(std::string_view name, std::int64_t& target,
                       std::to_string(target)});
 }
 
+void CliParser::add_int(std::string_view name, std::int32_t& target,
+                        std::string_view help) {
+  options_.push_back({std::string(name), Kind::kInt32, &target,
+                      std::string(help), std::to_string(target)});
+}
+
 void CliParser::add_double(std::string_view name, double& target,
                            std::string_view help) {
   options_.push_back({std::string(name), Kind::kDouble, &target, std::string(help),
@@ -54,14 +60,22 @@ bool CliParser::assign(Option& option, std::string_view value) {
       }
       return true;
     }
-    case Kind::kInt: {
+    case Kind::kInt:
+    case Kind::kInt32: {
       long long parsed = 0;
-      if (!parse_int(value, parsed)) {
+      const bool narrow = option.kind == Kind::kInt32;
+      if (!parse_int(value, parsed) ||
+          (narrow && parsed != static_cast<std::int32_t>(parsed))) {
         error_ = "invalid integer for --" + option.name + ": '" +
                  std::string(value) + "'";
         return false;
       }
-      *static_cast<std::int64_t*>(option.target) = parsed;
+      if (narrow) {
+        *static_cast<std::int32_t*>(option.target) =
+            static_cast<std::int32_t>(parsed);
+      } else {
+        *static_cast<std::int64_t*>(option.target) = parsed;
+      }
       return true;
     }
     case Kind::kDouble: {
@@ -140,7 +154,8 @@ std::string CliParser::usage() const {
     out << "  --" << option.name;
     switch (option.kind) {
       case Kind::kFlag: break;
-      case Kind::kInt: out << " <int>"; break;
+      case Kind::kInt:
+      case Kind::kInt32: out << " <int>"; break;
       case Kind::kDouble: out << " <num>"; break;
       case Kind::kString: out << " <str>"; break;
     }

@@ -21,6 +21,8 @@ class CliParser {
   /// Register options before calling parse().  `help` is shown by usage().
   void add_flag(std::string_view name, bool& target, std::string_view help);
   void add_int(std::string_view name, std::int64_t& target, std::string_view help);
+  /// As above; values outside the int32 range are a parse error.
+  void add_int(std::string_view name, std::int32_t& target, std::string_view help);
   void add_double(std::string_view name, double& target, std::string_view help);
   void add_string(std::string_view name, std::string& target, std::string_view help);
 
@@ -47,7 +49,7 @@ class CliParser {
   [[nodiscard]] std::string usage() const;
 
  private:
-  enum class Kind { kFlag, kInt, kDouble, kString };
+  enum class Kind { kFlag, kInt, kInt32, kDouble, kString };
 
   struct Option {
     std::string name;  // without the leading "--"

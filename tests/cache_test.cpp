@@ -168,6 +168,10 @@ TEST(SpecFingerprint, ExcludesThreadKnobsCoversResultShapingFields) {
   changed = spec;
   changed.presolve_rules = "r0";
   EXPECT_FALSE(spec_fingerprint(changed, false) == base);
+  // The rule set keys the cache, not its spelling.
+  changed = spec;
+  changed.presolve_rules = "rn,r2,r1,r0";
+  EXPECT_TRUE(spec_fingerprint(changed, false) == base);
   EXPECT_FALSE(spec_fingerprint(spec, true) == base);  // validate resolved
 }
 

@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stop_token>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_support/circuits.hpp"
@@ -30,14 +33,135 @@ PartitionProblem engine_problem() {
       {.num_components = 12, .num_partitions = 4, .seed = 42});
 }
 
+/// A default spec naming `method`.
+SolverSpec spec_for(const char* method) {
+  SolverSpec spec;
+  spec.method = method;
+  return spec;
+}
+
 TEST(MakeSolver, KnowsEveryRegisteredNameAndRejectsUnknown) {
   for (const char* name : {"qbp", "multilevel", "gfm", "gkl", "sa"}) {
-    const auto solver = make_solver(name);
+    const auto solver = make_solver(spec_for(name));
     ASSERT_NE(solver, nullptr) << name;
     EXPECT_EQ(solver->name(), name);
   }
-  EXPECT_EQ(make_solver("simplex"), nullptr);
-  EXPECT_EQ(make_solver(""), nullptr);
+  EXPECT_EQ(make_solver(spec_for("simplex")), nullptr);
+  EXPECT_EQ(make_solver(spec_for("")), nullptr);
+}
+
+TEST(MakeSolver, SpecConfiguresTheAdapter) {
+  const PartitionProblem problem = engine_problem();
+  Rng rng(5);
+  const StartPoint start{test::random_complete(problem.num_components(),
+                                               problem.num_partitions(), rng),
+                         /*seed=*/7};
+
+  // qbp: the iteration budget and inner_threads reach BurkardOptions.
+  SolverSpec qbp = spec_for("qbp");
+  qbp.iterations = 12;
+  qbp.inner_threads = 3;
+  const auto burkard = make_solver(qbp);
+  EXPECT_EQ(burkard->inner_threads(), 3);
+  const SolverResult via_spec = burkard->solve(problem, start);
+  const SolverResult by_hand = BurkardSolver(fast_qbp_options()).solve(problem, start);
+  EXPECT_EQ(via_spec.iterations, 12);
+  EXPECT_EQ(via_spec.best, by_hand.best);
+  EXPECT_EQ(via_spec.history, by_hand.history);
+
+  // multilevel: inner_threads fans out to all three stages, and the V-cycle
+  // shape overrides the library defaults only where it is set.
+  SolverSpec multilevel = spec_for("multilevel");
+  multilevel.inner_threads = 2;
+  multilevel.ml_levels = 2;
+  multilevel.ml_refine_passes = 1;
+  MultilevelOptions options;
+  options.coarsen.inner_threads = 2;
+  options.coarse_solver.inner_threads = 2;
+  options.refine_solver.inner_threads = 2;
+  options.max_levels = 2;
+  options.refine_passes = 1;
+  const auto vcycle = make_solver(multilevel);
+  EXPECT_EQ(vcycle->inner_threads(), 2);
+  const SolverResult ml_via_spec = vcycle->solve(problem, start);
+  const SolverResult ml_by_hand = MultilevelSolver(options).solve(problem, start);
+  EXPECT_EQ(ml_via_spec.best, ml_by_hand.best);
+  EXPECT_EQ(ml_via_spec.best_penalized, ml_by_hand.best_penalized);
+}
+
+TEST(CheckSpec, EveryBoundIsRejectedWithItsMessage) {
+  EXPECT_EQ(check_spec(SolverSpec{}), "");
+  const auto message = [](auto spoil) {
+    SolverSpec spec;
+    spoil(spec);
+    return check_spec(spec);
+  };
+  EXPECT_EQ(message([](SolverSpec& s) { s.starts = 0; }),
+            "'starts' must be >= 1");
+  EXPECT_EQ(message([](SolverSpec& s) { s.threads = -1; }),
+            "'threads' must be >= 0");
+  EXPECT_EQ(message([](SolverSpec& s) { s.inner_threads = -1; }),
+            "'inner_threads' must be >= 0");
+  EXPECT_EQ(message([](SolverSpec& s) { s.iterations = 0; }),
+            "'iterations' must be >= 1");
+  EXPECT_EQ(message([](SolverSpec& s) { s.presolve_rn = -1; }),
+            "'presolve_rn' must be >= 0");
+  EXPECT_EQ(message([](SolverSpec& s) { s.ml_levels = -1; }),
+            "'ml_levels' must be >= 0 (0 = solver default)");
+  EXPECT_EQ(message([](SolverSpec& s) { s.ml_min_shrink = 1.0; }),
+            "'ml_min_shrink' must be in [0, 1)");
+  EXPECT_EQ(message([](SolverSpec& s) { s.ml_min_shrink = std::nan(""); }),
+            "'ml_min_shrink' must be in [0, 1)");
+  EXPECT_EQ(message([](SolverSpec& s) { s.ml_refine_passes = -2; }),
+            "'ml_refine_passes' must be >= -1 (-1 = solver default)");
+
+  // Seeds: every integer a JSON number carries unrounded, nothing above.
+  const std::string seed_range = "'seed' must be an integer in [0, 2^53)";
+  const std::uint64_t limit = std::uint64_t{1} << 53;
+  EXPECT_EQ(message([&](SolverSpec& s) { s.seed = limit - 1; }), "");
+  EXPECT_EQ(message([&](SolverSpec& s) { s.seed = limit; }), seed_range);
+  EXPECT_EQ(message([&](SolverSpec& s) { s.seed = limit + 1; }), seed_range);
+  EXPECT_EQ(message([](SolverSpec& s) { s.seed = ~std::uint64_t{0}; }),
+            seed_range);  // a wrapped -1
+
+  // Rules: any subset of r0,r1,r2,rn in any order; empty means none.
+  for (const char* rules : {"", "r0", "rn,r2,r1,r0", "r1,r1"}) {
+    EXPECT_EQ(message([&](SolverSpec& s) { s.presolve_rules = rules; }), "")
+        << rules;
+  }
+  for (const auto& [rules, token] :
+       {std::pair<std::string, std::string>{"bogus", "bogus"},
+        {"r0r1", "r0r1"},
+        {"r0,,r1", ""},
+        {"r0, r1", " r1"}}) {
+    EXPECT_EQ(message([&](SolverSpec& s) { s.presolve_rules = rules; }),
+              "'presolve_rules' has unknown rule '" + token +
+                  "' (want a comma-separated subset of r0,r1,r2,rn)")
+        << rules;
+  }
+}
+
+TEST(PipelineOptions, SpecFillsPresolveSeedThreadsAndValidate) {
+  SolverSpec spec;
+  spec.seed = 42;
+  spec.threads = 3;
+  spec.validate = true;
+  spec.presolve = false;
+  spec.presolve_rn = 6;
+  spec.presolve_rules = "r2,rn";
+  const PipelineOptions options = pipeline_options(spec);
+  EXPECT_EQ(options.portfolio.seed, 42u);
+  EXPECT_EQ(options.portfolio.threads, 3);
+  EXPECT_EQ(options.portfolio.validate, std::optional<bool>(true));
+  EXPECT_FALSE(options.presolve.enabled);
+  EXPECT_EQ(options.presolve.rn_max_components, 6);
+  EXPECT_FALSE(options.presolve.rule_r0);
+  EXPECT_FALSE(options.presolve.rule_r1);
+  EXPECT_TRUE(options.presolve.rule_r2);
+  EXPECT_TRUE(options.presolve.rule_rn);
+  spec.presolve_rules = "";
+  const PresolveOptions none = pipeline_options(spec).presolve;
+  EXPECT_FALSE(none.rule_r0 || none.rule_r1 || none.rule_r2 || none.rule_rn);
 }
 
 TEST(BetterResult, FeasibilityDominatesThenObjectiveThenPenalized) {
@@ -97,7 +221,7 @@ TEST(Adapters, EveryAdapterProducesConsistentNormalizedResult) {
 
   for (const char* name : {"qbp", "multilevel", "gfm", "gkl", "sa"}) {
     SCOPED_TRACE(name);
-    const auto solver = make_solver(name);
+    const auto solver = make_solver(spec_for(name));
     const SolverResult result = solver->solve(problem, start);
 
     EXPECT_EQ(result.solver, name);
@@ -128,7 +252,7 @@ TEST(Adapters, FeasibleRegionSolversLegalizeInfeasibleStarts) {
   for (const char* name : {"gfm", "gkl", "sa"}) {
     SCOPED_TRACE(name);
     const SolverResult result =
-        make_solver(name)->solve(problem, StartPoint{bad, /*seed=*/9});
+        make_solver(spec_for(name))->solve(problem, StartPoint{bad, /*seed=*/9});
     ASSERT_TRUE(result.found_feasible);
     EXPECT_TRUE(problem.is_feasible(result.best_feasible));
   }

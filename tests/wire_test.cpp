@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/fingerprint.hpp"
@@ -353,7 +354,7 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
   std::string text;
   std::string error;
   // Empty and garbage payloads across every decoder.
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(), std::string("\xFF\xFF\xFF\xFF", 4),
         std::string(64, '\x80')}) {
     EXPECT_FALSE(service::decode_submit(payload, request, error));
@@ -363,6 +364,30 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
   }
   // A note payload of two empty strings decodes; garbage does not.
   EXPECT_FALSE(service::decode_note(std::string("\xFF", 1), id, text, error));
+
+  // Seeds outside [0, 2^53) and unknown presolve rules fail with the
+  // NDJSON parser's message.  A binary frame carries the full uint64, so
+  // qbpart_submit's --seed -1 arrives as 2^64 - 1.
+  const std::string seed_range = "'seed' must be an integer in [0, 2^53)";
+  for (const auto& [seed, rules, message] :
+       {std::tuple<std::uint64_t, std::string, std::string>{
+            std::numeric_limits<std::uint64_t>::max(), "r0", seed_range},
+        {9007199254740993ULL, "r0", seed_range},
+        {7, "bogus",
+         "'presolve_rules' has unknown rule 'bogus' (want a "
+         "comma-separated subset of r0,r1,r2,rn)"}}) {
+    service::Request bad = submit_request();
+    bad.problem_text = "problem p\n";
+    bad.solver.seed = seed;
+    bad.solver.presolve_rules = rules;
+    std::string frame;
+    service::encode_request_frame(bad, frame);
+    std::uint8_t type = 0;
+    std::string payload;
+    split_frame(frame, type, payload);
+    EXPECT_FALSE(service::decode_submit(payload, request, error)) << seed;
+    EXPECT_EQ(error, message) << seed;
+  }
 }
 
 // --------------------------------------------- problem value identity ----
