@@ -403,6 +403,7 @@ Value run_vcycle(const RunnerConfig& config) {
     row.set("kernel", qbp::simd::active_kernel());
     row.set("coarsen_seconds", result.coarsen_seconds);
     row.set("seconds", seconds);
+    row.set("coarse_solve_seconds", result.coarse_solve_seconds);
     // Feasible wirelength, or the penalized value when none was found.
     row.set("final", finest.found_feasible
                          ? problem.wirelength(best)
@@ -693,10 +694,11 @@ const std::vector<Suite>& declared_suites() {
        .run = run_vcycle,
        .key = {"n"},
        .exact = {"final", "feasible", "levels", "level_sizes"},
-       .timed = {"seconds", "coarsen_seconds"},
+       .timed = {"seconds", "coarsen_seconds", "coarse_solve_seconds"},
        .columns = {{"N", "n", kGrouped},
                    {"levels", "levels", kGrouped},
                    {"coarsen (s)", "coarsen_seconds"},
+                   {"coarsest (s)", "coarse_solve_seconds"},
                    {"solve (s)", "seconds"},
                    {"final", "final", 1},
                    {"feasible", "feasible"}}},

@@ -19,11 +19,11 @@ namespace qbp {
 /// over every (component, partition) pair, then a first-improvement swap
 /// sweep over connected pairs, constrained pairs and a random pair sample.
 /// Capacity C1 stays invariant throughout; timing enters via the penalty.
-/// All deltas flow through the shared DeltaEvaluator: the move sweep reads
-/// the cached per-component row (one O(degree * M) build amortized over the
-/// sweep instead of M separate O(degree) evaluations), and commits keep the
-/// cache stamps exact.  Declared in burkard.hpp: the multilevel V-cycle uses
-/// the same descent as its per-level refinement.
+/// All deltas come off the shared DeltaEvaluator's cached rows: the move
+/// sweep reads a component's M deltas from its row, a swap reads two rows
+/// plus the a-b pair term (cached_swap_delta), and commits patch the rows
+/// that depend on the mover.  Declared in burkard.hpp: the multilevel
+/// V-cycle uses the same descent as its per-level refinement.
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed) {
@@ -48,7 +48,7 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
         ledger.capacity(u[b]) + CapacityLedger::kTolerance) {
       return false;
     }
-    if (evaluator.swap_delta(u, a, b) >= -kEps) return false;
+    if (evaluator.cached_swap_delta(u, a, b) >= -kEps) return false;
     const PartitionId pa = u[a];
     const PartitionId pb = u[b];
     ledger.remove(pa, sa);

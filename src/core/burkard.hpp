@@ -143,8 +143,11 @@ class DeltaEvaluator;
 /// of best-improvement moves plus first-improvement swaps (connected pairs,
 /// constrained pairs, and a seeded random sample) descending the *penalized*
 /// objective, capacity C1 invariant throughout.  Serial and deterministic
-/// in `sweep_seed`.  Used after STEP 6 inside solve_qbp and as the
-/// per-level refinement of the multilevel V-cycle.
+/// in `sweep_seed`.  `evaluator` (on `problem`, with the penalty to
+/// descend) drops its rows on entry; every commit then patches them, so a
+/// swap evaluation is O(1) row lookups plus the a-b pair term.  Used after
+/// STEP 6 inside solve_qbp and as the per-level refinement of the
+/// multilevel V-cycle.
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed);

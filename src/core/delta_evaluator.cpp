@@ -159,6 +159,39 @@ double swap_delta_penalized(const PartitionProblem& problem, double penalty,
          correction(pb, pa) - correction(pa, pb);
 }
 
+/// Add `sign` times the wire terms a neighbor at partition `at` contributes
+/// to every column i of an incident row: both ordered directions, scaled by
+/// `scale` = beta * a_jk.  An unassigned neighbor contributes nothing.
+void add_wire_terms(const PartitionTopology& topology, double scale,
+                    PartitionId at, double sign, std::vector<double>& incident) {
+  if (at == Assignment::kUnassigned) return;
+  const double signed_scale = sign * scale;
+  for (std::size_t i = 0; i < incident.size(); ++i) {
+    const auto column = static_cast<PartitionId>(i);
+    incident[i] += signed_scale * (topology.wire_cost(column, at) +
+                                   topology.wire_cost(at, column));
+  }
+}
+
+/// Penalized mode: add `sign` times the corrections a timing partner at
+/// partition `at` (pair bound `bound`, wire scale beta * a_jk) contributes
+/// to every column i: a violating direction's wire term is replaced by the
+/// flat penalty.  An unassigned partner contributes nothing.
+void add_violation_terms(const PartitionTopology& topology, double penalty,
+                         double wire_scale, double bound, PartitionId at,
+                         double sign, std::vector<double>& incident) {
+  if (at == Assignment::kUnassigned) return;
+  for (std::size_t i = 0; i < incident.size(); ++i) {
+    const auto column = static_cast<PartitionId>(i);
+    if (topology.delay(column, at) > bound) {
+      incident[i] += sign * (penalty - wire_scale * topology.wire_cost(column, at));
+    }
+    if (topology.delay(at, column) > bound) {
+      incident[i] += sign * (penalty - wire_scale * topology.wire_cost(at, column));
+    }
+  }
+}
+
 }  // namespace
 
 DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
@@ -189,16 +222,6 @@ double DeltaEvaluator::swap_delta(const Assignment& assignment,
   return swap_delta_objective(*problem_, assignment, component_a, component_b);
 }
 
-void DeltaEvaluator::mark_dependents_stale(std::int32_t component) {
-  for (const std::int32_t other :
-       problem_->netlist().connection_matrix().row_indices(component)) {
-    rows_[static_cast<std::size_t>(other)].valid = false;
-  }
-  for (const std::int32_t other : problem_->timing().partners(component)) {
-    rows_[static_cast<std::size_t>(other)].valid = false;
-  }
-}
-
 void DeltaEvaluator::build_row(const Assignment& assignment,
                                std::int32_t component, Row& row) const {
   const std::int32_t m = problem_->num_partitions();
@@ -216,81 +239,139 @@ void DeltaEvaluator::build_row(const Assignment& assignment,
     }
   }
 
-  // Wire terms: both ordered directions per neighbor.
   const auto neighbors = adjacency.row_indices(component);
   const auto wires = adjacency.row_values(component);
   for (std::size_t k = 0; k < neighbors.size(); ++k) {
-    const PartitionId other = assignment[neighbors[k]];
-    if (other == Assignment::kUnassigned) continue;
-    const double scale = beta * wires[k];
-    for (PartitionId i = 0; i < m; ++i) {
-      row.incident[static_cast<std::size_t>(i)] +=
-          scale *
-          (topology.wire_cost(i, other) + topology.wire_cost(other, i));
-    }
+    add_wire_terms(topology, beta * wires[k], assignment[neighbors[k]], 1.0,
+                   row.incident);
   }
 
-  // Penalized mode: for each constrained partner, a violating direction's
-  // wire term is replaced by the flat penalty.
   if (penalty_ > 0.0) {
     const auto partners = problem_->timing().partners(component);
     const auto bounds = problem_->timing().bounds(component);
     for (std::size_t k = 0; k < partners.size(); ++k) {
-      const PartitionId other = assignment[partners[k]];
-      if (other == Assignment::kUnassigned) continue;
+      add_violation_terms(topology, penalty_,
+                          beta * adjacency.value_or(component, partners[k], 0),
+                          bounds[k], assignment[partners[k]], 1.0,
+                          row.incident);
+    }
+  }
+}
+
+const std::vector<double>& DeltaEvaluator::cached_row(
+    const Assignment& assignment, std::int32_t component) {
+  Row& row = rows_[static_cast<std::size_t>(component)];
+  if (row.built) {
+    ++hits_;
+  } else {
+    QBP_PROF_SCOPE("delta.row_build");
+    ++misses_;
+    build_row(assignment, component, row);
+    row.built = true;
+  }
+  return row.incident;
+}
+
+void DeltaEvaluator::patch_dependents(std::int32_t component,
+                                      PartitionId source, PartitionId target) {
+  const auto& topology = problem_->topology();
+  const auto& adjacency = problem_->netlist().connection_matrix();
+  const double beta = problem_->beta();
+
+  // Each dependent row loses the mover's terms at `source` and gains them
+  // at `target`.
+  const auto neighbors = adjacency.row_indices(component);
+  const auto wires = adjacency.row_values(component);
+  for (std::size_t k = 0; k < neighbors.size(); ++k) {
+    Row& row = rows_[static_cast<std::size_t>(neighbors[k])];
+    if (!row.built) continue;
+    const double scale = beta * wires[k];
+    add_wire_terms(topology, scale, source, -1.0, row.incident);
+    add_wire_terms(topology, scale, target, 1.0, row.incident);
+  }
+
+  if (penalty_ > 0.0) {
+    const auto partners = problem_->timing().partners(component);
+    const auto bounds = problem_->timing().bounds(component);
+    for (std::size_t k = 0; k < partners.size(); ++k) {
+      Row& row = rows_[static_cast<std::size_t>(partners[k])];
+      if (!row.built) continue;
       const double wire_scale =
           beta * adjacency.value_or(component, partners[k], 0);
-      for (PartitionId i = 0; i < m; ++i) {
-        if (topology.delay(i, other) > bounds[k]) {
-          row.incident[static_cast<std::size_t>(i)] +=
-              penalty_ - wire_scale * topology.wire_cost(i, other);
-        }
-        if (topology.delay(other, i) > bounds[k]) {
-          row.incident[static_cast<std::size_t>(i)] +=
-              penalty_ - wire_scale * topology.wire_cost(other, i);
-        }
-      }
+      add_violation_terms(topology, penalty_, wire_scale, bounds[k], source,
+                          -1.0, row.incident);
+      add_violation_terms(topology, penalty_, wire_scale, bounds[k], target,
+                          1.0, row.incident);
     }
   }
 }
 
 std::span<const double> DeltaEvaluator::move_deltas(const Assignment& assignment,
                                                     std::int32_t component) {
-  Row& row = rows_[static_cast<std::size_t>(component)];
-  if (row.valid) {
-    ++hits_;
-  } else {
-    QBP_PROF_SCOPE("delta.row_build");
-    ++misses_;
-    build_row(assignment, component, row);
-    row.valid = true;
-  }
+  const std::vector<double>& incident = cached_row(assignment, component);
   const double baseline =
-      row.incident[static_cast<std::size_t>(assignment[component])];
+      incident[static_cast<std::size_t>(assignment[component])];
   for (std::size_t i = 0; i < deltas_.size(); ++i) {
-    deltas_[i] = row.incident[i] - baseline;
+    deltas_[i] = incident[i] - baseline;
   }
   return deltas_;
 }
 
+double DeltaEvaluator::cached_swap_delta(const Assignment& assignment,
+                                         std::int32_t component_a,
+                                         std::int32_t component_b) {
+  const PartitionId pa = assignment[component_a];
+  const PartitionId pb = assignment[component_b];
+  if (pa == pb) return 0.0;
+  const std::vector<double>& row_a = cached_row(assignment, component_a);
+  const std::vector<double>& row_b = cached_row(assignment, component_b);
+
+  // The a-b pair term with a at x and b at y: both ordered wire terms, the
+  // penalty replacing a direction that breaks the a-b bound.  Row a counts
+  // it with b fixed at pb, row b with a fixed at pa; the swap moves both
+  // ends at once.
+  const auto& topology = problem_->topology();
+  const double wire_scale =
+      problem_->beta() * problem_->netlist().connection_matrix().value_or(
+                             component_a, component_b, 0);
+  const double bound =
+      penalty_ > 0.0 ? problem_->timing().max_delay(component_a, component_b)
+                     : TimingConstraints::kUnconstrained;
+  const auto pair = [&](PartitionId x, PartitionId y) {
+    const double forward = topology.delay(x, y) > bound
+                               ? penalty_
+                               : wire_scale * topology.wire_cost(x, y);
+    const double backward = topology.delay(y, x) > bound
+                                ? penalty_
+                                : wire_scale * topology.wire_cost(y, x);
+    return forward + backward;
+  };
+
+  const auto at = [](const std::vector<double>& row, PartitionId i) {
+    return row[static_cast<std::size_t>(i)];
+  };
+  return at(row_a, pb) - at(row_a, pa) + at(row_b, pa) - at(row_b, pb) +
+         pair(pb, pa) + pair(pa, pb) - pair(pa, pa) - pair(pb, pb);
+}
+
 void DeltaEvaluator::commit_move(Assignment& assignment, std::int32_t component,
                                  PartitionId target) {
+  const PartitionId source = assignment[component];
+  if (source == target) return;
   assignment.set(component, target);
-  mark_dependents_stale(component);
+  patch_dependents(component, source, target);
 }
 
 void DeltaEvaluator::commit_swap(Assignment& assignment,
                                  std::int32_t component_a,
                                  std::int32_t component_b) {
   const PartitionId pa = assignment[component_a];
-  assignment.set(component_a, assignment[component_b]);
-  assignment.set(component_b, pa);
-  mark_dependents_stale(component_a);
-  mark_dependents_stale(component_b);
+  commit_move(assignment, component_a, assignment[component_b]);
+  commit_move(assignment, component_b, pa);
 }
 
 void DeltaEvaluator::invalidate() {
-  for (Row& row : rows_) row.valid = false;
+  for (Row& row : rows_) row.built = false;
 }
 
 }  // namespace qbp

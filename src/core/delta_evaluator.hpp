@@ -9,16 +9,20 @@
 //   * move_delta / swap_delta are the exact one-off deltas.  With a penalty
 //     they are the plain-objective delta plus a timing-violation
 //     correction, so the wire/linear arithmetic exists exactly once, in
-//     delta_evaluator.cpp;
+//     delta_evaluator.cpp.  They are the reference the cached path is
+//     checked against;
 //   * DeltaEvaluator adds per-component contribution caching on top: the
 //     full "incident cost of j by candidate partition" row is built once in
-//     O((deg_A(j) + deg_Dc(j)) * M) and stays valid until a neighbor or
-//     timing partner of j moves.  Staleness is pushed at commit time (a
-//     commit marks the rows of the mover's neighbors and partners dirty in
-//     O(degree)), so the freshness check on every read is O(1) -- reads
-//     vastly outnumber commits in a polish sweep.  Loops that scan all M
-//     targets of a component (the polish move sweep, FM-style gain updates)
-//     get their deltas at amortized O(degree) instead of O(degree * M).
+//     O((deg_A(j) + deg_Dc(j)) * M) and then kept current.  A commit of
+//     component c from partition s to t patches every built row that
+//     depends on c -- its wire neighbors' and (penalized mode) its timing
+//     partners' -- by subtracting c's terms at s and adding them at t, in
+//     O(M) per row: the Fiduccia-Mattheyses gain update.  Rows never built
+//     stay lazy.  Loops that scan all M targets of a component (the polish
+//     move sweep, FM-style gain updates) get their deltas in O(M) instead
+//     of O(degree * M), and a pairwise swap delta comes from two row
+//     differences plus the a-b pair term (cached_swap_delta) instead of a
+//     rescan of both neighborhoods.
 //
 // The evaluator is not thread-safe; give each solver run its own instance
 // (they are cheap: O(N) bookkeeping plus rows built on demand).
@@ -45,7 +49,8 @@ class DeltaEvaluator {
   /// Exact one-off deltas (no caching): the change in y^T Qhat y (penalized
   /// mode) or in the objective if `component` moved to `target` --
   /// O(degree in A + degree in Dc) -- or if the two components exchanged
-  /// partitions, O(degree(a) + degree(b)).
+  /// partitions, O(degree(a) + degree(b)).  The reference implementation
+  /// the cached paths below are checked against.
   [[nodiscard]] double move_delta(const Assignment& assignment,
                                   std::int32_t component,
                                   PartitionId target) const;
@@ -54,15 +59,25 @@ class DeltaEvaluator {
                                   std::int32_t component_b) const;
 
   /// Deltas for moving `component` to every partition (entry [current] is
-  /// 0).  Cached: the underlying incident-cost row survives until a
-  /// neighbor or timing partner of `component` moves, so repeated calls are
-  /// O(degree) instead of O(degree * M).  The returned span aliases an
-  /// internal buffer invalidated by the next move_deltas call.
+  /// 0).  Cached: the underlying incident-cost row is built on the first
+  /// read and patched by every later commit, so repeated calls are O(M)
+  /// instead of O(degree * M).  The returned span aliases an internal
+  /// buffer invalidated by the next move_deltas call.
   [[nodiscard]] std::span<const double> move_deltas(const Assignment& assignment,
                                                     std::int32_t component);
 
-  /// Apply a move/swap *through* the evaluator so cache freshness stamps
-  /// stay correct.  Mutating the assignment behind the evaluator's back
+  /// swap_delta read from the cached rows of both components (built on
+  /// demand): row_a[p_b] - row_a[p_a] + row_b[p_a] - row_b[p_b], plus the
+  /// a-b pair term at the swapped positions minus the two co-located ones
+  /// each row counted.  That is the Kernighan-Lin identity
+  /// g = D_a + D_b - 2 c_ab, generalized to asymmetric B and to the penalty
+  /// of an (a, b) timing constraint.  O(log degree) once both rows exist.
+  [[nodiscard]] double cached_swap_delta(const Assignment& assignment,
+                                         std::int32_t component_a,
+                                         std::int32_t component_b);
+
+  /// Apply a move/swap *through* the evaluator so the built rows are
+  /// patched.  Mutating the assignment behind the evaluator's back
   /// requires a subsequent invalidate().
   void commit_move(Assignment& assignment, std::int32_t component,
                    PartitionId target);
@@ -82,14 +97,19 @@ class DeltaEvaluator {
     /// replacing a wire term whenever that direction violates its bound
     /// (penalized mode only).
     std::vector<double> incident;
-    bool valid = false;
+    bool built = false;
   };
 
   void build_row(const Assignment& assignment, std::int32_t component, Row& row) const;
-  /// A commit of `component` invalidates the rows that depend on its
-  /// position: its neighbors' and timing partners' (never its own -- a row
-  /// does not depend on its own component's position).
-  void mark_dependents_stale(std::int32_t component);
+  /// The built row of `component` (building it on a miss).
+  const std::vector<double>& cached_row(const Assignment& assignment,
+                                        std::int32_t component);
+  /// `component` moved from `source` to `target`: move its terms in every
+  /// built row that depends on its position -- its neighbors' and timing
+  /// partners' (never its own: a row does not depend on its own
+  /// component's position).
+  void patch_dependents(std::int32_t component, PartitionId source,
+                        PartitionId target);
 
   const PartitionProblem* problem_;
   double penalty_;

@@ -302,6 +302,7 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
     QBP_PROF_SCOPE("multilevel.coarse_solve");
     run = solve_qbp(*levels.back(), seed, coarse_options);
   }
+  result.coarse_solve_seconds = run.seconds;
   for (std::size_t level = coarse_levels.size(); level-- > 0;) {
     const PartitionProblem& fine = *levels[level];
     const Assignment& coarse_best =

@@ -21,7 +21,8 @@
 //      sizes are member sums), C2 (the coarse bound is the tightest fine
 //      bound) and the objective (intra-cluster wires cost B(i,i) = 0).
 //   4. REFINE at that level: `refine_passes` bounded best-improvement
-//      sweeps through the shared DeltaEvaluator (dirty-flag cached deltas),
+//      sweeps through the shared DeltaEvaluator (cached, commit-patched
+//      incident rows),
 //      a min-conflicts timing repair when the descent traded feasibility
 //      away, and -- on levels small enough to afford it -- a full Burkard
 //      run (`refine_burkard_max_n`).  Repeat 3-4 up to the finest level.
@@ -128,6 +129,9 @@ struct MultilevelResult {
   /// Wall clock spent building the coarsening hierarchy (subset of
   /// `seconds`).
   double coarsen_seconds = 0.0;
+  /// Wall clock of the Burkard solve on the coarsest level (subset of
+  /// `seconds`).
+  double coarse_solve_seconds = 0.0;
 };
 
 /// Full V-cycle from `initial` (used only to seed the coarsest solve).

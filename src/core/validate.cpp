@@ -179,17 +179,22 @@ ValidationReport validate_deltas(const PartitionProblem& problem,
         rng.next_below(static_cast<std::uint64_t>(n)));
     if (j1 == j2) continue;
 
-    const double incremental = evaluator.swap_delta(assignment, j1, j2);
+    // The same three-way check for a swap: the delta read off the cached
+    // rows, the one-off delta, and the full recompute.
+    const double cached = evaluator.cached_swap_delta(assignment, j1, j2);
+    const double one_off = evaluator.swap_delta(assignment, j1, j2);
     scratch.set(j1, assignment[j2]);
     scratch.set(j2, assignment[j1]);
     const double full = qhat.penalized_value(scratch) - base;
     scratch.set(j1, assignment[j1]);
     scratch.set(j2, assignment[j2]);
 
-    if (!close(incremental, full, options.tolerance)) {
+    if (!close(cached, full, options.tolerance) ||
+        !close(one_off, full, options.tolerance)) {
       std::ostringstream out;
       out << "swap delta mismatch for components (" << j1 << ", " << j2
-          << "): evaluator " << incremental << ", full recompute " << full;
+          << "): cached " << cached << ", one-off " << one_off
+          << ", full recompute " << full;
       report.issues.push_back(out.str());
     }
   }

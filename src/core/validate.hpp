@@ -14,10 +14,10 @@
 //   * reported numbers -- the penalized value and true objective recomputed
 //     via QhatMatrix / PartitionProblem::objective and compared within a
 //     tolerance;
-//   * incremental machinery -- sampled move/swap deltas from DeltaEvaluator
-//     (both the cached move_deltas row and the one-off paths) cross-checked
-//     against QhatMatrix's delta and against a full from-scratch
-//     re-evaluation of the mutated assignment.
+//   * incremental machinery -- sampled moves and swaps, each evaluated
+//     three ways: DeltaEvaluator's cached path (the move_deltas row, or
+//     cached_swap_delta for a swap), its one-off move_delta / swap_delta,
+//     and a full from-scratch re-evaluation of the mutated assignment.
 //
 // A non-empty report routed through enforce() fires the contract framework
 // (util/check.hpp), so the configured fail mode decides what a violation
@@ -87,10 +87,11 @@ struct ReportedOutcome {
     const PartitionProblem& problem, const ReportedOutcome& reported,
     const ValidateOptions& options = {});
 
-/// Cross-check the incremental delta machinery at `assignment`: sampled
-/// moves (DeltaEvaluator's cached row and one-off delta) and swaps
-/// (one-off delta) must agree with a full from-scratch re-evaluation of the
-/// mutated assignment through QhatMatrix::penalized_value.
+/// Cross-check the incremental delta machinery at `assignment`: for sampled
+/// moves and swaps, DeltaEvaluator's cached value (move_deltas row,
+/// cached_swap_delta) and one-off value (move_delta, swap_delta) must both
+/// agree with a full from-scratch re-evaluation of the mutated assignment
+/// through QhatMatrix::penalized_value.
 [[nodiscard]] ValidationReport validate_deltas(
     const PartitionProblem& problem, const Assignment& assignment,
     const ValidateOptions& options = {});

@@ -118,7 +118,7 @@ TEST_P(AsymmetricSweep, EtaMatchesDenseGather) {
 TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
   const auto problem = make_asymmetric_problem(GetParam());
   const QhatMatrix qhat(problem, 100.0);
-  const DeltaEvaluator evaluator(problem, 100.0);
+  DeltaEvaluator evaluator(problem, 100.0);
   Rng rng(GetParam() ^ 0xcc);
   Assignment assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
@@ -128,28 +128,32 @@ TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
     const auto target = static_cast<PartitionId>(
         rng.next_below(problem.num_partitions()));
     const double before = qhat.penalized_value(assignment);
-    EXPECT_NEAR(evaluator.move_delta(assignment, j, target),
-                [&] {
-                  Assignment moved = assignment;
-                  moved.set(j, target);
-                  return qhat.penalized_value(moved);
-                }() - before,
-                1e-9);
+    const double moved = [&] {
+      Assignment copy = assignment;
+      copy.set(j, target);
+      return qhat.penalized_value(copy);
+    }() - before;
+    EXPECT_NEAR(evaluator.move_delta(assignment, j, target), moved, 1e-9);
+    EXPECT_NEAR(evaluator.move_deltas(assignment, j)[static_cast<std::size_t>(
+                    target)],
+                moved, 1e-9);
     const auto a = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
     const auto b = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
     if (a != b) {
-      EXPECT_NEAR(evaluator.swap_delta(assignment, a, b),
-                  [&] {
-                    Assignment swapped = assignment;
-                    swapped.set(a, assignment[b]);
-                    swapped.set(b, assignment[a]);
-                    return qhat.penalized_value(swapped);
-                  }() - before,
-                  1e-9);
+      const double swapped = [&] {
+        Assignment copy = assignment;
+        copy.set(a, assignment[b]);
+        copy.set(b, assignment[a]);
+        return qhat.penalized_value(copy);
+      }() - before;
+      EXPECT_NEAR(evaluator.swap_delta(assignment, a, b), swapped, 1e-9);
+      EXPECT_NEAR(evaluator.cached_swap_delta(assignment, a, b), swapped, 1e-9);
     }
-    assignment.set(j, target);  // drift through the space
+    // Drift through the space via the evaluator, which patches the rows
+    // built so far.
+    evaluator.commit_move(assignment, j, target);
   }
 }
 

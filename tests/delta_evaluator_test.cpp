@@ -1,7 +1,7 @@
 // DeltaEvaluator: the unified incremental evaluation layer.  Every delta it
 // reports -- exact or cached -- must equal the brute difference of the full
-// evaluation (penalized_value / objective), and the cache must stay exact
-// across arbitrary commit sequences.
+// evaluation (penalized_value / objective), and the rows that commits patch
+// must stay exact across arbitrary commit sequences.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,7 +96,10 @@ TEST(DeltaEvaluator, ObjectiveModeMatchesObjectiveDifference) {
 
 TEST(DeltaEvaluator, CacheStaysExactAcrossCommits) {
   const PartitionProblem problem = test::make_tiny_problem(
-      {.num_components = 10, .wire_probability = 0.4, .seed = 17});
+      {.num_components = 10,
+       .wire_probability = 0.4,
+       .with_linear_term = true,
+       .seed = 17});
   const QhatMatrix qhat(problem, kPenalty);
   DeltaEvaluator evaluator(problem, kPenalty);
   Rng rng(21);
@@ -119,6 +122,16 @@ TEST(DeltaEvaluator, CacheStaysExactAcrossCommits) {
           << "step " << step << " component " << j << " target " << i;
     }
 
+    // So must the swap delta read off the (patched) rows, for every partner.
+    for (std::int32_t b = 0; b < problem.num_components(); ++b) {
+      Assignment swapped = assignment;
+      swapped.set(j, assignment[b]);
+      swapped.set(b, assignment[j]);
+      ASSERT_NEAR(evaluator.cached_swap_delta(assignment, j, b),
+                  qhat.penalized_value(swapped) - before, 1e-9)
+          << "step " << step << " swap (" << j << ", " << b << ")";
+    }
+
     // Mutate through the evaluator: alternate moves and swaps.
     if (step % 3 == 2) {
       const auto b = static_cast<std::int32_t>(
@@ -131,10 +144,58 @@ TEST(DeltaEvaluator, CacheStaysExactAcrossCommits) {
     }
   }
 
-  // The sequence revisits components whose neighborhood did not change in
-  // between, so the cache must actually get hits.
+  // Built rows are patched, never rebuilt: each row misses once, on its
+  // first read, and every later read hits.
   EXPECT_GT(evaluator.cache_hits(), 0u);
-  EXPECT_GT(evaluator.cache_misses(), 0u);
+  EXPECT_EQ(evaluator.cache_misses(),
+            static_cast<std::uint64_t>(problem.num_components()));
+}
+
+TEST(DeltaEvaluator, PatchedRowsBitIdenticalOnIntegerData) {
+  // Integer wires, Manhattan B and D, an integer penalty and no linear
+  // term -- the shape of every bench instance: each row entry is an
+  // integer, so the patched rows and the swap deltas read off them must
+  // equal the one-off path bit for bit, not merely within rounding.
+  const PartitionProblem problem = test::make_tiny_problem(
+      {.num_components = 12,
+       .num_partitions = 4,
+       .constraint_probability = 0.4,
+       .seed = 29});
+  DeltaEvaluator evaluator(problem, kPenalty);
+  Rng rng(31);
+  Assignment assignment = test::random_complete(
+      problem.num_components(), problem.num_partitions(), rng);
+  const auto n = static_cast<std::uint64_t>(problem.num_components());
+  const auto m = static_cast<std::uint64_t>(problem.num_partitions());
+
+  // Build every row, then let a commit sequence patch them.
+  for (std::int32_t j = 0; j < problem.num_components(); ++j) {
+    (void)evaluator.move_deltas(assignment, j);
+  }
+  for (std::int32_t step = 0; step < 200; ++step) {
+    const auto a = static_cast<std::int32_t>(rng.next_below(n));
+    if (step % 2 == 1) {
+      evaluator.commit_swap(assignment, a,
+                            static_cast<std::int32_t>(rng.next_below(n)));
+    } else {
+      evaluator.commit_move(assignment, a,
+                            static_cast<PartitionId>(rng.next_below(m)));
+    }
+  }
+
+  for (std::int32_t a = 0; a < problem.num_components(); ++a) {
+    const auto deltas = evaluator.move_deltas(assignment, a);
+    for (PartitionId i = 0; i < problem.num_partitions(); ++i) {
+      EXPECT_EQ(deltas[static_cast<std::size_t>(i)],
+                evaluator.move_delta(assignment, a, i));
+    }
+    for (std::int32_t b = 0; b < problem.num_components(); ++b) {
+      EXPECT_EQ(evaluator.cached_swap_delta(assignment, a, b),
+                evaluator.swap_delta(assignment, a, b))
+          << "swap (" << a << ", " << b << ")";
+    }
+  }
+  EXPECT_EQ(evaluator.cache_misses(), n);
 }
 
 TEST(DeltaEvaluator, SameComponentRepeatedQueriesHitCache) {
