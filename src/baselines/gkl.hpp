@@ -7,17 +7,33 @@
 //
 // Each outer loop is a KL pass: starting from all components unlocked,
 // repeatedly apply the best feasible pairwise swap over *all* unlocked
-// pairs (full (N - 1)-entry gain semantics, hence the heavy CPU time the
-// paper reports), lock both components, and at the end roll back to the
-// best prefix.  Swaps are only allowed when they keep capacity and timing
-// constraints satisfied.  The paper terminates "after the first 6 outer
-// loops due to excessive CPU runtime. Since any gain obtained beyond the
-// first 6 outer loops is insignificant, this cutoff strategy provides
-// speedup without sacrificing solution quality" -- max_outer_loops = 6.
+// pairs (full (N - 1)-entry gain semantics), lock both components, and at
+// the end roll back to the best prefix.  Swaps are only allowed when they
+// keep capacity and timing constraints satisfied.  The paper terminates
+// "after the first 6 outer loops due to excessive CPU runtime. Since any
+// gain obtained beyond the first 6 outer loops is insignificant, this
+// cutoff strategy provides speedup without sacrificing solution quality"
+// -- max_outer_loops = 6.
 //
 // Swap gains are O(1) thanks to a cached N x M incidence-cost table
 // inc(j, i) = cost of j's incident wires if j sat in partition i, updated
 // in O(degree * M) per applied swap.
+//
+// The best swap is found without scoring every pair.  A swap's delta is
+// g_a(p_b) + g_b(p_a) + 2 beta w_ab (B(p_a, p_b) + B(p_b, p_a)), where g_x(t)
+// is x's one-sided move gain; the last term is never negative, so the two
+// move gains bound the delta from below (Kernighan & Lin's sorted-gain
+// cutoff, made exact).  Each step visits the unlocked components in
+// ascending order of their best bound and stops once a bound cannot beat
+// the best swap found, so it returns the pair an exhaustive scan returns,
+// ties included, at O(U * M) for the gains plus the pairs the bound cannot
+// rule out, instead of O(U^2) scored pairs.  A per-(component, partition)
+// count of blocking timing partners, updated for the moved components'
+// partners only, filters the swaps that timing forbids.
+//
+// Requires beta >= 0, B >= 0 with a zero diagonal and a zero D diagonal
+// (checked on entry; PartitionProblem::validate enforces them for file and
+// wire input).
 #pragma once
 
 #include <cstdint>
@@ -30,11 +46,6 @@ namespace qbp {
 struct GklOptions {
   /// The paper's cutoff.
   std::int32_t max_outer_loops = 6;
-  /// Cap on swaps inside one pass (<= N/2 by locking); -1 = no extra cap.
-  std::int64_t max_swaps_per_pass = -1;
-  /// Stop a pass early after this many consecutive swaps without improving
-  /// the pass's best prefix; -1 disables (fully faithful, slowest).
-  std::int64_t stale_window = -1;
   double min_improvement = 1e-9;
   /// Cooperative cancellation hook, checked between outer loops.  Empty
   /// means never stop.

@@ -97,9 +97,7 @@ std::int64_t TimingConstraints::violations(const Assignment& assignment,
     const PartitionId p1 = assignment[j1];
     const PartitionId p2 = assignment[j2];
     if (p1 == Assignment::kUnassigned || p2 == Assignment::kUnassigned) return;
-    if (topology.delay(p1, p2) > bound || topology.delay(p2, p1) > bound) {
-      ++violated;
-    }
+    if (breaks(topology, p1, p2, bound)) ++violated;
   });
   return violated;
 }
@@ -126,9 +124,7 @@ bool TimingConstraints::component_feasible_at(
                                         : assignment[partner];
     if (partner == component) partner_partition = target;  // defensive; no self pairs
     if (partner_partition == Assignment::kUnassigned) continue;
-    const double bound = partner_bounds[k];
-    if (topology.delay(target, partner_partition) > bound ||
-        topology.delay(partner_partition, target) > bound) {
+    if (breaks(topology, target, partner_partition, partner_bounds[k])) {
       return false;
     }
   }

@@ -73,6 +73,14 @@ class TimingConstraints {
     return matrix().row_values(j);
   }
 
+  /// Does a constraint of `bound` break with its ends in partitions i1 and
+  /// i2?  D is checked in both directions; every C2 check here uses this.
+  [[nodiscard]] static bool breaks(const PartitionTopology& topology,
+                                   PartitionId i1, PartitionId i2,
+                                   double bound) noexcept {
+    return topology.delay(i1, i2) > bound || topology.delay(i2, i1) > bound;
+  }
+
   /// C2 check for a complete assignment; counts violated unordered pairs.
   [[nodiscard]] std::int64_t violations(const Assignment& assignment,
                                         const PartitionTopology& topology) const;

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/gfm.hpp"
 #include "baselines/gkl.hpp"
 #include "core/brute_force.hpp"
 #include "core/initial.hpp"
 #include "test_support.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
@@ -217,6 +223,311 @@ TEST(Gkl, TimingGuardsSwaps) {
   ASSERT_TRUE(problem.is_feasible(start));
   const auto result = solve_gkl(problem, start);
   EXPECT_TRUE(problem.is_feasible(result.assignment));
+}
+
+TEST(Gkl, RefusesTopologiesItsSwapDeltasAssume) {
+  // PartitionProblem::validate refuses these for file and wire input, but
+  // the constructor does not; solve_gkl must refuse them itself rather than
+  // return swaps scored with wrong deltas.
+  const auto problem_with = [](Matrix<double> wire_cost, Matrix<double> delay) {
+    Netlist netlist;
+    netlist.add_component("a", 1.0);
+    netlist.add_component("b", 1.0);
+    netlist.add_wires(0, 1, 3);
+    return PartitionProblem(
+        std::move(netlist),
+        PartitionTopology::custom(std::move(wire_cost), std::move(delay),
+                                  {2.0, 2.0}),
+        TimingConstraints(2));
+  };
+  const auto refusal = [](const PartitionProblem& problem) -> std::string {
+    Assignment start(2, 2);
+    start.set(0, 0);
+    start.set(1, 1);
+    EXPECT_TRUE(problem.is_feasible(start));
+    const auto saved = check::fail_mode();
+    check::set_fail_mode(check::FailMode::kThrow);
+    std::string message;
+    try {
+      (void)solve_gkl(problem, start);
+    } catch (const ContractViolation& violation) {
+      message = violation.what();
+    }
+    check::set_fail_mode(saved);
+    return message;
+  };
+  const auto square = [](double d00, double d01, double d10, double d11) {
+    return Matrix<double>::from_rows({{d00, d01}, {d10, d11}});
+  };
+  EXPECT_NE(refusal(problem_with(square(0.5, 1, 1, 0), square(0, 1, 1, 0)))
+                .find("zero B diagonal"),
+            std::string::npos);
+  EXPECT_NE(refusal(problem_with(square(0, 1, 1, 0), square(0, 1, 1, 0.25)))
+                .find("zero D diagonal"),
+            std::string::npos);
+  EXPECT_NE(refusal(problem_with(square(0, -1, 1, 0), square(0, 1, 1, 0)))
+                .find("B >= 0"),
+            std::string::npos);
+  // The same problem with a legal topology is solved.
+  EXPECT_EQ(refusal(problem_with(square(0, 1, 2, 0), square(0, 1, 1, 0))), "");
+}
+
+// The exhaustive best-pair scan solve_gkl used before its bounded search:
+// every unlocked cross-partition pair a < b is scored before each swap.
+// Kept here only as the reference the search must reproduce exactly.
+GklResult exhaustive_gkl(const PartitionProblem& problem,
+                         const Assignment& initial) {
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  const auto& sizes = problem.netlist().sizes();
+  const auto& p = problem.linear_cost_matrix();
+  const auto& adjacency = problem.netlist().connection_matrix();
+  const auto& topology = problem.topology();
+  const double alpha = problem.alpha();
+  const double beta = problem.beta();
+  const GklOptions options;
+
+  GklResult result;
+  result.assignment = initial;
+  Assignment& assignment = result.assignment;
+  CapacityLedger ledger(assignment, sizes, topology.capacities());
+
+  Matrix<double> inc(n, m, 0.0);
+  const auto rebuild_inc_row = [&](std::int32_t j) {
+    auto row = inc.row(j);
+    for (std::int32_t i = 0; i < m; ++i) row[static_cast<std::size_t>(i)] = 0.0;
+    const auto neighbors = adjacency.row_indices(j);
+    const auto wires = adjacency.row_values(j);
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const PartitionId other = assignment[neighbors[k]];
+      for (std::int32_t i = 0; i < m; ++i) {
+        row[static_cast<std::size_t>(i)] +=
+            wires[k] * (topology.wire_cost(i, other) + topology.wire_cost(other, i));
+      }
+    }
+  };
+  for (std::int32_t j = 0; j < n; ++j) rebuild_inc_row(j);
+
+  const auto swap_delta = [&](std::int32_t j1, std::int32_t j2) {
+    const PartitionId p1 = assignment[j1];
+    const PartitionId p2 = assignment[j2];
+    const double w = adjacency.value_or(j1, j2, 0);
+    const double edge =
+        w * (topology.wire_cost(p1, p2) + topology.wire_cost(p2, p1));
+    double delta = beta * (inc(j1, p2) + inc(j2, p1) - inc(j1, p1) -
+                           inc(j2, p2) + 2.0 * edge);
+    if (!p.empty()) {
+      delta += alpha * (p(p2, j1) - p(p1, j1) + p(p1, j2) - p(p2, j2));
+    }
+    return delta;
+  };
+
+  const auto swap_feasible = [&](std::int32_t j1, std::int32_t j2) {
+    const PartitionId p1 = assignment[j1];
+    const PartitionId p2 = assignment[j2];
+    const double s1 = sizes[static_cast<std::size_t>(j1)];
+    const double s2 = sizes[static_cast<std::size_t>(j2)];
+    if (ledger.usage(p1) - s1 + s2 > ledger.capacity(p1) + CapacityLedger::kTolerance)
+      return false;
+    if (ledger.usage(p2) - s2 + s1 > ledger.capacity(p2) + CapacityLedger::kTolerance)
+      return false;
+    return problem.timing().component_feasible_at(assignment, topology, j1, p2,
+                                                  j2, p1) &&
+           problem.timing().component_feasible_at(assignment, topology, j2, p1,
+                                                  j1, p2);
+  };
+
+  const auto apply_swap = [&](std::int32_t j1, std::int32_t j2) {
+    const PartitionId p1 = assignment[j1];
+    const PartitionId p2 = assignment[j2];
+    const double s1 = sizes[static_cast<std::size_t>(j1)];
+    const double s2 = sizes[static_cast<std::size_t>(j2)];
+    ledger.remove(p1, s1);
+    ledger.add(p2, s1);
+    ledger.remove(p2, s2);
+    ledger.add(p1, s2);
+    assignment.set(j1, p2);
+    assignment.set(j2, p1);
+    for (const std::int32_t moved : {j1, j2}) {
+      const PartitionId from = moved == j1 ? p1 : p2;
+      const PartitionId to = moved == j1 ? p2 : p1;
+      const auto neighbors = adjacency.row_indices(moved);
+      const auto wires = adjacency.row_values(moved);
+      for (std::size_t k = 0; k < neighbors.size(); ++k) {
+        const std::int32_t other = neighbors[k];
+        if (other == j1 || other == j2) continue;
+        auto row = inc.row(other);
+        for (std::int32_t i = 0; i < m; ++i) {
+          row[static_cast<std::size_t>(i)] +=
+              wires[k] *
+              (topology.wire_cost(i, to) + topology.wire_cost(to, i) -
+               topology.wire_cost(i, from) - topology.wire_cost(from, i));
+        }
+      }
+    }
+    rebuild_inc_row(j1);
+    rebuild_inc_row(j2);
+  };
+
+  std::vector<bool> locked(static_cast<std::size_t>(n), false);
+  for (std::int32_t outer = 0; outer < options.max_outer_loops; ++outer) {
+    std::fill(locked.begin(), locked.end(), false);
+    std::vector<std::pair<std::int32_t, std::int32_t>> applied;
+    double cumulative = 0.0;
+    double best_prefix_gain = 0.0;
+    std::size_t best_prefix_length = 0;
+    for (;;) {
+      std::int32_t best_a = -1;
+      std::int32_t best_b = -1;
+      double best_delta = 0.0;
+      bool have_best = false;
+      for (std::int32_t a = 0; a < n; ++a) {
+        if (locked[static_cast<std::size_t>(a)]) continue;
+        for (std::int32_t b = a + 1; b < n; ++b) {
+          if (locked[static_cast<std::size_t>(b)]) continue;
+          if (assignment[a] == assignment[b]) continue;
+          const double delta = swap_delta(a, b);
+          if (have_best && delta >= best_delta) continue;
+          if (!swap_feasible(a, b)) continue;
+          best_delta = delta;
+          best_a = a;
+          best_b = b;
+          have_best = true;
+        }
+      }
+      if (!have_best) break;
+
+      apply_swap(best_a, best_b);
+      locked[static_cast<std::size_t>(best_a)] = true;
+      locked[static_cast<std::size_t>(best_b)] = true;
+      applied.emplace_back(best_a, best_b);
+      ++result.swaps_applied;
+      cumulative += -best_delta;
+      if (cumulative > best_prefix_gain) {
+        best_prefix_gain = cumulative;
+        best_prefix_length = applied.size();
+      }
+    }
+    for (std::size_t k = applied.size(); k-- > best_prefix_length;) {
+      apply_swap(applied[k].first, applied[k].second);
+    }
+    result.swaps_kept += static_cast<std::int64_t>(best_prefix_length);
+    result.outer_loops = outer + 1;
+    if (best_prefix_gain <= options.min_improvement) break;
+  }
+  result.objective = problem.objective(result.assignment);
+  return result;
+}
+
+/// A random instance for the pair-choice oracle, with a feasible start (the
+/// hidden placement the capacities and timing bounds are built around).
+/// Odd seeds use asymmetric fractional B and D, fractional alpha and beta
+/// and a linear term; even seeds use an integer Manhattan grid, where equal
+/// deltas -- and so the tie-break -- are common.  Two seeds in every 40
+/// (one of each kind) have more than 64 partitions.
+struct OracleInstance {
+  PartitionProblem problem;
+  Assignment start;
+};
+
+OracleInstance make_oracle_instance(std::uint64_t seed) {
+  Rng rng(seed);
+  const bool wide = seed % 40 <= 1;
+  const bool fractional = seed % 2 == 1;
+  const auto n = static_cast<std::int32_t>(wide ? 100 : rng.next_int(8, 40));
+  const std::int32_t rows = wide ? 7 : static_cast<std::int32_t>(rng.next_int(1, 3));
+  const std::int32_t cols = wide ? 10 : static_cast<std::int32_t>(rng.next_int(2, 3));
+  const std::int32_t m = rows * cols;
+
+  Netlist netlist("oracle");
+  for (std::int32_t j = 0; j < n; ++j) {
+    netlist.add_component("c" + std::to_string(j),
+                          fractional ? rng.next_double(0.5, 3.0)
+                                     : static_cast<double>(rng.next_int(1, 3)));
+  }
+  const double wire_probability = wide ? 0.05 : rng.next_double(0.1, 0.4);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (rng.next_bool(wire_probability)) {
+        netlist.add_wires(a, b, static_cast<std::int32_t>(rng.next_int(1, 4)));
+      }
+    }
+  }
+
+  PartitionTopology topology = PartitionTopology::grid(rows, cols);
+  if (fractional) {
+    Matrix<double> wire_cost(m, m, 0.0);
+    Matrix<double> delay(m, m, 0.0);
+    for (PartitionId i = 0; i < m; ++i) {
+      for (PartitionId k = 0; k < m; ++k) {
+        if (i == k) continue;
+        wire_cost(i, k) = rng.next_double(0.0, 3.0);
+        delay(i, k) = rng.next_double(0.0, 4.0);
+      }
+    }
+    topology = PartitionTopology::custom(std::move(wire_cost), std::move(delay),
+                                         std::vector<double>(m, 0.0));
+  }
+
+  Assignment start(n, m);
+  for (std::int32_t j = 0; j < n; ++j) {
+    start.set(j, static_cast<PartitionId>(rng.next_below(static_cast<std::uint64_t>(m))));
+  }
+  // Tight capacities: the start's usage plus a little headroom.
+  std::vector<double> capacities(static_cast<std::size_t>(m), 0.0);
+  for (std::int32_t j = 0; j < n; ++j) {
+    capacities[static_cast<std::size_t>(start[j])] += netlist.component_size(j);
+  }
+  for (auto& capacity : capacities) capacity += rng.next_double(0.0, 2.0);
+  topology.set_capacities(std::move(capacities));
+
+  // Timing partners with fractional bounds the start meets.
+  TimingConstraints timing(n);
+  const double constraint_probability = wide ? 0.03 : rng.next_double(0.0, 0.3);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (!rng.next_bool(constraint_probability)) continue;
+      const double reach = std::max(topology.delay(start[a], start[b]),
+                                    topology.delay(start[b], start[a]));
+      timing.add(a, b, reach + rng.next_double(0.0, 1.5));
+    }
+  }
+
+  Matrix<double> p;
+  double alpha = 1.0;
+  double beta = 1.0;
+  if (fractional) {
+    p = Matrix<double>(m, n, 0.0);
+    for (double& entry : p.flat()) entry = rng.next_double(0.0, 5.0);
+    alpha = rng.next_double(0.1, 2.0);
+    beta = rng.next_double(0.1, 2.0);
+  }
+  return {PartitionProblem(std::move(netlist), std::move(topology),
+                           std::move(timing), std::move(p), alpha, beta),
+          std::move(start)};
+}
+
+TEST(GklOracle, BoundedSearchPicksTheExhaustiveScansSwaps) {
+  std::int64_t swaps = 0;
+  std::int32_t wide = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE(seed);
+    const OracleInstance instance = make_oracle_instance(seed);
+    ASSERT_TRUE(instance.problem.is_feasible(instance.start));
+    const GklResult expected = exhaustive_gkl(instance.problem, instance.start);
+    const GklResult actual = solve_gkl(instance.problem, instance.start);
+    EXPECT_EQ(actual.assignment, expected.assignment);
+    EXPECT_EQ(actual.objective, expected.objective);
+    EXPECT_EQ(actual.swaps_applied, expected.swaps_applied);
+    EXPECT_EQ(actual.swaps_kept, expected.swaps_kept);
+    EXPECT_EQ(actual.outer_loops, expected.outer_loops);
+    swaps += expected.swaps_applied;
+    if (instance.problem.num_partitions() > 64) ++wide;
+  }
+  // The sweep is not vacuous: passes swap, and some instances are wider
+  // than a 64-bit partition mask.
+  EXPECT_GT(swaps, 1000);
+  EXPECT_GE(wide, 1);
 }
 
 // --------------------------------------------- cross-method comparison ----
