@@ -1,6 +1,7 @@
-// The benchmark driver: runs every suite behind the paper's tables and the
-// scaling/serving experiments with one machine-readable output format, and
-// doubles as the CI bench-regression gate via --check.
+// The benchmark driver: runs every suite behind the paper's tables, the
+// studies behind its prose claims and the scaling/serving experiments with
+// one machine-readable output format, and doubles as the CI
+// bench-regression gate via --check.
 //
 //   bench_runner --suite all --json out.json          # full local baseline
 //   bench_runner --smoke --json out.json --check bench/BENCH_smoke.json
@@ -19,22 +20,32 @@
 // are wall-clock and must satisfy
 //   new <= old * (1 + time_tolerance) + 0.1 s
 // (the absolute slack keeps sub-100ms smoke timings from tripping on noise),
-// an optional cross-row bound, and the columns of its printed table.
+// an optional cross-row bound -- where each paper claim a suite backs is
+// checked on the run's own rows -- and the columns of its printed table.
 // Nested members are addressed with dots ("qbp.final").  One generic checker
 // and one table printer read the declarations, so a newly measured layer is
 // one more key in one list.
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "baselines/gfm.hpp"
+#include "baselines/gkl.hpp"
 #include "bench_support/circuits.hpp"
 #include "bench_support/eco_stream.hpp"
 #include "bench_support/experiment.hpp"
 #include "bench_support/serve_bench.hpp"
+#include "core/burkard.hpp"
+#include "core/embedding.hpp"
+#include "core/exact.hpp"
 #include "core/initial.hpp"
 #include "core/multilevel.hpp"
 #include "core/presolve.hpp"
@@ -42,9 +53,11 @@
 #include "core/qhat.hpp"
 #include "engine/adapters.hpp"
 #include "engine/pipeline.hpp"
+#include "netlist/generator.hpp"
 #include "netlist/stats.hpp"
 #include "service/cache.hpp"
 #include "service/job.hpp"
+#include "timing/constraints.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/prof.hpp"
@@ -134,9 +147,10 @@ Value run_table1(const RunnerConfig& config) {
   return rows;
 }
 
-// Tables II / III (paper Section 5): QBP vs GFM vs GKL from one shared start
-// per circuit, computed on the timing-constrained problem; Table II then
-// drops the constraints from the problem it solves.
+// Tables II / III (paper Section 5): QBP vs GFM vs GKL, plus SA as an
+// extension, from one shared start per circuit, computed on the
+// timing-constrained problem; Table II then drops the constraints from the
+// problem it solves.
 Value run_paper_table(bool with_timing, const RunnerConfig& config) {
   qbp::ExperimentConfig experiment;
   experiment.inner_threads = inner_threads(config);
@@ -158,6 +172,259 @@ Value run_paper_table(bool with_timing, const RunnerConfig& config) {
     std::fprintf(stderr, "  %s done\n", name.c_str());
   }
   return qbp::rows_to_json(rows);
+}
+
+// Ablation: QBP alone (solve_qbp, timing active), one row per (study,
+// circuit, variant):
+//   init    -- four start strategies, seed 1993 (Section 5: "the same kind
+//              of good results from any arbitrary initial solution");
+//   iters   -- the iteration budget, 10 .. 400 (Section 5: "the more CPU
+//              time spent, the better the results"); the longest budget's
+//              row carries the incumbent penalized value per iteration as
+//              "history", which no gate reads;
+//   penalty -- the embedded penalty from 2 up to the Theorem 1 bound
+//              (Section 3.2), plus the eq. (3) eta variant at 50;
+//   polish  -- the literal STEP 1-8 listing against iterate polish and
+//              perturbed restarts (DESIGN.md section 5).
+// Every study but init starts from the paper's QBP(B=0) start.  Smoke runs
+// each study on cktb alone, at most 30 iterations.
+Value run_ablation(const RunnerConfig& config) {
+  const auto circuits = [&](std::vector<std::string> full) {
+    return config.smoke ? std::vector<std::string>{"cktb"} : full;
+  };
+  Value rows = Value::array();
+  const auto solve = [&](const char* study, const std::string& circuit,
+                         std::string variant,
+                         const qbp::PartitionProblem& problem,
+                         const qbp::InitialResult& start,
+                         qbp::BurkardOptions options, bool history = false) {
+    options.inner_threads = inner_threads(config);
+    const auto result = qbp::solve_qbp(problem, start.assignment, options);
+    Value row = Value::object();
+    row.set("study", study);
+    row.set("circuit", circuit);
+    row.set("variant", std::move(variant));
+    row.set("penalty", options.penalty);
+    row.set("start", problem.wirelength(start.assignment));
+    row.set("start_feasible", start.feasible);
+    row.set("final", problem.wirelength(result.found_feasible
+                                            ? result.best_feasible
+                                            : result.best));
+    row.set("feasible", result.found_feasible);
+    row.set("penalized", result.best_penalized);
+    row.set("violations", qbp::QhatMatrix(problem, options.penalty)
+                              .ordered_violations(result.best));
+    row.set("seconds", result.seconds);
+    if (history) row.set("history", array_of(result.history));
+    rows.push_back(std::move(row));
+  };
+  const auto paper_start = [](const qbp::PartitionProblem& problem) {
+    return qbp::make_initial(problem, qbp::InitialStrategy::kQbpZeroWireCost,
+                             1993);
+  };
+  qbp::BurkardOptions defaults;
+  defaults.iterations = config.smoke ? 30 : 100;
+
+  for (const auto& circuit : circuits({"cktb", "ckte", "cktg"})) {
+    const auto problem = qbp::make_circuit(*qbp::find_preset(circuit)).problem;
+    const std::pair<qbp::InitialStrategy, const char*> strategies[] = {
+        {qbp::InitialStrategy::kRandom, "random"},
+        {qbp::InitialStrategy::kRandomFeasible, "random_feasible"},
+        {qbp::InitialStrategy::kGreedyBalanced, "greedy_balanced"},
+        {qbp::InitialStrategy::kQbpZeroWireCost, "qbp_b0"}};
+    for (const auto& [strategy, variant] : strategies) {
+      solve("init", circuit, variant, problem,
+            qbp::make_initial(problem, strategy, 1993), defaults);
+    }
+  }
+  const std::vector<std::int32_t> budgets =
+      config.smoke ? std::vector<std::int32_t>{10, 20, 30}
+                   : std::vector<std::int32_t>{10, 25, 50, 100, 200, 400};
+  for (const auto& circuit : circuits({"cktb", "ckte"})) {
+    const auto problem = qbp::make_circuit(*qbp::find_preset(circuit)).problem;
+    const auto start = paper_start(problem);
+    for (const std::int32_t budget : budgets) {
+      qbp::BurkardOptions options;
+      options.iterations = budget;
+      solve("iters", circuit, "it=" + std::to_string(budget), problem, start,
+            options, budget == budgets.back());
+    }
+  }
+  for (const auto& circuit : circuits({"ckte"})) {
+    const auto problem = qbp::make_circuit(*qbp::find_preset(circuit)).problem;
+    const auto start = paper_start(problem);
+    for (const double penalty : {2.0, 10.0, 50.0, 500.0}) {
+      qbp::BurkardOptions options = defaults;
+      options.penalty = penalty;
+      solve("penalty", circuit, "penalty=" + qbp::format_double(penalty, 0),
+            problem, start, options);
+    }
+    qbp::BurkardOptions theorem1 = defaults;
+    theorem1.penalty = qbp::theorem1_penalty(problem);
+    solve("penalty", circuit, "theorem1", problem, start, theorem1);
+    qbp::BurkardOptions eq3 = defaults;
+    eq3.eta_includes_omega = true;
+    solve("penalty", circuit, "eq3_omega", problem, start, eq3);
+  }
+  for (const auto& circuit : circuits({"cktb", "ckte", "cktg"})) {
+    const auto problem = qbp::make_circuit(*qbp::find_preset(circuit)).problem;
+    const auto start = paper_start(problem);
+    const std::tuple<const char*, std::int32_t, std::int32_t> variants[] = {
+        {"literal", 0, 0},
+        {"polish", defaults.polish_sweeps, 0},
+        {"restart", 0, defaults.restart_period},
+        {"default", defaults.polish_sweeps, defaults.restart_period}};
+    for (const auto& [variant, polish, restart] : variants) {
+      qbp::BurkardOptions options = defaults;
+      options.polish_sweeps = polish;
+      options.restart_period = restart;
+      solve("polish", circuit, variant, problem, start, options);
+    }
+  }
+  return rows;
+}
+
+// Sparse (paper Section 4.3): "We never explicitly generate the Q-hat
+// matrix."  Times the STEP 3 eta gather the solver runs (QhatMatrix::eta,
+// mean of 20 repeats) against a dense O((MN)^2) reference that reads every
+// Q-hat entry once, on the scaling family, and records the memory a
+// materialized Q-hat would take.  "mismatches" counts the entries where the
+// two gathers differ.
+Value run_sparse(const RunnerConfig& config) {
+  const std::vector<std::int32_t> sizes =
+      config.smoke ? std::vector<std::int32_t>{100, 200}
+                   : std::vector<std::int32_t>{100, 200, 400, 800, 1600};
+  Value rows = Value::array();
+  for (const std::int32_t n : sizes) {
+    const auto problem = qbp::make_scaling_problem(n, 42);
+    const qbp::QhatMatrix qhat(problem, qbp::kPaperPenalty);
+    const auto u =
+        qbp::make_initial(problem, qbp::InitialStrategy::kGreedyBalanced, 1)
+            .assignment;
+    const std::int64_t size = problem.flat_size();
+    std::vector<double> sparse(static_cast<std::size_t>(size));
+    std::vector<double> dense(sparse.size());
+
+    constexpr int kRepeats = 20;
+    const qbp::Timer sparse_timer;
+    for (int repeat = 0; repeat < kRepeats; ++repeat) {
+      qhat.eta(u, sparse, inner_threads(config));
+    }
+    const double sparse_seconds = sparse_timer.seconds() / kRepeats;
+    const qbp::Timer dense_timer;
+    for (std::int64_t s = 0; s < size; ++s) {
+      double total = 0.0;
+      for (std::int32_t j = 0; j < problem.num_components(); ++j) {
+        total += qhat.entry(problem.flat_index(u[j], j), s);
+      }
+      dense[static_cast<std::size_t>(s)] = total;
+    }
+    const double dense_seconds = dense_timer.seconds();
+    std::int64_t mismatches = 0;
+    for (std::size_t s = 0; s < sparse.size(); ++s) {
+      mismatches += sparse[s] != dense[s] ? 1 : 0;
+    }
+
+    Value row = Value::object();
+    row.set("n", n);
+    row.set("mn", size);
+    row.set("dense_mib", static_cast<double>(size) * static_cast<double>(size) *
+                             8.0 / (1024.0 * 1024.0));
+    row.set("nnz", qhat.nominal_nonzeros());
+    row.set("sparse_seconds", sparse_seconds);
+    row.set("dense_seconds", dense_seconds);
+    row.set("speedup", dense_seconds / sparse_seconds);
+    row.set("mismatches", mismatches);
+    rows.push_back(std::move(row));
+    std::fprintf(stderr, "  N=%d done\n", n);
+  }
+  return rows;
+}
+
+/// An exact_gap instance: n components on a 2 x 2 grid, wires 4n, about n
+/// timing constraints, capacities 25% above the generator's hidden
+/// placement -- small enough for branch and bound to prove the optimum.
+qbp::PartitionProblem make_gap_instance(std::int32_t n, std::uint64_t seed) {
+  qbp::RandomNetlistSpec spec;
+  spec.name = "x" + std::to_string(seed);
+  spec.num_components = n;
+  spec.total_wires = 4 * static_cast<std::int64_t>(n);
+  spec.num_slots = 4;
+  spec.grid_width = 2;
+  spec.seed = seed;
+  auto generated = qbp::generate_netlist(spec);
+  auto topology = qbp::PartitionTopology::grid(2, 2, qbp::CostKind::kManhattan);
+  std::vector<double> usage(4, 0.0);
+  for (std::int32_t j = 0; j < n; ++j) {
+    usage[generated.hidden_slot[j]] += generated.netlist.component_size(j);
+  }
+  for (qbp::PartitionId i = 0; i < 4; ++i) {
+    topology.set_capacity(i, usage[i] * 1.25);
+  }
+  qbp::TimingSpec timing_spec;
+  timing_spec.target_count = n;
+  timing_spec.seed = seed;
+  auto timing = qbp::generate_timing_constraints(
+      generated.netlist, generated.hidden_slot, topology, timing_spec);
+  return qbp::PartitionProblem(std::move(generated.netlist),
+                               std::move(topology), std::move(timing));
+}
+
+// Exact gap (extension): how far QBP (60 iterations), GFM and GKL land
+// from the optimum that branch and bound, warm-started from QBP's answer,
+// proves on 18-component instances.  All three start from the QBP(B=0)
+// start; "gap_pct" is (final - optimum) / optimum in percent.
+Value run_exact_gap(const RunnerConfig& config) {
+  const std::vector<std::uint64_t> seeds =
+      config.smoke ? std::vector<std::uint64_t>{21, 22}
+                   : std::vector<std::uint64_t>{21, 22, 23, 24};
+  constexpr std::int32_t kComponents = 18;
+  Value rows = Value::array();
+  for (const std::uint64_t seed : seeds) {
+    const auto problem = make_gap_instance(kComponents, seed);
+    const auto start = qbp::make_initial(
+        problem, qbp::InitialStrategy::kQbpZeroWireCost, seed);
+    qbp::BurkardOptions qbp_options;
+    qbp_options.iterations = 60;
+    qbp_options.inner_threads = inner_threads(config);
+    const auto heuristic =
+        qbp::solve_qbp(problem, start.assignment, qbp_options);
+    qbp::ExactOptions exact_options;
+    if (heuristic.found_feasible) {
+      exact_options.warm_start = &heuristic.best_feasible;
+    }
+    const qbp::Timer exact_timer;
+    const auto exact = qbp::solve_exact(problem, exact_options);
+    const double exact_seconds = exact_timer.seconds();
+
+    Value row = Value::object();
+    row.set("seed", static_cast<std::int64_t>(seed));
+    row.set("n", kComponents);
+    row.set("proven", exact.found && exact.proven_optimal);
+    row.set("optimum", exact.objective);
+    row.set("nodes", exact.nodes);
+    row.set("exact_seconds", exact_seconds);
+    const auto method = [&](double final_objective) {
+      Value cell = Value::object();
+      cell.set("final", final_objective);
+      cell.set("gap_pct",
+               exact.objective > 0.0
+                   ? (final_objective - exact.objective) / exact.objective *
+                         100.0
+                   : 0.0);
+      return cell;
+    };
+    row.set("qbp", method(heuristic.found_feasible
+                              ? heuristic.best_feasible_objective
+                              : heuristic.best_penalized));
+    row.set("gfm", method(qbp::solve_gfm(problem, start.assignment).objective));
+    row.set("gkl", method(qbp::solve_gkl(problem, start.assignment).objective));
+    rows.push_back(std::move(row));
+    std::fprintf(stderr, "  seed %llu done (%lld nodes, %.2fs)\n",
+                 static_cast<unsigned long long>(seed),
+                 static_cast<long long>(exact.nodes), exact_seconds);
+  }
+  return rows;
 }
 
 /// Full-mode scaling rows from this N up also solve at every hardware
@@ -495,6 +762,174 @@ struct Suite {
   bool in_all = true;
 };
 
+double number(const Value& row, std::string_view path) {
+  const Value* value = member(row, path);
+  return value != nullptr ? value->as_number() : 0.0;
+}
+
+// Tables II and III (paper Section 5): "GFM ... produced the worst
+// results" -- no method ends above GFM on any row, SA included -- and at
+// full size QBP is the best of the paper's three methods on at least 5 of
+// the 7 circuits (the paper reports 6).
+void paper_table_bounds(const char* suite, Gate& gate, const Value& rows,
+                        const RunnerConfig& config) {
+  int qbp_best = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Value& row = rows.at(r);
+    const std::string where = std::string(suite) + "/" + row.get_string("circuit");
+    const double gfm = number(row, "gfm.final");
+    for (const char* method : {"qbp", "gkl", "sa"}) {
+      const double final_cost = number(row, std::string(method) + ".final");
+      if (final_cost > gfm) {
+        gate.fail(where + "/" + method,
+                  "final " + qbp::format_double(final_cost, 0) +
+                      " is worse than GFM's " + qbp::format_double(gfm, 0));
+      }
+    }
+    const double qbp = number(row, "qbp.final");
+    if (qbp <= gfm && qbp <= number(row, "gkl.final")) ++qbp_best;
+  }
+  if (!config.smoke && qbp_best < 5) {
+    gate.fail(suite, "QBP is best on " + std::to_string(qbp_best) + " of " +
+                         std::to_string(rows.size()) +
+                         " circuits, fewer than 5");
+  }
+}
+
+// The ablation suite's claims, per (study, circuit):
+//   init    -- every start strategy ends feasible, and the largest final is
+//              at most 1.13x the smallest;
+//   iters   -- the final never gets worse as the budget grows;
+//   penalty -- every penalty of 50 (the paper's) or more ends feasible with
+//              no violation left in the best iterate;
+//   polish  -- the default (polish + restart) ends below the literal
+//              STEP 1-8 listing.
+// A study without rows fails too.
+void ablation_bounds(Gate& gate, const Value& rows, const RunnerConfig&) {
+  // Rows of one (study, circuit), in run order.
+  std::map<std::pair<std::string, std::string>, std::vector<const Value*>>
+      groups;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Value& row = rows.at(r);
+    groups[{row.get_string("study"), row.get_string("circuit")}].push_back(
+        &row);
+  }
+  const auto final_of = [](const Value* row) { return number(*row, "final"); };
+  const auto cost = [](double value) { return qbp::format_double(value, 0); };
+  const auto find = [](const std::vector<const Value*>& group,
+                       std::string_view variant) -> const Value* {
+    for (const Value* row : group) {
+      if (row->get_string("variant") == variant) return row;
+    }
+    return nullptr;
+  };
+  std::set<std::string> checked;
+  for (const auto& [at, group] : groups) {
+    const auto& [study, circuit] = at;
+    checked.insert(study);
+    const std::string where = "ablation/" + study + "/" + circuit;
+    const auto fail = [&](const Value* row, const std::string& why) {
+      gate.fail(where + "/" + row->get_string("variant"), why);
+    };
+    if (study == "init") {
+      const auto [lo, hi] = std::minmax_element(
+          group.begin(), group.end(), [&](const Value* a, const Value* b) {
+            return final_of(a) < final_of(b);
+          });
+      if (final_of(*hi) > 1.13 * final_of(*lo)) {
+        gate.fail(where, "finals spread from " + cost(final_of(*lo)) +
+                             " to " + cost(final_of(*hi)) + ", over 1.13x");
+      }
+      for (const Value* row : group) {
+        if (!row->get_bool("feasible", false)) fail(row, "no feasible answer");
+      }
+    } else if (study == "iters") {
+      for (std::size_t k = 1; k < group.size(); ++k) {
+        if (final_of(group[k]) > final_of(group[k - 1])) {
+          fail(group[k], "final " + cost(final_of(group[k])) +
+                             " is worse than " + cost(final_of(group[k - 1])) +
+                             " at " + group[k - 1]->get_string("variant"));
+        }
+      }
+    } else if (study == "penalty") {
+      int strong = 0;
+      for (const Value* row : group) {
+        // The eq. (3) row ablates eta at the paper's penalty, not the
+        // penalty itself.
+        if (number(*row, "penalty") < qbp::kPaperPenalty ||
+            row->get_string("variant") == "eq3_omega") {
+          continue;
+        }
+        ++strong;
+        if (!row->get_bool("feasible", false) ||
+            number(*row, "violations") != 0) {
+          fail(row, "left " + member(*row, "violations")->dump() +
+                        " violations (feasible: " +
+                        member(*row, "feasible")->dump() + ")");
+        }
+      }
+      if (strong == 0) gate.fail(where, "no row at a penalty of 50 or more");
+    } else if (study == "polish") {
+      const Value* literal = find(group, "literal");
+      const Value* enhanced = find(group, "default");
+      if (literal == nullptr || enhanced == nullptr) {
+        gate.fail(where, "no literal/default pair to compare");
+      } else if (final_of(enhanced) >= final_of(literal)) {
+        fail(enhanced, "final " + cost(final_of(enhanced)) +
+                           " does not beat the literal listing's " +
+                           cost(final_of(literal)));
+      }
+    }
+  }
+  for (const char* study : {"init", "iters", "penalty", "polish"}) {
+    if (checked.count(study) == 0) {
+      gate.fail(std::string("ablation/") + study, "no rows to check");
+    }
+  }
+}
+
+// Sparse (Section 4.3): the implicit gather must equal the dense reference
+// in every entry and beat it at every N.
+void sparse_bounds(Gate& gate, const Value& rows, const RunnerConfig&) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Value& row = rows.at(r);
+    const std::string where = "sparse/n=" + member(row, "n")->dump();
+    if (number(row, "mismatches") != 0) {
+      gate.fail(where, member(row, "mismatches")->dump() +
+                           " eta entries differ from the dense reference");
+    }
+    const double sparse = number(row, "sparse_seconds");
+    const double dense = number(row, "dense_seconds");
+    if (sparse >= dense) {
+      gate.fail(where, "sparse gather (" + qbp::format_double(sparse, 6) +
+                           "s) is not faster than the dense one (" +
+                           qbp::format_double(dense, 6) + "s)");
+    }
+  }
+}
+
+// Exact gap: branch and bound proves every instance optimal, and QBP lands
+// no farther from the optimum than GFM or GKL on any of them.
+void exact_gap_bounds(Gate& gate, const Value& rows, const RunnerConfig&) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Value& row = rows.at(r);
+    const std::string where = "exact_gap/seed=" + member(row, "seed")->dump();
+    if (!row.get_bool("proven", false)) {
+      gate.fail(where, "optimum not proven");
+    }
+    const double qbp = number(row, "qbp.final");
+    for (const char* method : {"gfm", "gkl"}) {
+      const double other = number(row, std::string(method) + ".final");
+      if (qbp > other) {
+        gate.fail(where + "/qbp",
+                  "final " + qbp::format_double(qbp, 0) + " is farther from " +
+                      "the optimum than " + method + "'s " +
+                      qbp::format_double(other, 0));
+      }
+    }
+  }
+}
+
 // The headline acceptance bound of the eco suite: at full scale a warm
 // re-solve must land at <= 10% of the cold solve's latency.
 void eco_bounds(Gate& gate, const Value& rows, const RunnerConfig& config) {
@@ -611,7 +1046,10 @@ const std::vector<Suite>& declared_suites() {
       {"cpu", "gfm.cpu_s", 1},
       {"GKL final", "gkl.final", kGrouped},
       {"(-%)", "gkl.improvement_pct", 1},
-      {"cpu", "gkl.cpu_s", 1}};
+      {"cpu", "gkl.cpu_s", 1},
+      {"SA final", "sa.final", kGrouped},
+      {"(-%)", "sa.improvement_pct", 1},
+      {"cpu", "sa.cpu_s", 1}};
   static const std::vector<Suite> suites = {
       {.name = "table1",
        .title = "Table I (circuit descriptions)",
@@ -633,18 +1071,74 @@ const std::vector<Suite>& declared_suites() {
          return run_paper_table(/*with_timing=*/false, config);
        },
        .key = {"circuit"},
-       .exact = {"start", "qbp.final", "gfm.final", "gkl.final"},
-       .timed = {"qbp.cpu_s", "gfm.cpu_s", "gkl.cpu_s"},
-       .columns = paper_columns},
+       .exact = {"start", "qbp.final", "gfm.final", "gkl.final", "sa.final"},
+       .timed = {"qbp.cpu_s", "gfm.cpu_s", "gkl.cpu_s", "sa.cpu_s"},
+       .columns = paper_columns,
+       .cross_check =
+           [](Gate& gate, const Value& rows, const RunnerConfig& config) {
+             paper_table_bounds("table2", gate, rows, config);
+           }},
       {.name = "table3",
        .title = "Table III (with timing)",
        .run = [](const RunnerConfig& config) {
          return run_paper_table(/*with_timing=*/true, config);
        },
        .key = {"circuit"},
-       .exact = {"start", "qbp.final", "gfm.final", "gkl.final"},
-       .timed = {"qbp.cpu_s", "gfm.cpu_s", "gkl.cpu_s"},
-       .columns = paper_columns},
+       .exact = {"start", "qbp.final", "gfm.final", "gkl.final", "sa.final"},
+       .timed = {"qbp.cpu_s", "gfm.cpu_s", "gkl.cpu_s", "sa.cpu_s"},
+       .columns = paper_columns,
+       .cross_check =
+           [](Gate& gate, const Value& rows, const RunnerConfig& config) {
+             paper_table_bounds("table3", gate, rows, config);
+           }},
+      {.name = "ablation",
+       .title = "Ablation (QBP studies, timing active)",
+       .run = run_ablation,
+       .key = {"study", "circuit", "variant"},
+       .exact = {"start", "final", "feasible", "penalized", "violations"},
+       .timed = {"seconds"},
+       .columns = {{"study", "study"},
+                   {"circuit", "circuit"},
+                   {"variant", "variant"},
+                   {"start", "start", kGrouped},
+                   {"final", "final", kGrouped},
+                   {"feasible", "feasible"},
+                   {"violations", "violations", kGrouped},
+                   {"cpu", "seconds"}},
+       .cross_check = ablation_bounds},
+      {.name = "sparse",
+       .title = "Sparse (STEP 3 eta gather, implicit vs dense Q-hat)",
+       .run = run_sparse,
+       .key = {"n"},
+       .exact = {"nnz", "mismatches"},
+       // The dense reference is not the solver's code; its time feeds
+       // only the cross-check's "faster at every N".
+       .timed = {"sparse_seconds"},
+       .columns = {{"N", "n", kGrouped},
+                   {"MN", "mn", kGrouped},
+                   {"dense MiB", "dense_mib", 1},
+                   {"nominal nnz", "nnz", kGrouped},
+                   {"sparse (s)", "sparse_seconds", 6},
+                   {"dense (s)", "dense_seconds", 3},
+                   {"speedup", "speedup", 0},
+                   {"mismatches", "mismatches", kGrouped}},
+       .cross_check = sparse_bounds},
+      {.name = "exact_gap",
+       .title = "Exact gap (heuristics vs proven optima)",
+       .run = run_exact_gap,
+       .key = {"seed"},
+       .exact = {"proven", "optimum", "nodes", "qbp.final", "gfm.final",
+                 "gkl.final"},
+       .timed = {"exact_seconds"},
+       .columns = {{"seed", "seed", kGrouped},
+                   {"N", "n", kGrouped},
+                   {"optimum", "optimum", kGrouped},
+                   {"B&B nodes", "nodes", kGrouped},
+                   {"proven", "proven"},
+                   {"QBP gap (%)", "qbp.gap_pct", 1},
+                   {"GFM gap (%)", "gfm.gap_pct", 1},
+                   {"GKL gap (%)", "gkl.gap_pct", 1}},
+       .cross_check = exact_gap_bounds},
       {.name = "scaling",
        .title = "Scaling (flat QBP)",
        .run = run_scaling,
@@ -795,7 +1289,10 @@ void check_suite(Gate& gate, const Suite& suite, const Value& baseline,
       }
     }
   }
-  if (suite.cross_check != nullptr) suite.cross_check(gate, rows, config);
+  if (suite.cross_check == nullptr) return;
+  // A claim checked on zero rows would pass vacuously.
+  if (rows.size() == 0) gate.fail(suite.name, "no rows to check");
+  suite.cross_check(gate, rows, config);
 }
 
 std::string cell(const Value* value, int decimals) {
@@ -836,12 +1333,21 @@ int main(int argc, char** argv) {
   bool profile = false;
   bool list_suites = false;
 
+  const std::vector<Suite>& suites = declared_suites();
+  std::string valid;
+  std::string named_only;
+  for (const Suite& spec : suites) {
+    valid += std::string(spec.name) + "|";
+    if (!spec.in_all) named_only += std::string(" ") + spec.name;
+  }
+  valid += "all";
+
   qbp::CliParser cli("bench_runner", "benchmark driver + CI regression gate");
   cli.add_flag("smoke", config.smoke,
                "reduced sizes/iterations for the CI gate");
   cli.add_string("suite", suite,
-                 "table1|table2|table3|scaling|presolve|eco|vcycle|serve|all "
-                 "(all = every solver suite; serve runs only when named)");
+                 valid + " (all = every suite except" + named_only +
+                     ", which runs only when named)");
   cli.add_flag("list-suites", list_suites,
                "print the valid --suite values and exit");
   cli.add_int("inner-threads", config.inner_threads,
@@ -863,7 +1369,6 @@ int main(int argc, char** argv) {
                "enable the phase profiler and report the breakdown");
   if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
 
-  const std::vector<Suite>& suites = declared_suites();
   if (list_suites) {
     for (const Suite& spec : suites) std::printf("%s\n", spec.name);
     std::printf("all\n");
@@ -884,9 +1389,7 @@ int main(int argc, char** argv) {
     return suite == "all" ? spec.in_all : suite == spec.name;
   };
   if (suite != "all" && std::none_of(suites.begin(), suites.end(), want)) {
-    std::string valid;
-    for (const Suite& spec : suites) valid += std::string(spec.name) + ", ";
-    std::fprintf(stderr, "unknown --suite '%s' (valid suites: %sall)\n",
+    std::fprintf(stderr, "unknown --suite '%s' (valid suites: %s)\n",
                  suite.c_str(), valid.c_str());
     return 2;
   }

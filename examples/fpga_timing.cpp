@@ -1,9 +1,9 @@
 // Timing-driven 16-way partitioning (the FPGA / MCM use case of the paper's
-// introduction): run QBP, GFM and GKL on one preset circuit with timing
+// introduction): run QBP, GFM, GKL and SA on one preset circuit with timing
 // constraints active and compare quality and runtime -- a single row of
 // Table III.
 //
-//   ./fpga_timing [--circuit ckte] [--iterations 100] [--no-gkl]
+//   ./fpga_timing [--circuit ckte] [--iterations 100] [--relax-timing]
 #include <cstdio>
 
 #include "bench_support/circuits.hpp"
@@ -13,25 +13,16 @@
 int main(int argc, char** argv) {
   std::string circuit = "ckte";
   std::int64_t iterations = 100;
-  bool no_gkl = false;
   bool relax_timing = false;
 
   qbp::CliParser cli("fpga_timing",
-                     "one circuit through QBP / GFM / GKL under timing and "
-                     "capacity constraints");
+                     "one circuit through QBP / GFM / GKL / SA under timing "
+                     "and capacity constraints");
   cli.add_string("circuit", circuit, "preset circuit (ckta..cktg)");
   cli.add_int("iterations", iterations, "QBP iterations");
-  cli.add_flag("no-gkl", no_gkl, "skip the slow GKL baseline");
   cli.add_flag("relax-timing", relax_timing,
                "drop timing constraints (Table II style)");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", cli.error().c_str(), cli.usage().c_str());
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
-  }
+  if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
 
   const qbp::CircuitPreset* preset = qbp::find_preset(circuit);
   if (preset == nullptr) {
@@ -48,7 +39,6 @@ int main(int argc, char** argv) {
 
   qbp::ExperimentConfig config;
   config.qbp_iterations = static_cast<std::int32_t>(iterations);
-  config.run_gkl = !no_gkl;
 
   const qbp::PartitionProblem problem =
       relax_timing ? instance.problem.without_timing() : instance.problem;
@@ -63,6 +53,7 @@ int main(int argc, char** argv) {
   };
   report("QBP", row.qbp);
   report("GFM", row.gfm);
-  if (!no_gkl) report("GKL", row.gkl);
+  report("GKL", row.gkl);
+  report("SA", row.sa);
   return 0;
 }

@@ -23,14 +23,7 @@ int main(int argc, char** argv) {
   cli.add_int("blocks", blocks, "number of functional blocks");
   cli.add_int("buses", buses, "number of multi-pin buses");
   cli.add_int("seed", seed, "random seed");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", cli.error().c_str(), cli.usage().c_str());
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
-  }
+  if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
 
   // A design with 2-pin wires plus wide multi-pin buses.
   qbp::Rng rng(static_cast<std::uint64_t>(seed));

@@ -30,14 +30,7 @@ int main(int argc, char** argv) {
                  "fraction of components the 'designer' misplaces");
   cli.add_int("seed", seed, "random seed");
   cli.add_int("iterations", iterations, "QBP iterations");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", cli.error().c_str(), cli.usage().c_str());
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
-  }
+  if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
 
   const qbp::CircuitPreset* preset = qbp::find_preset(circuit);
   if (preset == nullptr) {

@@ -23,14 +23,7 @@ int main(int argc, char** argv) {
   cli.add_int("size", size, "facilities = locations (<= 8 for brute force)");
   cli.add_int("seed", seed, "random seed");
   cli.add_int("iterations", iterations, "QBP iterations");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", cli.error().c_str(), cli.usage().c_str());
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
-  }
+  if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
   const auto n = static_cast<std::int32_t>(size);
   if (n < 2 || n > 8) {
     std::fprintf(stderr, "--size must be in [2, 8] (brute force oracle)\n");

@@ -26,14 +26,7 @@ int main(int argc, char** argv) {
   cli.add_int("wires", wires, "total wire count");
   cli.add_int("iterations", iterations, "QBP iterations (STEP 8 budget)");
   cli.add_int("seed", seed, "random seed");
-  if (!cli.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", cli.error().c_str(), cli.usage().c_str());
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::printf("%s", cli.usage().c_str());
-    return 0;
-  }
+  if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
 
   // 1. A synthetic circuit: components with sizes spanning ~2 orders of
   //    magnitude, locality-biased wires, and a hidden feasible placement.

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 
+#include "baselines/gfm.hpp"
+#include "baselines/gkl.hpp"
+#include "baselines/sa.hpp"
 #include "core/initial.hpp"
 #include "engine/adapters.hpp"
 #include "engine/pipeline.hpp"
@@ -28,60 +31,65 @@ ExperimentRow run_experiment_from(const std::string& circuit_name,
   ExperimentRow row;
   row.circuit = circuit_name;
 
-  struct {
-    Assignment assignment;
-    bool feasible;
-  } initial{start, initial_feasible && problem.is_feasible(start)};
-  if (!initial.feasible) {
+  const bool feasible_start = initial_feasible && problem.is_feasible(start);
+  if (!feasible_start) {
     log::warn("experiment ", circuit_name,
-              ": start is not fully feasible; GFM/GKL are skipped");
+              ": start is not fully feasible; GFM/GKL/SA are skipped");
   }
-  row.start_cost = problem.wirelength(initial.assignment);
+  row.start_cost = problem.wirelength(start);
 
-  const auto percent = [&](double final_cost) {
-    return row.start_cost > 0.0
-               ? (row.start_cost - final_cost) / row.start_cost * 100.0
-               : 0.0;
+  // Each leg reads its clock before scoring its answer.
+  const auto outcome = [&](const Assignment& found, double seconds) {
+    MethodOutcome out;
+    out.cpu_seconds = seconds;
+    out.final_cost = problem.wirelength(found);
+    out.feasible = problem.is_feasible(found);
+    out.improvement_pct =
+        row.start_cost > 0.0
+            ? (row.start_cost - out.final_cost) / row.start_cost * 100.0
+            : 0.0;
+    return out;
   };
 
-  if (config.run_qbp) {
+  {
     BurkardOptions options;
     options.iterations = config.qbp_iterations;
-    options.penalty = config.penalty;
     options.inner_threads = config.inner_threads;
     engine::PipelineOptions pipeline_options;
     pipeline_options.presolve = config.presolve;
     const Timer timer;
     const engine::SolvePipeline pipeline(problem, pipeline_options);
     const engine::SolverResult qbp = pipeline.solve_one(
-        engine::BurkardSolver(options), {initial.assignment, config.seed});
-    row.qbp.cpu_seconds = timer.seconds();
-    const Assignment& chosen = qbp.found_feasible ? qbp.best_feasible : qbp.best;
-    row.qbp.final_cost = problem.wirelength(chosen);
+        engine::BurkardSolver(options), {start, config.seed});
+    const double seconds = timer.seconds();
+    row.qbp = outcome(qbp.found_feasible ? qbp.best_feasible : qbp.best,
+                      seconds);
     row.qbp.feasible = qbp.found_feasible;
-    row.qbp.improvement_pct = percent(row.qbp.final_cost);
   }
+  if (!feasible_start) return row;
 
-  if (config.run_gfm && initial.feasible) {
+  {
     const Timer timer;
-    const GfmResult gfm = solve_gfm(problem, initial.assignment);
-    row.gfm.cpu_seconds = timer.seconds();
-    row.gfm.final_cost = problem.wirelength(gfm.assignment);
-    row.gfm.feasible = problem.is_feasible(gfm.assignment);
-    row.gfm.improvement_pct = percent(row.gfm.final_cost);
+    const GfmResult gfm = solve_gfm(problem, start);
+    const double seconds = timer.seconds();
+    row.gfm = outcome(gfm.assignment, seconds);
   }
-
-  if (config.run_gkl && initial.feasible) {
+  {
     GklOptions options;
     options.max_outer_loops = config.gkl_outer_loops;
     const Timer timer;
-    const GklResult gkl = solve_gkl(problem, initial.assignment, options);
-    row.gkl.cpu_seconds = timer.seconds();
-    row.gkl.final_cost = problem.wirelength(gkl.assignment);
-    row.gkl.feasible = problem.is_feasible(gkl.assignment);
-    row.gkl.improvement_pct = percent(row.gkl.final_cost);
+    const GklResult gkl = solve_gkl(problem, start, options);
+    const double seconds = timer.seconds();
+    row.gkl = outcome(gkl.assignment, seconds);
   }
-
+  {
+    SaOptions options;
+    options.seed = config.seed;
+    const Timer timer;
+    const SaResult sa = solve_sa(problem, start, options);
+    const double seconds = timer.seconds();
+    row.sa = outcome(sa.assignment, seconds);
+  }
   return row;
 }
 
@@ -112,6 +120,7 @@ json::Value rows_to_json(const std::vector<ExperimentRow>& rows) {
     entry.set("qbp", method(row.qbp));
     entry.set("gfm", method(row.gfm));
     entry.set("gkl", method(row.gkl));
+    entry.set("sa", method(row.sa));
     out.push_back(std::move(entry));
   }
   return out;

@@ -7,15 +7,15 @@
 //   * QBP runs a fixed 100 iterations; GFM runs to convergence; GKL is cut
 //     off after 6 outer loops;
 //   * Table II drops the timing constraints, Table III keeps them.
+//
+// Simulated annealing (baselines/sa.hpp, seeded with the start's seed) runs
+// from the same start as a fourth method the paper did not compare.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "baselines/gfm.hpp"
-#include "baselines/gkl.hpp"
 #include "bench_support/circuits.hpp"
-#include "core/burkard.hpp"
 #include "core/presolve.hpp"
 #include "util/json.hpp"
 
@@ -23,21 +23,17 @@ namespace qbp {
 
 struct ExperimentConfig {
   std::int32_t qbp_iterations = 100;
-  double penalty = kPaperPenalty;
   std::int32_t gkl_outer_loops = 6;
   /// Threads inside the QBP solve (util/parallel pool); results are
   /// bit-identical at every value, only wall-clock changes.
   std::int32_t inner_threads = 1;
-  /// Seed for the shared initial solution.
+  /// Seed for the shared initial solution and for SA.
   std::uint64_t seed = 1993;
   /// Presolve configuration for the QBP leg, which runs through
   /// engine::SolvePipeline (off by default, matching the paper protocol;
   /// the standard circuits reduce to nothing anyway, so enabling it leaves
   /// objectives bit-identical).
   PresolveOptions presolve{.enabled = false};
-  bool run_qbp = true;
-  bool run_gfm = true;
-  bool run_gkl = true;
 };
 
 struct MethodOutcome {
@@ -53,9 +49,10 @@ struct ExperimentRow {
   MethodOutcome qbp;
   MethodOutcome gfm;
   MethodOutcome gkl;
+  MethodOutcome sa;
 };
 
-/// Run the three methods on one problem (timing constraints as present in
+/// Run the four methods on one problem (timing constraints as present in
 /// `problem`; pass problem.without_timing() for the Table II variant).
 [[nodiscard]] ExperimentRow run_experiment(const std::string& circuit_name,
                                            const PartitionProblem& problem,
@@ -72,9 +69,10 @@ struct ExperimentRow {
                                                 const ExperimentConfig& config);
 
 /// Machine-readable dump: an array of row objects, one member per method
-/// ({final, improvement_pct, cpu_s, feasible}).  bench_runner writes these
-/// as its table2/table3 rows, so the perf trajectory (bench/BENCH_*.json)
-/// diffs cleanly across commits -- wall-clock fields aside.
+/// (qbp, gfm, gkl, sa: {final, improvement_pct, cpu_s, feasible}).
+/// bench_runner writes these as its table2/table3 rows, so the perf
+/// trajectory (bench/BENCH_*.json) diffs cleanly across commits --
+/// wall-clock fields aside.
 [[nodiscard]] json::Value rows_to_json(const std::vector<ExperimentRow>& rows);
 
 /// The --json tail of bench_runner: write `value` to `path` (no-op

@@ -27,8 +27,8 @@
 //     violations away from feasibility; the polish converts the line
 //     search's iterates into certified local minima at negligible cost and
 //     is what the paper's own "enhancement" framing invites.  Setting
-//     polish_sweeps = 0 recovers the literal listing (ablated in
-//     bench_ablation_polish).
+//     polish_sweeps = 0 recovers the literal listing (the polish study of
+//     bench_runner --suite ablation).
 //
 // "The search stops after a predetermined number of iterations.  The best
 // result seen so far becomes the solution" -- iteration count is the only
@@ -62,7 +62,8 @@ struct BurkardOptions {
   /// Embedded timing-violation cost; kPaperPenalty = 50 by default.
   double penalty = kPaperPenalty;
   /// Include the omega_s u_s term in eta (equation (3) of the paper).  The
-  /// listed STEP 3 omits it; both variants are supported and ablated.
+  /// listed STEP 3 omits it; both variants are supported, and the penalty
+  /// study of bench_runner --suite ablation compares them.
   /// Default follows the listed algorithm (the eq.-3 variant tends to
   /// freeze the iteration at its starting point on large instances).
   bool eta_includes_omega = false;
@@ -73,7 +74,8 @@ struct BurkardOptions {
   /// run up to this many greedy single-move descent sweeps on the
   /// *penalized* objective (capacity-feasible moves only) before STEP 7
   /// evaluates the iterate.  0 reproduces the literal STEP 1-8 listing;
-  /// the ablation bench quantifies the difference.
+  /// the polish study of bench_runner --suite ablation measures the
+  /// difference.
   std::int32_t polish_sweeps = 3;
   /// Intra-solve parallelism: threads for the STEP 3 eta gather of ONE
   /// solve, executed on the shared deterministic pool in util/parallel.

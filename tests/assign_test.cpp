@@ -4,66 +4,11 @@
 #include <numeric>
 
 #include "assign/gap.hpp"
-#include "assign/knapsack.hpp"
 #include "assign/lap.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
 namespace {
-
-// ------------------------------------------------------------ knapsack ----
-
-TEST(Knapsack, UpperBoundDominatesExact) {
-  const std::vector<KnapsackItem> items{{10, 5}, {6, 4}, {7, 3}};
-  double exact_value = 0.0;
-  (void)knapsack_exact(items, 8.0, exact_value, 1.0);
-  EXPECT_GE(knapsack_upper_bound(items, 8.0), exact_value - 1e-9);
-}
-
-TEST(Knapsack, ExactSolvesClassicInstance) {
-  // Capacity 10: best is items 0+2 (values 10 + 7 = 17, weights 5 + 3).
-  const std::vector<KnapsackItem> items{{10, 5}, {6, 4}, {7, 3}};
-  double value = 0.0;
-  const auto chosen = knapsack_exact(items, 10.0, value, 1.0);
-  EXPECT_DOUBLE_EQ(value, 17.0);
-  EXPECT_EQ(chosen, (std::vector<std::int32_t>{0, 2}));
-}
-
-TEST(Knapsack, GreedyIsFeasibleAndPositive) {
-  const std::vector<KnapsackItem> items{{4, 2}, {3, 2}, {5, 4}, {1, 1}};
-  double value = 0.0;
-  const auto chosen = knapsack_greedy(items, 5.0, value);
-  double weight = 0.0;
-  for (const auto k : chosen) weight += items[k].weight;
-  EXPECT_LE(weight, 5.0);
-  EXPECT_GT(value, 0.0);
-}
-
-TEST(Knapsack, GreedyTakesBestSingleWhenPackIsWorse) {
-  // Density favors small items but one big item dominates.
-  const std::vector<KnapsackItem> items{{3, 1}, {100, 10}};
-  double value = 0.0;
-  const auto chosen = knapsack_greedy(items, 10.0, value);
-  EXPECT_DOUBLE_EQ(value, 100.0);
-  EXPECT_EQ(chosen, (std::vector<std::int32_t>{1}));
-}
-
-TEST(Knapsack, ZeroCapacity) {
-  const std::vector<KnapsackItem> items{{5, 1}};
-  double value = -1.0;
-  EXPECT_TRUE(knapsack_exact(items, 0.0, value).empty());
-  EXPECT_DOUBLE_EQ(value, 0.0);
-  EXPECT_DOUBLE_EQ(knapsack_upper_bound(items, 0.0), 0.0);
-}
-
-TEST(Knapsack, FractionalWeightsRoundedConservatively) {
-  const std::vector<KnapsackItem> items{{5, 0.51}, {5, 0.51}};
-  double value = 0.0;
-  // Capacity 1.0 holds only one item (0.51 * 2 > 1.0).
-  const auto chosen = knapsack_exact(items, 1.0, value, 100.0);
-  EXPECT_EQ(chosen.size(), 1u);
-  EXPECT_DOUBLE_EQ(value, 5.0);
-}
 
 // ----------------------------------------------------------------- lap ----
 

@@ -151,6 +151,7 @@ TEST(Harness, RunExperimentProducesConsistentRow) {
   EXPECT_TRUE(row.qbp.feasible);
   EXPECT_TRUE(row.gfm.feasible);
   EXPECT_TRUE(row.gkl.feasible);
+  EXPECT_TRUE(row.sa.feasible);
   // Improvement percentages consistent with final costs.
   EXPECT_NEAR(row.qbp.improvement_pct,
               (row.start_cost - row.qbp.final_cost) / row.start_cost * 100.0,
@@ -158,6 +159,7 @@ TEST(Harness, RunExperimentProducesConsistentRow) {
   EXPECT_LE(row.qbp.final_cost, row.start_cost);
   EXPECT_LE(row.gfm.final_cost, row.start_cost);
   EXPECT_LE(row.gkl.final_cost, row.start_cost);
+  EXPECT_LE(row.sa.final_cost, row.start_cost);
 }
 
 TEST(Harness, SharedStartVariantUsesGivenAssignment) {
@@ -168,7 +170,6 @@ TEST(Harness, SharedStartVariantUsesGivenAssignment) {
   ASSERT_TRUE(initial.feasible);
   ExperimentConfig config;
   config.qbp_iterations = 10;
-  config.run_gkl = false;
   const auto row = run_experiment_from("mini", instance.problem,
                                        initial.assignment, initial.feasible,
                                        config);
@@ -183,6 +184,7 @@ TEST(Harness, TableFormatting) {
   row.qbp = {17457, 15.9, 86.8, true};
   row.gfm = {18894, 9.0, 12.2, true};
   row.gkl = {17526, 15.6, 544.3, true};
+  row.sa = {17300, 16.6, 9.5, true};
   const json::Value rows = rows_to_json({row});
   ASSERT_EQ(rows.size(), 1u);
   const json::Value& entry = rows.at(0);
@@ -192,6 +194,8 @@ TEST(Harness, TableFormatting) {
   EXPECT_EQ(entry.find("qbp")->get_number("final", 0.0), 17457.0);
   EXPECT_EQ(entry.find("gkl")->get_number("cpu_s", 0.0), 544.3);
   EXPECT_TRUE(entry.find("gfm")->get_bool("feasible", false));
+  ASSERT_NE(entry.find("sa"), nullptr);
+  EXPECT_EQ(entry.find("sa")->get_number("final", 0.0), 17300.0);
 }
 
 }  // namespace
