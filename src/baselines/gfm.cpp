@@ -1,6 +1,7 @@
 #include "baselines/gfm.hpp"
 
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
@@ -43,7 +44,10 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   const std::int32_t m = problem.num_partitions();
   const auto& sizes = problem.netlist().sizes();
   const auto& adjacency = problem.netlist().connection_matrix();
-  const DeltaEvaluator evaluator(problem);
+  // Gains come off the evaluator's incident rows; every move and rollback
+  // is committed through it, so a neighbor's row is patched in O(M) rather
+  // than re-scored target by target.
+  DeltaEvaluator evaluator(problem);
 
   GfmResult result;
   result.assignment = initial;
@@ -54,9 +58,6 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   std::vector<std::int64_t> version(static_cast<std::size_t>(n), 0);
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
 
-  const auto move_gain = [&](std::int32_t j, PartitionId target) {
-    return -evaluator.move_delta(assignment, j, target);
-  };
   const auto move_feasible = [&](std::int32_t j, PartitionId target) {
     if (!ledger.fits(target, sizes[static_cast<std::size_t>(j)])) return false;
     return problem.timing().component_feasible_at(assignment, problem.topology(),
@@ -68,9 +69,11 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
     std::fill(locked.begin(), locked.end(), false);
     std::priority_queue<HeapEntry> heap;
     const auto push_component = [&](std::int32_t j) {
+      const std::span<const double> deltas = evaluator.move_deltas(assignment, j);
       for (PartitionId i = 0; i < m; ++i) {
         if (i == assignment[j]) continue;
-        heap.push({move_gain(j, i), j, i, version[static_cast<std::size_t>(j)]});
+        heap.push({-deltas[static_cast<std::size_t>(i)], j, i,
+                   version[static_cast<std::size_t>(j)]});
       }
     };
     for (std::int32_t j = 0; j < n; ++j) push_component(j);
@@ -88,14 +91,14 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
       if (entry.version != version[static_cast<std::size_t>(j)]) continue;
       if (entry.target == assignment[j]) continue;
       if (!move_feasible(j, entry.target)) continue;
-      // Gains were fresh at push time (version matches), but the ledger and
-      // neighbors may still race within this pop -- recompute to be exact.
-      const double gain = move_gain(j, entry.target);
+      // The gain is still exact: any move that changes j's row (a wire
+      // neighbor's) bumped j's version, and a locked j is skipped above.
+      const double gain = entry.gain;
 
       const PartitionId from = assignment[j];
       ledger.remove(from, sizes[static_cast<std::size_t>(j)]);
       ledger.add(entry.target, sizes[static_cast<std::size_t>(j)]);
-      assignment.set(j, entry.target);
+      evaluator.commit_move(assignment, j, entry.target);
       locked[static_cast<std::size_t>(j)] = true;
       ++version[static_cast<std::size_t>(j)];
       applied.push_back({j, from, entry.target});
@@ -120,7 +123,7 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
       const Move& move = applied[k];
       ledger.remove(move.to, sizes[static_cast<std::size_t>(move.component)]);
       ledger.add(move.from, sizes[static_cast<std::size_t>(move.component)]);
-      assignment.set(move.component, move.from);
+      evaluator.commit_move(assignment, move.component, move.from);
       ++version[static_cast<std::size_t>(move.component)];
     }
     result.moves_kept += static_cast<std::int64_t>(best_prefix_length);

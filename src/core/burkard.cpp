@@ -28,7 +28,7 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed) {
   if (max_sweeps <= 0) return;
-  evaluator.invalidate();  // `u` changed hands since the last polish
+  evaluator.follow(u);  // patch the rows for what moved since the last polish
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
   const auto& sizes = problem.netlist().sizes();
@@ -109,6 +109,22 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
   }
 }
 
+namespace {
+
+/// Debug audit of the patched STEP 3 state: `sums` against a fresh
+/// eta_sums of `u`, entry by entry at a relative tolerance of 1e-9.
+bool sums_match_gather(const QhatMatrix& qhat, const Assignment& u,
+                       std::span<const double> sums) {
+  std::vector<double> fresh(sums.size());
+  qhat.eta_sums(u, fresh);
+  for (std::size_t r = 0; r < fresh.size(); ++r) {
+    if (!check::within_relative(sums[r], fresh[r], 1e-9)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initial,
                         const BurkardOptions& options) {
   QBP_CHECK_EQ(initial.num_components(), problem.num_components());
@@ -152,6 +168,12 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   consider_feasible(u);
 
   const std::int64_t flat_size = problem.flat_size();
+  // STEP 3 state: the wire and penalty sums of the gather at `sums_point`.
+  // The full gather runs once; later iterations patch the sums for the
+  // components that moved since the previous STEP 3 point.  The diagonal
+  // and the eq. (3) omega term go into `eta` only, never into the sums.
+  std::vector<double> sums(static_cast<std::size_t>(flat_size), 0.0);
+  Assignment sums_point;
   std::vector<double> eta(static_cast<std::size_t>(flat_size), 0.0);
   std::vector<double> h(static_cast<std::size_t>(flat_size), 0.0);  // STEP 1
 
@@ -160,7 +182,22 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     double xi = 0.0;
     {
       QBP_PROF_SCOPE("burkard.step3_eta");
-      qhat.eta(u, eta, inner);
+      if (k == 1) {
+        qhat.eta_sums(u, sums, inner);
+      } else {
+        qhat.patch_eta_sums(sums_point, u, sums);
+      }
+      sums_point = u;
+      // Debug drift audit: after every restart jump, and at the last
+      // iteration, the patched sums must agree with a fresh gather.
+      const bool audit =
+          k > 1 && (k == options.iterations ||
+                    (options.restart_period > 0 &&
+                     (k - 1) % options.restart_period == 0));
+      QBP_DCHECK(!audit || sums_match_gather(qhat, u, sums))
+          << "patched STEP 3 sums drifted from a fresh gather at iteration "
+          << k;
+      qhat.add_diagonal(u, sums, eta);
       if (options.eta_includes_omega) {
         for (std::int32_t j = 0; j < problem.num_components(); ++j) {
           const std::int64_t r = problem.flat_index(u[j], j);

@@ -16,7 +16,13 @@
 //     Generalized Assignment Problems solved with the Martello-Toth-style
 //     heuristic (assign/gap.hpp) instead of Linear Assignment Problems;
 //   * Qhat is implicit and sparse: STEP 3 costs O((nnz(A)+nnz(Dc)) * M)
-//     rather than (MN)^2 multiplications;
+//     rather than (MN)^2 multiplications -- and only once per solve.  The
+//     full gather runs at iteration 1; every later STEP 3 patches its wire
+//     and penalty sums for the components that moved since the previous
+//     STEP 3 point (12-23% of them on the Table III circuits), then adds
+//     the alpha * p diagonal and the optional eq. (3) omega term to the
+//     vector the GAP reads.  Debug builds compare the patched sums with a
+//     fresh gather at every restart;
 //   * alongside the best penalized incumbent the solver tracks the best
 //     *feasible* incumbent (C1 and C2), because Theorem 2 only certifies
 //     minimizers that come out violation-free;
@@ -77,10 +83,11 @@ struct BurkardOptions {
   /// the polish study of bench_runner --suite ablation measures the
   /// difference.
   std::int32_t polish_sweeps = 3;
-  /// Intra-solve parallelism: threads for the STEP 3 eta gather of ONE
-  /// solve, executed on the shared deterministic pool in util/parallel.
-  /// STEPs 4-6 and the polish run serially: threads measured slower there
-  /// on real cores (DESIGN.md section 11).
+  /// Intra-solve parallelism: threads for the full STEP 3 eta gather of
+  /// ONE solve -- which runs once, at iteration 1; later iterations patch
+  /// it serially -- executed on the shared deterministic pool in
+  /// util/parallel.  STEPs 4-6 and the polish run serially: threads
+  /// measured slower there on real cores (DESIGN.md section 11).
   /// Results are bit-identical at every value -- this knob trades
   /// wall-clock only.  1 (default) keeps the gather on the calling thread;
   /// <= 0 means "all hardware".  Orthogonal to portfolio `threads`
@@ -146,10 +153,12 @@ class DeltaEvaluator;
 /// constrained pairs, and a seeded random sample) descending the *penalized*
 /// objective, capacity C1 invariant throughout.  Serial and deterministic
 /// in `sweep_seed`.  `evaluator` (on `problem`, with the penalty to
-/// descend) drops its rows on entry; every commit then patches them, so a
-/// swap evaluation is O(1) row lookups plus the a-b pair term.  Used after
-/// STEP 6 inside solve_qbp and as the per-level refinement of the
-/// multilevel V-cycle.
+/// descend) follows `u` on entry -- its rows are patched for the
+/// components that moved since the last polish, not rebuilt -- and every
+/// commit then patches them, so a swap evaluation is O(1) row lookups plus
+/// the a-b pair term.  Used after STEP 6 inside solve_qbp (one evaluator
+/// for the whole solve) and as the per-level refinement of the multilevel
+/// V-cycle.
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed);

@@ -173,25 +173,6 @@ void add_wire_terms(const PartitionTopology& topology, double scale,
   }
 }
 
-/// Penalized mode: add `sign` times the corrections a timing partner at
-/// partition `at` (pair bound `bound`, wire scale beta * a_jk) contributes
-/// to every column i: a violating direction's wire term is replaced by the
-/// flat penalty.  An unassigned partner contributes nothing.
-void add_violation_terms(const PartitionTopology& topology, double penalty,
-                         double wire_scale, double bound, PartitionId at,
-                         double sign, std::vector<double>& incident) {
-  if (at == Assignment::kUnassigned) return;
-  for (std::size_t i = 0; i < incident.size(); ++i) {
-    const auto column = static_cast<PartitionId>(i);
-    if (topology.delay(column, at) > bound) {
-      incident[i] += sign * (penalty - wire_scale * topology.wire_cost(column, at));
-    }
-    if (topology.delay(at, column) > bound) {
-      incident[i] += sign * (penalty - wire_scale * topology.wire_cost(at, column));
-    }
-  }
-}
-
 }  // namespace
 
 DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
@@ -200,6 +181,54 @@ DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
       rows_(static_cast<std::size_t>(problem.num_components())),
       deltas_(static_cast<std::size_t>(problem.num_partitions()), 0.0) {
   QBP_CHECK_GE(penalty, 0.0);
+  if (penalty_ == 0.0) return;
+  const std::int32_t m = problem.num_partitions();
+  const auto& topology = problem.topology();
+  const auto square = static_cast<std::size_t>(m) * static_cast<std::size_t>(m);
+  by_delay_.resize(2 * square);
+  for (PartitionId at = 0; at < m; ++at) {
+    const auto order = [&](PartitionId* columns, auto delay) {
+      for (PartitionId i = 0; i < m; ++i) columns[i] = i;
+      std::sort(columns, columns + m, [&](PartitionId x, PartitionId y) {
+        return delay(x) != delay(y) ? delay(x) > delay(y) : x < y;
+      });
+    };
+    PartitionId* into = by_delay_.data() + static_cast<std::size_t>(at * m);
+    order(into, [&](PartitionId i) { return topology.delay(i, at); });
+    order(into + square, [&](PartitionId i) { return topology.delay(at, i); });
+  }
+}
+
+void DeltaEvaluator::add_violation_terms(std::int32_t component,
+                                         std::int32_t partner, double bound,
+                                         PartitionId at, double sign,
+                                         std::vector<double>& incident) const {
+  const std::size_t m = incident.size();
+  if (at == Assignment::kUnassigned || m == 0) return;
+  const auto& topology = problem_->topology();
+  const PartitionId* into = by_delay_.data() + static_cast<std::size_t>(at) * m;
+  const PartitionId* out_of = into + m * m;
+  // Both orders descend in delay, so each scan stops at its first column
+  // that keeps the bound, and the a_jk lookup (a binary search) happens
+  // only once a violation fires.  A column still gets its D(i, at) term
+  // before its D(at, i) term, as in a column-by-column scan.
+  if (!(topology.delay(into[0], at) > bound) &&
+      !(topology.delay(at, out_of[0]) > bound)) {
+    return;
+  }
+  const double wire_scale =
+      problem_->beta() *
+      problem_->netlist().connection_matrix().value_or(component, partner, 0);
+  for (std::size_t r = 0; r < m && topology.delay(into[r], at) > bound; ++r) {
+    const PartitionId i = into[r];
+    incident[static_cast<std::size_t>(i)] +=
+        sign * (penalty_ - wire_scale * topology.wire_cost(i, at));
+  }
+  for (std::size_t r = 0; r < m && topology.delay(at, out_of[r]) > bound; ++r) {
+    const PartitionId i = out_of[r];
+    incident[static_cast<std::size_t>(i)] +=
+        sign * (penalty_ - wire_scale * topology.wire_cost(at, i));
+  }
 }
 
 double DeltaEvaluator::move_delta(const Assignment& assignment,
@@ -250,10 +279,8 @@ void DeltaEvaluator::build_row(const Assignment& assignment,
     const auto partners = problem_->timing().partners(component);
     const auto bounds = problem_->timing().bounds(component);
     for (std::size_t k = 0; k < partners.size(); ++k) {
-      add_violation_terms(topology, penalty_,
-                          beta * adjacency.value_or(component, partners[k], 0),
-                          bounds[k], assignment[partners[k]], 1.0,
-                          row.incident);
+      add_violation_terms(component, partners[k], bounds[k],
+                          assignment[partners[k]], 1.0, row.incident);
     }
   }
 }
@@ -265,6 +292,9 @@ const std::vector<double>& DeltaEvaluator::cached_row(
     ++hits_;
   } else {
     QBP_PROF_SCOPE("delta.row_build");
+    if (misses_ == 0) point_ = assignment;  // the first row fixes the point
+    QBP_DCHECK(point_[component] == assignment[component])
+        << "row read for an assignment the evaluator does not follow";
     ++misses_;
     build_row(assignment, component, row);
     row.built = true;
@@ -296,12 +326,10 @@ void DeltaEvaluator::patch_dependents(std::int32_t component,
     for (std::size_t k = 0; k < partners.size(); ++k) {
       Row& row = rows_[static_cast<std::size_t>(partners[k])];
       if (!row.built) continue;
-      const double wire_scale =
-          beta * adjacency.value_or(component, partners[k], 0);
-      add_violation_terms(topology, penalty_, wire_scale, bounds[k], source,
-                          -1.0, row.incident);
-      add_violation_terms(topology, penalty_, wire_scale, bounds[k], target,
-                          1.0, row.incident);
+      add_violation_terms(partners[k], component, bounds[k], source, -1.0,
+                          row.incident);
+      add_violation_terms(partners[k], component, bounds[k], target, 1.0,
+                          row.incident);
     }
   }
 }
@@ -359,6 +387,8 @@ void DeltaEvaluator::commit_move(Assignment& assignment, std::int32_t component,
   const PartitionId source = assignment[component];
   if (source == target) return;
   assignment.set(component, target);
+  if (misses_ == 0) return;  // no rows yet: the first build fixes the point
+  point_.set(component, target);
   patch_dependents(component, source, target);
 }
 
@@ -370,8 +400,58 @@ void DeltaEvaluator::commit_swap(Assignment& assignment,
   commit_move(assignment, component_b, pa);
 }
 
-void DeltaEvaluator::invalidate() {
-  for (Row& row : rows_) row.built = false;
+void DeltaEvaluator::follow(const Assignment& assignment) {
+  QBP_CHECK_EQ(assignment.num_components(), problem_->num_components());
+  if (misses_ == 0) {
+    point_ = assignment;
+    return;
+  }
+  QBP_PROF_SCOPE("delta.follow");
+  std::vector<std::int32_t> movers;
+  for (std::int32_t j = 0; j < problem_->num_components(); ++j) {
+    const PartitionId source = point_[j];
+    const PartitionId target = assignment[j];
+    if (source == target) continue;
+    point_.set(j, target);
+    patch_dependents(j, source, target);
+    movers.push_back(j);
+  }
+  QBP_DCHECK(patched_rows_match(movers))
+      << "follow() patched a row away from its fresh build";
+}
+
+bool DeltaEvaluator::patched_rows_match(
+    std::span<const std::int32_t> movers) const {
+  // Audit the dependents of up to kSampled movers spread over the list.
+  constexpr std::size_t kSampled = 8;
+  constexpr double kTolerance = 1e-9;
+  const std::size_t stride = std::max<std::size_t>(1, movers.size() / kSampled);
+  Row fresh;
+  const auto matches = [&](std::int32_t dependent) {
+    const Row& row = rows_[static_cast<std::size_t>(dependent)];
+    if (!row.built) return true;
+    build_row(point_, dependent, fresh);
+    for (std::size_t i = 0; i < fresh.incident.size(); ++i) {
+      if (!check::within_relative(row.incident[i], fresh.incident[i],
+                                  kTolerance)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::size_t at = 0; at < movers.size(); at += stride) {
+    const std::int32_t mover = movers[at];
+    for (const std::int32_t neighbor :
+         problem_->netlist().connection_matrix().row_indices(mover)) {
+      if (!matches(neighbor)) return false;
+    }
+    if (penalty_ > 0.0) {
+      for (const std::int32_t partner : problem_->timing().partners(mover)) {
+        if (!matches(partner)) return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace qbp

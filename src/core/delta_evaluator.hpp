@@ -1,7 +1,8 @@
 // Unified incremental cost evaluation for single moves and pairwise swaps.
 //
 // Every local-search loop in the library (the Burkard iterate polish, the
-// GFM/SA baselines, the shadow validator) needs the same two primitives:
+// GFM/SA baselines, the ECO polish, the shadow validator) needs the same
+// two primitives:
 // "what does the objective do if component j moves to partition i?" and
 // "... if components a and b swap?".  This module is their single
 // implementation:
@@ -19,13 +20,24 @@
 //     partners' -- by subtracting c's terms at s and adding them at t, in
 //     O(M) per row: the Fiduccia-Mattheyses gain update.  Rows never built
 //     stay lazy.  Loops that scan all M targets of a component (the polish
-//     move sweep, FM-style gain updates) get their deltas in O(M) instead
+//     move sweep, GFM's gain entries) get their deltas in O(M) instead
 //     of O(degree * M), and a pairwise swap delta comes from two row
 //     differences plus the a-b pair term (cached_swap_delta) instead of a
-//     rescan of both neighborhoods.
+//     rescan of both neighborhoods;
+//   * the evaluator remembers the assignment its rows describe, so a jump
+//     to an unrelated assignment (a Burkard STEP 6 iterate, a restart kick)
+//     costs only what moved: follow(u) applies the same per-dependent
+//     patch for every component whose partition differs, instead of
+//     dropping and rebuilding all N rows.  Rows are never dropped, so each
+//     is built at most once per evaluator.  Debug builds audit a sample of
+//     the rows follow patched against fresh builds.
+//
+// A timing partner's penalty corrections visit only the columns that break
+// its bound (partitions are pre-sorted by delay), so patching a partner's
+// row costs what its violations touch, not M delay tests.
 //
 // The evaluator is not thread-safe; give each solver run its own instance
-// (they are cheap: O(N) bookkeeping plus rows built on demand).
+// (they are cheap: O(N + M^2) bookkeeping plus rows built on demand).
 #pragma once
 
 #include <cstdint>
@@ -77,15 +89,21 @@ class DeltaEvaluator {
                                          std::int32_t component_b);
 
   /// Apply a move/swap *through* the evaluator so the built rows are
-  /// patched.  Mutating the assignment behind the evaluator's back
-  /// requires a subsequent invalidate().
+  /// patched.  The cached reads above must be passed the assignment the
+  /// rows describe: after mutating it behind the evaluator's back, call
+  /// follow() before the next read.
   void commit_move(Assignment& assignment, std::int32_t component,
                    PartitionId target);
   void commit_swap(Assignment& assignment, std::int32_t component_a,
                    std::int32_t component_b);
 
-  /// Drop all cached rows (the assignment changed externally).
-  void invalidate();
+  /// Bring the built rows to `assignment`: every component whose partition
+  /// differs from the point the rows describe is committed there, patching
+  /// its dependents' rows in O(M) each.  O(N) to find the movers plus
+  /// O((deg_A + deg_Dc) * M) per mover -- against O((nnz(A) + nnz(Dc)) * M)
+  /// for rebuilding every row -- and bit-identical to fresh rows on integer
+  /// data.
+  void follow(const Assignment& assignment);
 
   [[nodiscard]] std::uint64_t cache_hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t cache_misses() const noexcept { return misses_; }
@@ -104,16 +122,36 @@ class DeltaEvaluator {
   /// The built row of `component` (building it on a miss).
   const std::vector<double>& cached_row(const Assignment& assignment,
                                         std::int32_t component);
+  /// Penalized mode: add `sign` times the corrections timing partner
+  /// `partner` at partition `at` (pair bound `bound`) contributes to every
+  /// column i of `component`'s row: a violating direction's wire term
+  /// beta * a * B is replaced by the flat penalty.  Visits only the
+  /// violating columns (off by_delay_).  An unassigned partner contributes
+  /// nothing.
+  void add_violation_terms(std::int32_t component, std::int32_t partner,
+                           double bound, PartitionId at, double sign,
+                           std::vector<double>& incident) const;
   /// `component` moved from `source` to `target`: move its terms in every
   /// built row that depends on its position -- its neighbors' and timing
   /// partners' (never its own: a row does not depend on its own
   /// component's position).
   void patch_dependents(std::int32_t component, PartitionId source,
                         PartitionId target);
+  /// Debug audit of follow(): rebuilds the built dependent rows of a sample
+  /// of `movers` from point_ and compares them with the patched ones at a
+  /// relative tolerance of 1e-9.
+  [[nodiscard]] bool patched_rows_match(std::span<const std::int32_t> movers) const;
 
   const PartitionProblem* problem_;
   double penalty_;
   std::vector<Row> rows_;       // lazily built, one per component
+  /// Penalized mode: the partitions i in descending order of D(i, at) at
+  /// [at * M, at * M + M), then in descending order of D(at, i) at
+  /// [M * M + at * M, ...).
+  std::vector<PartitionId> by_delay_;
+  /// The assignment every built row describes; empty until a row is built
+  /// or follow() is called.
+  Assignment point_;
   std::vector<double> deltas_;  // scratch returned by move_deltas
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -1,7 +1,6 @@
 #include "core/validate.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -21,12 +20,6 @@ std::atomic<bool> g_validation_enabled{
     false
 #endif
 };
-
-/// Mixed absolute/relative closeness for recomputed-vs-reported numbers.
-bool close(double a, double b, double tolerance) {
-  const double scale = std::max({1.0, std::abs(a), std::abs(b)});
-  return std::abs(a - b) <= tolerance * scale;
-}
 
 /// Structural sanity of one reported assignment: right size, complete (C3),
 /// every partition id in range.  Returns false when follow-up numeric
@@ -97,7 +90,8 @@ ValidationReport validate_outcome(const PartitionProblem& problem,
   if (check_structure(problem, *reported.best, "best", report)) {
     const QhatMatrix qhat(problem, options.penalty);
     const double recomputed = qhat.penalized_value(*reported.best);
-    if (!close(recomputed, reported.best_penalized, options.tolerance)) {
+    if (!check::within_relative(recomputed, reported.best_penalized,
+                                options.tolerance)) {
       std::ostringstream out;
       out << "reported penalized value " << reported.best_penalized
           << " != recomputed " << recomputed << " (penalty "
@@ -118,8 +112,8 @@ ValidationReport validate_outcome(const PartitionProblem& problem,
           "best_feasible violates a timing constraint (C2)");
     }
     const double recomputed = problem.objective(*reported.best_feasible);
-    if (!close(recomputed, reported.best_feasible_objective,
-               options.tolerance)) {
+    if (!check::within_relative(recomputed, reported.best_feasible_objective,
+                                options.tolerance)) {
       std::ostringstream out;
       out << "reported feasible objective " << reported.best_feasible_objective
           << " != recomputed " << recomputed;
@@ -162,8 +156,8 @@ ValidationReport validate_deltas(const PartitionProblem& problem,
     const double full = qhat.penalized_value(scratch) - base;
     scratch.set(j, assignment[j]);
 
-    if (!close(cached, full, options.tolerance) ||
-        !close(one_off, full, options.tolerance)) {
+    if (!check::within_relative(cached, full, options.tolerance) ||
+        !check::within_relative(one_off, full, options.tolerance)) {
       std::ostringstream out;
       out << "move delta mismatch for component " << j << " -> partition "
           << target << ": cached " << cached << ", one-off " << one_off
@@ -189,8 +183,8 @@ ValidationReport validate_deltas(const PartitionProblem& problem,
     scratch.set(j1, assignment[j1]);
     scratch.set(j2, assignment[j2]);
 
-    if (!close(cached, full, options.tolerance) ||
-        !close(one_off, full, options.tolerance)) {
+    if (!check::within_relative(cached, full, options.tolerance) ||
+        !check::within_relative(one_off, full, options.tolerance)) {
       std::ostringstream out;
       out << "swap delta mismatch for components (" << j1 << ", " << j2
           << "): cached " << cached << ", one-off " << one_off

@@ -32,6 +32,8 @@
 // requires).  Streamed context after `<<` is evaluated only on failure.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <sstream>
@@ -66,6 +68,14 @@ void set_violation_hook(ViolationHook hook);
 
 /// Count of violations seen by this process (all modes).
 [[nodiscard]] std::uint64_t violation_count() noexcept;
+
+/// |a - b| <= tolerance * max(1, |a|, |b|): relative agreement, absolute
+/// below magnitude 1.  The comparison of the shadow validator and of the
+/// debug drift audits of patched solver state.
+[[nodiscard]] inline bool within_relative(double a, double b,
+                                          double tolerance) noexcept {
+  return std::abs(a - b) <= tolerance * std::max({1.0, std::abs(a), std::abs(b)});
+}
 
 namespace detail {
 

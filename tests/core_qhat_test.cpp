@@ -5,6 +5,7 @@
 #include "core/embedding.hpp"
 #include "core/qhat.hpp"
 #include "test_support.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
@@ -175,6 +176,85 @@ TEST(QhatEta, ParallelGatherIsBitIdentical) {
                                  -1.0);
     qhat.eta(u, parallel, threads);
     EXPECT_EQ(parallel, serial) << "threads " << threads;
+  }
+}
+
+/// Patch the STEP 3 sums through Burkard-shaped jumps from `start`: random
+/// jumps that move 10-40% of the components, and every fourth round a
+/// restart-style return to the start plus a 10% kick.  After every patch
+/// the sums must equal a fresh eta_sums and the composed eta a fresh eta()
+/// -- `exact`: bit for bit, otherwise to 1e-9 relative.
+void expect_patched_sums_match_gather(const PartitionProblem& problem,
+                                      const Assignment& start, bool exact,
+                                      std::uint64_t seed) {
+  const QhatMatrix qhat(problem, 50.0);
+  const auto size = static_cast<std::size_t>(problem.flat_size());
+  std::vector<double> sums(size);
+  std::vector<double> fresh(size);
+  std::vector<double> eta(size);
+  std::vector<double> expected(size);
+  Rng rng(seed);
+  Assignment u = start;
+  qhat.eta_sums(u, sums);
+  std::int64_t moved = 0;
+  for (std::int32_t round = 0; round < 24; ++round) {
+    const Assignment next =
+        round % 4 == 3 ? test::random_jump(start, 0.10, rng)
+                       : test::random_jump(u, rng.next_double(0.10, 0.40), rng);
+    for (std::int32_t j = 0; j < u.num_components(); ++j) {
+      moved += u[j] != next[j] ? 1 : 0;
+    }
+    qhat.patch_eta_sums(u, next, sums);
+    u = next;
+    qhat.eta_sums(u, fresh);
+    qhat.add_diagonal(u, sums, eta);
+    qhat.eta(u, expected);
+    for (std::size_t r = 0; r < size; ++r) {
+      if (exact) {
+        ASSERT_EQ(sums[r], fresh[r]) << "round " << round << " entry " << r;
+        ASSERT_EQ(eta[r], expected[r]) << "round " << round << " entry " << r;
+      } else {
+        ASSERT_TRUE(check::within_relative(sums[r], fresh[r], 1e-9))
+            << "round " << round << " entry " << r << ": " << sums[r]
+            << " vs " << fresh[r];
+        ASSERT_TRUE(check::within_relative(eta[r], expected[r], 1e-9))
+            << "round " << round << " entry " << r;
+      }
+    }
+  }
+  EXPECT_GT(moved, 24 * u.num_components() / 10);
+}
+
+TEST(QhatEta, PatchedSumsBitIdenticalOnIntegerDataWithFractionalP) {
+  // Integer wires, Manhattan B and D and integer bounds; P is fractional,
+  // and it only ever enters eta through add_diagonal.
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    const PartitionProblem problem = test::make_tiny_problem(
+        {.num_components = 80,
+         .num_partitions = 6,
+         .wire_probability = 0.1,
+         .constraint_probability = 0.08,
+         .with_linear_term = true,
+         .seed = seed});
+    Rng rng(seed ^ 0xe7au);
+    expect_patched_sums_match_gather(
+        problem,
+        test::random_complete(problem.num_components(),
+                              problem.num_partitions(), rng),
+        /*exact=*/true, seed);
+  }
+}
+
+TEST(QhatEta, PatchedSumsMatchGatherOnAsymmetricFractionalData) {
+  // Odd oracle seeds: asymmetric fractional B and D, fractional alpha,
+  // beta, bounds and a linear term.
+  for (const std::uint64_t seed : {1u, 3u, 5u}) {
+    SCOPED_TRACE(seed);
+    const test::OracleInstance instance = test::make_oracle_instance(seed);
+    ASSERT_GT(instance.problem.timing().matrix().nonzeros(), 0u);
+    expect_patched_sums_match_gather(instance.problem, instance.start,
+                                     /*exact=*/false, seed);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/delta_evaluator.hpp"
 #include "core/qhat.hpp"
 #include "test_support.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
@@ -20,7 +21,7 @@ constexpr double kPenalty = 50.0;
 TEST(DeltaEvaluator, MoveDeltaMatchesPenalizedValueDifference) {
   const PartitionProblem problem = test::make_tiny_problem({.seed = 7});
   const QhatMatrix qhat(problem, kPenalty);
-  DeltaEvaluator evaluator(problem, kPenalty);
+  const DeltaEvaluator evaluator(problem, kPenalty);
   Rng rng(3);
 
   for (std::int32_t trial = 0; trial < 40; ++trial) {
@@ -38,8 +39,8 @@ TEST(DeltaEvaluator, MoveDeltaMatchesPenalizedValueDifference) {
 
     EXPECT_NEAR(evaluator.move_delta(assignment, j, target), exact, 1e-9);
 
-    evaluator.invalidate();
-    const auto deltas = evaluator.move_deltas(assignment, j);
+    DeltaEvaluator fresh(problem, kPenalty);
+    const auto deltas = fresh.move_deltas(assignment, j);
     EXPECT_NEAR(deltas[static_cast<std::size_t>(target)], exact, 1e-9);
     EXPECT_DOUBLE_EQ(deltas[static_cast<std::size_t>(assignment[j])], 0.0);
   }
@@ -73,7 +74,7 @@ TEST(DeltaEvaluator, SwapDeltaMatchesPenalizedValueDifference) {
 TEST(DeltaEvaluator, ObjectiveModeMatchesObjectiveDifference) {
   const PartitionProblem problem =
       test::make_tiny_problem({.with_linear_term = true, .seed = 13});
-  DeltaEvaluator evaluator(problem, 0.0);
+  const DeltaEvaluator evaluator(problem, 0.0);
   Rng rng(9);
 
   for (std::int32_t trial = 0; trial < 40; ++trial) {
@@ -88,8 +89,8 @@ TEST(DeltaEvaluator, ObjectiveModeMatchesObjectiveDifference) {
     const double exact = problem.objective(moved) - problem.objective(assignment);
     EXPECT_NEAR(evaluator.move_delta(assignment, j, target), exact, 1e-9);
 
-    evaluator.invalidate();
-    const auto deltas = evaluator.move_deltas(assignment, j);
+    DeltaEvaluator fresh(problem, 0.0);
+    const auto deltas = fresh.move_deltas(assignment, j);
     EXPECT_NEAR(deltas[static_cast<std::size_t>(target)], exact, 1e-9);
   }
 }
@@ -196,6 +197,91 @@ TEST(DeltaEvaluator, PatchedRowsBitIdenticalOnIntegerData) {
     }
   }
   EXPECT_EQ(evaluator.cache_misses(), n);
+}
+
+/// Drive `evaluator` (every row built at `start`) through Burkard-shaped
+/// jumps: random jumps that move 10-40% of the components, and every
+/// fourth round a restart-style return to the start plus a 10% kick.  Each
+/// jump is followed, then polished by a few commits; after every follow the
+/// rows must equal freshly built ones -- `exact`: bit for bit, otherwise to
+/// 1e-9 relative.  Rows are patched, never rebuilt.
+void expect_follow_matches_fresh_rows(const PartitionProblem& problem,
+                                      double penalty, const Assignment& start,
+                                      bool exact, std::uint64_t seed) {
+  DeltaEvaluator evaluator(problem, penalty);
+  Rng rng(seed);
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  Assignment u = start;
+  for (std::int32_t j = 0; j < n; ++j) (void)evaluator.move_deltas(u, j);
+
+  std::int64_t moved = 0;
+  for (std::int32_t round = 0; round < 24; ++round) {
+    const Assignment before = u;
+    u = round % 4 == 3 ? test::random_jump(start, 0.10, rng)
+                       : test::random_jump(u, rng.next_double(0.10, 0.40), rng);
+    for (std::int32_t j = 0; j < n; ++j) moved += before[j] != u[j] ? 1 : 0;
+    evaluator.follow(u);
+
+    DeltaEvaluator fresh(problem, penalty);
+    for (std::int32_t j = 0; j < n; ++j) {
+      const auto patched = evaluator.move_deltas(u, j);
+      const auto expected = fresh.move_deltas(u, j);
+      for (PartitionId i = 0; i < m; ++i) {
+        const double want = expected[static_cast<std::size_t>(i)];
+        const double have = patched[static_cast<std::size_t>(i)];
+        if (exact) {
+          ASSERT_EQ(have, want)
+              << "round " << round << " row " << j << " column " << i;
+        } else {
+          ASSERT_TRUE(check::within_relative(have, want, 1e-9))
+              << "round " << round << " row " << j << " column " << i << ": "
+              << have << " vs " << want;
+        }
+      }
+    }
+
+    // Polish-style commits between jumps keep patching the same rows.
+    for (std::int32_t step = 0; step < 5; ++step) {
+      const auto j = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      evaluator.commit_move(u, j, static_cast<PartitionId>(rng.next_below(
+                                      static_cast<std::uint64_t>(m))));
+    }
+  }
+  // Not vacuous: the jumps moved components; and no row was ever rebuilt.
+  EXPECT_GT(moved, 24 * n / 10);
+  EXPECT_EQ(evaluator.cache_misses(), static_cast<std::uint64_t>(n));
+}
+
+TEST(DeltaEvaluator, FollowMatchesFreshRowsBitForBitOnIntegerData) {
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    const PartitionProblem problem = test::make_tiny_problem(
+        {.num_components = 60,
+         .num_partitions = 6,
+         .wire_probability = 0.12,
+         .constraint_probability = 0.08,
+         .seed = seed});
+    Rng rng(seed ^ 0x5eedu);
+    const Assignment start = test::random_complete(
+        problem.num_components(), problem.num_partitions(), rng);
+    expect_follow_matches_fresh_rows(problem, kPenalty, start, /*exact=*/true,
+                                     seed);
+    expect_follow_matches_fresh_rows(problem, 0.0, start, /*exact=*/true, seed);
+  }
+}
+
+TEST(DeltaEvaluator, FollowMatchesFreshRowsOnAsymmetricFractionalData) {
+  // Odd oracle seeds: asymmetric fractional B and D, fractional alpha,
+  // beta, bounds and a linear term.
+  for (const std::uint64_t seed : {1u, 3u, 5u}) {
+    SCOPED_TRACE(seed);
+    const test::OracleInstance instance = test::make_oracle_instance(seed);
+    ASSERT_GT(instance.problem.timing().matrix().nonzeros(), 0u);
+    expect_follow_matches_fresh_rows(instance.problem, kPenalty, instance.start,
+                                     /*exact=*/false, seed);
+  }
 }
 
 TEST(DeltaEvaluator, SameComponentRepeatedQueriesHitCache) {

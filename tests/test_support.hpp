@@ -2,7 +2,10 @@
 // problem instances sized for the brute-force oracle.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -97,6 +100,109 @@ inline Assignment random_complete(std::int32_t num_components,
                           rng.next_below(static_cast<std::uint64_t>(num_partitions))));
   }
   return assignment;
+}
+
+/// A random instance with a feasible start (the hidden placement the
+/// capacities and timing bounds are built around), for the GKL pair-choice
+/// oracle and the patch tests.
+/// Odd seeds use asymmetric fractional B and D, fractional alpha and beta
+/// and a linear term; even seeds use an integer Manhattan grid, where equal
+/// deltas -- and so the tie-break -- are common.  Two seeds in every 40
+/// (one of each kind) have more than 64 partitions.
+struct OracleInstance {
+  PartitionProblem problem;
+  Assignment start;
+};
+
+inline OracleInstance make_oracle_instance(std::uint64_t seed) {
+  Rng rng(seed);
+  const bool wide = seed % 40 <= 1;
+  const bool fractional = seed % 2 == 1;
+  const auto n = static_cast<std::int32_t>(wide ? 100 : rng.next_int(8, 40));
+  const std::int32_t rows = wide ? 7 : static_cast<std::int32_t>(rng.next_int(1, 3));
+  const std::int32_t cols = wide ? 10 : static_cast<std::int32_t>(rng.next_int(2, 3));
+  const std::int32_t m = rows * cols;
+
+  Netlist netlist("oracle");
+  for (std::int32_t j = 0; j < n; ++j) {
+    netlist.add_component("c" + std::to_string(j),
+                          fractional ? rng.next_double(0.5, 3.0)
+                                     : static_cast<double>(rng.next_int(1, 3)));
+  }
+  const double wire_probability = wide ? 0.05 : rng.next_double(0.1, 0.4);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (rng.next_bool(wire_probability)) {
+        netlist.add_wires(a, b, static_cast<std::int32_t>(rng.next_int(1, 4)));
+      }
+    }
+  }
+
+  PartitionTopology topology = PartitionTopology::grid(rows, cols);
+  if (fractional) {
+    Matrix<double> wire_cost(m, m, 0.0);
+    Matrix<double> delay(m, m, 0.0);
+    for (PartitionId i = 0; i < m; ++i) {
+      for (PartitionId k = 0; k < m; ++k) {
+        if (i == k) continue;
+        wire_cost(i, k) = rng.next_double(0.0, 3.0);
+        delay(i, k) = rng.next_double(0.0, 4.0);
+      }
+    }
+    topology = PartitionTopology::custom(std::move(wire_cost), std::move(delay),
+                                         std::vector<double>(m, 0.0));
+  }
+
+  Assignment start(n, m);
+  for (std::int32_t j = 0; j < n; ++j) {
+    start.set(j, static_cast<PartitionId>(rng.next_below(static_cast<std::uint64_t>(m))));
+  }
+  // Tight capacities: the start's usage plus a little headroom.
+  std::vector<double> capacities(static_cast<std::size_t>(m), 0.0);
+  for (std::int32_t j = 0; j < n; ++j) {
+    capacities[static_cast<std::size_t>(start[j])] += netlist.component_size(j);
+  }
+  for (auto& capacity : capacities) capacity += rng.next_double(0.0, 2.0);
+  topology.set_capacities(std::move(capacities));
+
+  // Timing partners with fractional bounds the start meets.
+  TimingConstraints timing(n);
+  const double constraint_probability = wide ? 0.03 : rng.next_double(0.0, 0.3);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (!rng.next_bool(constraint_probability)) continue;
+      const double reach = std::max(topology.delay(start[a], start[b]),
+                                    topology.delay(start[b], start[a]));
+      timing.add(a, b, reach + rng.next_double(0.0, 1.5));
+    }
+  }
+
+  Matrix<double> p;
+  double alpha = 1.0;
+  double beta = 1.0;
+  if (fractional) {
+    p = Matrix<double>(m, n, 0.0);
+    for (double& entry : p.flat()) entry = rng.next_double(0.0, 5.0);
+    alpha = rng.next_double(0.1, 2.0);
+    beta = rng.next_double(0.1, 2.0);
+  }
+  return {PartitionProblem(std::move(netlist), std::move(topology),
+                           std::move(timing), std::move(p), alpha, beta),
+          std::move(start)};
+}
+
+/// A random jump from `u`: each component moves, with probability
+/// `fraction`, to a uniformly drawn other partition (the shape of a Burkard
+/// STEP 6 jump; C1 is not kept).
+inline Assignment random_jump(const Assignment& u, double fraction, Rng& rng) {
+  Assignment jumped = u;
+  const auto m = static_cast<std::uint64_t>(u.num_partitions());
+  for (std::int32_t j = 0; j < u.num_components(); ++j) {
+    if (m < 2 || !rng.next_bool(fraction)) continue;
+    const auto shift = static_cast<PartitionId>(1 + rng.next_below(m - 1));
+    jumped.set(j, (u[j] + shift) % u.num_partitions());
+  }
+  return jumped;
 }
 
 /// The Section 3.3 worked example (3 components, 2 x 2 grid, 5 + 2 wires,
