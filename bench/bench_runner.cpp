@@ -61,7 +61,6 @@
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/prof.hpp"
-#include "util/simd.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -623,14 +622,12 @@ Value run_eco(const RunnerConfig& config) {
 
 // V-cycle: the multilevel solver at sizes the flat heuristic cannot touch
 // (N up to 100k).  The hierarchy, the coarsest solve and every refinement
-// pass are bit-identical at any inner-thread count and with the SIMD kernels
-// on or off, so a re-run with --inner-threads 2 or --simd off must pass
-// --check against the same baseline.  The rows need the hierarchy stats,
-// which the Solver interface does not carry, so the V-cycle runs through
-// solve_qbp_multilevel directly -- on the pipeline's reduced instance (the
-// N=30k and 100k instances shed a few components), lifted back through the
-// pipeline's SolutionLift.  "kernel" records which SIMD path ran and is
-// deliberately not gated.
+// pass are bit-identical at any inner-thread count, so a re-run with
+// --inner-threads 2 must pass --check against the same baseline.  The rows
+// need the hierarchy stats, which the Solver interface does not carry, so
+// the V-cycle runs through solve_qbp_multilevel directly -- on the
+// pipeline's reduced instance (the N=30k and 100k instances shed a few
+// components), lifted back through the pipeline's SolutionLift.
 Value run_vcycle(const RunnerConfig& config) {
   const std::vector<std::int32_t> sizes =
       config.smoke ? std::vector<std::int32_t>{10000}
@@ -667,7 +664,6 @@ Value run_vcycle(const RunnerConfig& config) {
     row.set("levels", result.levels_used);
     row.set("level_sizes", array_of(result.level_sizes));
     row.set("threads", config.inner_threads);
-    row.set("kernel", qbp::simd::active_kernel());
     row.set("coarsen_seconds", result.coarsen_seconds);
     row.set("seconds", seconds);
     row.set("coarse_solve_seconds", result.coarse_solve_seconds);
@@ -679,8 +675,8 @@ Value run_vcycle(const RunnerConfig& config) {
                                .penalized_value(best));
     row.set("feasible", finest.found_feasible);
     rows.push_back(std::move(row));
-    std::fprintf(stderr, "  N=%d done (%.2fs, %d levels, kernel %s)\n", n,
-                 seconds, result.levels_used, qbp::simd::active_kernel());
+    std::fprintf(stderr, "  N=%d done (%.2fs, %d levels)\n", n, seconds,
+                 result.levels_used);
   }
   return rows;
 }
@@ -1329,7 +1325,6 @@ int main(int argc, char** argv) {
   std::string check_path;
   std::string suite = "all";
   std::string presolve_mode = "on";
-  std::string simd_mode = "on";
   bool profile = false;
   bool list_suites = false;
 
@@ -1357,9 +1352,6 @@ int main(int argc, char** argv) {
                  "on | off: presolve before the QBP and V-cycle solves; "
                  "bit-identical on the standard suites, so --check holds in "
                  "both modes");
-  cli.add_string("simd", simd_mode,
-                 "on | off: runtime-dispatched vector kernels; results are "
-                 "bit-identical either way, so --check still applies");
   cli.add_string("json", json_path, "write machine-readable results here");
   cli.add_string("check", check_path,
                  "compare against this baseline JSON; exit 1 on regression");
@@ -1379,11 +1371,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.presolve = presolve_mode == "on";
-  if (simd_mode != "on" && simd_mode != "off") {
-    std::fprintf(stderr, "--simd must be on|off\n");
-    return 2;
-  }
-  qbp::simd::set_enabled(simd_mode == "on");
 
   const auto want = [&](const Suite& spec) {
     return suite == "all" ? spec.in_all : suite == spec.name;

@@ -27,7 +27,6 @@
 #include "solver_flags.hpp"
 #include "util/cli.hpp"
 #include "util/prof.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -83,7 +82,6 @@ int main(int argc, char** argv) {
   bool portfolio = false;
   bool quiet = false;
   bool profile = false;
-  std::string simd_mode = "on";
 
   qbp::CliParser cli("qbpart_cli",
                      "timing- and capacity-constrained partitioning from a "
@@ -105,15 +103,7 @@ int main(int argc, char** argv) {
   cli.add_flag("quiet", quiet, "suppress the capacity report");
   cli.add_flag("profile", profile,
                "time solver phases; the report gains a phase breakdown");
-  cli.add_string("simd", simd_mode,
-                 "on | off: vectorized eta/GAP kernels (util/simd); results "
-                 "are bit-identical either way");
   if (const auto exit_code = cli.run(argc, argv)) return *exit_code;
-  if (simd_mode != "on" && simd_mode != "off") {
-    std::fprintf(stderr, "--simd must be on|off\n");
-    return 1;
-  }
-  qbp::simd::set_enabled(simd_mode == "on");
   const auto spec = solver_flags.spec();
   if (!spec) return 1;
   if (profile) qbp::prof::set_enabled(true);

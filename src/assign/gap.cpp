@@ -7,7 +7,6 @@
 
 #include "util/check.hpp"
 #include "util/prof.hpp"
-#include "util/simd.hpp"
 
 namespace qbp {
 
@@ -243,9 +242,9 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
   }
 
   // ---- Phase 2: capacity repair. ----
-  const std::int64_t repair_budget =
-      options.max_repair_moves >= 0 ? options.max_repair_moves
-                                    : 8 * static_cast<std::int64_t>(n);
+  // At most 8 single-item moves per item: guards against cycling on
+  // infeasible instances.
+  const std::int64_t repair_budget = 8 * static_cast<std::int64_t>(n);
   while (result.repair_moves < repair_budget) {
     QBP_PROF_SCOPE("gap.repair");
     // Most-overflowing agent.
@@ -360,14 +359,15 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
             cost.col(j)[agent[j]];
       }
       // The O(N^2) pair scan is the hottest loop of the whole solver.  The
-      // inner body below is branch-light: the profitability test runs first
-      // over four sequential/L1 streams, and only the rare candidates pay the
-      // capacity checks.  Reordering the conjunction commits the exact same
-      // swaps (the conditions are independent of evaluation order), and the
-      // delta arithmetic keeps the original association, so results are
-      // bit-identical.  The same-agent case (j2 already on a1) is masked by
-      // an infinite cost entry instead of a branch: its delta becomes +inf
-      // and never passes the test.
+      // profitability test runs first, over four sequential/L1 streams, and
+      // only the rare candidates pay the capacity checks.  Reordering the
+      // conjunction commits the exact same swaps (the conditions are
+      // independent of evaluation order), and the delta arithmetic keeps the
+      // original association, so results are bit-identical.  The same-agent
+      // case (j2 already on a1) is masked by an infinite cost entry instead
+      // of a branch: its delta becomes +inf and never passes the test.
+      const double* assigned = assigned_cost.data();
+      double* masked = masked_column.data();
       for (std::int32_t j1 = 0; j1 < n; ++j1) {
         const double* column1 = cost.col(j1);
         const double s1 = problem.sizes[static_cast<std::size_t>(j1)];
@@ -379,45 +379,56 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
         const double* row1 =
             row_major.data() + static_cast<std::size_t>(a1) *
                                    static_cast<std::size_t>(n);
-        double* masked = masked_column.data();
         for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
         masked[a1] = kInf;
-        // Profitability pre-filter first: the SIMD scan returns the first
-        // j2 in [cursor, n) with
-        //   masked[agent[j2]] + row1[j2] - c11 - assigned_cost[j2] < -kEps
-        // (same association as the scalar formulation, bit-identical by the
-        // util/simd.hpp contract), then the rare candidates pay the
-        // capacity checks; a rejected candidate resumes the scan one past
-        // itself, exactly like the scalar `continue`.
-        std::int64_t cursor = j1 + 1;
-        while (cursor < n) {
-          const std::int64_t cand = simd::swap_profit_scan(
-              masked, agent, row1, assigned_cost.data(), c11, -kEps, cursor,
-              n);
-          if (cand < 0) break;
-          cursor = cand + 1;
-          const auto j2 = static_cast<std::int32_t>(cand);
+        const auto swap_delta = [&](std::int32_t j) {
+          return ((masked[agent[j]] + row1[j]) - c11) - assigned[j];
+        };
+        // Four items per branch: a block whose smallest delta misses is
+        // skipped whole; otherwise (and in the tail) the first hit is found
+        // one item at a time.  A candidate the capacities reject resumes the
+        // scan one past itself, as does a committed swap.  The running
+        // minimum keeps a NaN d0 and passes over a later NaN, and a NaN
+        // minimum also leaves the block to the one-at-a-time scan, so no
+        // hit is ever skipped.
+        std::int32_t j2 = j1 + 1;
+        for (;;) {
+          for (; j2 + 3 < n; j2 += 4) {
+            const double d0 = swap_delta(j2);
+            const double d1 = swap_delta(j2 + 1);
+            const double d2 = swap_delta(j2 + 2);
+            const double d3 = swap_delta(j2 + 3);
+            double least = d0;
+            least = d1 < least ? d1 : least;
+            least = d2 < least ? d2 : least;
+            least = d3 < least ? d3 : least;
+            if (!(least >= -kEps)) break;
+          }
+          while (j2 < n && !(swap_delta(j2) < -kEps)) ++j2;
+          if (j2 >= n) break;
           const std::int32_t a2 = agent[j2];
           const double s2 = problem.sizes[static_cast<std::size_t>(j2)];
           const bool fits =
               limit1 >= s2 &&
               slack[static_cast<std::size_t>(a2)] + s2 + kCapTolerance >= s1;
-          if (!fits) continue;
-          const double c12 = row1[j2];  // cost(a1, j2)
-          slack[static_cast<std::size_t>(a1)] += s1 - s2;
-          slack[static_cast<std::size_t>(a2)] += s2 - s1;
-          agent[j1] = a2;
-          agent[j2] = a1;
-          assigned_cost[static_cast<std::size_t>(j1)] = column1[a2];
-          assigned_cost[static_cast<std::size_t>(j2)] = c12;
-          improved = true;
-          a1 = a2;
-          c11 = column1[a1];
-          limit1 = slack[static_cast<std::size_t>(a1)] + s1 + kCapTolerance;
-          row1 = row_major.data() + static_cast<std::size_t>(a1) *
-                                        static_cast<std::size_t>(n);
-          for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
-          masked[a1] = kInf;
+          if (fits) {
+            const double c12 = row1[j2];  // cost(a1, j2)
+            slack[static_cast<std::size_t>(a1)] += s1 - s2;
+            slack[static_cast<std::size_t>(a2)] += s2 - s1;
+            agent[j1] = a2;
+            agent[j2] = a1;
+            assigned_cost[static_cast<std::size_t>(j1)] = column1[a2];
+            assigned_cost[static_cast<std::size_t>(j2)] = c12;
+            improved = true;
+            a1 = a2;
+            c11 = column1[a1];
+            limit1 = slack[static_cast<std::size_t>(a1)] + s1 + kCapTolerance;
+            row1 = row_major.data() + static_cast<std::size_t>(a1) *
+                                          static_cast<std::size_t>(n);
+            for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
+            masked[a1] = kInf;
+          }
+          ++j2;
         }
       }
     }

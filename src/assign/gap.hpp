@@ -11,7 +11,7 @@
 //      from waiting), via a lazy priority queue;
 //   2. capacity repair for items that had no feasible agent at construction
 //      time (moves items out of overflowing agents, cheapest delta per unit
-//      size first);
+//      size first, at most 8N moves);
 //   3. local improvement: single-item reassignment passes and (optionally)
 //      pairwise swap passes.
 //
@@ -68,9 +68,6 @@ struct GapOptions {
   /// Also run pairwise swap improvement (O(N^2 M) worst case per pass);
   /// valuable under tight capacities, off by default for inner-loop use.
   bool swap_improvement = false;
-  /// Abort repair after this many single-item moves (guards against cycling
-  /// on infeasible instances).
-  std::int64_t max_repair_moves = -1;  // -1 => 8 * N
 };
 
 struct GapResult {

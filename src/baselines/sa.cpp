@@ -12,6 +12,11 @@ namespace qbp {
 
 namespace {
 
+/// Initial acceptance probability of the mean uphill move (sets T0).
+constexpr double kInitialAcceptance = 0.8;
+/// Geometric cooling factor per temperature step.
+constexpr double kCooling = 0.95;
+
 struct Proposal {
   bool is_swap = false;
   std::int32_t a = -1;
@@ -124,7 +129,7 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
     mean_uphill = uphill_samples > 0 ? mean_uphill / uphill_samples : 1.0;
   }
   const double t0 =
-      mean_uphill / std::max(1e-12, -std::log(options.initial_acceptance));
+      mean_uphill / std::max(1e-12, -std::log(kInitialAcceptance));
 
   SaResult result;
   result.assignment = current;
@@ -134,7 +139,7 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
   const std::int64_t moves_per_step =
       static_cast<std::int64_t>(options.moves_per_component) * n;
   for (double temperature = t0; temperature > t0 * options.freeze_ratio;
-       temperature *= options.cooling) {
+       temperature *= kCooling) {
     if (options.should_stop && options.should_stop()) break;
     ++result.temperature_steps;
     for (std::int64_t step = 0; step < moves_per_step; ++step) {

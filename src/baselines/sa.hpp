@@ -18,13 +18,11 @@
 
 namespace qbp {
 
+/// The schedule's shape is fixed: T0 accepts the mean sampled uphill move
+/// with probability 0.8, and each temperature step multiplies T by 0.95.
 struct SaOptions {
   /// Moves attempted per temperature step = moves_per_component * N.
   std::int32_t moves_per_component = 16;
-  /// Geometric cooling factor per temperature step.
-  double cooling = 0.95;
-  /// Initial acceptance probability target for uphill moves (sets T0).
-  double initial_acceptance = 0.8;
   /// Stop when temperature falls below this fraction of T0.
   double freeze_ratio = 1e-4;
   /// Fraction of proposals that are swaps (rest are single moves).

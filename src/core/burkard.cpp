@@ -8,12 +8,18 @@
 #include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
 
 namespace qbp {
+
+namespace {
+
+/// Fraction of the components a restart kicks (see the restart below).
+constexpr double kRestartPerturbation = 0.10;
+
+}  // namespace
 
 /// Greedy descent on the penalized objective: per round, a best-move sweep
 /// over every (component, partition) pair, then a first-improvement swap
@@ -219,12 +225,11 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
       z = step4.cost;
     }
 
-    // STEP 5: accumulate the normalized direction, h += eta * scale (the
-    // SIMD kernel is bit-identical to the scalar loop).
+    // STEP 5: accumulate the normalized direction, h += eta * scale.
     {
       QBP_PROF_SCOPE("burkard.step5_h");
       const double scale = 1.0 / std::max(1.0, std::abs(z - xi));
-      simd::axpy(scale, eta.data(), h.data(), flat_size);
+      for (std::size_t r = 0; r < h.size(); ++r) h[r] += scale * eta[r];
     }
 
     // STEP 6: u(k+1) = argmin_{u in S} h . u.
@@ -258,42 +263,42 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     result.iterations_run = k;
     u = std::move(next);
 
-    // Periodic restart: re-aim the line search at the (perturbed)
-    // incumbent so successive rounds explore different basins.
+    // Periodic restart: re-aim the line search at the incumbent, with
+    // kRestartPerturbation of the components kicked to random
+    // capacity-feasible partitions, so successive rounds explore different
+    // basins instead of re-converging.
     if (options.restart_period > 0 && k % options.restart_period == 0) {
       std::fill(h.begin(), h.end(), 0.0);
       u = result.found_feasible ? result.best_feasible : result.best;
-      if (options.restart_perturbation > 0.0) {
-        Rng kick_rng(0xfeedu ^ static_cast<std::uint64_t>(k));
-        const auto& sizes = problem.netlist().sizes();
-        CapacityLedger ledger(u, sizes, problem.topology().capacities());
-        const auto kicks = static_cast<std::int32_t>(
-            options.restart_perturbation * problem.num_components());
-        for (std::int32_t kick = 0; kick < kicks; ++kick) {
-          const auto j = static_cast<std::int32_t>(kick_rng.next_below(
-              static_cast<std::uint64_t>(problem.num_components())));
-          const auto target = static_cast<PartitionId>(kick_rng.next_below(
-              static_cast<std::uint64_t>(problem.num_partitions())));
-          if (target == u[j] ||
-              !ledger.fits(target, sizes[static_cast<std::size_t>(j)])) {
-            continue;
-          }
-          ledger.remove(u[j], sizes[static_cast<std::size_t>(j)]);
-          ledger.add(target, sizes[static_cast<std::size_t>(j)]);
-          u.set(j, target);
+      Rng kick_rng(0xfeedu ^ static_cast<std::uint64_t>(k));
+      const auto& sizes = problem.netlist().sizes();
+      CapacityLedger ledger(u, sizes, problem.topology().capacities());
+      const auto kicks = static_cast<std::int32_t>(
+          kRestartPerturbation * problem.num_components());
+      for (std::int32_t kick = 0; kick < kicks; ++kick) {
+        const auto j = static_cast<std::int32_t>(kick_rng.next_below(
+            static_cast<std::uint64_t>(problem.num_components())));
+        const auto target = static_cast<PartitionId>(kick_rng.next_below(
+            static_cast<std::uint64_t>(problem.num_partitions())));
+        if (target == u[j] ||
+            !ledger.fits(target, sizes[static_cast<std::size_t>(j)])) {
+          continue;
         }
-        // Descend from the kicked point (iterated local search): the kick
-        // only diversifies if the following descent happens before the
-        // global field re-absorbs it.
-        polish_iterate(problem, evaluator, u, options.polish_sweeps,
-                       0x15edu ^ static_cast<std::uint64_t>(k));
-        const double kicked = qhat.penalized_value(u);
-        if (kicked < result.best_penalized) {
-          result.best_penalized = kicked;
-          result.best = u;
-        }
-        consider_feasible(u);
+        ledger.remove(u[j], sizes[static_cast<std::size_t>(j)]);
+        ledger.add(target, sizes[static_cast<std::size_t>(j)]);
+        u.set(j, target);
       }
+      // Descend from the kicked point (iterated local search): the kick
+      // only diversifies if the following descent happens before the
+      // global field re-absorbs it.
+      polish_iterate(problem, evaluator, u, options.polish_sweeps,
+                     0x15edu ^ static_cast<std::uint64_t>(k));
+      const double kicked = qhat.penalized_value(u);
+      if (kicked < result.best_penalized) {
+        result.best_penalized = kicked;
+        result.best = u;
+      }
+      consider_feasible(u);
     }
 
     log::debug("burkard iter ", k, ": penalized incumbent ",

@@ -97,12 +97,9 @@ struct BurkardOptions {
   /// to zero and the iteration continues from the best incumbent so far.
   /// Burkard's accumulation makes h a time-average -- after it converges to
   /// one mean field the iterates stop moving; restarting re-aims the search
-  /// from the incumbent.  0 disables (the literal listing).
+  /// from the incumbent, after kicking 10% of the components to random
+  /// capacity-feasible partitions.  0 disables (the literal listing).
   std::int32_t restart_period = 12;
-  /// On restart, kick this fraction of components to random
-  /// capacity-feasible partitions before continuing, so successive
-  /// restarts explore different basins instead of re-converging.
-  double restart_perturbation = 0.10;
   /// Record the incumbent penalized value per iteration (for convergence
   /// plots); small, on by default.
   bool record_history = true;

@@ -55,12 +55,6 @@ struct CoarsenOptions {
   double max_cluster_capacity_fraction = 0.5;
   /// Deterministic tie-breaking seed for the matching commit order.
   std::uint64_t seed = 1;
-  /// Proposal/commit rounds per level: later rounds re-propose vertices
-  /// whose preferred partner was taken by an earlier commit.  Four rounds
-  /// keep the per-level shrink near the 0.5 ideal even when many first
-  /// choices collide (two leave ~25-40% of the mass unmatched on dense
-  /// levels, stalling the hierarchy before `coarsest_target`).
-  std::int32_t rounds = 4;
   /// Threads for the proposal scans (util/parallel pool).  Results are
   /// bit-identical at every value; this knob trades wall-clock only.
   std::int32_t inner_threads = 1;

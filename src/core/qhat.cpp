@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/parallel.hpp"
-#include "util/simd.hpp"
 
 #include "util/check.hpp"
 
@@ -109,16 +108,14 @@ void QhatMatrix::eta_sums(const Assignment& u, std::span<double> sums,
     double* column = sums.data() + problem_->flat_index(0, j2);
     std::fill(column, column + m, 0.0);
 
-    // Wire blocks: sum over neighbors j1 of beta * a * B(u(j1), i2).  The
-    // M-length accumulation is the eta gather's hot axpy; the SIMD kernel
-    // is bit-identical to this loop's scalar form (util/simd.hpp).
+    // Wire blocks: sum over neighbors j1 of beta * a * B(u(j1), i2).
     const auto neighbors = adjacency.row_indices(j2);
     const auto wires = adjacency.row_values(j2);
     for (std::size_t k = 0; k < neighbors.size(); ++k) {
       const PartitionId from = u[neighbors[k]];
       const double scale = beta * wires[k];
-      const auto b_row = topology.wire_cost().row(from);
-      simd::axpy(scale, b_row.data(), column, m);
+      const double* b_row = topology.wire_cost().row(from).data();
+      for (std::int32_t i = 0; i < m; ++i) column[i] += scale * b_row[i];
     }
 
     // Constraint blocks: where D(u(j1), i2) > Dc(j1, j2) the Qhat entry is
@@ -158,8 +155,10 @@ void QhatMatrix::patch_eta_sums(const Assignment& from, const Assignment& to,
     for (std::size_t k = 0; k < neighbors.size(); ++k) {
       double* column = sums.data() + problem_->flat_index(0, neighbors[k]);
       const double scale = beta * wires[k];
-      simd::axpy(-scale, topology.wire_cost().row(source).data(), column, m);
-      simd::axpy(scale, topology.wire_cost().row(target).data(), column, m);
+      const double* b_source = topology.wire_cost().row(source).data();
+      const double* b_target = topology.wire_cost().row(target).data();
+      for (std::int32_t i = 0; i < m; ++i) column[i] -= scale * b_source[i];
+      for (std::int32_t i = 0; i < m; ++i) column[i] += scale * b_target[i];
     }
     const auto partners = problem_->timing().partners(j1);
     const auto bounds = problem_->timing().bounds(j1);

@@ -11,6 +11,11 @@ namespace qbp {
 
 namespace {
 
+/// WalkSAT-style noise: probability of moving a conflicted component to a
+/// random capacity-feasible partition instead of the min-conflict one;
+/// breaks deadlocks where every single move looks non-improving.
+constexpr double kNoise = 0.08;
+
 /// Violated-constraint count of `component` if it sat in `target`.
 std::int32_t conflicts_at(const PartitionProblem& problem,
                           const Assignment& assignment, std::int32_t component,
@@ -124,9 +129,9 @@ RepairResult repair_timing(const PartitionProblem& problem,
 
     // Best capacity-feasible target by conflict count (<= current; sideways
     // allowed so the walk can escape plateaus), random tie-break.  With
-    // probability `noise` take any capacity-feasible target instead.
+    // probability kNoise take any capacity-feasible target instead.
     best_targets.clear();
-    if (rng.next_bool(options.noise)) {
+    if (rng.next_bool(kNoise)) {
       for (PartitionId i = 0; i < m; ++i) {
         if (i != assignment[j] &&
             ledger.fits(i, sizes[static_cast<std::size_t>(j)])) {

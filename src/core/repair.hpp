@@ -20,10 +20,6 @@ namespace qbp {
 struct RepairOptions {
   /// Move budget; -1 means 200 * N.
   std::int64_t max_moves = -1;
-  /// WalkSAT-style noise: probability of moving a conflicted component to a
-  /// random capacity-feasible partition instead of the min-conflict one;
-  /// breaks deadlocks where every single move looks non-improving.
-  double noise = 0.08;
   std::uint64_t seed = 1;
 };
 

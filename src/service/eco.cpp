@@ -1,5 +1,6 @@
 #include "service/eco.hpp"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,12 @@
 namespace qbp::service {
 
 namespace {
+
+/// Polish sweep cap; each sweep is one best-improvement pass over all
+/// components.
+constexpr std::int32_t kMaxSweeps = 8;
+/// Ignore move deltas better by less than this (FP noise guard).
+constexpr double kMinGain = 1e-9;
 
 /// Deterministic C1 legalization: for each overfull partition (ascending
 /// id), repeatedly move its largest member (lowest id among ties) to the
@@ -57,8 +64,7 @@ bool legalize_capacity(const PartitionProblem& problem, Assignment& assignment,
 /// that keep C1 (ledger) and C2 (per-component timing check) satisfied.
 /// Returns the number of committed moves.
 std::int64_t polish(const PartitionProblem& problem, Assignment& assignment,
-                    const EcoOptions& options, std::stop_token stop,
-                    bool& cancelled) {
+                    std::stop_token stop, bool& cancelled) {
   const std::vector<double>& sizes = problem.netlist().sizes();
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
@@ -67,7 +73,7 @@ std::int64_t polish(const PartitionProblem& problem, Assignment& assignment,
   const auto& timing = problem.timing();
   const auto& topology = problem.topology();
   std::int64_t commits = 0;
-  for (std::int32_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (std::int32_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool moved = false;
     for (std::int32_t j = 0; j < n; ++j) {
       if (stop.stop_requested()) {
@@ -79,7 +85,7 @@ std::int64_t polish(const PartitionProblem& problem, Assignment& assignment,
       const PartitionId from = assignment[j];
       const double size = sizes[static_cast<std::size_t>(j)];
       PartitionId best = -1;
-      double best_delta = -options.min_gain;
+      double best_delta = -kMinGain;
       for (PartitionId t = 0; t < m; ++t) {
         if (t == from) continue;
         if (!(deltas[static_cast<std::size_t>(t)] < best_delta)) continue;
@@ -139,7 +145,7 @@ engine::SolverResult EcoPolishSolver::solve(const PartitionProblem& problem,
   assignment = repaired.assignment;
 
   bool cancelled = false;
-  moves += polish(problem, assignment, options_, stop, cancelled);
+  moves += polish(problem, assignment, stop, cancelled);
   result.cancelled = cancelled;
   return finish(true);
 }

@@ -18,7 +18,7 @@
 //   3. polish: DeltaEvaluator(penalty = 0) best-improvement move sweeps
 //      restricted to feasibility-preserving moves (C1 via CapacityLedger,
 //      C2 via TimingConstraints::component_feasible_at), until a sweep
-//      finds nothing or the sweep cap / stop token fires.
+//      finds nothing, 8 sweeps have run, or the stop token fires.
 //
 // When any step fails to reach feasibility the result comes back
 // found_feasible = false and the caller (service/job.cpp) falls back to a
@@ -30,32 +30,17 @@
 // pipeline runs presolve-off), and the job-level stop token.
 #pragma once
 
-#include <cstdint>
-
 #include "engine/solver.hpp"
 
 namespace qbp::service {
 
-struct EcoOptions {
-  /// Polish sweep cap; each sweep is one best-improvement pass over all
-  /// components.
-  std::int32_t max_sweeps = 8;
-  /// Ignore move deltas better by less than this (FP noise guard).
-  double min_gain = 1e-9;
-};
-
 class EcoPolishSolver final : public engine::Solver {
  public:
-  explicit EcoPolishSolver(EcoOptions options = {}) : options_(options) {}
-
   [[nodiscard]] std::string_view name() const override { return "eco"; }
 
   [[nodiscard]] engine::SolverResult solve(const PartitionProblem& problem,
                                            const engine::StartPoint& start,
                                            std::stop_token stop) const override;
-
- private:
-  EcoOptions options_;
 };
 
 }  // namespace qbp::service

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "assign/gap.hpp"
@@ -229,6 +230,112 @@ TEST(Gap, HonorsZeroCapacityAgent) {
   EXPECT_TRUE(result.feasible);
   EXPECT_EQ(result.agent_of_item[0], 1);
   EXPECT_EQ(result.agent_of_item[1], 1);
+}
+
+/// Integer GAP instance: costs 0-30, sizes 1-3, every capacity
+/// ceil(sum of sizes / M), so every slack and every delta is exact.
+GapProblem integer_gap(std::int32_t m, std::int32_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  GapProblem problem;
+  problem.cost = Matrix<double>(m, n, 0.0);
+  for (std::int32_t i = 0; i < m; ++i) {
+    for (std::int32_t j = 0; j < n; ++j) {
+      problem.cost(i, j) = static_cast<double>(rng.next_int(0, 30));
+    }
+  }
+  double total = 0.0;
+  for (std::int32_t j = 0; j < n; ++j) {
+    problem.sizes.push_back(static_cast<double>(rng.next_int(1, 3)));
+    total += problem.sizes.back();
+  }
+  problem.capacities.assign(m, std::ceil(total / m));
+  return problem;
+}
+
+struct WalkCounts {
+  std::int32_t swaps = 0;
+  std::int32_t rejected = 0;  // profitable pairs the capacities refused
+};
+
+/// One improvement pass of solve_gap, written as the plain walk: a
+/// best-improvement move pass, then a first-improvement swap scan that
+/// tests one pair at a time.
+WalkCounts plain_improvement_pass(const GapProblem& problem,
+                                  std::vector<std::int32_t>& agent) {
+  constexpr double kEps = 1e-12;
+  constexpr double kTolerance = 1e-9;
+  const std::int32_t m = problem.num_agents();
+  const auto n = static_cast<std::int32_t>(agent.size());
+  std::vector<double> slack = problem.capacities;
+  for (std::int32_t j = 0; j < n; ++j) slack[agent[j]] -= problem.sizes[j];
+
+  for (std::int32_t j = 0; j < n; ++j) {
+    const std::int32_t from = agent[j];
+    std::int32_t best_to = -1;
+    double best_delta = -kEps;
+    for (std::int32_t i = 0; i < m; ++i) {
+      if (i == from || slack[i] + kTolerance < problem.sizes[j]) continue;
+      const double delta = problem.cost(i, j) - problem.cost(from, j);
+      if (delta < best_delta) {
+        best_delta = delta;
+        best_to = i;
+      }
+    }
+    if (best_to < 0) continue;
+    slack[from] += problem.sizes[j];
+    slack[best_to] -= problem.sizes[j];
+    agent[j] = best_to;
+  }
+
+  WalkCounts counts;
+  for (std::int32_t j1 = 0; j1 < n; ++j1) {
+    for (std::int32_t j2 = j1 + 1; j2 < n; ++j2) {
+      const std::int32_t a1 = agent[j1];
+      const std::int32_t a2 = agent[j2];
+      if (a1 == a2) continue;
+      const double delta = problem.cost(a2, j1) + problem.cost(a1, j2) -
+                           problem.cost(a1, j1) - problem.cost(a2, j2);
+      if (!(delta < -kEps)) continue;
+      const double s1 = problem.sizes[j1];
+      const double s2 = problem.sizes[j2];
+      if (slack[a1] + s1 + kTolerance < s2 ||
+          slack[a2] + s2 + kTolerance < s1) {
+        ++counts.rejected;
+        continue;
+      }
+      slack[a1] += s1 - s2;
+      slack[a2] += s2 - s1;
+      agent[j1] = a2;
+      agent[j2] = a1;
+      ++counts.swaps;
+    }
+  }
+  return counts;
+}
+
+TEST(Gap, SwapPassMatchesPlainWalk) {
+  // The swap scan tests its pairs in blocks and resumes one past each
+  // candidate; whatever the blocking, it must commit exactly the swaps of
+  // the one-pair-at-a-time walk.
+  WalkCounts total;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const auto problem = integer_gap(4, 60, seed);
+    GapOptions constructed;
+    constructed.improvement_passes = 0;
+    GapOptions one_pass;
+    one_pass.improvement_passes = 1;
+    one_pass.swap_improvement = true;
+    std::vector<std::int32_t> expected =
+        solve_gap(problem, constructed).agent_of_item;
+    const WalkCounts counts = plain_improvement_pass(problem, expected);
+    total.swaps += counts.swaps;
+    total.rejected += counts.rejected;
+    EXPECT_EQ(solve_gap(problem, one_pass).agent_of_item, expected)
+        << "seed " << seed;
+  }
+  // Both branches of the scan ran: commits and capacity rejections.
+  EXPECT_GT(total.swaps, 0);
+  EXPECT_GT(total.rejected, 0);
 }
 
 }  // namespace

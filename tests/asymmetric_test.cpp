@@ -182,10 +182,11 @@ TEST_P(AsymmetricSweep, BurkardSoundAndNearOptimalOnAsymmetricInstances) {
   // the two ordered wire terms (the listed algorithm's property, not an
   // implementation artifact), so exact optimality is not guaranteed the
   // way it empirically is on symmetric instances.  Require soundness and
-  // a bounded gap instead, and that multistart never hurts.
+  // a bounded gap instead, and that multistart never hurts.  Where no
+  // placement satisfies both C1 and C2 (seed 3: 486 of the 729 meet C1, 5
+  // meet C2, none both), the solver must not claim one.
   const auto problem = make_asymmetric_problem(GetParam());
   const auto exact = brute_force_constrained(problem);
-  if (!exact.found) GTEST_SKIP();
   BurkardOptions options;
   options.iterations = 80;
   options.penalty = 200.0;  // entries of B reach 9 * multiplicity 4 = 36
@@ -196,6 +197,10 @@ TEST_P(AsymmetricSweep, BurkardSoundAndNearOptimalOnAsymmetricInstances) {
       engine::Portfolio(portfolio)
           .run(problem, engine::BurkardSolver(options), 4)
           .best;
+  if (!exact.found) {
+    EXPECT_FALSE(result.found_feasible);
+    return;
+  }
   ASSERT_TRUE(result.found_feasible);
   EXPECT_TRUE(problem.is_feasible(result.best_feasible));
   EXPECT_GE(result.best_feasible_objective, exact.value - 1e-9);
