@@ -627,7 +627,10 @@ Value run_eco(const RunnerConfig& config) {
 // need the hierarchy stats, which the Solver interface does not carry, so
 // the V-cycle runs through solve_qbp_multilevel directly -- on the
 // pipeline's reduced instance (the N=30k and 100k instances shed a few
-// components), lifted back through the pipeline's SolutionLift.
+// components), lifted back through the pipeline's SolutionLift.  The
+// per-level arrays (finest first) are exact: the violations each polish
+// leaves and the repair walk's moves, so a walk that starts running again
+// on a level whose answer is discarded trips the gate.
 Value run_vcycle(const RunnerConfig& config) {
   const std::vector<std::int32_t> sizes =
       config.smoke ? std::vector<std::int32_t>{10000}
@@ -667,6 +670,10 @@ Value run_vcycle(const RunnerConfig& config) {
     row.set("coarsen_seconds", result.coarsen_seconds);
     row.set("seconds", seconds);
     row.set("coarse_solve_seconds", result.coarse_solve_seconds);
+    row.set("polish_seconds", result.polish_seconds);
+    row.set("repair_seconds", result.repair_seconds);
+    row.set("level_violations", array_of(result.level_violations));
+    row.set("level_repair_moves", array_of(result.level_repair_moves));
     // Feasible wirelength, or the penalized value when none was found.
     row.set("final", finest.found_feasible
                          ? problem.wirelength(best)
@@ -1183,12 +1190,16 @@ const std::vector<Suite>& declared_suites() {
        .title = "V-cycle (multilevel)",
        .run = run_vcycle,
        .key = {"n"},
-       .exact = {"final", "feasible", "levels", "level_sizes"},
-       .timed = {"seconds", "coarsen_seconds", "coarse_solve_seconds"},
+       .exact = {"final", "feasible", "levels", "level_sizes",
+                 "level_violations", "level_repair_moves"},
+       .timed = {"seconds", "coarsen_seconds", "coarse_solve_seconds",
+                 "polish_seconds", "repair_seconds"},
        .columns = {{"N", "n", kGrouped},
                    {"levels", "levels", kGrouped},
                    {"coarsen (s)", "coarsen_seconds"},
                    {"coarsest (s)", "coarse_solve_seconds"},
+                   {"polish (s)", "polish_seconds"},
+                   {"repair (s)", "repair_seconds"},
                    {"solve (s)", "seconds"},
                    {"final", "final", 1},
                    {"feasible", "feasible"}}},

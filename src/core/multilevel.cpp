@@ -171,26 +171,41 @@ Assignment uncoarsen(const CoarseProblem& coarse,
 
 namespace {
 
-/// Refine one uncoarsened level in place: polish (bounded best-improvement
-/// descent on the penalized objective, C1 invariant), then -- if the
-/// descent traded C2 away while a feasible point is in hand -- a
-/// min-conflicts timing repair, keeping whichever feasible point has the
-/// better true objective.  `u` enters as the projection and leaves as the
-/// refined assignment; returns whether the refined `u` is fully feasible.
+/// Refine level `level` in place: polish (bounded best-improvement descent
+/// on the penalized objective, C1 invariant), then -- on the finest level
+/// only, if C2 still breaks -- a min-conflicts timing repair, keeping
+/// whichever feasible point has the better true objective.  `u` enters as
+/// the projection and leaves as the refined assignment; the level's
+/// violations, repair moves and times go into `result`.  Returns whether
+/// the refined `u` is fully feasible.
 bool refine_level(const PartitionProblem& problem, Assignment& u,
-                  const MultilevelOptions& options, std::uint64_t level_seed) {
+                  const MultilevelOptions& options, std::size_t level,
+                  MultilevelResult& result) {
+  const std::uint64_t level_seed =
+      options.coarsen.seed * 0x9e3779b97f4a7c15ull + level;
   const Assignment projected = u;
   const bool projected_feasible = problem.is_feasible(projected);
 
   if (options.refine_passes > 0) {
     QBP_PROF_SCOPE("multilevel.refine.polish");
+    const Timer polish_timer;
     DeltaEvaluator evaluator(problem, options.refine_solver.penalty);
     polish_iterate(problem, evaluator, u, options.refine_passes, level_seed);
+    result.polish_seconds += polish_timer.seconds();
   }
 
-  bool feasible = problem.is_feasible(u);
-  if (!feasible && problem.satisfies_capacity(u)) {
+  // is_feasible's C2 scan, kept as a count for the per-level record.
+  const std::int64_t violations =
+      problem.timing().violations(u, problem.topology());
+  result.level_violations[level] = violations;
+  const bool capacity_ok = problem.satisfies_capacity(u);
+  bool feasible = violations == 0 && capacity_ok;
+  // Only the finest level walks: its answer is the one returned.  Above it
+  // the polish leaves far more violations than a capped walk clears, and a
+  // walk that fails changes nothing.
+  if (level == 0 && !feasible && capacity_ok) {
     QBP_PROF_SCOPE("multilevel.refine.repair");
+    const Timer repair_timer;
     RepairOptions repair_options;
     repair_options.seed = level_seed ^ 0x7e7a11ull;
     // A converging repair needs on the order of the violation count in
@@ -200,10 +215,12 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
     // would only have burned the level's time budget.
     repair_options.max_moves = 10 * static_cast<std::int64_t>(problem.num_components());
     const RepairResult repaired = repair_timing(problem, u, repair_options);
+    result.level_repair_moves[level] = repaired.moves;
     if (repaired.feasible) {
       u = repaired.assignment;
       feasible = true;
     }
+    result.repair_seconds += repair_timer.seconds();
   }
   // Project-then-refine never loses feasibility: if the projection was
   // feasible and the descent (plus repair) could not keep it, or kept it at
@@ -217,8 +234,8 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
   return feasible;
 }
 
-/// Wrap a refined assignment as a BurkardResult so every level hands the
-/// same shape upward whether or not it ran a full Burkard pass.
+/// Wrap a refined assignment as a BurkardResult, the shape the coarsest
+/// solve hands upward, so every level projects from the same record.
 BurkardResult wrap_refined(const PartitionProblem& problem, Assignment u,
                            bool feasible, double penalty) {
   BurkardResult result;
@@ -289,16 +306,12 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
   }
 
   // Solve the coarsest level, then uncoarsen-and-refine upward.  The
-  // caller's stop hook rides along into every per-level solver run; once it
-  // fires, the remaining levels project without refining so the result
-  // still reaches the fine problem's dimensions.
+  // caller's stop hook rides along into the coarsest solve; once it fires,
+  // the remaining levels project without refining so the result still
+  // reaches the fine problem's dimensions.
   BurkardOptions coarse_options = options.coarse_solver;
   if (options.should_stop && !coarse_options.should_stop) {
     coarse_options.should_stop = options.should_stop;
-  }
-  BurkardOptions refine_options = options.refine_solver;
-  if (options.should_stop && !refine_options.should_stop) {
-    refine_options.should_stop = options.should_stop;
   }
   BurkardResult run;
   {
@@ -306,6 +319,9 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
     run = solve_qbp(*levels.back(), seed, coarse_options);
   }
   result.coarse_solve_seconds = run.seconds;
+  const double penalty = options.refine_solver.penalty;
+  result.level_violations.assign(coarse_levels.size(), 0);
+  result.level_repair_moves.assign(coarse_levels.size(), 0);
   for (std::size_t level = coarse_levels.size(); level-- > 0;) {
     const PartitionProblem& fine = *levels[level];
     const Assignment& coarse_best =
@@ -313,22 +329,15 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
     Assignment u = uncoarsen(coarse_levels[level], coarse_best);
     const bool stopped = options.should_stop && options.should_stop();
     if (stopped) {
-      const bool projected_feasible = fine.is_feasible(u);
-      run = wrap_refined(fine, std::move(u), projected_feasible,
-                         refine_options.penalty);
+      const std::int64_t violations = fine.timing().violations(u, fine.topology());
+      const bool projected_feasible =
+          violations == 0 && fine.satisfies_capacity(u);
+      result.level_violations[level] = violations;
+      run = wrap_refined(fine, std::move(u), projected_feasible, penalty);
       continue;
     }
-    const std::uint64_t level_seed =
-        options.coarsen.seed * 0x9e3779b97f4a7c15ull +
-        static_cast<std::uint64_t>(level);
-    const bool feasible = refine_level(fine, u, options, level_seed);
-    if (options.refine_burkard_max_n > 0 &&
-        fine.num_components() <= options.refine_burkard_max_n) {
-      QBP_PROF_SCOPE("multilevel.refine.burkard");
-      run = solve_qbp(fine, u, refine_options);
-    } else {
-      run = wrap_refined(fine, std::move(u), feasible, refine_options.penalty);
-    }
+    const bool feasible = refine_level(fine, u, options, level, result);
+    run = wrap_refined(fine, std::move(u), feasible, penalty);
   }
 
   result.finest = std::move(run);

@@ -22,16 +22,18 @@
 //      bound) and the objective (intra-cluster wires cost B(i,i) = 0).
 //   4. REFINE at that level: `refine_passes` bounded best-improvement
 //      sweeps through the shared DeltaEvaluator (cached, commit-patched
-//      incident rows),
-//      a min-conflicts timing repair when the descent traded feasibility
-//      away, and -- on levels small enough to afford it -- a full Burkard
-//      run (`refine_burkard_max_n`).  Repeat 3-4 up to the finest level.
+//      incident rows) on the penalized objective.  Repeat 3-4 up to the
+//      finest level.  Only there, when timing constraints still break, a
+//      min-conflicts repair walk (capped at 10*N moves) restores C2; its
+//      answer is the one the V-cycle returns.  On the measured ladder every
+//      coarse level's answer is infeasible (MultilevelResult's
+//      `level_violations`), so all feasibility comes from that one walk.
 //
 // Determinism: bit-identical results at every thread count.  The matching
 // runs as parallel proposal rounds (each vertex's preferred partner is a
 // pure function of the round's frozen matching state) followed by a serial
 // commit in a seeded deterministic order; refinement inherits the
-// determinism of polish_iterate / solve_qbp.
+// determinism of polish_iterate / repair_timing.
 #pragma once
 
 #include <cstdint>
@@ -85,38 +87,30 @@ struct MultilevelOptions {
   std::int32_t coarsest_target = 200;
   /// Bounded best-improvement refinement sweeps per uncoarsened level
   /// (polish_iterate: DeltaEvaluator move sweep + swap sweeps, C1
-  /// invariant).  0 disables per-level refinement.
+  /// invariant).  0 disables the polish; the finest level still walks.
   std::int32_t refine_passes = 3;
-  /// Levels with at most this many components additionally get a full
-  /// `refine_solver` Burkard run from the refined projection; larger levels
-  /// rely on the polish/repair refinement alone (a full run there would
-  /// cost as much as the flat solve the V-cycle exists to avoid).  0
-  /// disables the per-level Burkard runs everywhere.
-  std::int32_t refine_burkard_max_n = 0;
   /// Burkard budget on the coarsest problem.
   BurkardOptions coarse_solver;
-  /// Burkard budget for the small-level refinement runs; its `penalty` also
-  /// drives the (serial) polish refinement on every level.
+  /// The V-cycle reads only `penalty`: it drives the polish on every level
+  /// and the finest result's penalized value.  Callers still set
+  /// `inner_threads` here; the V-cycle does not read it.
   BurkardOptions refine_solver;
   CoarsenOptions coarsen;
-  /// Cooperative cancellation hook, forwarded into every per-level solver
-  /// run and checked between levels (a fired hook skips the remaining
-  /// refinement work while the projection still reaches the finest level).
-  /// Empty = never stop.
+  /// Cooperative cancellation hook, forwarded into the coarsest solve and
+  /// checked between levels (a fired hook skips the remaining refinement
+  /// work while the projection still reaches the finest level).  Empty =
+  /// never stop.
   std::function<bool()> should_stop;
 
   /// Hard cap on hierarchy depth (the level storage is reserved up front so
   /// the per-level problem pointers stay stable).
   static constexpr std::int32_t kMaxLevels = 64;
 
-  MultilevelOptions() {
-    coarse_solver.iterations = 80;
-    refine_solver.iterations = 30;
-  }
+  MultilevelOptions() { coarse_solver.iterations = 80; }
 };
 
 struct MultilevelResult {
-  BurkardResult finest;             // the final refinement run's result
+  BurkardResult finest;             // the finest level's refined answer
   std::int32_t levels_used = 0;     // coarsening levels actually applied
   std::vector<std::int32_t> level_sizes;  // component count per level, fine->coarse
   double seconds = 0.0;
@@ -126,6 +120,16 @@ struct MultilevelResult {
   /// Wall clock of the Burkard solve on the coarsest level (subset of
   /// `seconds`).
   double coarse_solve_seconds = 0.0;
+  /// Per refined level, finest first (`levels_used` entries): the timing
+  /// violations left after the polish (after the projection on a level the
+  /// stop hook skipped), and the moves of the repair walk (0 where none
+  /// ran, which is every level above the finest).
+  std::vector<std::int64_t> level_violations;
+  std::vector<std::int64_t> level_repair_moves;
+  /// Wall clock of the polish on every level and of the repair walk
+  /// (subsets of `seconds`).
+  double polish_seconds = 0.0;
+  double repair_seconds = 0.0;
 };
 
 /// Full V-cycle from `initial` (used only to seed the coarsest solve).

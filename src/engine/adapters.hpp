@@ -54,12 +54,13 @@ class MultilevelSolver final : public Solver {
   [[nodiscard]] SolverResult solve(const PartitionProblem& problem,
                                    const StartPoint& start,
                                    std::stop_token stop) const override;
-  /// The finest-level result comes from the refinement solver.
+  /// The finest-level result is polished with the refinement penalty.
   [[nodiscard]] double penalized_with() const override {
     return options_.refine_solver.penalty;
   }
-  /// Per-level Burkard runs inherit their own inner_threads knobs; report
-  /// the larger so the portfolio sizes the pool for the hungriest level.
+  /// The coarsest solve is the V-cycle's only Burkard run; the refinement
+  /// knob drives nothing, but a caller that sets only it still gets a pool
+  /// of that size.
   [[nodiscard]] std::int32_t inner_threads() const override {
     return std::max(options_.coarse_solver.inner_threads,
                     options_.refine_solver.inner_threads);

@@ -118,16 +118,14 @@ TEST_P(MultilevelSweep, ProducesFeasibleSolutions) {
       make_initial(problem, InitialStrategy::kGreedyBalanced, GetParam());
   MultilevelOptions options;
   options.coarse_solver.iterations = 40;
-  options.refine_solver.iterations = 15;
   // The 40-component instance sits below the default coarsest_target floor;
   // lower it so the sweep exercises a real V-cycle.
   options.coarsest_target = 10;
   const auto result = solve_qbp_multilevel(problem, initial.assignment, options);
   EXPECT_GE(result.levels_used, 1);
   EXPECT_EQ(result.level_sizes.front(), problem.num_components());
-  if (result.finest.found_feasible) {
-    EXPECT_TRUE(problem.is_feasible(result.finest.best_feasible));
-  }
+  ASSERT_TRUE(result.finest.found_feasible);
+  EXPECT_TRUE(problem.is_feasible(result.finest.best_feasible));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultilevelSweep,
@@ -139,7 +137,6 @@ TEST(Multilevel, WorksOnPresetCircuit) {
                                     InitialStrategy::kQbpZeroWireCost, 1993);
   MultilevelOptions options;
   options.coarse_solver.iterations = 40;
-  options.refine_solver.iterations = 20;
   const auto result =
       solve_qbp_multilevel(instance.problem, initial.assignment, options);
   ASSERT_TRUE(result.finest.found_feasible);
@@ -178,7 +175,6 @@ TEST(Multilevel, BitIdenticalAcrossInnerThreads) {
     MultilevelOptions options;
     options.coarsest_target = 50;
     options.coarse_solver.iterations = 20;
-    options.refine_solver.iterations = 10;
     options.coarsen.inner_threads = threads;
     options.coarse_solver.inner_threads = threads;
     options.refine_solver.inner_threads = threads;
@@ -226,25 +222,47 @@ TEST_P(CoarsenSweep, ProjectThenPolishKeepsCapacity) {
 }
 
 TEST(Multilevel, RefinementNeverLosesFeasibility) {
-  // Pure project + polish + repair path (no per-level Burkard runs): every
-  // feasibility claim at the finest level must verify, for every seed where
-  // the coarsest solve finds a feasible point.
+  // Project + polish on every level, one repair walk at the finest: every
+  // seed ends feasible, and the claim verifies.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const auto problem = medium_problem(seed);
     const auto initial =
         make_initial(problem, InitialStrategy::kGreedyBalanced, seed);
     MultilevelOptions options;
     options.coarsest_target = 10;
-    options.refine_burkard_max_n = 0;
     options.coarse_solver.iterations = 30;
     const auto result =
         solve_qbp_multilevel(problem, initial.assignment, options);
-    if (result.finest.found_feasible) {
-      EXPECT_TRUE(problem.is_feasible(result.finest.best_feasible));
-      EXPECT_EQ(problem.objective(result.finest.best_feasible),
-                result.finest.best_feasible_objective);
-    }
+    ASSERT_TRUE(result.finest.found_feasible) << "seed " << seed;
+    EXPECT_TRUE(problem.is_feasible(result.finest.best_feasible));
+    EXPECT_EQ(problem.objective(result.finest.best_feasible),
+              result.finest.best_feasible_objective);
   }
+}
+
+TEST(Multilevel, OnlyTheFinestLevelWalks) {
+  // Intermediate levels (about 640 and 340 components) sit between the
+  // finest and the coarsest: their polish leaves violations, yet no walk
+  // runs there.  The finest walk converges inside its 10*N budget and its
+  // answer is the result.
+  const auto problem = make_scaling_problem(1200, 0xbeef);
+  const auto initial = make_initial(problem, InitialStrategy::kRandom, 3);
+  const auto result =
+      solve_qbp_multilevel(problem, initial.assignment, MultilevelOptions{});
+  ASSERT_GE(result.levels_used, 2);
+  ASSERT_EQ(result.level_violations.size(),
+            static_cast<std::size_t>(result.levels_used));
+  ASSERT_EQ(result.level_repair_moves.size(),
+            static_cast<std::size_t>(result.levels_used));
+  for (std::int32_t level = 1; level < result.levels_used; ++level) {
+    EXPECT_GT(result.level_violations[level], 0) << "level " << level;
+    EXPECT_EQ(result.level_repair_moves[level], 0) << "level " << level;
+  }
+  EXPECT_GT(result.level_violations[0], 0);
+  EXPECT_GT(result.level_repair_moves[0], 0);
+  EXPECT_LT(result.level_repair_moves[0], 10 * problem.num_components());
+  ASSERT_TRUE(result.finest.found_feasible);
+  EXPECT_TRUE(problem.is_feasible(result.finest.best_feasible));
 }
 
 // ------------------------------------------------------- termination ----
@@ -257,7 +275,6 @@ TEST(Multilevel, ShrinkRatioFloorStopsHierarchy) {
   options.coarsest_target = 1;  // only the shrink floor may stop it
   options.min_shrink = 0.75;
   options.coarse_solver.iterations = 5;
-  options.refine_solver.iterations = 2;
   const auto result = solve_qbp_multilevel(problem, initial.assignment, options);
   // Every committed level shrank by at least the floor, and the hierarchy
   // terminated well before the depth cap (matching merges at most pairs, so
@@ -278,7 +295,6 @@ TEST(Multilevel, CoarsestTargetStopsHierarchy) {
   options.max_levels = MultilevelOptions::kMaxLevels;
   options.coarsest_target = 150;
   options.coarse_solver.iterations = 5;
-  options.refine_solver.iterations = 2;
   const auto result = solve_qbp_multilevel(problem, initial.assignment, options);
   // Only the coarsest level may sit at or below the target.
   for (std::size_t level = 0; level + 1 < result.level_sizes.size(); ++level) {

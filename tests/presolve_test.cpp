@@ -300,7 +300,6 @@ TEST(PresolveReducing, MultilevelLiftsReducedSolve) {
       make_initial(problem, InitialStrategy::kQbpZeroWireCost, 7);
   MultilevelOptions options;
   options.coarse_solver.iterations = 10;
-  options.refine_solver.iterations = 10;
   const engine::SolvePipeline pipeline(problem);
   ASSERT_TRUE(pipeline.reduced());
   const engine::SolverResult result = pipeline.solve_one(
