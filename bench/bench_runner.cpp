@@ -32,7 +32,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "bench_support/experiment.hpp"
 #include "bench_support/serve_bench.hpp"
 #include "core/burkard.hpp"
+#include "core/delta_evaluator.hpp"
 #include "core/embedding.hpp"
 #include "core/exact.hpp"
 #include "core/initial.hpp"
@@ -284,11 +284,11 @@ Value run_ablation(const RunnerConfig& config) {
 }
 
 // Sparse (paper Section 4.3): "We never explicitly generate the Q-hat
-// matrix."  Times the STEP 3 eta gather the solver runs (QhatMatrix::eta,
-// mean of 20 repeats) against a dense O((MN)^2) reference that reads every
-// Q-hat entry once, on the scaling family, and records the memory a
-// materialized Q-hat would take.  "mismatches" counts the entries where the
-// two gathers differ.
+// matrix."  Times the eta read STEP 3 makes at iteration 1 -- a fresh
+// DeltaEvaluator's eta(), which builds every incident row, mean of 20
+// repeats -- against a dense O((MN)^2) reference that reads every Q-hat
+// entry once, on the scaling family, and records the memory a materialized
+// Q-hat would take.  "mismatches" counts the entries where the two differ.
 Value run_sparse(const RunnerConfig& config) {
   const std::vector<std::int32_t> sizes =
       config.smoke ? std::vector<std::int32_t>{100, 200}
@@ -307,7 +307,7 @@ Value run_sparse(const RunnerConfig& config) {
     constexpr int kRepeats = 20;
     const qbp::Timer sparse_timer;
     for (int repeat = 0; repeat < kRepeats; ++repeat) {
-      qhat.eta(u, sparse, inner_threads(config));
+      qbp::DeltaEvaluator(problem, qbp::kPaperPenalty).eta(u, sparse);
     }
     const double sparse_seconds = sparse_timer.seconds() / kRepeats;
     const qbp::Timer dense_timer;
@@ -426,28 +426,18 @@ Value run_exact_gap(const RunnerConfig& config) {
   return rows;
 }
 
-/// Full-mode scaling rows from this N up also solve at every hardware
-/// thread, for the thread-scaling check (scaling_thread_bounds).
-constexpr std::int32_t kThreadCheckMinN = 1600;
-
 // Scaling: flat QBP whole-solve time on fixed-density generated instances.
 Value run_scaling(const RunnerConfig& config) {
   qbp::BurkardOptions options;
   options.iterations = config.smoke ? 10 : 30;
   options.inner_threads = inner_threads(config);
   const qbp::engine::BurkardSolver solver(options);
-  options.inner_threads = 0;  // all hardware
-  const qbp::engine::BurkardSolver nproc_solver(options);
 
   Value rows = Value::array();
   for (const std::int32_t n : scaling_sizes(config)) {
     const auto problem = qbp::make_scaling_problem(n, 7);
     const auto initial = qbp::make_initial(
         problem, qbp::InitialStrategy::kQbpZeroWireCost, 7);
-    const auto final_of = [&](const qbp::engine::SolverResult& result) {
-      return problem.wirelength(result.found_feasible ? result.best_feasible
-                                                      : initial.assignment);
-    };
     const qbp::Timer timer;
     const auto result =
         pipeline_solve(problem, solver, initial.assignment, config.presolve);
@@ -464,17 +454,10 @@ Value run_scaling(const RunnerConfig& config) {
                                ? seconds * 1000.0 /
                                      static_cast<double>(result.iterations)
                                : 0.0);
-    row.set("final", final_of(result));
+    row.set("final", problem.wirelength(result.found_feasible
+                                            ? result.best_feasible
+                                            : initial.assignment));
     row.set("feasible", result.found_feasible);
-    if (!config.smoke && n >= kThreadCheckMinN) {
-      const qbp::Timer nproc_timer;
-      const auto nproc = pipeline_solve(problem, nproc_solver,
-                                        initial.assignment, config.presolve);
-      row.set("threads_nproc", static_cast<int>(std::max(
-                                   1u, std::thread::hardware_concurrency())));
-      row.set("seconds_nproc", nproc_timer.seconds());
-      row.set("final_nproc", final_of(nproc));
-    }
     rows.push_back(std::move(row));
     std::fprintf(stderr, "  N=%d done (%.2fs)\n", n, seconds);
   }
@@ -948,43 +931,6 @@ void eco_bounds(Gate& gate, const Value& rows, const RunnerConfig& config) {
   }
 }
 
-// The thread-scaling check: on every row that also solved at all hardware
-// threads, that solve must give the same answer and hold its wall clock to
-// seconds * (1 + time_tolerance) + 0.1 s -- intra-solve threads must not
-// lose on the cores that exist.  Full mode must carry such rows, so the
-// check cannot pass vacuously; the smoke ladder stops below them.
-void scaling_thread_bounds(Gate& gate, const Value& rows,
-                           const RunnerConfig& config) {
-  if (config.smoke) return;
-  int checked = 0;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const Value& row = rows.at(r);
-    const Value* seconds_nproc = row.find("seconds_nproc");
-    if (seconds_nproc == nullptr) continue;
-    ++checked;
-    const std::string where = "scaling/n=" + member(row, "n")->dump();
-    if (!(*member(row, "final_nproc") == *member(row, "final"))) {
-      gate.fail(where + "/final_nproc",
-                "answer changed with threads (final " +
-                    member(row, "final")->dump() + ", at nproc " +
-                    member(row, "final_nproc")->dump() + ")");
-    }
-    const double seconds = row.get_number("seconds", 0.0);
-    const double limit = seconds * (1.0 + gate.time_tolerance) + 0.1;
-    if (seconds_nproc->as_number() > limit) {
-      gate.fail(where + "/seconds_nproc",
-                "slower at " + member(row, "threads_nproc")->dump() +
-                    " threads (" + qbp::format_double(seconds, 3) +
-                    "s at threads=" + member(row, "threads")->dump() +
-                    ", limit " + qbp::format_double(limit, 3) + "s, now " +
-                    qbp::format_double(seconds_nproc->as_number(), 3) + "s)");
-    }
-  }
-  if (checked == 0) {
-    gate.fail("scaling", "no row solved at nproc threads");
-  }
-}
-
 // Serve: every reply must be a result; within one run each binary row must
 // hash identically to the NDJSON row of the same (scenario, workers) --
 // bit-identical results across framings and worker counts; and the binary
@@ -1110,7 +1056,7 @@ const std::vector<Suite>& declared_suites() {
                    {"cpu", "seconds"}},
        .cross_check = ablation_bounds},
       {.name = "sparse",
-       .title = "Sparse (STEP 3 eta gather, implicit vs dense Q-hat)",
+       .title = "Sparse (STEP 3 eta off fresh incident rows vs dense Q-hat)",
        .run = run_sparse,
        .key = {"n"},
        .exact = {"nnz", "mismatches"},
@@ -1152,9 +1098,7 @@ const std::vector<Suite>& declared_suites() {
                    {"solve (s)", "seconds"},
                    {"ms / iteration", "ms_per_iter", 1},
                    {"final", "final", 1},
-                   {"feasible", "feasible"},
-                   {"nproc (s)", "seconds_nproc"}},
-       .cross_check = scaling_thread_bounds},
+                   {"feasible", "feasible"}}},
       {.name = "presolve",
        .title = "Presolve (reducible instances)",
        .run = run_presolve,
@@ -1357,8 +1301,9 @@ int main(int argc, char** argv) {
   cli.add_flag("list-suites", list_suites,
                "print the valid --suite values and exit");
   cli.add_int("inner-threads", config.inner_threads,
-              "threads inside each QBP solve (0 = all hardware); objectives "
-              "are bit-identical at every value, so --check still applies");
+              "threads for the V-cycle coarsening scan, the only threaded "
+              "phase inside a solve (0 = all hardware); objectives are "
+              "bit-identical at every value, so --check still applies");
   cli.add_string("presolve", presolve_mode,
                  "on | off: presolve before the QBP and V-cycle solves; "
                  "bit-identical on the standard suites, so --check holds in "

@@ -23,8 +23,9 @@ class SolverFlags {
     cli.add_int("starts", spec_.starts, "portfolio starts; the best one wins");
     cli.add_int("threads", spec_.threads, "portfolio threads (0 = all cores)");
     cli.add_int("inner-threads", spec_.inner_threads,
-                "threads inside one qbp / multilevel solve (0 = all cores); "
-                "results are bit-identical at every value");
+                "threads for the multilevel coarsening scan, the only "
+                "threaded phase inside a solve (0 = all cores); results are "
+                "bit-identical at every value");
     cli.add_int("iterations", spec_.iterations, "QBP iteration budget");
     cli.add_int("seed", seed_, "master seed in [0, 2^53); the determinism key");
     cli.add_string("presolve", presolve_,

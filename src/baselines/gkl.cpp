@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <tuple>
 #include <vector>
 
+#include "core/delta_evaluator.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
@@ -44,11 +46,11 @@ struct Row {
   }
 };
 
-/// The bound and swap_delta sum the same stored entries in different
+/// The bound and the swap delta sum the same row entries in different
 /// orders, so they may disagree by a few ulps of the largest entry.  A pair
 /// is skipped only when its bound clears the incumbent by this fraction of
-/// that scale: orders of magnitude above the rounding, and small enough
-/// that near-ties cost only a few extra scored pairs.
+/// a bound on every row entry: orders of magnitude above the rounding, and
+/// small enough that near-ties cost only a few extra scored pairs.
 constexpr double kRoundingMargin = 1e-9;
 
 }  // namespace
@@ -67,13 +69,12 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
   const auto& adjacency = problem.netlist().connection_matrix();
   const auto& topology = problem.topology();
   const auto& timing = problem.timing();
-  const double alpha = problem.alpha();
-  const double beta = problem.beta();
 
-  // The swap delta below and the bound on it assume these;
+  // The lower bound on a swap's delta below assumes these;
   // PartitionProblem::validate enforces them for file and wire input, but
   // the constructor does not.
-  QBP_CHECK_GE(beta, 0.0) << "GKL needs beta >= 0";
+  QBP_CHECK_GE(problem.beta(), 0.0) << "GKL needs beta >= 0";
+  double max_b = 0.0;
   for (PartitionId i = 0; i < m; ++i) {
     QBP_CHECK_EQ(topology.wire_cost(i, i), 0.0)
         << "GKL needs a zero B diagonal (partition " << i << ")";
@@ -82,34 +83,31 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
     for (PartitionId k = 0; k < m; ++k) {
       QBP_CHECK_GE(topology.wire_cost(i, k), 0.0)
           << "GKL needs B >= 0 (B(" << i << ", " << k << "))";
+      max_b = std::max(max_b, topology.wire_cost(i, k));
     }
+  }
+  // |row entry| <= beta * 2 max B * (j's wire count) + alpha * max |P|.
+  double max_wires = 0.0;
+  for (std::int32_t j = 0; j < n; ++j) {
+    double wires = 0.0;
+    for (const auto w : adjacency.row_values(j)) wires += w;
+    max_wires = std::max(max_wires, wires);
   }
   double p_scale = 0.0;
   for (const double entry : p.flat()) p_scale = std::max(p_scale, std::abs(entry));
+  const double margin =
+      kRoundingMargin * (problem.beta() * 2.0 * max_b * max_wires +
+                         std::abs(problem.alpha()) * p_scale);
 
   GklResult result;
   result.assignment = initial;
   Assignment& assignment = result.assignment;
   CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
-
-  // inc(j, i): quadratic cost of j's incident wires (both ordered
-  // directions) if j sat in partition i, all neighbors at their current
-  // partitions.
-  Matrix<double> inc(n, m, 0.0);
-  const auto rebuild_inc_row = [&](std::int32_t j) {
-    auto row = inc.row(j);
-    for (std::int32_t i = 0; i < m; ++i) row[static_cast<std::size_t>(i)] = 0.0;
-    const auto neighbors = adjacency.row_indices(j);
-    const auto wires = adjacency.row_values(j);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      const PartitionId other = assignment[neighbors[k]];
-      for (std::int32_t i = 0; i < m; ++i) {
-        row[static_cast<std::size_t>(i)] +=
-            wires[k] * (topology.wire_cost(i, other) + topology.wire_cost(other, i));
-      }
-    }
-  };
-  for (std::int32_t j = 0; j < n; ++j) rebuild_inc_row(j);
+  // Objective-mode rows: a component's gains are its move_deltas, a swap's
+  // delta comes off two rows plus the pair term, and every swap and
+  // rollback is committed through the evaluator, which patches the rows of
+  // the moved components' neighbors.
+  DeltaEvaluator evaluator(problem);
 
   // blocked(j, i): how many of j's timing partners forbid j from sitting in
   // partition i, all partners at their current partitions.  j may move to i
@@ -130,23 +128,6 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       }
     }
   }
-
-  // Exact objective change of swapping j1 (at p1) with j2 (at p2); O(1)
-  // given inc (see header: the shared-edge terms cancel except for the
-  // +2E correction).
-  const auto swap_delta = [&](std::int32_t j1, std::int32_t j2) {
-    const PartitionId p1 = assignment[j1];
-    const PartitionId p2 = assignment[j2];
-    const double w = adjacency.value_or(j1, j2, 0);
-    const double edge =
-        w * (topology.wire_cost(p1, p2) + topology.wire_cost(p2, p1));
-    double delta = beta * (inc(j1, p2) + inc(j2, p1) - inc(j1, p1) -
-                           inc(j2, p2) + 2.0 * edge);
-    if (!p.empty()) {
-      delta += alpha * (p(p2, j1) - p(p1, j1) + p(p1, j2) - p(p2, j2));
-    }
-    return delta;
-  };
 
   const auto swap_feasible = [&](std::int32_t j1, std::int32_t j2) {
     const PartitionId p1 = assignment[j1];
@@ -170,29 +151,11 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
     ledger.add(p2, s1);
     ledger.remove(p2, s2);
     ledger.add(p1, s2);
-    assignment.set(j1, p2);
-    assignment.set(j2, p1);
-    // Every neighbor of a moved endpoint sees its inc row shift by the
-    // endpoint's relocation; this also fixes inc(j1, .) and inc(j2, .)
-    // because each is (usually) a neighbor of the other -- rebuild their
-    // rows outright to cover the non-adjacent case too.  The blocked row of
-    // every timing partner of a moved endpoint shifts the same way.
+    // The blocked row of every timing partner of a moved endpoint shifts
+    // by the endpoint's relocation.
     for (const std::int32_t moved : {j1, j2}) {
       const PartitionId from = moved == j1 ? p1 : p2;
       const PartitionId to = moved == j1 ? p2 : p1;
-      const auto neighbors = adjacency.row_indices(moved);
-      const auto wires = adjacency.row_values(moved);
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const std::int32_t other = neighbors[k];
-        if (other == j1 || other == j2) continue;  // rebuilt below
-        auto row = inc.row(other);
-        for (std::int32_t i = 0; i < m; ++i) {
-          row[static_cast<std::size_t>(i)] +=
-              wires[k] *
-              (topology.wire_cost(i, to) + topology.wire_cost(to, i) -
-               topology.wire_cost(i, from) - topology.wire_cost(from, i));
-        }
-      }
       const auto partners = timing.partners(moved);
       const auto bounds = timing.bounds(moved);
       for (std::size_t k = 0; k < partners.size(); ++k) {
@@ -203,16 +166,14 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
         }
       }
     }
-    rebuild_inc_row(j1);
-    rebuild_inc_row(j2);
+    evaluator.commit_swap(assignment, j1, j2);
   };
 
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
   // Per-step scratch of the best-pair search.  gain(j, i) is j's one-sided
-  // move gain g_j(i) = beta (inc(j, i) - inc(j, p_j)) + alpha (P(i, j) -
-  // P(p_j, j)); cheapest(s, t) is the lowest gain g_b(s) over the unlocked
-  // b in t that may move to s alone; members lists the unlocked components
-  // by partition, starting at first[i].
+  // move gain g_j(i), its move_deltas entry; cheapest(s, t) is the lowest
+  // gain g_b(s) over the unlocked b in t that may move to s alone; members
+  // lists the unlocked components by partition, starting at first[i].
   Matrix<double> gain(n, m, 0.0);
   Matrix<double> cheapest(m, m, 0.0);
   std::vector<Row> rows;
@@ -231,20 +192,15 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
     const double infinity = std::numeric_limits<double>::infinity();
     std::fill(cheapest.flat().begin(), cheapest.flat().end(), infinity);
     std::fill(first.begin(), first.end(), 0);
-    double inc_scale = 0.0;
     for (std::int32_t a = 0; a < n; ++a) {
       if (locked[static_cast<std::size_t>(a)]) continue;
       const PartitionId s = assignment[a];
       ++first[static_cast<std::size_t>(s) + 1];
-      const auto inc_row = inc.row(a);
+      const std::span<const double> deltas = evaluator.move_deltas(assignment, a);
       const auto gain_row = gain.row(a);
-      const double stay = inc_row[static_cast<std::size_t>(s)];
       for (PartitionId t = 0; t < m; ++t) {
-        const double cost = inc_row[static_cast<std::size_t>(t)];
-        double g = beta * (cost - stay);
-        if (!p.empty()) g += alpha * (p(t, a) - p(s, a));
+        const double g = deltas[static_cast<std::size_t>(t)];
         gain_row[static_cast<std::size_t>(t)] = g;
-        inc_scale = std::max(inc_scale, std::abs(cost));
         if (t != s && blocked(a, t) == 0) {
           cheapest(t, s) = std::min(cheapest(t, s), g);
         }
@@ -268,7 +224,6 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
     }
     std::sort(rows.begin(), rows.end());
 
-    const double margin = kRoundingMargin * (beta * inc_scale + alpha * p_scale);
     Candidate best;
     for (const Row& row : rows) {
       if (row.bound > best.delta + margin) break;
@@ -286,7 +241,8 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
           }
           const std::int32_t lo = std::min(a, b);
           const std::int32_t hi = std::max(a, b);
-          const Candidate candidate{swap_delta(lo, hi), lo, hi};
+          const Candidate candidate{
+              evaluator.cached_swap_delta(assignment, lo, hi), lo, hi};
           if (candidate.beats(best) && swap_feasible(lo, hi)) best = candidate;
         }
       }

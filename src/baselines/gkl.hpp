@@ -15,9 +15,11 @@
 // cutoff strategy provides speedup without sacrificing solution quality"
 // -- max_outer_loops = 6.
 //
-// Swap gains are O(1) thanks to a cached N x M incidence-cost table
-// inc(j, i) = cost of j's incident wires if j sat in partition i, updated
-// in O(degree * M) per applied swap.
+// Swap gains are O(1) thanks to the incident rows of an objective-mode
+// DeltaEvaluator (row(j, i) = j's linear cost plus the cost of its incident
+// wires if j sat in partition i), which every applied swap patches in
+// O(degree * M): a component's gains are its move_deltas, and a swap's
+// delta comes off two rows plus the pair term (cached_swap_delta).
 //
 // The best swap is found without scoring every pair.  A swap's delta is
 // g_a(p_b) + g_b(p_a) + 2 beta w_ab (B(p_a, p_b) + B(p_b, p_a)), where g_x(t)

@@ -5,7 +5,6 @@
 #include "core/delta_evaluator.hpp"
 #include "core/qhat.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -115,22 +114,6 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
   }
 }
 
-namespace {
-
-/// Debug audit of the patched STEP 3 state: `sums` against a fresh
-/// eta_sums of `u`, entry by entry at a relative tolerance of 1e-9.
-bool sums_match_gather(const QhatMatrix& qhat, const Assignment& u,
-                       std::span<const double> sums) {
-  std::vector<double> fresh(sums.size());
-  qhat.eta_sums(u, fresh);
-  for (std::size_t r = 0; r < fresh.size(); ++r) {
-    if (!check::within_relative(sums[r], fresh[r], 1e-9)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initial,
                         const BurkardOptions& options) {
   QBP_CHECK_EQ(initial.num_components(), problem.num_components());
@@ -140,10 +123,6 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   const QhatMatrix qhat(problem, options.penalty);
   DeltaEvaluator evaluator(problem, options.penalty);
   const std::vector<double> omega = qhat.omega();  // STEP 2 bounds
-
-  // Intra-solve thread budget for the STEP 3 gather.  The shared pool
-  // fair-shares when several solves run concurrently.
-  const std::int32_t inner = par::resolve_threads(options.inner_threads);
 
   // The flat eta / h vectors (r = i + j * M) are exactly the column-major
   // layout the GAP heuristic scans, so they bind zero-copy via cost_flat --
@@ -174,12 +153,9 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   consider_feasible(u);
 
   const std::int64_t flat_size = problem.flat_size();
-  // STEP 3 state: the wire and penalty sums of the gather at `sums_point`.
-  // The full gather runs once; later iterations patch the sums for the
-  // components that moved since the previous STEP 3 point.  The diagonal
-  // and the eq. (3) omega term go into `eta` only, never into the sums.
-  std::vector<double> sums(static_cast<std::size_t>(flat_size), 0.0);
-  Assignment sums_point;
+  // STEP 3 reads eta off the evaluator's rows, which the polish already
+  // moved to u; only the components that moved since (a restart kick, an
+  // unpolished iterate) are patched there.
   std::vector<double> eta(static_cast<std::size_t>(flat_size), 0.0);
   std::vector<double> h(static_cast<std::size_t>(flat_size), 0.0);  // STEP 1
 
@@ -188,22 +164,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     double xi = 0.0;
     {
       QBP_PROF_SCOPE("burkard.step3_eta");
-      if (k == 1) {
-        qhat.eta_sums(u, sums, inner);
-      } else {
-        qhat.patch_eta_sums(sums_point, u, sums);
-      }
-      sums_point = u;
-      // Debug drift audit: after every restart jump, and at the last
-      // iteration, the patched sums must agree with a fresh gather.
-      const bool audit =
-          k > 1 && (k == options.iterations ||
-                    (options.restart_period > 0 &&
-                     (k - 1) % options.restart_period == 0));
-      QBP_DCHECK(!audit || sums_match_gather(qhat, u, sums))
-          << "patched STEP 3 sums drifted from a fresh gather at iteration "
-          << k;
-      qhat.add_diagonal(u, sums, eta);
+      evaluator.eta(u, eta);
       if (options.eta_includes_omega) {
         for (std::int32_t j = 0; j < problem.num_components(); ++j) {
           const std::int64_t r = problem.flat_index(u[j], j);

@@ -16,13 +16,13 @@
 //     Generalized Assignment Problems solved with the Martello-Toth-style
 //     heuristic (assign/gap.hpp) instead of Linear Assignment Problems;
 //   * Qhat is implicit and sparse: STEP 3 costs O((nnz(A)+nnz(Dc)) * M)
-//     rather than (MN)^2 multiplications -- and only once per solve.  The
-//     full gather runs at iteration 1; every later STEP 3 patches its wire
-//     and penalty sums for the components that moved since the previous
-//     STEP 3 point (12-23% of them on the Table III circuits), then adds
-//     the alpha * p diagonal and the optional eq. (3) omega term to the
-//     vector the GAP reads.  Debug builds compare the patched sums with a
-//     fresh gather at every restart;
+//     rather than (MN)^2 multiplications -- and only once per solve.  eta
+//     is read off the incident rows of the solve's DeltaEvaluator (their
+//     incoming parts plus the alpha * p diagonal): the rows are built at
+//     iteration 1, and the polish keeps them at the current iterate, so a
+//     later STEP 3 patches only what moved since (a restart kick, an
+//     unpolished iterate) and copies.  The optional eq. (3) omega term is
+//     added to the vector the GAP reads;
 //   * alongside the best penalized incumbent the solver tracks the best
 //     *feasible* incumbent (C1 and C2), because Theorem 2 only certifies
 //     minimizers that come out violation-free;
@@ -83,15 +83,10 @@ struct BurkardOptions {
   /// the polish study of bench_runner --suite ablation measures the
   /// difference.
   std::int32_t polish_sweeps = 3;
-  /// Intra-solve parallelism: threads for the full STEP 3 eta gather of
-  /// ONE solve -- which runs once, at iteration 1; later iterations patch
-  /// it serially -- executed on the shared deterministic pool in
-  /// util/parallel.  STEPs 4-6 and the polish run serially: threads
-  /// measured slower there on real cores (DESIGN.md section 11).
-  /// Results are bit-identical at every value -- this knob trades
-  /// wall-clock only.  1 (default) keeps the gather on the calling thread;
-  /// <= 0 means "all hardware".  Orthogonal to portfolio `threads`
-  /// (across-start parallelism); the pool fair-shares when both are active.
+  /// No solver phase reads this: solve_qbp runs serially at every value,
+  /// and results are bit-identical.  It survives only as the pool-size hint
+  /// engine::BurkardSolver reports to the portfolio, for callers that
+  /// still set it.
   std::int32_t inner_threads = 1;
   /// Restart the line search every `restart_period` iterations: h is reset
   /// to zero and the iteration continues from the best incumbent so far.

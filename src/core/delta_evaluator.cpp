@@ -160,16 +160,27 @@ double swap_delta_penalized(const PartitionProblem& problem, double penalty,
 }
 
 /// Add `sign` times the wire terms a neighbor at partition `at` contributes
-/// to every column i of an incident row: both ordered directions, scaled by
-/// `scale` = beta * a_jk.  An unassigned neighbor contributes nothing.
+/// to every column i of an M-entry incident row: both ordered directions,
+/// scaled by `scale` = beta * a_jk.  The incoming direction B(at, i) also
+/// goes into a non-null `incoming`.  An unassigned neighbor contributes
+/// nothing.
 void add_wire_terms(const PartitionTopology& topology, double scale,
-                    PartitionId at, double sign, std::vector<double>& incident) {
+                    PartitionId at, double sign, std::size_t m, double* row,
+                    double* incoming) {
   if (at == Assignment::kUnassigned) return;
   const double signed_scale = sign * scale;
-  for (std::size_t i = 0; i < incident.size(); ++i) {
+  const auto both = [&](std::size_t i) {
     const auto column = static_cast<PartitionId>(i);
-    incident[i] += signed_scale * (topology.wire_cost(column, at) +
-                                   topology.wire_cost(at, column));
+    return topology.wire_cost(column, at) + topology.wire_cost(at, column);
+  };
+  if (incoming == nullptr) {
+    for (std::size_t i = 0; i < m; ++i) row[i] += signed_scale * both(i);
+    return;
+  }
+  const double* b_row = topology.wire_cost().row(at).data();
+  for (std::size_t i = 0; i < m; ++i) {
+    row[i] += signed_scale * both(i);
+    incoming[i] += signed_scale * b_row[i];
   }
 }
 
@@ -178,8 +189,9 @@ void add_wire_terms(const PartitionTopology& topology, double scale,
 DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
     : problem_(&problem),
       penalty_(penalty),
-      rows_(static_cast<std::size_t>(problem.num_components())),
-      deltas_(static_cast<std::size_t>(problem.num_partitions()), 0.0) {
+      m_(static_cast<std::size_t>(problem.num_partitions())),
+      built_(static_cast<std::size_t>(problem.num_components()), 0),
+      deltas_(m_, 0.0) {
   QBP_CHECK_GE(penalty, 0.0);
   if (penalty_ == 0.0) return;
   const std::int32_t m = problem.num_partitions();
@@ -202,8 +214,8 @@ DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
 void DeltaEvaluator::add_violation_terms(std::int32_t component,
                                          std::int32_t partner, double bound,
                                          PartitionId at, double sign,
-                                         std::vector<double>& incident) const {
-  const std::size_t m = incident.size();
+                                         double* row, double* incoming) const {
+  const std::size_t m = m_;
   if (at == Assignment::kUnassigned || m == 0) return;
   const auto& topology = problem_->topology();
   const PartitionId* into = by_delay_.data() + static_cast<std::size_t>(at) * m;
@@ -221,13 +233,15 @@ void DeltaEvaluator::add_violation_terms(std::int32_t component,
       problem_->netlist().connection_matrix().value_or(component, partner, 0);
   for (std::size_t r = 0; r < m && topology.delay(into[r], at) > bound; ++r) {
     const PartitionId i = into[r];
-    incident[static_cast<std::size_t>(i)] +=
+    row[static_cast<std::size_t>(i)] +=
         sign * (penalty_ - wire_scale * topology.wire_cost(i, at));
   }
   for (std::size_t r = 0; r < m && topology.delay(at, out_of[r]) > bound; ++r) {
-    const PartitionId i = out_of[r];
-    incident[static_cast<std::size_t>(i)] +=
-        sign * (penalty_ - wire_scale * topology.wire_cost(at, i));
+    const auto i = static_cast<std::size_t>(out_of[r]);
+    const double term =
+        sign * (penalty_ - wire_scale * topology.wire_cost(at, out_of[r]));
+    row[i] += term;
+    if (incoming != nullptr) incoming[i] += term;
   }
 }
 
@@ -252,18 +266,20 @@ double DeltaEvaluator::swap_delta(const Assignment& assignment,
 }
 
 void DeltaEvaluator::build_row(const Assignment& assignment,
-                               std::int32_t component, Row& row) const {
+                               std::int32_t component, double* row,
+                               double* incoming) const {
   const std::int32_t m = problem_->num_partitions();
   const auto& topology = problem_->topology();
   const auto& adjacency = problem_->netlist().connection_matrix();
   const double beta = problem_->beta();
 
-  row.incident.assign(static_cast<std::size_t>(m), 0.0);
+  std::fill(row, row + m_, 0.0);
+  if (incoming != nullptr) std::fill(incoming, incoming + m_, 0.0);
 
   // Linear term.
   if (!problem_->linear_cost_matrix().empty()) {
     for (PartitionId i = 0; i < m; ++i) {
-      row.incident[static_cast<std::size_t>(i)] =
+      row[static_cast<std::size_t>(i)] =
           problem_->alpha() * problem_->linear_cost(i, component);
     }
   }
@@ -272,7 +288,7 @@ void DeltaEvaluator::build_row(const Assignment& assignment,
   const auto wires = adjacency.row_values(component);
   for (std::size_t k = 0; k < neighbors.size(); ++k) {
     add_wire_terms(topology, beta * wires[k], assignment[neighbors[k]], 1.0,
-                   row.incident);
+                   m_, row, incoming);
   }
 
   if (penalty_ > 0.0) {
@@ -280,26 +296,34 @@ void DeltaEvaluator::build_row(const Assignment& assignment,
     const auto bounds = problem_->timing().bounds(component);
     for (std::size_t k = 0; k < partners.size(); ++k) {
       add_violation_terms(component, partners[k], bounds[k],
-                          assignment[partners[k]], 1.0, row.incident);
+                          assignment[partners[k]], 1.0, row, incoming);
     }
   }
 }
 
-const std::vector<double>& DeltaEvaluator::cached_row(
-    const Assignment& assignment, std::int32_t component) {
-  Row& row = rows_[static_cast<std::size_t>(component)];
-  if (row.built) {
+void DeltaEvaluator::build(const Assignment& assignment,
+                           std::int32_t component) {
+  QBP_PROF_SCOPE("delta.row_build");
+  if (misses_ == 0) {  // the first row fixes the point
+    point_ = assignment;
+    incident_.resize(built_.size() * m_);
+  }
+  QBP_DCHECK(point_[component] == assignment[component])
+      << "row read for an assignment the evaluator does not follow";
+  ++misses_;
+  build_row(assignment, component, incident_.data() + offset(component),
+            incoming_row(component));
+  built_[static_cast<std::size_t>(component)] = 1;
+}
+
+const double* DeltaEvaluator::cached_row(const Assignment& assignment,
+                                         std::int32_t component) {
+  if (built_[static_cast<std::size_t>(component)] != 0) {
     ++hits_;
   } else {
-    QBP_PROF_SCOPE("delta.row_build");
-    if (misses_ == 0) point_ = assignment;  // the first row fixes the point
-    QBP_DCHECK(point_[component] == assignment[component])
-        << "row read for an assignment the evaluator does not follow";
-    ++misses_;
-    build_row(assignment, component, row);
-    row.built = true;
+    build(assignment, component);
   }
-  return row.incident;
+  return incident_.data() + offset(component);
 }
 
 void DeltaEvaluator::patch_dependents(std::int32_t component,
@@ -313,30 +337,34 @@ void DeltaEvaluator::patch_dependents(std::int32_t component,
   const auto neighbors = adjacency.row_indices(component);
   const auto wires = adjacency.row_values(component);
   for (std::size_t k = 0; k < neighbors.size(); ++k) {
-    Row& row = rows_[static_cast<std::size_t>(neighbors[k])];
-    if (!row.built) continue;
+    const std::int32_t dependent = neighbors[k];
+    if (built_[static_cast<std::size_t>(dependent)] == 0) continue;
+    double* row = incident_.data() + offset(dependent);
+    double* in = incoming_row(dependent);
     const double scale = beta * wires[k];
-    add_wire_terms(topology, scale, source, -1.0, row.incident);
-    add_wire_terms(topology, scale, target, 1.0, row.incident);
+    add_wire_terms(topology, scale, source, -1.0, m_, row, in);
+    add_wire_terms(topology, scale, target, 1.0, m_, row, in);
   }
 
   if (penalty_ > 0.0) {
     const auto partners = problem_->timing().partners(component);
     const auto bounds = problem_->timing().bounds(component);
     for (std::size_t k = 0; k < partners.size(); ++k) {
-      Row& row = rows_[static_cast<std::size_t>(partners[k])];
-      if (!row.built) continue;
-      add_violation_terms(partners[k], component, bounds[k], source, -1.0,
-                          row.incident);
-      add_violation_terms(partners[k], component, bounds[k], target, 1.0,
-                          row.incident);
+      const std::int32_t dependent = partners[k];
+      if (built_[static_cast<std::size_t>(dependent)] == 0) continue;
+      double* row = incident_.data() + offset(dependent);
+      double* in = incoming_row(dependent);
+      add_violation_terms(dependent, component, bounds[k], source, -1.0, row,
+                          in);
+      add_violation_terms(dependent, component, bounds[k], target, 1.0, row,
+                          in);
     }
   }
 }
 
 std::span<const double> DeltaEvaluator::move_deltas(const Assignment& assignment,
                                                     std::int32_t component) {
-  const std::vector<double>& incident = cached_row(assignment, component);
+  const double* incident = cached_row(assignment, component);
   const double baseline =
       incident[static_cast<std::size_t>(assignment[component])];
   for (std::size_t i = 0; i < deltas_.size(); ++i) {
@@ -351,8 +379,8 @@ double DeltaEvaluator::cached_swap_delta(const Assignment& assignment,
   const PartitionId pa = assignment[component_a];
   const PartitionId pb = assignment[component_b];
   if (pa == pb) return 0.0;
-  const std::vector<double>& row_a = cached_row(assignment, component_a);
-  const std::vector<double>& row_b = cached_row(assignment, component_b);
+  const double* row_a = cached_row(assignment, component_a);
+  const double* row_b = cached_row(assignment, component_b);
 
   // The a-b pair term with a at x and b at y: both ordered wire terms, the
   // penalty replacing a direction that breaks the a-b bound.  Row a counts
@@ -375,7 +403,7 @@ double DeltaEvaluator::cached_swap_delta(const Assignment& assignment,
     return forward + backward;
   };
 
-  const auto at = [](const std::vector<double>& row, PartitionId i) {
+  const auto at = [](const double* row, PartitionId i) {
     return row[static_cast<std::size_t>(i)];
   };
   return at(row_a, pb) - at(row_a, pa) + at(row_b, pa) - at(row_b, pb) +
@@ -420,24 +448,55 @@ void DeltaEvaluator::follow(const Assignment& assignment) {
       << "follow() patched a row away from its fresh build";
 }
 
+void DeltaEvaluator::eta(const Assignment& u, std::span<double> out) {
+  const std::int32_t n = problem_->num_components();
+  QBP_CHECK_EQ(static_cast<std::int64_t>(out.size()), problem_->flat_size());
+  QBP_DCHECK(u.is_complete());
+  follow(u);
+  if (incoming_.empty()) {
+    // From here on every build and patch keeps the incoming parts; rows
+    // built before this first read get theirs from a fresh build.
+    incoming_.resize(built_.size() * m_);
+    std::vector<double> scratch(m_);
+    for (std::int32_t j = 0; j < n; ++j) {
+      if (built_[static_cast<std::size_t>(j)] != 0) {
+        build_row(point_, j, scratch.data(), incoming_row(j));
+      }
+    }
+  }
+  for (std::int32_t j = 0; j < n; ++j) {
+    if (built_[static_cast<std::size_t>(j)] == 0) build(u, j);
+  }
+  std::copy(incoming_.begin(), incoming_.end(), out.begin());
+  // q-hat(r, r) = alpha * p contributes when u_r = 1.
+  for (std::int32_t j = 0; j < n; ++j) {
+    out[offset(j) + static_cast<std::size_t>(u[j])] +=
+        problem_->alpha() * problem_->linear_cost(u[j], j);
+  }
+}
+
 bool DeltaEvaluator::patched_rows_match(
     std::span<const std::int32_t> movers) const {
   // Audit the dependents of up to kSampled movers spread over the list.
   constexpr std::size_t kSampled = 8;
   constexpr double kTolerance = 1e-9;
   const std::size_t stride = std::max<std::size_t>(1, movers.size() / kSampled);
-  Row fresh;
-  const auto matches = [&](std::int32_t dependent) {
-    const Row& row = rows_[static_cast<std::size_t>(dependent)];
-    if (!row.built) return true;
-    build_row(point_, dependent, fresh);
-    for (std::size_t i = 0; i < fresh.incident.size(); ++i) {
-      if (!check::within_relative(row.incident[i], fresh.incident[i],
-                                  kTolerance)) {
-        return false;
-      }
+  const bool with_incoming = !incoming_.empty();
+  std::vector<double> fresh(m_);
+  std::vector<double> fresh_incoming(m_);
+  const auto same = [&](const double* have, const std::vector<double>& want) {
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (!check::within_relative(have[i], want[i], kTolerance)) return false;
     }
     return true;
+  };
+  const auto matches = [&](std::int32_t dependent) {
+    if (built_[static_cast<std::size_t>(dependent)] == 0) return true;
+    build_row(point_, dependent, fresh.data(),
+              with_incoming ? fresh_incoming.data() : nullptr);
+    return same(incident_.data() + offset(dependent), fresh) &&
+           (!with_incoming ||
+            same(incoming_.data() + offset(dependent), fresh_incoming));
   };
   for (std::size_t at = 0; at < movers.size(); at += stride) {
     const std::int32_t mover = movers[at];

@@ -1,11 +1,12 @@
-// Unified incremental cost evaluation for single moves and pairwise swaps.
+// Unified incremental cost evaluation for single moves and pairwise swaps,
+// and the one incident table every solver reads.
 //
 // Every local-search loop in the library (the Burkard iterate polish, the
-// GFM/SA baselines, the ECO polish, the shadow validator) needs the same
-// two primitives:
-// "what does the objective do if component j moves to partition i?" and
-// "... if components a and b swap?".  This module is their single
-// implementation:
+// GFM/GKL/SA baselines, the ECO polish, the shadow validator) and Burkard's
+// STEP 3 need the same incident sums: "what does the objective do if
+// component j moves to partition i?", "... if components a and b swap?"
+// and "what does eta_s = sum_r qhat(r, s) u_r hold?".  This module is their
+// single implementation:
 //
 //   * move_delta / swap_delta are the exact one-off deltas.  With a penalty
 //     they are the plain-objective delta plus a timing-violation
@@ -14,23 +15,30 @@
 //     checked against;
 //   * DeltaEvaluator adds per-component contribution caching on top: the
 //     full "incident cost of j by candidate partition" row is built once in
-//     O((deg_A(j) + deg_Dc(j)) * M) and then kept current.  A commit of
-//     component c from partition s to t patches every built row that
-//     depends on c -- its wire neighbors' and (penalized mode) its timing
-//     partners' -- by subtracting c's terms at s and adding them at t, in
-//     O(M) per row: the Fiduccia-Mattheyses gain update.  Rows never built
-//     stay lazy.  Loops that scan all M targets of a component (the polish
-//     move sweep, GFM's gain entries) get their deltas in O(M) instead
-//     of O(degree * M), and a pairwise swap delta comes from two row
-//     differences plus the a-b pair term (cached_swap_delta) instead of a
-//     rescan of both neighborhoods;
+//     O((deg_A(j) + deg_Dc(j)) * M) and then kept current.  The rows live in
+//     one flat N x M array.  A commit of component c from partition s to t
+//     patches every built row that depends on c -- its wire neighbors' and
+//     (penalized mode) its timing partners' -- by subtracting c's terms at
+//     s and adding them at t, in O(M) per row: the Fiduccia-Mattheyses gain
+//     update.  Rows never built stay lazy.  Loops that scan all M targets
+//     of a component (the polish move sweep, GFM's and GKL's gains) get
+//     their deltas in O(M) instead of O(degree * M), and a pairwise swap
+//     delta comes from two row differences plus the a-b pair term
+//     (cached_swap_delta) instead of a rescan of both neighborhoods;
+//   * eta() is STEP 3's gather read off the same table.  A row's *incoming
+//     part* is what j's neighbors and partners contribute into candidate i
+//     -- beta * a * B(at, i), or the penalty where D(at, i) breaks the bound
+//     -- and eta is that part plus the alpha * p diagonal.  From the first
+//     eta() on, a second flat N x M array keeps every row's incoming part,
+//     and every later build and patch updates it; evaluators that never
+//     read eta (the V-cycle polish, the baselines) never allocate it;
 //   * the evaluator remembers the assignment its rows describe, so a jump
 //     to an unrelated assignment (a Burkard STEP 6 iterate, a restart kick)
 //     costs only what moved: follow(u) applies the same per-dependent
 //     patch for every component whose partition differs, instead of
 //     dropping and rebuilding all N rows.  Rows are never dropped, so each
 //     is built at most once per evaluator.  Debug builds audit a sample of
-//     the rows follow patched against fresh builds.
+//     the rows (and incoming parts) follow patched against fresh builds.
 //
 // A timing partner's penalty corrections visit only the columns that break
 // its bound (partitions are pre-sorted by delay), so patching a partner's
@@ -105,32 +113,53 @@ class DeltaEvaluator {
   /// data.
   void follow(const Assignment& assignment);
 
+  /// STEP 3 of the Burkard iteration: out[r] = sum_s qhat(s, r) * u_s for
+  /// the complete assignment `u`, with `out` laid out like y (r = i + j * M,
+  /// flat_size() entries).  Follows `u`, builds every row not yet built
+  /// (each a cache miss), and writes each row's incoming part plus the
+  /// alpha * p diagonal: O(N * M) once the rows exist.  Objective mode
+  /// gathers the same way over the objective's own matrix (no penalty
+  /// entries).  On integer wires, B, D and penalty the result is
+  /// bit-identical to a fresh evaluator's, whatever P is.
+  void eta(const Assignment& u, std::span<double> out);
+
   [[nodiscard]] std::uint64_t cache_hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t cache_misses() const noexcept { return misses_; }
 
  private:
-  struct Row {
-    /// Incident cost of the component by candidate partition: linear term
-    /// plus both ordered wire terms per neighbor, with the penalty
-    /// replacing a wire term whenever that direction violates its bound
-    /// (penalized mode only).
-    std::vector<double> incident;
-    bool built = false;
-  };
+  /// Where `component`'s row (and incoming part) starts in the flat arrays.
+  [[nodiscard]] std::size_t offset(std::int32_t component) const noexcept {
+    return static_cast<std::size_t>(component) * m_;
+  }
+  /// The incoming part of `component`'s row, or nullptr before the first
+  /// eta() (nothing to keep).
+  [[nodiscard]] double* incoming_row(std::int32_t component) {
+    return incoming_.empty() ? nullptr : incoming_.data() + offset(component);
+  }
 
-  void build_row(const Assignment& assignment, std::int32_t component, Row& row) const;
+  /// Write `component`'s row at `assignment` into `row` (M entries):
+  /// linear term, then both ordered wire terms per neighbor, then the
+  /// penalty corrections per timing partner (penalized mode), with the
+  /// penalty replacing a wire term whenever that direction violates its
+  /// bound.  A non-null `incoming` receives the row's incoming part.
+  void build_row(const Assignment& assignment, std::int32_t component,
+                 double* row, double* incoming) const;
+  /// Build `component`'s row (and incoming part, once tracked) at
+  /// `assignment`: one cache miss.
+  void build(const Assignment& assignment, std::int32_t component);
   /// The built row of `component` (building it on a miss).
-  const std::vector<double>& cached_row(const Assignment& assignment,
-                                        std::int32_t component);
+  const double* cached_row(const Assignment& assignment,
+                           std::int32_t component);
   /// Penalized mode: add `sign` times the corrections timing partner
   /// `partner` at partition `at` (pair bound `bound`) contributes to every
   /// column i of `component`'s row: a violating direction's wire term
-  /// beta * a * B is replaced by the flat penalty.  Visits only the
+  /// beta * a * B is replaced by the flat penalty.  The D(at, i) direction
+  /// is incoming and also goes into a non-null `incoming`.  Visits only the
   /// violating columns (off by_delay_).  An unassigned partner contributes
   /// nothing.
   void add_violation_terms(std::int32_t component, std::int32_t partner,
                            double bound, PartitionId at, double sign,
-                           std::vector<double>& incident) const;
+                           double* row, double* incoming) const;
   /// `component` moved from `source` to `target`: move its terms in every
   /// built row that depends on its position -- its neighbors' and timing
   /// partners' (never its own: a row does not depend on its own
@@ -138,13 +167,19 @@ class DeltaEvaluator {
   void patch_dependents(std::int32_t component, PartitionId source,
                         PartitionId target);
   /// Debug audit of follow(): rebuilds the built dependent rows of a sample
-  /// of `movers` from point_ and compares them with the patched ones at a
-  /// relative tolerance of 1e-9.
+  /// of `movers` from point_ and compares them, and their incoming parts,
+  /// with the patched ones at a relative tolerance of 1e-9.
   [[nodiscard]] bool patched_rows_match(std::span<const std::int32_t> movers) const;
 
   const PartitionProblem* problem_;
   double penalty_;
-  std::vector<Row> rows_;       // lazily built, one per component
+  std::size_t m_;
+  /// Row j at [j * M, j * M + M), valid where built_[j]; allocated by the
+  /// first build.
+  std::vector<double> incident_;
+  std::vector<std::uint8_t> built_;
+  /// The rows' incoming parts, same layout; empty until the first eta().
+  std::vector<double> incoming_;
   /// Penalized mode: the partitions i in descending order of D(i, at) at
   /// [at * M, at * M + M), then in descending order of D(at, i) at
   /// [M * M + at * M, ...).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/parallel.hpp"
-
 #include "util/check.hpp"
 
 namespace qbp {
@@ -66,120 +64,6 @@ double QhatMatrix::penalized_value(const Assignment& assignment) const {
         }
       });
   return value;
-}
-
-void QhatMatrix::eta(const Assignment& u, std::span<double> eta,
-                     std::int32_t threads) const {
-  eta_sums(u, eta, threads);
-  add_diagonal(u, eta, eta);
-}
-
-void QhatMatrix::add_penalty_terms(PartitionId from, double bound,
-                                   std::int32_t wire, double sign,
-                                   double* column) const {
-  const auto& topology = problem_->topology();
-  const double beta = problem_->beta();
-  for (std::int32_t i2 = 0; i2 < problem_->num_partitions(); ++i2) {
-    if (topology.delay(from, i2) > bound) {
-      column[i2] += sign * (penalty_ - beta * wire * topology.wire_cost(from, i2));
-    }
-  }
-}
-
-void QhatMatrix::eta_sums(const Assignment& u, std::span<double> sums,
-                          std::int32_t threads) const {
-  const std::int32_t m = problem_->num_partitions();
-  const std::int32_t n = problem_->num_components();
-  QBP_DCHECK(static_cast<std::int64_t>(sums.size()) == problem_->flat_size());
-  QBP_DCHECK(u.is_complete());
-
-  const auto& adjacency = problem_->netlist().connection_matrix();
-  const auto& topology = problem_->topology();
-  const double beta = problem_->beta();
-
-  // Column j2 of the gather touches only sums[flat_index(0..m, j2)], so a
-  // chunk of components owns a disjoint slice of the flat buffer: the
-  // parallel gather writes the same bits as the serial loop.
-  par::parallel_for(n, /*grain=*/64, threads, [&](std::int64_t chunk_begin,
-                                                  std::int64_t chunk_end,
-                                                  std::int32_t /*chunk*/) {
-  for (std::int32_t j2 = static_cast<std::int32_t>(chunk_begin);
-       j2 < static_cast<std::int32_t>(chunk_end); ++j2) {
-    double* column = sums.data() + problem_->flat_index(0, j2);
-    std::fill(column, column + m, 0.0);
-
-    // Wire blocks: sum over neighbors j1 of beta * a * B(u(j1), i2).
-    const auto neighbors = adjacency.row_indices(j2);
-    const auto wires = adjacency.row_values(j2);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      const PartitionId from = u[neighbors[k]];
-      const double scale = beta * wires[k];
-      const double* b_row = topology.wire_cost().row(from).data();
-      for (std::int32_t i = 0; i < m; ++i) column[i] += scale * b_row[i];
-    }
-
-    // Constraint blocks: where D(u(j1), i2) > Dc(j1, j2) the Qhat entry is
-    // the flat penalty, replacing the wire term accumulated above.
-    const auto partners = problem_->timing().partners(j2);
-    const auto bounds = problem_->timing().bounds(j2);
-    for (std::size_t k = 0; k < partners.size(); ++k) {
-      add_penalty_terms(u[partners[k]], bounds[k],
-                        adjacency.value_or(partners[k], j2, 0), 1.0, column);
-    }
-  }
-  });
-}
-
-void QhatMatrix::patch_eta_sums(const Assignment& from, const Assignment& to,
-                                std::span<double> sums) const {
-  const std::int32_t m = problem_->num_partitions();
-  QBP_DCHECK(static_cast<std::int64_t>(sums.size()) == problem_->flat_size());
-  QBP_DCHECK(from.num_components() == problem_->num_components());
-  QBP_DCHECK(to.num_components() == problem_->num_components());
-  QBP_DCHECK(from.is_complete() && to.is_complete());
-
-  const auto& adjacency = problem_->netlist().connection_matrix();
-  const auto& topology = problem_->topology();
-  const double beta = problem_->beta();
-
-  // A and Dc are symmetric, so mover j1's row lists exactly the columns
-  // whose sums hold a j1 term, with the same wire counts and bounds.  The
-  // columns do not depend on their own component's position, so the
-  // movers patch independently.
-  for (std::int32_t j1 = 0; j1 < problem_->num_components(); ++j1) {
-    const PartitionId source = from[j1];
-    const PartitionId target = to[j1];
-    if (source == target) continue;
-    const auto neighbors = adjacency.row_indices(j1);
-    const auto wires = adjacency.row_values(j1);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      double* column = sums.data() + problem_->flat_index(0, neighbors[k]);
-      const double scale = beta * wires[k];
-      const double* b_source = topology.wire_cost().row(source).data();
-      const double* b_target = topology.wire_cost().row(target).data();
-      for (std::int32_t i = 0; i < m; ++i) column[i] -= scale * b_source[i];
-      for (std::int32_t i = 0; i < m; ++i) column[i] += scale * b_target[i];
-    }
-    const auto partners = problem_->timing().partners(j1);
-    const auto bounds = problem_->timing().bounds(j1);
-    for (std::size_t k = 0; k < partners.size(); ++k) {
-      double* column = sums.data() + problem_->flat_index(0, partners[k]);
-      const std::int32_t wire = adjacency.value_or(j1, partners[k], 0);
-      add_penalty_terms(source, bounds[k], wire, -1.0, column);
-      add_penalty_terms(target, bounds[k], wire, 1.0, column);
-    }
-  }
-}
-
-void QhatMatrix::add_diagonal(const Assignment& u, std::span<const double> sums,
-                              std::span<double> eta) const {
-  QBP_DCHECK(sums.size() == eta.size());
-  if (sums.data() != eta.data()) std::copy(sums.begin(), sums.end(), eta.begin());
-  // q-hat(r, r) = alpha * p contributes when u_r = 1.
-  for (std::int32_t j = 0; j < problem_->num_components(); ++j) {
-    eta[static_cast<std::size_t>(problem_->flat_index(u[j], j))] +=
-        problem_->alpha() * problem_->linear_cost(u[j], j);
-  }
 }
 
 std::vector<double> QhatMatrix::omega() const {

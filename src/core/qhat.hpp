@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -53,35 +52,8 @@ class QhatMatrix {
   /// the penalty.
   [[nodiscard]] std::int64_t ordered_violations(const Assignment& assignment) const;
 
-  // Move/swap deltas of penalized_value: DeltaEvaluator
+  // Move/swap deltas of penalized_value and STEP 3's eta: DeltaEvaluator
   // (core/delta_evaluator.hpp) in penalized mode.
-
-  /// STEP 3 gather: eta[s] = sum_r q-hat(r, s) * u_r for a complete
-  /// assignment u; `eta` must have flat_size() entries.
-  /// O((nnz(A) + nnz(Dc)) * M) via the sparse representation.
-  /// `threads > 1` gathers columns in parallel through util/parallel --
-  /// each component's column is written by exactly one chunk, so the
-  /// result is bit-identical at every thread count.  Equal to eta_sums
-  /// followed by add_diagonal.
-  void eta(const Assignment& u, std::span<double> eta,
-           std::int32_t threads = 1) const;
-
-  /// The STEP 3 gather split so that an iteration pays only for what
-  /// moved.  eta_sums: the wire and penalty sums of the gather, everything
-  /// but the alpha * p diagonal, for a complete u (same cost and threading
-  /// as eta()).  patch_eta_sums: turn `sums`, the eta_sums of `from`, into
-  /// those of `to` (both complete) -- each component whose partition
-  /// differs moves its wire and penalty terms in the columns of its wire
-  /// neighbors and timing partners, O(N) plus O((deg_A + deg_Dc) * M) per
-  /// mover; bit-identical to a fresh eta_sums on integer wires, B, D and
-  /// penalty.
-  /// add_diagonal: eta = sums plus the alpha * p diagonal of u.
-  void eta_sums(const Assignment& u, std::span<double> sums,
-                std::int32_t threads = 1) const;
-  void patch_eta_sums(const Assignment& from, const Assignment& to,
-                      std::span<double> sums) const;
-  void add_diagonal(const Assignment& u, std::span<const double> sums,
-                    std::span<double> eta) const;
 
   /// Upper bounds omega_r >= max_{y in S} sum_s q-hat(r, s) y_s of
   /// equation (2); computed once per solve.  Exploits C3: each component
@@ -100,11 +72,6 @@ class QhatMatrix {
   /// constraint in the ordered direction D(i1, i2) > Dc(j1, j2).
   [[nodiscard]] bool violates(PartitionId i1, std::int32_t j1, PartitionId i2,
                               std::int32_t j2) const;
-  /// Add `sign` times the penalty terms partner j1 at partition `from`
-  /// contributes to an M-entry column of eta_sums: where D(from, i2) >
-  /// `bound` the flat penalty replaces the wire term beta * a * B(from, i2).
-  void add_penalty_terms(PartitionId from, double bound, std::int32_t wire,
-                         double sign, double* column) const;
 
   const PartitionProblem* problem_;
   double penalty_;

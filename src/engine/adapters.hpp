@@ -13,8 +13,6 @@
 // adapter returns found_feasible = false with the start itself as `best`.
 #pragma once
 
-#include <algorithm>
-
 #include "baselines/gfm.hpp"
 #include "baselines/gkl.hpp"
 #include "baselines/sa.hpp"
@@ -58,12 +56,11 @@ class MultilevelSolver final : public Solver {
   [[nodiscard]] double penalized_with() const override {
     return options_.refine_solver.penalty;
   }
-  /// The coarsest solve is the V-cycle's only Burkard run; the refinement
-  /// knob drives nothing, but a caller that sets only it still gets a pool
-  /// of that size.
+  /// The coarsening scan is the V-cycle's only threaded phase; the
+  /// coarsest solve and the refinement run serially, so their knobs drive
+  /// nothing.
   [[nodiscard]] std::int32_t inner_threads() const override {
-    return std::max(options_.coarse_solver.inner_threads,
-                    options_.refine_solver.inner_threads);
+    return options_.coarsen.inner_threads;
   }
 
  private:

@@ -1,8 +1,7 @@
-// Deterministic fork-join parallelism for the two solver phases that win
-// from threads on real cores: the STEP 3 eta gather (QhatMatrix::eta) and
-// the multilevel coarsening proposal scan.  Every other phase of a solve
-// runs serially; a new parallel region must first beat its serial form on
-// the bench_runner scaling thread check (DESIGN.md section 11).
+// Deterministic fork-join parallelism for the one solver phase that runs
+// on threads: the multilevel coarsening proposal scan.  Every other phase
+// of a solve runs serially; a new parallel region must first beat its
+// serial form on the cores that exist (DESIGN.md section 11).
 //
 // The repo-wide invariant is bit-identical assignments and objectives at
 // every thread count (engine determinism tests, the shadow validator, and
@@ -48,7 +47,7 @@ inline constexpr std::int32_t kMaxHelpers = 63;
 
 /// Regions with fewer chunks than this run inline even when threads were
 /// requested: waking a helper costs microseconds, so a small problem's
-/// gather would pay more in scheduling than its chunks are worth.
+/// scan would pay more in scheduling than its chunks are worth.
 /// Scheduling-only -- the chunk plan is the same either way, so results
 /// cannot change.
 inline constexpr std::int32_t kMinFanoutChunks = 4;

@@ -103,7 +103,7 @@ TEST_P(AsymmetricSweep, EtaMatchesDenseGather) {
                                        problem.num_partitions(), rng);
   const auto y = problem.to_y(u);
   std::vector<double> eta(static_cast<std::size_t>(problem.flat_size()));
-  qhat.eta(u, eta);
+  DeltaEvaluator(problem, 100.0).eta(u, eta);
   for (std::int64_t s = 0; s < problem.flat_size(); ++s) {
     double expected = 0.0;
     for (std::int64_t r = 0; r < problem.flat_size(); ++r) {

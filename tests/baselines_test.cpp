@@ -16,7 +16,8 @@
 namespace qbp {
 namespace {
 
-/// A tiny instance together with a feasible start, or nullopt-ish skip.
+/// A tiny instance together with its QBP(B=0) start; `ok` says whether the
+/// start is feasible, which every sweep below asserts.
 struct Fixture {
   PartitionProblem problem;
   Assignment start;
@@ -43,7 +44,7 @@ class GfmSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GfmSweep, NeverWorsensAndStaysFeasible) {
   auto fixture = make_fixture(GetParam());
-  if (!fixture.ok) GTEST_SKIP() << "no feasible start";
+  ASSERT_TRUE(fixture.ok) << "no feasible start";
   const double start_cost = fixture.problem.objective(fixture.start);
   const auto result = solve_gfm(fixture.problem, fixture.start);
   EXPECT_LE(result.objective, start_cost + 1e-9);
@@ -55,7 +56,7 @@ TEST_P(GfmSweep, NeverWorsensAndStaysFeasible) {
 
 TEST_P(GfmSweep, DeterministicAcrossRuns) {
   auto fixture = make_fixture(GetParam());
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok);
   const auto a = solve_gfm(fixture.problem, fixture.start);
   const auto b = solve_gfm(fixture.problem, fixture.start);
   EXPECT_EQ(a.assignment, b.assignment);
@@ -124,7 +125,7 @@ TEST(Gfm, RespectsTimingDuringMoves) {
 
 TEST(Gfm, StopsAfterMaxPasses) {
   auto fixture = make_fixture(3);
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok);
   GfmOptions options;
   options.max_passes = 1;
   const auto result = solve_gfm(fixture.problem, fixture.start, options);
@@ -137,7 +138,7 @@ class GklSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GklSweep, NeverWorsensAndStaysFeasible) {
   auto fixture = make_fixture(GetParam());
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok);
   const double start_cost = fixture.problem.objective(fixture.start);
   const auto result = solve_gkl(fixture.problem, fixture.start);
   EXPECT_LE(result.objective, start_cost + 1e-9);
@@ -147,7 +148,7 @@ TEST_P(GklSweep, NeverWorsensAndStaysFeasible) {
 
 TEST_P(GklSweep, DeterministicAcrossRuns) {
   auto fixture = make_fixture(GetParam());
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok);
   const auto a = solve_gkl(fixture.problem, fixture.start);
   const auto b = solve_gkl(fixture.problem, fixture.start);
   EXPECT_EQ(a.assignment, b.assignment);
@@ -199,7 +200,7 @@ TEST(Gkl, PairedSwapEscapesWhereSingleMovesCannot) {
 
 TEST(Gkl, HonorsOuterLoopCutoff) {
   auto fixture = make_fixture(5);
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok);
   GklOptions options;
   options.max_outer_loops = 2;
   const auto result = solve_gkl(fixture.problem, fixture.start, options);
@@ -448,7 +449,7 @@ class MethodComparison : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MethodComparison, AllMethodsBeatOrMatchTheStart) {
   auto fixture = make_fixture(GetParam(), /*capacity_factor=*/2.0);
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok);
   const double start_cost = fixture.problem.objective(fixture.start);
   const auto gfm = solve_gfm(fixture.problem, fixture.start);
   const auto gkl = solve_gkl(fixture.problem, fixture.start);

@@ -143,7 +143,7 @@ TEST_P(QhatSweep, EtaMatchesDenseColumnGather) {
                                        problem.num_partitions(), rng);
   const auto y = problem.to_y(u);
   std::vector<double> eta(static_cast<std::size_t>(problem.flat_size()));
-  qhat.eta(u, eta);
+  DeltaEvaluator(problem, 50.0).eta(u, eta);
   for (std::int64_t s = 0; s < problem.flat_size(); ++s) {
     double expected = 0.0;
     for (std::int64_t r = 0; r < problem.flat_size(); ++r) {
@@ -155,79 +155,57 @@ TEST_P(QhatSweep, EtaMatchesDenseColumnGather) {
   }
 }
 
-// The parallel gather owns one column slice per chunk, so the flat buffer
-// must come out bitwise identical at every thread count -- including on a
-// problem large enough (> the 64-column grain) to actually fan out.
-TEST(QhatEta, ParallelGatherIsBitIdentical) {
-  auto spec = test::TinySpec{};
-  spec.num_components = 300;
-  spec.num_partitions = 8;
-  spec.with_linear_term = true;
-  spec.seed = 5;
-  const auto problem = test::make_tiny_problem(spec);
+/// Drive one evaluator, whose rows eta() builds at `start`, through
+/// Burkard-shaped jumps from `start`: random jumps that move 10-40% of the
+/// components, and every fourth round a restart-style return to the start
+/// plus a 10% kick.  The rows, and the incoming parts STEP 3 reads, are
+/// patched, never rebuilt; after every jump eta must equal Q-hat's own
+/// column gather, eta_s = sum_r qhat(r, s) y_r from entry(), with the other
+/// components summed first and the diagonal added last -- `exact`: bit for
+/// bit, otherwise to 1e-9 relative.
+void expect_patched_eta_matches_gather(const PartitionProblem& problem,
+                                       const Assignment& start, bool exact,
+                                       std::uint64_t seed) {
   const QhatMatrix qhat(problem, 50.0);
-  Rng rng(0x77);
-  const auto u = test::random_complete(problem.num_components(),
-                                       problem.num_partitions(), rng);
-  std::vector<double> serial(static_cast<std::size_t>(problem.flat_size()));
-  qhat.eta(u, serial);
-  for (const std::int32_t threads : {2, 8}) {
-    std::vector<double> parallel(static_cast<std::size_t>(problem.flat_size()),
-                                 -1.0);
-    qhat.eta(u, parallel, threads);
-    EXPECT_EQ(parallel, serial) << "threads " << threads;
-  }
-}
-
-/// Patch the STEP 3 sums through Burkard-shaped jumps from `start`: random
-/// jumps that move 10-40% of the components, and every fourth round a
-/// restart-style return to the start plus a 10% kick.  After every patch
-/// the sums must equal a fresh eta_sums and the composed eta a fresh eta()
-/// -- `exact`: bit for bit, otherwise to 1e-9 relative.
-void expect_patched_sums_match_gather(const PartitionProblem& problem,
-                                      const Assignment& start, bool exact,
-                                      std::uint64_t seed) {
-  const QhatMatrix qhat(problem, 50.0);
-  const auto size = static_cast<std::size_t>(problem.flat_size());
-  std::vector<double> sums(size);
-  std::vector<double> fresh(size);
-  std::vector<double> eta(size);
-  std::vector<double> expected(size);
+  DeltaEvaluator evaluator(problem, 50.0);
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  std::vector<double> eta(static_cast<std::size_t>(problem.flat_size()));
   Rng rng(seed);
   Assignment u = start;
-  qhat.eta_sums(u, sums);
+  evaluator.eta(u, eta);
   std::int64_t moved = 0;
   for (std::int32_t round = 0; round < 24; ++round) {
     const Assignment next =
         round % 4 == 3 ? test::random_jump(start, 0.10, rng)
                        : test::random_jump(u, rng.next_double(0.10, 0.40), rng);
-    for (std::int32_t j = 0; j < u.num_components(); ++j) {
-      moved += u[j] != next[j] ? 1 : 0;
-    }
-    qhat.patch_eta_sums(u, next, sums);
+    for (std::int32_t j = 0; j < n; ++j) moved += u[j] != next[j] ? 1 : 0;
     u = next;
-    qhat.eta_sums(u, fresh);
-    qhat.add_diagonal(u, sums, eta);
-    qhat.eta(u, expected);
-    for (std::size_t r = 0; r < size; ++r) {
-      if (exact) {
-        ASSERT_EQ(sums[r], fresh[r]) << "round " << round << " entry " << r;
-        ASSERT_EQ(eta[r], expected[r]) << "round " << round << " entry " << r;
-      } else {
-        ASSERT_TRUE(check::within_relative(sums[r], fresh[r], 1e-9))
-            << "round " << round << " entry " << r << ": " << sums[r]
-            << " vs " << fresh[r];
-        ASSERT_TRUE(check::within_relative(eta[r], expected[r], 1e-9))
-            << "round " << round << " entry " << r;
+    evaluator.eta(u, eta);
+    for (std::int32_t j = 0; j < n; ++j) {
+      for (PartitionId i = 0; i < m; ++i) {
+        const std::int64_t s = i + static_cast<std::int64_t>(j) * m;
+        double expected = 0.0;
+        for (std::int32_t k = 0; k < n; ++k) {
+          if (k == j) continue;
+          expected += qhat.entry(u[k] + static_cast<std::int64_t>(k) * m, s);
+        }
+        if (u[j] == i) expected += qhat.entry(s, s);
+        const double have = eta[static_cast<std::size_t>(s)];
+        ASSERT_TRUE(exact ? have == expected
+                          : check::within_relative(have, expected, 1e-9))
+            << "round " << round << " entry " << s << ": " << have << " vs "
+            << expected;
       }
     }
   }
-  EXPECT_GT(moved, 24 * u.num_components() / 10);
+  EXPECT_GT(moved, 24 * n / 10);
+  EXPECT_EQ(evaluator.cache_misses(), static_cast<std::uint64_t>(n));
 }
 
 TEST(QhatEta, PatchedSumsBitIdenticalOnIntegerDataWithFractionalP) {
   // Integer wires, Manhattan B and D and integer bounds; P is fractional,
-  // and it only ever enters eta through add_diagonal.
+  // and it only ever enters eta through the diagonal.
   for (const std::uint64_t seed : {3u, 4u, 5u}) {
     SCOPED_TRACE(seed);
     const PartitionProblem problem = test::make_tiny_problem(
@@ -238,7 +216,7 @@ TEST(QhatEta, PatchedSumsBitIdenticalOnIntegerDataWithFractionalP) {
          .with_linear_term = true,
          .seed = seed});
     Rng rng(seed ^ 0xe7au);
-    expect_patched_sums_match_gather(
+    expect_patched_eta_matches_gather(
         problem,
         test::random_complete(problem.num_components(),
                               problem.num_partitions(), rng),
@@ -253,8 +231,8 @@ TEST(QhatEta, PatchedSumsMatchGatherOnAsymmetricFractionalData) {
     SCOPED_TRACE(seed);
     const test::OracleInstance instance = test::make_oracle_instance(seed);
     ASSERT_GT(instance.problem.timing().matrix().nonzeros(), 0u);
-    expect_patched_sums_match_gather(instance.problem, instance.start,
-                                     /*exact=*/false, seed);
+    expect_patched_eta_matches_gather(instance.problem, instance.start,
+                                      /*exact=*/false, seed);
   }
 }
 

@@ -1,12 +1,14 @@
 // DeltaEvaluator: the unified incremental evaluation layer.  Every delta it
 // reports -- exact or cached -- must equal the brute difference of the full
-// evaluation (penalized_value / objective), and the rows that commits patch
-// must stay exact across arbitrary commit sequences.
+// evaluation (penalized_value / objective), and the rows that commits patch,
+// and the STEP 3 eta read off them, must stay exact across arbitrary commit
+// sequences.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "core/burkard.hpp"
 #include "core/delta_evaluator.hpp"
 #include "core/qhat.hpp"
 #include "test_support.hpp"
@@ -199,22 +201,33 @@ TEST(DeltaEvaluator, PatchedRowsBitIdenticalOnIntegerData) {
   EXPECT_EQ(evaluator.cache_misses(), n);
 }
 
-/// Drive `evaluator` (every row built at `start`) through Burkard-shaped
-/// jumps: random jumps that move 10-40% of the components, and every
-/// fourth round a restart-style return to the start plus a 10% kick.  Each
-/// jump is followed, then polished by a few commits; after every follow the
-/// rows must equal freshly built ones -- `exact`: bit for bit, otherwise to
-/// 1e-9 relative.  Rows are patched, never rebuilt.
+/// What a patched value must equal its fresh build to.
+enum class Match { kBitForBit, kRelative };
+
+/// Drive an evaluator, whose rows eta() builds at `start`, through
+/// Burkard-shaped jumps: random jumps that move 10-40% of the components,
+/// and every fourth round a restart-style return to the start plus a 10%
+/// kick.  Each jump is followed, then polished by a few commits; after
+/// every follow the rows and eta must equal a fresh evaluator's -- bit for
+/// bit, or to 1e-9 relative.  Rows are patched, never rebuilt.
 void expect_follow_matches_fresh_rows(const PartitionProblem& problem,
                                       double penalty, const Assignment& start,
-                                      bool exact, std::uint64_t seed) {
+                                      Match rows, Match eta,
+                                      std::uint64_t seed) {
   DeltaEvaluator evaluator(problem, penalty);
   Rng rng(seed);
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
+  const auto size = static_cast<std::size_t>(problem.flat_size());
+  std::vector<double> patched_eta(size);
+  std::vector<double> fresh_eta(size);
   Assignment u = start;
-  for (std::int32_t j = 0; j < n; ++j) (void)evaluator.move_deltas(u, j);
+  evaluator.eta(u, patched_eta);
 
+  const auto expect_match = [](Match match, double have, double want) {
+    return match == Match::kBitForBit ? have == want
+                                      : check::within_relative(have, want, 1e-9);
+  };
   std::int64_t moved = 0;
   for (std::int32_t round = 0; round < 24; ++round) {
     const Assignment before = u;
@@ -224,20 +237,22 @@ void expect_follow_matches_fresh_rows(const PartitionProblem& problem,
     evaluator.follow(u);
 
     DeltaEvaluator fresh(problem, penalty);
+    evaluator.eta(u, patched_eta);
+    fresh.eta(u, fresh_eta);
+    for (std::size_t r = 0; r < size; ++r) {
+      ASSERT_TRUE(expect_match(eta, patched_eta[r], fresh_eta[r]))
+          << "round " << round << " eta entry " << r << ": " << patched_eta[r]
+          << " vs " << fresh_eta[r];
+    }
     for (std::int32_t j = 0; j < n; ++j) {
       const auto patched = evaluator.move_deltas(u, j);
       const auto expected = fresh.move_deltas(u, j);
       for (PartitionId i = 0; i < m; ++i) {
         const double want = expected[static_cast<std::size_t>(i)];
         const double have = patched[static_cast<std::size_t>(i)];
-        if (exact) {
-          ASSERT_EQ(have, want)
-              << "round " << round << " row " << j << " column " << i;
-        } else {
-          ASSERT_TRUE(check::within_relative(have, want, 1e-9))
-              << "round " << round << " row " << j << " column " << i << ": "
-              << have << " vs " << want;
-        }
+        ASSERT_TRUE(expect_match(rows, have, want))
+            << "round " << round << " row " << j << " column " << i << ": "
+            << have << " vs " << want;
       }
     }
 
@@ -266,9 +281,28 @@ TEST(DeltaEvaluator, FollowMatchesFreshRowsBitForBitOnIntegerData) {
     Rng rng(seed ^ 0x5eedu);
     const Assignment start = test::random_complete(
         problem.num_components(), problem.num_partitions(), rng);
-    expect_follow_matches_fresh_rows(problem, kPenalty, start, /*exact=*/true,
-                                     seed);
-    expect_follow_matches_fresh_rows(problem, 0.0, start, /*exact=*/true, seed);
+    expect_follow_matches_fresh_rows(problem, kPenalty, start,
+                                     Match::kBitForBit, Match::kBitForBit, seed);
+    expect_follow_matches_fresh_rows(problem, 0.0, start, Match::kBitForBit,
+                                     Match::kBitForBit, seed);
+  }
+  // A fractional P rounds in the rows, but it enters eta only through the
+  // diagonal, so eta stays bit for bit.
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    const PartitionProblem problem = test::make_tiny_problem(
+        {.num_components = 80,
+         .num_partitions = 6,
+         .wire_probability = 0.1,
+         .constraint_probability = 0.08,
+         .with_linear_term = true,
+         .seed = seed});
+    Rng rng(seed ^ 0xe7au);
+    expect_follow_matches_fresh_rows(
+        problem, kPenalty,
+        test::random_complete(problem.num_components(),
+                              problem.num_partitions(), rng),
+        Match::kRelative, Match::kBitForBit, seed);
   }
 }
 
@@ -280,7 +314,40 @@ TEST(DeltaEvaluator, FollowMatchesFreshRowsOnAsymmetricFractionalData) {
     const test::OracleInstance instance = test::make_oracle_instance(seed);
     ASSERT_GT(instance.problem.timing().matrix().nonzeros(), 0u);
     expect_follow_matches_fresh_rows(instance.problem, kPenalty, instance.start,
-                                     /*exact=*/false, seed);
+                                     Match::kRelative, Match::kRelative, seed);
+  }
+}
+
+TEST(DeltaEvaluator, EtaAfterAPolishRebuildsNoRow) {
+  // Burkard's STEP 3 reads eta off the rows its polish keeps current, both
+  // when the polish built them (eta then only adds the incoming parts) and
+  // when an earlier eta did.
+  const PartitionProblem problem = test::make_tiny_problem(
+      {.num_components = 60,
+       .num_partitions = 6,
+       .wire_probability = 0.12,
+       .constraint_probability = 0.08,
+       .capacity_factor = 2.0,
+       .seed = 7});
+  const auto n = static_cast<std::uint64_t>(problem.num_components());
+  const auto size = static_cast<std::size_t>(problem.flat_size());
+  std::vector<double> eta(size);
+  std::vector<double> expected(size);
+  DeltaEvaluator evaluator(problem, kPenalty);
+  Rng rng(41);
+  Assignment u = test::random_complete(problem.num_components(),
+                                       problem.num_partitions(), rng);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    const Assignment jumped = test::random_jump(u, 0.3, rng);
+    u = jumped;
+    polish_iterate(problem, evaluator, u, /*max_sweeps=*/3, round);
+    EXPECT_NE(u, jumped) << "the polish committed nothing";
+    EXPECT_EQ(evaluator.cache_misses(), n);
+    evaluator.eta(u, eta);
+    EXPECT_EQ(evaluator.cache_misses(), n);
+    DeltaEvaluator(problem, kPenalty).eta(u, expected);
+    EXPECT_EQ(eta, expected);
   }
 }
 

@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "bench_support/circuits.hpp"
-#include "core/initial.hpp"
 #include "core/qhat.hpp"
 #include "engine/engine.hpp"
 #include "test_support.hpp"
@@ -504,37 +502,6 @@ TEST(Portfolio, MismatchedOrIncompleteInitialIsIgnored) {
   const PortfolioResult incomplete =
       Portfolio(options).run(problem, recorder, 1);
   EXPECT_EQ(incomplete.starts[0].best, plain.starts[0].best);
-}
-
-// Intra-solve parallelism must be invisible in the results.  Sweep
-// inner_threads over {1, 2, 8} on an instance large enough that the STEP 3
-// eta gather (the solve's one threaded phase) fans out -- N=800 gives 13
-// chunks of 64, above kMinFanoutChunks -- and require bit-identical
-// assignments and objectives.  Under TSan this doubles as the race check
-// for the shared pool.
-TEST(InnerThreads, BitIdenticalAcrossInnerThreadCounts) {
-  const PartitionProblem problem = make_scaling_problem(800, 7);
-  const Assignment initial =
-      make_initial(problem, InitialStrategy::kQbpZeroWireCost, 7).assignment;
-
-  std::vector<BurkardResult> results;
-  for (const std::int32_t inner : {1, 2, 8}) {
-    BurkardOptions options;
-    options.iterations = 8;
-    options.inner_threads = inner;
-    results.push_back(solve_qbp(problem, initial, options));
-  }
-  const BurkardResult& reference = results.front();
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    SCOPED_TRACE("inner_threads variant " + std::to_string(i));
-    EXPECT_EQ(results[i].best, reference.best);
-    EXPECT_EQ(results[i].best_penalized, reference.best_penalized);
-    EXPECT_EQ(results[i].found_feasible, reference.found_feasible);
-    EXPECT_EQ(results[i].best_feasible, reference.best_feasible);
-    EXPECT_EQ(results[i].best_feasible_objective,
-              reference.best_feasible_objective);
-    EXPECT_EQ(results[i].history, reference.history);
-  }
 }
 
 // Starts x inner threads through the portfolio: the fair-share pool must
