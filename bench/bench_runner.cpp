@@ -9,7 +9,7 @@
 //   bench_runner --smoke --profile                    # phase breakdown
 //
 // JSON schema (schema = 1):
-//   { "schema": 1, "mode": "smoke"|"full", "inner_threads": K,
+//   { "schema": 1, "mode": "smoke"|"full",
 //     "suites": { "<suite>": [ {row}, ... ], ... },
 //     "phases": { "<phase>": {"seconds","count"}, ... } }     (--profile)
 //
@@ -72,16 +72,11 @@ using qbp::json::Value;
 struct RunnerConfig {
   bool smoke = false;
   double time_tolerance = 0.25;
-  std::int64_t inner_threads = 1;
   /// Presolve before the QBP and V-cycle solves.  The standard circuits have
   /// no reducible structure, so on/off runs are bit-identical there and
   /// --check works against one shared baseline in both modes.
   bool presolve = true;
 };
-
-std::int32_t inner_threads(const RunnerConfig& config) {
-  return static_cast<std::int32_t>(config.inner_threads);
-}
 
 std::vector<std::string> circuit_names(const RunnerConfig& config) {
   if (config.smoke) return {"cktb"};
@@ -152,7 +147,6 @@ Value run_table1(const RunnerConfig& config) {
 // problem it solves.
 Value run_paper_table(bool with_timing, const RunnerConfig& config) {
   qbp::ExperimentConfig experiment;
-  experiment.inner_threads = inner_threads(config);
   experiment.presolve.enabled = config.presolve;
   if (config.smoke) {
     experiment.qbp_iterations = 30;
@@ -197,7 +191,6 @@ Value run_ablation(const RunnerConfig& config) {
                          const qbp::PartitionProblem& problem,
                          const qbp::InitialResult& start,
                          qbp::BurkardOptions options, bool history = false) {
-    options.inner_threads = inner_threads(config);
     const auto result = qbp::solve_qbp(problem, start.assignment, options);
     Value row = Value::object();
     row.set("study", study);
@@ -385,7 +378,6 @@ Value run_exact_gap(const RunnerConfig& config) {
         problem, qbp::InitialStrategy::kQbpZeroWireCost, seed);
     qbp::BurkardOptions qbp_options;
     qbp_options.iterations = 60;
-    qbp_options.inner_threads = inner_threads(config);
     const auto heuristic =
         qbp::solve_qbp(problem, start.assignment, qbp_options);
     qbp::ExactOptions exact_options;
@@ -430,7 +422,6 @@ Value run_exact_gap(const RunnerConfig& config) {
 Value run_scaling(const RunnerConfig& config) {
   qbp::BurkardOptions options;
   options.iterations = config.smoke ? 10 : 30;
-  options.inner_threads = inner_threads(config);
   const qbp::engine::BurkardSolver solver(options);
 
   Value rows = Value::array();
@@ -448,7 +439,6 @@ Value run_scaling(const RunnerConfig& config) {
     row.set("wires", problem.netlist().total_wires());
     row.set("constraints", problem.timing().count());
     row.set("iterations", result.iterations);
-    row.set("threads", config.inner_threads);
     row.set("seconds", seconds);
     row.set("ms_per_iter", result.iterations > 0
                                ? seconds * 1000.0 /
@@ -471,7 +461,6 @@ Value run_scaling(const RunnerConfig& config) {
 Value run_presolve(const RunnerConfig& config) {
   qbp::BurkardOptions options;
   options.iterations = config.smoke ? 10 : 30;
-  options.inner_threads = inner_threads(config);
   const qbp::engine::BurkardSolver solver(options);
 
   Value rows = Value::array();
@@ -543,7 +532,6 @@ Value run_eco(const RunnerConfig& config) {
     job.solver.starts = config.smoke ? 4 : 1;
     job.solver.iterations = config.smoke ? 10 : 100;
     job.solver.seed = 7;
-    job.solver.inner_threads = inner_threads(config);
     // Explicit so the spec fingerprint is independent of the build's
     // validation default; the warm path re-validates on its own anyway.
     job.solver.validate = false;
@@ -604,24 +592,19 @@ Value run_eco(const RunnerConfig& config) {
 }
 
 // V-cycle: the multilevel solver at sizes the flat heuristic cannot touch
-// (N up to 100k).  The hierarchy, the coarsest solve and every refinement
-// pass are bit-identical at any inner-thread count, so a re-run with
-// --inner-threads 2 must pass --check against the same baseline.  The rows
-// need the hierarchy stats, which the Solver interface does not carry, so
-// the V-cycle runs through solve_qbp_multilevel directly -- on the
-// pipeline's reduced instance (the N=30k and 100k instances shed a few
-// components), lifted back through the pipeline's SolutionLift.  The
-// per-level arrays (finest first) are exact: the violations each polish
-// leaves and the repair walk's moves, so a walk that starts running again
-// on a level whose answer is discarded trips the gate.
+// (N up to 100k).  The rows need the hierarchy stats, which the Solver
+// interface does not carry, so the V-cycle runs through
+// solve_qbp_multilevel directly -- on the pipeline's reduced instance (the
+// N=30k and 100k instances shed a few components), lifted back through the
+// pipeline's SolutionLift.  The per-level arrays (finest first) are exact:
+// the violations each polish leaves and the repair walk's moves, so a walk
+// that starts running again on a level whose answer is discarded trips the
+// gate.
 Value run_vcycle(const RunnerConfig& config) {
   const std::vector<std::int32_t> sizes =
       config.smoke ? std::vector<std::int32_t>{10000}
                    : std::vector<std::int32_t>{10000, 30000, 100000};
-  qbp::MultilevelOptions options;
-  options.coarsen.inner_threads = inner_threads(config);
-  options.coarse_solver.inner_threads = inner_threads(config);
-  options.refine_solver.inner_threads = inner_threads(config);
+  const qbp::MultilevelOptions options;
 
   Value rows = Value::array();
   for (const std::int32_t n : sizes) {
@@ -649,7 +632,6 @@ Value run_vcycle(const RunnerConfig& config) {
     row.set("constraints", problem.timing().count());
     row.set("levels", result.levels_used);
     row.set("level_sizes", array_of(result.level_sizes));
-    row.set("threads", config.inner_threads);
     row.set("coarsen_seconds", result.coarsen_seconds);
     row.set("seconds", seconds);
     row.set("coarse_solve_seconds", result.coarse_solve_seconds);
@@ -675,7 +657,6 @@ Value run_vcycle(const RunnerConfig& config) {
 // edge framings.  Smoke shrinks the problem and batch sizes.
 Value run_serve(const RunnerConfig& config) {
   qbp::ServeBenchConfig serve;
-  serve.inner_threads = inner_threads(config);
   if (config.smoke) {
     serve.n = 200;
     serve.jobs = 24;
@@ -1300,10 +1281,6 @@ int main(int argc, char** argv) {
                      ", which runs only when named)");
   cli.add_flag("list-suites", list_suites,
                "print the valid --suite values and exit");
-  cli.add_int("inner-threads", config.inner_threads,
-              "threads for the V-cycle coarsening scan, the only threaded "
-              "phase inside a solve (0 = all hardware); objectives are "
-              "bit-identical at every value, so --check still applies");
   cli.add_string("presolve", presolve_mode,
                  "on | off: presolve before the QBP and V-cycle solves; "
                  "bit-identical on the standard suites, so --check holds in "
@@ -1353,7 +1330,6 @@ int main(int argc, char** argv) {
   Value out = Value::object();
   out.set("schema", 1);
   out.set("mode", config.smoke ? "smoke" : "full");
-  out.set("inner_threads", config.inner_threads);
   out.set("suites", results);
   if (profile) {
     const qbp::prof::PhaseReport phases = qbp::prof::snapshot();

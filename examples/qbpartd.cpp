@@ -45,7 +45,6 @@ void on_signal(int /*signum*/) {
 int main(int argc, char** argv) {
   std::int64_t workers = 1;
   std::int64_t queue_capacity = 64;
-  std::int64_t thread_limit = 0;
   std::int64_t tcp_port = -1;
   double stats_interval = 0.0;
   bool pipe_mode = false;
@@ -63,10 +62,6 @@ int main(int argc, char** argv) {
   cli.add_int("workers", workers, "concurrent jobs");
   cli.add_int("queue", queue_capacity,
               "queue bound; a full queue rejects new submits");
-  cli.add_int("thread-limit", thread_limit,
-              "combined budget for workers x starts x inner_threads "
-              "(0 = all hardware threads); oversubscribing submits get "
-              "their inner_threads clamped with a warning");
   cli.add_int("tcp", tcp_port, "listen on 127.0.0.1:PORT (0 = ephemeral)");
   cli.add_flag("pipe", pipe_mode,
                "serve stdin -> stdout (default when --tcp absent)");
@@ -145,7 +140,6 @@ int main(int argc, char** argv) {
   options.workers = static_cast<std::int32_t>(workers);
   options.queue_capacity = static_cast<std::size_t>(queue_capacity);
   options.stats_interval_s = stats_interval;
-  options.thread_limit = static_cast<std::int32_t>(thread_limit);
   options.cache_capacity = cache_mode == "off"
                                ? 0
                                : static_cast<std::size_t>(cache_capacity);

@@ -1,4 +1,4 @@
-// The 12 solver flags qbpart_cli and qbpart_submit share: one flag per
+// The 11 solver flags qbpart_cli and qbpart_submit share: one flag per
 // engine::SolverSpec field but `validate`, checked by engine::check_spec.
 #pragma once
 
@@ -22,10 +22,6 @@ class SolverFlags {
     cli.add_string("method", spec_.method, "qbp | multilevel | gfm | gkl | sa");
     cli.add_int("starts", spec_.starts, "portfolio starts; the best one wins");
     cli.add_int("threads", spec_.threads, "portfolio threads (0 = all cores)");
-    cli.add_int("inner-threads", spec_.inner_threads,
-                "threads for the multilevel coarsening scan, the only "
-                "threaded phase inside a solve (0 = all cores); results are "
-                "bit-identical at every value");
     cli.add_int("iterations", spec_.iterations, "QBP iteration budget");
     cli.add_int("seed", seed_, "master seed in [0, 2^53); the determinism key");
     cli.add_string("presolve", presolve_,

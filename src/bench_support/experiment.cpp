@@ -54,7 +54,6 @@ ExperimentRow run_experiment_from(const std::string& circuit_name,
   {
     BurkardOptions options;
     options.iterations = config.qbp_iterations;
-    options.inner_threads = config.inner_threads;
     engine::PipelineOptions pipeline_options;
     pipeline_options.presolve = config.presolve;
     const Timer timer;

@@ -24,9 +24,6 @@ namespace qbp {
 struct ExperimentConfig {
   std::int32_t qbp_iterations = 100;
   std::int32_t gkl_outer_loops = 6;
-  /// Threads inside the QBP solve (util/parallel pool); results are
-  /// bit-identical at every value, only wall-clock changes.
-  std::int32_t inner_threads = 1;
   /// Seed for the shared initial solution and for SA.
   std::uint64_t seed = 1993;
   /// Presolve configuration for the QBP leg, which runs through

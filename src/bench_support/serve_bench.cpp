@@ -64,7 +64,6 @@ service::Request make_submit(const ServeBenchConfig& config,
   request.solver.starts = config.starts;
   request.solver.iterations = config.iterations;
   request.solver.seed = 7;
-  request.solver.inner_threads = config.inner_threads;
   // Pinned explicitly so the spec fingerprint (and with it the exact-hit
   // behaviour) is independent of the build's validation default.
   request.solver.validate = false;

@@ -37,7 +37,6 @@ struct ServeBenchConfig {
   /// ("ok"): only ok results enter the cache, and the exact and warm
   /// scenarios need the primed entry to exist.
   std::int32_t starts = 4;
-  std::int32_t inner_threads = 1;
   /// Worker counts exercised for the cold and exact scenarios.
   std::vector<std::int32_t> worker_counts = {1, 4};
 };

@@ -265,10 +265,6 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     log::debug("burkard iter ", k, ": penalized incumbent ",
                result.best_penalized, ", step-4 z = ", z);
 
-    if (options.time_budget_seconds > 0.0 &&
-        timer.seconds() >= options.time_budget_seconds) {
-      break;
-    }
     if (options.should_stop && options.should_stop()) break;
   }
 

@@ -83,10 +83,8 @@ struct BurkardOptions {
   /// the polish study of bench_runner --suite ablation measures the
   /// difference.
   std::int32_t polish_sweeps = 3;
-  /// No solver phase reads this: solve_qbp runs serially at every value,
-  /// and results are bit-identical.  It survives only as the pool-size hint
-  /// engine::BurkardSolver reports to the portfolio, for callers that
-  /// still set it.
+  /// Read by nothing: solve_qbp runs on the caller's thread.  Kept only
+  /// because the benchmark program still sets it.
   std::int32_t inner_threads = 1;
   /// Restart the line search every `restart_period` iterations: h is reset
   /// to zero and the iteration continues from the best incumbent so far.
@@ -98,10 +96,6 @@ struct BurkardOptions {
   /// Record the incumbent penalized value per iteration (for convergence
   /// plots); small, on by default.
   bool record_history = true;
-  /// Optional wall-clock budget in seconds; <= 0 means unlimited.  Checked
-  /// between iterations ("the user can have precise control over the total
-  /// runtime" -- this adds the wall-clock variant of that control).
-  double time_budget_seconds = 0.0;
   /// Cooperative cancellation hook, checked between iterations.  Empty means
   /// never stop.  The engine portfolio wires a std::stop_token through this
   /// to cancel stragglers.

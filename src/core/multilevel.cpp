@@ -6,7 +6,6 @@
 #include "core/delta_evaluator.hpp"
 #include "core/qhat.hpp"
 #include "core/repair.hpp"
-#include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -19,8 +18,6 @@ CoarseProblem coarsen(const PartitionProblem& problem,
                       const CoarsenOptions& options) {
   QBP_PROF_SCOPE("multilevel.coarsen");
   const std::int32_t n = problem.num_components();
-  // Built lazily and not thread-safe to build: touch it here, before the
-  // parallel proposal scans read it.
   const auto& adjacency = problem.netlist().connection_matrix();
   const auto& sizes = problem.netlist().sizes();
 
@@ -30,12 +27,11 @@ CoarseProblem coarsen(const PartitionProblem& problem,
   }
   const double size_limit = max_capacity * options.max_cluster_capacity_fraction;
 
-  // Heavy-edge matching, parallel and deterministic.  Each round has two
+  // Heavy-edge matching, deterministic in the seed.  Each round has two
   // phases: a PROPOSAL scan where every unmatched vertex picks its heaviest
   // still-unmatched, size-feasible neighbor (a pure function of the round's
-  // frozen `mate` array -- chunks write disjoint `pref` slots, so any
-  // thread count produces the same bits), then a serial COMMIT pass in a
-  // seeded shuffled order that pairs vertices whose proposal still holds.
+  // frozen `mate` array), then a COMMIT pass in a seeded shuffled order
+  // that pairs vertices whose proposal still holds.
   // Later rounds re-propose vertices whose first choice was taken earlier in
   // the commit order.  Four rounds keep the per-level shrink near the 0.5
   // ideal even when many first choices collide (two leave ~25-40% of the
@@ -50,34 +46,29 @@ CoarseProblem coarsen(const PartitionProblem& problem,
   std::vector<std::int32_t> pref(static_cast<std::size_t>(n), -1);
   constexpr std::int32_t kRounds = 4;
   for (std::int32_t round = 0; round < kRounds; ++round) {
-    par::parallel_for(
-        n, /*grain=*/512, options.inner_threads,
-        [&](std::int64_t chunk_begin, std::int64_t chunk_end, std::int32_t) {
-          for (std::int32_t j = static_cast<std::int32_t>(chunk_begin);
-               j < static_cast<std::int32_t>(chunk_end); ++j) {
-            pref[static_cast<std::size_t>(j)] = -1;
-            if (mate[static_cast<std::size_t>(j)] != -1) continue;
-            const auto neighbors = adjacency.row_indices(j);
-            const auto weights = adjacency.row_values(j);
-            std::int32_t best = -1;
-            std::int32_t best_weight = 0;
-            for (std::size_t k = 0; k < neighbors.size(); ++k) {
-              const std::int32_t other = neighbors[k];
-              if (mate[static_cast<std::size_t>(other)] != -1) continue;
-              if (sizes[static_cast<std::size_t>(j)] +
-                      sizes[static_cast<std::size_t>(other)] >
-                  size_limit) {
-                continue;
-              }
-              if (weights[k] > best_weight ||
-                  (weights[k] == best_weight && best >= 0 && other < best)) {
-                best_weight = weights[k];
-                best = other;
-              }
-            }
-            pref[static_cast<std::size_t>(j)] = best;
-          }
-        });
+    for (std::int32_t j = 0; j < n; ++j) {
+      pref[static_cast<std::size_t>(j)] = -1;
+      if (mate[static_cast<std::size_t>(j)] != -1) continue;
+      const auto neighbors = adjacency.row_indices(j);
+      const auto weights = adjacency.row_values(j);
+      std::int32_t best = -1;
+      std::int32_t best_weight = 0;
+      for (std::size_t k = 0; k < neighbors.size(); ++k) {
+        const std::int32_t other = neighbors[k];
+        if (mate[static_cast<std::size_t>(other)] != -1) continue;
+        if (sizes[static_cast<std::size_t>(j)] +
+                sizes[static_cast<std::size_t>(other)] >
+            size_limit) {
+          continue;
+        }
+        if (weights[k] > best_weight ||
+            (weights[k] == best_weight && best >= 0 && other < best)) {
+          best_weight = weights[k];
+          best = other;
+        }
+      }
+      pref[static_cast<std::size_t>(j)] = best;
+    }
     bool matched_any = false;
     for (const std::int32_t j : order) {
       if (mate[static_cast<std::size_t>(j)] != -1) continue;

@@ -57,8 +57,8 @@ struct CoarsenOptions {
   double max_cluster_capacity_fraction = 0.5;
   /// Deterministic tie-breaking seed for the matching commit order.
   std::uint64_t seed = 1;
-  /// Threads for the proposal scans (util/parallel pool).  Results are
-  /// bit-identical at every value; this knob trades wall-clock only.
+  /// Read by nothing: the coarsening runs on the caller's thread.  Kept
+  /// only because the benchmark program still sets it.
   std::int32_t inner_threads = 1;
 };
 
@@ -92,8 +92,8 @@ struct MultilevelOptions {
   /// Burkard budget on the coarsest problem.
   BurkardOptions coarse_solver;
   /// The V-cycle reads only `penalty`: it drives the polish on every level
-  /// and the finest result's penalized value.  Callers still set
-  /// `inner_threads` here; the V-cycle does not read it.
+  /// and the finest result's penalized value.  A whole BurkardOptions stays
+  /// only because the benchmark program sets its `inner_threads`.
   BurkardOptions refine_solver;
   CoarsenOptions coarsen;
   /// Cooperative cancellation hook, forwarded into the coarsest solve and

@@ -34,9 +34,6 @@ class BurkardSolver final : public Solver {
   [[nodiscard]] double penalized_with() const override {
     return options_.penalty;
   }
-  [[nodiscard]] std::int32_t inner_threads() const override {
-    return options_.inner_threads;
-  }
 
  private:
   BurkardOptions options_;
@@ -55,12 +52,6 @@ class MultilevelSolver final : public Solver {
   /// The finest-level result is polished with the refinement penalty.
   [[nodiscard]] double penalized_with() const override {
     return options_.refine_solver.penalty;
-  }
-  /// The coarsening scan is the V-cycle's only threaded phase; the
-  /// coarsest solve and the refinement run serially, so their knobs drive
-  /// nothing.
-  [[nodiscard]] std::int32_t inner_threads() const override {
-    return options_.coarsen.inner_threads;
   }
 
  private:

@@ -28,7 +28,7 @@
 // contract is unchanged (start points remain pure functions of (seed,
 // index), now over the reduced component count), and lifting is a pure
 // function of the winning result -- so the pipeline preserves bit-identical
-// outcomes across thread counts and inner_threads values.
+// outcomes across thread counts.
 #pragma once
 
 #include <cstdint>

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include "core/validate.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -81,13 +76,6 @@ void audit_result(const PartitionProblem& problem, const Solver& solver,
 
 }  // namespace
 
-std::int32_t portfolio_workers(std::int32_t threads, std::int32_t starts) {
-  if (threads <= 0) {
-    threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
-  }
-  return std::clamp(threads, 1, std::max(1, starts));
-}
-
 PortfolioResult Portfolio::run(const PartitionProblem& problem,
                                const Solver& solver,
                                std::int32_t starts) const {
@@ -108,51 +96,23 @@ PortfolioResult Portfolio::run(
     return result;
   }
 
-  const std::int32_t threads = portfolio_workers(options_.threads, num_starts);
-
-  // Nested-parallelism arbitration: when starts carry an inner_threads
-  // budget, grow the shared util/parallel pool once up front (instead of
-  // every start racing to spawn helpers mid-solve) and let the pool's
-  // fair-share tokens split helpers among the starts running concurrently.
-  // Scheduling only -- per-start results are bit-identical regardless.
-  std::int32_t inner = 1;
-  for (const Solver* start_solver : start_solvers) {
-    inner = std::max(inner, par::resolve_threads(start_solver->inner_threads()));
+  std::int32_t threads = options_.threads;
+  if (threads <= 0) {
+    threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
   }
-  if (inner > 1) {
-    const std::int64_t helpers =
-        static_cast<std::int64_t>(threads) * inner - 1;
-    par::Pool::instance().warm(static_cast<std::int32_t>(
-        std::min<std::int64_t>(helpers, par::kMaxHelpers)));
-    log::debug("portfolio: ", threads, " start workers x ", inner,
-               " inner threads fair-share ", par::fair_share_base(),
-               " pool slots");
-  }
-
-  const bool cancel_enabled = !std::isnan(options_.cancel_objective);
+  threads = std::clamp(threads, 1, num_starts);
   const bool validate_on = options_.validate.value_or(validation_enabled());
 
   std::vector<SolverResult> slots(static_cast<std::size_t>(num_starts));
   std::vector<std::uint8_t> ran(static_cast<std::size_t>(num_starts), 0);
   std::atomic<std::int32_t> next{0};
-  std::stop_source cancel;
-
-  // Job-level cancellation: relay the external token (if any) onto the
-  // internal cancel source, so one mechanism stops both pending and
-  // in-flight starts.  The callback fires immediately if the token already
-  // did.
-  std::optional<std::stop_callback<std::function<void()>>> relay;
-  if (options_.stop.stop_possible()) {
-    relay.emplace(options_.stop,
-                  std::function<void()>([&cancel] { cancel.request_stop(); }));
-  }
 
   const auto worker = [&] {
     for (;;) {
       const std::int32_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= num_starts) break;
       SolverResult& slot = slots[static_cast<std::size_t>(i)];
-      if (cancel.stop_requested()) {
+      if (options_.stop.stop_requested()) {
         // Skipped before launch: record the solver it would have run.
         slot.solver = std::string(start_solvers[i]->name());
         slot.cancelled = true;
@@ -169,7 +129,7 @@ PortfolioResult Portfolio::run(
       // is excluded from selection; the rest of the portfolio proceeds.
       try {
         QBP_PROF_SCOPE("portfolio.start");
-        slot = start_solvers[i]->solve(problem, start, cancel.get_token());
+        slot = start_solvers[i]->solve(problem, start, options_.stop);
         if (validate_on) audit_result(problem, *start_solvers[i], i, slot);
       } catch (const std::exception& e) {
         slot.error = e.what();
@@ -179,18 +139,13 @@ PortfolioResult Portfolio::run(
         log::error("portfolio start ", i, " failed: ", slot.error);
       }
       ran[static_cast<std::size_t>(i)] = 1;
-      if (cancel_enabled && slot.error.empty() && slot.found_feasible &&
-          slot.best_feasible_objective <= options_.cancel_objective) {
-        cancel.request_stop();
-      }
     }
     log::set_thread_prefix({});
   };
 
   {
-    // Portfolio starts run whole solver instances and must join before the
-    // deterministic selection scan; the shared work pool serves the *inner*
-    // parallelism of each start instead.
+    // Portfolio starts run whole solver instances, each on one thread, and
+    // must join before the deterministic selection scan.
     std::vector<std::jthread> pool;  // qbp-lint: allow(raw-thread)
     pool.reserve(static_cast<std::size_t>(threads));
     for (std::int32_t t = 0; t < threads; ++t) pool.emplace_back(worker);

@@ -15,13 +15,8 @@
 //     first slot under the strict better_result() order, so selection is
 //     independent of completion order;
 //   * therefore: same master seed + same start list => bit-identical chosen
-//     assignment for any thread count, as long as early-cancel is disabled.
-//
-// Early-cancel (`cancel_objective`) trades that guarantee for latency: once
-// any completed start is feasible at or below the threshold, in-flight
-// starts are cancelled cooperatively and pending ones are skipped.  Which
-// starts complete then depends on timing, so enable it only when any
-// solution under the threshold is acceptable.
+//     assignment for any thread count, as long as the job's `stop` token
+//     does not fire.
 //
 // Wall-clock accounting is total, not winner-only: `seconds` is what the
 // caller actually waited, `seconds_total` the CPU-time-like sum over all
@@ -29,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <stop_token>
@@ -45,18 +39,14 @@ struct PortfolioOptions {
   std::int32_t threads = 0;
   /// Master seed; start i's stream is fork(i) of it.
   std::uint64_t seed = 1993;
-  /// Early-cancel threshold on the *true* objective of a feasible result;
-  /// NaN (default) disables.  See the determinism note above.
-  double cancel_objective = std::numeric_limits<double>::quiet_NaN();
   /// Keep every start's SolverResult in PortfolioResult::starts (index
   /// order).  Turn off to save memory on huge fan-outs.
   bool keep_start_results = true;
   /// External job-level cancellation (deadline enforcement, client cancel):
   /// when this token fires, in-flight starts are cancelled cooperatively and
-  /// pending ones are skipped, exactly like an early-cancel trigger.  The
-  /// default token can never fire and costs nothing.  A run whose token
-  /// fires keeps the determinism guarantee only for the starts that already
-  /// completed.
+  /// pending ones are skipped.  The default token can never fire and costs
+  /// nothing.  A run whose token fires keeps the determinism guarantee only
+  /// for the starts that already completed.
   std::stop_token stop{};
   /// Explicit initial assignment for start 0 (the warm-start injection
   /// point): when set and complete for the problem being solved, start 0
@@ -93,18 +83,11 @@ struct PortfolioResult {
 
   std::int32_t starts_run = 0;        // actually executed
   std::int32_t starts_cancelled = 0;  // executed but saw the stop token fire
-  std::int32_t starts_skipped = 0;    // never started (early-cancel)
+  std::int32_t starts_skipped = 0;    // never started (`stop` fired first)
   std::int32_t starts_errored = 0;    // threw (solve or audit); not selectable
   std::int32_t starts_validated = 0;  // shadow-audited clean
   std::int32_t threads_used = 0;
 };
-
-/// Start workers a portfolio of `starts` starts runs on: `threads` <= 0
-/// means std::thread::hardware_concurrency(), and the count is clamped to
-/// [1, max(1, starts)].  Thread budgets that count concurrent starts (the
-/// server's inner_threads clamp) must use this same reading.
-[[nodiscard]] std::int32_t portfolio_workers(std::int32_t threads,
-                                             std::int32_t starts);
 
 class Portfolio {
  public:

@@ -119,13 +119,6 @@ class Solver {
   /// validator recomputes penalized values with the same constant, so
   /// adapters with a configurable penalty must override.
   [[nodiscard]] virtual double penalized_with() const { return kPaperPenalty; }
-
-  /// The intra-solve thread budget one solve() call may use on the shared
-  /// util/parallel pool (the `inner_threads` knob; <= 0 means "all
-  /// hardware").  The portfolio reads it to size and fair-share the pool
-  /// across concurrent starts.  Purely a scheduling hint: results are
-  /// bit-identical at every value.
-  [[nodiscard]] virtual std::int32_t inner_threads() const { return 1; }
 };
 
 }  // namespace qbp::engine

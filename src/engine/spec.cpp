@@ -33,7 +33,6 @@ std::optional<std::string_view> apply_rules(std::string_view rules,
 std::string check_spec(const SolverSpec& spec) {
   if (spec.starts < 1) return "'starts' must be >= 1";
   if (spec.threads < 0) return "'threads' must be >= 0";
-  if (spec.inner_threads < 0) return "'inner_threads' must be >= 0";
   if (spec.iterations < 1) return "'iterations' must be >= 1";
   // Above 2^53 doubles skip integers: a JSON client would send a neighbour.
   if (spec.seed >= std::uint64_t{1} << 53) {
@@ -59,14 +58,10 @@ std::unique_ptr<Solver> make_solver(const SolverSpec& spec) {
   if (spec.method == "qbp") {
     BurkardOptions options;
     options.iterations = spec.iterations;
-    options.inner_threads = spec.inner_threads;
     return std::make_unique<BurkardSolver>(options);
   }
   if (spec.method == "multilevel") {
     MultilevelOptions options;
-    options.coarsen.inner_threads = spec.inner_threads;
-    options.coarse_solver.inner_threads = spec.inner_threads;
-    options.refine_solver.inner_threads = spec.inner_threads;
     // Sentinels (0 / 0.0 / -1) keep the core/multilevel.hpp defaults.
     if (spec.ml_levels > 0) options.max_levels = spec.ml_levels;
     if (spec.ml_min_shrink > 0.0) options.min_shrink = spec.ml_min_shrink;

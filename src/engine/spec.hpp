@@ -18,10 +18,6 @@ struct SolverSpec {
   std::string method = "qbp";     // qbp | multilevel | gfm | gkl | sa
   std::int32_t starts = 1;        // independent portfolio starts
   std::int32_t threads = 1;       // portfolio worker threads (0 = all hardware)
-  /// Intra-solve threads per start (qbp / multilevel; 0 = all hardware).
-  /// Pure wall-clock knob: results are bit-identical at every value.  The
-  /// server clamps workers x starts x inner_threads against the machine.
-  std::int32_t inner_threads = 1;
   std::int32_t iterations = 100;  // QBP iteration budget (qbp method only)
   /// Master seed and determinism anchor, in [0, 2^53): every such integer
   /// survives a JSON number unrounded.
@@ -46,8 +42,8 @@ struct SolverSpec {
 /// valid.  The method name is make_solver's to judge.
 [[nodiscard]] std::string check_spec(const SolverSpec& spec);
 
-/// The solver `spec.method` names, with the spec's iteration budget,
-/// inner_threads and V-cycle shape; nullptr for an unknown method.
+/// The solver `spec.method` names, with the spec's iteration budget and
+/// V-cycle shape; nullptr for an unknown method.
 [[nodiscard]] std::unique_ptr<Solver> make_solver(const SolverSpec& spec);
 
 /// SolvePipeline settings: presolve switch, rules and RN threshold,

@@ -61,9 +61,9 @@ struct ProblemDigest {
 /// Fingerprint of the solve configuration that shapes the *result*:
 /// method, starts, iterations, seed, the presolve switch, RN threshold and
 /// rule set (as a set: the order of presolve_rules does not matter), the
-/// V-cycle shape and the resolved validate flag.  threads/inner_threads
-/// are excluded -- the engine's determinism contract makes results
-/// bit-identical across them.
+/// V-cycle shape and the resolved validate flag.  threads is excluded --
+/// the engine's determinism contract makes results bit-identical across
+/// it.
 [[nodiscard]] Hash128 spec_fingerprint(const SolverSpec& spec,
                                        bool effective_validate);
 

@@ -68,8 +68,6 @@ ParseResult parse_request(std::string_view line, Request& out) {
     }
     if (!read_int32(*solver, "starts", out.solver.starts, error) ||
         !read_int32(*solver, "threads", out.solver.threads, error) ||
-        !read_int32(*solver, "inner_threads", out.solver.inner_threads,
-                    error) ||
         !read_int32(*solver, "iterations", out.solver.iterations, error) ||
         !read_int32(*solver, "presolve_rn", out.solver.presolve_rn, error) ||
         !read_int32(*solver, "ml_levels", out.solver.ml_levels, error) ||
@@ -150,7 +148,6 @@ std::string format_request(const Request& request) {
     solver.set("method", request.solver.method);
     solver.set("starts", request.solver.starts);
     solver.set("threads", request.solver.threads);
-    solver.set("inner_threads", request.solver.inner_threads);
     solver.set("iterations", request.solver.iterations);
     solver.set("seed", static_cast<std::int64_t>(request.solver.seed));
     if (request.solver.validate.has_value()) {

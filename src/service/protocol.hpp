@@ -13,12 +13,13 @@
 //   {"type":"shutdown"}            (drain accepted jobs, then exit)
 //
 // The "solver" object carries engine::SolverSpec field by field (method,
-// starts, threads, inner_threads, iterations, seed, validate, presolve,
-// presolve_rn, presolve_rules, ml_levels, ml_min_shrink, ml_refine_passes);
-// absent fields keep the SolverSpec defaults.  A spec engine::check_spec
-// refuses -- e.g. a seed outside [0, 2^53) or an unknown presolve rule --
-// fails the line with check_spec's message, the one a binary submit frame
-// gets too.
+// starts, threads, iterations, seed, validate, presolve, presolve_rn,
+// presolve_rules, ml_levels, ml_min_shrink, ml_refine_passes); absent
+// fields keep the SolverSpec defaults, and keys it does not name are
+// ignored -- the retired "inner_threads" among them, which older clients
+// still send.  A spec engine::check_spec refuses -- e.g. a seed outside
+// [0, 2^53) or an unknown presolve rule -- fails the line with
+// check_spec's message, the one a binary submit frame gets too.
 //
 // Responses (server -> client), one line each, in completion order:
 //

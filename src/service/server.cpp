@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <list>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -15,10 +17,8 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include "engine/portfolio.hpp"
 #include "service/wire.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 #include "util/prof.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
@@ -56,8 +56,6 @@ Server::Server(ServerOptions options)
       jobs_error_(metrics_.counter("jobs_error")),
       queue_depth_(metrics_.gauge("queue_depth")),
       workers_busy_(metrics_.gauge("workers_busy")),
-      inner_threads_effective_(metrics_.gauge("inner_threads_effective")),
-      pool_utilization_(metrics_.gauge("pool_utilization")),
       presolve_r0_(metrics_.counter("presolve.r0")),
       presolve_r1_(metrics_.counter("presolve.r1")),
       presolve_r2_(metrics_.counter("presolve.r2")),
@@ -224,33 +222,6 @@ void Server::handle_frame(std::uint8_t type, std::string_view payload,
   }
 }
 
-std::int32_t Server::clamp_inner_threads(const SolverSpec& spec) const {
-  const std::int32_t requested = par::resolve_threads(spec.inner_threads);
-  std::int32_t limit = options_.thread_limit;
-  if (limit <= 0) {
-    limit = static_cast<std::int32_t>(std::thread::hardware_concurrency());
-    if (limit <= 0) limit = 1;
-  }
-  // Concurrent leaf threads: server workers x concurrently-running portfolio
-  // starts x inner solver threads.  Only the last factor is ours to shrink.
-  // The start count is the portfolio's own reading of `threads`, so 0 (all
-  // hardware) counts as up to nproc concurrent starts, not one.
-  const std::int32_t concurrent_starts =
-      engine::portfolio_workers(spec.threads, spec.starts);
-  const std::int32_t per_job = std::max<std::int32_t>(
-      1, limit / std::max<std::int32_t>(1, options_.workers));
-  const std::int32_t allowed = std::max<std::int32_t>(
-      1, per_job / concurrent_starts);
-  if (requested > allowed) {
-    log::warn("inner_threads ", requested, " would oversubscribe (",
-              options_.workers, " workers x ", concurrent_starts,
-              " concurrent starts x ", requested, " > limit ", limit,
-              "); clamping to ", allowed);
-    return allowed;
-  }
-  return requested;
-}
-
 void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   const auto reject = [&](const std::string& id, const std::string& reason) {
     jobs_rejected_.inc();
@@ -269,9 +240,6 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
            "cannot read problem_file '" + request.problem_file + "'");
     return;
   }
-
-  request.solver.inner_threads = clamp_inner_threads(request.solver);
-  inner_threads_effective_.set(request.solver.inner_threads);
 
   Job job;
   job.priority = request.priority;
@@ -542,10 +510,6 @@ json::Value Server::stats_json() {
               .count());
   out.set("workers", options_.workers);
   out.set("queue_capacity", static_cast<std::int64_t>(queue_.capacity()));
-  // Snapshot the shared work pool: busy helpers / spawned helpers, as an
-  // integer percentage (0 when no helper has ever been needed).
-  pool_utilization_.set(
-      static_cast<std::int64_t>(par::utilization() * 100.0 + 0.5));
   const CacheStats cache_stats = cache_.stats();
   cache_hits_.set(cache_stats.hits);
   cache_misses_.set(cache_stats.misses);
@@ -777,9 +741,25 @@ int serve_tcp(Server& server, std::uint16_t port, int wake_fd, WireMode mode,
   std::fflush(stderr);
 
   std::atomic<bool> closing{false};
-  // Connection readers block on poll(2); they cannot ride the work pool.
-  std::vector<std::thread> connections;  // qbp-lint: allow(raw-thread)
-  sync::Mutex connections_mutex;
+  // One reader thread per connection, owned by this accept loop alone.  A
+  // reader that has finished is joined on the loop's next pass: an exited
+  // but unjoined thread keeps its stack mapped until shutdown.  std::list
+  // keeps each `done` flag at a stable address for its thread.
+  struct Reader {
+    std::atomic<bool> done{false};
+    std::thread thread;  // qbp-lint: allow(raw-thread) blocks on poll(2)
+  };
+  std::list<Reader> readers;
+  const auto join_finished = [&readers] {
+    for (auto it = readers.begin(); it != readers.end();) {
+      if (!it->done.load()) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = readers.erase(it);
+    }
+  };
 
   const auto connection_loop = [&server, &closing, mode](int conn_fd) {
     // shared_ptr: accepted jobs copy the sink, which may outlive this
@@ -811,21 +791,29 @@ int serve_tcp(Server& server, std::uint16_t port, int wake_fd, WireMode mode,
       if (errno == EINTR) continue;
       break;
     }
+    join_finished();
     if (server.shutdown_requested()) break;
     if (wake_fd >= 0 && fds[1].revents != 0) break;
     if (fds[0].revents == 0) continue;
     const int conn_fd = ::accept(listen_fd, nullptr, nullptr);
     if (conn_fd < 0) continue;
-    const sync::MutexLock lock(connections_mutex);
-    connections.emplace_back(connection_loop, conn_fd);
+    Reader& reader = readers.emplace_back();
+    try {
+      reader.thread = std::thread([&connection_loop, &reader, conn_fd] {  // qbp-lint: allow(raw-thread)
+        connection_loop(conn_fd);
+        reader.done.store(true);
+      });
+    } catch (const std::system_error& e) {
+      // Out of threads or address space: fail this connection, keep serving.
+      log::error("qbpartd: cannot start a reader thread: ", e.what());
+      ::close(conn_fd);
+      readers.pop_back();
+    }
   }
 
   closing.store(true);
   ::close(listen_fd);
-  {
-    const sync::MutexLock lock(connections_mutex);
-    for (auto& connection : connections) connection.join();
-  }
+  for (Reader& reader : readers) reader.thread.join();
   server.drain();
   return 0;
 }

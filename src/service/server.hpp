@@ -68,13 +68,6 @@ struct ServerOptions {
   /// Launch workers in the constructor.  Tests set this false and call
   /// start() after staging submissions, making pop order deterministic.
   bool autostart = true;
-  /// Combined thread budget for the whole process: workers x portfolio
-  /// starts x inner solver threads is clamped so it never exceeds this.
-  /// 0 means hardware_concurrency().  A submit whose solver spec would
-  /// oversubscribe gets its inner_threads clamped (with a warning log and
-  /// the `inner_threads_effective` gauge updated); the job itself is never
-  /// rejected for asking too much.
-  std::int32_t thread_limit = 0;
   /// Solution-cache capacity in entries (DESIGN.md §13); 0 disables both
   /// the exact-hit path and ECO warm starts, making every job bit-identical
   /// to the pre-cache server.
@@ -147,9 +140,6 @@ class Server {
   /// `binary` selects the rendering of immediate responses (NDJSON line vs
   /// wire frame) and is stamped into the job for its eventual result.
   void handle_submit(Request request, const Sink& respond, bool binary);
-  /// Resolve and clamp a spec's inner_threads against the combined budget
-  /// (workers x starts x inner <= thread_limit); logs when it clamps.
-  [[nodiscard]] std::int32_t clamp_inner_threads(const SolverSpec& spec) const;
   void handle_cancel(const Request& request, const Sink& respond, bool binary);
   void worker_loop(std::int32_t worker_index);
   void finish_job(const Job& job, JobResult result);
@@ -177,9 +167,8 @@ class Server {
   std::vector<DeadlineEntry> deadlines_ QBP_GUARDED_BY(deadline_mutex_);
   bool watchdog_exit_ QBP_GUARDED_BY(deadline_mutex_) = false;
 
-  // Worker/watchdog/stats threads are owned here, not by util/parallel: they
-  // block on condition variables and sockets, which the deterministic work
-  // pool forbids.
+  // Worker/watchdog/stats threads block on condition variables; each job
+  // runs on its worker thread (plus its portfolio's start threads).
   std::vector<std::thread> workers_;  // qbp-lint: allow(raw-thread)
   std::thread watchdog_;              // qbp-lint: allow(raw-thread)
   std::thread stats_thread_;          // qbp-lint: allow(raw-thread)
@@ -205,8 +194,6 @@ class Server {
   Counter& jobs_error_;
   Gauge& queue_depth_;
   Gauge& workers_busy_;
-  Gauge& inner_threads_effective_;
-  Gauge& pool_utilization_;
   // Cumulative presolve reduction totals across all completed jobs, plus
   // the per-job presolve wall clock.
   Counter& presolve_r0_;

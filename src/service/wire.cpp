@@ -337,7 +337,9 @@ void encode_request_frame(const Request& request, std::string& out) {
     writer.string(solver.method);
     writer.svarint(solver.starts);
     writer.svarint(solver.threads);
-    writer.svarint(solver.inner_threads);
+    // The retired inner_threads slot: version-1 frames keep it, servers
+    // ignore it, so encoders write the old default.
+    writer.svarint(1);
     writer.svarint(solver.iterations);
     writer.varint(solver.seed);
     writer.u8(solver.validate.has_value() ? (*solver.validate ? 2 : 1) : 0);
@@ -397,9 +399,12 @@ bool decode_submit(std::string_view payload, Request& out, std::string& error) {
     return fail(error, "bad solver method");
   }
   out.solver.method = std::string(method);
+  // The retired inner_threads slot is read, so a truncated or out-of-range
+  // value still fails the frame, and then dropped.
+  std::int32_t inner_threads = 1;
   if (!read_i32(reader, out.solver.starts, error, "starts") ||
       !read_i32(reader, out.solver.threads, error, "threads") ||
-      !read_i32(reader, out.solver.inner_threads, error, "inner_threads") ||
+      !read_i32(reader, inner_threads, error, "inner_threads") ||
       !read_i32(reader, out.solver.iterations, error, "iterations")) {
     return false;
   }

@@ -142,11 +142,10 @@ TEST(SpecFingerprint, ExcludesThreadKnobsCoversResultShapingFields) {
   spec.seed = 9;
   const Hash128 base = spec_fingerprint(spec, false);
 
-  // threads/inner_threads are excluded: the engine determinism contract
-  // makes results bit-identical across them, so they must share a key.
+  // threads is excluded: the engine determinism contract makes results
+  // bit-identical across it, so every thread count must share a key.
   SolverSpec threaded = spec;
   threaded.threads = 8;
-  threaded.inner_threads = 4;
   EXPECT_TRUE(spec_fingerprint(threaded, false) == base);
 
   // Every result-shaping field must change the key.

@@ -68,7 +68,7 @@ TEST_P(EmbeddingTheoremSweep, Theorem1PenaltyGivesExactEquivalence) {
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
   const auto constrained = brute_force_constrained(problem);
-  if (!constrained.found) GTEST_SKIP() << "instance infeasible";
+  ASSERT_TRUE(constrained.found) << "instance infeasible";
 
   const double u = theorem1_penalty(problem);
   const auto penalized = brute_force_penalized(problem, u);
@@ -87,7 +87,7 @@ TEST_P(EmbeddingTheoremSweep, Theorem2CertifiesFeasibleMinimizers) {
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
   const auto constrained = brute_force_constrained(problem);
-  if (!constrained.found) GTEST_SKIP() << "instance infeasible";
+  ASSERT_TRUE(constrained.found) << "instance infeasible";
 
   const auto penalized = brute_force_penalized(problem, kPaperPenalty);
   ASSERT_TRUE(penalized.found);
@@ -110,7 +110,7 @@ TEST_P(BurkardTinySweep, ReachesOptimumOnTinyInstances) {
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
   const auto exact = brute_force_constrained(problem);
-  if (!exact.found) GTEST_SKIP() << "instance infeasible";
+  ASSERT_TRUE(exact.found) << "instance infeasible";
 
   const auto initial =
       test::round_robin(problem.num_components(), problem.num_partitions());
@@ -198,7 +198,7 @@ TEST(Burkard, PureLinearTermSpecialCase) {
   const PartitionProblem problem(base.netlist(), base.topology(), base.timing(),
                                  base.linear_cost_matrix(), 1.0, 0.0);
   const auto exact = brute_force_constrained(problem);
-  if (!exact.found) GTEST_SKIP();
+  ASSERT_TRUE(exact.found) << "instance infeasible";
   const auto initial =
       test::round_robin(problem.num_components(), problem.num_partitions());
   BurkardOptions options;
@@ -254,7 +254,7 @@ TEST(Initial, QbpZeroWireCostFindsFeasibleStartOnGenerousInstance) {
   spec.constraint_probability = 0.2;
   spec.seed = 11;
   const auto problem = test::make_tiny_problem(spec);
-  if (!brute_force_constrained(problem).found) GTEST_SKIP();
+  ASSERT_TRUE(brute_force_constrained(problem).found) << "instance infeasible";
   const auto result =
       make_initial(problem, InitialStrategy::kQbpZeroWireCost, 11);
   EXPECT_TRUE(result.feasible);
@@ -267,12 +267,12 @@ TEST(Repair, FixesViolationsWhilePreservingCapacity) {
   spec.capacity_factor = 2.0;
   spec.seed = 13;
   const auto problem = test::make_tiny_problem(spec);
-  if (!brute_force_constrained(problem).found) GTEST_SKIP();
+  ASSERT_TRUE(brute_force_constrained(problem).found) << "instance infeasible";
 
   // Start from a capacity-feasible but timing-unaware assignment.
   const auto start =
       make_initial(problem, InitialStrategy::kGreedyBalanced, 13).assignment;
-  if (!problem.satisfies_capacity(start)) GTEST_SKIP();
+  ASSERT_TRUE(problem.satisfies_capacity(start)) << "start breaks C1";
 
   const auto result = repair_timing(problem, start);
   EXPECT_TRUE(problem.satisfies_capacity(result.assignment));
@@ -300,7 +300,7 @@ TEST(Repair, RespectsMoveBudget) {
   const auto problem = test::make_tiny_problem({.seed = 17});
   Assignment start =
       test::round_robin(problem.num_components(), problem.num_partitions());
-  if (!problem.satisfies_capacity(start)) GTEST_SKIP();
+  ASSERT_TRUE(problem.satisfies_capacity(start)) << "start breaks C1";
   RepairOptions options;
   options.max_moves = 3;
   const auto result = repair_timing(problem, start, options);

@@ -55,32 +55,25 @@ TEST(MakeSolver, SpecConfiguresTheAdapter) {
                                                problem.num_partitions(), rng),
                          /*seed=*/7};
 
-  // qbp: the iteration budget and inner_threads reach BurkardOptions.
+  // qbp: the iteration budget reaches BurkardOptions.
   SolverSpec qbp = spec_for("qbp");
   qbp.iterations = 12;
-  qbp.inner_threads = 3;
   const auto burkard = make_solver(qbp);
-  EXPECT_EQ(burkard->inner_threads(), 3);
   const SolverResult via_spec = burkard->solve(problem, start);
   const SolverResult by_hand = BurkardSolver(fast_qbp_options()).solve(problem, start);
   EXPECT_EQ(via_spec.iterations, 12);
   EXPECT_EQ(via_spec.best, by_hand.best);
   EXPECT_EQ(via_spec.history, by_hand.history);
 
-  // multilevel: inner_threads fans out to all three stages, and the V-cycle
-  // shape overrides the library defaults only where it is set.
+  // multilevel: the V-cycle shape overrides the library defaults only where
+  // it is set.
   SolverSpec multilevel = spec_for("multilevel");
-  multilevel.inner_threads = 2;
   multilevel.ml_levels = 2;
   multilevel.ml_refine_passes = 1;
   MultilevelOptions options;
-  options.coarsen.inner_threads = 2;
-  options.coarse_solver.inner_threads = 2;
-  options.refine_solver.inner_threads = 2;
   options.max_levels = 2;
   options.refine_passes = 1;
   const auto vcycle = make_solver(multilevel);
-  EXPECT_EQ(vcycle->inner_threads(), 2);
   const SolverResult ml_via_spec = vcycle->solve(problem, start);
   const SolverResult ml_by_hand = MultilevelSolver(options).solve(problem, start);
   EXPECT_EQ(ml_via_spec.best, ml_by_hand.best);
@@ -98,8 +91,6 @@ TEST(CheckSpec, EveryBoundIsRejectedWithItsMessage) {
             "'starts' must be >= 1");
   EXPECT_EQ(message([](SolverSpec& s) { s.threads = -1; }),
             "'threads' must be >= 0");
-  EXPECT_EQ(message([](SolverSpec& s) { s.inner_threads = -1; }),
-            "'inner_threads' must be >= 0");
   EXPECT_EQ(message([](SolverSpec& s) { s.iterations = 0; }),
             "'iterations' must be >= 1");
   EXPECT_EQ(message([](SolverSpec& s) { s.presolve_rn = -1; }),
@@ -357,27 +348,47 @@ TEST(Portfolio, HeterogeneousMixRunsEachListedSolver) {
   EXPECT_EQ(result.starts_run, static_cast<std::int32_t>(mix.size()));
 }
 
+/// Runs a fast QBP solve, then fires the job-level stop source: the
+/// portfolio's `stop` token goes off right after the first start.
+class StopAfterSolve final : public Solver {
+ public:
+  explicit StopAfterSolve(std::stop_source& source) : source_(&source) {}
+  [[nodiscard]] std::string_view name() const override { return "qbp"; }
+  using Solver::solve;
+  [[nodiscard]] SolverResult solve(const PartitionProblem& problem,
+                                   const StartPoint& start,
+                                   std::stop_token stop) const override {
+    SolverResult result = solver_.solve(problem, start, stop);
+    source_->request_stop();
+    return result;
+  }
+
+ private:
+  std::stop_source* source_;
+  BurkardSolver solver_{fast_qbp_options()};
+};
+
 TEST(Portfolio, EarlyCancelSkipsOrCancelsRemainingStarts) {
   const PartitionProblem problem = engine_problem();
-  const BurkardSolver solver(fast_qbp_options());
+  std::stop_source source;
+  const StopAfterSolve solver(source);
   PortfolioOptions options;
   options.seed = 7;
   options.threads = 1;  // serial => everything after the trigger is skipped
-  // Any feasible result triggers the threshold.
-  options.cancel_objective = std::numeric_limits<double>::infinity();
+  options.stop = source.get_token();
   const PortfolioResult result = Portfolio(options).run(problem, solver, 5);
 
-  ASSERT_GE(result.best_start, 0);
-  EXPECT_TRUE(result.best.found_feasible);
-  // The trigger can only fire once some start found a feasible result, so
-  // at least one ran; with one worker the rest never start.
-  EXPECT_GE(result.starts_run, 1);
-  EXPECT_EQ(result.starts_run + result.starts_skipped, 5);
-  if (result.starts_skipped > 0) {
-    const auto& skipped = result.starts.back();
-    EXPECT_TRUE(skipped.cancelled);
+  // Start 0 ran to completion before the token fired, so it wins.
+  EXPECT_EQ(result.best_start, 0);
+  EXPECT_EQ(result.starts_run, 1);
+  EXPECT_EQ(result.starts_skipped, 4);
+  ASSERT_EQ(result.starts.size(), 5u);
+  for (std::size_t s = 1; s < result.starts.size(); ++s) {
+    const SolverResult& skipped = result.starts[s];
+    EXPECT_TRUE(skipped.cancelled) << "start " << s;
     // Skipped slots never ran: the default (empty) result, name aside.
-    EXPECT_EQ(skipped.best.num_components(), 0);
+    EXPECT_EQ(skipped.best.num_components(), 0) << "start " << s;
+    EXPECT_EQ(skipped.solver, "qbp") << "start " << s;
   }
 }
 
@@ -502,37 +513,6 @@ TEST(Portfolio, MismatchedOrIncompleteInitialIsIgnored) {
   const PortfolioResult incomplete =
       Portfolio(options).run(problem, recorder, 1);
   EXPECT_EQ(incomplete.starts[0].best, plain.starts[0].best);
-}
-
-// Starts x inner threads through the portfolio: the fair-share pool must
-// not perturb either the per-start outcomes or the winner selection.
-TEST(InnerThreads, PortfolioSweepIsBitIdentical) {
-  const PartitionProblem problem = engine_problem();
-  constexpr std::int32_t kStarts = 4;
-
-  std::vector<PortfolioResult> results;
-  for (const std::int32_t inner : {1, 2, 8}) {
-    BurkardOptions solver_options = fast_qbp_options();
-    solver_options.inner_threads = inner;
-    const BurkardSolver solver(solver_options);
-    PortfolioOptions options;
-    options.seed = 2026;
-    options.threads = 2;
-    results.push_back(Portfolio(options).run(problem, solver, kStarts));
-  }
-  const PortfolioResult& reference = results.front();
-  ASSERT_GE(reference.best_start, 0);
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    SCOPED_TRACE("inner_threads variant " + std::to_string(i));
-    EXPECT_EQ(results[i].best_start, reference.best_start);
-    EXPECT_EQ(results[i].best.best, reference.best.best);
-    EXPECT_EQ(results[i].best.best_penalized, reference.best.best_penalized);
-    ASSERT_EQ(results[i].starts.size(), reference.starts.size());
-    for (std::size_t s = 0; s < reference.starts.size(); ++s) {
-      EXPECT_EQ(results[i].starts[s].best, reference.starts[s].best)
-          << "start " << s;
-    }
-  }
 }
 
 }  // namespace

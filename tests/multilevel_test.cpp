@@ -148,52 +148,30 @@ TEST(Multilevel, WorksOnPresetCircuit) {
 
 // ------------------------------------------------------- determinism ----
 
-TEST(Coarsen, MatchingDeterministicAcrossInnerThreads) {
-  // The matching's proposal phase runs on the shared pool; the commit stays
-  // serial.  Cluster maps must be bit-identical at every thread count.
-  const auto small = medium_problem(6);
-  const auto large = make_scaling_problem(1500, 0xdecaf);
-  for (const PartitionProblem* problem : {&small, &large}) {
-    CoarsenOptions reference_options;
-    const auto reference = coarsen(*problem, reference_options);
-    for (const std::int32_t threads : {2, 8}) {
-      CoarsenOptions options;
-      options.inner_threads = threads;
-      const auto parallel = coarsen(*problem, options);
-      EXPECT_EQ(parallel.num_clusters, reference.num_clusters)
-          << "inner_threads=" << threads;
-      EXPECT_EQ(parallel.cluster_of, reference.cluster_of)
-          << "inner_threads=" << threads;
-    }
-  }
-}
-
-TEST(Multilevel, BitIdenticalAcrossInnerThreads) {
+TEST(Multilevel, SameInputsTwiceAreBitIdentical) {
+  // Run-to-run determinism: the V-cycle owns no clock, thread or global
+  // state that could make a second run from the same inputs differ.
   const auto problem = make_scaling_problem(600, 7);
   const auto initial = make_initial(problem, InitialStrategy::kRandom, 7);
-  const auto run = [&](std::int32_t threads) {
+  const auto run = [&] {
     MultilevelOptions options;
     options.coarsest_target = 50;
     options.coarse_solver.iterations = 20;
-    options.coarsen.inner_threads = threads;
-    options.coarse_solver.inner_threads = threads;
-    options.refine_solver.inner_threads = threads;
     return solve_qbp_multilevel(problem, initial.assignment, options);
   };
-  const auto reference = run(1);
-  for (const std::int32_t threads : {2, 8}) {
-    const auto result = run(threads);
-    EXPECT_EQ(result.levels_used, reference.levels_used);
-    EXPECT_EQ(result.level_sizes, reference.level_sizes);
-    EXPECT_EQ(result.finest.best_penalized, reference.finest.best_penalized)
-        << "inner_threads=" << threads;
-    EXPECT_EQ(result.finest.best, reference.finest.best);
-    ASSERT_EQ(result.finest.found_feasible, reference.finest.found_feasible);
-    if (reference.finest.found_feasible) {
-      EXPECT_EQ(result.finest.best_feasible, reference.finest.best_feasible);
-      EXPECT_EQ(result.finest.best_feasible_objective,
-                reference.finest.best_feasible_objective);
-    }
+  const auto reference = run();
+  const auto result = run();
+  EXPECT_EQ(result.levels_used, reference.levels_used);
+  EXPECT_EQ(result.level_sizes, reference.level_sizes);
+  EXPECT_EQ(result.level_violations, reference.level_violations);
+  EXPECT_EQ(result.level_repair_moves, reference.level_repair_moves);
+  EXPECT_EQ(result.finest.best_penalized, reference.finest.best_penalized);
+  EXPECT_EQ(result.finest.best, reference.finest.best);
+  ASSERT_EQ(result.finest.found_feasible, reference.finest.found_feasible);
+  if (reference.finest.found_feasible) {
+    EXPECT_EQ(result.finest.best_feasible, reference.finest.best_feasible);
+    EXPECT_EQ(result.finest.best_feasible_objective,
+              reference.finest.best_feasible_objective);
   }
 }
 

@@ -16,6 +16,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -116,7 +118,6 @@ TEST(Protocol, SubmitRoundTripPreservesEveryField) {
   request.solver.method = "sa";
   request.solver.starts = 7;
   request.solver.threads = 3;
-  request.solver.inner_threads = 4;
   request.solver.iterations = 250;
   request.solver.seed = 987654321;
   request.deadline_ms = 1500.5;
@@ -137,7 +138,6 @@ TEST(Protocol, SubmitRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.solver.method, "sa");
   EXPECT_EQ(decoded.solver.starts, 7);
   EXPECT_EQ(decoded.solver.threads, 3);
-  EXPECT_EQ(decoded.solver.inner_threads, 4);
   EXPECT_EQ(decoded.solver.iterations, 250);
   EXPECT_EQ(decoded.solver.seed, 987654321u);
   EXPECT_DOUBLE_EQ(decoded.deadline_ms, 1500.5);
@@ -172,6 +172,36 @@ TEST(Protocol, MultilevelSpecFieldsValidateAndDefault) {
                              "\"solver\":{\"ml_refine_passes\":-2}}",
                              out)
                    .ok);
+}
+
+TEST(Protocol, RetiredInnerThreadsIsAcceptedAndIgnored) {
+  // Older clients still send "inner_threads": the server ignores it, so a
+  // submit carrying it is answered exactly like the same submit without.
+  const std::string plain = submit_line("plain", tiny_problem_text(29), 7);
+  json::Value value;
+  ASSERT_TRUE(json::parse(plain, value).ok);
+  json::Value solver = *value.find("solver");
+  solver.set("inner_threads", 8);
+  value.set("solver", std::move(solver));
+  value.set("id", "retired");
+  const std::string retired = value.dump();
+  ASSERT_NE(retired.find("\"inner_threads\":8"), std::string::npos);
+
+  ResponseLog log;
+  Server server(ServerOptions{});
+  server.handle_line(plain, log.sink());
+  server.handle_line(retired, log.sink());
+  server.drain();
+  auto results = log.results();
+  ASSERT_EQ(results.size(), 2u);
+  std::sort(results.begin(), results.end(),
+            [](const JobResult& a, const JobResult& b) { return a.id < b.id; });
+  EXPECT_EQ(results[0].id, "plain");
+  EXPECT_EQ(results[1].id, "retired");
+  EXPECT_EQ(results[0].status, "ok");
+  EXPECT_EQ(results[1].status, results[0].status);
+  EXPECT_EQ(results[1].objective, results[0].objective);
+  EXPECT_EQ(results[1].assignment, results[0].assignment);
 }
 
 TEST(Protocol, ResultRoundTripPreservesAssignment) {
@@ -468,100 +498,6 @@ TEST(Server, PerRequestCacheOptOutSkipsLookupAndInsert) {
   EXPECT_FALSE(results[1].cache_hit);
   EXPECT_EQ(results[1].assignment, results[0].assignment);
   EXPECT_EQ(server.cache().stats().inserts, 0);
-}
-
-TEST(Server, InnerThreadsAreBitIdenticalEndToEnd) {
-  // The same job spec at every inner_threads value must produce the same
-  // assignment and objective, bit for bit -- the util/parallel contract
-  // surfaced through protocol -> job -> engine -> solver.
-  const std::string problem = tiny_problem_text(29);
-
-  const auto run_one = [&](std::int32_t inner_threads) {
-    ResponseLog log;
-    ServerOptions options;
-    options.thread_limit = 64;  // roomy budget: nothing gets clamped
-    Server server(options);
-    Request request;
-    request.type = RequestType::kSubmit;
-    request.id = "inner";
-    request.problem_text = problem;
-    request.solver.starts = 3;
-    request.solver.iterations = 40;
-    request.solver.seed = 7;
-    request.solver.inner_threads = inner_threads;
-    server.handle_line(format_request(request), log.sink());
-    server.drain();
-    const auto results = log.results();
-    EXPECT_EQ(results.size(), 1u);
-    return results.empty() ? JobResult{} : results.front();
-  };
-
-  const JobResult reference = run_one(1);
-  ASSERT_EQ(reference.status, "ok");
-  for (const std::int32_t inner : {2, 8}) {
-    const JobResult got = run_one(inner);
-    EXPECT_EQ(got.status, reference.status) << "inner_threads " << inner;
-    EXPECT_EQ(got.objective, reference.objective) << "inner_threads " << inner;
-    EXPECT_EQ(got.assignment, reference.assignment)
-        << "inner_threads " << inner;
-  }
-}
-
-/// Runs one 4-start job asking for 8 inner threads, with `start_threads`
-/// portfolio threads, on a 2-worker server whose thread limit is 8, and
-/// returns the `gauges` of the stats snapshot taken afterwards.
-json::Value clamp_gauges(std::int32_t start_threads) {
-  ResponseLog log;
-  ServerOptions options;
-  options.workers = 2;
-  options.thread_limit = 8;
-  Server server(options);
-
-  Request request;
-  request.type = RequestType::kSubmit;
-  request.id = "greedy";
-  request.problem_text = tiny_problem_text();
-  request.solver.starts = 4;
-  request.solver.threads = start_threads;
-  request.solver.iterations = 10;
-  request.solver.inner_threads = 8;
-  server.handle_line(format_request(request), log.sink());
-  server.drain();
-  server.handle_line("{\"type\":\"stats\"}", log.sink());
-
-  const auto results = log.results();
-  EXPECT_EQ(results.size(), 1u);
-  if (!results.empty()) {
-    EXPECT_EQ(results.front().status, "ok");
-  }
-  json::Value stats;
-  EXPECT_TRUE(json::parse(log.lines().back(), stats).ok);
-  const json::Value* gauges = stats.find("gauges");
-  EXPECT_NE(gauges, nullptr);
-  return gauges != nullptr ? *gauges : json::Value::object();
-}
-
-TEST(Server, OversubscribedInnerThreadsAreClampedAndReported) {
-  // workers x concurrent starts x inner_threads must fit thread_limit: a
-  // spec asking for 2 x 2 x 8 = 32 leaf threads against a budget of 8 gets
-  // inner_threads clamped to 8 / 2 workers / 2 concurrent starts = 2, and
-  // the stats snapshot reports both the clamp and the pool gauge.
-  const json::Value gauges = clamp_gauges(2);
-  EXPECT_EQ(gauges.get_number("inner_threads_effective", -1.0), 2.0);
-  // The utilization gauge always exists; its value is a point-in-time
-  // sample in [0, 100].
-  const double utilization = gauges.get_number("pool_utilization", -1.0);
-  EXPECT_GE(utilization, 0.0);
-  EXPECT_LE(utilization, 100.0);
-}
-
-TEST(Server, ZeroStartThreadsClampAsAllHardware) {
-  // "threads":0 means all hardware to the portfolio, so 4 starts run up to
-  // min(nproc, 4) at once, and the clamp must count them that way.
-  const auto hardware =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  EXPECT_EQ(clamp_gauges(0).get_number("inner_threads_effective", -1.0),
-            static_cast<double>(std::max(1, 4 / std::min(hardware, 4))));
 }
 
 TEST(Server, PerJobValidateFlagShadowAuditsEveryStart) {
@@ -1135,6 +1071,41 @@ TEST(ServeLoop, MalformedFramesFailOneConnectionNotTheDaemon) {
   std::string payload;
   ASSERT_TRUE(good.read_frame(type, payload));
   EXPECT_EQ(static_cast<WireMsg>(type), WireMsg::kResult);
+}
+
+/// Lines of this process's memory map: every live or exited-but-unjoined
+/// thread keeps a stack and a guard mapping here.
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<std::size_t>(
+      std::count(std::istreambuf_iterator<char>(maps),
+                 std::istreambuf_iterator<char>(), '\n'));
+}
+
+TEST(ServeLoop, FinishedConnectionsReleaseTheirReaderThreads) {
+  // The accept loop joins each finished reader on its next pass.  Readers
+  // kept until shutdown would add two mappings per connection (+256 here);
+  // the bound leaves room for malloc arenas, which are capped per process.
+  TcpServerFixture fixture;
+  const auto round_trip = [&] {
+    TcpClient client;
+    ASSERT_TRUE(client.connect(fixture.port()));
+    ASSERT_TRUE(client.send_line("{\"type\":\"stats\"}"));
+    std::string line;
+    ASSERT_TRUE(client.read_line(line));
+  };
+  round_trip();  // warm-up: first-use allocations land before the baseline
+  const std::size_t baseline = mapped_regions();
+  for (int k = 0; k < 128; ++k) round_trip();
+
+  std::size_t after = mapped_regions();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (after > baseline + 64 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after = mapped_regions();
+  }
+  EXPECT_LE(after, baseline + 64) << "baseline " << baseline;
 }
 
 // ------------------------------------------------------------ metrics ----

@@ -5,7 +5,6 @@
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
 #include "core/initial.hpp"
-#include "bench_support/circuits.hpp"
 #include "core/special_cases.hpp"
 #include "engine/adapters.hpp"
 #include "engine/portfolio.hpp"
@@ -175,20 +174,6 @@ TEST(Multistart, DeterministicInSeed) {
   const auto b = multistart(problem, 3, 21, options);
   EXPECT_EQ(a.best, b.best);
   EXPECT_DOUBLE_EQ(a.best_penalized, b.best_penalized);
-}
-
-TEST(TimeBudget, StopsEarly) {
-  // A generous iteration count with a tiny wall budget must stop well
-  // short of the iteration limit.
-  const auto instance = make_circuit(*find_preset("cktb"));
-  const auto initial = make_initial(instance.problem,
-                                    InitialStrategy::kGreedyBalanced, 1);
-  BurkardOptions options;
-  options.iterations = 100000;
-  options.time_budget_seconds = 0.05;
-  const auto result = solve_qbp(instance.problem, initial.assignment, options);
-  EXPECT_LT(result.iterations_run, 100000);
-  EXPECT_GE(result.iterations_run, 1);
 }
 
 }  // namespace

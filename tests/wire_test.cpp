@@ -253,7 +253,6 @@ service::Request submit_request() {
   request.solver.method = "qbp";
   request.solver.starts = 3;
   request.solver.threads = 2;
-  request.solver.inner_threads = 2;
   request.solver.iterations = 17;
   request.solver.seed = 12345;
   request.solver.validate = true;
@@ -263,6 +262,30 @@ service::Request submit_request() {
   request.cache = false;
   request.warm_start = false;
   return request;
+}
+
+/// Offset of the retired `svarint inner_threads` slot in the payload of a
+/// text submit: it follows the id, the problem kind and text, the method,
+/// starts and threads.
+std::size_t inner_threads_slot(const service::Request& request) {
+  std::string prefix;
+  wire::Writer writer(prefix);
+  writer.string(request.id);
+  writer.u8(0);  // problem kind
+  writer.string(request.problem_text);
+  writer.string(request.solver.method);
+  writer.svarint(request.solver.starts);
+  writer.svarint(request.solver.threads);
+  return prefix.size();
+}
+
+/// `payload` with the one-byte value at `offset` replaced by `value`'s
+/// svarint encoding.
+std::string with_svarint_at(const std::string& payload, std::size_t offset,
+                            std::int64_t value) {
+  std::string encoded;
+  wire::Writer(encoded).svarint(value);
+  return payload.substr(0, offset) + encoded + payload.substr(offset + 1);
 }
 
 /// Split a full frame into (type, payload) or fail the test.
@@ -296,7 +319,6 @@ TEST(MessageCodec, SubmitWithTextRoundTripsEveryField) {
   EXPECT_EQ(out.solver.method, request.solver.method);
   EXPECT_EQ(out.solver.starts, request.solver.starts);
   EXPECT_EQ(out.solver.threads, request.solver.threads);
-  EXPECT_EQ(out.solver.inner_threads, request.solver.inner_threads);
   EXPECT_EQ(out.solver.iterations, request.solver.iterations);
   EXPECT_EQ(out.solver.seed, request.solver.seed);
   EXPECT_EQ(out.solver.validate, request.solver.validate);
@@ -306,6 +328,20 @@ TEST(MessageCodec, SubmitWithTextRoundTripsEveryField) {
   EXPECT_EQ(out.cache, request.cache);
   EXPECT_EQ(out.warm_start, request.warm_start);
   EXPECT_EQ(out.problem, nullptr);
+
+  // The retired inner_threads slot: encoders write 1 (svarint byte 0x02),
+  // and a frame whose slot holds 8 decodes to the same request, so both
+  // re-encode to the same bytes.
+  const std::size_t slot = inner_threads_slot(request);
+  ASSERT_LT(slot, payload.size());
+  EXPECT_EQ(payload[slot], '\x02');
+  service::Request eight;
+  ASSERT_TRUE(service::decode_submit(with_svarint_at(payload, slot, 8), eight,
+                                     error))
+      << error;
+  std::string reencoded;
+  service::encode_request_frame(eight, reencoded);
+  EXPECT_EQ(reencoded, frame);
 }
 
 TEST(MessageCodec, ResultRoundTripsEveryField) {
@@ -388,6 +424,24 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
     EXPECT_FALSE(service::decode_submit(payload, request, error)) << seed;
     EXPECT_EQ(error, message) << seed;
   }
+
+  // The retired inner_threads slot is still read: a value outside int32 or
+  // a payload cut off inside it fails the frame.
+  service::Request submit = submit_request();
+  submit.problem_text = "problem p\n";
+  std::string frame;
+  service::encode_request_frame(submit, frame);
+  std::uint8_t type = 0;
+  std::string payload;
+  split_frame(frame, type, payload);
+  const std::size_t slot = inner_threads_slot(submit);
+  const std::string range =
+      "field 'inner_threads' is truncated or out of int32 range";
+  EXPECT_FALSE(service::decode_submit(
+      with_svarint_at(payload, slot, std::int64_t{1} << 31), request, error));
+  EXPECT_EQ(error, range);
+  EXPECT_FALSE(service::decode_submit(payload.substr(0, slot), request, error));
+  EXPECT_EQ(error, range);
 }
 
 // --------------------------------------------- problem value identity ----

@@ -13,11 +13,12 @@
 //                   contract framework gives messages, counters, fail modes
 //                   and NDEBUG-independent boundary checks; raw assert gives
 //                   none of that.
-//   raw-thread      `std::thread` / `std::jthread` / `std::async` outside
-//                   util/parallel.  Ad-hoc threads bypass the deterministic
-//                   work pool and its static chunking, the foundation of
-//                   the bit-identical-results contract.  Static member
-//                   access (`std::thread::hardware_concurrency`) is allowed.
+//   raw-thread      `std::thread` / `std::jthread` / `std::async`.  A solve
+//                   runs serially on its caller's thread; the only threads
+//                   are the portfolio's start workers and the server's job
+//                   workers and connection readers, each with an allow
+//                   comment giving the reason.  Static member access
+//                   (`std::thread::hardware_concurrency`) is allowed.
 //   raw-rng         `rand` / `srand` / `random_device` / `drand48` outside
 //                   util/rng.  Unseeded or platform-seeded randomness makes
 //                   results non-reproducible.
@@ -62,7 +63,7 @@ struct RuleInfo {
 [[nodiscard]] const std::vector<RuleInfo>& rules();
 
 /// One in-memory source file; `path` participates in the per-rule directory
-/// exemptions (e.g. raw-thread is legal under util/parallel).
+/// exemptions (e.g. raw-rng is legal under util/rng).
 struct SourceFile {
   std::string path;
   std::string contents;
