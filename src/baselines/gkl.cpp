@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
+#include "timing/conflict_table.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
@@ -109,25 +110,10 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
   // the moved components' neighbors.
   DeltaEvaluator evaluator(problem);
 
-  // blocked(j, i): how many of j's timing partners forbid j from sitting in
-  // partition i, all partners at their current partitions.  j may move to i
-  // alone iff this is 0 (TimingConstraints::component_feasible_at).
-  Matrix<std::int32_t> blocked(n, m, 0);
-  const auto forbids = [&](PartitionId target, PartitionId partner_at,
-                           double bound) {
-    return TimingConstraints::breaks(topology, target, partner_at, bound) ? 1 : 0;
-  };
-  for (std::int32_t j = 0; j < n; ++j) {
-    const auto partners = timing.partners(j);
-    const auto bounds = timing.bounds(j);
-    auto row = blocked.row(j);
-    for (std::size_t k = 0; k < partners.size(); ++k) {
-      const PartitionId at = assignment[partners[k]];
-      for (std::int32_t i = 0; i < m; ++i) {
-        row[static_cast<std::size_t>(i)] += forbids(i, at, bounds[k]);
-      }
-    }
-  }
+  // conflicts(j, i): how many of j's timing partners forbid j from sitting
+  // in partition i, all partners at their current partitions.  j may move
+  // to i alone iff this is 0 (TimingConstraints::component_feasible_at).
+  ConflictTable conflicts(timing, topology, assignment);
 
   const auto swap_feasible = [&](std::int32_t j1, std::int32_t j2) {
     const PartitionId p1 = assignment[j1];
@@ -151,22 +137,12 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
     ledger.add(p2, s1);
     ledger.remove(p2, s2);
     ledger.add(p1, s2);
-    // The blocked row of every timing partner of a moved endpoint shifts
-    // by the endpoint's relocation.
-    for (const std::int32_t moved : {j1, j2}) {
-      const PartitionId from = moved == j1 ? p1 : p2;
-      const PartitionId to = moved == j1 ? p2 : p1;
-      const auto partners = timing.partners(moved);
-      const auto bounds = timing.bounds(moved);
-      for (std::size_t k = 0; k < partners.size(); ++k) {
-        auto row = blocked.row(partners[k]);
-        for (std::int32_t i = 0; i < m; ++i) {
-          row[static_cast<std::size_t>(i)] +=
-              forbids(i, to, bounds[k]) - forbids(i, from, bounds[k]);
-        }
-      }
-    }
+    conflicts.move(j1, p1, p2);
+    conflicts.move(j2, p2, p1);
     evaluator.commit_swap(assignment, j1, j2);
+    QBP_DCHECK(conflicts.partner_rows_match(assignment, j1) &&
+               conflicts.partner_rows_match(assignment, j2))
+        << "a swap patched a conflict row away from its recount";
   };
 
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
@@ -201,7 +177,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       for (PartitionId t = 0; t < m; ++t) {
         const double g = deltas[static_cast<std::size_t>(t)];
         gain_row[static_cast<std::size_t>(t)] = g;
-        if (t != s && blocked(a, t) == 0) {
+        if (t != s && conflicts(a, t) == 0) {
           cheapest(t, s) = std::min(cheapest(t, s), g);
         }
       }
@@ -217,7 +193,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       members[static_cast<std::size_t>(cursor[static_cast<std::size_t>(s)]++)] = a;
       double bound = infinity;
       for (PartitionId t = 0; t < m; ++t) {
-        if (t == s || blocked(a, t) != 0) continue;
+        if (t == s || conflicts(a, t) != 0) continue;
         bound = std::min(bound, gain(a, t) + cheapest(s, t));
       }
       if (bound < infinity) rows.push_back({bound, a});
@@ -230,13 +206,13 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       const std::int32_t a = row.a;
       const PartitionId s = assignment[a];
       for (PartitionId t = 0; t < m; ++t) {
-        if (t == s || blocked(a, t) != 0) continue;
+        if (t == s || conflicts(a, t) != 0) continue;
         const double move_a = gain(a, t);
         if (move_a + cheapest(s, t) > best.delta + margin) continue;
         for (std::int32_t k = first[static_cast<std::size_t>(t)];
              k < first[static_cast<std::size_t>(t) + 1]; ++k) {
           const std::int32_t b = members[static_cast<std::size_t>(k)];
-          if (blocked(b, s) != 0 || move_a + gain(b, s) > best.delta + margin) {
+          if (conflicts(b, s) != 0 || move_a + gain(b, s) > best.delta + margin) {
             continue;
           }
           const std::int32_t lo = std::min(a, b);

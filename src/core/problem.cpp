@@ -1,5 +1,6 @@
 #include "core/problem.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "partition/cost.hpp"
@@ -133,6 +134,11 @@ std::string PartitionProblem::validate() const {
     }
     for (std::int32_t i = 0; i < p_.rows(); ++i) {
       for (std::int32_t j = 0; j < p_.cols(); ++j) {
+        if (std::isnan(p_(i, j))) {
+          std::ostringstream out;
+          out << "P(" << i << ", " << j << ") is NaN";
+          return out.str();
+        }
         if (p_(i, j) < 0.0) {
           std::ostringstream out;
           out << "P(" << i << ", " << j
@@ -143,7 +149,9 @@ std::string PartitionProblem::validate() const {
       }
     }
   }
-  if (alpha_ < 0.0 || beta_ < 0.0) return "alpha and beta must be non-negative";
+  if (!(alpha_ >= 0.0 && beta_ >= 0.0)) {
+    return "alpha and beta must be non-negative";
+  }
   if (netlist_.total_size() > topology_.total_capacity()) {
     return "total component size exceeds total capacity; no feasible "
            "assignment exists";

@@ -3,9 +3,10 @@
 #include <bit>
 #include <vector>
 
-#include "util/rng.hpp"
-
+#include "timing/conflict_table.hpp"
 #include "util/check.hpp"
+#include "util/prof.hpp"
+#include "util/rng.hpp"
 
 namespace qbp {
 
@@ -16,23 +17,8 @@ namespace {
 /// breaks deadlocks where every single move looks non-improving.
 constexpr double kNoise = 0.08;
 
-/// Violated-constraint count of `component` if it sat in `target`.
-std::int32_t conflicts_at(const PartitionProblem& problem,
-                          const Assignment& assignment, std::int32_t component,
-                          PartitionId target) {
-  const auto partners = problem.timing().partners(component);
-  const auto bounds = problem.timing().bounds(component);
-  std::int32_t conflicts = 0;
-  for (std::size_t k = 0; k < partners.size(); ++k) {
-    const PartitionId other = assignment[partners[k]];
-    if (other == Assignment::kUnassigned) continue;
-    if (problem.topology().delay(target, other) > bounds[k] ||
-        problem.topology().delay(other, target) > bounds[k]) {
-      ++conflicts;
-    }
-  }
-  return conflicts;
-}
+/// Debug builds recount the patched rows of every kAuditStride-th move.
+constexpr std::int64_t kAuditStride = 16;
 
 /// 0/1 membership over component ids with O(log n) update and O(log n)
 /// select-kth (Fenwick tree).  Selecting the k-th smallest member id is
@@ -83,6 +69,7 @@ class ConflictedSet {
 
 RepairResult repair_timing(const PartitionProblem& problem,
                            const Assignment& start, const RepairOptions& options) {
+  QBP_PROF_SCOPE("repair.walk");
   QBP_CHECK(start.is_complete()) << "repair requires a complete assignment";
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
@@ -98,24 +85,15 @@ RepairResult repair_timing(const PartitionProblem& problem,
       options.max_moves >= 0 ? options.max_moves
                              : 200 * static_cast<std::int64_t>(n);
 
-  // Conflict counts are maintained incrementally: moving component j can
-  // only change the violation status of constraints incident to j, i.e. the
-  // counts of j and its timing partners.  One O(total Dc entries) scan here,
-  // then O(degree^2) per move instead of the O(n * degree) full rescan.
-  std::vector<std::int32_t> conflict_count(static_cast<std::size_t>(n), 0);
+  // conflicts(j, i): how many of j's timing partners break with j at i.
+  // Built once in O(nnz(Dc) * M); a move patches its partners' rows in
+  // O(degree * M), and only those rows -- and so only the movers' and
+  // their partners' conflicted flags -- can change.
+  ConflictTable conflicts(problem.timing(), problem.topology(), assignment);
   ConflictedSet conflicted(n);
   for (std::int32_t j = 0; j < n; ++j) {
-    if (problem.timing().partners(j).empty()) continue;
-    conflict_count[static_cast<std::size_t>(j)] =
-        conflicts_at(problem, assignment, j, assignment[j]);
-    conflicted.set(j, conflict_count[static_cast<std::size_t>(j)] > 0);
+    conflicted.set(j, conflicts(j, assignment[j]) > 0);
   }
-  const auto recount = [&](std::int32_t j) {
-    if (problem.timing().partners(j).empty()) return;
-    conflict_count[static_cast<std::size_t>(j)] =
-        conflicts_at(problem, assignment, j, assignment[j]);
-    conflicted.set(j, conflict_count[static_cast<std::size_t>(j)] > 0);
-  };
 
   std::vector<PartitionId> best_targets;
   while (result.moves < budget) {
@@ -124,8 +102,7 @@ RepairResult repair_timing(const PartitionProblem& problem,
     const std::int32_t j =
         conflicted.select(static_cast<std::int64_t>(rng.next_below(
             static_cast<std::uint64_t>(conflicted.count()))));
-    const std::int32_t current_conflicts =
-        conflict_count[static_cast<std::size_t>(j)];
+    const PartitionId source = assignment[j];
 
     // Best capacity-feasible target by conflict count (<= current; sideways
     // allowed so the walk can escape plateaus), random tie-break.  With
@@ -133,21 +110,20 @@ RepairResult repair_timing(const PartitionProblem& problem,
     best_targets.clear();
     if (rng.next_bool(kNoise)) {
       for (PartitionId i = 0; i < m; ++i) {
-        if (i != assignment[j] &&
-            ledger.fits(i, sizes[static_cast<std::size_t>(j)])) {
+        if (i != source && ledger.fits(i, sizes[static_cast<std::size_t>(j)])) {
           best_targets.push_back(i);
         }
       }
     } else {
-      std::int32_t best_conflicts = current_conflicts;
+      std::int32_t best_conflicts = conflicts(j, source);
       for (PartitionId i = 0; i < m; ++i) {
-        if (i == assignment[j]) continue;
+        if (i == source) continue;
         if (!ledger.fits(i, sizes[static_cast<std::size_t>(j)])) continue;
-        const std::int32_t conflicts = conflicts_at(problem, assignment, j, i);
-        if (conflicts < best_conflicts) {
-          best_conflicts = conflicts;
+        const std::int32_t at_i = conflicts(j, i);
+        if (at_i < best_conflicts) {
+          best_conflicts = at_i;
           best_targets.assign(1, i);
-        } else if (conflicts == best_conflicts) {
+        } else if (at_i == best_conflicts) {
           best_targets.push_back(i);
         }
       }
@@ -157,14 +133,18 @@ RepairResult repair_timing(const PartitionProblem& problem,
       continue;
     }
     const PartitionId target = best_targets[rng.pick_index(best_targets)];
-    ledger.remove(assignment[j], sizes[static_cast<std::size_t>(j)]);
+    ledger.remove(source, sizes[static_cast<std::size_t>(j)]);
     ledger.add(target, sizes[static_cast<std::size_t>(j)]);
     assignment.set(j, target);
+    conflicts.move(j, source, target);
     ++result.moves;
-    recount(j);
+    conflicted.set(j, conflicts(j, target) > 0);
     for (const std::int32_t partner : problem.timing().partners(j)) {
-      recount(partner);
+      conflicted.set(partner, conflicts(partner, assignment[partner]) > 0);
     }
+    QBP_DCHECK(result.moves % kAuditStride != 0 ||
+               conflicts.partner_rows_match(assignment, j))
+        << "the walk patched a conflict row away from its recount";
   }
 
   result.feasible = problem.satisfies_capacity(assignment) &&

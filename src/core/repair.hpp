@@ -1,14 +1,15 @@
 // Min-conflicts timing repair.
 //
-// The Burkard iteration is a global line search: it drives the violation
-// count down fast but -- being built from simultaneous whole-circuit GAP
-// solves -- can plateau with a handful of residual violations on very tight
-// constraint sets.  This utility finishes the job locally: repeatedly pick
-// a component involved in a violated constraint and move it to the
-// capacity-feasible partition with the fewest resulting violations
-// (sideways moves allowed, random tie-breaking).  Used by make_initial as a
-// fallback, and available to users whose hand-made assignments need
-// legalizing.
+// The Burkard iteration is a global line search built from simultaneous
+// whole-circuit GAP solves; the short B = 0 run make_initial uses ends with
+// C2 violations on every Table I circuit.  This walk legalizes locally:
+// repeatedly pick a component involved in a violated constraint and move it
+// to the capacity-feasible partition with the fewest resulting violations
+// (sideways moves allowed, random tie-breaking).  It reads its counts from
+// one ConflictTable (timing/conflict_table), patched per move.  Used by
+// make_initial, the V-cycle's finest level, the ECO warm path and the
+// feasible-region solvers' start, and available to users whose hand-made
+// assignments need legalizing.
 #pragma once
 
 #include <cstdint>

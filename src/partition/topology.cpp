@@ -72,6 +72,11 @@ std::string PartitionTopology::validate() const {
   if (b_.rows() != m || b_.cols() != m) return "wire-cost matrix B is not M x M";
   if (d_.rows() != m || d_.cols() != m) return "delay matrix D is not M x M";
   for (std::int32_t i = 0; i < m; ++i) {
+    if (std::isnan(capacities_[static_cast<std::size_t>(i)])) {
+      std::ostringstream out;
+      out << "partition " << i << " has a NaN capacity";
+      return out.str();
+    }
     if (capacities_[static_cast<std::size_t>(i)] < 0.0) {
       std::ostringstream out;
       out << "partition " << i << " has negative capacity";
@@ -88,6 +93,14 @@ std::string PartitionTopology::validate() const {
       return out.str();
     }
     for (std::int32_t i2 = 0; i2 < m; ++i2) {
+      // NaN compares false against everything: it would pass the sign
+      // checks, never break a timing bound and break every sort by delay.
+      if (std::isnan(b_(i, i2)) || std::isnan(d_(i, i2))) {
+        std::ostringstream out;
+        out << (std::isnan(b_(i, i2)) ? "B(" : "D(") << i << ", " << i2
+            << ") is NaN";
+        return out.str();
+      }
       if (b_(i, i2) < 0.0) return "B has a negative entry";
       if (d_(i, i2) < 0.0) return "D has a negative entry";
     }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
 #include "core/embedding.hpp"
@@ -276,9 +278,8 @@ TEST(Repair, FixesViolationsWhilePreservingCapacity) {
 
   const auto result = repair_timing(problem, start);
   EXPECT_TRUE(problem.satisfies_capacity(result.assignment));
-  if (result.feasible) {
-    EXPECT_TRUE(problem.satisfies_timing(result.assignment));
-  }
+  ASSERT_TRUE(result.feasible);
+  EXPECT_TRUE(problem.satisfies_timing(result.assignment));
   EXPECT_LE(problem.timing().violations(result.assignment, problem.topology()),
             problem.timing().violations(start, problem.topology()));
 }
@@ -305,6 +306,195 @@ TEST(Repair, RespectsMoveBudget) {
   options.max_moves = 3;
   const auto result = repair_timing(problem, start, options);
   EXPECT_LE(result.moves, 3);
+}
+
+// The min-conflicts walk without the conflict table: every step rescans all
+// components for the conflicted set and recounts each candidate target from
+// the partners' partitions.  Kept here only as the reference the
+// table-driven walk must reproduce move for move.
+RepairResult rescan_repair(const PartitionProblem& problem, const Assignment& start,
+                           const RepairOptions& options) {
+  constexpr double kNoise = 0.08;
+  const auto& topology = problem.topology();
+  const auto& timing = problem.timing();
+  const auto& sizes = problem.netlist().sizes();
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+
+  RepairResult result;
+  result.assignment = start;
+  Assignment& assignment = result.assignment;
+  CapacityLedger ledger(assignment, sizes, topology.capacities());
+  Rng rng(options.seed);
+  const std::int64_t budget = options.max_moves >= 0
+                                  ? options.max_moves
+                                  : 200 * static_cast<std::int64_t>(n);
+
+  const auto conflicts_at = [&](std::int32_t j, PartitionId target) {
+    const auto partners = timing.partners(j);
+    const auto bounds = timing.bounds(j);
+    std::int32_t conflicts = 0;
+    for (std::size_t k = 0; k < partners.size(); ++k) {
+      const PartitionId other = assignment[partners[k]];
+      if (topology.delay(target, other) > bounds[k] ||
+          topology.delay(other, target) > bounds[k]) {
+        ++conflicts;
+      }
+    }
+    return conflicts;
+  };
+
+  std::vector<std::int32_t> conflicted;
+  std::vector<PartitionId> best_targets;
+  while (result.moves < budget) {
+    conflicted.clear();
+    for (std::int32_t j = 0; j < n; ++j) {
+      if (conflicts_at(j, assignment[j]) > 0) conflicted.push_back(j);
+    }
+    if (conflicted.empty()) break;
+    const std::int32_t j = conflicted[static_cast<std::size_t>(
+        rng.next_below(static_cast<std::uint64_t>(conflicted.size())))];
+    const double size = sizes[static_cast<std::size_t>(j)];
+
+    best_targets.clear();
+    if (rng.next_bool(kNoise)) {
+      for (PartitionId i = 0; i < m; ++i) {
+        if (i != assignment[j] && ledger.fits(i, size)) best_targets.push_back(i);
+      }
+    } else {
+      std::int32_t best_conflicts = conflicts_at(j, assignment[j]);
+      for (PartitionId i = 0; i < m; ++i) {
+        if (i == assignment[j] || !ledger.fits(i, size)) continue;
+        const std::int32_t conflicts = conflicts_at(j, i);
+        if (conflicts < best_conflicts) {
+          best_conflicts = conflicts;
+          best_targets.assign(1, i);
+        } else if (conflicts == best_conflicts) {
+          best_targets.push_back(i);
+        }
+      }
+    }
+    ++result.moves;
+    if (best_targets.empty()) continue;
+    const PartitionId target = best_targets[rng.pick_index(best_targets)];
+    ledger.remove(assignment[j], size);
+    ledger.add(target, size);
+    assignment.set(j, target);
+  }
+  result.feasible = problem.satisfies_capacity(assignment) &&
+                    problem.satisfies_timing(assignment);
+  return result;
+}
+
+/// `start` after about n/4 random moves and swaps that keep C1 (timing is
+/// not kept).
+Assignment capacity_keeping_kick(const PartitionProblem& problem,
+                                 const Assignment& start, Rng& rng) {
+  const std::int32_t n = problem.num_components();
+  const auto m = static_cast<std::uint64_t>(problem.num_partitions());
+  const auto& sizes = problem.netlist().sizes();
+  Assignment kicked = start;
+  CapacityLedger ledger(kicked, sizes, problem.topology().capacities());
+  for (std::int32_t step = 0; step < n / 4 + 1; ++step) {
+    const auto j =
+        static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+    const PartitionId from = kicked[j];
+    const double size = sizes[static_cast<std::size_t>(j)];
+    if (step % 2 == 0) {
+      const auto to = static_cast<PartitionId>(rng.next_below(m));
+      if (to == from || !ledger.fits(to, size)) continue;
+      ledger.remove(from, size);
+      ledger.add(to, size);
+      kicked.set(j, to);
+      continue;
+    }
+    const auto other =
+        static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+    const PartitionId to = kicked[other];
+    const double other_size = sizes[static_cast<std::size_t>(other)];
+    if (to == from) continue;
+    ledger.remove(from, size);
+    ledger.remove(to, other_size);
+    if (ledger.fits(to, size) && ledger.fits(from, other_size)) {
+      ledger.add(to, size);
+      ledger.add(from, other_size);
+      kicked.set(j, to);
+      kicked.set(other, from);
+    } else {
+      ledger.add(from, size);
+      ledger.add(to, other_size);
+    }
+  }
+  return kicked;
+}
+
+TEST(RepairOracle, TableWalkMatchesRescanWalk) {
+  std::int64_t moves = 0;
+  std::int32_t walks = 0;
+  std::int32_t wide = 0;
+  std::int32_t partnerless = 0;
+  std::int32_t out_of_budget = 0;
+  std::int32_t repaired = 0;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE(seed);
+    const test::OracleInstance instance = test::make_oracle_instance(seed);
+    const PartitionProblem& problem = instance.problem;
+    Rng rng(seed ^ 0x5eed);
+
+    // The B = 0 iterate make_initial hands the walk, and a kick of the
+    // feasible start.
+    BurkardOptions zero_wire;
+    zero_wire.iterations = 12;
+    zero_wire.record_history = false;
+    const BurkardResult qbp =
+        solve_qbp(problem.with_zero_wire_cost(),
+                  test::random_complete(problem.num_components(),
+                                        problem.num_partitions(), rng),
+                  zero_wire);
+    std::vector<Assignment> starts{
+        capacity_keeping_kick(problem, instance.start, rng)};
+    const Assignment& iterate = qbp.found_feasible ? qbp.best_feasible : qbp.best;
+    if (problem.satisfies_capacity(iterate)) starts.push_back(iterate);
+
+    for (const Assignment& start : starts) {
+      ASSERT_TRUE(problem.satisfies_capacity(start));
+      RepairOptions options;
+      options.seed = seed * 0x9e37u + static_cast<std::uint64_t>(walks);
+      // The default 200 n budget on every fourth seed, one too short for
+      // most walks on another, 500 moves on the rest.
+      if (seed % 4 != 1) {
+        options.max_moves = seed % 4 == 0 ? 1 + static_cast<std::int64_t>(seed % 23)
+                                          : 500;
+      }
+      const RepairResult expected = rescan_repair(problem, start, options);
+      const RepairResult actual = repair_timing(problem, start, options);
+      EXPECT_EQ(actual.moves, expected.moves);
+      EXPECT_EQ(actual.feasible, expected.feasible);
+      EXPECT_EQ(actual.assignment, expected.assignment);
+      ++walks;
+      moves += expected.moves;
+      if (!expected.feasible && expected.moves == options.max_moves) {
+        ++out_of_budget;
+      }
+      if (expected.feasible && expected.moves > 0) ++repaired;
+    }
+    if (problem.num_partitions() > 64) ++wide;
+    for (std::int32_t j = 0; j < problem.num_components(); ++j) {
+      if (problem.timing().partners(j).empty()) {
+        ++partnerless;
+        break;
+      }
+    }
+  }
+  // The sweep is not vacuous: walks move and repair, budgets run out, some
+  // instances are wider than 64 partitions and some components have no
+  // timing partner.
+  EXPECT_GE(walks, 240);
+  EXPECT_GT(moves, 10000);
+  EXPECT_GE(repaired, 40);
+  EXPECT_GE(out_of_budget, 50);
+  EXPECT_GE(wide, 1);
+  EXPECT_GE(partnerless, 100);
 }
 
 }  // namespace

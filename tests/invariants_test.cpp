@@ -37,11 +37,21 @@ class SolverGrid : public ::testing::TestWithParam<GridParam> {
         problem_, InitialStrategy::kQbpZeroWireCost, seed);
     start_ = initial.assignment;
     start_feasible_ = initial.feasible;
+    instance_feasible_ = test::feasible_placement_exists(problem_);
+  }
+
+  /// make_initial's verdict must be the exhaustive search's: a feasible
+  /// start exactly when a feasible placement exists.
+  void expect_start_verdict() const {
+    EXPECT_EQ(start_feasible_, instance_feasible_)
+        << (instance_feasible_ ? "make_initial missed a feasible placement"
+                               : "make_initial claims an impossible start");
   }
 
   PartitionProblem problem_;
   Assignment start_;
   bool start_feasible_ = false;
+  bool instance_feasible_ = false;
 };
 
 TEST_P(SolverGrid, QbpInvariants) {
@@ -65,7 +75,8 @@ TEST_P(SolverGrid, QbpInvariants) {
 }
 
 TEST_P(SolverGrid, GfmInvariants) {
-  if (!start_feasible_) GTEST_SKIP() << "no feasible start";
+  expect_start_verdict();
+  if (!start_feasible_) return;  // proven infeasible: nothing to improve
   const auto result = solve_gfm(problem_, start_);
   EXPECT_TRUE(problem_.is_feasible(result.assignment));
   EXPECT_NEAR(result.objective, problem_.objective(result.assignment), 1e-9);
@@ -73,7 +84,8 @@ TEST_P(SolverGrid, GfmInvariants) {
 }
 
 TEST_P(SolverGrid, GklInvariants) {
-  if (!start_feasible_) GTEST_SKIP();
+  expect_start_verdict();
+  if (!start_feasible_) return;  // proven infeasible: nothing to improve
   const auto result = solve_gkl(problem_, start_);
   EXPECT_TRUE(problem_.is_feasible(result.assignment));
   EXPECT_NEAR(result.objective, problem_.objective(result.assignment), 1e-9);
@@ -81,7 +93,8 @@ TEST_P(SolverGrid, GklInvariants) {
 }
 
 TEST_P(SolverGrid, SaInvariants) {
-  if (!start_feasible_) GTEST_SKIP();
+  expect_start_verdict();
+  if (!start_feasible_) return;  // proven infeasible: nothing to improve
   SaOptions options;
   options.moves_per_component = 4;  // keep the grid fast
   const auto result = solve_sa(problem_, start_, options);

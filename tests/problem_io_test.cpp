@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/problem_io.hpp"
 #include "test_support.hpp"
@@ -181,6 +183,36 @@ TEST(ProblemIo, NegativeLinearRejected) {
       "component a 1\nlinear 0 0 -3\n");
   PartitionProblem parsed;
   EXPECT_FALSE(read_problem(in, parsed).ok);
+}
+
+TEST(ProblemIo, NanEntriesRejectedByValidate) {
+  // The reader takes "nan" as a number; NaN passes every sign check, so
+  // validate names it wherever B, D, P, a capacity or a scale holds one.
+  const auto source = [](const std::string& b_row, const std::string& d_row,
+                         const std::string& capacities, const std::string& tail) {
+    return "topology custom 2\nbcost 0 0 1\nbcost 1 " + b_row +
+           "\ndelay 0 0 1\ndelay 1 " + d_row + "\ncapacities " + capacities +
+           "\ncomponent a 1\ncomponent b 1\nconstraint 0 1 1\n" + tail;
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {source("1 0", "nan 0", "2 2", ""), "D(1, 0) is NaN"},
+      {source("nan 0", "1 0", "2 2", ""), "B(1, 0) is NaN"},
+      {source("1 0", "1 0", "2 nan", ""), "partition 1 has a NaN capacity"},
+      {source("1 0", "1 0", "2 2", "linear 1 0 nan\n"), "P(1, 0) is NaN"},
+      {source("1 0", "1 0", "2 2", "beta nan\n"), "alpha and beta"},
+  };
+  for (const auto& [text, message] : cases) {
+    SCOPED_TRACE(message);
+    std::istringstream in(text);
+    PartitionProblem parsed;
+    const auto result = read_problem(in, parsed);
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.message.find(message), std::string::npos) << result.message;
+  }
+  // The same file without a NaN is read.
+  std::istringstream in(source("1 0", "1 0", "2 2", "linear 1 0 3\nbeta 2\n"));
+  PartitionProblem parsed;
+  EXPECT_TRUE(read_problem(in, parsed).ok);
 }
 
 TEST(ProblemIo, OverfullProblemRejectedByValidate) {

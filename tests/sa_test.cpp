@@ -22,6 +22,10 @@ Fixture make_fixture(std::uint64_t seed) {
   Fixture fixture{test::make_tiny_problem(spec), Assignment{}, false};
   const auto initial = make_initial(fixture.problem,
                                     InitialStrategy::kQbpZeroWireCost, seed);
+  // An exhaustive search proves every fixture seed feasible, so the start
+  // must be too: a walk that stops short fails these tests.
+  EXPECT_TRUE(test::feasible_placement_exists(fixture.problem))
+      << "seed " << seed << " has no feasible placement";
   fixture.start = initial.assignment;
   fixture.ok = initial.feasible;
   return fixture;
@@ -31,7 +35,7 @@ class SaSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SaSweep, NeverWorsensAndStaysFeasible) {
   auto fixture = make_fixture(GetParam());
-  if (!fixture.ok) GTEST_SKIP() << "no feasible start";
+  ASSERT_TRUE(fixture.ok) << "no feasible start";
   const double start_cost = fixture.problem.objective(fixture.start);
   const auto result = solve_sa(fixture.problem, fixture.start);
   EXPECT_LE(result.objective, start_cost + 1e-9);
@@ -43,7 +47,7 @@ TEST_P(SaSweep, NeverWorsensAndStaysFeasible) {
 
 TEST_P(SaSweep, DeterministicInSeed) {
   auto fixture = make_fixture(GetParam());
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok) << "no feasible start";
   SaOptions options;
   options.seed = GetParam();
   const auto a = solve_sa(fixture.problem, fixture.start, options);
@@ -72,7 +76,7 @@ TEST(Sa, FindsObviousImprovement) {
 
 TEST(Sa, AcceptanceDropsAsItCools) {
   auto fixture = make_fixture(2);
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok) << "no feasible start";
   // More temperature steps than a frozen run: sanity on the schedule knobs.
   SaOptions hot;
   hot.freeze_ratio = 1e-2;
@@ -86,7 +90,7 @@ TEST(Sa, AcceptanceDropsAsItCools) {
 
 TEST(Sa, DifferentSeedsExploreDifferently) {
   auto fixture = make_fixture(3);
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok) << "no feasible start";
   SaOptions a_options;
   a_options.seed = 1;
   SaOptions b_options;
@@ -102,7 +106,7 @@ TEST(Sa, DifferentSeedsExploreDifferently) {
 
 TEST(Sa, SwapFractionZeroStillWorks) {
   auto fixture = make_fixture(4);
-  if (!fixture.ok) GTEST_SKIP();
+  ASSERT_TRUE(fixture.ok) << "no feasible start";
   SaOptions options;
   options.swap_fraction = 0.0;
   const auto result = solve_sa(fixture.problem, fixture.start, options);

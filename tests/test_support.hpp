@@ -191,6 +191,37 @@ inline OracleInstance make_oracle_instance(std::uint64_t seed) {
           std::move(start)};
 }
 
+/// Does any complete assignment satisfy C1 and C2?  An exhaustive
+/// depth-first search over components in id order that prunes a branch as
+/// soon as a partition overflows or a constraint to an already-placed
+/// partner breaks: the proof the start-path tests hold make_initial to, on
+/// instances whose M^N is too large to enumerate outright.
+inline bool feasible_placement_exists(const PartitionProblem& problem) {
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  const auto& sizes = problem.netlist().sizes();
+  Assignment assignment(n, m);
+  CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
+  const auto place = [&](const auto& self, std::int32_t j) -> bool {
+    if (j == n) return problem.is_feasible(assignment);
+    const double size = sizes[static_cast<std::size_t>(j)];
+    for (PartitionId i = 0; i < m; ++i) {
+      if (!ledger.fits(i, size) ||
+          !problem.timing().component_feasible_at(assignment, problem.topology(),
+                                                  j, i)) {
+        continue;
+      }
+      assignment.set(j, i);
+      ledger.add(i, size);
+      if (self(self, j + 1)) return true;
+      ledger.remove(i, size);
+    }
+    assignment.set(j, Assignment::kUnassigned);
+    return false;
+  };
+  return place(place, 0);
+}
+
 /// A random jump from `u`: each component moves, with probability
 /// `fraction`, to a uniformly drawn other partition (the shape of a Burkard
 /// STEP 6 jump; C1 is not kept).

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "netlist/generator.hpp"
 #include "partition/topology.hpp"
 #include "test_support.hpp"
+#include "timing/conflict_table.hpp"
 #include "timing/constraints.hpp"
 #include "timing/timing_graph.hpp"
 
@@ -172,6 +175,80 @@ TEST(Constraints, EmptyConstraintsAlwaysFeasible) {
   Assignment assignment(5, 4);
   for (std::int32_t j = 0; j < 5; ++j) assignment.set(j, 0);
   EXPECT_TRUE(constraints.is_feasible(assignment, topo));
+}
+
+// ------------------------------------------------------ ConflictTable ----
+
+/// Every entry of `table` against TimingConstraints::breaks, from scratch.
+void expect_counts_match(const ConflictTable& table,
+                         const PartitionProblem& problem,
+                         const Assignment& assignment) {
+  const auto& timing = problem.timing();
+  for (std::int32_t j = 0; j < problem.num_components(); ++j) {
+    for (PartitionId i = 0; i < problem.num_partitions(); ++i) {
+      std::int32_t expected = 0;
+      for (std::size_t k = 0; k < timing.partners(j).size(); ++k) {
+        expected += TimingConstraints::breaks(problem.topology(), i,
+                                              assignment[timing.partners(j)[k]],
+                                              timing.bounds(j)[k])
+                        ? 1
+                        : 0;
+      }
+      ASSERT_EQ(table(j, i), expected) << "component " << j << " partition " << i;
+    }
+  }
+}
+
+TEST(ConflictTable, PatchedCountsMatchARecountAfterEveryMove) {
+  // Odd seeds have asymmetric D, where only one direction may break.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto instance = test::make_oracle_instance(seed);
+    const PartitionProblem& problem = instance.problem;
+    Rng rng(seed);
+    Assignment assignment = test::random_complete(problem.num_components(),
+                                                  problem.num_partitions(), rng);
+    ConflictTable table(problem.timing(), problem.topology(), assignment);
+    expect_counts_match(table, problem, assignment);
+    for (int step = 0; step < 40; ++step) {
+      const auto c = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(problem.num_components())));
+      const PartitionId from = assignment[c];
+      const auto to = static_cast<PartitionId>(
+          rng.next_below(static_cast<std::uint64_t>(problem.num_partitions())));
+      assignment.set(c, to);
+      table.move(c, from, to);
+      EXPECT_TRUE(table.partner_rows_match(assignment, c));
+    }
+    expect_counts_match(table, problem, assignment);
+  }
+}
+
+TEST(ConflictTable, NanDelayCountsAsBreaksDoes) {
+  // A NaN delay compares false, so breaks() looks at the other direction
+  // only; the table's one-sided reach must agree (the constructor does not
+  // validate, so it may see one).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix<double> delay(3, 3, 0.0);
+  delay(0, 1) = nan;
+  delay(1, 0) = 5.0;
+  delay(0, 2) = nan;
+  delay(2, 0) = nan;
+  delay(1, 2) = 1.0;
+  delay(2, 1) = 2.0;
+  const auto topo = PartitionTopology::custom(Matrix<double>(3, 3, 0.0),
+                                              std::move(delay), {5.0, 5.0, 5.0});
+  TimingConstraints constraints(2);
+  constraints.add(0, 1, 1.5);
+  Assignment assignment(2, 3);
+  assignment.set(0, 0);
+  assignment.set(1, 0);
+  const ConflictTable table(constraints, topo, assignment);
+  for (PartitionId i = 0; i < 3; ++i) {
+    EXPECT_EQ(table(1, i), TimingConstraints::breaks(topo, i, 0, 1.5) ? 1 : 0) << i;
+  }
+  EXPECT_EQ(table(1, 1), 1);  // D(1, 0) = 5 breaks although D(0, 1) is NaN
+  EXPECT_EQ(table(1, 2), 0);  // both directions NaN: never breaks
 }
 
 // ---------------------------------------------------------- generation ----

@@ -608,6 +608,43 @@ TEST(ProblemCodec, SubmitStructCarriesProblemZeroParse) {
   expect_value_identical(*request.problem, *out.problem);
 }
 
+TEST(ProblemCodec, NanMatrixEntriesFailTheFrame) {
+  // The decoder copies B, D and the capacities as raw doubles; NaN passes
+  // every sign check, so validate must name it, as for a .qp file.
+  const PartitionProblem base = medium_problem();
+  const std::int32_t m = base.num_partitions();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::tuple<int, std::string> cases[] = {
+      {0, "B(0, 3) is NaN"},
+      {1, "D(3, 0) is NaN"},
+      {2, "partition 1 has a NaN capacity"}};
+  for (const auto& [field, message] : cases) {
+    SCOPED_TRACE(message);
+    Matrix<double> wire_cost = base.topology().wire_cost();
+    Matrix<double> delay = base.topology().delay();
+    std::vector<double> capacities = base.topology().capacities();
+    if (field == 0) wire_cost(0, m - 1) = nan;
+    if (field == 1) delay(m - 1, 0) = nan;
+    if (field == 2) capacities[1] = nan;
+    service::Request request = submit_request();
+    request.problem = std::make_shared<PartitionProblem>(
+        base.netlist(),
+        PartitionTopology::custom(std::move(wire_cost), std::move(delay),
+                                  std::move(capacities)),
+        base.timing(), base.linear_cost_matrix(), base.alpha(), base.beta());
+
+    std::string frame;
+    service::encode_request_frame(request, frame);
+    std::uint8_t type = 0;
+    std::string payload;
+    split_frame(frame, type, payload);
+    service::Request out;
+    std::string error;
+    EXPECT_FALSE(service::decode_submit(payload, out, error));
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+}
+
 // ------------------------------------------------- bulk construction ----
 
 TEST(BulkBuild, CsrFromSymmetricPairsMatchesFromTriplets) {

@@ -51,9 +51,12 @@ TEST_P(MetricSweep, SolvableUnderEveryMetric) {
   CircuitConfig config;
   config.metric = metric;
   const auto instance = make_circuit(small_preset(seed), config);
+  // The generator's hidden placement proves the instance feasible, so the
+  // start must be too.
+  ASSERT_TRUE(instance.problem.is_feasible(instance.hidden_placement));
   const auto initial = make_initial(instance.problem,
                                     InitialStrategy::kQbpZeroWireCost, seed);
-  if (!initial.feasible) GTEST_SKIP();
+  ASSERT_TRUE(initial.feasible) << "no feasible start";
   BurkardOptions options;
   options.iterations = 25;
   const auto result = solve_qbp(instance.problem, initial.assignment, options);
