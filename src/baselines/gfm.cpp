@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
+#include "core/placement.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
@@ -16,7 +17,6 @@ namespace {
 struct Move {
   std::int32_t component;
   PartitionId from;
-  PartitionId to;
 };
 
 struct HeapEntry {
@@ -42,27 +42,20 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   const Timer timer;
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
-  const auto& sizes = problem.netlist().sizes();
   const auto& adjacency = problem.netlist().connection_matrix();
-  // Gains come off the evaluator's incident rows; every move and rollback
-  // is committed through it, so a neighbor's row is patched in O(M) rather
-  // than re-scored target by target.
-  DeltaEvaluator evaluator(problem);
 
   GfmResult result;
   result.assignment = initial;
-  result.objective = problem.objective(initial);
-
   Assignment& assignment = result.assignment;
-  CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
+  // Gains come off the evaluator's incident rows; the placement commits
+  // every move and rollback through it, so a neighbor's row is patched in
+  // O(M) rather than re-scored target by target.
+  DeltaEvaluator evaluator(problem);
+  Placement placement(problem, assignment);
+  placement.attach(evaluator);
+  placement.attach_conflicts();
   std::vector<std::int64_t> version(static_cast<std::size_t>(n), 0);
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
-
-  const auto move_feasible = [&](std::int32_t j, PartitionId target) {
-    if (!ledger.fits(target, sizes[static_cast<std::size_t>(j)])) return false;
-    return problem.timing().component_feasible_at(assignment, problem.topology(),
-                                                  j, target);
-  };
 
   for (std::int32_t pass = 0; pass < options.max_passes; ++pass) {
     if (options.should_stop && options.should_stop()) break;
@@ -90,18 +83,19 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
       if (locked[static_cast<std::size_t>(j)]) continue;
       if (entry.version != version[static_cast<std::size_t>(j)]) continue;
       if (entry.target == assignment[j]) continue;
-      if (!move_feasible(j, entry.target)) continue;
+      if (!placement.fits(j, entry.target) ||
+          placement.conflicts(j, entry.target) != 0) {
+        continue;
+      }
       // The gain is still exact: any move that changes j's row (a wire
       // neighbor's) bumped j's version, and a locked j is skipped above.
       const double gain = entry.gain;
 
       const PartitionId from = assignment[j];
-      ledger.remove(from, sizes[static_cast<std::size_t>(j)]);
-      ledger.add(entry.target, sizes[static_cast<std::size_t>(j)]);
-      evaluator.commit_move(assignment, j, entry.target);
+      placement.move(j, entry.target);
       locked[static_cast<std::size_t>(j)] = true;
       ++version[static_cast<std::size_t>(j)];
-      applied.push_back({j, from, entry.target});
+      applied.push_back({j, from});
       ++result.moves_applied;
 
       cumulative += gain;
@@ -121,19 +115,15 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
     // Roll back the suffix after the best prefix.
     for (std::size_t k = applied.size(); k-- > best_prefix_length;) {
       const Move& move = applied[k];
-      ledger.remove(move.to, sizes[static_cast<std::size_t>(move.component)]);
-      ledger.add(move.from, sizes[static_cast<std::size_t>(move.component)]);
-      evaluator.commit_move(assignment, move.component, move.from);
+      placement.move(move.component, move.from);
       ++version[static_cast<std::size_t>(move.component)];
     }
     result.moves_kept += static_cast<std::int64_t>(best_prefix_length);
     result.passes = pass + 1;
 
     if (best_prefix_gain <= options.min_improvement) break;
-    result.objective -= best_prefix_gain;
   }
 
-  // The incremental objective can accumulate float error; report exactly.
   result.objective = problem.objective(result.assignment);
   result.seconds = timer.seconds();
   return result;

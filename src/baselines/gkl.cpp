@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
-#include "timing/conflict_table.hpp"
+#include "core/placement.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
@@ -65,11 +65,9 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
   const Timer timer;
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
-  const auto& sizes = problem.netlist().sizes();
   const auto& p = problem.linear_cost_matrix();
   const auto& adjacency = problem.netlist().connection_matrix();
   const auto& topology = problem.topology();
-  const auto& timing = problem.timing();
 
   // The lower bound on a swap's delta below assumes these;
   // PartitionProblem::validate enforces them for file and wire input, but
@@ -103,47 +101,14 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
   GklResult result;
   result.assignment = initial;
   Assignment& assignment = result.assignment;
-  CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
   // Objective-mode rows: a component's gains are its move_deltas, a swap's
-  // delta comes off two rows plus the pair term, and every swap and
-  // rollback is committed through the evaluator, which patches the rows of
-  // the moved components' neighbors.
+  // delta comes off two rows plus the pair term, and the placement commits
+  // every swap and rollback through the evaluator, which patches the rows
+  // of the moved components' neighbors.
   DeltaEvaluator evaluator(problem);
-
-  // conflicts(j, i): how many of j's timing partners forbid j from sitting
-  // in partition i, all partners at their current partitions.  j may move
-  // to i alone iff this is 0 (TimingConstraints::component_feasible_at).
-  ConflictTable conflicts(timing, topology, assignment);
-
-  const auto swap_feasible = [&](std::int32_t j1, std::int32_t j2) {
-    const PartitionId p1 = assignment[j1];
-    const PartitionId p2 = assignment[j2];
-    const double s1 = sizes[static_cast<std::size_t>(j1)];
-    const double s2 = sizes[static_cast<std::size_t>(j2)];
-    if (ledger.usage(p1) - s1 + s2 > ledger.capacity(p1) + CapacityLedger::kTolerance)
-      return false;
-    if (ledger.usage(p2) - s2 + s1 > ledger.capacity(p2) + CapacityLedger::kTolerance)
-      return false;
-    return timing.component_feasible_at(assignment, topology, j1, p2, j2, p1) &&
-           timing.component_feasible_at(assignment, topology, j2, p1, j1, p2);
-  };
-
-  const auto apply_swap = [&](std::int32_t j1, std::int32_t j2) {
-    const PartitionId p1 = assignment[j1];
-    const PartitionId p2 = assignment[j2];
-    const double s1 = sizes[static_cast<std::size_t>(j1)];
-    const double s2 = sizes[static_cast<std::size_t>(j2)];
-    ledger.remove(p1, s1);
-    ledger.add(p2, s1);
-    ledger.remove(p2, s2);
-    ledger.add(p1, s2);
-    conflicts.move(j1, p1, p2);
-    conflicts.move(j2, p2, p1);
-    evaluator.commit_swap(assignment, j1, j2);
-    QBP_DCHECK(conflicts.partner_rows_match(assignment, j1) &&
-               conflicts.partner_rows_match(assignment, j2))
-        << "a swap patched a conflict row away from its recount";
-  };
+  Placement placement(problem, assignment);
+  placement.attach(evaluator);
+  placement.attach_conflicts();
 
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
   // Per-step scratch of the best-pair search.  gain(j, i) is j's one-sided
@@ -177,7 +142,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       for (PartitionId t = 0; t < m; ++t) {
         const double g = deltas[static_cast<std::size_t>(t)];
         gain_row[static_cast<std::size_t>(t)] = g;
-        if (t != s && conflicts(a, t) == 0) {
+        if (t != s && placement.conflicts(a, t) == 0) {
           cheapest(t, s) = std::min(cheapest(t, s), g);
         }
       }
@@ -193,7 +158,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       members[static_cast<std::size_t>(cursor[static_cast<std::size_t>(s)]++)] = a;
       double bound = infinity;
       for (PartitionId t = 0; t < m; ++t) {
-        if (t == s || conflicts(a, t) != 0) continue;
+        if (t == s || placement.conflicts(a, t) != 0) continue;
         bound = std::min(bound, gain(a, t) + cheapest(s, t));
       }
       if (bound < infinity) rows.push_back({bound, a});
@@ -206,20 +171,24 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       const std::int32_t a = row.a;
       const PartitionId s = assignment[a];
       for (PartitionId t = 0; t < m; ++t) {
-        if (t == s || conflicts(a, t) != 0) continue;
+        if (t == s || placement.conflicts(a, t) != 0) continue;
         const double move_a = gain(a, t);
         if (move_a + cheapest(s, t) > best.delta + margin) continue;
         for (std::int32_t k = first[static_cast<std::size_t>(t)];
              k < first[static_cast<std::size_t>(t) + 1]; ++k) {
           const std::int32_t b = members[static_cast<std::size_t>(k)];
-          if (conflicts(b, s) != 0 || move_a + gain(b, s) > best.delta + margin) {
+          if (placement.conflicts(b, s) != 0 ||
+              move_a + gain(b, s) > best.delta + margin) {
             continue;
           }
           const std::int32_t lo = std::min(a, b);
           const std::int32_t hi = std::max(a, b);
           const Candidate candidate{
               evaluator.cached_swap_delta(assignment, lo, hi), lo, hi};
-          if (candidate.beats(best) && swap_feasible(lo, hi)) best = candidate;
+          if (candidate.beats(best) && placement.swap_fits(lo, hi) &&
+              placement.swap_keeps_timing(lo, hi)) {
+            best = candidate;
+          }
         }
       }
     }
@@ -238,7 +207,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
       const Candidate best = best_swap();
       if (best.lo < 0) break;
 
-      apply_swap(best.lo, best.hi);
+      placement.swap(best.lo, best.hi);
       locked[static_cast<std::size_t>(best.lo)] = true;
       locked[static_cast<std::size_t>(best.hi)] = true;
       applied.push_back({best.lo, best.hi});
@@ -252,7 +221,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
 
     // Roll back to the best prefix (swaps are involutions).
     for (std::size_t k = applied.size(); k-- > best_prefix_length;) {
-      apply_swap(applied[k].a, applied[k].b);
+      placement.swap(applied[k].a, applied[k].b);
     }
     result.swaps_kept += static_cast<std::int64_t>(best_prefix_length);
     result.outer_loops = outer + 1;

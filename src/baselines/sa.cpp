@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/delta_evaluator.hpp"
+#include "core/placement.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -36,13 +37,12 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
   const Timer timer;
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
-  const auto& sizes = problem.netlist().sizes();
-  const auto& topology = problem.topology();
   const DeltaEvaluator evaluator(problem);
   Rng rng(options.seed);
 
   Assignment current = initial;
-  CapacityLedger ledger(current, sizes, topology.capacities());
+  Placement placement(problem, current);
+  placement.attach_conflicts();
 
   // Propose a feasible random move or swap; returns false when the draw is
   // infeasible (counts as a rejected proposal, as usual for SA).
@@ -53,24 +53,10 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
           rng.next_below(static_cast<std::uint64_t>(n)));
       proposal.b = static_cast<std::int32_t>(
           rng.next_below(static_cast<std::uint64_t>(n)));
-      if (proposal.a == proposal.b) return false;
-      const PartitionId pa = current[proposal.a];
-      const PartitionId pb = current[proposal.b];
-      if (pa == pb) return false;
-      const double sa = sizes[static_cast<std::size_t>(proposal.a)];
-      const double sb = sizes[static_cast<std::size_t>(proposal.b)];
-      if (ledger.usage(pa) - sa + sb >
-          ledger.capacity(pa) + CapacityLedger::kTolerance) {
-        return false;
-      }
-      if (ledger.usage(pb) - sb + sa >
-          ledger.capacity(pb) + CapacityLedger::kTolerance) {
-        return false;
-      }
-      if (!problem.timing().component_feasible_at(current, topology, proposal.a,
-                                                  pb, proposal.b, pa) ||
-          !problem.timing().component_feasible_at(current, topology, proposal.b,
-                                                  pa, proposal.a, pb)) {
+      if (proposal.a == proposal.b ||
+          current[proposal.a] == current[proposal.b] ||
+          !placement.swap_fits(proposal.a, proposal.b) ||
+          !placement.swap_keeps_timing(proposal.a, proposal.b)) {
         return false;
       }
       proposal.delta = evaluator.swap_delta(current, proposal.a, proposal.b);
@@ -79,13 +65,9 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
           rng.next_below(static_cast<std::uint64_t>(n)));
       proposal.target =
           static_cast<PartitionId>(rng.next_below(static_cast<std::uint64_t>(m)));
-      if (proposal.target == current[proposal.a]) return false;
-      if (!ledger.fits(proposal.target,
-                       sizes[static_cast<std::size_t>(proposal.a)])) {
-        return false;
-      }
-      if (!problem.timing().component_feasible_at(current, topology, proposal.a,
-                                                  proposal.target)) {
+      if (proposal.target == current[proposal.a] ||
+          !placement.fits(proposal.a, proposal.target) ||
+          placement.conflicts(proposal.a, proposal.target) != 0) {
         return false;
       }
       proposal.delta = evaluator.move_delta(current, proposal.a, proposal.target);
@@ -95,21 +77,9 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
 
   const auto apply = [&](const Proposal& proposal) {
     if (proposal.is_swap) {
-      const PartitionId pa = current[proposal.a];
-      const PartitionId pb = current[proposal.b];
-      const double sa = sizes[static_cast<std::size_t>(proposal.a)];
-      const double sb = sizes[static_cast<std::size_t>(proposal.b)];
-      ledger.remove(pa, sa);
-      ledger.add(pb, sa);
-      ledger.remove(pb, sb);
-      ledger.add(pa, sb);
-      current.set(proposal.a, pb);
-      current.set(proposal.b, pa);
+      placement.swap(proposal.a, proposal.b);
     } else {
-      const double size = sizes[static_cast<std::size_t>(proposal.a)];
-      ledger.remove(current[proposal.a], size);
-      ledger.add(proposal.target, size);
-      current.set(proposal.a, proposal.target);
+      placement.move(proposal.a, proposal.target);
     }
   };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/delta_evaluator.hpp"
+#include "core/placement.hpp"
 #include "core/qhat.hpp"
 #include "util/log.hpp"
 #include "util/prof.hpp"
@@ -26,9 +27,10 @@ constexpr double kRestartPerturbation = 0.10;
 /// Capacity C1 stays invariant throughout; timing enters via the penalty.
 /// All deltas come off the shared DeltaEvaluator's cached rows: the move
 /// sweep reads a component's M deltas from its row, a swap reads two rows
-/// plus the a-b pair term (cached_swap_delta), and commits patch the rows
-/// that depend on the mover.  Declared in burkard.hpp: the multilevel
-/// V-cycle uses the same descent as its per-level refinement.
+/// plus the a-b pair term (cached_swap_delta), and the placement commits
+/// each move through the evaluator, patching the rows that depend on the
+/// mover.  Declared in burkard.hpp: the multilevel V-cycle uses the same
+/// descent as its per-level refinement.
 void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
                     Assignment& u, std::int32_t max_sweeps,
                     std::uint64_t sweep_seed) {
@@ -36,31 +38,15 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
   evaluator.follow(u);  // patch the rows for what moved since the last polish
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
-  const auto& sizes = problem.netlist().sizes();
-  CapacityLedger ledger(u, sizes, problem.topology().capacities());
+  Placement placement(problem, u);
+  placement.attach(evaluator);
   constexpr double kEps = 1e-9;
   Rng rng(sweep_seed);
 
   const auto try_swap = [&](std::int32_t a, std::int32_t b) {
-    if (a == b || u[a] == u[b]) return false;
-    const double sa = sizes[static_cast<std::size_t>(a)];
-    const double sb = sizes[static_cast<std::size_t>(b)];
-    if (ledger.usage(u[a]) - sa + sb >
-        ledger.capacity(u[a]) + CapacityLedger::kTolerance) {
-      return false;
-    }
-    if (ledger.usage(u[b]) - sb + sa >
-        ledger.capacity(u[b]) + CapacityLedger::kTolerance) {
-      return false;
-    }
+    if (a == b || u[a] == u[b] || !placement.swap_fits(a, b)) return false;
     if (evaluator.cached_swap_delta(u, a, b) >= -kEps) return false;
-    const PartitionId pa = u[a];
-    const PartitionId pb = u[b];
-    ledger.remove(pa, sa);
-    ledger.add(pb, sa);
-    ledger.remove(pb, sb);
-    ledger.add(pa, sb);
-    evaluator.commit_swap(u, a, b);
+    placement.swap(a, b);
     return true;
   };
 
@@ -76,8 +62,7 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
       PartitionId best_target = -1;
       double best_delta = -kEps;
       for (PartitionId i = 0; i < m; ++i) {
-        if (i == u[j]) continue;
-        if (!ledger.fits(i, sizes[static_cast<std::size_t>(j)])) continue;
+        if (i == u[j] || !placement.fits(j, i)) continue;
         const double delta = deltas[static_cast<std::size_t>(i)];
         if (delta < best_delta) {
           best_delta = delta;
@@ -85,9 +70,7 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
         }
       }
       if (best_target >= 0) {
-        ledger.remove(u[j], sizes[static_cast<std::size_t>(j)]);
-        ledger.add(best_target, sizes[static_cast<std::size_t>(j)]);
-        evaluator.commit_move(u, j, best_target);
+        placement.move(j, best_target);
         improved = true;
       }
     }
@@ -231,23 +214,18 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     if (options.restart_period > 0 && k % options.restart_period == 0) {
       std::fill(h.begin(), h.end(), 0.0);
       u = result.found_feasible ? result.best_feasible : result.best;
-      Rng kick_rng(0xfeedu ^ static_cast<std::uint64_t>(k));
-      const auto& sizes = problem.netlist().sizes();
-      CapacityLedger ledger(u, sizes, problem.topology().capacities());
-      const auto kicks = static_cast<std::int32_t>(
-          kRestartPerturbation * problem.num_components());
-      for (std::int32_t kick = 0; kick < kicks; ++kick) {
-        const auto j = static_cast<std::int32_t>(kick_rng.next_below(
-            static_cast<std::uint64_t>(problem.num_components())));
-        const auto target = static_cast<PartitionId>(kick_rng.next_below(
-            static_cast<std::uint64_t>(problem.num_partitions())));
-        if (target == u[j] ||
-            !ledger.fits(target, sizes[static_cast<std::size_t>(j)])) {
-          continue;
+      {
+        Placement placement(problem, u);
+        Rng kick_rng(0xfeedu ^ static_cast<std::uint64_t>(k));
+        const auto kicks = static_cast<std::int32_t>(
+            kRestartPerturbation * problem.num_components());
+        for (std::int32_t kick = 0; kick < kicks; ++kick) {
+          const auto j = static_cast<std::int32_t>(kick_rng.next_below(
+              static_cast<std::uint64_t>(problem.num_components())));
+          const auto target = static_cast<PartitionId>(kick_rng.next_below(
+              static_cast<std::uint64_t>(problem.num_partitions())));
+          if (placement.fits(j, target)) placement.move(j, target);
         }
-        ledger.remove(u[j], sizes[static_cast<std::size_t>(j)]);
-        ledger.add(target, sizes[static_cast<std::size_t>(j)]);
-        u.set(j, target);
       }
       // Descend from the kicked point (iterated local search): the kick
       // only diversifies if the following descent happens before the

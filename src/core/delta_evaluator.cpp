@@ -420,14 +420,6 @@ void DeltaEvaluator::commit_move(Assignment& assignment, std::int32_t component,
   patch_dependents(component, source, target);
 }
 
-void DeltaEvaluator::commit_swap(Assignment& assignment,
-                                 std::int32_t component_a,
-                                 std::int32_t component_b) {
-  const PartitionId pa = assignment[component_a];
-  commit_move(assignment, component_a, assignment[component_b]);
-  commit_move(assignment, component_b, pa);
-}
-
 void DeltaEvaluator::follow(const Assignment& assignment) {
   QBP_CHECK_EQ(assignment.num_components(), problem_->num_components());
   if (misses_ == 0) {

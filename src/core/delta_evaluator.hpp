@@ -17,14 +17,15 @@
 //     full "incident cost of j by candidate partition" row is built once in
 //     O((deg_A(j) + deg_Dc(j)) * M) and then kept current.  The rows live in
 //     one flat N x M array.  A commit of component c from partition s to t
-//     patches every built row that depends on c -- its wire neighbors' and
-//     (penalized mode) its timing partners' -- by subtracting c's terms at
-//     s and adding them at t, in O(M) per row: the Fiduccia-Mattheyses gain
-//     update.  Rows never built stay lazy.  Loops that scan all M targets
-//     of a component (the polish move sweep, GFM's and GKL's gains) get
-//     their deltas in O(M) instead of O(degree * M), and a pairwise swap
-//     delta comes from two row differences plus the a-b pair term
-//     (cached_swap_delta) instead of a rescan of both neighborhoods;
+//     (which local searches make through core/placement, together with
+//     their ledger and conflict table) patches every built row that
+//     depends on c -- its wire neighbors' and (penalized mode) its timing
+//     partners' -- by subtracting c's terms at s and adding them at t, in
+//     O(M) per row: the Fiduccia-Mattheyses gain update.  Rows never built stay lazy.  Loops that scan all M targets
+//     of a component (the polish move sweep, GFM's and GKL's gains, the
+//     ECO polish) get their deltas in O(M) instead of O(degree * M), and a
+//     pairwise swap delta comes from two row differences plus the a-b pair
+//     term (cached_swap_delta) instead of a rescan of both neighborhoods;
 //   * eta() is STEP 3's gather read off the same table.  A row's *incoming
 //     part* is what j's neighbors and partners contribute into candidate i
 //     -- beta * a * B(at, i), or the penalty where D(at, i) breaks the bound
@@ -96,14 +97,12 @@ class DeltaEvaluator {
                                          std::int32_t component_a,
                                          std::int32_t component_b);
 
-  /// Apply a move/swap *through* the evaluator so the built rows are
-  /// patched.  The cached reads above must be passed the assignment the
-  /// rows describe: after mutating it behind the evaluator's back, call
-  /// follow() before the next read.
+  /// Apply a move *through* the evaluator so the built rows are patched (a
+  /// swap is two moves; core/placement commits both).  The cached reads
+  /// above must be passed the assignment the rows describe: after mutating
+  /// it behind the evaluator's back, call follow() before the next read.
   void commit_move(Assignment& assignment, std::int32_t component,
                    PartitionId target);
-  void commit_swap(Assignment& assignment, std::int32_t component_a,
-                   std::int32_t component_b);
 
   /// Bring the built rows to `assignment`: every component whose partition
   /// differs from the point the rows describe is committed there, patching

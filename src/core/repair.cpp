@@ -3,7 +3,7 @@
 #include <bit>
 #include <vector>
 
-#include "timing/conflict_table.hpp"
+#include "core/placement.hpp"
 #include "util/check.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
@@ -16,9 +16,6 @@ namespace {
 /// random capacity-feasible partition instead of the min-conflict one;
 /// breaks deadlocks where every single move looks non-improving.
 constexpr double kNoise = 0.08;
-
-/// Debug builds recount the patched rows of every kAuditStride-th move.
-constexpr std::int64_t kAuditStride = 16;
 
 /// 0/1 membership over component ids with O(log n) update and O(log n)
 /// select-kth (Fenwick tree).  Selecting the k-th smallest member id is
@@ -73,12 +70,10 @@ RepairResult repair_timing(const PartitionProblem& problem,
   QBP_CHECK(start.is_complete()) << "repair requires a complete assignment";
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
-  const auto& sizes = problem.netlist().sizes();
 
   RepairResult result;
   result.assignment = start;
   Assignment& assignment = result.assignment;
-  CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
   Rng rng(options.seed);
 
   const std::int64_t budget =
@@ -89,10 +84,11 @@ RepairResult repair_timing(const PartitionProblem& problem,
   // Built once in O(nnz(Dc) * M); a move patches its partners' rows in
   // O(degree * M), and only those rows -- and so only the movers' and
   // their partners' conflicted flags -- can change.
-  ConflictTable conflicts(problem.timing(), problem.topology(), assignment);
+  Placement placement(problem, assignment);
+  placement.attach_conflicts();
   ConflictedSet conflicted(n);
   for (std::int32_t j = 0; j < n; ++j) {
-    conflicted.set(j, conflicts(j, assignment[j]) > 0);
+    conflicted.set(j, placement.conflicts(j, assignment[j]) > 0);
   }
 
   std::vector<PartitionId> best_targets;
@@ -110,16 +106,13 @@ RepairResult repair_timing(const PartitionProblem& problem,
     best_targets.clear();
     if (rng.next_bool(kNoise)) {
       for (PartitionId i = 0; i < m; ++i) {
-        if (i != source && ledger.fits(i, sizes[static_cast<std::size_t>(j)])) {
-          best_targets.push_back(i);
-        }
+        if (i != source && placement.fits(j, i)) best_targets.push_back(i);
       }
     } else {
-      std::int32_t best_conflicts = conflicts(j, source);
+      std::int32_t best_conflicts = placement.conflicts(j, source);
       for (PartitionId i = 0; i < m; ++i) {
-        if (i == source) continue;
-        if (!ledger.fits(i, sizes[static_cast<std::size_t>(j)])) continue;
-        const std::int32_t at_i = conflicts(j, i);
+        if (i == source || !placement.fits(j, i)) continue;
+        const std::int32_t at_i = placement.conflicts(j, i);
         if (at_i < best_conflicts) {
           best_conflicts = at_i;
           best_targets.assign(1, i);
@@ -133,18 +126,13 @@ RepairResult repair_timing(const PartitionProblem& problem,
       continue;
     }
     const PartitionId target = best_targets[rng.pick_index(best_targets)];
-    ledger.remove(source, sizes[static_cast<std::size_t>(j)]);
-    ledger.add(target, sizes[static_cast<std::size_t>(j)]);
-    assignment.set(j, target);
-    conflicts.move(j, source, target);
+    placement.move(j, target);
     ++result.moves;
-    conflicted.set(j, conflicts(j, target) > 0);
+    conflicted.set(j, placement.conflicts(j, target) > 0);
     for (const std::int32_t partner : problem.timing().partners(j)) {
-      conflicted.set(partner, conflicts(partner, assignment[partner]) > 0);
+      conflicted.set(partner,
+                     placement.conflicts(partner, assignment[partner]) > 0);
     }
-    QBP_DCHECK(result.moves % kAuditStride != 0 ||
-               conflicts.partner_rows_match(assignment, j))
-        << "the walk patched a conflict row away from its recount";
   }
 
   result.feasible = problem.satisfies_capacity(assignment) &&

@@ -6,7 +6,7 @@
 // repeatedly pick a component involved in a violated constraint and move it
 // to the capacity-feasible partition with the fewest resulting violations
 // (sideways moves allowed, random tie-breaking).  It reads its counts from
-// one ConflictTable (timing/conflict_table), patched per move.  Used by
+// the ConflictTable of one core/placement, patched per move.  Used by
 // make_initial, the V-cycle's finest level, the ECO warm path and the
 // feasible-region solvers' start, and available to users whose hand-made
 // assignments need legalizing.

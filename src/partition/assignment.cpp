@@ -15,16 +15,6 @@ bool Assignment::is_complete() const noexcept {
   return true;
 }
 
-std::vector<std::int32_t> Assignment::members_of(PartitionId partition) const {
-  std::vector<std::int32_t> members;
-  for (std::int32_t j = 0; j < num_components(); ++j) {
-    if (partition_of_[static_cast<std::size_t>(j)] == partition) {
-      members.push_back(j);
-    }
-  }
-  return members;
-}
-
 CapacityLedger::CapacityLedger(const Assignment& assignment,
                                std::span<const double> sizes,
                                std::span<const double> capacities)
@@ -46,14 +36,6 @@ std::int32_t CapacityLedger::violations() const noexcept {
     if (usage_[i] > capacity_[i] + kTolerance) ++count;
   }
   return count;
-}
-
-double CapacityLedger::total_overflow() const noexcept {
-  double overflow = 0.0;
-  for (std::size_t i = 0; i < usage_.size(); ++i) {
-    if (usage_[i] > capacity_[i]) overflow += usage_[i] - capacity_[i];
-  }
-  return overflow;
 }
 
 bool satisfies_capacity(const Assignment& assignment,

@@ -51,9 +51,6 @@ class Assignment {
     return partition_of_;
   }
 
-  /// Components currently assigned to `partition` (O(N) scan).
-  [[nodiscard]] std::vector<std::int32_t> members_of(PartitionId partition) const;
-
   friend bool operator==(const Assignment&, const Assignment&) = default;
 
  private:
@@ -95,9 +92,6 @@ class CapacityLedger {
 
   /// Number of partitions whose usage exceeds capacity (plus tolerance).
   [[nodiscard]] std::int32_t violations() const noexcept;
-
-  /// Total overflow mass above capacity, summed over partitions.
-  [[nodiscard]] double total_overflow() const noexcept;
 
   /// Floating-point slack for capacity comparisons; component sizes are
   /// O(1..100) so an absolute epsilon is appropriate.

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
+#include "core/placement.hpp"
 #include "core/qhat.hpp"
 #include "core/repair.hpp"
-#include "partition/assignment.hpp"
 
 namespace qbp::service {
 
@@ -29,7 +29,8 @@ bool legalize_capacity(const PartitionProblem& problem, Assignment& assignment,
   const std::vector<double>& sizes = problem.netlist().sizes();
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
-  CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
+  Placement placement(problem, assignment);
+  const CapacityLedger& ledger = placement.ledger();
   const std::int64_t budget = 4 * static_cast<std::int64_t>(n) + 16;
   std::int64_t used = 0;
   for (PartitionId i = 0; i < m; ++i) {
@@ -44,16 +45,13 @@ bool legalize_capacity(const PartitionProblem& problem, Assignment& assignment,
         }
       }
       if (mover < 0) return false;  // empty yet overfull: capacities < 0
-      const double size = sizes[static_cast<std::size_t>(mover)];
       PartitionId target = -1;
       for (PartitionId t = 0; t < m; ++t) {
-        if (t == i || !ledger.fits(t, size)) continue;
+        if (t == i || !placement.fits(mover, t)) continue;
         if (target < 0 || ledger.slack(t) > ledger.slack(target)) target = t;
       }
       if (target < 0) return false;
-      ledger.remove(i, size);
-      ledger.add(target, size);
-      assignment.set(mover, target);
+      placement.move(mover, target);
       ++moves;
     }
   }
@@ -61,17 +59,16 @@ bool legalize_capacity(const PartitionProblem& problem, Assignment& assignment,
 }
 
 /// Best-improvement move sweeps on the true objective, restricted to moves
-/// that keep C1 (ledger) and C2 (per-component timing check) satisfied.
-/// Returns the number of committed moves.
+/// that keep C1 (the placement's ledger) and C2 (its conflict rows)
+/// satisfied.  Returns the number of committed moves.
 std::int64_t polish(const PartitionProblem& problem, Assignment& assignment,
                     std::stop_token stop, bool& cancelled) {
-  const std::vector<double>& sizes = problem.netlist().sizes();
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
   DeltaEvaluator evaluator(problem, /*penalty=*/0.0);
-  CapacityLedger ledger(assignment, sizes, problem.topology().capacities());
-  const auto& timing = problem.timing();
-  const auto& topology = problem.topology();
+  Placement placement(problem, assignment);
+  placement.attach(evaluator);
+  placement.attach_conflicts();
   std::int64_t commits = 0;
   for (std::int32_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool moved = false;
@@ -82,22 +79,17 @@ std::int64_t polish(const PartitionProblem& problem, Assignment& assignment,
       }
       const std::span<const double> deltas =
           evaluator.move_deltas(assignment, j);
-      const PartitionId from = assignment[j];
-      const double size = sizes[static_cast<std::size_t>(j)];
       PartitionId best = -1;
       double best_delta = -kMinGain;
       for (PartitionId t = 0; t < m; ++t) {
-        if (t == from) continue;
+        if (t == assignment[j]) continue;
         if (!(deltas[static_cast<std::size_t>(t)] < best_delta)) continue;
-        if (!ledger.fits(t, size)) continue;
-        if (!timing.component_feasible_at(assignment, topology, j, t)) continue;
+        if (!placement.fits(j, t) || placement.conflicts(j, t) != 0) continue;
         best = t;
         best_delta = deltas[static_cast<std::size_t>(t)];
       }
       if (best < 0) continue;
-      ledger.remove(from, size);
-      ledger.add(best, size);
-      evaluator.commit_move(assignment, j, best);
+      placement.move(j, best);
       ++commits;
       moved = true;
     }

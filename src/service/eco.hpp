@@ -16,8 +16,8 @@
 //      Dc and D are identical by the structure-hash gate -- so this too
 //      is usually a no-op on a feasible seed);
 //   3. polish: DeltaEvaluator(penalty = 0) best-improvement move sweeps
-//      restricted to feasibility-preserving moves (C1 via CapacityLedger,
-//      C2 via TimingConstraints::component_feasible_at), until a sweep
+//      restricted to feasibility-preserving moves (C1 and C2 read off one
+//      core/placement: its ledger and its conflict rows), until a sweep
 //      finds nothing, 8 sweeps have run, or the stop token fires.
 //
 // When any step fails to reach feasibility the result comes back

@@ -6,13 +6,14 @@
 // i.e. how many of j's timing constraints would break if j sat in i, every
 // partner where the assignment has it.  j may move to i alone without
 // breaking C2 iff the entry is 0, and the entry at j's own partition is its
-// violated-constraint count.  The min-conflicts repair walk picks its
-// targets from these rows and GKL gates its swaps on them.
+// violated-constraint count.  Local searches read it through core/placement:
+// the min-conflicts repair walk picks its targets from these rows, and GFM,
+// GKL, SA and the ECO polish gate their moves and swaps on them.
 //
 // A move of c from s to t changes only the rows of c's partners, each by
 // one branch-free O(M) pass over two contiguous rows of the symmetric reach
 // matrix max(D, D^T), rows t and s.  The table never looks at the
-// assignment after it is built: callers report every move.
+// assignment after it is built: the placement reports every move.
 #pragma once
 
 #include <cstdint>

@@ -135,11 +135,13 @@ TEST(DeltaEvaluator, CacheStaysExactAcrossCommits) {
           << "step " << step << " swap (" << j << ", " << b << ")";
     }
 
-    // Mutate through the evaluator: alternate moves and swaps.
+    // Mutate through the evaluator: alternate moves and swaps (two moves).
     if (step % 3 == 2) {
       const auto b = static_cast<std::int32_t>(
           rng.next_below(static_cast<std::uint64_t>(problem.num_components())));
-      evaluator.commit_swap(assignment, j, b);
+      const PartitionId pj = assignment[j];
+      evaluator.commit_move(assignment, j, assignment[b]);
+      evaluator.commit_move(assignment, b, pj);
     } else {
       const auto target = static_cast<PartitionId>(
           rng.next_below(static_cast<std::uint64_t>(problem.num_partitions())));
@@ -178,8 +180,10 @@ TEST(DeltaEvaluator, PatchedRowsBitIdenticalOnIntegerData) {
   for (std::int32_t step = 0; step < 200; ++step) {
     const auto a = static_cast<std::int32_t>(rng.next_below(n));
     if (step % 2 == 1) {
-      evaluator.commit_swap(assignment, a,
-                            static_cast<std::int32_t>(rng.next_below(n)));
+      const auto b = static_cast<std::int32_t>(rng.next_below(n));
+      const PartitionId pa = assignment[a];
+      evaluator.commit_move(assignment, a, assignment[b]);
+      evaluator.commit_move(assignment, b, pa);
     } else {
       evaluator.commit_move(assignment, a,
                             static_cast<PartitionId>(rng.next_below(m)));

@@ -37,7 +37,7 @@ TEST_P(ExactVsBruteForce, PrunesAgainstFullEnumeration) {
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
   const auto exact = solve_exact(problem);
-  if (!exact.found) GTEST_SKIP();
+  ASSERT_TRUE(exact.found) << "every seed of this sweep is feasible";
   // 3^8 = 6561 leaves; the tree must be decisively smaller than the full
   // M^N * depth node count.
   EXPECT_LT(exact.nodes, 6561 * 8);
@@ -77,14 +77,14 @@ TEST(Exact, WarmStartTightensSearch) {
   spec.seed = 4;
   const auto problem = test::make_tiny_problem(spec);
   const auto cold = solve_exact(problem);
-  if (!cold.found) GTEST_SKIP();
+  ASSERT_TRUE(cold.found) << "seed 4 is feasible";
 
   BurkardOptions heuristic_options;
   heuristic_options.iterations = 30;
   const auto initial =
       test::round_robin(problem.num_components(), problem.num_partitions());
   const auto heuristic = solve_qbp(problem, initial, heuristic_options);
-  if (!heuristic.found_feasible) GTEST_SKIP();
+  ASSERT_TRUE(heuristic.found_feasible);
 
   ExactOptions options;
   options.warm_start = &heuristic.best_feasible;

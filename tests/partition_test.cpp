@@ -101,16 +101,6 @@ TEST(Assignment, CompletenessTracking) {
   EXPECT_EQ(assignment[2], 3);
 }
 
-TEST(Assignment, MembersOf) {
-  Assignment assignment(4, 2);
-  assignment.set(0, 0);
-  assignment.set(1, 1);
-  assignment.set(2, 0);
-  assignment.set(3, 1);
-  EXPECT_EQ(assignment.members_of(0), (std::vector<std::int32_t>{0, 2}));
-  EXPECT_EQ(assignment.members_of(1), (std::vector<std::int32_t>{1, 3}));
-}
-
 TEST(CapacityLedger, TracksUsageIncrementally) {
   Assignment assignment(2, 2);
   assignment.set(0, 0);
@@ -126,7 +116,6 @@ TEST(CapacityLedger, TracksUsageIncrementally) {
   ledger.add(1, 2.0);
   EXPECT_DOUBLE_EQ(ledger.usage(1), 5.0);
   EXPECT_EQ(ledger.violations(), 1);
-  EXPECT_DOUBLE_EQ(ledger.total_overflow(), 1.0);
 }
 
 TEST(CapacityLedger, SatisfiesCapacityHelper) {

@@ -154,7 +154,7 @@ engine::SolverResult multistart(const PartitionProblem& problem,
 
 TEST(Multistart, AtLeastAsGoodAsSingleRun) {
   const auto problem = test::make_tiny_problem({.seed = 8});
-  if (!brute_force_constrained(problem).found) GTEST_SKIP();
+  ASSERT_TRUE(brute_force_constrained(problem).found) << "seed 8 is feasible";
   BurkardOptions options;
   options.iterations = 20;
   const auto single = multistart(problem, 1, 7, options);
