@@ -1,11 +1,13 @@
 #include "baselines/gfm.hpp"
 
+#include <algorithm>
 #include <queue>
 #include <span>
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
 #include "core/placement.hpp"
+#include "util/prof.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
@@ -19,8 +21,21 @@ struct Move {
   PartitionId from;
 };
 
-struct HeapEntry {
+/// One of a component's M - 1 gain entries.
+struct Gain {
   double gain;             // positive = objective decreases
+  PartitionId target;
+  /// The queue's pop order within one component: gain descending, then
+  /// target ascending.
+  bool operator<(const Gain& other) const noexcept {
+    if (gain != other.gain) return gain > other.gain;
+    return target < other.target;
+  }
+};
+
+/// The head of a component's gain list, as queued.
+struct HeapEntry {
+  double gain;
   std::int32_t component;
   PartitionId target;
   std::int64_t version;    // stamp of the component when pushed
@@ -38,6 +53,7 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   QBP_CHECK(initial.is_complete());
   QBP_CHECK(problem.is_feasible(initial))
       << "GFM requires a feasible starting solution (Section 5)";
+  static const prof::PhaseId kQueuePush = prof::register_phase("gfm.queue_push");
 
   const Timer timer;
   const std::int32_t n = problem.num_components();
@@ -56,20 +72,40 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   placement.attach_conflicts();
   std::vector<std::int64_t> version(static_cast<std::size_t>(n), 0);
   std::vector<bool> locked(static_cast<std::size_t>(n), false);
+  // Component j's M - 1 gain entries, sorted in pop order, at
+  // gains[j * (M - 1) ...]; next[j] is the offset of the one queued.
+  const auto width = static_cast<std::size_t>(std::max(m - 1, 0));
+  std::vector<Gain> gains(static_cast<std::size_t>(n) * width);
+  std::vector<std::size_t> next(static_cast<std::size_t>(n), 0);
 
   for (std::int32_t pass = 0; pass < options.max_passes; ++pass) {
     if (options.should_stop && options.should_stop()) break;
+    QBP_PROF_SCOPE("gfm.pass");
     std::fill(locked.begin(), locked.end(), false);
+    // Only each component's best untried entry is queued, so the heap pops
+    // the same entries in the same order as one holding all M - 1 of them.
     std::priority_queue<HeapEntry> heap;
-    const auto push_component = [&](std::int32_t j) {
+    std::int64_t pushes = 0;
+    const auto push_next = [&](std::int32_t j) {
+      const auto index = static_cast<std::size_t>(j);
+      if (next[index] == width) return;
+      const Gain& head = gains[index * width + next[index]];
+      heap.push({head.gain, j, head.target, version[index]});
+      ++pushes;
+    };
+    const auto refresh = [&](std::int32_t j) {
       const std::span<const double> deltas = evaluator.move_deltas(assignment, j);
+      Gain* const list = gains.data() + static_cast<std::size_t>(j) * width;
+      Gain* out = list;
       for (PartitionId i = 0; i < m; ++i) {
         if (i == assignment[j]) continue;
-        heap.push({-deltas[static_cast<std::size_t>(i)], j, i,
-                   version[static_cast<std::size_t>(j)]});
+        *out++ = {-deltas[static_cast<std::size_t>(i)], i};
       }
+      std::sort(list, out);
+      next[static_cast<std::size_t>(j)] = 0;
+      push_next(j);
     };
-    for (std::int32_t j = 0; j < n; ++j) push_component(j);
+    for (std::int32_t j = 0; j < n; ++j) refresh(j);
 
     std::vector<Move> applied;
     double cumulative = 0.0;
@@ -82,9 +118,10 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
       const std::int32_t j = entry.component;
       if (locked[static_cast<std::size_t>(j)]) continue;
       if (entry.version != version[static_cast<std::size_t>(j)]) continue;
-      if (entry.target == assignment[j]) continue;
       if (!placement.fits(j, entry.target) ||
           placement.conflicts(j, entry.target) != 0) {
+        ++next[static_cast<std::size_t>(j)];
+        push_next(j);
         continue;
       }
       // The gain is still exact: any move that changes j's row (a wire
@@ -108,9 +145,10 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
       for (const std::int32_t neighbor : adjacency.row_indices(j)) {
         if (locked[static_cast<std::size_t>(neighbor)]) continue;
         ++version[static_cast<std::size_t>(neighbor)];
-        push_component(neighbor);
+        refresh(neighbor);
       }
     }
+    prof::record_events(kQueuePush, pushes);
 
     // Roll back the suffix after the best prefix.
     for (std::size_t k = applied.size(); k-- > best_prefix_length;) {

@@ -18,9 +18,15 @@
 //   * passes repeat until one yields no improvement ("runs till no more
 //     improvement is possible").
 //
-// Gains live in a lazy max-heap keyed by (gain, component, target) with a
-// per-component version stamp instead of the classic bucket array, because
-// costs here are real-valued (Manhattan / quadratic metrics, arbitrary P).
+// Each component keeps its M - 1 gain entries as one list sorted by gain
+// descending, then target ascending, with a cursor; a max-heap keyed by
+// (gain, component, target) holds only each list's current head, stamped
+// with the component's version, instead of the classic bucket array,
+// because costs here are real-valued (Manhattan / quadratic metrics,
+// arbitrary P).  A head that capacity or timing rejects hands over to its
+// component's next entry, and a neighbor refresh re-sorts the list and
+// bumps the version.  No entry's key changes once made, so the heap pops
+// the same entries in the same order as one holding every entry would.
 #pragma once
 
 #include <cstdint>

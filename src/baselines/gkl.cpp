@@ -9,6 +9,7 @@
 
 #include "core/delta_evaluator.hpp"
 #include "core/placement.hpp"
+#include "util/prof.hpp"
 #include "util/timer.hpp"
 
 #include "util/check.hpp"
@@ -197,6 +198,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
 
   for (std::int32_t outer = 0; outer < options.max_outer_loops; ++outer) {
     if (options.should_stop && options.should_stop()) break;
+    QBP_PROF_SCOPE("gkl.outer_loop");
     std::fill(locked.begin(), locked.end(), false);
     std::vector<Swap> applied;
     double cumulative = 0.0;

@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/gfm.hpp"
 #include "baselines/gkl.hpp"
+#include "bench_support/circuits.hpp"
+#include "bench_support/experiment.hpp"
 #include "core/brute_force.hpp"
+#include "core/delta_evaluator.hpp"
 #include "core/initial.hpp"
+#include "core/placement.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -130,6 +136,154 @@ TEST(Gfm, StopsAfterMaxPasses) {
   options.max_passes = 1;
   const auto result = solve_gfm(fixture.problem, fixture.start, options);
   EXPECT_EQ(result.passes, 1);
+}
+
+/// The entries the all-entries queue popped current and unlocked, but
+/// could not apply.
+struct Rejections {
+  std::int64_t capacity = 0;
+  std::int64_t timing = 0;
+};
+
+// The queue solve_gfm used before its per-component gain lists: one lazy
+// max-heap of every component's M - 1 entries, keyed by (gain, component,
+// target), into which each refresh pushes all M - 1 again.  Kept here only
+// as the reference the per-component queue must reproduce exactly.
+GfmResult full_heap_gfm(const PartitionProblem& problem,
+                        const Assignment& initial, Rejections& rejections) {
+  struct Move {
+    std::int32_t component;
+    PartitionId from;
+  };
+  struct HeapEntry {
+    double gain;
+    std::int32_t component;
+    PartitionId target;
+    std::int64_t version;
+    bool operator<(const HeapEntry& other) const noexcept {
+      if (gain != other.gain) return gain < other.gain;
+      if (component != other.component) return component > other.component;
+      return target > other.target;
+    }
+  };
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  const auto& adjacency = problem.netlist().connection_matrix();
+  const GfmOptions options;
+
+  GfmResult result;
+  result.assignment = initial;
+  Assignment& assignment = result.assignment;
+  DeltaEvaluator evaluator(problem);
+  Placement placement(problem, assignment);
+  placement.attach(evaluator);
+  placement.attach_conflicts();
+  std::vector<std::int64_t> version(static_cast<std::size_t>(n), 0);
+  std::vector<bool> locked(static_cast<std::size_t>(n), false);
+
+  for (std::int32_t pass = 0; pass < options.max_passes; ++pass) {
+    std::fill(locked.begin(), locked.end(), false);
+    std::priority_queue<HeapEntry> heap;
+    const auto push_component = [&](std::int32_t j) {
+      const std::span<const double> deltas = evaluator.move_deltas(assignment, j);
+      for (PartitionId i = 0; i < m; ++i) {
+        if (i == assignment[j]) continue;
+        heap.push({-deltas[static_cast<std::size_t>(i)], j, i,
+                   version[static_cast<std::size_t>(j)]});
+      }
+    };
+    for (std::int32_t j = 0; j < n; ++j) push_component(j);
+
+    std::vector<Move> applied;
+    double cumulative = 0.0;
+    double best_prefix_gain = 0.0;
+    std::size_t best_prefix_length = 0;
+    while (!heap.empty()) {
+      const HeapEntry entry = heap.top();
+      heap.pop();
+      const std::int32_t j = entry.component;
+      if (locked[static_cast<std::size_t>(j)]) continue;
+      if (entry.version != version[static_cast<std::size_t>(j)]) continue;
+      if (entry.target == assignment[j]) continue;
+      if (!placement.fits(j, entry.target)) {
+        ++rejections.capacity;
+        continue;
+      }
+      if (placement.conflicts(j, entry.target) != 0) {
+        ++rejections.timing;
+        continue;
+      }
+      const PartitionId from = assignment[j];
+      placement.move(j, entry.target);
+      locked[static_cast<std::size_t>(j)] = true;
+      ++version[static_cast<std::size_t>(j)];
+      applied.push_back({j, from});
+      ++result.moves_applied;
+      cumulative += entry.gain;
+      if (cumulative > best_prefix_gain) {
+        best_prefix_gain = cumulative;
+        best_prefix_length = applied.size();
+      }
+      for (const std::int32_t neighbor : adjacency.row_indices(j)) {
+        if (locked[static_cast<std::size_t>(neighbor)]) continue;
+        ++version[static_cast<std::size_t>(neighbor)];
+        push_component(neighbor);
+      }
+    }
+    for (std::size_t k = applied.size(); k-- > best_prefix_length;) {
+      const Move& move = applied[k];
+      placement.move(move.component, move.from);
+      ++version[static_cast<std::size_t>(move.component)];
+    }
+    result.moves_kept += static_cast<std::int64_t>(best_prefix_length);
+    result.passes = pass + 1;
+    if (best_prefix_gain <= options.min_improvement) break;
+  }
+  result.objective = problem.objective(result.assignment);
+  return result;
+}
+
+TEST(GfmOracle, PerComponentQueueMakesTheFullHeapsMoves) {
+  Rejections rejections;
+  std::int64_t moves = 0;
+  std::int32_t wide = 0;
+  const auto expect_same_moves = [&](const PartitionProblem& problem,
+                                     const Assignment& start) {
+    const GfmResult expected = full_heap_gfm(problem, start, rejections);
+    const GfmResult actual = solve_gfm(problem, start);
+    EXPECT_EQ(actual.assignment, expected.assignment);
+    EXPECT_EQ(actual.objective, expected.objective);
+    EXPECT_EQ(actual.passes, expected.passes);
+    EXPECT_EQ(actual.moves_applied, expected.moves_applied);
+    EXPECT_EQ(actual.moves_kept, expected.moves_kept);
+    moves += expected.moves_applied;
+  };
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE(seed);
+    const test::OracleInstance instance = test::make_oracle_instance(seed);
+    ASSERT_TRUE(instance.problem.is_feasible(instance.start));
+    expect_same_moves(instance.problem, instance.start);
+    if (instance.problem.num_partitions() > 64) ++wide;
+  }
+  // Two Table I circuits from their Table III start, with the timing
+  // constraints (Table III) and without them (Table II).
+  for (const char* name : {"ckta", "cktg"}) {
+    SCOPED_TRACE(name);
+    const CircuitInstance circuit = make_circuit(*find_preset(name));
+    const InitialResult start =
+        make_initial(circuit.problem, InitialStrategy::kQbpZeroWireCost,
+                     ExperimentConfig{}.seed);
+    ASSERT_TRUE(start.feasible);
+    expect_same_moves(circuit.problem, start.assignment);
+    expect_same_moves(circuit.problem.without_timing(), start.assignment);
+  }
+  // The sweep is not vacuous: passes move, some instances are wider than
+  // 64 partitions, and queued heads are turned away for both reasons, so a
+  // rejected head must hand over to its component's next entry.
+  EXPECT_GT(moves, 1000);
+  EXPECT_GE(wide, 1);
+  EXPECT_GT(rejections.capacity, 0);
+  EXPECT_GT(rejections.timing, 0);
 }
 
 // ----------------------------------------------------------------- GKL ----
