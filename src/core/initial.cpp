@@ -124,10 +124,8 @@ InitialResult make_initial(const PartitionProblem& problem,
         if (problem.satisfies_capacity(result.assignment)) {
           RepairOptions repair_options;
           repair_options.seed = seed + 0x9e37u * static_cast<unsigned>(attempt + 1);
-          const RepairResult repaired =
-              repair_timing(problem, result.assignment, repair_options);
-          result.assignment = repaired.assignment;
-          if (repaired.feasible) break;
+          Placement placement(problem, result.assignment);
+          if (repair_timing(placement, repair_options).feasible) break;
         }
       }
       break;

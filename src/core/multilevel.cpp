@@ -205,10 +205,13 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
     // the result is discarded (projection fallback) and a longer walk
     // would only have burned the level's time budget.
     repair_options.max_moves = 10 * static_cast<std::int64_t>(problem.num_components());
-    const RepairResult repaired = repair_timing(problem, u, repair_options);
+    // A failed walk leaves u as the polish left it, so walk a copy.
+    Assignment walked = u;
+    Placement placement(problem, walked);
+    const RepairResult repaired = repair_timing(placement, repair_options);
     result.level_repair_moves[level] = repaired.moves;
     if (repaired.feasible) {
-      u = repaired.assignment;
+      u = std::move(walked);
       feasible = true;
     }
     result.repair_seconds += repair_timer.seconds();

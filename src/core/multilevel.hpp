@@ -13,9 +13,8 @@
 //      reaches `coarsest_target` clusters, or a level shrinks by less than
 //      the `min_shrink` floor.
 //   2. SOLVE the coarsest PP with the Burkard heuristic (cheap: few
-//      clusters, same partitions).  Warm-start compatible: the caller's
-//      `initial` is projected down the hierarchy and seeds this solve, so
-//      the engine Portfolio's warm-start injection flows straight through.
+//      clusters, same partitions).  The caller's `initial` is projected
+//      down the hierarchy and seeds this solve.
 //   3. UNCOARSEN one level: every component inherits its cluster's
 //      partition.  The projection is exact -- it preserves C1 (cluster
 //      sizes are member sums), C2 (the coarse bound is the tightest fine
@@ -23,11 +22,13 @@
 //   4. REFINE at that level: `refine_passes` bounded best-improvement
 //      sweeps through the shared DeltaEvaluator (cached, commit-patched
 //      incident rows) on the penalized objective.  Repeat 3-4 up to the
-//      finest level.  Only there, when timing constraints still break, a
-//      min-conflicts repair walk (capped at 10*N moves) restores C2; its
-//      answer is the one the V-cycle returns.  On the measured ladder every
-//      coarse level's answer is infeasible (MultilevelResult's
-//      `level_violations`), so all feasibility comes from that one walk.
+//      finest level.  Only there, when timing constraints still break, the
+//      core/repair min-conflicts walk (capped at 10*N moves, on a copy of
+//      the polished assignment) restores C2; its answer is the one the
+//      V-cycle returns, and a walk that fails leaves the polished one.  On
+//      the measured ladder every coarse level's answer is infeasible
+//      (MultilevelResult's `level_violations`), so all feasibility comes
+//      from that one walk.
 //
 // Determinism: bit-identical results at every thread count.  The matching
 // runs as parallel proposal rounds (each vertex's preferred partner is a

@@ -12,6 +12,7 @@ Placement::Placement(const PartitionProblem& problem, Assignment& assignment)
       ledger_(assignment, sizes_, problem.topology().capacities()) {}
 
 void Placement::attach_conflicts() {
+  if (conflicts_) return;
   conflicts_.emplace(problem_->timing(), problem_->topology(), *assignment_);
 }
 

@@ -1,12 +1,12 @@
 // One placement state for every local search (the Burkard polish, GFM, GKL,
-// SA, ECO's legalization and polish, the min-conflicts walk): a complete
-// assignment, its C1 ledger and, when the caller attaches them, a
-// DeltaEvaluator's rows and a ConflictTable.  move(j, to) is the one place
-// they all change; swap(a, b) is the moves a -> p_b and b -> p_a.  The
-// reads answer C1 and C2 off the kept state in O(1) and O(log degree), so
-// no caller scans a component's timing partners per proposal.  Debug
-// builds recount the patched conflict rows of every swap and of every
-// kAuditStride-th move with TimingConstraints::breaks.
+// SA, the core/repair legalizer, ECO's polish): a complete assignment, its
+// C1 ledger and, when the caller attaches them, a DeltaEvaluator's rows and
+// a ConflictTable.  move(j, to) is the one place they all change; swap(a, b)
+// is the moves a -> p_b and b -> p_a.  The reads answer C1 and C2 off the
+// kept state in O(1) and O(log degree), so no caller scans a component's
+// timing partners per proposal.  Debug builds recount the patched conflict
+// rows of every swap and of every kAuditStride-th move with
+// TimingConstraints::breaks.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +31,16 @@ class Placement {
   /// wrapped assignment (DeltaEvaluator::follow).
   void attach(DeltaEvaluator& rows) noexcept { rows_ = &rows; }
   /// Count the current assignment's timing conflicts, O(nnz(Dc) * M), and
-  /// keep them current for conflicts() and swap_keeps_timing().
+  /// keep them current for conflicts() and swap_keeps_timing().  A no-op
+  /// once a table is attached: move() and swap() keep it current.
   void attach_conflicts();
 
+  [[nodiscard]] const PartitionProblem& problem() const noexcept {
+    return *problem_;
+  }
+  [[nodiscard]] const Assignment& assignment() const noexcept {
+    return *assignment_;
+  }
   [[nodiscard]] const CapacityLedger& ledger() const noexcept { return ledger_; }
 
   /// Would moving j to partition i keep i within capacity?

@@ -30,9 +30,15 @@
 #include <string>
 
 #include "core/problem.hpp"
-#include "netlist/io.hpp"
 
 namespace qbp {
+
+/// Result of a parse; on failure `ok` is false and `message` holds a
+/// line-numbered diagnostic.
+struct ParseResult {
+  bool ok = true;
+  std::string message;
+};
 
 /// Parse a problem; on failure returns ok=false with a line-numbered
 /// message and leaves `out` unspecified.

@@ -3,7 +3,6 @@
 #include <bit>
 #include <vector>
 
-#include "core/placement.hpp"
 #include "util/check.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
@@ -64,16 +63,49 @@ class ConflictedSet {
 
 }  // namespace
 
-RepairResult repair_timing(const PartitionProblem& problem,
-                           const Assignment& start, const RepairOptions& options) {
+bool legalize_capacity(Placement& placement, std::int64_t& moves) {
+  const PartitionProblem& problem = placement.problem();
+  const Assignment& assignment = placement.assignment();
+  const CapacityLedger& ledger = placement.ledger();
+  const std::vector<double>& sizes = problem.netlist().sizes();
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  const std::int64_t budget = 4 * static_cast<std::int64_t>(n) + 16;
+  std::int64_t used = 0;
+  for (PartitionId i = 0; i < m; ++i) {
+    while (ledger.slack(i) < -CapacityLedger::kTolerance) {
+      if (++used > budget) return false;
+      std::int32_t mover = -1;
+      for (std::int32_t j = 0; j < n; ++j) {
+        if (assignment[j] != i) continue;
+        if (mover < 0 || sizes[static_cast<std::size_t>(j)] >
+                             sizes[static_cast<std::size_t>(mover)]) {
+          mover = j;
+        }
+      }
+      if (mover < 0) return false;  // empty yet overfull: capacities < 0
+      PartitionId target = -1;
+      for (PartitionId t = 0; t < m; ++t) {
+        if (t == i || !placement.fits(mover, t)) continue;
+        if (target < 0 || ledger.slack(t) > ledger.slack(target)) target = t;
+      }
+      if (target < 0) return false;
+      placement.move(mover, target);
+      ++moves;
+    }
+  }
+  return true;
+}
+
+RepairResult repair_timing(Placement& placement, const RepairOptions& options) {
   QBP_PROF_SCOPE("repair.walk");
-  QBP_CHECK(start.is_complete()) << "repair requires a complete assignment";
+  const PartitionProblem& problem = placement.problem();
+  const Assignment& assignment = placement.assignment();
+  QBP_CHECK(assignment.is_complete()) << "repair requires a complete assignment";
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
 
   RepairResult result;
-  result.assignment = start;
-  Assignment& assignment = result.assignment;
   Rng rng(options.seed);
 
   const std::int64_t budget =
@@ -84,7 +116,6 @@ RepairResult repair_timing(const PartitionProblem& problem,
   // Built once in O(nnz(Dc) * M); a move patches its partners' rows in
   // O(degree * M), and only those rows -- and so only the movers' and
   // their partners' conflicted flags -- can change.
-  Placement placement(problem, assignment);
   placement.attach_conflicts();
   ConflictedSet conflicted(n);
   for (std::int32_t j = 0; j < n; ++j) {
@@ -135,8 +166,10 @@ RepairResult repair_timing(const PartitionProblem& problem,
     }
   }
 
-  result.feasible = problem.satisfies_capacity(assignment) &&
-                    problem.satisfies_timing(assignment);
+  // C2 holds iff no component has a conflicting partner where it sits; C1
+  // is the ledger's (every move kept it).
+  result.feasible =
+      conflicted.count() == 0 && placement.ledger().violations() == 0;
   return result;
 }
 

@@ -16,8 +16,9 @@ std::function<bool()> stop_hook(const std::stop_token& stop) {
 }
 
 /// Legalize a start for the feasible-region solvers.  Deterministic in
-/// (assignment, seed): min-conflicts timing repair when capacity already
-/// holds, else the paper's B = 0 construction.
+/// (assignment, seed): min-conflicts timing repair of a copy when capacity
+/// already holds, else (or when the walk fails) the paper's B = 0
+/// construction.
 InitialResult feasible_start(const PartitionProblem& problem,
                              const StartPoint& start) {
   InitialResult out;
@@ -28,13 +29,9 @@ InitialResult feasible_start(const PartitionProblem& problem,
   if (problem.satisfies_capacity(start.assignment)) {
     RepairOptions repair_options;
     repair_options.seed = start.seed;
-    RepairResult repaired =
-        repair_timing(problem, start.assignment, repair_options);
-    if (repaired.feasible) {
-      out.assignment = std::move(repaired.assignment);
-      out.feasible = true;
-      return out;
-    }
+    Placement placement(problem, out.assignment);
+    out.feasible = repair_timing(placement, repair_options).feasible;
+    if (out.feasible) return out;
   }
   return make_initial(problem, InitialStrategy::kQbpZeroWireCost, start.seed);
 }

@@ -104,14 +104,7 @@ PipelineResult SolvePipeline::run(const Solver& solver,
     return out;
   }
 
-  // The injected warm-start initial (if any) lives in original space; the
-  // portfolio runs on the reduced instance, so restrict it first.
-  PortfolioOptions portfolio_options = options_.portfolio;
-  if (portfolio_options.initial.has_value() && reduced()) {
-    portfolio_options.initial =
-        reduced_.lift.restrict_to_reduced(*portfolio_options.initial);
-  }
-  const Portfolio portfolio(portfolio_options);
+  const Portfolio portfolio(options_.portfolio);
   out.portfolio = portfolio.run(reduced_.problem, solver, starts);
   if (reduced()) {
     // The portfolio audited each start against the reduced instance; lift

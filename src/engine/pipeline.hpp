@@ -86,7 +86,9 @@ class SolvePipeline {
   [[nodiscard]] bool reduced() const noexcept { return !reduced_.identity(); }
 
   /// `starts` runs of `solver` on the reduced instance (one presolve shared
-  /// across all of them), lifted and validated.
+  /// across all of them), lifted and validated.  Every start is the
+  /// portfolio's seed-derived random one; a caller with its own initial
+  /// assignment uses solve_one.
   [[nodiscard]] PipelineResult run(const Solver& solver,
                                    std::int32_t starts) const;
 

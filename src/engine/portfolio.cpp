@@ -14,27 +14,39 @@
 
 namespace qbp::engine {
 
+Rng start_stream(std::uint64_t master_seed, std::int32_t index) {
+  return Rng(master_seed).fork(static_cast<std::uint64_t>(index));
+}
+
+void audit_result(const PartitionProblem& problem, double penalty,
+                  SolverResult& result, std::string_view context) {
+  ValidateOptions audit;
+  audit.penalty = penalty;
+  ReportedOutcome outcome;
+  outcome.best = &result.best;
+  outcome.best_penalized = result.best_penalized;
+  if (result.found_feasible) {
+    outcome.best_feasible = &result.best_feasible;
+    outcome.best_feasible_objective = result.best_feasible_objective;
+  }
+  ValidationReport report = validate_outcome(problem, outcome, audit);
+  if (result.best.is_complete()) {
+    report.merge(validate_deltas(problem, result.best, audit));
+  }
+  enforce(report, context);
+  result.validated = true;
+}
+
 namespace {
 
-/// Start i's StartPoint: a pure function of (master seed, i, injected
-/// initial).  A fresh master Rng is forked per index -- fork() reads but
-/// never advances the master state -- so any thread can derive any start
-/// independently.  Start 0 uses the injected initial assignment when the
-/// options carry one of the right shape (the warm-start injection point);
-/// its seed is derived exactly as for a random start.
+/// Start i's StartPoint, drawn from start_stream(seed, i): fork() reads
+/// but never advances the master state, so any thread can derive any start
+/// independently.
 StartPoint make_start(const PartitionProblem& problem,
                       const PortfolioOptions& options, std::int32_t index) {
-  Rng master(options.seed);
-  Rng stream = master.fork(static_cast<std::uint64_t>(index));
+  Rng stream = start_stream(options.seed, index);
   StartPoint start;
   start.seed = stream();
-  if (index == 0 && options.initial.has_value() &&
-      options.initial->num_components() == problem.num_components() &&
-      options.initial->num_partitions() == problem.num_partitions() &&
-      options.initial->is_complete()) {
-    start.assignment = *options.initial;
-    return start;
-  }
   start.assignment =
       Assignment(problem.num_components(), problem.num_partitions());
   for (std::int32_t j = 0; j < problem.num_components(); ++j) {
@@ -43,35 +55,6 @@ StartPoint make_start(const PartitionProblem& problem,
                static_cast<std::uint64_t>(problem.num_partitions()))));
   }
   return start;
-}
-
-/// Shadow-audit one completed start: recompute the reported numbers from
-/// scratch and cross-check the delta machinery, then route any mismatch
-/// through the contract framework (fail-mode aware).  Throws
-/// qbp::ContractViolation in throw mode; the worker catches it and turns
-/// the start into an errored slot.
-void audit_result(const PartitionProblem& problem, const Solver& solver,
-                  std::int32_t index, SolverResult& slot) {
-  ValidateOptions audit;
-  audit.penalty = solver.penalized_with();
-  ReportedOutcome outcome;
-  outcome.best = &slot.best;
-  outcome.best_penalized = slot.best_penalized;
-  if (slot.found_feasible) {
-    outcome.best_feasible = &slot.best_feasible;
-    outcome.best_feasible_objective = slot.best_feasible_objective;
-  }
-  ValidationReport report = validate_outcome(problem, outcome, audit);
-  if (slot.best.is_complete()) {
-    report.merge(validate_deltas(problem, slot.best, audit));
-  }
-  std::string context = "shadow validation failed for start ";
-  context += std::to_string(index);
-  context += " (";
-  context += slot.solver;
-  context += ")";
-  enforce(report, context);
-  slot.validated = true;
 }
 
 }  // namespace
@@ -130,7 +113,15 @@ PortfolioResult Portfolio::run(
       try {
         QBP_PROF_SCOPE("portfolio.start");
         slot = start_solvers[i]->solve(problem, start, options_.stop);
-        if (validate_on) audit_result(problem, *start_solvers[i], i, slot);
+        if (validate_on) {
+          std::string context = "shadow validation failed for start ";
+          context += std::to_string(i);
+          context += " (";
+          context += slot.solver;
+          context += ")";
+          audit_result(problem, start_solvers[i]->penalized_with(), slot,
+                       context);
+        }
       } catch (const std::exception& e) {
         slot.error = e.what();
         if (slot.solver.empty()) {

@@ -8,9 +8,11 @@
 //
 // Determinism contract (the property the engine tests pin down):
 //
-//   * start i's StartPoint (initial assignment + RNG seed) is a pure
-//     function of (master seed, i), derived through util/rng's fork()
-//     sub-stream mechanism -- never of which thread picks the start up;
+//   * start i's StartPoint (a random initial assignment + RNG seed) is a
+//     pure function of (master seed, i), drawn from start_stream()'s
+//     fork() sub-stream -- never of which thread picks the start up.
+//     There is no injected start: a caller with its own assignment (the
+//     ECO warm path) runs it directly;
 //   * results land in an index-addressed slot array and the winner is the
 //     first slot under the strict better_result() order, so selection is
 //     independent of completion order;
@@ -27,9 +29,11 @@
 #include <optional>
 #include <span>
 #include <stop_token>
+#include <string_view>
 #include <vector>
 
 #include "engine/solver.hpp"
+#include "util/rng.hpp"
 
 namespace qbp::engine {
 
@@ -48,14 +52,6 @@ struct PortfolioOptions {
   /// nothing.  A run whose token fires keeps the determinism guarantee only
   /// for the starts that already completed.
   std::stop_token stop{};
-  /// Explicit initial assignment for start 0 (the warm-start injection
-  /// point): when set and complete for the problem being solved, start 0
-  /// begins from this assignment instead of the seed-derived random one;
-  /// its RNG seed is still forked from the master seed as usual.  Starts
-  /// 1..K-1 are unaffected.  Determinism is preserved: start points stay a
-  /// pure function of (master seed, index, injected initial), independent
-  /// of thread count.
-  std::optional<Assignment> initial;
   /// Shadow-validate every completed start (core/validate.hpp): recompute
   /// feasibility and objectives from scratch and cross-check the delta
   /// machinery, firing a contract violation on mismatch.  nullopt defers to
@@ -88,6 +84,21 @@ struct PortfolioResult {
   std::int32_t starts_validated = 0;  // shadow-audited clean
   std::int32_t threads_used = 0;
 };
+
+/// Start `index`'s random stream under `master_seed`: fork(index) of the
+/// master generator.  Its first draw is the start's StartPoint::seed; the
+/// draws after it place the start's random initial assignment.
+[[nodiscard]] Rng start_stream(std::uint64_t master_seed, std::int32_t index);
+
+/// The shadow audit every portfolio start gets when validation is on:
+/// recompute `result`'s reported numbers from scratch (validate_outcome)
+/// and cross-check the delta machinery at its best assignment
+/// (validate_deltas), with `penalty` the solver's penalized_with().  A
+/// mismatch fires one contract violation carrying `context`, so the fail
+/// mode decides: throw ContractViolation, abort, or log and count.  Marks
+/// the result validated when it returns.
+void audit_result(const PartitionProblem& problem, double penalty,
+                  SolverResult& result, std::string_view context);
 
 class Portfolio {
  public:

@@ -46,9 +46,9 @@ Netlist Netlist::from_sorted_parts(std::string name,
 }
 
 void Netlist::add_wires(ComponentId a, ComponentId b, std::int32_t multiplicity) {
-  // Always-on: this is a boundary the parsers (problem_io, netlist/io) feed
-  // from untrusted bytes.  Under the server's throw mode a violation fails
-  // the one job instead of aborting the daemon.
+  // Always-on: this is a boundary the problem_io parser feeds from
+  // untrusted bytes.  Under the server's throw mode a violation fails the
+  // one job instead of aborting the daemon.
   QBP_CHECK_NE(a, b) << "self-loop wires are not allowed";
   QBP_CHECK_GT(multiplicity, 0) << "wire multiplicity must be positive";
   if (a > b) std::swap(a, b);

@@ -1,11 +1,8 @@
 #include "service/eco.hpp"
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "core/delta_evaluator.hpp"
-#include "core/placement.hpp"
 #include "core/qhat.hpp"
 #include "core/repair.hpp"
 
@@ -19,54 +16,13 @@ constexpr std::int32_t kMaxSweeps = 8;
 /// Ignore move deltas better by less than this (FP noise guard).
 constexpr double kMinGain = 1e-9;
 
-/// Deterministic C1 legalization: for each overfull partition (ascending
-/// id), repeatedly move its largest member (lowest id among ties) to the
-/// fitting partition with the most slack (lowest id among ties).  Returns
-/// false when some component fits nowhere or the move budget runs out --
-/// the caller then reports infeasible and the job falls back to cold.
-bool legalize_capacity(const PartitionProblem& problem, Assignment& assignment,
-                       std::int64_t& moves) {
-  const std::vector<double>& sizes = problem.netlist().sizes();
-  const std::int32_t n = problem.num_components();
-  const std::int32_t m = problem.num_partitions();
-  Placement placement(problem, assignment);
-  const CapacityLedger& ledger = placement.ledger();
-  const std::int64_t budget = 4 * static_cast<std::int64_t>(n) + 16;
-  std::int64_t used = 0;
-  for (PartitionId i = 0; i < m; ++i) {
-    while (ledger.slack(i) < -CapacityLedger::kTolerance) {
-      if (++used > budget) return false;
-      std::int32_t mover = -1;
-      for (std::int32_t j = 0; j < n; ++j) {
-        if (assignment[j] != i) continue;
-        if (mover < 0 || sizes[static_cast<std::size_t>(j)] >
-                             sizes[static_cast<std::size_t>(mover)]) {
-          mover = j;
-        }
-      }
-      if (mover < 0) return false;  // empty yet overfull: capacities < 0
-      PartitionId target = -1;
-      for (PartitionId t = 0; t < m; ++t) {
-        if (t == i || !placement.fits(mover, t)) continue;
-        if (target < 0 || ledger.slack(t) > ledger.slack(target)) target = t;
-      }
-      if (target < 0) return false;
-      placement.move(mover, target);
-      ++moves;
-    }
-  }
-  return true;
-}
+}  // namespace
 
-/// Best-improvement move sweeps on the true objective, restricted to moves
-/// that keep C1 (the placement's ledger) and C2 (its conflict rows)
-/// satisfied.  Returns the number of committed moves.
-std::int64_t polish(const PartitionProblem& problem, Assignment& assignment,
-                    std::stop_token stop, bool& cancelled) {
-  const std::int32_t n = problem.num_components();
-  const std::int32_t m = problem.num_partitions();
-  DeltaEvaluator evaluator(problem, /*penalty=*/0.0);
-  Placement placement(problem, assignment);
+std::int64_t eco_polish(Placement& placement, DeltaEvaluator& evaluator,
+                        std::stop_token stop, bool& cancelled) {
+  const Assignment& assignment = placement.assignment();
+  const std::int32_t n = placement.problem().num_components();
+  const std::int32_t m = placement.problem().num_partitions();
   placement.attach(evaluator);
   placement.attach_conflicts();
   std::int64_t commits = 0;
@@ -98,20 +54,17 @@ std::int64_t polish(const PartitionProblem& problem, Assignment& assignment,
   return commits;
 }
 
-}  // namespace
-
-engine::SolverResult EcoPolishSolver::solve(const PartitionProblem& problem,
-                                            const engine::StartPoint& start,
-                                            std::stop_token stop) const {
+engine::SolverResult eco_resolve(const PartitionProblem& problem,
+                                 Assignment assignment, std::uint64_t seed,
+                                 std::stop_token stop) {
   engine::SolverResult result;
-  result.solver = std::string(name());
-  Assignment assignment = start.assignment;
+  result.solver = "eco";
   std::int64_t moves = 0;
 
   const auto finish = [&](bool feasible) {
     result.best = assignment;
     result.best_penalized =
-        QhatMatrix(problem, penalized_with()).penalized_value(assignment);
+        QhatMatrix(problem, kPaperPenalty).penalized_value(assignment);
     if (feasible) {
       result.best_feasible = assignment;
       result.best_feasible_objective = problem.objective(assignment);
@@ -121,23 +74,23 @@ engine::SolverResult EcoPolishSolver::solve(const PartitionProblem& problem,
     return result;
   };
 
-  if (!assignment.is_complete() || !legalize_capacity(problem, assignment, moves)) {
-    return finish(false);
-  }
+  if (!assignment.is_complete()) return finish(false);
+  // One placement for all three steps: one ledger, and the conflict table
+  // the walk attaches and the polish reads.  The evaluator is declared
+  // first: the placement commits the polish's moves through it.
+  DeltaEvaluator evaluator(problem, /*penalty=*/0.0);
+  Placement placement(problem, assignment);
+  if (!legalize_capacity(placement, moves)) return finish(false);
 
   // Timing repair (min-conflicts) from the legalized start; preserves C1.
   RepairOptions repair_options;
-  repair_options.seed = start.seed;
-  RepairResult repaired = repair_timing(problem, assignment, repair_options);
+  repair_options.seed = seed;
+  const RepairResult repaired = repair_timing(placement, repair_options);
   moves += repaired.moves;
-  if (!repaired.feasible) {
-    assignment = repaired.assignment;
-    return finish(false);
-  }
-  assignment = repaired.assignment;
+  if (!repaired.feasible) return finish(false);
 
   bool cancelled = false;
-  moves += polish(problem, assignment, stop, cancelled);
+  moves += eco_polish(placement, evaluator, stop, cancelled);
   result.cancelled = cancelled;
   return finish(true);
 }

@@ -10,6 +10,7 @@
 #include "core/fingerprint.hpp"
 #include "core/problem_io.hpp"
 #include "core/validate.hpp"
+#include "engine/portfolio.hpp"
 #include "engine/spec.hpp"
 #include "partition/deviation.hpp"
 #include "service/cache.hpp"
@@ -96,20 +97,17 @@ bool try_warm_solve(const Job& job, const PartitionProblem& problem,
   }
   Assignment seed(neighbor.solve.assignment, problem.num_partitions());
 
-  const EcoPolishSolver eco;
-  engine::PipelineOptions options = engine::pipeline_options(job.solver);
-  // The warm run works on the raw submitted instance: no presolve, one
-  // start, the cached assignment injected as that start's initial.
-  options.presolve.enabled = false;
-  options.portfolio.threads = 1;
-  options.portfolio.keep_start_results = false;
-  options.portfolio.initial = seed;
-  if (job.stop != nullptr) options.portfolio.stop = job.stop->get_token();
-
-  engine::PipelineResult pipeline_result;
+  // The walk's seed is the one a cold portfolio's start 0 would get.
+  const std::uint64_t walk_seed = engine::start_stream(job.solver.seed, 0)();
+  const std::stop_token stop =
+      job.stop != nullptr ? job.stop->get_token() : std::stop_token();
+  engine::SolverResult best;
   try {
-    const engine::SolvePipeline pipeline(problem, options);
-    pipeline_result = pipeline.run(eco, /*starts=*/1);
+    best = eco_resolve(problem, seed, walk_seed, stop);
+    if (job.solver.validate.value_or(validation_enabled())) {
+      engine::audit_result(problem, kPaperPenalty, best,
+                           "shadow validation failed for the warm start (eco)");
+    }
   } catch (const std::exception& failure) {
     log::warn("job ", job.id, ": warm solve failed (", failure.what(),
               "), falling back to cold");
@@ -117,13 +115,7 @@ bool try_warm_solve(const Job& job, const PartitionProblem& problem,
   }
   // Interrupted (deadline/cancel): let the cold path produce the status.
   if (job.cause() != StopCause::kNone) return false;
-
-  const engine::PortfolioResult& portfolio = pipeline_result.portfolio;
-  if (portfolio.best_start < 0) return false;
-  const engine::SolverResult& best = portfolio.best;
-  if (!best.found_feasible || best.cancelled || !best.error.empty()) {
-    return false;
-  }
+  if (!best.found_feasible || best.cancelled) return false;
 
   // Unconditional acceptance gate, independent of the validate flag: the
   // warm answer must be feasible for the *submitted* problem and its
@@ -135,14 +127,14 @@ bool try_warm_solve(const Job& job, const PartitionProblem& problem,
   out = JobResult{};
   out.id = job.id;
   out.status = "ok";
-  out.solver = std::string(eco.name());
+  out.solver = best.solver;
   out.feasible = true;
   out.objective = problem.objective(chosen);
   out.best_penalized = best.best_penalized;
   out.assignment.reserve(static_cast<std::size_t>(n));
   for (std::int32_t j = 0; j < n; ++j) out.assignment.push_back(chosen[j]);
-  out.starts_run = portfolio.starts_run;
-  out.starts_validated = portfolio.starts_validated;
+  out.starts_run = 1;
+  out.starts_validated = best.validated ? 1 : 0;
   out.warm_start = true;
   out.eco_edits = static_cast<std::int32_t>(neighbor.edits);
   out.eco_repairs = components_moved(seed, chosen);

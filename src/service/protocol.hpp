@@ -55,8 +55,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/problem_io.hpp"  // ParseResult
 #include "engine/spec.hpp"
-#include "netlist/io.hpp"  // ParseResult
 #include "util/json.hpp"
 
 namespace qbp {

@@ -392,6 +392,23 @@ TEST(RunJobCache, WarmStartSolvesPerturbedResubmission) {
   const JobResult again = run_job(cache_job("eco-again", perturbed), &cache);
   EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.assignment, warm.assignment);
+  EXPECT_EQ(warm.starts_run, 1);
+  EXPECT_EQ(warm.starts_validated, 0);
+
+  // With validation on (a spec of its own, so a cache of its own) the warm
+  // answer is shadow-audited like a portfolio start, and is the same.
+  SolutionCache audited_cache(8);
+  Job audited_cold = cache_job("cold-audited", base);
+  audited_cold.solver.validate = true;
+  ASSERT_EQ(run_job(audited_cold, &audited_cache).status, "ok");
+  Job audited = cache_job("eco-audited", perturbed);
+  audited.solver.validate = true;
+  const JobResult audited_warm = run_job(audited, &audited_cache);
+  ASSERT_EQ(audited_warm.status, "ok");
+  EXPECT_TRUE(audited_warm.warm_start);
+  EXPECT_EQ(audited_warm.starts_run, 1);
+  EXPECT_EQ(audited_warm.starts_validated, 1);
+  EXPECT_EQ(audited_warm.assignment, warm.assignment);
 }
 
 TEST(RunJobCache, CacheOffMatchesColdSolveBitForBit) {

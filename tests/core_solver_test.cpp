@@ -276,11 +276,13 @@ TEST(Repair, FixesViolationsWhilePreservingCapacity) {
       make_initial(problem, InitialStrategy::kGreedyBalanced, 13).assignment;
   ASSERT_TRUE(problem.satisfies_capacity(start)) << "start breaks C1";
 
-  const auto result = repair_timing(problem, start);
-  EXPECT_TRUE(problem.satisfies_capacity(result.assignment));
+  Assignment walked = start;
+  Placement placement(problem, walked);
+  const auto result = repair_timing(placement);
+  EXPECT_TRUE(problem.satisfies_capacity(walked));
   ASSERT_TRUE(result.feasible);
-  EXPECT_TRUE(problem.satisfies_timing(result.assignment));
-  EXPECT_LE(problem.timing().violations(result.assignment, problem.topology()),
+  EXPECT_TRUE(problem.satisfies_timing(walked));
+  EXPECT_LE(problem.timing().violations(walked, problem.topology()),
             problem.timing().violations(start, problem.topology()));
 }
 
@@ -291,10 +293,12 @@ TEST(Repair, NoOpOnAlreadyFeasibleAssignment) {
   feasible.set(1, 1);
   feasible.set(2, 3);
   ASSERT_TRUE(problem.is_feasible(feasible));
-  const auto result = repair_timing(problem, feasible);
+  Assignment walked = feasible;
+  Placement placement(problem, walked);
+  const auto result = repair_timing(placement);
   EXPECT_TRUE(result.feasible);
   EXPECT_EQ(result.moves, 0);
-  EXPECT_EQ(result.assignment, feasible);
+  EXPECT_EQ(walked, feasible);
 }
 
 TEST(Repair, RespectsMoveBudget) {
@@ -304,15 +308,24 @@ TEST(Repair, RespectsMoveBudget) {
   ASSERT_TRUE(problem.satisfies_capacity(start)) << "start breaks C1";
   RepairOptions options;
   options.max_moves = 3;
-  const auto result = repair_timing(problem, start, options);
+  Placement placement(problem, start);
+  const auto result = repair_timing(placement, options);
   EXPECT_LE(result.moves, 3);
 }
 
+/// What the rescanning walk returns: its own copy of the walked assignment.
+struct RescanResult {
+  Assignment assignment;
+  bool feasible = false;
+  std::int64_t moves = 0;
+};
+
 // The min-conflicts walk without the conflict table: every step rescans all
 // components for the conflicted set and recounts each candidate target from
-// the partners' partitions.  Kept here only as the reference the
-// table-driven walk must reproduce move for move.
-RepairResult rescan_repair(const PartitionProblem& problem, const Assignment& start,
+// the partners' partitions, and its verdict is a full C1/C2 rescan.  Kept
+// here only as the reference the table-driven walk must reproduce move for
+// move.
+RescanResult rescan_repair(const PartitionProblem& problem, const Assignment& start,
                            const RepairOptions& options) {
   constexpr double kNoise = 0.08;
   const auto& topology = problem.topology();
@@ -321,7 +334,7 @@ RepairResult rescan_repair(const PartitionProblem& problem, const Assignment& st
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
 
-  RepairResult result;
+  RescanResult result;
   result.assignment = start;
   Assignment& assignment = result.assignment;
   CapacityLedger ledger(assignment, sizes, topology.capacities());
@@ -466,11 +479,16 @@ TEST(RepairOracle, TableWalkMatchesRescanWalk) {
         options.max_moves = seed % 4 == 0 ? 1 + static_cast<std::int64_t>(seed % 23)
                                           : 500;
       }
-      const RepairResult expected = rescan_repair(problem, start, options);
-      const RepairResult actual = repair_timing(problem, start, options);
+      const RescanResult expected = rescan_repair(problem, start, options);
+      // The walk moves a placement in place; its verdict must be the
+      // rescan's, and what it kept must be what a fresh build counts.
+      Assignment walked = start;
+      Placement placement(problem, walked);
+      const RepairResult actual = repair_timing(placement, options);
       EXPECT_EQ(actual.moves, expected.moves);
       EXPECT_EQ(actual.feasible, expected.feasible);
-      EXPECT_EQ(actual.assignment, expected.assignment);
+      EXPECT_EQ(walked, expected.assignment);
+      EXPECT_EQ(test::placement_drift(placement), "");
       ++walks;
       moves += expected.moves;
       if (!expected.feasible && expected.moves == options.max_moves) {

@@ -418,8 +418,8 @@ TEST(Portfolio, SameSeedTwiceIsBitIdenticalAndDifferentSeedUsuallyDiffers) {
   EXPECT_TRUE(any_start_differs);
 }
 
-/// Echoes its StartPoint back as the result, making the portfolio's start
-/// generation (and the warm-start injection point) directly observable.
+/// Echoes its StartPoint back as the result (the seed as `iterations`),
+/// making the portfolio's start generation directly observable.
 class RecordingSolver final : public Solver {
  public:
   [[nodiscard]] std::string_view name() const override { return "recording"; }
@@ -430,89 +430,33 @@ class RecordingSolver final : public Solver {
     result.solver = "recording";
     result.best = start.assignment;
     result.best_penalized = 0.0;
+    result.iterations = static_cast<std::int64_t>(start.seed);
     return result;
   }
 };
 
-TEST(Portfolio, InjectedInitialSeedsStartZeroOnly) {
+// ECO's warm walk takes start 0's seed through start_stream; every start's
+// seed and random assignment must come from that one stream.
+TEST(Portfolio, StartStreamDerivesEveryStart) {
   const PartitionProblem problem = engine_problem();
   const RecordingSolver recorder;
-
   PortfolioOptions options;
   options.seed = 2026;
   options.threads = 1;
   options.validate = false;  // the echoed results are not real solves
-  const PortfolioResult plain = Portfolio(options).run(problem, recorder, 3);
-  ASSERT_EQ(plain.starts.size(), 3u);
-
-  // Any complete assignment works as the injected warm start; make one that
-  // cannot collide with a seed-derived random start by construction.
-  Assignment warm(problem.num_components(), problem.num_partitions());
-  for (std::int32_t j = 0; j < problem.num_components(); ++j) {
-    warm.set(j, j % problem.num_partitions());
+  const PortfolioResult run = Portfolio(options).run(problem, recorder, 3);
+  ASSERT_EQ(run.starts.size(), 3u);
+  for (std::int32_t i = 0; i < 3; ++i) {
+    Rng stream = start_stream(options.seed, i);
+    const SolverResult& start = run.starts[static_cast<std::size_t>(i)];
+    EXPECT_EQ(static_cast<std::uint64_t>(start.iterations), stream()) << i;
+    for (std::int32_t j = 0; j < problem.num_components(); ++j) {
+      EXPECT_EQ(start.best[j],
+                static_cast<PartitionId>(stream.next_below(
+                    static_cast<std::uint64_t>(problem.num_partitions()))))
+          << i << "/" << j;
+    }
   }
-  options.initial = warm;
-  const PortfolioResult injected = Portfolio(options).run(problem, recorder, 3);
-  ASSERT_EQ(injected.starts.size(), 3u);
-
-  EXPECT_EQ(injected.starts[0].best, warm);          // start 0: the injection
-  EXPECT_NE(plain.starts[0].best, warm);             // ...which is new
-  for (std::size_t s = 1; s < 3; ++s) {              // starts 1+: untouched
-    EXPECT_EQ(injected.starts[s].best, plain.starts[s].best) << "start " << s;
-  }
-}
-
-TEST(Portfolio, InjectedInitialIsDeterministicAcrossThreadCounts) {
-  const PartitionProblem problem = engine_problem();
-  const BurkardSolver solver(fast_qbp_options());
-
-  Assignment warm(problem.num_components(), problem.num_partitions());
-  for (std::int32_t j = 0; j < problem.num_components(); ++j) {
-    warm.set(j, (j + 1) % problem.num_partitions());
-  }
-
-  PortfolioOptions options;
-  options.seed = 11;
-  options.initial = warm;
-  options.threads = 1;
-  const PortfolioResult reference = Portfolio(options).run(problem, solver, 4);
-  ASSERT_GE(reference.best_start, 0);
-  for (const std::int32_t threads : {2, 8}) {
-    options.threads = threads;
-    const PortfolioResult result = Portfolio(options).run(problem, solver, 4);
-    EXPECT_EQ(result.best_start, reference.best_start) << threads;
-    EXPECT_EQ(result.best.best, reference.best.best) << threads;
-    EXPECT_DOUBLE_EQ(result.best.best_penalized, reference.best.best_penalized)
-        << threads;
-  }
-}
-
-TEST(Portfolio, MismatchedOrIncompleteInitialIsIgnored) {
-  const PartitionProblem problem = engine_problem();
-  const RecordingSolver recorder;
-
-  PortfolioOptions options;
-  options.seed = 2026;
-  options.threads = 1;
-  options.validate = false;
-  const PortfolioResult plain = Portfolio(options).run(problem, recorder, 1);
-
-  // Wrong shape: a different component count must not be injected.
-  options.initial = Assignment(problem.num_components() + 1,
-                               problem.num_partitions());
-  for (std::int32_t j = 0; j <= problem.num_components(); ++j) {
-    options.initial->set(j, 0);
-  }
-  const PortfolioResult wrong_shape =
-      Portfolio(options).run(problem, recorder, 1);
-  EXPECT_EQ(wrong_shape.starts[0].best, plain.starts[0].best);
-
-  // Incomplete: unassigned components disqualify the injection.
-  options.initial = Assignment(problem.num_components(),
-                               problem.num_partitions());
-  const PortfolioResult incomplete =
-      Portfolio(options).run(problem, recorder, 1);
-  EXPECT_EQ(incomplete.starts[0].best, plain.starts[0].best);
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "netlist/generator.hpp"
-#include "netlist/io.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
 
@@ -115,77 +112,6 @@ TEST(Stats, EmptyNetlist) {
   EXPECT_EQ(stats.num_components, 0);
   EXPECT_DOUBLE_EQ(stats.min_size, 0.0);
   EXPECT_DOUBLE_EQ(stats.avg_degree, 0.0);
-}
-
-// ----------------------------------------------------------------- io ----
-
-TEST(Io, RoundTripPreservesNetlist) {
-  Netlist original("roundtrip");
-  original.add_component("alu", 3.25);
-  original.add_component("regfile", 1.5);
-  original.add_component("dec", 0.75);
-  original.add_wires(0, 1, 4);
-  original.add_wires(1, 2, 1);
-
-  std::ostringstream out;
-  write_netlist(out, original);
-
-  Netlist parsed;
-  std::istringstream in(out.str());
-  const auto result = read_netlist(in, parsed);
-  ASSERT_TRUE(result.ok) << result.message;
-  EXPECT_EQ(parsed.name(), "roundtrip");
-  EXPECT_EQ(parsed.num_components(), 3);
-  EXPECT_DOUBLE_EQ(parsed.component_size(0), 3.25);
-  EXPECT_EQ(parsed.component(1).name, "regfile");
-  parsed.finalize();
-  EXPECT_EQ(parsed.bundles(), original.bundles());
-}
-
-TEST(Io, CommentsAndBlankLinesIgnored) {
-  std::istringstream in(
-      "# header comment\n"
-      "circuit c1\n"
-      "\n"
-      "component a 1.0  # trailing comment\n"
-      "component b 2.0\n"
-      "wire 0 1 3\n");
-  Netlist parsed;
-  const auto result = read_netlist(in, parsed);
-  ASSERT_TRUE(result.ok) << result.message;
-  EXPECT_EQ(parsed.total_wires(), 3);
-}
-
-TEST(Io, ErrorsCarryLineNumbers) {
-  std::istringstream in("circuit x\ncomponent a 1.0\nwire 0 5 1\n");
-  Netlist parsed;
-  const auto result = read_netlist(in, parsed);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.message.find("line 3"), std::string::npos);
-}
-
-TEST(Io, RejectsBadKeyword) {
-  std::istringstream in("banana\n");
-  Netlist parsed;
-  EXPECT_FALSE(read_netlist(in, parsed).ok);
-}
-
-TEST(Io, RejectsSelfLoopWire) {
-  std::istringstream in("component a 1\ncomponent b 1\nwire 0 0 1\n");
-  Netlist parsed;
-  EXPECT_FALSE(read_netlist(in, parsed).ok);
-}
-
-TEST(Io, RejectsNonPositiveSize) {
-  std::istringstream in("component a -1\n");
-  Netlist parsed;
-  EXPECT_FALSE(read_netlist(in, parsed).ok);
-}
-
-TEST(Io, RejectsNonPositiveMultiplicity) {
-  std::istringstream in("component a 1\ncomponent b 1\nwire 0 1 0\n");
-  Netlist parsed;
-  EXPECT_FALSE(read_netlist(in, parsed).ok);
 }
 
 // ---------------------------------------------------------- generator ----

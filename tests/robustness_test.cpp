@@ -7,7 +7,6 @@
 
 #include "core/brute_force.hpp"
 #include "core/problem_io.hpp"
-#include "netlist/io.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -53,23 +52,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "topology grid 2 2 manhattan",  // duplicate topology
                       "frobnicate 1 2 3"));       // unknown keyword
 
-class DamagedNetlistLine : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(DamagedNetlistLine, RejectedWithDiagnostic) {
-  std::ostringstream source;
-  source << "circuit c\ncomponent a 1\ncomponent b 1\n" << GetParam() << "\n";
-  Netlist parsed;
-  std::istringstream in(source.str());
-  const auto result = read_netlist(in, parsed);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.message.find("line"), std::string::npos);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cases, DamagedNetlistLine,
-                         ::testing::Values("wire 0 1", "wire 0 1 -3",
-                                           "wire 7 0 1", "component x 0",
-                                           "circuit a b", "nonsense"));
-
 // ------------------------------------------------------ random garbage ----
 
 class GarbageSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -87,24 +69,6 @@ TEST_P(GarbageSweep, ProblemParserSurvivesRandomBytes) {
   const auto result = read_problem(in, parsed);
   // Virtually certain to be rejected; the property under test is "no crash,
   // coherent result flag".
-  if (!result.ok) {
-    EXPECT_FALSE(result.message.empty());
-  }
-}
-
-TEST_P(GarbageSweep, NetlistParserSurvivesRandomTokens) {
-  Rng rng(GetParam() ^ 0x5a5a);
-  static const char* kWords[] = {"circuit", "component", "wire",  "1",
-                                 "-3",      "x",         "1e309", "0.0",
-                                 "#",       "net"};
-  std::ostringstream source;
-  for (int k = 0; k < 300; ++k) {
-    source << kWords[rng.next_below(std::size(kWords))]
-           << (rng.next_bool(0.3) ? "\n" : " ");
-  }
-  Netlist parsed;
-  std::istringstream in(source.str());
-  const auto result = read_netlist(in, parsed);
   if (!result.ok) {
     EXPECT_FALSE(result.message.empty());
   }

@@ -3,14 +3,17 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/placement.hpp"
 #include "core/problem.hpp"
 #include "netlist/netlist.hpp"
 #include "partition/topology.hpp"
+#include "timing/conflict_table.hpp"
 #include "timing/constraints.hpp"
 #include "util/rng.hpp"
 
@@ -253,6 +256,34 @@ inline PartitionProblem make_paper_example(double capacity = 3.0) {
   timing.add(b, c, 1.0);
   return PartitionProblem(std::move(netlist), std::move(topology),
                           std::move(timing));
+}
+
+/// Where `placement`'s kept parts differ from fresh builds over its
+/// assignment: a partition's ledger usage by more than 1e-9, or any entry
+/// of its conflict table (which must be attached).  Empty when they match.
+inline std::string placement_drift(const Placement& placement) {
+  const PartitionProblem& problem = placement.problem();
+  const Assignment& assignment = placement.assignment();
+  const CapacityLedger ledger(assignment, problem.netlist().sizes(),
+                              problem.topology().capacities());
+  for (PartitionId i = 0; i < problem.num_partitions(); ++i) {
+    if (std::abs(placement.ledger().usage(i) - ledger.usage(i)) > 1e-9) {
+      return "usage of " + std::to_string(i) + ": " +
+             std::to_string(placement.ledger().usage(i)) + " kept, " +
+             std::to_string(ledger.usage(i)) + " recounted";
+    }
+  }
+  const ConflictTable table(problem.timing(), problem.topology(), assignment);
+  for (std::int32_t j = 0; j < problem.num_components(); ++j) {
+    for (PartitionId i = 0; i < problem.num_partitions(); ++i) {
+      if (placement.conflicts(j, i) != table(j, i)) {
+        return "conflicts(" + std::to_string(j) + ", " + std::to_string(i) +
+               "): " + std::to_string(placement.conflicts(j, i)) +
+               " kept, " + std::to_string(table(j, i)) + " recounted";
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace qbp::test
