@@ -24,7 +24,6 @@
 #include "service/wire.hpp"
 #include "solver_flags.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 
 namespace {
 
@@ -34,65 +33,6 @@ bool read_file(const std::string& path, std::string& out) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   out = buffer.str();
-  return true;
-}
-
-/// Render one binary reply frame as the equivalent NDJSON line (so output
-/// is identical to --wire ndjson runs) and update the exit code.
-bool print_reply_frame(std::uint8_t type, const std::string& payload,
-                       int& exit_code) {
-  namespace svc = qbp::service;
-  std::string id;
-  std::string text;
-  std::string error;
-  std::string line;
-  switch (static_cast<svc::WireMsg>(type)) {
-    case svc::WireMsg::kResult: {
-      svc::JobResult result;
-      if (!svc::decode_result(payload, result, error)) break;
-      line = svc::result_to_json(result).dump();
-      break;
-    }
-    case svc::WireMsg::kReject:
-      if (!svc::decode_note(payload, id, text, error)) break;
-      line = svc::format_reject(id, text);
-      exit_code = 2;
-      break;
-    case svc::WireMsg::kError:
-      if (!svc::decode_note(payload, id, text, error)) break;
-      line = svc::format_error(text);
-      exit_code = 2;
-      break;
-    case svc::WireMsg::kStatsReply:
-      if (!svc::decode_note(payload, id, text, error)) break;
-      line = std::string(text);  // the stats JSON travels verbatim
-      break;
-    case svc::WireMsg::kCancelAck: {
-      if (!svc::decode_note(payload, id, text, error)) break;
-      qbp::json::Value ack = qbp::json::Value::object();
-      ack.set("type", "cancel");
-      ack.set("id", std::string(id));
-      ack.set("status", std::string(text));
-      line = ack.dump();
-      break;
-    }
-    case svc::WireMsg::kShutdownAck: {
-      if (!svc::decode_note(payload, id, text, error)) break;
-      qbp::json::Value ack = qbp::json::Value::object();
-      ack.set("type", "shutdown");
-      ack.set("status", std::string(text));
-      line = ack.dump();
-      break;
-    }
-    default:
-      error = "unexpected frame type " + std::to_string(type);
-      break;
-  }
-  if (line.empty()) {
-    std::fprintf(stderr, "bad reply frame: %s\n", error.c_str());
-    return false;
-  }
-  std::printf("%s\n", line.c_str());
   return true;
 }
 
@@ -260,23 +200,22 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Binary replies print as the NDJSON line of the same reply, so output
+  // is identical to --wire ndjson runs.
   int exit_code = 0;
   for (std::size_t k = 0; k < expected_replies; ++k) {
-    if (binary) {
-      std::uint8_t type = 0;
-      std::string payload;
-      if (!client.read_frame(type, payload)) {
-        std::fprintf(stderr, "server closed the connection: %s\n",
-                     client.error().c_str());
-        return 1;
-      }
-      if (!print_reply_frame(type, payload, exit_code)) return 1;
-      continue;
-    }
     std::string reply;
-    if (!client.read_line(reply)) {
+    std::uint8_t type = 0;
+    std::string payload;
+    if (binary ? !client.read_frame(type, payload) : !client.read_line(reply)) {
       std::fprintf(stderr, "server closed the connection: %s\n",
                    client.error().c_str());
+      return 1;
+    }
+    std::string error;
+    if (binary &&
+        !qbp::service::reply_frame_to_line(type, payload, reply, error)) {
+      std::fprintf(stderr, "bad reply frame: %s\n", error.c_str());
       return 1;
     }
     std::printf("%s\n", reply.c_str());

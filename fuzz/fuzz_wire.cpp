@@ -32,65 +32,26 @@
 namespace {
 
 using qbp::service::JobResult;
+using qbp::service::Note;
 using qbp::service::Request;
 using qbp::service::WireMsg;
 
 /// Re-encode a decoded request/response as a full frame; empty when the
-/// type has no encoder (unknown type bytes decode nowhere).
+/// payload does not decode (unknown type bytes decode nowhere).
 std::string reencode(std::uint8_t type, std::string_view payload) {
   std::string error;
   std::string out;
-  switch (static_cast<WireMsg>(type)) {
-    case WireMsg::kSubmit: {
-      Request request;
-      if (qbp::service::decode_submit(payload, request, error)) {
-        qbp::service::encode_request_frame(request, out);
-      }
-      break;
+  Request request;
+  JobResult result;
+  Note note;
+  if (static_cast<WireMsg>(type) == WireMsg::kResult) {
+    if (qbp::service::decode_result(payload, result, error)) {
+      qbp::service::encode_result_frame(result, out);
     }
-    case WireMsg::kCancel: {
-      Request request;
-      if (qbp::service::decode_cancel(payload, request, error)) {
-        qbp::service::encode_request_frame(request, out);
-      }
-      break;
-    }
-    case WireMsg::kResult: {
-      JobResult result;
-      if (qbp::service::decode_result(payload, result, error)) {
-        qbp::service::encode_result_frame(result, out);
-      }
-      break;
-    }
-    case WireMsg::kReject:
-    case WireMsg::kError:
-    case WireMsg::kCancelAck:
-    case WireMsg::kShutdownAck:
-    case WireMsg::kStatsReply: {
-      std::string id;
-      std::string text;
-      if (!qbp::service::decode_note(payload, id, text, error)) break;
-      switch (static_cast<WireMsg>(type)) {
-        case WireMsg::kReject:
-          qbp::service::encode_reject_frame(id, text, out);
-          break;
-        case WireMsg::kError:
-          qbp::service::encode_error_frame(text, out);
-          break;
-        case WireMsg::kCancelAck:
-          qbp::service::encode_cancel_ack_frame(id, text, out);
-          break;
-        case WireMsg::kShutdownAck:
-          qbp::service::encode_shutdown_ack_frame(text, out);
-          break;
-        default:
-          qbp::service::encode_stats_reply_frame(text, out);
-          break;
-      }
-      break;
-    }
-    default:
-      break;  // kStats / kShutdown carry ids only; unknown types no-op
+  } else if (qbp::service::decode_request(type, payload, request, error)) {
+    qbp::service::encode_request_frame(request, out);
+  } else if (qbp::service::decode_note(type, payload, note, error)) {
+    qbp::service::encode_note_frame(note, out);
   }
   return out;
 }

@@ -61,17 +61,9 @@ StartPoint make_start(const PartitionProblem& problem,
 
 PortfolioResult Portfolio::run(const PartitionProblem& problem,
                                const Solver& solver,
-                               std::int32_t starts) const {
-  QBP_CHECK_GE(starts, 0);
-  std::vector<const Solver*> list(static_cast<std::size_t>(starts), &solver);
-  return run(problem, list);
-}
-
-PortfolioResult Portfolio::run(
-    const PartitionProblem& problem,
-    std::span<const Solver* const> start_solvers) const {
+                               std::int32_t num_starts) const {
+  QBP_CHECK_GE(num_starts, 0);
   const Timer timer;
-  const auto num_starts = static_cast<std::int32_t>(start_solvers.size());
 
   PortfolioResult result;
   if (num_starts == 0) {
@@ -97,7 +89,7 @@ PortfolioResult Portfolio::run(
       SolverResult& slot = slots[static_cast<std::size_t>(i)];
       if (options_.stop.stop_requested()) {
         // Skipped before launch: record the solver it would have run.
-        slot.solver = std::string(start_solvers[i]->name());
+        slot.solver = std::string(solver.name());
         slot.cancelled = true;
         continue;
       }
@@ -112,21 +104,18 @@ PortfolioResult Portfolio::run(
       // is excluded from selection; the rest of the portfolio proceeds.
       try {
         QBP_PROF_SCOPE("portfolio.start");
-        slot = start_solvers[i]->solve(problem, start, options_.stop);
+        slot = solver.solve(problem, start, options_.stop);
         if (validate_on) {
           std::string context = "shadow validation failed for start ";
           context += std::to_string(i);
           context += " (";
           context += slot.solver;
           context += ")";
-          audit_result(problem, start_solvers[i]->penalized_with(), slot,
-                       context);
+          audit_result(problem, solver.penalized_with(), slot, context);
         }
       } catch (const std::exception& e) {
         slot.error = e.what();
-        if (slot.solver.empty()) {
-          slot.solver = std::string(start_solvers[i]->name());
-        }
+        if (slot.solver.empty()) slot.solver = std::string(solver.name());
         log::error("portfolio start ", i, " failed: ", slot.error);
       }
       ran[static_cast<std::size_t>(i)] = 1;

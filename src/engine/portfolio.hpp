@@ -2,9 +2,8 @@
 //
 // The paper's Section 5 observation -- QBP is insensitive to its starting
 // solution, so several cheap starts beat one long run -- is exactly the
-// property a portfolio exploits: K independent starts (of one solver, or a
-// heterogeneous mix) run concurrently on a thread pool and the best outcome
-// wins.
+// property a portfolio exploits: K independent starts of one solver run
+// concurrently on a thread pool and the best outcome wins.
 //
 // Determinism contract (the property the engine tests pin down):
 //
@@ -16,9 +15,9 @@
 //   * results land in an index-addressed slot array and the winner is the
 //     first slot under the strict better_result() order, so selection is
 //     independent of completion order;
-//   * therefore: same master seed + same start list => bit-identical chosen
-//     assignment for any thread count, as long as the job's `stop` token
-//     does not fire.
+//   * therefore: same master seed + same solver and start count =>
+//     bit-identical chosen assignment for any thread count, as long as the
+//     job's `stop` token does not fire.
 //
 // Wall-clock accounting is total, not winner-only: `seconds` is what the
 // caller actually waited, `seconds_total` the CPU-time-like sum over all
@@ -27,7 +26,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stop_token>
 #include <string_view>
 #include <vector>
@@ -111,13 +109,8 @@ class Portfolio {
   /// K starts of one solver.
   [[nodiscard]] PortfolioResult run(const PartitionProblem& problem,
                                     const Solver& solver,
-                                    std::int32_t starts) const;
+                                    std::int32_t num_starts) const;
 
-  /// Heterogeneous portfolio: one start per listed solver (entries may
-  /// repeat; all pointers must be non-null and outlive the call).
-  [[nodiscard]] PortfolioResult run(
-      const PartitionProblem& problem,
-      std::span<const Solver* const> start_solvers) const;
 
  private:
   PortfolioOptions options_;

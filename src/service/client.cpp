@@ -8,9 +8,24 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "service/wire.hpp"
 #include "util/wire.hpp"
 
 namespace qbp::service {
+
+bool reply_frame_to_line(std::uint8_t type, std::string_view payload,
+                         std::string& line, std::string& error) {
+  if (static_cast<WireMsg>(type) == WireMsg::kResult) {
+    JobResult result;
+    if (!decode_result(payload, result, error)) return false;
+    line = result_to_json(result).dump();
+    return true;
+  }
+  Note note;
+  if (!decode_note(type, payload, note, error)) return false;
+  line = format_note(note);
+  return true;
+}
 
 TcpClient::~TcpClient() { close(); }
 
@@ -19,6 +34,7 @@ void TcpClient::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  lines_ = LineBuffer();
   pending_.clear();
 }
 
@@ -72,10 +88,9 @@ bool TcpClient::read_line(std::string& out) {
     return false;
   }
   for (;;) {
-    const std::size_t newline = pending_.find('\n');
-    if (newline != std::string::npos) {
-      out = pending_.substr(0, newline);
-      pending_.erase(0, newline + 1);
+    std::string_view line;
+    if (lines_.next(line)) {
+      out.assign(line);
       return true;
     }
     char buffer[4096];
@@ -89,7 +104,7 @@ bool TcpClient::read_line(std::string& out) {
       error_ = "connection closed";
       return false;
     }
-    pending_.append(buffer, static_cast<std::size_t>(count));
+    lines_.append(std::string_view(buffer, static_cast<std::size_t>(count)));
   }
 }
 

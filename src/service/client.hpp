@@ -10,7 +10,17 @@
 #include <string>
 #include <string_view>
 
+#include "service/protocol.hpp"
+
 namespace qbp::service {
+
+/// Render one binary reply frame as the NDJSON line the same reply has in
+/// line framing: a result through result_to_json, a note through
+/// format_note.  False, with a message, for a malformed payload or a frame
+/// type that is no reply.
+[[nodiscard]] bool reply_frame_to_line(std::uint8_t type,
+                                       std::string_view payload,
+                                       std::string& line, std::string& error);
 
 class TcpClient {
  public:
@@ -44,7 +54,8 @@ class TcpClient {
 
  private:
   int fd_ = -1;
-  std::string pending_;
+  LineBuffer lines_;     // read_line's receive buffer
+  std::string pending_;  // read_frame's receive buffer
   std::string error_;
 };
 

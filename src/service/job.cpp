@@ -99,11 +99,9 @@ bool try_warm_solve(const Job& job, const PartitionProblem& problem,
 
   // The walk's seed is the one a cold portfolio's start 0 would get.
   const std::uint64_t walk_seed = engine::start_stream(job.solver.seed, 0)();
-  const std::stop_token stop =
-      job.stop != nullptr ? job.stop->get_token() : std::stop_token();
   engine::SolverResult best;
   try {
-    best = eco_resolve(problem, seed, walk_seed, stop);
+    best = eco_resolve(problem, seed, walk_seed, job.stop_token());
     if (job.solver.validate.value_or(validation_enabled())) {
       engine::audit_result(problem, kPaperPenalty, best,
                            "shadow validation failed for the warm start (eco)");
@@ -220,7 +218,7 @@ JobResult run_job(const Job& job, SolutionCache* cache) {
 
   engine::PipelineOptions options = engine::pipeline_options(job.solver);
   options.portfolio.keep_start_results = false;
-  if (job.stop != nullptr) options.portfolio.stop = job.stop->get_token();
+  options.portfolio.stop = job.stop_token();
 
   engine::PipelineResult pipeline_result;
   try {

@@ -1,13 +1,15 @@
 // One accepted partitioning job: the parsed submit request plus the
 // server-side state that travels with it through the queue and the worker
-// pool -- arrival sequence number, deadline clock, the per-job stop source
-// (fired by the deadline watchdog or a cancel request), and the response
-// sink of the connection that submitted it.
+// pool -- arrival sequence number, deadline clock, the job's stop handle
+// (fired by the deadline watchdog or a cancel request), and where its
+// result goes: the submitting connection's sink, in the framing the submit
+// arrived in.
 //
-// Job execution (`run_job`) is a pure function of (problem text, solver
-// spec, stop token): it parses the problem via core/problem_io, builds the
-// engine solver named by the spec, and runs one deterministic
-// engine::Portfolio.  Determinism: same spec + seed => bit-identical
+// Job execution (`run_job`) is a pure function of (problem, solver spec,
+// stop token): it parses the problem via core/problem_io, builds the
+// engine solver named by the spec, and runs it through one
+// engine::SolvePipeline (presolve, a deterministic portfolio of starts,
+// lift, validate).  Determinism: same spec + seed => bit-identical
 // assignment for any thread/worker count (the Portfolio contract), so a
 // load-shedding retry against a different server instance reproduces the
 // original answer exactly.
@@ -28,10 +30,41 @@ namespace qbp::service {
 /// Why a job's stop source fired; decides the reported status.
 enum class StopCause : int { kNone = 0, kDeadline = 1, kCancel = 2 };
 
+/// One job's stop: the source its solve polls and why it first fired.
+/// The job, the server's active-id table (cancel) and the deadline
+/// watchdog share one handle, and each stops the job through fire().
+class StopHandle {
+ public:
+  /// Record `cause` unless an earlier fire recorded one (first writer
+  /// wins), then request the stop.
+  void fire(StopCause cause) noexcept {
+    StopCause none = StopCause::kNone;
+    cause_.compare_exchange_strong(none, cause);
+    source_.request_stop();
+  }
+  [[nodiscard]] StopCause cause() const noexcept { return cause_.load(); }
+  [[nodiscard]] std::stop_token token() const noexcept {
+    return source_.get_token();
+  }
+
+ private:
+  std::stop_source source_;
+  std::atomic<StopCause> cause_{StopCause::kNone};
+};
+
+/// Receives one complete reply: an NDJSON line (no trailing newline) or a
+/// binary wire frame, to be written verbatim.
+using Sink = std::function<void(const std::string&)>;
+
+/// Where a request's replies go: the sink of the connection it arrived on
+/// and the framing it arrived in, fixed where the request was decoded.
+struct ReplyTo {
+  Sink sink;
+  bool binary = false;
+};
+
 struct Job {
   using Clock = std::chrono::steady_clock;
-  /// Receives one finished response line (no trailing newline).
-  using Sink = std::function<void(const std::string&)>;
 
   std::string id;
   std::int64_t seq = 0;       // arrival order; FIFO tie-break within priority
@@ -46,29 +79,20 @@ struct Job {
   /// Request-level cache opt-outs (protocol "cache"/"warm_start" fields).
   bool use_cache = true;
   bool warm_start = true;
-  /// The submitting connection spoke binary framing; finish_job renders
-  /// the result as a wire frame instead of an NDJSON line.
-  bool binary_respond = false;
 
   Clock::time_point submitted_at{};
   Clock::time_point deadline{Clock::time_point::max()};
   bool has_deadline = false;
 
-  /// Shared with the cancel registry and the deadline watchdog.
-  std::shared_ptr<std::stop_source> stop;
-  std::shared_ptr<std::atomic<int>> stop_cause;  // StopCause as int
-  Sink respond;
+  /// Null for a job run outside a server, which nothing can stop.
+  std::shared_ptr<StopHandle> stop;
+  ReplyTo reply_to;
 
-  void fire_stop(StopCause cause) const {
-    if (stop == nullptr) return;
-    int expected = static_cast<int>(StopCause::kNone);
-    stop_cause->compare_exchange_strong(expected, static_cast<int>(cause));
-    stop->request_stop();
-  }
   [[nodiscard]] StopCause cause() const noexcept {
-    return stop_cause == nullptr
-               ? StopCause::kNone
-               : static_cast<StopCause>(stop_cause->load());
+    return stop == nullptr ? StopCause::kNone : stop->cause();
+  }
+  [[nodiscard]] std::stop_token stop_token() const noexcept {
+    return stop == nullptr ? std::stop_token() : stop->token();
   }
 };
 

@@ -269,19 +269,41 @@ ParseResult result_from_json(const json::Value& value, JobResult& out) {
   return {};
 }
 
-std::string format_reject(std::string_view id, std::string_view reason) {
+std::string format_note(const Note& note) {
+  if (note.kind == NoteKind::kStats) return note.text;
   json::Value value = json::Value::object();
-  value.set("type", "reject");
-  if (!id.empty()) value.set("id", id);
-  value.set("reason", reason);
+  switch (note.kind) {
+    case NoteKind::kReject: value.set("type", "reject"); break;
+    case NoteKind::kError: value.set("type", "error"); break;
+    case NoteKind::kCancelAck: value.set("type", "cancel"); break;
+    default: value.set("type", "shutdown"); break;
+  }
+  if (!note.id.empty()) value.set("id", note.id);
+  const bool reason =
+      note.kind == NoteKind::kReject || note.kind == NoteKind::kError;
+  value.set(reason ? "reason" : "status", note.text);
   return value.dump();
 }
 
-std::string format_error(std::string_view reason) {
-  json::Value value = json::Value::object();
-  value.set("type", "error");
-  value.set("reason", reason);
-  return value.dump();
+void LineBuffer::append(std::string_view bytes) {
+  if (offset_ == buffer_.size() ||
+      (offset_ > 4096 && offset_ > buffer_.size() / 2)) {
+    buffer_.erase(0, offset_);
+    scanned_ -= offset_;
+    offset_ = 0;
+  }
+  buffer_.append(bytes);
+}
+
+bool LineBuffer::next(std::string_view& line) {
+  const std::size_t newline = buffer_.find('\n', scanned_);
+  if (newline == std::string::npos) {
+    scanned_ = buffer_.size();
+    return false;
+  }
+  line = std::string_view(buffer_).substr(offset_, newline - offset_);
+  offset_ = scanned_ = newline + 1;
+  return true;
 }
 
 }  // namespace qbp::service

@@ -142,9 +142,49 @@ struct JobResult {
 [[nodiscard]] ParseResult result_from_json(const json::Value& value,
                                            JobResult& out);
 
-/// Non-result response lines.
-[[nodiscard]] std::string format_reject(std::string_view id,
-                                        std::string_view reason);
-[[nodiscard]] std::string format_error(std::string_view reason);
+/// The five replies that carry no result share one payload: the id they
+/// answer (empty when none) and one text -- a reject's or an error's
+/// reason, an acknowledgement's status, or the stats document.  Each kind's
+/// value is the wire message type of its frame (service/wire.hpp WireMsg).
+enum class NoteKind : std::uint8_t {
+  kReject = 6,
+  kError = 7,
+  kStats = 8,
+  kCancelAck = 9,
+  kShutdownAck = 10,
+};
+
+struct Note {
+  NoteKind kind = NoteKind::kError;
+  std::string id;
+  std::string text;
+};
+
+/// A note's NDJSON line (no trailing newline):
+/// {"type":T[,"id":id],"reason"|"status":text}, the id only when set; a
+/// stats note is its text verbatim.
+[[nodiscard]] std::string format_note(const Note& note);
+
+/// NDJSON receive buffer: append() takes raw bytes, next() yields each
+/// complete line without its newline.  A scan resumes where the last one
+/// stopped, so a line costs time linear in its length however many reads
+/// it arrives in; the consumed prefix is compacted only once it dominates
+/// the buffer (as util/wire FrameBuffer does).
+class LineBuffer {
+ public:
+  /// Invalidates every view next() or rest() returned.
+  void append(std::string_view bytes);
+  /// The next complete line; false when no newline is buffered.
+  [[nodiscard]] bool next(std::string_view& line);
+  /// The bytes after the last complete line (an unterminated last line).
+  [[nodiscard]] std::string_view rest() const {
+    return std::string_view(buffer_).substr(offset_);
+  }
+
+ private:
+  std::string buffer_;
+  std::size_t offset_ = 0;   // start of the first unconsumed line
+  std::size_t scanned_ = 0;  // [offset_, scanned_) holds no newline
+};
 
 }  // namespace qbp::service

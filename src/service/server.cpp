@@ -126,112 +126,58 @@ void Server::start() {
   }
 }
 
-void Server::emit(const Sink& sink, const std::string& line) {
-  if (!sink) return;
-  const sync::MutexLock lock(respond_mutex_);
-  sink(line);
-}
-
-void Server::emit_frame(const Sink& sink, const std::string& frame) {
-  wire_bytes_out_.inc(static_cast<std::int64_t>(frame.size()));
-  emit(sink, frame);
-}
-
 void Server::handle_line(std::string_view line, const Sink& respond) {
-  requests_total_.inc();
   Request request;
-  if (const auto parsed = parse_request(line, request); !parsed.ok) {
-    requests_malformed_.inc();
-    emit(respond, format_error(parsed.message));
-    return;
-  }
-  switch (request.type) {
-    case RequestType::kSubmit:
-      handle_submit(std::move(request), respond, /*binary=*/false);
-      return;
-    case RequestType::kCancel:
-      handle_cancel(request, respond, /*binary=*/false);
-      return;
-    case RequestType::kStats:
-      emit(respond, stats_json().dump());
-      return;
-    case RequestType::kShutdown: {
-      shutdown_.store(true);
-      json::Value ack = json::Value::object();
-      ack.set("type", "shutdown");
-      ack.set("status", "draining");
-      emit(respond, ack.dump());
-      return;
-    }
-  }
+  const ParseResult parsed = parse_request(line, request);
+  dispatch(parsed, std::move(request), ReplyTo{respond, /*binary=*/false});
 }
 
 void Server::handle_frame(std::uint8_t type, std::string_view payload,
                           const Sink& respond) {
-  requests_total_.inc();
   wire_frames_.inc();
   wire_bytes_in_.inc(
       static_cast<std::int64_t>(payload.size() + wire::kHeaderSize));
-  const auto malformed = [&](const std::string& reason) {
+  const Timer decode_timer;
+  Request request;
+  ParseResult decoded;
+  decoded.ok = decode_request(type, payload, request, decoded.message);
+  if (decoded.ok && request.type == RequestType::kSubmit) {
+    wire_decode_seconds_.observe(decode_timer.seconds());
+  }
+  dispatch(decoded, std::move(request), ReplyTo{respond, /*binary=*/true});
+}
+
+void Server::dispatch(const ParseResult& parsed, Request request,
+                      const ReplyTo& to) {
+  requests_total_.inc();
+  if (!parsed.ok) {
     requests_malformed_.inc();
-    std::string frame;
-    encode_error_frame(reason, frame);
-    emit_frame(respond, frame);
-  };
-  switch (static_cast<WireMsg>(type)) {
-    case WireMsg::kSubmit: {
-      const Timer decode_timer;
-      Request request;
-      std::string error;
-      if (!decode_submit(payload, request, error)) {
-        malformed(error);
-        return;
-      }
-      wire_decode_seconds_.observe(decode_timer.seconds());
-      handle_submit(std::move(request), respond, /*binary=*/true);
+    reply(to, Note{NoteKind::kError, {}, parsed.message});
+    return;
+  }
+  switch (request.type) {
+    case RequestType::kSubmit:
+      handle_submit(std::move(request), to);
       return;
-    }
-    case WireMsg::kCancel: {
-      Request request;
-      std::string error;
-      if (!decode_cancel(payload, request, error)) {
-        malformed(error);
-        return;
-      }
-      handle_cancel(request, respond, /*binary=*/true);
+    case RequestType::kCancel:
+      handle_cancel(request, to);
       return;
-    }
-    case WireMsg::kStats: {
-      // The stats snapshot stays a JSON document inside a frame: it is a
-      // cold debug surface, and one schema for both framings keeps every
-      // dashboard working (docs/PROTOCOL.md).
-      std::string frame;
-      encode_stats_reply_frame(stats_json().dump(), frame);
-      emit_frame(respond, frame);
+    case RequestType::kStats:
+      // The stats snapshot is one JSON document in both framings: a cold
+      // debug surface, and one schema keeps every dashboard working.
+      reply(to, Note{NoteKind::kStats, {}, stats_json().dump()});
       return;
-    }
-    case WireMsg::kShutdown: {
+    case RequestType::kShutdown:
       shutdown_.store(true);
-      std::string frame;
-      encode_shutdown_ack_frame("draining", frame);
-      emit_frame(respond, frame);
+      reply(to, Note{NoteKind::kShutdownAck, {}, "draining"});
       return;
-    }
-    default:
-      malformed("unknown frame type " + std::to_string(type));
   }
 }
 
-void Server::handle_submit(Request request, const Sink& respond, bool binary) {
-  const auto reject = [&](const std::string& id, const std::string& reason) {
+void Server::handle_submit(Request request, const ReplyTo& to) {
+  const auto reject = [&](const std::string& id, std::string reason) {
     jobs_rejected_.inc();
-    if (binary) {
-      std::string frame;
-      encode_reject_frame(id, reason, frame);
-      emit_frame(respond, frame);
-    } else {
-      emit(respond, format_reject(id, reason));
-    }
+    reply(to, Note{NoteKind::kReject, id, std::move(reason)});
   };
 
   if (!request.problem_file.empty() &&
@@ -248,7 +194,6 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   job.warm_start = request.warm_start;
   job.problem_text = std::move(request.problem_text);
   job.problem = std::move(request.problem);
-  job.binary_respond = binary;
   job.submitted_at = Job::Clock::now();
   if (request.deadline_ms > 0.0) {
     job.has_deadline = true;
@@ -257,29 +202,27 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
         std::chrono::duration_cast<Job::Clock::duration>(
             std::chrono::duration<double, std::milli>(request.deadline_ms));
   }
-  job.stop = std::make_shared<std::stop_source>();
-  job.stop_cause =
-      std::make_shared<std::atomic<int>>(static_cast<int>(StopCause::kNone));
-  job.respond = respond;
+  job.stop = std::make_shared<StopHandle>();
+  job.reply_to = to;
 
+  bool registered = false;
   {
     const sync::MutexLock lock(active_mutex_);
     job.seq = next_seq_++;
     job.id = request.id.empty() ? "job-" + std::to_string(job.seq)
                                 : std::move(request.id);
-    if (active_.count(job.id) != 0) {
-      reject(job.id, "duplicate id: a job with this id is still queued or "
-                     "running");
-      return;
-    }
-    active_.emplace(job.id, ActiveJob{job.stop, job.stop_cause});
+    registered = active_.emplace(job.id, job.stop).second;
+  }
+  if (!registered) {
+    reject(job.id, "duplicate id: a job with this id is still queued or "
+                   "running");
+    return;
   }
 
   const std::string id = job.id;
   const bool has_deadline = job.has_deadline;
   const auto deadline = job.deadline;
-  const std::weak_ptr<std::stop_source> weak_stop = job.stop;
-  const std::weak_ptr<std::atomic<int>> weak_cause = job.stop_cause;
+  const std::weak_ptr<StopHandle> stop = job.stop;
 
   switch (queue_.push(std::move(job))) {
     case JobQueue::PushOutcome::kAccepted:
@@ -308,7 +251,7 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   if (has_deadline) {
     {
       const sync::MutexLock lock(deadline_mutex_);
-      deadlines_.push_back({deadline, id, weak_stop, weak_cause});
+      deadlines_.push_back({deadline, id, stop});
       std::push_heap(deadlines_.begin(), deadlines_.end(),
                      [](const DeadlineEntry& a, const DeadlineEntry& b) {
                        return a.when > b.when;
@@ -319,8 +262,7 @@ void Server::handle_submit(Request request, const Sink& respond, bool binary) {
   log::info("job ", id, ": accepted (queue depth ", queue_.size(), ")");
 }
 
-void Server::handle_cancel(const Request& request, const Sink& respond,
-                           bool binary) {
+void Server::handle_cancel(const Request& request, const ReplyTo& to) {
   // Still queued: remove it and answer on the job's own sink.
   Job job;
   if (queue_.cancel(request.id, job)) {
@@ -334,36 +276,18 @@ void Server::handle_cancel(const Request& request, const Sink& respond,
     finish_job(job, std::move(result));
     return;
   }
-  // Running: fire the stop source; the worker reports the final status.
+  // Running: fire its stop handle; the worker reports the final status.
+  bool running = false;
   {
     const sync::MutexLock lock(active_mutex_);
     const auto found = active_.find(request.id);
     if (found != active_.end()) {
-      int expected = static_cast<int>(StopCause::kNone);
-      found->second.cause->compare_exchange_strong(
-          expected, static_cast<int>(StopCause::kCancel));
-      found->second.stop->request_stop();
-      if (binary) {
-        std::string frame;
-        encode_cancel_ack_frame(request.id, "signalled", frame);
-        emit_frame(respond, frame);
-      } else {
-        json::Value ack = json::Value::object();
-        ack.set("type", "cancel");
-        ack.set("id", request.id);
-        ack.set("status", "signalled");
-        emit(respond, ack.dump());
-      }
-      return;
+      found->second->fire(StopCause::kCancel);
+      running = true;
     }
   }
-  if (binary) {
-    std::string frame;
-    encode_reject_frame(request.id, "unknown job id", frame);
-    emit_frame(respond, frame);
-  } else {
-    emit(respond, format_reject(request.id, "unknown job id"));
-  }
+  reply(to, running ? Note{NoteKind::kCancelAck, request.id, "signalled"}
+                    : Note{NoteKind::kReject, request.id, "unknown job id"});
 }
 
 void Server::worker_loop(std::int32_t worker_index) {
@@ -386,7 +310,7 @@ void Server::worker_loop(std::int32_t worker_index) {
     if (job.has_deadline && popped_at >= job.deadline) {
       // Expired while queued (or submitted already expired): answer without
       // burning solver time.
-      job.fire_stop(StopCause::kDeadline);
+      job.stop->fire(StopCause::kDeadline);
       result.id = job.id;
       result.status = "deadline_exceeded";
     } else if (prof::enabled()) {
@@ -446,16 +370,36 @@ void Server::finish_job(const Job& job, JobResult result) {
     const sync::MutexLock lock(active_mutex_);
     active_.erase(job.id);
   }
-  // Render in the framing the submitting connection spoke; either way the
-  // sink receives one complete response to write verbatim (plus newline
-  // for NDJSON, added by the connection's sink).
-  if (job.binary_respond) {
-    std::string frame;
-    encode_result_frame(result, frame);
-    emit_frame(job.respond, frame);
+  reply(job.reply_to, result);
+}
+
+void Server::reply(const ReplyTo& to, const Note& note) {
+  std::string message;
+  if (to.binary) {
+    encode_note_frame(note, message);
   } else {
-    emit(job.respond, result_to_json(result).dump());
+    message = format_note(note);
   }
+  emit(to, message);
+}
+
+void Server::reply(const ReplyTo& to, const JobResult& result) {
+  std::string message;
+  if (to.binary) {
+    encode_result_frame(result, message);
+  } else {
+    message = result_to_json(result).dump();
+  }
+  emit(to, message);
+}
+
+void Server::emit(const ReplyTo& to, const std::string& message) {
+  if (to.binary) {
+    wire_bytes_out_.inc(static_cast<std::int64_t>(message.size()));
+  }
+  if (!to.sink) return;
+  const sync::MutexLock lock(respond_mutex_);
+  to.sink(message);
 }
 
 void Server::watchdog_loop() {
@@ -477,13 +421,8 @@ void Server::watchdog_loop() {
     std::pop_heap(deadlines_.begin(), deadlines_.end(), later);
     DeadlineEntry entry = std::move(deadlines_.back());
     deadlines_.pop_back();
-    const auto stop = entry.stop.lock();
-    const auto cause = entry.cause.lock();
-    if (stop != nullptr && cause != nullptr) {
-      int expected = static_cast<int>(StopCause::kNone);
-      cause->compare_exchange_strong(expected,
-                                     static_cast<int>(StopCause::kDeadline));
-      stop->request_stop();
+    if (const auto stop = entry.stop.lock(); stop != nullptr) {
+      stop->fire(StopCause::kDeadline);
       log::info("job ", entry.id, ": deadline fired");
     }
   }
@@ -581,20 +520,6 @@ void write_response(int fd, std::string_view message, bool append_newline,
   }
 }
 
-/// Split buffered bytes into lines and dispatch each; returns false when a
-/// shutdown request was seen.
-bool dispatch_lines(Server& server, std::string& pending,
-                    const Server::Sink& sink) {
-  std::size_t newline = 0;
-  while ((newline = pending.find('\n')) != std::string::npos) {
-    const std::string line = pending.substr(0, newline);
-    pending.erase(0, newline + 1);
-    if (!trim(line).empty()) server.handle_line(line, sink);
-    if (server.shutdown_requested()) return false;
-  }
-  return true;
-}
-
 /// Per-connection framing state: the auto-detect decision, the NDJSON line
 /// buffer, and the binary receive arena.  Shared (via shared_ptr) between
 /// the connection's read loop and its response sink, because accepted jobs
@@ -624,17 +549,22 @@ class WireConnection {
       frames_.append(data, size);
       return drain_frames(sink);
     }
-    pending_.append(data, size);
-    return dispatch_lines(server_, pending_, sink);
+    lines_.append(std::string_view(data, size));
+    std::string_view line;
+    while (lines_.next(line)) {
+      if (!trim(line).empty()) server_.handle_line(line, sink);
+      if (server_.shutdown_requested()) return false;
+    }
+    return true;
   }
 
   /// EOF: a final NDJSON line without a trailing newline still counts.  A
   /// truncated binary frame is dropped silently, like a partial line from
   /// a client that never finished writing it.
   void finish(const Server::Sink& sink) {
-    if (framing_ != Framing::kBinary && !failed_ &&
-        !server_.shutdown_requested() && !trim(pending_).empty()) {
-      server_.handle_line(pending_, sink);
+    if (framing_ != Framing::kBinary && !server_.shutdown_requested() &&
+        !trim(lines_.rest()).empty()) {
+      server_.handle_line(lines_.rest(), sink);
     }
   }
 
@@ -652,13 +582,10 @@ class WireConnection {
       switch (frames_.next(frame, error)) {
         case wire::FrameStatus::kIncomplete:
           return true;
-        case wire::FrameStatus::kBad: {
-          std::string reply;
-          encode_error_frame(error, reply);
-          sink(reply);
-          failed_ = true;
+        case wire::FrameStatus::kBad:
+          server_.reply(ReplyTo{sink, /*binary=*/true},
+                        Note{NoteKind::kError, {}, std::move(error)});
           return false;
-        }
         case wire::FrameStatus::kFrame: {
           server_.handle_frame(frame.type, frame.payload, sink);
           frames_.consume(frame.frame_size);
@@ -671,9 +598,8 @@ class WireConnection {
 
   Server& server_;
   Framing framing_ = Framing::kUnknown;
-  std::string pending_;      // NDJSON line accumulator
-  wire::FrameBuffer frames_; // binary receive arena, reused across requests
-  bool failed_ = false;
+  LineBuffer lines_;          // NDJSON receive buffer
+  wire::FrameBuffer frames_;  // binary receive arena, reused across requests
 };
 
 }  // namespace

@@ -4,16 +4,23 @@
 //
 // Architecture (one Server instance, any number of client connections):
 //
-//   reader(s) --> handle_line --> bounded JobQueue --> worker pool
-//                     |                                   |
-//                     |  immediate responses              |  result lines
-//                     v  (reject/stats/errors)            v
-//                 response sink  <-------------------- respond()
+//   reader --> handle_line (parse) ---+
+//                                     +--> dispatch --> bounded JobQueue
+//   reader --> handle_frame (decode) -+        |                 |
+//                                              |           worker pool
+//                     notes: reject, error,    |                 | results
+//                     stats, acks              v                 v
+//                                      reply(to, Note)   reply(to, JobResult)
 //
-//   + deadline watchdog: one thread holding a min-heap of job deadlines;
-//     fires the job's stop source (StopCause::kDeadline) whether the job is
-//     still queued or already running -- both paths funnel into the
-//     cooperative should_stop hooks of the engine layer;
+//   A request's ReplyTo -- the sink of its connection and the framing it
+//   arrived in -- is fixed where it is parsed or decoded and travels with
+//   an accepted job, so the two reply functions are the only code that
+//   renders a reply or reads the framing;
+//   + one StopHandle per accepted job, shared by the job, the active-id
+//     table (cancel) and the deadline watchdog: whichever fires first sets
+//     the cause, whether the job is still queued or already running --
+//     both paths funnel into the cooperative should_stop hooks of the
+//     engine layer;
 //   + metrics: every lifecycle edge increments the registry; a `stats`
 //     request (and an optional periodic stderr line) renders the snapshot.
 //
@@ -83,7 +90,7 @@ struct ServerOptions {
 
 class Server {
  public:
-  using Sink = Job::Sink;
+  using Sink = service::Sink;
 
   explicit Server(ServerOptions options);
   ~Server();
@@ -108,6 +115,11 @@ class Server {
   void handle_frame(std::uint8_t type, std::string_view payload,
                     const Sink& respond);
 
+  /// Send one note to `to` in its framing, serialized with every other
+  /// reply.  The serve loops answer a malformed frame header this way, as
+  /// no request was decoded from it.  Thread-safe.
+  void reply(const ReplyTo& to, const Note& note);
+
   /// Stop accepting submits; queued and running jobs keep going.
   void begin_drain();
 
@@ -126,28 +138,24 @@ class Server {
   [[nodiscard]] const ServerOptions& options() const noexcept { return options_; }
 
  private:
-  struct ActiveJob {
-    std::shared_ptr<std::stop_source> stop;
-    std::shared_ptr<std::atomic<int>> cause;
-  };
   struct DeadlineEntry {
     Job::Clock::time_point when;
     std::string id;
-    std::weak_ptr<std::stop_source> stop;
-    std::weak_ptr<std::atomic<int>> cause;
+    std::weak_ptr<StopHandle> stop;
   };
 
-  /// `binary` selects the rendering of immediate responses (NDJSON line vs
-  /// wire frame) and is stamped into the job for its eventual result.
-  void handle_submit(Request request, const Sink& respond, bool binary);
-  void handle_cancel(const Request& request, const Sink& respond, bool binary);
+  /// One request, parsed or decoded, in either framing.
+  void dispatch(const ParseResult& parsed, Request request,
+                const ReplyTo& to);
+  void handle_submit(Request request, const ReplyTo& to);
+  void handle_cancel(const Request& request, const ReplyTo& to);
   void worker_loop(std::int32_t worker_index);
   void finish_job(const Job& job, JobResult result);
   void watchdog_loop();
   void stats_loop();
-  void emit(const Sink& sink, const std::string& line);
-  /// emit() plus the wire.bytes_out accounting for binary responses.
-  void emit_frame(const Sink& sink, const std::string& frame);
+  void reply(const ReplyTo& to, const JobResult& result);
+  /// Write one rendered reply; binary bytes count in wire.bytes_out.
+  void emit(const ReplyTo& to, const std::string& message);
 
   ServerOptions options_;
   MetricsRegistry metrics_;
@@ -157,7 +165,7 @@ class Server {
 
   sync::Mutex respond_mutex_;  // serializes every response line
   sync::Mutex active_mutex_;
-  std::unordered_map<std::string, ActiveJob> active_
+  std::unordered_map<std::string, std::shared_ptr<StopHandle>> active_
       QBP_GUARDED_BY(active_mutex_);
   std::int64_t next_seq_ QBP_GUARDED_BY(active_mutex_) = 0;
 

@@ -55,15 +55,6 @@ bool read_bool(wire::Reader& reader, bool& out, std::string& error,
   return true;
 }
 
-void append_note_frame(WireMsg type, std::string_view id, std::string_view text,
-                       std::string& out) {
-  std::string payload;
-  wire::Writer writer(payload);
-  writer.string(id);
-  writer.string(text);
-  wire::append_frame(out, static_cast<std::uint8_t>(type), payload);
-}
-
 }  // namespace
 
 void encode_problem(const PartitionProblem& problem, wire::Writer& writer) {
@@ -449,6 +440,8 @@ bool decode_submit(std::string_view payload, Request& out, std::string& error) {
   return true;
 }
 
+namespace {
+
 bool decode_cancel(std::string_view payload, Request& out, std::string& error) {
   out = Request{};
   out.type = RequestType::kCancel;
@@ -460,6 +453,28 @@ bool decode_cancel(std::string_view payload, Request& out, std::string& error) {
   if (id.empty()) return fail(error, "cancel requires an 'id'");
   out.id = std::string(id);
   return true;
+}
+
+}  // namespace
+
+bool decode_request(std::uint8_t type, std::string_view payload, Request& out,
+                    std::string& error) {
+  switch (static_cast<WireMsg>(type)) {
+    case WireMsg::kSubmit:
+      return decode_submit(payload, out, error);
+    case WireMsg::kCancel:
+      return decode_cancel(payload, out, error);
+    case WireMsg::kStats:
+      out = Request{};
+      out.type = RequestType::kStats;
+      return true;
+    case WireMsg::kShutdown:
+      out = Request{};
+      out.type = RequestType::kShutdown;
+      return true;
+    default:
+      return fail(error, "unknown frame type " + std::to_string(type));
+  }
 }
 
 void encode_result_frame(const JobResult& result, std::string& out) {
@@ -533,38 +548,39 @@ bool decode_result(std::string_view payload, JobResult& out,
   return true;
 }
 
-void encode_reject_frame(std::string_view id, std::string_view reason,
-                         std::string& out) {
-  append_note_frame(WireMsg::kReject, id, reason, out);
+static_assert(static_cast<std::uint8_t>(NoteKind::kReject) ==
+                  static_cast<std::uint8_t>(WireMsg::kReject) &&
+              static_cast<std::uint8_t>(NoteKind::kError) ==
+                  static_cast<std::uint8_t>(WireMsg::kError) &&
+              static_cast<std::uint8_t>(NoteKind::kStats) ==
+                  static_cast<std::uint8_t>(WireMsg::kStatsReply) &&
+              static_cast<std::uint8_t>(NoteKind::kCancelAck) ==
+                  static_cast<std::uint8_t>(WireMsg::kCancelAck) &&
+              static_cast<std::uint8_t>(NoteKind::kShutdownAck) ==
+                  static_cast<std::uint8_t>(WireMsg::kShutdownAck),
+              "a note's kind is its frame type");
+
+void encode_note_frame(const Note& note, std::string& out) {
+  std::string payload;
+  wire::Writer writer(payload);
+  writer.string(note.id);
+  writer.string(note.text);
+  wire::append_frame(out, static_cast<std::uint8_t>(note.kind), payload);
 }
 
-void encode_error_frame(std::string_view reason, std::string& out) {
-  append_note_frame(WireMsg::kError, {}, reason, out);
-}
-
-void encode_stats_reply_frame(std::string_view stats_json, std::string& out) {
-  append_note_frame(WireMsg::kStatsReply, {}, stats_json, out);
-}
-
-void encode_cancel_ack_frame(std::string_view id, std::string_view status,
-                             std::string& out) {
-  append_note_frame(WireMsg::kCancelAck, id, status, out);
-}
-
-void encode_shutdown_ack_frame(std::string_view status, std::string& out) {
-  append_note_frame(WireMsg::kShutdownAck, {}, status, out);
-}
-
-bool decode_note(std::string_view payload, std::string& id, std::string& text,
+bool decode_note(std::uint8_t type, std::string_view payload, Note& out,
                  std::string& error) {
+  if (type < static_cast<std::uint8_t>(NoteKind::kReject) ||
+      type > static_cast<std::uint8_t>(NoteKind::kShutdownAck)) {
+    return fail(error, "unexpected frame type " + std::to_string(type));
+  }
   wire::Reader reader(payload);
-  std::string_view id_view;
-  std::string_view text_view;
-  if (!reader.string(id_view) || !reader.string(text_view) || !reader.done()) {
+  std::string_view id;
+  std::string_view text;
+  if (!reader.string(id) || !reader.string(text) || !reader.done()) {
     return fail(error, "bad note frame");
   }
-  id = std::string(id_view);
-  text = std::string(text_view);
+  out = Note{static_cast<NoteKind>(type), std::string(id), std::string(text)};
   return true;
 }
 

@@ -72,28 +72,25 @@ void encode_request_frame(const Request& request, std::string& out);
 /// `out.problem` so run_job can skip the text parse entirely.
 [[nodiscard]] bool decode_submit(std::string_view payload, Request& out,
                                  std::string& error);
-/// Decode a kCancel payload (id only; id must be non-empty).
-[[nodiscard]] bool decode_cancel(std::string_view payload, Request& out,
-                                 std::string& error);
+/// Decode one request frame of message type `type`: the counterpart of
+/// encode_request_frame.  A cancel carries its (non-empty) id only; stats
+/// and shutdown frames carry nothing the server reads; any other type
+/// fails with "unknown frame type N".
+[[nodiscard]] bool decode_request(std::uint8_t type, std::string_view payload,
+                                  Request& out, std::string& error);
 
 /// Encode a finished job as one complete kResult frame appended to `out`.
 void encode_result_frame(const JobResult& result, std::string& out);
 [[nodiscard]] bool decode_result(std::string_view payload, JobResult& out,
                                  std::string& error);
 
-/// Non-result responses.  The ack/reject/error payloads are two strings:
-/// (id, reason-or-status); kError and kStatsReply carry id-less text.
-void encode_reject_frame(std::string_view id, std::string_view reason,
-                         std::string& out);
-void encode_error_frame(std::string_view reason, std::string& out);
-void encode_stats_reply_frame(std::string_view stats_json, std::string& out);
-void encode_cancel_ack_frame(std::string_view id, std::string_view status,
-                             std::string& out);
-void encode_shutdown_ack_frame(std::string_view status, std::string& out);
-/// Decode the (id, text) payload shared by kReject / kCancelAck; kError /
-/// kShutdownAck / kStatsReply use an empty id and text only.
-[[nodiscard]] bool decode_note(std::string_view payload, std::string& id,
-                               std::string& text, std::string& error);
+/// The five note replies (protocol.hpp Note): every kind's payload is the
+/// same two strings, (id, text), under the frame type of its NoteKind.
+void encode_note_frame(const Note& note, std::string& out);
+/// Decode a note frame of message type `type`; false, with a message, when
+/// `type` is no note type or the payload is not exactly (id, text).
+[[nodiscard]] bool decode_note(std::uint8_t type, std::string_view payload,
+                               Note& out, std::string& error);
 
 /// Structured problem payload, shared by submit encode/decode and the
 /// round-trip tests.  encode_problem requires a constructed (finalized)

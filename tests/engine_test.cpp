@@ -327,27 +327,6 @@ TEST(Portfolio, WinnerIsFirstBestSlotInIndexOrder) {
   EXPECT_GE(result.seconds_total, result.seconds_best_start);
 }
 
-TEST(Portfolio, HeterogeneousMixRunsEachListedSolver) {
-  const PartitionProblem problem = engine_problem();
-  const BurkardSolver qbp(fast_qbp_options());
-  const GfmSolver gfm;
-  const SaSolver sa;
-  const std::vector<const Solver*> mix = {&qbp, &gfm, &sa, &gfm};
-
-  PortfolioOptions options;
-  options.seed = 99;
-  options.threads = 2;
-  const PortfolioResult result = Portfolio(options).run(problem, mix);
-
-  ASSERT_EQ(result.starts.size(), mix.size());
-  EXPECT_EQ(result.starts[0].solver, "qbp");
-  EXPECT_EQ(result.starts[1].solver, "gfm");
-  EXPECT_EQ(result.starts[2].solver, "sa");
-  EXPECT_EQ(result.starts[3].solver, "gfm");
-  ASSERT_GE(result.best_start, 0);
-  EXPECT_EQ(result.starts_run, static_cast<std::int32_t>(mix.size()));
-}
-
 /// Runs a fast QBP solve, then fires the job-level stop source: the
 /// portfolio's `stop` token goes off right after the first start.
 class StopAfterSolve final : public Solver {

@@ -76,6 +76,17 @@ class ResponseLog {
     return out;
   }
 
+  /// Block until at least `n` replies arrived; false after 60 s.
+  [[nodiscard]] bool wait_for(std::size_t n) const {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (lines().size() < n) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
   [[nodiscard]] std::size_t count(std::string_view needle) const {
     std::size_t n = 0;
     for (const auto& line : lines()) {
@@ -292,6 +303,42 @@ TEST(Protocol, MalformedRequestsFailWithMessages) {
 }
 
 // -------------------------------------------------------------- queue ----
+
+TEST(Protocol, LineBufferSplitsLinesAtEveryChunkBoundary) {
+  // One line longer than the serve loops' 4 KiB read, an empty line and an
+  // unterminated last line, which stays in rest().
+  const std::vector<std::string> lines = {"{\"type\":\"stats\"}", "",
+                                          std::string(10000, 'x'), "a b c"};
+  std::string stream;
+  for (const std::string& line : lines) stream += line + '\n';
+  stream += "tail";
+
+  const auto split = [&](const std::vector<std::size_t>& cuts) {
+    LineBuffer buffer;
+    std::vector<std::string> out;
+    std::size_t from = 0;
+    for (const std::size_t cut : cuts) {
+      buffer.append(std::string_view(stream).substr(from, cut - from));
+      from = cut;
+      std::string_view line;
+      while (buffer.next(line)) out.emplace_back(line);
+    }
+    EXPECT_EQ(out, lines);
+    EXPECT_EQ(buffer.rest(), "tail");
+  };
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    split({cut, stream.size()});
+  }
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{4096}}) {
+    std::vector<std::size_t> cuts;
+    for (std::size_t end = chunk; end < stream.size(); end += chunk) {
+      cuts.push_back(end);
+    }
+    cuts.push_back(stream.size());
+    split(cuts);
+  }
+}
 
 TEST(JobQueue, PriorityThenFifoOrder) {
   JobQueue queue(8);
@@ -838,6 +885,186 @@ TEST(Server, BinaryFramesBitIdenticalToNdjsonAcrossWorkers) {
   }
 }
 
+/// One scripted exchange that draws every reply kind from a server, each
+/// request sent in one framing.  Returns the replies in arrival order as
+/// NDJSON lines: a binary reply is rendered by the client-side decoder
+/// (reply_frame_to_line), so the two framings compare line by line.
+std::vector<std::string> every_reply_kind(bool binary) {
+  const std::string problem = tiny_problem_text();
+  ResponseLog log;
+  ServerOptions options;
+  options.queue_capacity = 2;
+  options.autostart = false;  // q1 and q2 stay queued until start()
+  Server server(options);
+  const auto send = [&](const Request& request) {
+    if (!binary) {
+      server.handle_line(format_request(request), log.sink());
+      return;
+    }
+    const std::string frame = wire_frame(request);
+    wire::FrameView view;
+    std::string error;
+    ASSERT_EQ(wire::peek_frame(frame, view, error), wire::FrameStatus::kFrame);
+    server.handle_frame(view.type, view.payload, log.sink());
+  };
+  const auto request_of = [](RequestType type, const std::string& id) {
+    Request request;
+    request.type = type;
+    request.id = id;
+    return request;
+  };
+
+  send(make_wire_request("q1", problem));
+  send(make_wire_request("q2", problem));
+  send(make_wire_request("q1", problem));  // reject: duplicate id
+  send(make_wire_request("q3", problem));  // reject: queue full
+  Request unreadable = make_wire_request("pf", "");
+  unreadable.problem_file = "/nonexistent/qbpart-missing.qp";
+  send(unreadable);                                  // reject: unreadable file
+  send(request_of(RequestType::kCancel, "nope"));    // reject: unknown id
+  send(request_of(RequestType::kCancel, "q2"));      // result: cancelled
+  send(request_of(RequestType::kCancel, ""));        // error in both framings
+  Request bad_spec = make_wire_request("bs", problem);
+  bad_spec.solver.starts = 0;
+  send(bad_spec);  // error: check_spec's message in both framings
+  if (binary) {
+    server.handle_frame(static_cast<std::uint8_t>(WireMsg::kCancel),
+                        std::string("\xFF", 1), log.sink());
+    server.handle_frame(99, {}, log.sink());
+  } else {
+    server.handle_line("this is not json", log.sink());
+    server.handle_line("{\"type\":\"bogus\"}", log.sink());
+  }
+  send(request_of(RequestType::kStats, ""));
+
+  // workers_busy moves by atomic adds around each job, so it reads 1 only
+  // while the worker holds a job.
+  const auto wait_busy = [&server](std::int64_t busy) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (server.metrics().gauge("workers_busy").value() != busy &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  const std::size_t staged = log.lines().size();
+  server.start();
+  EXPECT_TRUE(log.wait_for(staged + 1));  // q1's result
+  wait_busy(0);
+  // A job that runs for seconds (4096 SA starts on one thread), cancelled
+  // once the worker holds it: an ack, then its "cancelled" result.
+  Request slow = make_wire_request("r1", problem);
+  slow.solver.method = "sa";
+  slow.solver.starts = 4096;
+  slow.solver.threads = 1;
+  send(slow);
+  wait_busy(1);
+  const std::size_t before_cancel = log.lines().size();
+  send(request_of(RequestType::kCancel, "r1"));
+  EXPECT_TRUE(log.wait_for(before_cancel + 2));
+  send(request_of(RequestType::kShutdown, ""));
+  server.begin_drain();
+  send(make_wire_request("late", problem));  // reject: draining
+  server.drain();
+
+  std::vector<std::string> lines = log.lines();
+  if (!binary) return lines;
+  for (std::string& reply : lines) {
+    wire::FrameView frame;
+    std::string error;
+    std::string line;
+    EXPECT_EQ(wire::peek_frame(reply, frame, error), wire::FrameStatus::kFrame);
+    EXPECT_EQ(frame.frame_size, reply.size());
+    EXPECT_TRUE(reply_frame_to_line(frame.type, frame.payload, line, error))
+        << error;
+    reply = line;
+  }
+  return lines;
+}
+
+/// A result line with its timing fields zeroed; any other line unchanged.
+std::string without_timing(const std::string& line) {
+  json::Value value;
+  if (!json::parse(line, value).ok || value.get_string("type") != "result") {
+    return line;
+  }
+  JobResult result;
+  EXPECT_TRUE(result_from_json(value, result).ok) << line;
+  result.queue_wait_s = 0.0;
+  result.solve_s = 0.0;
+  result.presolve_s = 0.0;
+  return result_to_json(result).dump();
+}
+
+TEST(Server, EveryReplyKindIsTheSameInBothFramings) {
+  const std::vector<std::string> ndjson = every_reply_kind(/*binary=*/false);
+  const std::vector<std::string> binary = every_reply_kind(/*binary=*/true);
+  ASSERT_EQ(ndjson.size(), 15u);
+  ASSERT_EQ(binary.size(), 15u);
+
+  // Notes: the NDJSON lines the server has always sent.
+  const std::vector<std::pair<std::size_t, std::string>> golden = {
+      {0, R"j({"type":"reject","id":"q1","reason":"duplicate id: a job with this id is still queued or running"})j"},
+      {1, R"j({"type":"reject","id":"q3","reason":"queue full (capacity 2)"})j"},
+      {2, R"j({"type":"reject","id":"pf","reason":"cannot read problem_file '/nonexistent/qbpart-missing.qp'"})j"},
+      {3, R"j({"type":"reject","id":"nope","reason":"unknown job id"})j"},
+      {5, R"j({"type":"error","reason":"cancel requires an 'id'"})j"},
+      {6, R"j({"type":"error","reason":"'starts' must be >= 1"})j"},
+      {11, R"j({"type":"cancel","id":"r1","status":"signalled"})j"},
+      {13, R"j({"type":"shutdown","status":"draining"})j"},
+      {14, R"j({"type":"reject","id":"late","reason":"server draining"})j"},
+  };
+  for (const auto& [k, line] : golden) {
+    EXPECT_EQ(ndjson[k], line) << "reply " << k;
+    EXPECT_EQ(binary[k], line) << "reply " << k;
+  }
+  // Malformed input exists in one framing only.
+  EXPECT_EQ(ndjson[7],
+            R"j({"type":"error","reason":"malformed JSON: byte 0: unexpected token"})j");
+  EXPECT_EQ(ndjson[8],
+            R"j({"type":"error","reason":"unknown request type 'bogus'"})j");
+  EXPECT_EQ(binary[7], R"j({"type":"error","reason":"bad cancel frame"})j");
+  EXPECT_EQ(binary[8], R"j({"type":"error","reason":"unknown frame type 99"})j");
+
+  // Results: the queued cancel (4) and q1's answer (10) match but for
+  // timing; the running cancel (12) keeps whatever its starts reached
+  // before the stop, so only its id and status are fixed.
+  for (const std::size_t k : {4u, 10u}) {
+    EXPECT_EQ(without_timing(ndjson[k]), without_timing(binary[k]))
+        << "reply " << k;
+  }
+  EXPECT_NE(ndjson[4].find(R"j("id":"q2","status":"cancelled")j"),
+            std::string::npos) << ndjson[4];
+  EXPECT_NE(ndjson[10].find(R"j("id":"q1","status":"ok")j"), std::string::npos)
+      << ndjson[10];
+  for (const std::string& line : {ndjson[12], binary[12]}) {
+    JobResult running;
+    json::Value value;
+    ASSERT_TRUE(json::parse(line, value).ok) << line;
+    ASSERT_TRUE(result_from_json(value, running).ok);
+    EXPECT_EQ(running.id, "r1");
+    EXPECT_EQ(running.status, "cancelled");
+  }
+
+  // Stats: one document, the same schema and request counts either way
+  // (its uptime, timings and wire.* counters differ by nature).
+  json::Value ndjson_stats;
+  json::Value binary_stats;
+  ASSERT_TRUE(json::parse(ndjson[9], ndjson_stats).ok) << ndjson[9];
+  ASSERT_TRUE(json::parse(binary[9], binary_stats).ok) << binary[9];
+  ASSERT_EQ(ndjson_stats.size(), binary_stats.size());
+  for (std::size_t k = 0; k < ndjson_stats.size(); ++k) {
+    EXPECT_EQ(ndjson_stats.key_at(k), binary_stats.key_at(k));
+  }
+  EXPECT_EQ(ndjson_stats.get_string("type"), "stats");
+  for (const char* counter :
+       {"requests_total", "requests_malformed", "jobs_rejected"}) {
+    EXPECT_EQ(ndjson_stats.find("counters")->get_number(counter, -1.0),
+              binary_stats.find("counters")->get_number(counter, -1.0))
+        << counter;
+  }
+}
+
 TEST(Server, WireMetricsPopulateOnBinaryTraffic) {
   const std::string problem = tiny_problem_text();
   ResponseLog log;
@@ -953,6 +1180,9 @@ TEST(ServeLoop, ForcedBinaryRejectsTextBytes) {
   ASSERT_EQ(wire::peek_frame(reply, frame, error), wire::FrameStatus::kFrame)
       << "expected a binary error frame, got: " << reply;
   EXPECT_EQ(static_cast<WireMsg>(frame.type), WireMsg::kError);
+  std::string line;
+  ASSERT_TRUE(reply_frame_to_line(frame.type, frame.payload, line, error));
+  EXPECT_EQ(line, R"j({"type":"error","reason":"bad frame magic"})j");
 }
 
 class TcpServerFixture {

@@ -383,11 +383,39 @@ TEST(MessageCodec, ResultRoundTripsEveryField) {
   EXPECT_EQ(out.eco_edits, result.eco_edits);
 }
 
+TEST(MessageCodec, EveryNoteKindRoundTripsToTheSameBytes) {
+  using service::NoteKind;
+  for (const NoteKind kind :
+       {NoteKind::kReject, NoteKind::kError, NoteKind::kStats,
+        NoteKind::kCancelAck, NoteKind::kShutdownAck}) {
+    for (const std::string& id : {std::string(), std::string("job-\"7\"")}) {
+      const service::Note note{kind, id, "text with \"quotes\"\n"};
+      std::string frame;
+      service::encode_note_frame(note, frame);
+
+      wire::FrameView view;
+      std::string error;
+      ASSERT_EQ(wire::peek_frame(frame, view, error),
+                wire::FrameStatus::kFrame);
+      ASSERT_EQ(view.frame_size, frame.size());
+      EXPECT_EQ(view.type, static_cast<std::uint8_t>(kind));
+      service::Note decoded;
+      ASSERT_TRUE(service::decode_note(view.type, view.payload, decoded, error))
+          << error;
+      EXPECT_EQ(decoded.kind, kind);
+      EXPECT_EQ(decoded.id, id);
+      EXPECT_EQ(decoded.text, note.text);
+      std::string again;
+      service::encode_note_frame(decoded, again);
+      EXPECT_EQ(again, frame);
+    }
+  }
+}
+
 TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
   service::Request request;
   service::JobResult result;
-  std::string id;
-  std::string text;
+  service::Note note;
   std::string error;
   // Empty and garbage payloads across every decoder.
   for (const std::string& payload :
@@ -395,11 +423,20 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
         std::string(64, '\x80')}) {
     EXPECT_FALSE(service::decode_submit(payload, request, error));
     EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(service::decode_cancel(payload, request, error));
+    EXPECT_FALSE(service::decode_request(
+        static_cast<std::uint8_t>(service::WireMsg::kCancel), payload, request,
+        error));
     EXPECT_FALSE(service::decode_result(payload, result, error));
   }
-  // A note payload of two empty strings decodes; garbage does not.
-  EXPECT_FALSE(service::decode_note(std::string("\xFF", 1), id, text, error));
+  // A note payload of two empty strings decodes; garbage does not, and no
+  // payload makes a note of a type that is not one.
+  const auto reject = static_cast<std::uint8_t>(service::WireMsg::kReject);
+  EXPECT_TRUE(service::decode_note(reject, std::string(2, '\0'), note, error));
+  EXPECT_FALSE(service::decode_note(reject, std::string("\xFF", 1), note, error));
+  EXPECT_FALSE(service::decode_note(
+      static_cast<std::uint8_t>(service::WireMsg::kResult),
+      std::string(2, '\0'), note, error));
+  EXPECT_EQ(error, "unexpected frame type 5");
 
   // Seeds outside [0, 2^53) and unknown presolve rules fail with the
   // NDJSON parser's message.  A binary frame carries the full uint64, so
