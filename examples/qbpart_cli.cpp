@@ -146,9 +146,10 @@ int main(int argc, char** argv) {
     const auto& result = run.portfolio;
     std::printf(
         "portfolio: %d/%d starts on %d threads, %.2f s wall (%.2f s total "
-        "work, winner start %d in %.2f s)\n",
+        "work, winner start %d in %.2f s), %d audited\n",
         result.starts_run, spec->starts, result.threads_used, result.seconds,
-        result.seconds_total, result.best_start, result.seconds_best_start);
+        result.seconds_total, result.best_start, result.seconds_best_start,
+        result.starts_validated);
     if (!result.best.found_feasible) {
       std::fprintf(stderr,
                    "no start found a fully feasible solution (best penalized "
@@ -206,8 +207,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   // `iterations` is the solver's own progress unit (Burkard iterations,
-  // FM/KL passes, SA temperature steps).
-  std::printf("%s: %lld iterations, %.2f s\n", method.c_str(),
-              static_cast<long long>(result.iterations), result.seconds);
+  // FM/KL passes, SA temperature steps); "audited" counts the results the
+  // shadow validator checked (1 with validation on, else 0).
+  std::printf("%s: %lld iterations, %.2f s, %d audited\n", method.c_str(),
+              static_cast<long long>(result.iterations), result.seconds,
+              result.validated ? 1 : 0);
   return finish(problem, result.best_feasible, quiet, out_path);
 }

@@ -79,7 +79,7 @@ GfmResult solve_gfm(const PartitionProblem& problem, const Assignment& initial,
   std::vector<std::size_t> next(static_cast<std::size_t>(n), 0);
 
   for (std::int32_t pass = 0; pass < options.max_passes; ++pass) {
-    if (options.should_stop && options.should_stop()) break;
+    if (options.stop.stop_requested()) break;
     QBP_PROF_SCOPE("gfm.pass");
     std::fill(locked.begin(), locked.end(), false);
     // Only each component's best untried entry is queued, so the heap pops

@@ -30,7 +30,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <stop_token>
 
 #include "core/problem.hpp"
 
@@ -41,9 +41,9 @@ struct GfmOptions {
   std::int32_t max_passes = 64;
   /// Minimum pass improvement to continue.
   double min_improvement = 1e-9;
-  /// Cooperative cancellation hook, checked between passes.  Empty means
-  /// never stop.
-  std::function<bool()> should_stop;
+  /// Cooperative cancellation, polled between passes.  The default
+  /// token never fires.
+  std::stop_token stop;
 };
 
 struct GfmResult {

@@ -197,7 +197,7 @@ GklResult solve_gkl(const PartitionProblem& problem, const Assignment& initial,
   };
 
   for (std::int32_t outer = 0; outer < options.max_outer_loops; ++outer) {
-    if (options.should_stop && options.should_stop()) break;
+    if (options.stop.stop_requested()) break;
     QBP_PROF_SCOPE("gkl.outer_loop");
     std::fill(locked.begin(), locked.end(), false);
     std::vector<Swap> applied;

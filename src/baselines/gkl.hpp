@@ -39,7 +39,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <stop_token>
 
 #include "core/problem.hpp"
 
@@ -49,9 +49,9 @@ struct GklOptions {
   /// The paper's cutoff.
   std::int32_t max_outer_loops = 6;
   double min_improvement = 1e-9;
-  /// Cooperative cancellation hook, checked between outer loops.  Empty
-  /// means never stop.
-  std::function<bool()> should_stop;
+  /// Cooperative cancellation, polled between outer loops.  The default
+  /// token never fires.
+  std::stop_token stop;
 };
 
 struct GklResult {

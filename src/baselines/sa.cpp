@@ -110,7 +110,7 @@ SaResult solve_sa(const PartitionProblem& problem, const Assignment& initial,
       static_cast<std::int64_t>(options.moves_per_component) * n;
   for (double temperature = t0; temperature > t0 * options.freeze_ratio;
        temperature *= kCooling) {
-    if (options.should_stop && options.should_stop()) break;
+    if (options.stop.stop_requested()) break;
     ++result.temperature_steps;
     for (std::int64_t step = 0; step < moves_per_step; ++step) {
       ++result.proposed;

@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <stop_token>
 
 #include "core/problem.hpp"
 
@@ -28,9 +28,9 @@ struct SaOptions {
   /// Fraction of proposals that are swaps (rest are single moves).
   double swap_fraction = 0.4;
   std::uint64_t seed = 1;
-  /// Cooperative cancellation hook, checked between temperature steps.
-  /// Empty means never stop.
-  std::function<bool()> should_stop;
+  /// Cooperative cancellation, polled between temperature steps.  The
+  /// default token never fires.
+  std::stop_token stop;
 };
 
 struct SaResult {

@@ -243,7 +243,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     log::debug("burkard iter ", k, ": penalized incumbent ",
                result.best_penalized, ", step-4 z = ", z);
 
-    if (options.should_stop && options.should_stop()) break;
+    if (options.stop.stop_requested()) break;
   }
 
   result.seconds = timer.seconds();

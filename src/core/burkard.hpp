@@ -25,7 +25,8 @@
 //     added to the vector the GAP reads;
 //   * alongside the best penalized incumbent the solver tracks the best
 //     *feasible* incumbent (C1 and C2), because Theorem 2 only certifies
-//     minimizers that come out violation-free;
+//     minimizers that come out violation-free; BurkardResult carries the
+//     pair as the shared record of core/outcome.hpp;
 //   * each STEP 6 iterate is optionally "polished" by a few greedy
 //     single-move descent sweeps on the penalized objective before STEP 7
 //     evaluates it (polish_sweeps).  The listed algorithm evaluates raw GAP
@@ -42,12 +43,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <stop_token>
 #include <vector>
 
 #include "assign/gap.hpp"
 #include "core/embedding.hpp"
+#include "core/outcome.hpp"
 #include "core/problem.hpp"
 
 namespace qbp {
@@ -96,23 +98,14 @@ struct BurkardOptions {
   /// Record the incumbent penalized value per iteration (for convergence
   /// plots); small, on by default.
   bool record_history = true;
-  /// Cooperative cancellation hook, checked between iterations.  Empty means
-  /// never stop.  The engine portfolio wires a std::stop_token through this
-  /// to cancel stragglers.
-  std::function<bool()> should_stop;
+  /// Cooperative cancellation, polled between iterations.  The default
+  /// token never fires; the engine adapter passes the portfolio's token
+  /// here to cancel stragglers.
+  std::stop_token stop;
 };
 
-struct BurkardResult {
-  /// Best solution by penalized value y^T Qhat y (always set).
-  Assignment best;
-  double best_penalized = 0.0;
-
-  /// Best fully feasible solution (C1 and C2) and its *true* objective;
-  /// only meaningful when found_feasible.
-  Assignment best_feasible;
-  double best_feasible_objective = 0.0;
-  bool found_feasible = false;
-
+/// The incumbent pair (core/outcome.hpp) plus the run's accounting.
+struct BurkardResult : Outcome {
   std::int32_t iterations_run = 0;
   /// Inner GAP solves whose result violated C1 (they still steer the line
   /// search but are never certified as incumbents).

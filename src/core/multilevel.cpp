@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "core/delta_evaluator.hpp"
-#include "core/qhat.hpp"
 #include "core/repair.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
@@ -228,21 +227,6 @@ bool refine_level(const PartitionProblem& problem, Assignment& u,
   return feasible;
 }
 
-/// Wrap a refined assignment as a BurkardResult, the shape the coarsest
-/// solve hands upward, so every level projects from the same record.
-BurkardResult wrap_refined(const PartitionProblem& problem, Assignment u,
-                           bool feasible, double penalty) {
-  BurkardResult result;
-  result.best_penalized = QhatMatrix(problem, penalty).penalized_value(u);
-  if (feasible) {
-    result.found_feasible = true;
-    result.best_feasible_objective = problem.objective(u);
-    result.best_feasible = u;
-  }
-  result.best = std::move(u);
-  return result;
-}
-
 }  // namespace
 
 MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
@@ -300,13 +284,11 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
   }
 
   // Solve the coarsest level, then uncoarsen-and-refine upward.  The
-  // caller's stop hook rides along into the coarsest solve; once it fires,
+  // caller's stop token rides along into the coarsest solve; once it fires,
   // the remaining levels project without refining so the result still
   // reaches the fine problem's dimensions.
   BurkardOptions coarse_options = options.coarse_solver;
-  if (options.should_stop && !coarse_options.should_stop) {
-    coarse_options.should_stop = options.should_stop;
-  }
+  coarse_options.stop = options.stop;
   BurkardResult run;
   {
     QBP_PROF_SCOPE("multilevel.coarse_solve");
@@ -321,17 +303,19 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
     const Assignment& coarse_best =
         run.found_feasible ? run.best_feasible : run.best;
     Assignment u = uncoarsen(coarse_levels[level], coarse_best);
-    const bool stopped = options.should_stop && options.should_stop();
-    if (stopped) {
+    bool feasible = false;
+    if (options.stop.stop_requested()) {
       const std::int64_t violations = fine.timing().violations(u, fine.topology());
-      const bool projected_feasible =
-          violations == 0 && fine.satisfies_capacity(u);
       result.level_violations[level] = violations;
-      run = wrap_refined(fine, std::move(u), projected_feasible, penalty);
-      continue;
+      feasible = violations == 0 && fine.satisfies_capacity(u);
+    } else {
+      feasible = refine_level(fine, u, options, level, result);
     }
-    const bool feasible = refine_level(fine, u, options, level, result);
-    run = wrap_refined(fine, std::move(u), feasible, penalty);
+    // A refined level hands upward only its record, the shape every level
+    // projects from; the coarse solve's iterations and history stay behind.
+    run = {};
+    static_cast<Outcome&>(run) =
+        outcome_of(fine, std::move(u), penalty, feasible);
   }
 
   result.finest = std::move(run);

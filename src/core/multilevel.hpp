@@ -30,14 +30,15 @@
 //      (MultilevelResult's `level_violations`), so all feasibility comes
 //      from that one walk.
 //
-// Determinism: bit-identical results at every thread count.  The matching
-// runs as parallel proposal rounds (each vertex's preferred partner is a
-// pure function of the round's frozen matching state) followed by a serial
-// commit in a seeded deterministic order; refinement inherits the
-// determinism of polish_iterate / repair_timing.
+// Determinism: the whole V-cycle runs on the caller's thread and is a pure
+// function of (problem, initial, options).  Each matching round scans
+// every vertex's preferred partner against the round's frozen matching
+// state, then commits pairs in a seeded shuffled order; refinement
+// inherits the determinism of polish_iterate / repair_timing.
 #pragma once
 
 #include <cstdint>
+#include <stop_token>
 #include <vector>
 
 #include "core/burkard.hpp"
@@ -97,11 +98,11 @@ struct MultilevelOptions {
   /// only because the benchmark program sets its `inner_threads`.
   BurkardOptions refine_solver;
   CoarsenOptions coarsen;
-  /// Cooperative cancellation hook, forwarded into the coarsest solve and
-  /// checked between levels (a fired hook skips the remaining refinement
-  /// work while the projection still reaches the finest level).  Empty =
-  /// never stop.
-  std::function<bool()> should_stop;
+  /// Cooperative cancellation: passed to the coarsest solve and polled
+  /// between levels (a fired token skips the remaining refinement work
+  /// while the projection still reaches the finest level).  The default
+  /// token never fires.
+  std::stop_token stop;
 
   /// Hard cap on hierarchy depth (the level storage is reserved up front so
   /// the per-level problem pointers stay stable).
@@ -123,7 +124,7 @@ struct MultilevelResult {
   double coarse_solve_seconds = 0.0;
   /// Per refined level, finest first (`levels_used` entries): the timing
   /// violations left after the polish (after the projection on a level the
-  /// stop hook skipped), and the moves of the repair walk (0 where none
+  /// stop token skipped), and the moves of the repair walk (0 where none
   /// ran, which is every level above the finest).
   std::vector<std::int64_t> level_violations;
   std::vector<std::int64_t> level_repair_moves;

@@ -13,23 +13,6 @@ namespace qbp {
 
 namespace {
 
-// Resource guards: a hostile or corrupted file must produce a descriptive
-// ParseResult, never an allocation failure or an overflowed int32.  The
-// service boundary (qbpartd) parses untrusted bytes, so these are load-
-// bearing, not cosmetic.  M partitions allocate two M x M double matrices
-// (2 * 8 MB at the cap); wire multiplicities accumulate into int32 totals.
-constexpr long long kMaxPartitions = 1024;
-constexpr long long kMaxWireMultiplicity = 1000000000;  // 1e9
-// Caps on the *totals*, not just per-line values: duplicate wire lines (and
-// repeated nets over the same pins) are combined by addition in
-// Netlist::finalize() / Csr::from_triplets, so per-pair multiplicities must
-// stay int32-safe after any amount of combining.  Capping the file-wide sum
-// at 1e9 (< INT32_MAX) makes overflow unreachable.  The bundle cap bounds
-// memory against nets with huge pin lists (a k-pin `net` expands to
-// k*(k-1)/2 stored bundles).
-constexpr long long kMaxTotalWires = kMaxWireMultiplicity;
-constexpr long long kMaxWireBundles = 4000000;
-
 ParseResult fail(int line_number, std::string_view what) {
   std::ostringstream out;
   out << "line " << line_number << ": " << what;

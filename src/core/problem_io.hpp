@@ -26,12 +26,32 @@
 // built that way and the metric is recoverable; otherwise `custom`).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
 #include "core/problem.hpp"
 
 namespace qbp {
+
+// Input caps of every problem reader: this text parser and the binary
+// submit decoder (service/wire.cpp).  A hostile or corrupted input must
+// fail with a descriptive message, never an allocation failure or an
+// overflowed int32; the service boundary (qbpartd) reads untrusted bytes,
+// so these are load-bearing, not cosmetic.  M partitions allocate two
+// M x M double matrices (2 * 8 MB at the cap); wire multiplicities
+// accumulate into int32 totals.
+inline constexpr std::int64_t kMaxPartitions = 1024;
+inline constexpr std::int64_t kMaxWireMultiplicity = 1000000000;  // 1e9
+// Caps on the *totals*, not just per-line values: duplicate wire lines (and
+// repeated nets over the same pins) are combined by addition in
+// Netlist::finalize() / Csr::from_triplets, so per-pair multiplicities must
+// stay int32-safe after any amount of combining.  Capping the input-wide
+// sum at 1e9 (< INT32_MAX) makes overflow unreachable.  The bundle cap
+// bounds memory against nets with huge pin lists (a k-pin `net` expands to
+// k*(k-1)/2 stored bundles).
+inline constexpr std::int64_t kMaxTotalWires = kMaxWireMultiplicity;
+inline constexpr std::int64_t kMaxWireBundles = 4000000;
 
 /// Result of a parse; on failure `ok` is false and `message` holds a
 /// line-numbered diagnostic.

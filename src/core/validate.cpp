@@ -79,17 +79,12 @@ void ValidationReport::merge(ValidationReport other) {
 }
 
 ValidationReport validate_outcome(const PartitionProblem& problem,
-                                  const ReportedOutcome& reported,
+                                  const Outcome& reported,
                                   const ValidateOptions& options) {
   ValidationReport report;
-  if (reported.best == nullptr) {
-    report.issues.emplace_back("no best assignment was reported");
-    return report;
-  }
-
-  if (check_structure(problem, *reported.best, "best", report)) {
+  if (check_structure(problem, reported.best, "best", report)) {
     const QhatMatrix qhat(problem, options.penalty);
-    const double recomputed = qhat.penalized_value(*reported.best);
+    const double recomputed = qhat.penalized_value(reported.best);
     if (!check::within_relative(recomputed, reported.best_penalized,
                                 options.tolerance)) {
       std::ostringstream out;
@@ -100,18 +95,18 @@ ValidationReport validate_outcome(const PartitionProblem& problem,
     }
   }
 
-  if (reported.best_feasible != nullptr &&
-      check_structure(problem, *reported.best_feasible, "best_feasible",
+  if (reported.found_feasible &&
+      check_structure(problem, reported.best_feasible, "best_feasible",
                       report)) {
-    if (!problem.satisfies_capacity(*reported.best_feasible)) {
+    if (!problem.satisfies_capacity(reported.best_feasible)) {
       report.issues.emplace_back(
           "best_feasible violates a capacity constraint (C1)");
     }
-    if (!problem.satisfies_timing(*reported.best_feasible)) {
+    if (!problem.satisfies_timing(reported.best_feasible)) {
       report.issues.emplace_back(
           "best_feasible violates a timing constraint (C2)");
     }
-    const double recomputed = problem.objective(*reported.best_feasible);
+    const double recomputed = problem.objective(reported.best_feasible);
     if (!check::within_relative(recomputed, reported.best_feasible_objective,
                                 options.tolerance)) {
       std::ostringstream out;

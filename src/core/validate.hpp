@@ -1,12 +1,12 @@
 // Shadow validator: independent re-verification of solver outcomes.
 //
-// Every solver in the library reports three things it computed
-// incrementally -- a best assignment, its penalized value y^T Qhat y, and
-// (when found) a feasible incumbent with its true objective.  Incremental
-// bookkeeping is exactly where silent corruption hides: a stale delta cache,
-// a capacity ledger that drifted, an objective accumulated with a sign
-// error.  The shadow validator recomputes everything from scratch and
-// compares:
+// Every solver in the library reports its incumbent record
+// (core/outcome.hpp), computed incrementally -- a best assignment, its
+// penalized value y^T Qhat y, and (when found) a feasible incumbent with
+// its true objective.  Incremental bookkeeping is exactly where silent
+// corruption hides: a stale delta cache, a capacity ledger that drifted, an
+// objective accumulated with a sign error.  The shadow validator recomputes
+// everything from scratch and compares:
 //
 //   * structural feasibility -- C3 completeness, partition ids in range,
 //     and (for a claimed-feasible incumbent) C1 capacity and C2 timing
@@ -25,10 +25,13 @@
 // one job and survives), or log-and-count (audit mode).
 //
 // The validator is O(full re-evaluation) per call -- run it per solver
-// result, never per iteration.  It is off by default; the QBPART_VALIDATE
-// CMake option flips the compile-time default, set_validation_enabled()
-// flips it at runtime, and the service protocol's per-job "validate" flag
-// overrides it for one job (see engine/portfolio.hpp).
+// result, never per iteration: engine::audit_result runs both checks on
+// every portfolio start, on every answer of SolvePipeline's post-solve
+// stage (solve_one's included) and on ECO's warm answer.  It is off by
+// default; the QBPART_VALIDATE CMake option flips the compile-time default,
+// set_validation_enabled() flips it at runtime, and the service protocol's
+// per-job "validate" flag overrides it for one job (see
+// engine/portfolio.hpp).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "core/embedding.hpp"
+#include "core/outcome.hpp"
 #include "core/problem.hpp"
 
 namespace qbp {
@@ -70,21 +74,12 @@ struct ValidationReport {
   void merge(ValidationReport other);
 };
 
-/// What a solver claims about its outcome, in primitives (the engine layer
-/// adapts its SolverResult onto this; core cannot depend on engine).
-struct ReportedOutcome {
-  /// Best-by-penalized-value assignment; required.
-  const Assignment* best = nullptr;
-  double best_penalized = 0.0;
-  /// Feasible incumbent; nullptr when the solver found none.
-  const Assignment* best_feasible = nullptr;
-  double best_feasible_objective = 0.0;
-};
-
-/// Recompute feasibility and objectives from scratch and compare with the
-/// reported numbers.  Does not sample deltas (see validate_deltas).
+/// Recompute feasibility and objectives of a solver's incumbent record
+/// from scratch and compare with the reported numbers: `best` and its
+/// penalized value always, the feasible incumbent when `found_feasible`.
+/// Does not sample deltas (see validate_deltas).
 [[nodiscard]] ValidationReport validate_outcome(
-    const PartitionProblem& problem, const ReportedOutcome& reported,
+    const PartitionProblem& problem, const Outcome& reported,
     const ValidateOptions& options = {});
 
 /// Cross-check the incremental delta machinery at `assignment`: for sampled

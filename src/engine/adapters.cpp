@@ -3,17 +3,11 @@
 #include <utility>
 
 #include "core/initial.hpp"
-#include "core/qhat.hpp"
 #include "core/repair.hpp"
 
 namespace qbp::engine {
 
 namespace {
-
-std::function<bool()> stop_hook(const std::stop_token& stop) {
-  if (!stop.stop_possible()) return {};
-  return [stop] { return stop.stop_requested(); };
-}
 
 /// Legalize a start for the feasible-region solvers.  Deterministic in
 /// (assignment, seed): min-conflicts timing repair of a copy when capacity
@@ -36,35 +30,41 @@ InitialResult feasible_start(const PartitionProblem& problem,
   return make_initial(problem, InitialStrategy::kQbpZeroWireCost, start.seed);
 }
 
-/// Normalized result for a feasible-region solver that produced
-/// `assignment` with true objective `objective` (penalized value equals the
-/// objective because the walk never violates C1/C2).
-SolverResult feasible_outcome(std::string solver_name, Assignment assignment,
-                              double objective, std::int64_t iterations,
-                              double seconds, const std::stop_token& stop) {
+/// `record` as solver `name`'s normalized result.
+SolverResult normalized(std::string_view name, Outcome record) {
   SolverResult result;
-  result.solver = std::move(solver_name);
-  result.best = assignment;
-  result.best_penalized = objective;
-  result.best_feasible = std::move(assignment);
-  result.best_feasible_objective = objective;
-  result.found_feasible = true;
-  result.iterations = iterations;
-  result.seconds = seconds;
-  result.cancelled = stop.stop_requested();
+  result.solver = std::string(name);
+  static_cast<Outcome&>(result) = std::move(record);
   return result;
 }
 
-/// Outcome when no feasible start could be built: report the raw start.
-SolverResult infeasible_outcome(std::string solver_name,
-                                const PartitionProblem& problem,
-                                const StartPoint& start) {
-  SolverResult result;
-  result.solver = std::move(solver_name);
-  result.best = start.assignment;
-  result.best_penalized =
-      QhatMatrix(problem, kPaperPenalty).penalized_value(start.assignment);
-  result.found_feasible = false;
+/// What a feasible-region walk hands back: its answer and its accounting.
+struct Walk {
+  Assignment assignment;
+  std::int64_t iterations = 0;
+  double seconds = 0.0;
+};
+
+/// Run a feasible-region solver (GFM/GKL/SA): `walk` runs it from the
+/// legalized start.  The walk never violates C1/C2, so its answer is
+/// recorded as feasible; without a feasible start the record is the raw
+/// start's.
+template <class WalkFn>
+SolverResult walk_result(std::string_view name, const PartitionProblem& problem,
+                         const StartPoint& start, const std::stop_token& stop,
+                         WalkFn walk) {
+  const InitialResult initial = feasible_start(problem, start);
+  if (!initial.feasible) {
+    return normalized(name, outcome_of(problem, start.assignment,
+                                       kPaperPenalty, /*feasible=*/false));
+  }
+  Walk run = walk(initial.assignment);
+  SolverResult result =
+      normalized(name, outcome_of(problem, std::move(run.assignment),
+                                  kPaperPenalty, /*feasible=*/true));
+  result.iterations = run.iterations;
+  result.seconds = run.seconds;
+  result.cancelled = stop.stop_requested();
   return result;
 }
 
@@ -74,16 +74,10 @@ SolverResult BurkardSolver::solve(const PartitionProblem& problem,
                                   const StartPoint& start,
                                   std::stop_token stop) const {
   BurkardOptions options = options_;
-  if (!options.should_stop) options.should_stop = stop_hook(stop);
+  options.stop = stop;
   BurkardResult run = solve_qbp(problem, start.assignment, options);
 
-  SolverResult result;
-  result.solver = std::string(name());
-  result.best = std::move(run.best);
-  result.best_penalized = run.best_penalized;
-  result.best_feasible = std::move(run.best_feasible);
-  result.best_feasible_objective = run.best_feasible_objective;
-  result.found_feasible = run.found_feasible;
+  SolverResult result = normalized(name(), run);
   result.history = std::move(run.history);
   result.iterations = run.iterations_run;
   result.seconds = run.seconds;
@@ -95,16 +89,10 @@ SolverResult MultilevelSolver::solve(const PartitionProblem& problem,
                                      const StartPoint& start,
                                      std::stop_token stop) const {
   MultilevelOptions options = options_;
-  if (!options.should_stop) options.should_stop = stop_hook(stop);
+  options.stop = stop;
   MultilevelResult run = solve_qbp_multilevel(problem, start.assignment, options);
 
-  SolverResult result;
-  result.solver = std::string(name());
-  result.best = std::move(run.finest.best);
-  result.best_penalized = run.finest.best_penalized;
-  result.best_feasible = std::move(run.finest.best_feasible);
-  result.best_feasible_objective = run.finest.best_feasible_objective;
-  result.found_feasible = run.finest.found_feasible;
+  SolverResult result = normalized(name(), run.finest);
   result.history = std::move(run.finest.history);
   result.iterations = run.finest.iterations_run;
   result.seconds = run.seconds;
@@ -115,45 +103,35 @@ SolverResult MultilevelSolver::solve(const PartitionProblem& problem,
 SolverResult GfmSolver::solve(const PartitionProblem& problem,
                               const StartPoint& start,
                               std::stop_token stop) const {
-  const InitialResult initial = feasible_start(problem, start);
-  if (!initial.feasible) {
-    return infeasible_outcome(std::string(name()), problem, start);
-  }
   GfmOptions options = options_;
-  if (!options.should_stop) options.should_stop = stop_hook(stop);
-  GfmResult run = solve_gfm(problem, initial.assignment, options);
-  return feasible_outcome(std::string(name()), std::move(run.assignment),
-                          run.objective, run.passes, run.seconds, stop);
+  options.stop = stop;
+  return walk_result(name(), problem, start, stop, [&](const Assignment& from) {
+    GfmResult run = solve_gfm(problem, from, options);
+    return Walk{std::move(run.assignment), run.passes, run.seconds};
+  });
 }
 
 SolverResult GklSolver::solve(const PartitionProblem& problem,
                               const StartPoint& start,
                               std::stop_token stop) const {
-  const InitialResult initial = feasible_start(problem, start);
-  if (!initial.feasible) {
-    return infeasible_outcome(std::string(name()), problem, start);
-  }
   GklOptions options = options_;
-  if (!options.should_stop) options.should_stop = stop_hook(stop);
-  GklResult run = solve_gkl(problem, initial.assignment, options);
-  return feasible_outcome(std::string(name()), std::move(run.assignment),
-                          run.objective, run.outer_loops, run.seconds, stop);
+  options.stop = stop;
+  return walk_result(name(), problem, start, stop, [&](const Assignment& from) {
+    GklResult run = solve_gkl(problem, from, options);
+    return Walk{std::move(run.assignment), run.outer_loops, run.seconds};
+  });
 }
 
 SolverResult SaSolver::solve(const PartitionProblem& problem,
                              const StartPoint& start,
                              std::stop_token stop) const {
-  const InitialResult initial = feasible_start(problem, start);
-  if (!initial.feasible) {
-    return infeasible_outcome(std::string(name()), problem, start);
-  }
   SaOptions options = options_;
   options.seed = start.seed;
-  if (!options.should_stop) options.should_stop = stop_hook(stop);
-  SaResult run = solve_sa(problem, initial.assignment, options);
-  return feasible_outcome(std::string(name()), std::move(run.assignment),
-                          run.objective, run.temperature_steps, run.seconds,
-                          stop);
+  options.stop = stop;
+  return walk_result(name(), problem, start, stop, [&](const Assignment& from) {
+    SaResult run = solve_sa(problem, from, options);
+    return Walk{std::move(run.assignment), run.temperature_steps, run.seconds};
+  });
 }
 
 }  // namespace qbp::engine

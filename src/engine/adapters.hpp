@@ -2,8 +2,10 @@
 //
 // Each adapter owns a frozen copy of the underlying solver's options and is
 // stateless across solve() calls, so one instance can serve any number of
-// concurrent portfolio starts.  Cancellation: the std::stop_token is wired
-// into the `should_stop` hook each options struct now carries.
+// concurrent portfolio starts.  Cancellation: each options struct carries a
+// std::stop_token, which the adapter sets to the one solve() was given.
+// Every adapter hands the solver's incumbent record (core/outcome.hpp) up
+// as it is; a feasible-region walk's answer is recorded with outcome_of.
 //
 // Feasible-start solvers (GFM/GKL/SA -- their walks never leave the
 // feasible region) legalize an infeasible StartPoint deterministically:

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "core/outcome.hpp"
 #include "core/qhat.hpp"
 #include "core/validate.hpp"
 #include "util/check.hpp"
@@ -26,71 +27,59 @@ SolvePipeline::SolvePipeline(const PartitionProblem& problem,
   }
 }
 
-void SolvePipeline::lift_result(SolverResult& result, double penalty) const {
+void SolvePipeline::post_solve(SolverResult& result, double penalty) const {
   if (result.best.num_components() !=
       static_cast<std::int32_t>(reduced_.lift.orig_of.size())) {
-    return;  // skipped/errored slot: nothing to lift
+    return;  // a skipped slot: nothing to lift or audit
   }
-  result.best = reduced_.lift.lift(result.best);
-  result.best_penalized =
-      QhatMatrix(original_, penalty).penalized_value(result.best);
-  if (result.found_feasible) {
-    result.best_feasible = reduced_.lift.lift(result.best_feasible);
-    result.best_feasible_objective += reduced_.lift.objective_offset;
+  // A solve of the reduced instance and RN's exact optimum both answer in
+  // reduced space.
+  const bool lifted = reduced() || reduced_.rn_feasible;
+  if (lifted) {
+    result.best = reduced_.lift.lift(result.best);
+    result.best_penalized =
+        QhatMatrix(original_, penalty).penalized_value(result.best);
+    if (result.found_feasible) {
+      result.best_feasible = reduced_.lift.lift(result.best_feasible);
+      result.best_feasible_objective += reduced_.lift.objective_offset;
+    }
+    for (double& incumbent : result.history) {
+      incumbent += reduced_.lift.objective_offset;
+    }
+  } else if (result.validated) {
+    return;  // the portfolio audited it against an unreduced copy
   }
-  for (double& incumbent : result.history) {
-    incumbent += reduced_.lift.objective_offset;
+  if (!result.error.empty() ||
+      !options_.portfolio.validate.value_or(validation_enabled())) {
+    return;
   }
-}
-
-void SolvePipeline::validate_lifted(const SolverResult& result,
-                                    double penalty) const {
-  const bool validate =
-      options_.portfolio.validate.value_or(validation_enabled());
-  if (!validate) return;
-  if (result.best.num_components() != original_.num_components()) return;
-  ValidateOptions validate_options;
-  validate_options.penalty = penalty;
-  ReportedOutcome outcome;
-  outcome.best = &result.best;
-  outcome.best_penalized = result.best_penalized;
-  if (result.found_feasible) {
-    outcome.best_feasible = &result.best_feasible;
-    outcome.best_feasible_objective = result.best_feasible_objective;
-  }
-  enforce(validate_outcome(original_, outcome, validate_options),
-          "pipeline.lift");
+  audit_result(original_, penalty, result,
+               "shadow validation failed for the pipeline's answer (" +
+                   result.solver + ")");
 }
 
 SolverResult SolvePipeline::rn_result(const Solver& solver) const {
   QBP_CHECK(reduced_.rn_feasible);
   SolverResult result;
   result.solver = std::string(solver.name());
-  result.best = reduced_.lift.lift(reduced_.rn_assignment);
-  result.best_penalized =
-      QhatMatrix(original_, solver.penalized_with()).penalized_value(result.best);
-  result.best_feasible = result.best;
-  result.best_feasible_objective =
-      reduced_.rn_objective + reduced_.lift.objective_offset;
-  result.found_feasible = true;
+  static_cast<Outcome&>(result) =
+      outcome_of(reduced_.problem, reduced_.rn_assignment,
+                 solver.penalized_with(), /*feasible=*/true);
   return result;
 }
 
 PipelineResult SolvePipeline::run(const Solver& solver,
                                   std::int32_t starts) const {
   const Timer timer;
+  const double penalty = solver.penalized_with();
   PipelineResult out;
   out.presolve = reduced_.stats;
-  out.reduced = reduced();
 
   if (reduced_.rn_feasible) {
     // The remainder was solved exactly; running heuristic starts could only
     // tie.  Collapse the portfolio to one synthesized result.
-    out.rn_exact = true;
     SolverResult exact = rn_result(solver);
-    validate_lifted(exact, solver.penalized_with());
-    exact.validated =
-        options_.portfolio.validate.value_or(validation_enabled());
+    post_solve(exact, penalty);
     out.portfolio.best = exact;
     out.portfolio.best_start = 0;
     if (options_.portfolio.keep_start_results) {
@@ -100,43 +89,29 @@ PipelineResult SolvePipeline::run(const Solver& solver,
     out.portfolio.threads_used = 1;
     if (out.portfolio.best.validated) out.portfolio.starts_validated = 1;
     out.portfolio.seconds = timer.seconds();
-    out.seconds = timer.seconds();
     return out;
   }
 
   const Portfolio portfolio(options_.portfolio);
   out.portfolio = portfolio.run(reduced_.problem, solver, starts);
-  if (reduced()) {
-    // The portfolio audited each start against the reduced instance; lift
-    // everything back and re-check the winner against the original.
-    lift_result(out.portfolio.best, solver.penalized_with());
-    for (SolverResult& start_result : out.portfolio.starts) {
-      lift_result(start_result, solver.penalized_with());
-      validate_lifted(start_result, solver.penalized_with());
-    }
-    validate_lifted(out.portfolio.best, solver.penalized_with());
+  post_solve(out.portfolio.best, penalty);
+  for (SolverResult& start_result : out.portfolio.starts) {
+    post_solve(start_result, penalty);
   }
-  out.seconds = timer.seconds();
   return out;
 }
 
 SolverResult SolvePipeline::solve_one(const Solver& solver,
                                       const StartPoint& start) const {
   const Timer timer;
-  if (reduced_.rn_feasible) {
-    SolverResult exact = rn_result(solver);
-    validate_lifted(exact, solver.penalized_with());
-    exact.seconds = timer.seconds();
-    return exact;
-  }
-  StartPoint reduced_start{reduced_.lift.restrict_to_reduced(start.assignment),
-                           start.seed};
   SolverResult result =
-      solver.solve(reduced_.problem, reduced_start, std::stop_token());
-  if (reduced()) {
-    lift_result(result, solver.penalized_with());
-    validate_lifted(result, solver.penalized_with());
-  }
+      reduced_.rn_feasible
+          ? rn_result(solver)
+          : solver.solve(reduced_.problem,
+                         {reduced_.lift.restrict_to_reduced(start.assignment),
+                          start.seed},
+                         std::stop_token());
+  post_solve(result, solver.penalized_with());
   result.seconds = timer.seconds();
   return result;
 }

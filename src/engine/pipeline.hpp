@@ -11,12 +11,16 @@
 //               instance and the SolutionLift;
 //   solve       run the wrapped solver / portfolio on the *reduced* problem
 //               -- all starts share one ReducedProblem;
-//   lift        map every produced result back to original-space components,
-//               shift objectives by the folded constant, and recompute
-//               penalized values from scratch on the original instance;
-//   validate    shadow-check the lifted winner (and, when start results are
-//               kept, every lifted start) against the ORIGINAL problem with
-//               core/validate, firing a contract violation on any mismatch.
+//   lift +      one post-solve step every answer passes (each kept start
+//   validate    of run() and its winner, solve_one()'s result, RN's
+//               optimum): when presolve reduced the instance (or RN solved
+//               it), map the result back to original-space components,
+//               shift objectives by the folded constant and recompute the
+//               penalized value on the original instance; then, with shadow
+//               validation on, audit it against the ORIGINAL problem
+//               (engine::audit_result), firing a contract violation on any
+//               mismatch.  A start the portfolio already audited against an
+//               unreduced copy is not audited twice.
 //
 // When presolve reduces nothing the pipeline degenerates to a plain
 // Portfolio::run on an untouched copy of the input -- results are
@@ -50,16 +54,10 @@ struct PipelineOptions {
 
 struct PipelineResult {
   /// Portfolio outcome with every assignment, objective and history lifted
-  /// to original space.  For rn_exact runs this is a synthesized
-  /// single-start portfolio carrying the exact optimum.
+  /// to original space.  When RN solved the remainder exactly this is a
+  /// synthesized single-start portfolio carrying the exact optimum.
   PortfolioResult portfolio;
   PresolveStats presolve;
-  /// Presolve changed the instance (stats.components_removed > 0).
-  bool reduced = false;
-  /// RN solved the remainder exactly; the wrapped solver never ran.
-  bool rn_exact = false;
-  /// Whole-pipeline wall clock (presolve + solve + lift + validate).
-  double seconds = 0.0;
 };
 
 class SolvePipeline {
@@ -86,24 +84,27 @@ class SolvePipeline {
   [[nodiscard]] bool reduced() const noexcept { return !reduced_.identity(); }
 
   /// `starts` runs of `solver` on the reduced instance (one presolve shared
-  /// across all of them), lifted and validated.  Every start is the
-  /// portfolio's seed-derived random one; a caller with its own initial
-  /// assignment uses solve_one.
+  /// across all of them); every kept start and the winner pass the
+  /// post-solve stage.  Every start is the portfolio's seed-derived random
+  /// one; a caller with its own initial assignment uses solve_one.
   [[nodiscard]] PipelineResult run(const Solver& solver,
                                    std::int32_t starts) const;
 
   /// One run from an explicit start point (restricted into reduced space),
-  /// lifted and validated.  For callers that construct their own initial
+  /// through the same post-solve stage: lifted, and audited when
+  /// validation is on.  For callers that construct their own initial
   /// solution instead of sampling portfolio starts.
   [[nodiscard]] SolverResult solve_one(const Solver& solver,
                                        const StartPoint& start) const;
 
  private:
-  /// Lift one reduced-space result to original space in place.
-  void lift_result(SolverResult& result, double penalty) const;
-  /// Shadow-check a lifted result against the original problem.
-  void validate_lifted(const SolverResult& result, double penalty) const;
-  /// The RN exact optimum as a synthesized, lifted SolverResult.
+  /// The post-solve stage (header note): lift `result` in place when its
+  /// answer lives in reduced space, then audit it against the original
+  /// problem when validation is on, with `penalty` the solver's
+  /// penalized_with().  A skipped slot is left as it is, and an errored
+  /// one is not audited.
+  void post_solve(SolverResult& result, double penalty) const;
+  /// The RN exact optimum as a synthesized reduced-space SolverResult.
   [[nodiscard]] SolverResult rn_result(const Solver& solver) const;
 
   PartitionProblem original_;

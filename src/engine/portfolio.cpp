@@ -22,14 +22,7 @@ void audit_result(const PartitionProblem& problem, double penalty,
                   SolverResult& result, std::string_view context) {
   ValidateOptions audit;
   audit.penalty = penalty;
-  ReportedOutcome outcome;
-  outcome.best = &result.best;
-  outcome.best_penalized = result.best_penalized;
-  if (result.found_feasible) {
-    outcome.best_feasible = &result.best_feasible;
-    outcome.best_feasible_objective = result.best_feasible_objective;
-  }
-  ValidationReport report = validate_outcome(problem, outcome, audit);
+  ValidationReport report = validate_outcome(problem, result, audit);
   if (result.best.is_complete()) {
     report.merge(validate_deltas(problem, result.best, audit));
   }

@@ -5,10 +5,11 @@
 // Drivers that want to treat them interchangeably -- the parallel portfolio,
 // the CLI, the experiment harness -- program against this layer instead:
 //
-//   * SolverResult is the normalized outcome: the best solution by
-//     *penalized* value (always set), the best fully *feasible* incumbent
-//     (paper constraints C1 + C2) when one was found, the incumbent history,
-//     and wall-clock/iteration accounting;
+//   * SolverResult is the normalized outcome: the incumbent record of
+//     core/outcome.hpp -- the best solution by *penalized* value (always
+//     set) and the best fully *feasible* incumbent (paper constraints
+//     C1 + C2) when one was found -- plus the incumbent history and
+//     wall-clock/iteration accounting;
 //   * Solver::solve(problem, start, stop_token) runs one optimization from
 //     one StartPoint.  Implementations must be `const` (no mutable state
 //     across calls) so a single Solver instance can serve many concurrent
@@ -23,13 +24,13 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <stop_token>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/embedding.hpp"
+#include "core/outcome.hpp"
 #include "core/problem.hpp"
 
 namespace qbp::engine {
@@ -44,22 +45,12 @@ struct StartPoint {
 };
 
 /// Normalized solver outcome (the common denominator of BurkardResult,
-/// GfmResult, GklResult, SaResult and MultilevelResult).
-struct SolverResult {
+/// GfmResult, GklResult, SaResult and MultilevelResult).  For the
+/// feasible-region solvers (GFM/GKL/SA) `best` equals `best_feasible` and
+/// the penalized value equals the true objective (no violations).
+struct SolverResult : Outcome {
   /// Name of the producing solver (adapter-provided, e.g. "qbp", "sa").
   std::string solver;
-
-  /// Best solution by penalized value y^T Qhat y; always set.  For
-  /// feasible-region solvers (GFM/GKL/SA) this equals best_feasible and the
-  /// penalized value equals the true objective (no violations).
-  Assignment best;
-  double best_penalized = std::numeric_limits<double>::infinity();
-
-  /// Best fully feasible solution (C1 and C2) and its *true* objective;
-  /// only meaningful when found_feasible.
-  Assignment best_feasible;
-  double best_feasible_objective = 0.0;
-  bool found_feasible = false;
 
   /// Incumbent trajectory where the underlying solver records one.
   std::vector<double> history;

@@ -1,9 +1,10 @@
 #include "service/eco.hpp"
 
 #include <cstdint>
+#include <utility>
 
 #include "core/delta_evaluator.hpp"
-#include "core/qhat.hpp"
+#include "core/outcome.hpp"
 #include "core/repair.hpp"
 
 namespace qbp::service {
@@ -60,39 +61,29 @@ engine::SolverResult eco_resolve(const PartitionProblem& problem,
   engine::SolverResult result;
   result.solver = "eco";
   std::int64_t moves = 0;
+  const bool feasible = [&] {
+    if (!assignment.is_complete()) return false;
+    // One placement for all three steps: one ledger, and the conflict table
+    // the walk attaches and the polish reads.  The evaluator is declared
+    // first: the placement commits the polish's moves through it.
+    DeltaEvaluator evaluator(problem, /*penalty=*/0.0);
+    Placement placement(problem, assignment);
+    if (!legalize_capacity(placement, moves)) return false;
 
-  const auto finish = [&](bool feasible) {
-    result.best = assignment;
-    result.best_penalized =
-        QhatMatrix(problem, kPaperPenalty).penalized_value(assignment);
-    if (feasible) {
-      result.best_feasible = assignment;
-      result.best_feasible_objective = problem.objective(assignment);
-      result.found_feasible = true;
-    }
-    result.iterations = moves;
-    return result;
-  };
+    // Timing repair (min-conflicts) from the legalized start; preserves C1.
+    RepairOptions repair_options;
+    repair_options.seed = seed;
+    const RepairResult repaired = repair_timing(placement, repair_options);
+    moves += repaired.moves;
+    if (!repaired.feasible) return false;
 
-  if (!assignment.is_complete()) return finish(false);
-  // One placement for all three steps: one ledger, and the conflict table
-  // the walk attaches and the polish reads.  The evaluator is declared
-  // first: the placement commits the polish's moves through it.
-  DeltaEvaluator evaluator(problem, /*penalty=*/0.0);
-  Placement placement(problem, assignment);
-  if (!legalize_capacity(placement, moves)) return finish(false);
-
-  // Timing repair (min-conflicts) from the legalized start; preserves C1.
-  RepairOptions repair_options;
-  repair_options.seed = seed;
-  const RepairResult repaired = repair_timing(placement, repair_options);
-  moves += repaired.moves;
-  if (!repaired.feasible) return finish(false);
-
-  bool cancelled = false;
-  moves += eco_polish(placement, evaluator, stop, cancelled);
-  result.cancelled = cancelled;
-  return finish(true);
+    moves += eco_polish(placement, evaluator, stop, result.cancelled);
+    return true;
+  }();
+  static_cast<Outcome&>(result) =
+      outcome_of(problem, std::move(assignment), kPaperPenalty, feasible);
+  result.iterations = moves;
+  return result;
 }
 
 }  // namespace qbp::service

@@ -47,9 +47,10 @@ namespace qbp::service {
                                       std::stop_token stop, bool& cancelled);
 
 /// The recipe above, run in place on `assignment` (the cached neighbor's
-/// answer) with walk seed `seed`.  The result is named "eco"; its penalized
-/// value is measured at kPaperPenalty and `iterations` counts legalization
-/// moves, walk moves and polish commits.
+/// answer) with walk seed `seed`.  The result is named "eco"; its record is
+/// the final assignment's (core/outcome.hpp's outcome_of, penalized value
+/// at kPaperPenalty, feasible when every step succeeded), and `iterations`
+/// counts legalization moves, walk moves and polish commits.
 [[nodiscard]] engine::SolverResult eco_resolve(const PartitionProblem& problem,
                                                Assignment assignment,
                                                std::uint64_t seed,

@@ -53,7 +53,12 @@ class StopHandle {
 };
 
 /// Receives one complete reply: an NDJSON line (no trailing newline) or a
-/// binary wire frame, to be written verbatim.
+/// binary wire frame, to be written verbatim.  The server calls a sink from
+/// any thread without a lock of its own (a connection's reader answers its
+/// notes while workers deliver its results), so every Sink must be safe to
+/// call from several threads at once: the serve loops' connection sinks
+/// serialize their writes per connection, and an in-process collector
+/// locks.
 using Sink = std::function<void(const std::string&)>;
 
 /// Where a request's replies go: the sink of the connection it arrived on

@@ -291,8 +291,11 @@ void Server::handle_cancel(const Request& request, const ReplyTo& to) {
 }
 
 void Server::worker_loop(std::int32_t worker_index) {
-  Job job;
-  while (queue_.pop(job)) {
+  for (;;) {
+    // A fresh Job per pop: an answered job lets go of its connection's sink
+    // (for TCP, possibly the socket's last holder) before the worker waits.
+    Job job;
+    if (!queue_.pop(job)) return;
     queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
     workers_busy_.add(1);
     std::string prefix = "w";
@@ -397,9 +400,7 @@ void Server::emit(const ReplyTo& to, const std::string& message) {
   if (to.binary) {
     wire_bytes_out_.inc(static_cast<std::int64_t>(message.size()));
   }
-  if (!to.sink) return;
-  const sync::MutexLock lock(respond_mutex_);
-  to.sink(message);
+  if (to.sink) to.sink(message);
 }
 
 void Server::watchdog_loop() {
@@ -520,15 +521,35 @@ void write_response(int fd, std::string_view message, bool append_newline,
   }
 }
 
-/// Per-connection framing state: the auto-detect decision, the NDJSON line
-/// buffer, and the binary receive arena.  Shared (via shared_ptr) between
-/// the connection's read loop and its response sink, because accepted jobs
-/// keep the sink alive after the read loop exits.
+/// One client connection: the auto-detect decision, the NDJSON line
+/// buffer, the binary receive arena, and the fd replies go to.  Shared by
+/// the read loop and the sink of every job it submitted, which outlive the
+/// read loop.  Over TCP it owns the socket, closed when the last holder
+/// lets go: a job answered after its client half-closed still reaches that
+/// client, never another one handed the same fd number.  Pipe mode never
+/// closes its fd.
 class WireConnection {
  public:
-  WireConnection(Server& server, WireMode mode) : server_(server) {
+  WireConnection(Server& server, WireMode mode, int out_fd, bool socket)
+      : server_(server), out_fd_(out_fd), socket_(socket) {
     if (mode == WireMode::kNdjson) framing_ = Framing::kNdjson;
     if (mode == WireMode::kBinary) framing_ = Framing::kBinary;
+  }
+  ~WireConnection() {
+    if (socket_) ::close(out_fd_);
+  }
+
+  /// The sink of this connection: writes one reply, serialized with the
+  /// other replies to this connection only, so a client that stops reading
+  /// stalls its own replies and no one else's.
+  [[nodiscard]] static Server::Sink sink(
+      const std::shared_ptr<WireConnection>& conn) {
+    return [conn](const std::string& message) {
+      const sync::MutexLock lock(conn->write_mutex_);
+      write_response(conn->out_fd_, message,
+                     /*append_newline=*/!conn->is_binary(),
+                     /*use_send=*/conn->socket_);
+    };
   }
 
   /// Buffer `size` freshly read bytes and dispatch every complete message.
@@ -597,6 +618,10 @@ class WireConnection {
   }
 
   Server& server_;
+  const int out_fd_;
+  /// A TCP socket: owned, and written with sendmsg(MSG_NOSIGNAL).
+  const bool socket_;
+  sync::Mutex write_mutex_;  // one reply at a time on this connection
   Framing framing_ = Framing::kUnknown;
   LineBuffer lines_;          // NDJSON receive buffer
   wire::FrameBuffer frames_;  // binary receive arena, reused across requests
@@ -606,11 +631,9 @@ class WireConnection {
 
 int serve_fd(Server& server, int in_fd, int out_fd, int wake_fd,
              WireMode mode) {
-  const auto conn = std::make_shared<WireConnection>(server, mode);
-  const Server::Sink sink = [out_fd, conn](const std::string& message) {
-    write_response(out_fd, message, /*append_newline=*/!conn->is_binary(),
-                   /*use_send=*/false);
-  };
+  const auto conn = std::make_shared<WireConnection>(server, mode, out_fd,
+                                                     /*socket=*/false);
+  const Server::Sink sink = WireConnection::sink(conn);
 
   bool interrupted = false;
   for (;;) {
@@ -688,14 +711,9 @@ int serve_tcp(Server& server, std::uint16_t port, int wake_fd, WireMode mode,
   };
 
   const auto connection_loop = [&server, &closing, mode](int conn_fd) {
-    // shared_ptr: accepted jobs copy the sink, which may outlive this
-    // reader thread; the connection's framing state must survive with it.
-    const auto conn = std::make_shared<WireConnection>(server, mode);
-    const Server::Sink sink = [conn_fd, conn](const std::string& message) {
-      write_response(conn_fd, message,
-                     /*append_newline=*/!conn->is_binary(),
-                     /*use_send=*/true);
-    };
+    const auto conn = std::make_shared<WireConnection>(server, mode, conn_fd,
+                                                       /*socket=*/true);
+    const Server::Sink sink = WireConnection::sink(conn);
     while (!closing.load()) {
       pollfd pfd{conn_fd, POLLIN, 0};
       const int ready = ::poll(&pfd, 1, 200);
@@ -706,7 +724,6 @@ int serve_tcp(Server& server, std::uint16_t port, int wake_fd, WireMode mode,
       if (count <= 0) break;  // TCP: a line needs its newline, as before
       if (!conn->feed(buffer, static_cast<std::size_t>(count), sink)) break;
     }
-    ::close(conn_fd);
   };
 
   for (;;) {

@@ -19,15 +19,19 @@
 //   + one StopHandle per accepted job, shared by the job, the active-id
 //     table (cancel) and the deadline watchdog: whichever fires first sets
 //     the cause, whether the job is still queued or already running --
-//     both paths funnel into the cooperative should_stop hooks of the
-//     engine layer;
+//     both paths fire the one std::stop_token the engine layer hands down
+//     to every solver loop;
 //   + metrics: every lifecycle edge increments the registry; a `stats`
 //     request (and an optional periodic stderr line) renders the snapshot.
 //
-// Responses are serialized through one internal mutex, so sinks need no
-// locking of their own and lines never interleave.  Each job remembers the
-// sink of the connection that submitted it: in TCP mode results route back
-// to the right client, in pipe mode everything shares the stdout sink.
+// The server takes no lock around a reply: a Sink must be safe to call
+// from several threads at once (service/job.hpp).  The serve loops give
+// each connection one sink that serializes its writes, so replies to one
+// connection never interleave while a client that stops reading stalls
+// only its own replies.  Each job remembers the sink of the connection that
+// submitted it: in TCP mode results route back to the right client (the
+// connection owns its socket until its last job is answered), in pipe mode
+// everything shares the stdout sink.
 //
 // Lifecycle: construct -> (start() if not auto) -> handle_line()* ->
 // begin_drain() -> drain().  begin_drain closes the queue (new submits are
@@ -115,9 +119,9 @@ class Server {
   void handle_frame(std::uint8_t type, std::string_view payload,
                     const Sink& respond);
 
-  /// Send one note to `to` in its framing, serialized with every other
-  /// reply.  The serve loops answer a malformed frame header this way, as
-  /// no request was decoded from it.  Thread-safe.
+  /// Send one note to `to` in its framing, through its sink.  The serve
+  /// loops answer a malformed frame header this way, as no request was
+  /// decoded from it.  Thread-safe.
   void reply(const ReplyTo& to, const Note& note);
 
   /// Stop accepting submits; queued and running jobs keep going.
@@ -163,7 +167,6 @@ class Server {
   SolutionCache cache_;
   std::chrono::steady_clock::time_point started_at_;
 
-  sync::Mutex respond_mutex_;  // serializes every response line
   sync::Mutex active_mutex_;
   std::unordered_map<std::string, std::shared_ptr<StopHandle>> active_
       QBP_GUARDED_BY(active_mutex_);
@@ -245,9 +248,11 @@ class Server {
                            WireMode mode = WireMode::kAuto);
 
 /// Listens on 127.0.0.1:`port` (one thread per connection; responses route
-/// to the submitting connection).  Returns 0 on clean drain, 1 on socket
-/// setup failure.  `bound_port`, when non-null, receives the actual
-/// listening port (useful with port 0) before the accept loop starts.
+/// to the submitting connection, which keeps its socket open until every
+/// job it submitted has been answered, even after its client half-closed).
+/// Returns 0 on clean drain, 1 on socket setup failure.  `bound_port`, when
+/// non-null, receives the actual listening port (useful with port 0) before
+/// the accept loop starts.
 [[nodiscard]] int serve_tcp(Server& server, std::uint16_t port, int wake_fd,
                             WireMode mode = WireMode::kAuto,
                             std::atomic<std::uint16_t>* bound_port = nullptr);

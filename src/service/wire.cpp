@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/problem_io.hpp"  // the input caps shared with the text parser
 #include "netlist/netlist.hpp"
 #include "partition/topology.hpp"
 #include "sparse/dense.hpp"
@@ -14,14 +15,6 @@
 namespace qbp::service {
 
 namespace {
-
-// Structural caps mirrored from the text parser (core/problem_io.cpp), so
-// a hostile binary payload is rejected with the same limits instead of
-// reaching a QBP_CHECK abort inside the core types.
-constexpr std::int64_t kMaxPartitions = 1024;
-constexpr std::int64_t kMaxWireMultiplicity = 1000000000;  // 1e9
-constexpr std::int64_t kMaxTotalWires = kMaxWireMultiplicity;
-constexpr std::int64_t kMaxWireBundles = 4000000;
 
 bool fail(std::string& error, std::string message) {
   error = std::move(message);

@@ -22,9 +22,10 @@
 // Decoders never throw or abort on malformed payloads; they return false
 // with a one-line error (the caller answers with an error frame and fails
 // only that connection).  Every structural guard of the text parser
-// (partition / bundle / total-wire caps, endpoint ranges, positive
-// multiplicities, finite bounds) is mirrored here so hostile payloads
-// cannot reach a QBP_CHECK abort inside the core types.
+// (the partition / bundle / total-wire caps, which both read from
+// core/problem_io.hpp, endpoint ranges, positive multiplicities, finite
+// bounds) applies here too, so hostile payloads cannot reach a QBP_CHECK
+// abort inside the core types.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <stop_token>
 #include <string>
@@ -256,14 +257,34 @@ TEST(Adapters, StopTokenAlreadyFiredReturnsQuicklyAndMarksCancelled) {
   std::stop_source source;
   source.request_stop();
 
-  BurkardOptions options = fast_qbp_options();
-  options.iterations = 100000;  // would be slow if cancellation failed
-  const BurkardSolver solver(options);
-  const SolverResult result =
-      solver.solve(problem, start, source.get_token());
-  EXPECT_TRUE(result.cancelled);
-  EXPECT_LE(result.iterations, 1);
-  ASSERT_TRUE(result.best.is_complete());
+  // Every budget would be slow if cancellation failed.
+  BurkardOptions qbp = fast_qbp_options();
+  qbp.iterations = 100000;
+  MultilevelOptions multilevel;
+  multilevel.coarse_solver.iterations = 100000;
+  multilevel.coarsest_target = 4;  // the token must reach the coarsest solve
+  GfmOptions gfm;
+  gfm.max_passes = 100000;
+  GklOptions gkl;
+  gkl.max_outer_loops = 100000;
+  SaOptions sa;
+  sa.moves_per_component = 100000;
+  const BurkardSolver qbp_solver(qbp);
+  const MultilevelSolver multilevel_solver(multilevel);
+  const GfmSolver gfm_solver(gfm);
+  const GklSolver gkl_solver(gkl);
+  const SaSolver sa_solver(sa);
+  for (const Solver* solver :
+       std::initializer_list<const Solver*>{&qbp_solver, &multilevel_solver,
+                                            &gfm_solver, &gkl_solver,
+                                            &sa_solver}) {
+    SCOPED_TRACE(std::string(solver->name()));
+    const SolverResult result =
+        solver->solve(problem, start, source.get_token());
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_LE(result.iterations, 1);
+    ASSERT_TRUE(result.best.is_complete());
+  }
 }
 
 // The satellite requirement: same master seed + same start count =>

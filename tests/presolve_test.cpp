@@ -19,6 +19,7 @@
 #include "core/validate.hpp"
 #include "engine/adapters.hpp"
 #include "engine/pipeline.hpp"
+#include "engine/spec.hpp"
 #include "test_support.hpp"
 
 namespace qbp {
@@ -385,6 +386,32 @@ TEST(PresolvePipeline, PortfolioRunLiftsAndValidates) {
   EXPECT_EQ(best.best.num_components(), problem.num_components());
   ASSERT_TRUE(best.found_feasible);
   EXPECT_TRUE(problem.is_feasible(best.best_feasible));
+}
+
+// With validation on, every answer passes the pipeline's one post-solve
+// stage and its audit: solve_one's too, for every method, on an instance
+// presolve leaves as it is.
+TEST(PresolvePipeline, SolveOneIsAuditedForEveryMethodWhenNothingReduces) {
+  const PartitionProblem problem = test::make_tiny_problem(
+      {.num_components = 16, .num_partitions = 4, .seed = 5});
+  engine::PipelineOptions options;
+  options.portfolio.validate = true;
+  const engine::SolvePipeline pipeline(problem, options);
+  ASSERT_FALSE(pipeline.reduced());
+  Rng rng(3);
+  const Assignment start = test::random_complete(
+      problem.num_components(), problem.num_partitions(), rng);
+  for (const char* method : {"qbp", "multilevel", "gfm", "gkl", "sa"}) {
+    SCOPED_TRACE(method);
+    engine::SolverSpec spec;
+    spec.method = method;
+    spec.iterations = 10;
+    const auto solver = engine::make_solver(spec);
+    ASSERT_NE(solver, nullptr);
+    const engine::SolverResult result = pipeline.solve_one(*solver, {start, 1});
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    EXPECT_TRUE(result.validated);
+  }
 }
 
 TEST(PresolvePipeline, DeterministicAcrossThreadCounts) {

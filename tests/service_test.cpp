@@ -10,6 +10,10 @@
 // completion order assertions deterministic.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -1336,6 +1340,123 @@ TEST(ServeLoop, FinishedConnectionsReleaseTheirReaderThreads) {
     after = mapped_regions();
   }
   EXPECT_LE(after, baseline + 64) << "baseline " << baseline;
+}
+
+/// Connect the raw socket `fd` to the loopback server on `port`.
+bool connect_socket(int fd, std::uint16_t port) {
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return ::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                   sizeof address) == 0;
+}
+
+/// Send all of `bytes` on `fd`; false when the socket fails first.
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Everything `fd` receives until EOF, or until `quiet` passes without a
+/// byte arriving.
+std::string receive_until_quiet(int fd, std::chrono::milliseconds quiet) {
+  std::string received;
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(quiet.count())) <= 0) break;
+    char buffer[4096];
+    const ssize_t n = ::read(fd, buffer, sizeof buffer);
+    if (n <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  return received;
+}
+
+TEST(ServeLoop, HalfClosedClientGetsItsOwnReply) {
+  // Client A submits, half-closes and keeps reading; its job runs only
+  // after A's reader has seen EOF and client B has connected.  A closed
+  // socket would free A's fd number for B's connection, and A's reply
+  // would go to B.  The connection owns its socket until A is answered.
+  ServerOptions options;
+  options.autostart = false;
+  TcpServerFixture fixture(options);
+
+  const int a = ::socket(AF_INET, SOCK_STREAM, 0);
+  // B's client socket is made now, so that the fd the accept loop hands
+  // B's connection is the lowest free one once A's reader is gone.
+  const int b = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  ASSERT_TRUE(connect_socket(a, fixture.port()));
+  ASSERT_TRUE(send_all(a, submit_line("A", tiny_problem_text()) + "\n"));
+  ASSERT_EQ(::shutdown(a, SHUT_WR), 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  ASSERT_TRUE(connect_socket(b, fixture.port()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  fixture.server().start();
+
+  const std::string to_a = receive_until_quiet(a, std::chrono::seconds(30));
+  const std::string to_b =
+      receive_until_quiet(b, std::chrono::milliseconds(300));
+  ::close(a);
+  ::close(b);
+  json::Value value;
+  EXPECT_TRUE(json::parse(to_a, value).ok &&
+              value.get_string("type", "") == "result" &&
+              value.get_string("id", "") == "A")
+      << "A received: " << to_a;
+  EXPECT_EQ(to_b.find(R"("id":"A")"), std::string::npos)
+      << "B received A's reply: " << to_b;
+}
+
+TEST(ServeLoop, StalledClientDoesNotDelayOthers) {
+  // Client X floods stats requests and never reads, so its reader blocks
+  // writing X's replies.  That stalls X alone: client Y's stats request is
+  // answered at once.
+  TcpServerFixture fixture;
+  const int x = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(x, 0);
+  const int small_window = 4096;  // X's replies back up sooner
+  ASSERT_EQ(::setsockopt(x, SOL_SOCKET, SO_RCVBUF, &small_window,
+                         sizeof small_window),
+            0);
+  ASSERT_TRUE(connect_socket(x, fixture.port()));
+  TcpClient y;
+  ASSERT_TRUE(y.connect(fixture.port()));
+
+  std::string flood;
+  for (int k = 0; k < 5000; ++k) flood += "{\"type\":\"stats\"}\n";  // 85 kB
+  std::thread flooder([x, &flood] { (void)send_all(x, flood); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  // Y reads on a thread of its own, so a stalled server fails the test
+  // instead of hanging it.
+  EXPECT_TRUE(y.send_line(R"({"type":"stats"})"));
+  std::atomic<bool> answered{false};
+  std::thread reader([&y, &answered] {
+    std::string line;
+    answered.store(y.read_line(line) &&
+                   line.find(R"("type":"stats")") != std::string::npos);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!answered.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(answered.load()) << "Y's stats reply took longer than 2 s";
+
+  // Let X go: closing it with unread replies resets the connection, which
+  // fails X's blocked write (and, on a server that stalls every client,
+  // releases Y's reply) before the threads are joined.
+  ::shutdown(x, SHUT_RDWR);
+  flooder.join();
+  ::close(x);
+  reader.join();
 }
 
 // ------------------------------------------------------------ metrics ----

@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/qhat.hpp"
+#include "core/outcome.hpp"
 #include "core/validate.hpp"
 #include "engine/engine.hpp"
 #include "test_support.hpp"
@@ -36,20 +36,13 @@ class FailModeGuard {
   check::FailMode saved_;
 };
 
-/// An honestly-reported outcome for `assignment`: numbers recomputed the
-/// same way the validator recomputes them.
-ReportedOutcome honest_outcome(const PartitionProblem& problem,
-                               const Assignment& assignment,
-                               double penalty = kPaperPenalty) {
-  const QhatMatrix qhat(problem, penalty);
-  ReportedOutcome outcome;
-  outcome.best = &assignment;
-  outcome.best_penalized = qhat.penalized_value(assignment);
-  if (problem.is_feasible(assignment)) {
-    outcome.best_feasible = &assignment;
-    outcome.best_feasible_objective = problem.objective(assignment);
-  }
-  return outcome;
+/// An honestly-reported record for `assignment`: the builder every solver
+/// path uses, fed the truth about feasibility.
+Outcome honest_outcome(const PartitionProblem& problem,
+                       const Assignment& assignment,
+                       double penalty = kPaperPenalty) {
+  return outcome_of(problem, assignment, penalty,
+                    problem.is_feasible(assignment));
 }
 
 TEST(Validate, HonestOutcomeAndDeltasPassClean) {
@@ -74,12 +67,9 @@ TEST(Validate, CapacityOverflowInClaimedFeasibleIsDetected) {
   for (std::int32_t j = 0; j < problem.num_components(); ++j) {
     crowded.set(j, 0);
   }
-  const QhatMatrix qhat(problem, kPaperPenalty);
-  ReportedOutcome reported;
-  reported.best = &crowded;
-  reported.best_penalized = qhat.penalized_value(crowded);
-  reported.best_feasible = &crowded;  // the lie under test
-  reported.best_feasible_objective = problem.objective(crowded);
+  // The lie under test: the record claims the crowded placement feasible.
+  const Outcome reported =
+      outcome_of(problem, crowded, kPaperPenalty, /*feasible=*/true);
 
   const auto report = validate_outcome(problem, reported);
   ASSERT_FALSE(report.ok());
@@ -96,8 +86,8 @@ TEST(Validate, UnassignedComponentIsDetected) {
   incomplete.set(0, 0);
   incomplete.set(1, 1);  // component 2 never assigned
 
-  ReportedOutcome reported;
-  reported.best = &incomplete;
+  Outcome reported;
+  reported.best = incomplete;
   reported.best_penalized = 0.0;
 
   const auto report = validate_outcome(problem, reported);
@@ -114,7 +104,7 @@ TEST(Validate, StaleReportedNumbersAreDetected) {
   const Assignment assignment =
       test::round_robin(problem.num_components(), problem.num_partitions());
 
-  ReportedOutcome reported = honest_outcome(problem, assignment);
+  Outcome reported = honest_outcome(problem, assignment);
   reported.best_penalized += 0.5;  // drifted bookkeeping
 
   const auto report = validate_outcome(problem, reported);
@@ -136,7 +126,7 @@ TEST(Validate, WrongPenaltyMakesReportedNumbersIncoherent) {
   assignment.set(2, 0);
   ASSERT_FALSE(problem.satisfies_timing(assignment));
 
-  ReportedOutcome reported =
+  const Outcome reported =
       honest_outcome(problem, assignment, /*penalty=*/kPaperPenalty);
   ValidateOptions audit;
   audit.penalty = kPaperPenalty * 4.0;
