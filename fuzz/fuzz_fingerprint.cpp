@@ -57,22 +57,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
   }
 
-  // Re-spell the wire list: collect the canonical merged bundles, then
-  // rebuild the netlist emitting them in reverse order with each bundle of
-  // multiplicity m split into (m - 1) + 1.  The connection matrix -- and
-  // therefore the fingerprint -- must not notice.
+  // Re-spell the wire list: rebuild the netlist emitting its merged
+  // bundles in reverse order with each bundle of multiplicity m split into
+  // (m - 1) + 1.  The connection matrix -- and therefore the fingerprint --
+  // must not notice.
   {
     const std::int32_t n = problem.num_components();
-    const auto& connections = problem.netlist().connection_matrix();
-    std::vector<qbp::WireBundle> bundles;
-    for (std::int32_t a = 0; a < n; ++a) {
-      const auto neighbors = connections.row_indices(a);
-      const auto weights = connections.row_values(a);
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        if (neighbors[k] <= a) continue;
-        bundles.push_back({a, neighbors[k], weights[k]});
-      }
-    }
+    const std::vector<qbp::WireBundle>& bundles = problem.netlist().bundles();
 
     qbp::Netlist respelled("respelled");  // names are not fingerprinted
     for (std::int32_t j = 0; j < n; ++j) {

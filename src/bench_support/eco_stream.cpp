@@ -24,19 +24,9 @@ PartitionProblem make_eco_variant(const PartitionProblem& base,
     sizes[j] *= config.shrink;  // shrink-only: base-feasible stays feasible
   }
 
-  // Canonical merged bundles (a < b) from the connection matrix, so the
-  // perturbation is invariant to how the base netlist listed its wires.
-  const auto& connections = base.netlist().connection_matrix();
-  std::vector<WireBundle> bundles;
-  bundles.reserve(static_cast<std::size_t>(base.netlist().num_connected_pairs()));
-  for (std::int32_t a = 0; a < n; ++a) {
-    const auto neighbors = connections.row_indices(a);
-    const auto weights = connections.row_values(a);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      if (neighbors[k] <= a) continue;
-      bundles.push_back({a, neighbors[k], weights[k]});
-    }
-  }
+  // The merged bundles (a < b, ascending), so the perturbation is
+  // invariant to how the base netlist listed its wires.
+  std::vector<WireBundle> bundles = base.netlist().bundles();
   if (!bundles.empty()) {
     const std::int32_t wire_edits = std::max<std::int32_t>(
         1, n / 64 * config.wire_edits_per_64);

@@ -295,6 +295,7 @@ MultilevelResult solve_qbp_multilevel(const PartitionProblem& problem,
     run = solve_qbp(*levels.back(), seed, coarse_options);
   }
   result.coarse_solve_seconds = run.seconds;
+  result.coarse_iterations = run.iterations_run;
   const double penalty = options.refine_solver.penalty;
   result.level_violations.assign(coarse_levels.size(), 0);
   result.level_repair_moves.assign(coarse_levels.size(), 0);

@@ -122,6 +122,9 @@ struct MultilevelResult {
   /// Wall clock of the Burkard solve on the coarsest level (subset of
   /// `seconds`).
   double coarse_solve_seconds = 0.0;
+  /// Iterations of that solve: the V-cycle's iteration count (`finest`
+  /// is a refined level's record and carries none).
+  std::int32_t coarse_iterations = 0;
   /// Per refined level, finest first (`levels_used` entries): the timing
   /// violations left after the polish (after the projection on a level the
   /// stop token skipped), and the moves of the repair walk (0 where none

@@ -19,12 +19,7 @@ PartitionProblem::PartitionProblem(Netlist netlist, PartitionTopology topology,
       alpha_(alpha),
       beta_(beta) {
   netlist_.finalize();
-  // Build the lazily-cached derived structures eagerly.  Their const
-  // accessors then only ever *read* the cache, which makes a constructed
-  // problem safe to share across concurrent solver threads (the engine
-  // portfolio relies on this).
-  (void)netlist_.connection_matrix();
-  (void)timing_.matrix();
+  timing_.finalize();
 }
 
 std::vector<std::uint8_t> PartitionProblem::to_y(const Assignment& assignment) const {

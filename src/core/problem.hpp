@@ -30,9 +30,13 @@ namespace qbp {
 
 class PartitionProblem {
  public:
-  PartitionProblem() = default;
+  PartitionProblem()
+      : PartitionProblem(Netlist{}, PartitionTopology{}, TimingConstraints{}) {}
 
-  /// P may be empty (0 x 0) when there is no linear term.
+  /// P may be empty (0 x 0) when there is no linear term.  Finalizes the
+  /// netlist and the timing constraints, so a constructed problem is
+  /// immutable: every const member only reads, and one problem is safe to
+  /// share across threads.
   PartitionProblem(Netlist netlist, PartitionTopology topology,
                    TimingConstraints timing, Matrix<double> p = {},
                    double alpha = 1.0, double beta = 1.0);

@@ -221,26 +221,24 @@ ParseResult read_problem(std::istream& in, PartitionProblem& out) {
           weight > kMaxWireMultiplicity) {
         return fail(line_number, "net weight must be a positive integer");
       }
-      std::vector<ComponentId> pins;
+      Net net;
+      net.weight = static_cast<std::int32_t>(weight);
+      net.pins.reserve(fields.size() - 2);
       for (std::size_t k = 2; k < fields.size(); ++k) {
         long long pin = 0;
         if (!parse_int(fields[k], pin) || !component_in_range(pin)) {
           return fail(line_number, "net pin out of range");
         }
-        pins.push_back(static_cast<ComponentId>(pin));
+        net.pins.push_back(static_cast<ComponentId>(pin));
       }
-      for (std::size_t x = 0; x < pins.size(); ++x) {
-        for (std::size_t y = x + 1; y < pins.size(); ++y) {
-          if (pins[x] == pins[y]) {
-            return fail(line_number, "net lists a pin twice");
-          }
-        }
+      if (has_duplicate_pins(net)) {
+        return fail(line_number, "net lists a pin twice");
       }
       // Budget the expansion before performing it; checking pairs against
       // the bundle cap first keeps pairs * weight within int64.
-      const auto npins = static_cast<long long>(pins.size());
-      const long long pairs =
-          keyword == "net" ? npins * (npins - 1) / 2 : npins - 1;
+      const NetExpansion model =
+          keyword == "net" ? NetExpansion::kClique : NetExpansion::kStar;
+      const long long pairs = expanded_pair_count(net, model);
       if (builder.total_bundles + pairs > kMaxWireBundles) {
         return fail(line_number, "too many wire bundles (limit " +
                                      std::to_string(kMaxWireBundles) + ")");
@@ -251,19 +249,7 @@ ParseResult read_problem(std::istream& in, PartitionProblem& out) {
         return fail(line_number, "total wire multiplicity exceeds limit " +
                                      std::to_string(kMaxTotalWires));
       }
-      if (keyword == "net") {
-        for (std::size_t x = 0; x < pins.size(); ++x) {
-          for (std::size_t y = x + 1; y < pins.size(); ++y) {
-            builder.netlist.add_wires(pins[x], pins[y],
-                                      static_cast<std::int32_t>(weight));
-          }
-        }
-      } else {
-        for (std::size_t y = 1; y < pins.size(); ++y) {
-          builder.netlist.add_wires(pins.front(), pins[y],
-                                    static_cast<std::int32_t>(weight));
-        }
-      }
+      add_net_wires(builder.netlist, net, model);
     } else if (keyword == "constraint") {
       long long a = 0;
       long long b = 0;
@@ -406,7 +392,6 @@ void write_problem(std::ostream& out, const PartitionProblem& problem) {
     out << "component " << component.name << " "
         << format_double(component.size, 6) << "\n";
   }
-  const_cast<Netlist&>(problem.netlist()).finalize();
   for (const auto& bundle : problem.netlist().bundles()) {
     out << "wire " << bundle.a << " " << bundle.b << " " << bundle.multiplicity
         << "\n";

@@ -45,9 +45,9 @@ inline constexpr std::int64_t kMaxPartitions = 1024;
 inline constexpr std::int64_t kMaxWireMultiplicity = 1000000000;  // 1e9
 // Caps on the *totals*, not just per-line values: duplicate wire lines (and
 // repeated nets over the same pins) are combined by addition in
-// Netlist::finalize() / Csr::from_triplets, so per-pair multiplicities must
-// stay int32-safe after any amount of combining.  Capping the input-wide
-// sum at 1e9 (< INT32_MAX) makes overflow unreachable.  The bundle cap
+// Netlist::finalize(), so per-pair multiplicities must stay int32-safe
+// after any amount of combining.  Capping the input-wide sum at 1e9
+// (< INT32_MAX) makes overflow unreachable.  The bundle cap
 // bounds memory against nets with huge pin lists (a k-pin `net` expands to
 // k*(k-1)/2 stored bundles).
 inline constexpr std::int64_t kMaxTotalWires = kMaxWireMultiplicity;

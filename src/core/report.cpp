@@ -44,7 +44,6 @@ SolutionReport make_report(const PartitionProblem& problem,
   }
 
   // Wire distribution by routing distance (delay matrix).
-  const_cast<Netlist&>(problem.netlist()).finalize();
   for (const WireBundle& bundle : problem.netlist().bundles()) {
     const double distance =
         problem.topology().delay(assignment[bundle.a], assignment[bundle.b]);

@@ -94,7 +94,7 @@ SolverResult MultilevelSolver::solve(const PartitionProblem& problem,
 
   SolverResult result = normalized(name(), run.finest);
   result.history = std::move(run.finest.history);
-  result.iterations = run.finest.iterations_run;
+  result.iterations = run.coarse_iterations;
   result.seconds = run.seconds;
   result.cancelled = stop.stop_requested();
   return result;

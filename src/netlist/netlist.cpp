@@ -12,37 +12,8 @@ namespace qbp {
 ComponentId Netlist::add_component(std::string component_name, double size) {
   components_.push_back({std::move(component_name), size});
   sizes_.push_back(size);
+  finalized_ = false;
   return static_cast<ComponentId>(components_.size() - 1);
-}
-
-Netlist Netlist::from_sorted_parts(std::string name,
-                                   std::vector<Component> components,
-                                   std::vector<WireBundle> bundles) {
-  Netlist netlist{std::move(name)};
-  netlist.components_ = std::move(components);
-  netlist.sizes_.reserve(netlist.components_.size());
-  for (const Component& component : netlist.components_) {
-    netlist.sizes_.push_back(component.size);
-  }
-
-  // Multiplicities are checked here; ordering and endpoint ranges are
-  // checked by from_symmetric_pairs below on the same arrays.
-  std::vector<std::int32_t> a(bundles.size());
-  std::vector<std::int32_t> b(bundles.size());
-  std::vector<std::int32_t> multiplicity(bundles.size());
-  for (std::size_t k = 0; k < bundles.size(); ++k) {
-    QBP_CHECK_GT(bundles[k].multiplicity, 0)
-        << "wire multiplicity must be positive";
-    a[k] = bundles[k].a;
-    b[k] = bundles[k].b;
-    multiplicity[k] = bundles[k].multiplicity;
-  }
-  netlist.adjacency_ = Csr<std::int32_t>::from_symmetric_pairs(
-      netlist.num_components(), a, b, multiplicity);
-  netlist.bundles_ = std::move(bundles);
-  netlist.bundles_dirty_ = false;
-  netlist.adjacency_dirty_ = false;
-  return netlist;
 }
 
 void Netlist::add_wires(ComponentId a, ComponentId b, std::int32_t multiplicity) {
@@ -53,8 +24,7 @@ void Netlist::add_wires(ComponentId a, ComponentId b, std::int32_t multiplicity)
   QBP_CHECK_GT(multiplicity, 0) << "wire multiplicity must be positive";
   if (a > b) std::swap(a, b);
   bundles_.push_back({a, b, multiplicity});
-  bundles_dirty_ = true;
-  adjacency_dirty_ = true;
+  finalized_ = false;
 }
 
 double Netlist::total_size() const noexcept {
@@ -69,13 +39,8 @@ std::int64_t Netlist::total_wires() const noexcept {
   return total;
 }
 
-std::int64_t Netlist::num_connected_pairs() const {
-  const_cast<Netlist*>(this)->finalize();
-  return static_cast<std::int64_t>(bundles_.size());
-}
-
 void Netlist::finalize() {
-  if (!bundles_dirty_) return;
+  if (finalized_) return;
   std::sort(bundles_.begin(), bundles_.end(),
             [](const WireBundle& x, const WireBundle& y) {
               return x.a != y.a ? x.a < y.a : x.b < y.b;
@@ -90,28 +55,13 @@ void Netlist::finalize() {
     }
   }
   bundles_.resize(out);
-  bundles_dirty_ = false;
-}
-
-const Csr<std::int32_t>& Netlist::connection_matrix() const {
-  if (adjacency_dirty_) {
-    const_cast<Netlist*>(this)->finalize();
-    std::vector<Triplet<std::int32_t>> triplets;
-    triplets.reserve(2 * bundles_.size());
-    for (const auto& bundle : bundles_) {
-      triplets.push_back({bundle.a, bundle.b, bundle.multiplicity});
-      triplets.push_back({bundle.b, bundle.a, bundle.multiplicity});
-    }
-    adjacency_ = Csr<std::int32_t>::from_triplets(num_components(),
-                                                  num_components(),
-                                                  std::move(triplets));
-    adjacency_dirty_ = false;
+  std::vector<Triplet<std::int32_t>> pairs;
+  pairs.reserve(bundles_.size());
+  for (const WireBundle& bundle : bundles_) {
+    pairs.push_back({bundle.a, bundle.b, bundle.multiplicity});
   }
-  return adjacency_;
-}
-
-std::int32_t Netlist::degree(ComponentId id) const {
-  return static_cast<std::int32_t>(connection_matrix().row_indices(id).size());
+  adjacency_ = Csr<std::int32_t>::from_symmetric_pairs(num_components(), pairs);
+  finalized_ = true;
 }
 
 std::string Netlist::validate() const {

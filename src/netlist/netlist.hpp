@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "util/check.hpp"
 
 namespace qbp {
 
@@ -40,27 +41,16 @@ class Netlist {
   Netlist() = default;
   explicit Netlist(std::string name) : name_(std::move(name)) {}
 
-  /// Bulk construction from pre-normalized parts.  `bundles` must already
-  /// be in finalize() order: strictly ascending by (a, b), each a < b and
-  /// in range, positive multiplicities -- verified in one linear pass
-  /// (QBP_CHECK; the parts arrive from possibly hostile wire frames).
-  /// Skips the per-element add_wires() replay, the finalize() sort and the
-  /// from_triplets sort: the symmetric connection matrix is built directly
-  /// in O(N + W), and the result is value-identical to the incremental
-  /// path.  This is the wire decoder's fast path for frames whose bundle
-  /// list is in canonical (re-encoded) order.
-  [[nodiscard]] static Netlist from_sorted_parts(
-      std::string name, std::vector<Component> components,
-      std::vector<WireBundle> bundles);
-
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// Append a component; returns its id (dense, 0-based).
+  /// Append a component; returns its id (dense, 0-based).  Counts as an
+  /// add: it changes A's dimension, so finalize() must run again before
+  /// the merged form is read.
   ComponentId add_component(std::string component_name, double size);
 
   /// Add `multiplicity` wires between distinct components a and b.
-  /// Repeated calls for the same pair accumulate.
+  /// Repeated calls for the same pair accumulate at finalize().
   void add_wires(ComponentId a, ComponentId b, std::int32_t multiplicity = 1);
 
   [[nodiscard]] std::int32_t num_components() const noexcept {
@@ -80,11 +70,10 @@ class Netlist {
   }
 
   /// All component sizes as a dense vector (the paper's s vector).  The
-  /// reference stays valid until the next add_component(); it is maintained
-  /// eagerly so concurrent readers of a finalized netlist never race on a
-  /// lazy build.  Returning a reference (not a fresh vector) keeps spans
-  /// taken over it valid -- binding a span to a by-value accessor's
-  /// temporary is the bug class qbp_lint's `dangling-span` rule exists for.
+  /// reference stays valid until the next add_component().  Returning a
+  /// reference (not a fresh vector) keeps spans taken over it valid --
+  /// binding a span to a by-value accessor's temporary is the bug class
+  /// qbp_lint's `dangling-span` rule exists for.
   [[nodiscard]] const std::vector<double>& sizes() const noexcept {
     return sizes_;
   }
@@ -92,8 +81,10 @@ class Netlist {
   /// Sum of all component sizes.
   [[nodiscard]] double total_size() const noexcept;
 
-  /// Raw bundles as added (duplicates possible until finalize()).
-  [[nodiscard]] const std::vector<WireBundle>& bundles() const noexcept {
+  /// The merged bundles: one per connected pair, a < b, ascending by
+  /// (a, b).
+  [[nodiscard]] const std::vector<WireBundle>& bundles() const {
+    check_finalized();
     return bundles_;
   }
 
@@ -102,21 +93,28 @@ class Netlist {
   [[nodiscard]] std::int64_t total_wires() const noexcept;
 
   /// Number of distinct connected unordered pairs.
-  [[nodiscard]] std::int64_t num_connected_pairs() const;
+  [[nodiscard]] std::int64_t num_connected_pairs() const {
+    return static_cast<std::int64_t>(bundles().size());
+  }
 
-  /// Merge duplicate bundles and sort them; idempotent.  connection_matrix()
-  /// and neighbor queries call this lazily, but callers mutating a shared
-  /// netlist may want to invoke it explicitly.
+  /// Sort the bundles added so far, merge each pair's multiplicities and
+  /// fill A; idempotent.  The readers of the merged form (bundles(),
+  /// connection_matrix(), degree(), num_connected_pairs()) fail a contract
+  /// check when anything was added since the last finalize(), so a
+  /// finalized netlist is only ever read, never written, by its const
+  /// members.  PartitionProblem's constructor finalizes its netlist.
   void finalize();
 
   /// The symmetric interconnection matrix A (CSR, both directions stored).
-  /// Built lazily and cached; invalidated by add_wires().  The lazy build
-  /// is NOT thread-safe: build it once (PartitionProblem's constructor
-  /// does) before sharing the netlist across reader threads.
-  [[nodiscard]] const Csr<std::int32_t>& connection_matrix() const;
+  [[nodiscard]] const Csr<std::int32_t>& connection_matrix() const {
+    check_finalized();
+    return adjacency_;
+  }
 
   /// Degree (number of distinct neighbors) of a component.
-  [[nodiscard]] std::int32_t degree(ComponentId id) const;
+  [[nodiscard]] std::int32_t degree(ComponentId id) const {
+    return static_cast<std::int32_t>(connection_matrix().row_indices(id).size());
+  }
 
   /// Basic structural validation: ids in range, no self-loops,
   /// positive sizes and multiplicities.  Returns an empty string when valid,
@@ -124,13 +122,17 @@ class Netlist {
   [[nodiscard]] std::string validate() const;
 
  private:
+  void check_finalized() const {
+    QBP_CHECK(finalized_) << "netlist '" << name_
+                          << "' read before finalize() or after an add";
+  }
+
   std::string name_;
   std::vector<Component> components_;
   std::vector<double> sizes_;  // mirrors components_[i].size
-  mutable std::vector<WireBundle> bundles_;
-  mutable bool bundles_dirty_ = false;
-  mutable bool adjacency_dirty_ = true;
-  mutable Csr<std::int32_t> adjacency_;
+  std::vector<WireBundle> bundles_;  // as added; merged by finalize()
+  Csr<std::int32_t> adjacency_;
+  bool finalized_ = false;
 };
 
 }  // namespace qbp

@@ -25,14 +25,14 @@ std::string HyperNetlist::validate() const {
       out << "net " << k << " has non-positive weight";
       return out.str();
     }
-    std::vector<ComponentId> sorted = net.pins;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    if (has_duplicate_pins(net)) {
       std::ostringstream out;
       out << "net " << k << " lists a component twice";
       return out.str();
     }
-    if (sorted.front() < 0 || sorted.back() >= num_components()) {
+    const auto [lowest, highest] =
+        std::minmax_element(net.pins.begin(), net.pins.end());
+    if (*lowest < 0 || *highest >= num_components()) {
       std::ostringstream out;
       out << "net " << k << " references a component out of range";
       return out.str();
@@ -46,22 +46,7 @@ Netlist HyperNetlist::expand(NetExpansion model) const {
   for (const Component& component : components_) {
     flat.add_component(component.name, component.size);
   }
-  for (const Net& net : nets_) {
-    switch (model) {
-      case NetExpansion::kClique:
-        for (std::size_t a = 0; a < net.pins.size(); ++a) {
-          for (std::size_t b = a + 1; b < net.pins.size(); ++b) {
-            flat.add_wires(net.pins[a], net.pins[b], net.weight);
-          }
-        }
-        break;
-      case NetExpansion::kStar:
-        for (std::size_t b = 1; b < net.pins.size(); ++b) {
-          flat.add_wires(net.pins.front(), net.pins[b], net.weight);
-        }
-        break;
-    }
-  }
+  for (const Net& net : nets_) add_net_wires(flat, net, model);
   flat.finalize();
   return flat;
 }
@@ -79,6 +64,29 @@ std::int64_t expanded_pair_count(const Net& net, NetExpansion model) {
     case NetExpansion::kStar: return k - 1;
   }
   return 0;
+}
+
+bool has_duplicate_pins(const Net& net) {
+  std::vector<ComponentId> sorted = net.pins;
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
+void add_net_wires(Netlist& flat, const Net& net, NetExpansion model) {
+  switch (model) {
+    case NetExpansion::kClique:
+      for (std::size_t a = 0; a < net.pins.size(); ++a) {
+        for (std::size_t b = a + 1; b < net.pins.size(); ++b) {
+          flat.add_wires(net.pins[a], net.pins[b], net.weight);
+        }
+      }
+      break;
+    case NetExpansion::kStar:
+      for (std::size_t b = 1; b < net.pins.size(); ++b) {
+        flat.add_wires(net.pins.front(), net.pins[b], net.weight);
+      }
+      break;
+  }
 }
 
 }  // namespace qbp

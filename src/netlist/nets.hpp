@@ -81,4 +81,12 @@ class HyperNetlist {
 /// Number of wire-bundle pairs `net` expands to under `model`.
 [[nodiscard]] std::int64_t expanded_pair_count(const Net& net, NetExpansion model);
 
+/// Does `net` list a component twice?  Sorts a copy: O(k log k) in the pin
+/// count k, so a hostile million-pin line costs no more than its parse.
+[[nodiscard]] bool has_duplicate_pins(const Net& net);
+
+/// Add the expanded_pair_count(net, model) wire bundles of `net` to `flat`
+/// (HyperNetlist::expand and the problem_io `net` / `netstar` lines).
+void add_net_wires(Netlist& flat, const Net& net, NetExpansion model);
+
 }  // namespace qbp

@@ -8,7 +8,6 @@ namespace qbp {
 double wirelength(const Netlist& netlist, const PartitionTopology& topology,
                   const Assignment& assignment) {
   QBP_DCHECK(assignment.is_complete());
-  const_cast<Netlist&>(netlist).finalize();
   double total = 0.0;
   for (const WireBundle& bundle : netlist.bundles()) {
     total += bundle.multiplicity *
@@ -20,7 +19,6 @@ double wirelength(const Netlist& netlist, const PartitionTopology& topology,
 double quadratic_cost(const Netlist& netlist, const PartitionTopology& topology,
                       const Assignment& assignment) {
   QBP_DCHECK(assignment.is_complete());
-  const_cast<Netlist&>(netlist).finalize();
   double total = 0.0;
   for (const WireBundle& bundle : netlist.bundles()) {
     const PartitionId pa = assignment[bundle.a];

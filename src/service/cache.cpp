@@ -57,22 +57,10 @@ ProblemDigest make_digest(const PartitionProblem& problem) {
   ProblemDigest digest;
   digest.num_components = problem.num_components();
   digest.num_partitions = problem.num_partitions();
-  digest.fingerprint = problem_fingerprint(problem);
   digest.structure = structure_hash(problem);
   digest.sizes = problem.netlist().sizes();
   digest.capacities = problem.topology().capacities();
-
-  const auto& connections = problem.netlist().connection_matrix();
-  digest.bundles.reserve(
-      static_cast<std::size_t>(problem.netlist().num_connected_pairs()));
-  for (std::int32_t a = 0; a < digest.num_components; ++a) {
-    const auto neighbors = connections.row_indices(a);
-    const auto weights = connections.row_values(a);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      if (neighbors[k] <= a) continue;
-      digest.bundles.push_back({a, neighbors[k], weights[k]});
-    }
-  }
+  digest.bundles = problem.netlist().bundles();
   return digest;
 }
 

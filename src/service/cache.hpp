@@ -44,15 +44,13 @@ namespace qbp::service {
 struct ProblemDigest {
   std::int32_t num_components = 0;
   std::int32_t num_partitions = 0;
-  /// Full canonical fingerprint (the exact-match half of the cache key).
-  Hash128 fingerprint;
   /// Hash over the parts an ECO warm start cannot absorb as "edits": the
   /// normalized B', the delay matrix D, nonzero P' entries and the sparse
   /// Dc bounds.  find_nearest requires this to match exactly.
   Hash128 structure;
   std::vector<double> sizes;
   std::vector<double> capacities;
-  /// Canonical merged bundles (a < b, sorted) from the connection matrix.
+  /// The netlist's merged bundles (a < b, ascending).
   std::vector<WireBundle> bundles;
 };
 

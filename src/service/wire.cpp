@@ -168,19 +168,12 @@ bool decode_problem(wire::Reader& reader,
                            std::to_string(kMaxWireBundles) + ")");
   }
   std::int64_t total_wires = 0;
-  bool bundles_canonical = true;
   for (std::size_t k = 0; k < num_bundles; ++k) {
     if (bundle_a[k] < 0 || bundle_a[k] >= n || bundle_b[k] < 0 ||
         bundle_b[k] >= n || bundle_a[k] == bundle_b[k] ||
         bundle_mult[k] <= 0 || bundle_mult[k] > kMaxWireMultiplicity) {
       return fail(error, "bad wire endpoints or multiplicity");
     }
-    // Canonical = the order encode_problem emits: merged bundles strictly
-    // ascending by (a, b) with a < b.
-    bundles_canonical =
-        bundles_canonical && bundle_a[k] < bundle_b[k] &&
-        (k == 0 || bundle_a[k - 1] < bundle_a[k] ||
-         (bundle_a[k - 1] == bundle_a[k] && bundle_b[k - 1] < bundle_b[k]));
     total_wires += bundle_mult[k];
     if (total_wires > kMaxTotalWires) {
       return fail(error, "total wire multiplicity exceeds limit " +
@@ -209,16 +202,11 @@ bool decode_problem(wire::Reader& reader,
       t_bound.size() != num_constraints) {
     return fail(error, "bad timing constraint arrays");
   }
-  bool timing_canonical = true;
   for (std::size_t k = 0; k < num_constraints; ++k) {
     if (t_a[k] < 0 || t_a[k] >= n || t_b[k] < 0 || t_b[k] >= n ||
         t_a[k] == t_b[k] || !std::isfinite(t_bound[k]) || t_bound[k] < 0.0) {
       return fail(error, "bad timing constraint entry");
     }
-    timing_canonical =
-        timing_canonical && t_a[k] < t_b[k] &&
-        (k == 0 || t_a[k - 1] < t_a[k] ||
-         (t_a[k - 1] == t_a[k] && t_b[k - 1] < t_b[k]));
   }
 
   std::uint8_t has_p = 0;
@@ -232,38 +220,16 @@ bool decode_problem(wire::Reader& reader,
     return fail(error, "linear cost matrix must be M x N");
   }
 
-  // Construct straight into normalized CSR form when the frame is in
-  // canonical (re-encoded) order -- which every frame our own encoder
-  // produces is -- and fall back to replaying the text parser's
-  // construction sequence (problem_io.cpp) otherwise.  Both paths are
-  // value-identical for the same data: finalize()/rebuild() are idempotent
-  // and canonical input is their fixed point, so the fast path only skips
-  // the per-element adds and the normalization sorts.
-  Netlist netlist;
-  if (bundles_canonical) {
-    std::vector<Component> components;
-    components.reserve(static_cast<std::size_t>(n));
-    for (std::int32_t j = 0; j < n; ++j) {
-      components.push_back({std::string(names[static_cast<std::size_t>(j)]),
-                            sizes[static_cast<std::size_t>(j)]});
-    }
-    std::vector<WireBundle> bundles;
-    bundles.reserve(num_bundles);
-    for (std::size_t k = 0; k < num_bundles; ++k) {
-      bundles.push_back({bundle_a[k], bundle_b[k], bundle_mult[k]});
-    }
-    netlist = Netlist::from_sorted_parts(std::string(name),
-                                         std::move(components),
-                                         std::move(bundles));
-  } else {
-    netlist = Netlist{std::string(name)};
-    for (std::int32_t j = 0; j < n; ++j) {
-      netlist.add_component(std::string(names[static_cast<std::size_t>(j)]),
-                            sizes[static_cast<std::size_t>(j)]);
-    }
-    for (std::size_t k = 0; k < num_bundles; ++k) {
-      netlist.add_wires(bundle_a[k], bundle_b[k], bundle_mult[k]);
-    }
+  // The text parser's construction (core/problem_io.cpp): add every part,
+  // and the PartitionProblem constructor finalizes them.  Any pair order
+  // decodes to the same instance.
+  Netlist netlist{std::string(name)};
+  for (std::int32_t j = 0; j < n; ++j) {
+    netlist.add_component(std::string(names[static_cast<std::size_t>(j)]),
+                          sizes[static_cast<std::size_t>(j)]);
+  }
+  for (std::size_t k = 0; k < num_bundles; ++k) {
+    netlist.add_wires(bundle_a[k], bundle_b[k], bundle_mult[k]);
   }
   Matrix<double> b_cost(m, m);
   Matrix<double> delay(m, m);
@@ -272,12 +238,8 @@ bool decode_problem(wire::Reader& reader,
   PartitionTopology topology = PartitionTopology::custom(
       std::move(b_cost), std::move(delay), std::move(capacities));
   TimingConstraints timing(n);
-  if (timing_canonical) {
-    timing = TimingConstraints::from_sorted_pairs(n, t_a, t_b, t_bound);
-  } else {
-    for (std::size_t k = 0; k < num_constraints; ++k) {
-      timing.add(t_a[k], t_b[k], t_bound[k]);
-    }
+  for (std::size_t k = 0; k < num_constraints; ++k) {
+    timing.add(t_a[k], t_b[k], t_bound[k]);
   }
   Matrix<double> p;
   if (has_p == 1) {

@@ -8,14 +8,13 @@
 // magic (server auto-detect) or explicitly via --wire binary.
 //
 // Determinism contract: doubles travel as raw IEEE-754 bits and a submit
-// can carry the fully parsed problem (kProblemStruct).  When the payload
-// is in canonical order (strictly sorted merged bundles and constraint
-// pairs -- what encode_problem always emits) the server builds the
-// normalized CSR structures directly from the arrays
-// (Netlist::from_sorted_parts / TimingConstraints::from_sorted_pairs); a
-// non-canonical payload falls back to replaying the text parser's
-// construction sequence (core/problem_io.cpp).  Both paths end in
-// PartitionProblem::validate() and produce value-identical instances:
+// can carry the fully parsed problem (kProblemStruct).  Every payload
+// decodes through one construction, the text parser's
+// (core/problem_io.cpp): add the components, wires and constraints, and
+// let the PartitionProblem constructor finalize them (sort, merge, fill).
+// encode_problem still emits the canonical merged and sorted order, so
+// re-encoding is a fixed point; a payload in any other pair order decodes
+// to the same instance.  Every decode ends in PartitionProblem::validate():
 // same content fingerprint, same cache behaviour, bit-identical solver
 // results across framings.
 //

@@ -32,27 +32,18 @@ class Csr {
  public:
   Csr() = default;
 
-  /// Build from triplets; duplicate (row, col) entries are combined by
-  /// addition (the natural semantics for wire multiplicities).
-  /// Entries whose value combines to T{} are kept -- callers that want
-  /// pruning call `prune()` explicitly, because a stored zero can be
-  /// meaningful (e.g. a timing constraint of zero slack).
-  static Csr from_triplets(std::int32_t rows, std::int32_t cols,
-                           std::vector<Triplet<T>> triplets);
-
-  /// Build the symmetric n x n matrix S with S[a][b] = S[b][a] = value for
-  /// each (a[k], b[k], values[k]) pair, without the from_triplets sort: two
-  /// counting passes, O(n + pairs).  Requires the pair list in canonical
-  /// upper-triangle order -- strictly ascending by (a, b) with a < b -- which
-  /// is verified in one linear pass (the pairs arrive from possibly hostile
-  /// wire frames; a violation is a contract failure, not a malformed
-  /// matrix).  Produces exactly the CSR that from_triplets would for the
-  /// symmetrized triplet list; this is the wire decoder's fast path for
-  /// frames that ship pairs in canonical (re-encoded) order.
+  /// Build the symmetric n x n matrix S with S[p.row][p.col] =
+  /// S[p.col][p.row] = p.value for each pair p: two counting passes,
+  /// O(n + pairs).  This is the one builder: Netlist::finalize() and
+  /// TimingConstraints::finalize() sort and merge their pairs, then fill
+  /// through here.  The pair list must be in canonical upper-triangle
+  /// order -- strictly ascending by (row, col) with row < col, endpoints in
+  /// range -- which is verified in one linear pass (a violation is a
+  /// contract failure, not a malformed matrix).  Every row's columns come
+  /// out ascending; a stored T{} is kept (a zero-slack timing bound means
+  /// something).
   static Csr from_symmetric_pairs(std::int32_t n,
-                                  std::span<const std::int32_t> a,
-                                  std::span<const std::int32_t> b,
-                                  std::span<const T> values);
+                                  std::span<const Triplet<T>> pairs);
 
   [[nodiscard]] std::int32_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::int32_t cols() const noexcept { return cols_; }
@@ -81,33 +72,10 @@ class Csr {
         row_start_[row] + (it - cols_span.begin()))];
   }
 
-  [[nodiscard]] bool contains(std::int32_t row, std::int32_t col) const noexcept {
-    const auto cols_span = row_indices(row);
-    return std::binary_search(cols_span.begin(), cols_span.end(), col);
-  }
-
-  /// Transposed copy (used to walk the columns of A in the eta gather).
-  [[nodiscard]] Csr transposed() const;
-
-  /// Symmetrized copy: S = this + this^T (entry-wise addition).
-  [[nodiscard]] Csr symmetrized() const;
-
-  /// Copy with all T{}-valued entries removed.
-  [[nodiscard]] Csr pruned() const;
-
   /// Sum of all stored values.
   [[nodiscard]] T sum() const noexcept {
     T total{};
     for (const T& v : values_) total += v;
-    return total;
-  }
-
-  /// Sum of absolute values of all stored entries (used by the Theorem 1
-  /// penalty bound U > 2 * sum |q|).
-  [[nodiscard]] double abs_sum() const noexcept {
-    double total = 0;
-    for (const T& v : values_) total += v < T{} ? -static_cast<double>(v)
-                                                : static_cast<double>(v);
     return total;
   }
 
@@ -137,133 +105,53 @@ class Csr {
 };
 
 template <typename T>
-Csr<T> Csr<T>::from_triplets(std::int32_t rows, std::int32_t cols,
-                             std::vector<Triplet<T>> triplets) {
-  QBP_CHECK(rows >= 0 && cols >= 0)
-      << "Csr shape must be non-negative (" << rows << " x " << cols << ")";
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet<T>& a, const Triplet<T>& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-  // Combine duplicates by addition.  The range checks stay on in release:
-  // triplets arrive from parsed (possibly hostile) inputs, and an
-  // out-of-range entry must surface as a contract violation, not a wild
-  // write when the CSR is later indexed.
-  std::size_t out = 0;
-  for (std::size_t k = 0; k < triplets.size(); ++k) {
-    QBP_CHECK(triplets[k].row >= 0 && triplets[k].row < rows)
-        << "triplet row " << triplets[k].row << " outside [0, " << rows << ")";
-    QBP_CHECK(triplets[k].col >= 0 && triplets[k].col < cols)
-        << "triplet col " << triplets[k].col << " outside [0, " << cols << ")";
-    if (out > 0 && triplets[out - 1].row == triplets[k].row &&
-        triplets[out - 1].col == triplets[k].col) {
-      triplets[out - 1].value += triplets[k].value;
-    } else {
-      triplets[out++] = triplets[k];
-    }
-  }
-  triplets.resize(out);
-
-  Csr matrix;
-  matrix.rows_ = rows;
-  matrix.cols_ = cols;
-  matrix.row_start_.assign(static_cast<std::size_t>(rows) + 1, 0);
-  matrix.col_index_.reserve(triplets.size());
-  matrix.values_.reserve(triplets.size());
-  for (const auto& t : triplets) {
-    ++matrix.row_start_[static_cast<std::size_t>(t.row) + 1];
-    matrix.col_index_.push_back(t.col);
-    matrix.values_.push_back(t.value);
-  }
-  for (std::int32_t r = 0; r < rows; ++r) {
-    matrix.row_start_[static_cast<std::size_t>(r) + 1] +=
-        matrix.row_start_[static_cast<std::size_t>(r)];
-  }
-  return matrix;
-}
-
-template <typename T>
 Csr<T> Csr<T>::from_symmetric_pairs(std::int32_t n,
-                                    std::span<const std::int32_t> a,
-                                    std::span<const std::int32_t> b,
-                                    std::span<const T> values) {
+                                    std::span<const Triplet<T>> pairs) {
   QBP_CHECK(n >= 0) << "Csr shape must be non-negative (" << n << " x " << n
                     << ")";
-  QBP_CHECK(a.size() == b.size() && a.size() == values.size())
-      << "pair arrays must have equal lengths";
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    QBP_CHECK(a[k] >= 0 && a[k] < b[k] && b[k] < n)
-        << "pair (" << a[k] << ", " << b[k]
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const Triplet<T>& p = pairs[k];
+    QBP_CHECK(p.row >= 0 && p.row < p.col && p.col < n)
+        << "pair (" << p.row << ", " << p.col
         << ") not upper-triangle in [0, " << n << ")";
-    QBP_CHECK(k == 0 || a[k - 1] < a[k] || (a[k - 1] == a[k] && b[k - 1] < b[k]))
-        << "pairs must be strictly ascending by (a, b)";
+    QBP_CHECK(k == 0 || pairs[k - 1].row < p.row ||
+              (pairs[k - 1].row == p.row && pairs[k - 1].col < p.col))
+        << "pairs must be strictly ascending by (row, col)";
   }
 
   Csr matrix;
   matrix.rows_ = n;
   matrix.cols_ = n;
   matrix.row_start_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    ++matrix.row_start_[static_cast<std::size_t>(a[k]) + 1];
-    ++matrix.row_start_[static_cast<std::size_t>(b[k]) + 1];
+  for (const Triplet<T>& p : pairs) {
+    ++matrix.row_start_[static_cast<std::size_t>(p.row) + 1];
+    ++matrix.row_start_[static_cast<std::size_t>(p.col) + 1];
   }
   for (std::int32_t r = 0; r < n; ++r) {
     matrix.row_start_[static_cast<std::size_t>(r) + 1] +=
         matrix.row_start_[static_cast<std::size_t>(r)];
   }
-  matrix.col_index_.resize(2 * a.size());
-  matrix.values_.resize(2 * a.size());
+  matrix.col_index_.resize(2 * pairs.size());
+  matrix.values_.resize(2 * pairs.size());
   std::vector<std::int64_t> cursor(matrix.row_start_.begin(),
                                    matrix.row_start_.end() - 1);
-  // Row j's columns below the diagonal all come from pairs with b == j
-  // (their a's ascend with the pair order), the columns above it from pairs
-  // with a == j (b's ascend likewise); filling the lower half first keeps
-  // every row's column list ascending, as from_triplets' sort would.
-  for (std::size_t k = 0; k < a.size(); ++k) {
+  // Row j's columns below the diagonal all come from pairs with col == j
+  // (their rows ascend with the pair order), the columns above it from
+  // pairs with row == j (cols ascend likewise); filling the lower half
+  // first keeps every row's column list ascending.
+  for (const Triplet<T>& p : pairs) {
     const auto slot =
-        static_cast<std::size_t>(cursor[static_cast<std::size_t>(b[k])]++);
-    matrix.col_index_[slot] = a[k];
-    matrix.values_[slot] = values[k];
+        static_cast<std::size_t>(cursor[static_cast<std::size_t>(p.col)]++);
+    matrix.col_index_[slot] = p.row;
+    matrix.values_[slot] = p.value;
   }
-  for (std::size_t k = 0; k < a.size(); ++k) {
+  for (const Triplet<T>& p : pairs) {
     const auto slot =
-        static_cast<std::size_t>(cursor[static_cast<std::size_t>(a[k])]++);
-    matrix.col_index_[slot] = b[k];
-    matrix.values_[slot] = values[k];
+        static_cast<std::size_t>(cursor[static_cast<std::size_t>(p.row)]++);
+    matrix.col_index_[slot] = p.col;
+    matrix.values_[slot] = p.value;
   }
   return matrix;
-}
-
-template <typename T>
-Csr<T> Csr<T>::transposed() const {
-  std::vector<Triplet<T>> triplets;
-  triplets.reserve(nonzeros());
-  for_each([&](std::int32_t r, std::int32_t c, const T& v) {
-    triplets.push_back({c, r, v});
-  });
-  return from_triplets(cols_, rows_, std::move(triplets));
-}
-
-template <typename T>
-Csr<T> Csr<T>::symmetrized() const {
-  QBP_CHECK_EQ(rows_, cols_) << "symmetrized() requires a square matrix";
-  std::vector<Triplet<T>> triplets;
-  triplets.reserve(2 * nonzeros());
-  for_each([&](std::int32_t r, std::int32_t c, const T& v) {
-    triplets.push_back({r, c, v});
-    triplets.push_back({c, r, v});
-  });
-  return from_triplets(rows_, cols_, std::move(triplets));
-}
-
-template <typename T>
-Csr<T> Csr<T>::pruned() const {
-  std::vector<Triplet<T>> triplets;
-  triplets.reserve(nonzeros());
-  for_each([&](std::int32_t r, std::int32_t c, const T& v) {
-    if (!(v == T{})) triplets.push_back({r, c, v});
-  });
-  return from_triplets(rows_, cols_, std::move(triplets));
 }
 
 }  // namespace qbp

@@ -20,79 +20,35 @@ void TimingConstraints::add(ComponentId j1, ComponentId j2, double max_delay) {
   QBP_CHECK(max_delay >= 0.0 && std::isfinite(max_delay))
       << "constraint bound must be finite and non-negative, got " << max_delay;
   if (j1 > j2) std::swap(j1, j2);
-  pending_.push_back({j1, j2, max_delay});
-  dirty_ = true;
+  pairs_.push_back({j1, j2, max_delay});
+  finalized_ = false;
 }
 
-TimingConstraints TimingConstraints::from_sorted_pairs(
-    std::int32_t num_components, std::span<const std::int32_t> j1,
-    std::span<const std::int32_t> j2, std::span<const double> bounds) {
-  TimingConstraints timing(num_components);
-  QBP_CHECK(j1.size() == j2.size() && j1.size() == bounds.size())
-      << "constraint arrays must have equal lengths";
-  timing.pending_.reserve(j1.size());
-  for (std::size_t k = 0; k < j1.size(); ++k) {
-    // Ordering and endpoint ranges are checked by from_symmetric_pairs.
-    QBP_CHECK(bounds[k] >= 0.0 && std::isfinite(bounds[k]))
-        << "constraint bound must be finite and non-negative, got "
-        << bounds[k];
-    timing.pending_.push_back({j1[k], j2[k], bounds[k]});
-  }
-  timing.matrix_ =
-      Csr<double>::from_symmetric_pairs(num_components, j1, j2, bounds);
-  timing.dirty_ = false;
-  return timing;
-}
-
-void TimingConstraints::rebuild() const {
-  if (!dirty_ && matrix_.rows() == num_components_) return;
-  std::sort(pending_.begin(), pending_.end(),
+void TimingConstraints::finalize() {
+  if (finalized_) return;
+  std::sort(pairs_.begin(), pairs_.end(),
             [](const Triplet<double>& a, const Triplet<double>& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
             });
   // Duplicate pairs keep the tightest bound.
   std::size_t out = 0;
-  for (std::size_t k = 0; k < pending_.size(); ++k) {
-    if (out > 0 && pending_[out - 1].row == pending_[k].row &&
-        pending_[out - 1].col == pending_[k].col) {
-      pending_[out - 1].value = std::min(pending_[out - 1].value, pending_[k].value);
+  for (std::size_t k = 0; k < pairs_.size(); ++k) {
+    if (out > 0 && pairs_[out - 1].row == pairs_[k].row &&
+        pairs_[out - 1].col == pairs_[k].col) {
+      pairs_[out - 1].value = std::min(pairs_[out - 1].value, pairs_[k].value);
     } else {
-      pending_[out++] = pending_[k];
+      pairs_[out++] = pairs_[k];
     }
   }
-  pending_.resize(out);
-
-  std::vector<Triplet<double>> symmetric;
-  symmetric.reserve(2 * pending_.size());
-  for (const auto& t : pending_) {
-    symmetric.push_back(t);
-    symmetric.push_back({t.col, t.row, t.value});
-  }
-  matrix_ = Csr<double>::from_triplets(num_components_, num_components_,
-                                       std::move(symmetric));
-  dirty_ = false;
-}
-
-std::int64_t TimingConstraints::count() const {
-  rebuild();
-  return static_cast<std::int64_t>(matrix_.nonzeros() / 2);
-}
-
-double TimingConstraints::max_delay(ComponentId j1, ComponentId j2) const {
-  rebuild();
-  return matrix_.value_or(j1, j2, kUnconstrained);
-}
-
-const Csr<double>& TimingConstraints::matrix() const {
-  rebuild();
-  return matrix_;
+  pairs_.resize(out);
+  matrix_ = Csr<double>::from_symmetric_pairs(num_components_, pairs_);
+  finalized_ = true;
 }
 
 std::int64_t TimingConstraints::violations(const Assignment& assignment,
                                            const PartitionTopology& topology) const {
-  rebuild();
   std::int64_t violated = 0;
-  matrix_.for_each([&](std::int32_t j1, std::int32_t j2, double bound) {
+  matrix().for_each([&](std::int32_t j1, std::int32_t j2, double bound) {
     if (j1 >= j2) return;  // visit each unordered pair once
     const PartitionId p1 = assignment[j1];
     const PartitionId p2 = assignment[j2];
@@ -114,7 +70,6 @@ bool TimingConstraints::component_feasible_at(
     const Assignment& assignment, const PartitionTopology& topology,
     ComponentId component, PartitionId target, ComponentId override_component,
     PartitionId override_partition) const {
-  rebuild();
   const auto partner_ids = partners(component);
   const auto partner_bounds = bounds(component);
   for (std::size_t k = 0; k < partner_ids.size(); ++k) {
@@ -244,6 +199,7 @@ TimingConstraints generate_timing_constraints(
     select_pair(a, b);
   }
 
+  constraints.finalize();
   QBP_CHECK_EQ(constraints.count(), spec.target_count);
   return constraints;
 }

@@ -20,6 +20,7 @@
 #include "partition/assignment.hpp"
 #include "partition/topology.hpp"
 #include "sparse/csr.hpp"
+#include "util/check.hpp"
 
 namespace qbp {
 
@@ -31,39 +32,42 @@ class TimingConstraints {
   explicit TimingConstraints(std::int32_t num_components)
       : num_components_(num_components) {}
 
-  /// Bulk construction from pre-normalized constraint arrays: pairs
-  /// strictly ascending by (j1, j2) with j1 < j2 and in range, bounds
-  /// finite and non-negative.  Verified in one linear pass (QBP_CHECK; the
-  /// arrays arrive from possibly hostile wire frames), then the symmetric
-  /// Dc matrix is built directly in O(N + pairs) -- no per-add replay, no
-  /// rebuild() sort.  Value-identical to the add() path on the same data;
-  /// the wire decoder uses this for frames in canonical (re-encoded) order.
-  [[nodiscard]] static TimingConstraints from_sorted_pairs(
-      std::int32_t num_components, std::span<const std::int32_t> j1,
-      std::span<const std::int32_t> j2, std::span<const double> bounds);
-
   [[nodiscard]] std::int32_t num_components() const noexcept {
     return num_components_;
   }
 
   /// Add (or tighten) a symmetric constraint between distinct components.
-  /// Multiple adds for a pair keep the minimum (tightest) bound.
+  /// Multiple adds for a pair keep the minimum (tightest) bound at
+  /// finalize().
   void add(ComponentId j1, ComponentId j2, double max_delay);
+
+  /// Sort the pairs added so far, keep each pair's tightest bound and fill
+  /// Dc; idempotent.  Every reader below fails a contract check when a
+  /// pair was added since the last finalize(), so a finalized set is only
+  /// ever read, never written, by its const members.  PartitionProblem's
+  /// constructor finalizes its constraints.
+  void finalize();
 
   /// Number of constrained unordered pairs -- the paper's "# of Timing
   /// Constraints" column in Table I.
-  [[nodiscard]] std::int64_t count() const;
+  [[nodiscard]] std::int64_t count() const {
+    return static_cast<std::int64_t>(matrix().nonzeros() / 2);
+  }
 
   [[nodiscard]] bool empty() const { return count() == 0; }
 
   /// Max routing delay allowed between j1 and j2 (kUnconstrained if no
   /// constraint was added for the pair).
-  [[nodiscard]] double max_delay(ComponentId j1, ComponentId j2) const;
+  [[nodiscard]] double max_delay(ComponentId j1, ComponentId j2) const {
+    return matrix().value_or(j1, j2, kUnconstrained);
+  }
 
-  /// The symmetric sparse Dc matrix (both directions stored).  The lazy
-  /// rebuild after add() is NOT thread-safe: build it once
-  /// (PartitionProblem's constructor does) before sharing across threads.
-  [[nodiscard]] const Csr<double>& matrix() const;
+  /// The symmetric sparse Dc matrix (both directions stored).
+  [[nodiscard]] const Csr<double>& matrix() const {
+    QBP_CHECK(finalized_)
+        << "timing constraints read before finalize() or after an add";
+    return matrix_;
+  }
 
   /// Components constrained against `j`, with their bounds.
   [[nodiscard]] std::span<const std::int32_t> partners(ComponentId j) const {
@@ -109,12 +113,10 @@ class TimingConstraints {
 
  private:
   std::int32_t num_components_ = 0;
-  // Accumulated (j1 < j2) constraints before finalization.
-  mutable std::vector<Triplet<double>> pending_;
-  mutable bool dirty_ = false;
-  mutable Csr<double> matrix_;
-
-  void rebuild() const;
+  // The (j1 < j2) constraints as added; merged by finalize().
+  std::vector<Triplet<double>> pairs_;
+  Csr<double> matrix_;
+  bool finalized_ = false;
 };
 
 /// Configuration for synthesizing a critical-constraint set.

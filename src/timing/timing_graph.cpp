@@ -17,7 +17,6 @@ TimingGraph TimingGraph::build(const Netlist& netlist,
   Rng rng(seed);
   graph.rank_ = random_permutation(n, rng);
 
-  const_cast<Netlist&>(netlist).finalize();
   graph.arcs_.reserve(netlist.bundles().size());
   for (const WireBundle& bundle : netlist.bundles()) {
     const bool forward = graph.rank_[static_cast<std::size_t>(bundle.a)] <

@@ -201,6 +201,32 @@ TEST(Adapters, BurkardAdapterMatchesDirectSolve) {
   EXPECT_FALSE(via_engine.cancelled);
 }
 
+TEST(Adapters, MultilevelReportsTheCoarsestSolvesIterations) {
+  // A V-cycle's iterations are its coarsest Burkard solve's: the refined
+  // levels run none, and their records carry none.
+  const PartitionProblem problem = test::make_tiny_problem(
+      {.num_components = 40, .num_partitions = 4, .wire_probability = 0.15,
+       .constraint_probability = 0.05, .seed = 3});
+  Rng rng(5);
+  const StartPoint start{test::random_complete(problem.num_components(),
+                                               problem.num_partitions(), rng),
+                         /*seed=*/7};
+  MultilevelOptions options;
+  options.coarsest_target = 10;
+  options.coarse_solver.iterations = 9;
+  ASSERT_GE(solve_qbp_multilevel(problem, start.assignment, options).levels_used,
+            1);
+  EXPECT_EQ(MultilevelSolver(options).solve(problem, start).iterations, 9);
+
+  // max_levels = 1 is the flat solve, and so is its count.
+  options.max_levels = 1;
+  options.coarse_solver.iterations = 7;
+  EXPECT_EQ(MultilevelSolver(options).solve(problem, start).iterations,
+            solve_qbp(problem, start.assignment, options.coarse_solver)
+                .iterations_run);
+  EXPECT_EQ(MultilevelSolver(options).solve(problem, start).iterations, 7);
+}
+
 TEST(Adapters, EveryAdapterProducesConsistentNormalizedResult) {
   const PartitionProblem problem = engine_problem();
   const QhatMatrix qhat(problem, kPaperPenalty);

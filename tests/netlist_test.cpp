@@ -3,6 +3,8 @@
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
+#include "test_support.hpp"
+#include "util/check.hpp"
 
 namespace qbp {
 namespace {
@@ -46,6 +48,7 @@ TEST(Netlist, ConnectionMatrixIsSymmetric) {
   netlist.add_component("c", 1.0);
   netlist.add_wires(0, 1, 5);
   netlist.add_wires(1, 2, 2);
+  netlist.finalize();
   const auto& a = netlist.connection_matrix();
   EXPECT_EQ(a.value_or(0, 1, 0), 5);
   EXPECT_EQ(a.value_or(1, 0, 0), 5);
@@ -54,13 +57,40 @@ TEST(Netlist, ConnectionMatrixIsSymmetric) {
   EXPECT_EQ(a.value_or(0, 2, 0), 0);
 }
 
-TEST(Netlist, ConnectionMatrixInvalidatedByNewWires) {
+TEST(Netlist, ReadAfterAddFailsUntilFinalized) {
   Netlist netlist;
   netlist.add_component("a", 1.0);
   netlist.add_component("b", 1.0);
-  EXPECT_EQ(netlist.connection_matrix().value_or(0, 1, 0), 0);
-  netlist.add_wires(0, 1, 1);
-  EXPECT_EQ(netlist.connection_matrix().value_or(0, 1, 0), 1);
+  {
+    const test::FailModeGuard guard(check::FailMode::kThrow);
+    EXPECT_THROW((void)netlist.connection_matrix(), ContractViolation);
+    netlist.finalize();
+    EXPECT_EQ(netlist.connection_matrix().value_or(0, 1, 0), 0);
+    netlist.add_wires(1, 0, 1);
+    EXPECT_THROW((void)netlist.connection_matrix(), ContractViolation);
+    EXPECT_THROW((void)netlist.bundles(), ContractViolation);
+    EXPECT_THROW((void)netlist.degree(0), ContractViolation);
+    EXPECT_THROW((void)netlist.num_connected_pairs(), ContractViolation);
+    netlist.finalize();
+    // A new component changes A's dimension: it counts as an add.
+    netlist.add_component("c", 1.0);
+    EXPECT_THROW((void)netlist.connection_matrix(), ContractViolation);
+    netlist.add_wires(0, 2, 3);
+    netlist.add_wires(0, 1, 2);
+    netlist.finalize();
+    netlist.finalize();  // idempotent
+  }
+
+  Netlist fresh;
+  fresh.add_component("a", 1.0);
+  fresh.add_component("b", 1.0);
+  fresh.add_component("c", 1.0);
+  fresh.add_wires(0, 1, 3);
+  fresh.add_wires(0, 2, 3);
+  fresh.finalize();
+  EXPECT_EQ(netlist.bundles(), fresh.bundles());
+  EXPECT_TRUE(netlist.connection_matrix() == fresh.connection_matrix());
+  EXPECT_EQ(netlist.degree(0), 2);
 }
 
 TEST(Netlist, DegreeCountsDistinctNeighbors) {
@@ -68,6 +98,7 @@ TEST(Netlist, DegreeCountsDistinctNeighbors) {
   for (int k = 0; k < 4; ++k) netlist.add_component("c", 1.0);
   netlist.add_wires(0, 1, 7);
   netlist.add_wires(0, 2, 1);
+  netlist.finalize();
   EXPECT_EQ(netlist.degree(0), 2);
   EXPECT_EQ(netlist.degree(1), 1);
   EXPECT_EQ(netlist.degree(3), 0);
@@ -95,6 +126,7 @@ TEST(Stats, ComputesBasics) {
   netlist.add_component("b", 10.0);
   netlist.add_component("c", 5.0);
   netlist.add_wires(0, 1, 4);
+  netlist.finalize();
   const auto stats = compute_stats(netlist);
   EXPECT_EQ(stats.num_components, 3);
   EXPECT_EQ(stats.total_wires, 4);
@@ -108,7 +140,9 @@ TEST(Stats, ComputesBasics) {
 }
 
 TEST(Stats, EmptyNetlist) {
-  const auto stats = compute_stats(Netlist("empty"));
+  Netlist empty("empty");
+  empty.finalize();
+  const auto stats = compute_stats(empty);
   EXPECT_EQ(stats.num_components, 0);
   EXPECT_DOUBLE_EQ(stats.min_size, 0.0);
   EXPECT_DOUBLE_EQ(stats.avg_degree, 0.0);

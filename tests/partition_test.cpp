@@ -150,6 +150,7 @@ TEST(Cost, WirelengthCountsEachBundleOnce) {
   netlist.add_component("a", 1.0);
   netlist.add_component("b", 1.0);
   netlist.add_wires(0, 1, 5);
+  netlist.finalize();
   const auto topo = PartitionTopology::grid(2, 2, CostKind::kManhattan);
   Assignment assignment(2, 4);
   assignment.set(0, 0);
@@ -180,6 +181,7 @@ TEST(Cost, SameParitionWiresAreFree) {
   netlist.add_component("a", 1.0);
   netlist.add_component("b", 1.0);
   netlist.add_wires(0, 1, 9);
+  netlist.finalize();
   const auto topo = PartitionTopology::grid(2, 2, CostKind::kManhattan);
   Assignment assignment(2, 4);
   assignment.set(0, 2);
@@ -201,6 +203,7 @@ TEST(Cost, ObjectiveCombinesTerms) {
   netlist.add_component("a", 1.0);
   netlist.add_component("b", 1.0);
   netlist.add_wires(0, 1, 1);
+  netlist.finalize();
   const auto topo = PartitionTopology::grid(1, 2, CostKind::kManhattan);
   const auto p = Matrix<double>::from_rows({{1, 0}, {0, 2}});
   Assignment assignment(2, 2);

@@ -7,6 +7,7 @@
 #include "core/problem_io.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace qbp {
 namespace {
@@ -131,6 +132,37 @@ TEST(ProblemIo, NetstarLinesExpandAsStar) {
   EXPECT_EQ(parsed.netlist().connection_matrix().value_or(0, 1, 0), 1);
   EXPECT_EQ(parsed.netlist().connection_matrix().value_or(0, 2, 0), 1);
   EXPECT_EQ(parsed.netlist().connection_matrix().value_or(1, 2, 0), 0);
+}
+
+TEST(ProblemIo, HugeNetstarLineParsesInUnderFiveSeconds) {
+  // A k-pin `netstar` line expands to k - 1 bundles, far inside the bundle
+  // cap, so its duplicate-pin check must not cost k^2 / 2 comparisons
+  // (about 17 s at this size): a hostile line must not hold a worker.
+  constexpr std::int32_t kPins = 300000;
+  std::string text =
+      "problem star\ntopology grid 1 2 manhattan\ncapacities 300000 300000\n";
+  for (std::int32_t j = 0; j < kPins; ++j) {
+    text += "component c" + std::to_string(j) + " 1\n";
+  }
+  text += "netstar 1";
+  for (std::int32_t j = 0; j < kPins; ++j) text += " " + std::to_string(j);
+  PartitionProblem parsed;
+  {
+    std::istringstream in(text + "\n");
+    const Timer timer;
+    const ParseResult result = read_problem(in, parsed);
+    EXPECT_LT(timer.seconds(), 5.0);
+    ASSERT_TRUE(result.ok) << result.message;
+  }
+  EXPECT_EQ(parsed.netlist().num_connected_pairs(), kPins - 1);
+  EXPECT_EQ(parsed.netlist().degree(0), kPins - 1);
+
+  // The same line with the driver listed again at its end is refused.
+  std::istringstream twice(text + " 0\n");
+  const ParseResult result = read_problem(twice, parsed);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.message.find("net lists a pin twice"), std::string::npos)
+      << result.message;
 }
 
 // ------------------------------------------------------------- errors ----

@@ -64,7 +64,8 @@ TEST_F(ProfTest, EnabledAtEntryDecidesRecording) {
     QBP_PROF_SCOPE("prof_test.entry_enabled");
     set_enabled(false);
   }
-  const PhaseStat* stat = snapshot().find("prof_test.entry_enabled");
+  const PhaseReport report = snapshot();  // outlives `stat`
+  const PhaseStat* stat = report.find("prof_test.entry_enabled");
   ASSERT_NE(stat, nullptr);
   EXPECT_EQ(stat->count, 1);
 }
@@ -104,7 +105,8 @@ TEST_F(ProfTest, ResetZeroesBucketsButKeepsNames) {
   {
     QBP_PROF_SCOPE("prof_test.reset_me");
   }
-  const PhaseStat* stat = snapshot().find("prof_test.reset_me");
+  const PhaseReport report = snapshot();  // outlives `stat`
+  const PhaseStat* stat = report.find("prof_test.reset_me");
   ASSERT_NE(stat, nullptr);
   EXPECT_EQ(stat->count, 1);
 }
@@ -126,7 +128,8 @@ TEST_F(ProfTest, ThreadBucketsMergeIntoOneSnapshot) {
   for (auto& thread : pool) thread.join();
   // The workers have exited: their buckets folded into the retired totals,
   // and the merged snapshot sees every sample.
-  const PhaseStat* stat = snapshot().find("prof_test.worker");
+  const PhaseReport report = snapshot();  // outlives `stat`
+  const PhaseStat* stat = report.find("prof_test.worker");
   ASSERT_NE(stat, nullptr);
   EXPECT_EQ(stat->count, kThreads * kIterations);
   EXPECT_GT(stat->seconds, 0.0);

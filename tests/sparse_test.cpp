@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "sparse/csr.hpp"
 #include "sparse/dense.hpp"
+#include "test_support.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
@@ -10,101 +17,60 @@ namespace {
 // ---------------------------------------------------------------- Csr ----
 
 Csr<int> make_example() {
-  // 3 x 4:
-  //   [ 1 0 2 0 ]
+  // 4 x 4, symmetric, from the pairs (0,1)=1, (0,3)=2, (2,3)=3:
+  //   [ 0 1 0 2 ]
+  //   [ 1 0 0 0 ]
   //   [ 0 0 0 3 ]
-  //   [ 4 0 0 0 ]
-  return Csr<int>::from_triplets(
-      3, 4, {{0, 0, 1}, {0, 2, 2}, {1, 3, 3}, {2, 0, 4}});
+  //   [ 2 0 3 0 ]
+  const std::vector<Triplet<int>> pairs{{0, 1, 1}, {0, 3, 2}, {2, 3, 3}};
+  return Csr<int>::from_symmetric_pairs(4, pairs);
 }
 
 TEST(Csr, ShapeAndNonzeros) {
   const auto matrix = make_example();
-  EXPECT_EQ(matrix.rows(), 3);
+  EXPECT_EQ(matrix.rows(), 4);
   EXPECT_EQ(matrix.cols(), 4);
-  EXPECT_EQ(matrix.nonzeros(), 4u);
+  EXPECT_EQ(matrix.nonzeros(), 6u);
 }
 
 TEST(Csr, RowAccessSortedByColumn) {
-  const auto matrix = Csr<int>::from_triplets(1, 5, {{0, 4, 1}, {0, 1, 2}, {0, 3, 3}});
-  const auto cols = matrix.row_indices(0);
-  ASSERT_EQ(cols.size(), 3u);
-  EXPECT_EQ(cols[0], 1);
-  EXPECT_EQ(cols[1], 3);
-  EXPECT_EQ(cols[2], 4);
-  const auto values = matrix.row_values(0);
-  EXPECT_EQ(values[0], 2);
-  EXPECT_EQ(values[1], 3);
-  EXPECT_EQ(values[2], 1);
-}
-
-TEST(Csr, DuplicateTripletsCombineByAddition) {
-  const auto matrix = Csr<int>::from_triplets(2, 2, {{0, 1, 3}, {0, 1, 4}});
-  EXPECT_EQ(matrix.nonzeros(), 1u);
-  EXPECT_EQ(matrix.value_or(0, 1, 0), 7);
+  // Row 2 takes two columns from below the diagonal and two from above.
+  const std::vector<Triplet<int>> pairs{
+      {0, 2, 5}, {1, 2, 6}, {2, 3, 7}, {2, 4, 8}};
+  const auto matrix = Csr<int>::from_symmetric_pairs(5, pairs);
+  const auto cols = matrix.row_indices(2);
+  ASSERT_EQ(cols.size(), 4u);
+  EXPECT_EQ(cols[0], 0);
+  EXPECT_EQ(cols[1], 1);
+  EXPECT_EQ(cols[2], 3);
+  EXPECT_EQ(cols[3], 4);
+  const auto values = matrix.row_values(2);
+  EXPECT_EQ(values[0], 5);
+  EXPECT_EQ(values[1], 6);
+  EXPECT_EQ(values[2], 7);
+  EXPECT_EQ(values[3], 8);
 }
 
 TEST(Csr, ValueOrFallback) {
   const auto matrix = make_example();
-  EXPECT_EQ(matrix.value_or(0, 0, -1), 1);
-  EXPECT_EQ(matrix.value_or(0, 1, -1), -1);
-  EXPECT_EQ(matrix.value_or(2, 3, -1), -1);
-}
-
-TEST(Csr, Contains) {
-  const auto matrix = make_example();
-  EXPECT_TRUE(matrix.contains(1, 3));
-  EXPECT_FALSE(matrix.contains(1, 0));
+  EXPECT_EQ(matrix.value_or(0, 1, -1), 1);
+  EXPECT_EQ(matrix.value_or(1, 0, -1), 1);
+  EXPECT_EQ(matrix.value_or(3, 2, -1), 3);
+  EXPECT_EQ(matrix.value_or(0, 0, -1), -1);
+  EXPECT_EQ(matrix.value_or(1, 2, -1), -1);
 }
 
 TEST(Csr, EmptyRows) {
-  const auto matrix = Csr<int>::from_triplets(3, 3, {{0, 0, 1}});
-  EXPECT_TRUE(matrix.row_indices(1).empty());
+  const std::vector<Triplet<int>> pairs{{0, 1, 1}};
+  const auto matrix = Csr<int>::from_symmetric_pairs(3, pairs);
+  EXPECT_EQ(matrix.row_indices(0).size(), 1u);
   EXPECT_TRUE(matrix.row_indices(2).empty());
 }
 
-TEST(Csr, Transposed) {
-  const auto matrix = make_example();
-  const auto t = matrix.transposed();
-  EXPECT_EQ(t.rows(), 4);
-  EXPECT_EQ(t.cols(), 3);
-  EXPECT_EQ(t.value_or(0, 0, 0), 1);
-  EXPECT_EQ(t.value_or(0, 2, 0), 4);
-  EXPECT_EQ(t.value_or(3, 1, 0), 3);
-  EXPECT_EQ(t.nonzeros(), matrix.nonzeros());
-}
-
-TEST(Csr, TransposeTwiceIsIdentity) {
-  const auto matrix = make_example();
-  EXPECT_EQ(matrix.transposed().transposed(), matrix);
-}
-
-TEST(Csr, SymmetrizedAddsTranspose) {
-  const auto matrix = Csr<int>::from_triplets(2, 2, {{0, 1, 5}});
-  const auto sym = matrix.symmetrized();
-  EXPECT_EQ(sym.value_or(0, 1, 0), 5);
-  EXPECT_EQ(sym.value_or(1, 0, 0), 5);
-}
-
-TEST(Csr, SymmetrizedDoublesDiagonal) {
-  const auto matrix = Csr<int>::from_triplets(2, 2, {{0, 0, 3}});
-  EXPECT_EQ(matrix.symmetrized().value_or(0, 0, 0), 6);
-}
-
-TEST(Csr, PrunedDropsZeros) {
-  const auto matrix = Csr<int>::from_triplets(2, 2, {{0, 0, 1}, {0, 1, -1}, {1, 1, 1}});
-  // Add a cancelling duplicate so one stored entry becomes zero.
-  const auto with_zero =
-      Csr<int>::from_triplets(2, 2, {{0, 1, 1}, {0, 1, -1}, {1, 1, 2}});
-  EXPECT_EQ(with_zero.nonzeros(), 2u);  // zero-valued entry is kept
-  EXPECT_EQ(with_zero.pruned().nonzeros(), 1u);
-  (void)matrix;
-}
-
-TEST(Csr, SumAndAbsSum) {
-  const auto matrix = Csr<double>::from_triplets(2, 2, {{0, 0, 1.5}, {1, 0, -2.5}});
-  EXPECT_DOUBLE_EQ(matrix.sum(), -1.0);
-  EXPECT_DOUBLE_EQ(matrix.abs_sum(), 4.0);
+TEST(Csr, Sum) {
+  const std::vector<Triplet<double>> pairs{{0, 1, 1.5}, {1, 2, -2.5}};
+  const auto matrix = Csr<double>::from_symmetric_pairs(3, pairs);
+  EXPECT_DOUBLE_EQ(matrix.sum(), -2.0);  // each pair stored twice
 }
 
 TEST(Csr, ForEachVisitsAllEntriesInRowMajorOrder) {
@@ -113,31 +79,176 @@ TEST(Csr, ForEachVisitsAllEntriesInRowMajorOrder) {
   matrix.for_each([&](std::int32_t r, std::int32_t c, int) {
     visited.emplace_back(r, c);
   });
-  const std::vector<std::pair<int, int>> expected{{0, 0}, {0, 2}, {1, 3}, {2, 0}};
+  const std::vector<std::pair<int, int>> expected{{0, 1}, {0, 3}, {1, 0},
+                                                  {2, 3}, {3, 0}, {3, 2}};
   EXPECT_EQ(visited, expected);
 }
 
 TEST(Csr, EmptyMatrix) {
-  const auto matrix = Csr<int>::from_triplets(0, 0, {});
+  const auto matrix = Csr<int>::from_symmetric_pairs(0, {});
   EXPECT_EQ(matrix.rows(), 0);
   EXPECT_EQ(matrix.nonzeros(), 0u);
   EXPECT_EQ(matrix.sum(), 0);
 }
 
 TEST(Csr, LargeRandomRoundTrip) {
+  // Distinct random pairs in canonical order go in; the upper triangle
+  // gives them back in the same order and the lower one mirrors them.
   Rng rng(77);
-  std::vector<Triplet<double>> triplets;
+  std::vector<Triplet<double>> pairs;
   for (int k = 0; k < 500; ++k) {
-    triplets.push_back({static_cast<std::int32_t>(rng.next_below(40)),
-                        static_cast<std::int32_t>(rng.next_below(40)),
-                        rng.next_double(0.1, 2.0)});
+    auto a = static_cast<std::int32_t>(rng.next_below(40));
+    auto b = static_cast<std::int32_t>(rng.next_below(40));
+    if (a == b) continue;
+    if (a > b) std::swap(a, b);
+    pairs.push_back({a, b, rng.next_double(0.1, 2.0)});
   }
-  const auto matrix = Csr<double>::from_triplets(40, 40, triplets);
-  // Sum is invariant under transposition and duplicate combination.
-  EXPECT_NEAR(matrix.sum(), matrix.transposed().sum(), 1e-9);
-  double triplet_sum = 0.0;
-  for (const auto& t : triplets) triplet_sum += t.value;
-  EXPECT_NEAR(matrix.sum(), triplet_sum, 1e-9);
+  std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
+    return x.row != y.row ? x.row < y.row : x.col < y.col;
+  });
+  pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                          [](const auto& x, const auto& y) {
+                            return x.row == y.row && x.col == y.col;
+                          }),
+              pairs.end());
+  const auto matrix = Csr<double>::from_symmetric_pairs(40, pairs);
+  ASSERT_EQ(matrix.nonzeros(), 2 * pairs.size());
+  std::vector<Triplet<double>> upper;
+  matrix.for_each([&](std::int32_t r, std::int32_t c, double v) {
+    if (r < c) upper.push_back({r, c, v});
+    EXPECT_EQ(matrix.value_or(c, r, -1.0), v);
+  });
+  EXPECT_EQ(upper, pairs);
+}
+
+TEST(Csr, RejectsPairsOutOfOrderOrRange) {
+  const test::FailModeGuard guard(check::FailMode::kThrow);
+  const std::vector<std::vector<Triplet<int>>> bad{
+      {{1, 0, 1}},             // lower triangle
+      {{0, 0, 1}},             // diagonal
+      {{0, 3, 1}},             // column outside [0, 3)
+      {{-1, 1, 1}},            // negative row
+      {{0, 2, 1}, {0, 1, 1}},  // descending
+      {{0, 1, 1}, {0, 1, 2}},  // duplicate
+  };
+  for (const auto& pairs : bad) {
+    EXPECT_THROW((void)Csr<int>::from_symmetric_pairs(3, pairs),
+                 ContractViolation);
+  }
+}
+
+// -------------------------------------------------------- one builder ----
+//
+// Netlist and TimingConstraints build A and Dc one way: sort the pairs,
+// merge duplicates, fill.  Random pair lists with duplicates and both
+// orientations, N from 0 to 64, against a dense symmetric reference.
+
+/// A random unordered pair of distinct components in [0, n), in a random
+/// orientation; one draw in three repeats an earlier pair (reversed).
+std::pair<std::int32_t, std::int32_t> draw_pair(
+    Rng& rng, std::int32_t n,
+    std::vector<std::pair<std::int32_t, std::int32_t>>& drawn) {
+  if (!drawn.empty() && rng.next_below(3) == 0) {
+    const auto& [a, b] = drawn[rng.next_below(drawn.size())];
+    return {b, a};
+  }
+  const auto a = static_cast<std::int32_t>(rng.next_below(n));
+  auto b = static_cast<std::int32_t>(rng.next_below(n - 1));
+  if (b >= a) ++b;
+  drawn.emplace_back(a, b);
+  return {a, b};
+}
+
+/// `matrix` stores exactly the entries `present` marks, with `dense`'s
+/// values, and every row's columns strictly ascend.
+template <typename T>
+void expect_matches_dense(const Csr<T>& matrix, std::int32_t n,
+                          const std::vector<bool>& present,
+                          const std::vector<T>& dense) {
+  ASSERT_EQ(matrix.rows(), n);
+  ASSERT_EQ(matrix.cols(), n);
+  std::vector<bool> stored(present.size(), false);
+  for (std::int32_t r = 0; r < n; ++r) {
+    const auto cols = matrix.row_indices(r);
+    const auto values = matrix.row_values(r);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(cols[k - 1], cols[k]) << "row " << r;
+      }
+      const auto at = static_cast<std::size_t>(r) * static_cast<std::size_t>(n) +
+                      static_cast<std::size_t>(cols[k]);
+      EXPECT_TRUE(present[at]) << r << ", " << cols[k];
+      EXPECT_EQ(values[k], dense[at]) << r << ", " << cols[k];
+      stored[at] = true;
+    }
+  }
+  EXPECT_EQ(stored, present);
+}
+
+TEST(OneBuilder, NetlistMatchesDenseReference) {
+  Rng rng(2024);
+  for (std::int32_t n = 0; n <= 64; ++n) {
+    SCOPED_TRACE(n);
+    const auto cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    std::vector<std::int32_t> dense(cells, 0);
+    std::vector<bool> present(cells, false);
+    Netlist netlist;
+    for (std::int32_t j = 0; j < n; ++j) netlist.add_component("c", 1.0);
+    std::vector<std::pair<std::int32_t, std::int32_t>> drawn;
+    for (std::int32_t k = 0; n >= 2 && k < 3 * n; ++k) {
+      const auto [a, b] = draw_pair(rng, n, drawn);
+      const auto wires = static_cast<std::int32_t>(rng.next_int(1, 5));
+      netlist.add_wires(a, b, wires);
+      for (const auto at : {static_cast<std::size_t>(a * n + b),
+                            static_cast<std::size_t>(b * n + a)}) {
+        dense[at] += wires;
+        present[at] = true;
+      }
+    }
+    netlist.finalize();
+    expect_matches_dense(netlist.connection_matrix(), n, present, dense);
+    std::vector<WireBundle> upper;
+    for (std::int32_t a = 0; a < n; ++a) {
+      for (std::int32_t b = a + 1; b < n; ++b) {
+        if (present[static_cast<std::size_t>(a * n + b)]) {
+          upper.push_back({a, b, dense[static_cast<std::size_t>(a * n + b)]});
+        }
+      }
+    }
+    EXPECT_EQ(netlist.bundles(), upper);
+  }
+}
+
+TEST(OneBuilder, TimingMatchesDenseReference) {
+  Rng rng(4048);
+  for (std::int32_t n = 0; n <= 64; ++n) {
+    SCOPED_TRACE(n);
+    const auto cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+    std::vector<double> dense(cells, TimingConstraints::kUnconstrained);
+    std::vector<bool> present(cells, false);
+    TimingConstraints timing(n);
+    std::vector<std::pair<std::int32_t, std::int32_t>> drawn;
+    for (std::int32_t k = 0; n >= 2 && k < 3 * n; ++k) {
+      const auto [a, b] = draw_pair(rng, n, drawn);
+      const double bound = 0.5 * static_cast<double>(rng.next_below(10));
+      timing.add(a, b, bound);
+      for (const auto at : {static_cast<std::size_t>(a * n + b),
+                            static_cast<std::size_t>(b * n + a)}) {
+        dense[at] = std::min(dense[at], bound);
+        present[at] = true;
+      }
+    }
+    timing.finalize();
+    expect_matches_dense(timing.matrix(), n, present, dense);
+    EXPECT_EQ(timing.count(),
+              std::count(present.begin(), present.end(), true) / 2);
+    for (std::int32_t a = 0; a < n; ++a) {
+      for (std::int32_t b = 0; b < n; ++b) {
+        EXPECT_EQ(timing.max_delay(a, b),
+                  dense[static_cast<std::size_t>(a * n + b)]);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- Matrix ----

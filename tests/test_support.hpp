@@ -15,9 +15,26 @@
 #include "partition/topology.hpp"
 #include "timing/conflict_table.hpp"
 #include "timing/constraints.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace qbp::test {
+
+/// Restores the process fail mode on scope exit; every test that switches
+/// modes uses one so a failing assertion cannot leak kThrow/kLogAndCount
+/// into later tests.
+class FailModeGuard {
+ public:
+  explicit FailModeGuard(check::FailMode mode) : saved_(check::fail_mode()) {
+    check::set_fail_mode(mode);
+  }
+  ~FailModeGuard() { check::set_fail_mode(saved_); }
+  FailModeGuard(const FailModeGuard&) = delete;
+  FailModeGuard& operator=(const FailModeGuard&) = delete;
+
+ private:
+  check::FailMode saved_;
+};
 
 struct TinySpec {
   std::int32_t num_components = 6;

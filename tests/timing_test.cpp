@@ -8,6 +8,7 @@
 #include "timing/conflict_table.hpp"
 #include "timing/constraints.hpp"
 #include "timing/timing_graph.hpp"
+#include "util/check.hpp"
 
 namespace qbp {
 namespace {
@@ -16,6 +17,7 @@ Netlist chain_netlist(std::int32_t n) {
   Netlist netlist("chain");
   for (std::int32_t j = 0; j < n; ++j) netlist.add_component("c", 1.0);
   for (std::int32_t j = 0; j + 1 < n; ++j) netlist.add_wires(j, j + 1, 1);
+  netlist.finalize();
   return netlist;
 }
 
@@ -61,6 +63,7 @@ TEST(TimingGraph, ArcPathDelayAndSlack) {
   netlist.add_component("a", 1.0);
   netlist.add_component("b", 1.0);
   netlist.add_wires(0, 1, 1);
+  netlist.finalize();
   const std::vector<double> delays{3.0, 4.0};
   const auto graph = TimingGraph::build(netlist, delays, 1);
   ASSERT_EQ(graph.arcs().size(), 1u);
@@ -84,6 +87,7 @@ TEST(TimingGraph, IsolatedComponentHasOwnDelayOnly) {
   netlist.add_component("b", 1.0);
   netlist.add_component("lone", 1.0);
   netlist.add_wires(0, 1, 1);
+  netlist.finalize();
   const std::vector<double> delays{1.0, 1.0, 5.0};
   const auto graph = TimingGraph::build(netlist, delays, 1);
   EXPECT_DOUBLE_EQ(graph.up(2), 5.0);
@@ -96,6 +100,7 @@ TEST(Constraints, SymmetricStorageAndCount) {
   TimingConstraints constraints(4);
   constraints.add(0, 2, 1.5);
   constraints.add(3, 1, 2.0);
+  constraints.finalize();
   EXPECT_EQ(constraints.count(), 2);
   EXPECT_DOUBLE_EQ(constraints.max_delay(0, 2), 1.5);
   EXPECT_DOUBLE_EQ(constraints.max_delay(2, 0), 1.5);
@@ -108,6 +113,7 @@ TEST(Constraints, DuplicateAddsKeepTightest) {
   constraints.add(0, 1, 3.0);
   constraints.add(1, 0, 1.0);
   constraints.add(0, 1, 2.0);
+  constraints.finalize();
   EXPECT_EQ(constraints.count(), 1);
   EXPECT_DOUBLE_EQ(constraints.max_delay(0, 1), 1.0);
 }
@@ -117,6 +123,7 @@ TEST(Constraints, ViolationsCountsUnorderedPairs) {
   TimingConstraints constraints(3);
   constraints.add(0, 1, 1.0);
   constraints.add(1, 2, 1.0);
+  constraints.finalize();
   Assignment assignment(3, 4);
   assignment.set(0, 0);
   assignment.set(1, 3);  // distance 3 > 1: violated
@@ -134,6 +141,7 @@ TEST(Constraints, UnassignedPartnersIgnored) {
   const auto topo = PartitionTopology::grid(1, 4, CostKind::kManhattan);
   TimingConstraints constraints(2);
   constraints.add(0, 1, 1.0);
+  constraints.finalize();
   Assignment assignment(2, 4);
   assignment.set(0, 0);
   EXPECT_EQ(constraints.violations(assignment, topo), 0);
@@ -145,6 +153,7 @@ TEST(Constraints, ComponentFeasibleAt) {
   TimingConstraints constraints(3);
   constraints.add(0, 1, 1.0);
   constraints.add(0, 2, 2.0);
+  constraints.finalize();
   Assignment assignment(3, 4);
   assignment.set(0, 0);
   assignment.set(1, 1);
@@ -159,6 +168,7 @@ TEST(Constraints, ComponentFeasibleAtWithOverride) {
   const auto topo = PartitionTopology::grid(1, 4, CostKind::kManhattan);
   TimingConstraints constraints(2);
   constraints.add(0, 1, 1.0);
+  constraints.finalize();
   Assignment assignment(2, 4);
   assignment.set(0, 0);
   assignment.set(1, 3);
@@ -171,10 +181,47 @@ TEST(Constraints, ComponentFeasibleAtWithOverride) {
 TEST(Constraints, EmptyConstraintsAlwaysFeasible) {
   const auto topo = PartitionTopology::grid(2, 2, CostKind::kManhattan);
   TimingConstraints constraints(5);
+  constraints.finalize();
   EXPECT_TRUE(constraints.empty());
   Assignment assignment(5, 4);
   for (std::int32_t j = 0; j < 5; ++j) assignment.set(j, 0);
   EXPECT_TRUE(constraints.is_feasible(assignment, topo));
+}
+
+TEST(Constraints, ReadAfterAddFailsUntilFinalized) {
+  const auto topo = PartitionTopology::grid(1, 4, CostKind::kManhattan);
+  Assignment assignment(3, 4);
+  for (std::int32_t j = 0; j < 3; ++j) assignment.set(j, j);
+  TimingConstraints constraints(3);
+  {
+    const test::FailModeGuard guard(check::FailMode::kThrow);
+    EXPECT_THROW((void)constraints.count(), ContractViolation);
+    constraints.add(0, 2, 3.0);
+    constraints.finalize();
+    EXPECT_EQ(constraints.count(), 1);
+    constraints.add(2, 1, 1.0);
+    EXPECT_THROW((void)constraints.matrix(), ContractViolation);
+    EXPECT_THROW((void)constraints.count(), ContractViolation);
+    EXPECT_THROW((void)constraints.max_delay(0, 2), ContractViolation);
+    EXPECT_THROW((void)constraints.partners(0), ContractViolation);
+    EXPECT_THROW((void)constraints.bounds(0), ContractViolation);
+    EXPECT_THROW((void)constraints.violations(assignment, topo),
+                 ContractViolation);
+    EXPECT_THROW(
+        (void)constraints.component_feasible_at(assignment, topo, 0, 1),
+        ContractViolation);
+    constraints.add(0, 2, 2.0);
+    constraints.finalize();
+    constraints.finalize();  // idempotent
+  }
+
+  TimingConstraints fresh(3);
+  fresh.add(1, 2, 1.0);
+  fresh.add(0, 2, 2.0);
+  fresh.finalize();
+  EXPECT_TRUE(constraints.matrix() == fresh.matrix());
+  EXPECT_EQ(constraints.count(), 2);
+  EXPECT_EQ(constraints.max_delay(2, 0), 2.0);
 }
 
 // ------------------------------------------------------ ConflictTable ----
@@ -240,6 +287,7 @@ TEST(ConflictTable, NanDelayCountsAsBreaksDoes) {
                                               std::move(delay), {5.0, 5.0, 5.0});
   TimingConstraints constraints(2);
   constraints.add(0, 1, 1.5);
+  constraints.finalize();
   Assignment assignment(2, 3);
   assignment.set(0, 0);
   assignment.set(1, 0);

@@ -20,21 +20,7 @@
 namespace qbp {
 namespace {
 
-/// Restores the process fail mode on scope exit; every test that switches
-/// modes uses one so a failing assertion cannot leak kThrow/kLogAndCount
-/// into later tests.
-class FailModeGuard {
- public:
-  explicit FailModeGuard(check::FailMode mode) : saved_(check::fail_mode()) {
-    check::set_fail_mode(mode);
-  }
-  ~FailModeGuard() { check::set_fail_mode(saved_); }
-  FailModeGuard(const FailModeGuard&) = delete;
-  FailModeGuard& operator=(const FailModeGuard&) = delete;
-
- private:
-  check::FailMode saved_;
-};
+using test::FailModeGuard;
 
 /// An honestly-reported record for `assignment`: the builder every solver
 /// path uses, fed the truth about feasibility.

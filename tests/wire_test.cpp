@@ -1,14 +1,11 @@
 // Unit tests for the binary wire protocol: util/wire framing + payload
-// primitives, the service message codec (service/wire), and the bulk
-// "straight into normalized CSR form" construction paths the binary decode
-// rides (Csr::from_symmetric_pairs, Netlist::from_sorted_parts,
-// TimingConstraints::from_sorted_pairs).
+// primitives and the service message codec (service/wire).
 //
 // The load-bearing property throughout is VALUE IDENTITY: a problem
-// decoded from a wire frame -- by the canonical fast path or the
-// non-canonical replay fallback -- must equal the text-parsed instance
-// bit for bit (same fingerprint, same CSR structures), because the cache
-// key and the solver results both hang off those bits.
+// decoded from a wire frame -- whatever its pair order -- must equal the
+// text-parsed instance bit for bit (same fingerprint, same CSR
+// structures), because the cache key and the solver results both hang off
+// those bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -550,15 +547,15 @@ TEST(ProblemCodec, WireDecodeMatchesTextParse) {
   EXPECT_EQ(first, second);
 }
 
-TEST(ProblemCodec, NonCanonicalOrderFallsBackToIdenticalValue) {
+TEST(ProblemCodec, ScrambledPairOrderDecodesToIdenticalValue) {
   const PartitionProblem original = medium_problem(23);
   const auto canonical = wire_round_trip(original);
   ASSERT_NE(canonical, nullptr);
 
   // Re-encode by hand with the bundle and constraint lists reversed and
-  // the first bundle split into two duplicate entries: no longer
-  // canonical, so decode_problem must take the replay path -- and still
-  // produce the identical instance.
+  // the first bundle split into two duplicate entries: the one
+  // construction sorts and merges them back into the identical instance
+  // (equal fingerprint included).
   const Netlist& netlist = original.netlist();
   std::vector<WireBundle> bundles(netlist.bundles().rbegin(),
                                   netlist.bundles().rend());
@@ -620,10 +617,10 @@ TEST(ProblemCodec, NonCanonicalOrderFallsBackToIdenticalValue) {
   if (!p.empty()) writer.f64_array(p.flat());
 
   wire::Reader reader(payload);
-  std::shared_ptr<const PartitionProblem> fallback;
+  std::shared_ptr<const PartitionProblem> scrambled;
   std::string error;
-  ASSERT_TRUE(service::decode_problem(reader, fallback, error)) << error;
-  expect_value_identical(*canonical, *fallback);
+  ASSERT_TRUE(service::decode_problem(reader, scrambled, error)) << error;
+  expect_value_identical(*canonical, *scrambled);
 }
 
 TEST(ProblemCodec, SubmitStructCarriesProblemZeroParse) {
@@ -680,72 +677,6 @@ TEST(ProblemCodec, NanMatrixEntriesFailTheFrame) {
     EXPECT_FALSE(service::decode_submit(payload, out, error));
     EXPECT_NE(error.find(message), std::string::npos) << error;
   }
-}
-
-// ------------------------------------------------- bulk construction ----
-
-TEST(BulkBuild, CsrFromSymmetricPairsMatchesFromTriplets) {
-  const std::int32_t n = 9;
-  const std::vector<std::int32_t> a = {0, 0, 1, 2, 2, 5};
-  const std::vector<std::int32_t> b = {3, 7, 2, 4, 8, 6};
-  const std::vector<double> values = {1.5, -2.0, 0.0, 4.25, 7.0, -0.5};
-
-  std::vector<Triplet<double>> triplets;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    triplets.push_back({a[k], b[k], values[k]});
-    triplets.push_back({b[k], a[k], values[k]});
-  }
-  const auto via_triplets = Csr<double>::from_triplets(n, n, triplets);
-  const auto via_pairs = Csr<double>::from_symmetric_pairs(n, a, b, values);
-  EXPECT_TRUE(via_pairs == via_triplets);
-
-  // Empty pair list: a valid all-zero matrix.
-  const auto empty = Csr<double>::from_symmetric_pairs(n, {}, {}, {});
-  EXPECT_EQ(empty.rows(), n);
-  EXPECT_EQ(empty.nonzeros(), 0u);
-}
-
-TEST(BulkBuild, NetlistFromSortedPartsMatchesIncremental) {
-  Netlist incremental("bulk");
-  incremental.add_component("a", 1.0);
-  incremental.add_component("b", 2.5);
-  incremental.add_component("c", 0.5);
-  incremental.add_component("d", 4.0);
-  incremental.add_wires(0, 1, 2);
-  incremental.add_wires(1, 3, 1);
-  incremental.add_wires(0, 2, 5);
-  incremental.finalize();
-  (void)incremental.connection_matrix();
-
-  const Netlist bulk = Netlist::from_sorted_parts(
-      "bulk",
-      {{"a", 1.0}, {"b", 2.5}, {"c", 0.5}, {"d", 4.0}},
-      {{0, 1, 2}, {0, 2, 5}, {1, 3, 1}});
-  EXPECT_EQ(bulk.name(), incremental.name());
-  EXPECT_EQ(bulk.sizes(), incremental.sizes());
-  EXPECT_EQ(bulk.bundles(), incremental.bundles());
-  EXPECT_TRUE(bulk.connection_matrix() == incremental.connection_matrix());
-  EXPECT_EQ(bulk.total_wires(), incremental.total_wires());
-  EXPECT_EQ(bulk.num_connected_pairs(), incremental.num_connected_pairs());
-  EXPECT_TRUE(bulk.validate().empty());
-}
-
-TEST(BulkBuild, TimingFromSortedPairsMatchesAddPath) {
-  TimingConstraints incremental(6);
-  incremental.add(0, 2, 3.0);
-  incremental.add(1, 4, 1.5);
-  incremental.add(2, 5, 2.0);
-  (void)incremental.matrix();
-
-  const std::vector<std::int32_t> j1 = {0, 1, 2};
-  const std::vector<std::int32_t> j2 = {2, 4, 5};
-  const std::vector<double> bounds = {3.0, 1.5, 2.0};
-  const TimingConstraints bulk =
-      TimingConstraints::from_sorted_pairs(6, j1, j2, bounds);
-  EXPECT_TRUE(bulk.matrix() == incremental.matrix());
-  EXPECT_EQ(bulk.count(), incremental.count());
-  EXPECT_EQ(bulk.max_delay(1, 4), 1.5);
-  EXPECT_EQ(bulk.max_delay(3, 4), TimingConstraints::kUnconstrained);
 }
 
 }  // namespace
