@@ -41,20 +41,21 @@
 #include "bench_support/circuits.hpp"
 #include "bench_support/eco_stream.hpp"
 #include "bench_support/experiment.hpp"
+#include "bench_support/netlist_stats.hpp"
 #include "bench_support/serve_bench.hpp"
+#include "bench_support/table.hpp"
 #include "core/burkard.hpp"
 #include "core/delta_evaluator.hpp"
-#include "core/embedding.hpp"
-#include "core/exact.hpp"
 #include "core/initial.hpp"
 #include "core/multilevel.hpp"
 #include "core/presolve.hpp"
 #include "core/problem_io.hpp"
-#include "core/qhat.hpp"
 #include "engine/adapters.hpp"
 #include "engine/pipeline.hpp"
 #include "netlist/generator.hpp"
-#include "netlist/stats.hpp"
+#include "oracle/embedding.hpp"
+#include "oracle/exact.hpp"
+#include "oracle/qhat.hpp"
 #include "service/cache.hpp"
 #include "service/job.hpp"
 #include "timing/constraints.hpp"
@@ -62,7 +63,6 @@
 #include "util/json.hpp"
 #include "util/prof.hpp"
 #include "util/strings.hpp"
-#include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -204,8 +204,7 @@ Value run_ablation(const RunnerConfig& config) {
                                             : result.best));
     row.set("feasible", result.found_feasible);
     row.set("penalized", result.best_penalized);
-    row.set("violations", qbp::QhatMatrix(problem, options.penalty)
-                              .ordered_violations(result.best));
+    row.set("violations", qbp::ordered_violations(problem, result.best));
     row.set("seconds", result.seconds);
     if (history) row.set("history", array_of(result.history));
     rows.push_back(std::move(row));
@@ -289,7 +288,6 @@ Value run_sparse(const RunnerConfig& config) {
   Value rows = Value::array();
   for (const std::int32_t n : sizes) {
     const auto problem = qbp::make_scaling_problem(n, 42);
-    const qbp::QhatMatrix qhat(problem, qbp::kPaperPenalty);
     const auto u =
         qbp::make_initial(problem, qbp::InitialStrategy::kGreedyBalanced, 1)
             .assignment;
@@ -307,7 +305,8 @@ Value run_sparse(const RunnerConfig& config) {
     for (std::int64_t s = 0; s < size; ++s) {
       double total = 0.0;
       for (std::int32_t j = 0; j < problem.num_components(); ++j) {
-        total += qhat.entry(problem.flat_index(u[j], j), s);
+        total += qbp::qhat_entry(problem, qbp::kPaperPenalty,
+                                 problem.flat_index(u[j], j), s);
       }
       dense[static_cast<std::size_t>(s)] = total;
     }
@@ -322,7 +321,7 @@ Value run_sparse(const RunnerConfig& config) {
     row.set("mn", size);
     row.set("dense_mib", static_cast<double>(size) * static_cast<double>(size) *
                              8.0 / (1024.0 * 1024.0));
-    row.set("nnz", qhat.nominal_nonzeros());
+    row.set("nnz", qbp::nominal_nonzeros(problem));
     row.set("sparse_seconds", sparse_seconds);
     row.set("dense_seconds", dense_seconds);
     row.set("speedup", dense_seconds / sparse_seconds);
@@ -642,9 +641,8 @@ Value run_vcycle(const RunnerConfig& config) {
     // Feasible wirelength, or the penalized value when none was found.
     row.set("final", finest.found_feasible
                          ? problem.wirelength(best)
-                         : qbp::QhatMatrix(problem,
-                                           options.refine_solver.penalty)
-                               .penalized_value(best));
+                         : problem.penalized_value(
+                               best, options.refine_solver.penalty));
     row.set("feasible", finest.found_feasible);
     rows.push_back(std::move(row));
     std::fprintf(stderr, "  N=%d done (%.2fs, %d levels)\n", n, seconds,

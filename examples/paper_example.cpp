@@ -12,7 +12,8 @@
 
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
-#include "core/qhat.hpp"
+#include "oracle/embedding.hpp"
+#include "oracle/qhat.hpp"
 
 namespace {
 
@@ -43,7 +44,6 @@ qbp::PartitionProblem make_paper_problem() {
 
 int main() {
   const qbp::PartitionProblem problem = make_paper_problem();
-  const qbp::QhatMatrix qhat(problem, 50.0);
 
   // Print Q-hat in the paper's layout: rows/columns ordered (a,1)..(a,4),
   // (b,1)..(b,4), (c,1)..(c,4) -- which is exactly flat order r = i + j*M.
@@ -58,7 +58,7 @@ int main() {
     std::printf("  %c%d ", 'a' + problem.component_of(r1),
                 problem.partition_of(r1) + 1);
     for (std::int32_t r2 = 0; r2 < size; ++r2) {
-      const double value = qhat.entry(r1, r2);
+      const double value = qbp::qhat_entry(problem, 50.0, r1, r2);
       if (value == 0.0) {
         std::printf("   - ");
       } else {

@@ -1,8 +1,9 @@
 // The Quadratic Assignment Problem special case (paper Section 2.2.3):
 // M = N, all sizes and capacities equal, no timing constraints -- the
 // assignment must be a permutation.  Burkard's heuristic was originally
-// designed for exactly this, so the demo solves a small QAP with the
-// generalized solver and checks it against brute force.
+// designed for exactly this, so the demo builds a small QAP through the
+// reduction (oracle/special_cases.hpp), solves it with the generalized
+// solver and checks it against brute force.
 //
 //   ./qap_demo [--size 7] [--seed 11] [--iterations 200]
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
 #include "core/initial.hpp"
+#include "oracle/special_cases.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -30,18 +32,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Random flow matrix A (facilities) and a ring-distance matrix B
-  // (locations).  Unit sizes + unit capacities make assignments
-  // permutations.
+  // Random flows between facilities (a < b only: the reduction adds
+  // f + f^T) and a ring-distance matrix between locations.  The reduction's
+  // unit sizes and capacities make assignments permutations.
   qbp::Rng rng(static_cast<std::uint64_t>(seed));
-  qbp::Netlist netlist("qap");
-  for (std::int32_t j = 0; j < n; ++j) {
-    netlist.add_component("f" + std::to_string(j), 1.0);
-  }
+  qbp::Matrix<std::int32_t> flow(n, n, 0);
   for (std::int32_t a = 0; a < n; ++a) {
     for (std::int32_t b = a + 1; b < n; ++b) {
       if (rng.next_bool(0.6)) {
-        netlist.add_wires(a, b, static_cast<std::int32_t>(rng.next_int(1, 9)));
+        flow(a, b) = static_cast<std::int32_t>(rng.next_int(1, 9));
       }
     }
   }
@@ -53,11 +52,7 @@ int main(int argc, char** argv) {
       distance(i1, i2) = std::min(ring, n - ring);
     }
   }
-  qbp::PartitionTopology topology = qbp::PartitionTopology::custom(
-      distance, distance, std::vector<double>(static_cast<std::size_t>(n), 1.0));
-
-  qbp::PartitionProblem problem(std::move(netlist), std::move(topology),
-                                qbp::TimingConstraints(n));
+  const qbp::PartitionProblem problem = qbp::make_qap_problem(flow, distance);
 
   const qbp::BruteForceResult exact = qbp::brute_force_constrained(problem);
   std::printf("QAP n=%d: %lld feasible assignments (= n! permutations), "

@@ -16,10 +16,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-12;
 constexpr double kCapTolerance = 1e-9;
 
-/// Column-major cost view: item j's M agent costs are contiguous at
-/// [j*M, (j+1)*M).  Every phase of the heuristic scans per-item agent costs,
-/// so this is the cache-friendly orientation; the Burkard flat vectors are
-/// already in this layout and bind zero-copy.
+/// GapProblem's column-major costs as a raw view: item j's M agent costs
+/// are contiguous at [j*M, (j+1)*M).  Every phase of the heuristic scans
+/// per-item agent costs, so this is the cache-friendly orientation.
 struct ColCost {
   const double* data = nullptr;
   std::int32_t m = 0;
@@ -92,82 +91,13 @@ bool gap_feasible(const GapProblem& problem,
   return true;
 }
 
-double gap_lower_bound(const GapProblem& problem, std::int32_t iterations) {
-  const std::int32_t m = problem.num_agents();
-  const std::int32_t n = problem.num_items();
-  std::vector<double> lambda(static_cast<std::size_t>(m), 0.0);
-  std::vector<double> usage(static_cast<std::size_t>(m), 0.0);
-  double best_bound = -kInf;
-
-  // Step size normalization: scale by the cost range so the schedule is
-  // instance-independent.
-  double cost_span = 0.0;
-  for (std::int32_t i = 0; i < m; ++i) {
-    for (std::int32_t j = 0; j < n; ++j) {
-      cost_span = std::max(cost_span, std::abs(problem.cost_at(i, j)));
-    }
-  }
-  if (cost_span == 0.0) cost_span = 1.0;
-
-  for (std::int32_t k = 0; k < iterations; ++k) {
-    // Evaluate L(lambda): each item independently picks its cheapest agent
-    // under the penalized costs.
-    std::fill(usage.begin(), usage.end(), 0.0);
-    double value = 0.0;
-    for (std::int32_t j = 0; j < n; ++j) {
-      std::int32_t best_agent = 0;
-      double best_cost = kInf;
-      for (std::int32_t i = 0; i < m; ++i) {
-        const double c = problem.cost_at(i, j) +
-                         lambda[static_cast<std::size_t>(i)] *
-                             problem.sizes[static_cast<std::size_t>(j)];
-        if (c < best_cost) {
-          best_cost = c;
-          best_agent = i;
-        }
-      }
-      value += best_cost;
-      usage[static_cast<std::size_t>(best_agent)] +=
-          problem.sizes[static_cast<std::size_t>(j)];
-    }
-    for (std::int32_t i = 0; i < m; ++i) {
-      value -= lambda[static_cast<std::size_t>(i)] *
-               problem.capacities[static_cast<std::size_t>(i)];
-    }
-    best_bound = std::max(best_bound, value);
-
-    // Projected subgradient step on g_i = usage_i - capacity_i.
-    const double step = 0.1 * cost_span / (1.0 + static_cast<double>(k));
-    for (std::int32_t i = 0; i < m; ++i) {
-      const double gradient = usage[static_cast<std::size_t>(i)] -
-                              problem.capacities[static_cast<std::size_t>(i)];
-      lambda[static_cast<std::size_t>(i)] =
-          std::max(0.0, lambda[static_cast<std::size_t>(i)] + step * gradient);
-    }
-  }
-  return best_bound;
-}
-
 GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
   const std::int32_t m = problem.num_agents();
   const std::int32_t n = problem.num_items();
   QBP_CHECK_EQ(static_cast<std::size_t>(n), problem.sizes.size());
   QBP_CHECK_EQ(static_cast<std::size_t>(m), problem.capacities.size());
 
-  // Bind the column-major view; Matrix callers pay one transpose copy here,
-  // flat callers (the Burkard inner loop) bind zero-copy.
-  std::vector<double> transposed;
-  ColCost cost{problem.cost_flat.data(), m};
-  if (problem.cost_flat.empty()) {
-    transposed.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
-    for (std::int32_t j = 0; j < n; ++j) {
-      for (std::int32_t i = 0; i < m; ++i) {
-        transposed[static_cast<std::size_t>(j) * static_cast<std::size_t>(m) +
-                   static_cast<std::size_t>(i)] = problem.cost(i, j);
-      }
-    }
-    cost.data = transposed.data();
-  }
+  const ColCost cost{problem.cost.data(), m};
   const std::span<const double> sizes(problem.sizes);
 
   GapResult result;

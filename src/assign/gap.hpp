@@ -16,8 +16,9 @@
 //      pairwise swap passes.
 //
 // Inside the Burkard iteration (STEP 4 / STEP 6 of the paper) this is called
-// with the linearized cost vectors eta / h reshaped to an M x N matrix; the
-// heuristic's solution steers the line search, so approximate optimality is
+// with the linearized cost vectors eta / h, whose flat layout r = i + j * M
+// is the one GapProblem reads, so they bind without a copy; the heuristic's
+// solution steers the line search, so approximate optimality is
 // acceptable, but C1/C3 feasibility of the *returned* vector matters and is
 // reported via `feasible`.
 #pragma once
@@ -26,39 +27,28 @@
 #include <span>
 #include <vector>
 
-#include "sparse/dense.hpp"
-
 namespace qbp {
 
 struct GapProblem {
-  /// M x N (row-major).  Ignored when `cost_flat` is set.
-  Matrix<double> cost;
-  /// Zero-copy alternative: the Burkard flat MN vector (r = i + j * M), i.e.
-  /// column-major with item j's M agent costs contiguous at [j*M, (j+1)*M).
-  /// This is the layout every solver phase scans, so the hot path consumes
-  /// it directly -- no reshape copy, no strided access.  `flat_agents` = M.
-  std::span<const double> cost_flat;
-  std::int32_t flat_agents = 0;
+  /// Column-major M x N costs, viewed, not owned: item j's M agent costs
+  /// are contiguous at [j * M, (j + 1) * M).  This is the Burkard flat MN
+  /// vector (r = i + j * M) and the layout every solver phase scans.
+  std::span<const double> cost;
+  std::int32_t agents = 0;         // M
   std::vector<double> sizes;       // N, positive
   std::vector<double> capacities;  // M, non-negative
 
-  [[nodiscard]] std::int32_t num_agents() const noexcept {
-    return cost_flat.empty() ? cost.rows() : flat_agents;
-  }
+  [[nodiscard]] std::int32_t num_agents() const noexcept { return agents; }
   [[nodiscard]] std::int32_t num_items() const noexcept {
-    if (cost_flat.empty()) return cost.cols();
-    return flat_agents > 0
-               ? static_cast<std::int32_t>(cost_flat.size() /
-                                           static_cast<std::size_t>(flat_agents))
-               : 0;
+    return agents > 0 ? static_cast<std::int32_t>(
+                            cost.size() / static_cast<std::size_t>(agents))
+                      : 0;
   }
-  /// Cost of assigning `item` to `agent` under either representation.
   [[nodiscard]] double cost_at(std::int32_t agent,
                                std::int32_t item) const noexcept {
-    if (cost_flat.empty()) return cost(agent, item);
-    return cost_flat[static_cast<std::size_t>(item) *
-                         static_cast<std::size_t>(flat_agents) +
-                     static_cast<std::size_t>(agent)];
+    return cost[static_cast<std::size_t>(item) *
+                    static_cast<std::size_t>(agents) +
+                static_cast<std::size_t>(agent)];
   }
 };
 
@@ -91,16 +81,5 @@ struct GapResult {
 /// True when `agent_of_item` respects every capacity.
 [[nodiscard]] bool gap_feasible(const GapProblem& problem,
                                 std::span<const std::int32_t> agent_of_item);
-
-/// Lagrangian lower bound on the GAP optimum (Jornsten & Nasberg style):
-/// relax the capacity constraints with multipliers lambda_i >= 0,
-///
-///   L(lambda) = sum_j min_i (c_ij + lambda_i * s_j) - sum_i lambda_i * cap_i,
-///
-/// and maximize by projected subgradient ascent.  Every L(lambda) is a
-/// valid bound; the best over `iterations` steps is returned.  Used to
-/// report optimality gaps for heuristic solutions.
-[[nodiscard]] double gap_lower_bound(const GapProblem& problem,
-                                     std::int32_t iterations = 60);
 
 }  // namespace qbp

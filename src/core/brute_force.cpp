@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/qhat.hpp"
-
 #include "util/check.hpp"
 
 namespace qbp {
@@ -47,25 +45,6 @@ BruteForceResult brute_force_constrained(const PartitionProblem& problem) {
         if (!problem.satisfies_timing(assignment)) return;
         ++result.feasible_count;
         const double value = problem.objective(assignment);
-        if (!result.found || value < result.value) {
-          result.found = true;
-          result.value = value;
-          result.best = assignment;
-        }
-      });
-  return result;
-}
-
-BruteForceResult brute_force_penalized(const PartitionProblem& problem,
-                                       double penalty) {
-  const QhatMatrix qhat(problem, penalty);
-  BruteForceResult result;
-  enumerate_assignments(
-      problem.num_components(), problem.num_partitions(),
-      [&](const Assignment& assignment) {
-        if (!problem.satisfies_capacity(assignment)) return;
-        ++result.feasible_count;
-        const double value = qhat.penalized_value(assignment);
         if (!result.found || value < result.value) {
           result.found = true;
           result.value = value;

@@ -1,6 +1,9 @@
-// Exact exhaustive solvers for tiny instances -- the test oracle behind the
-// embedding theorems and the heuristics' quality checks.  Enumerates all
-// M^N complete assignments; guarded to stay within a work budget.
+// Exact exhaustive solver for tiny instances: presolve's RN rule solves a
+// remainder of at most a few free components with it, and it is the test
+// oracle behind the heuristics' quality checks.  Enumerates all M^N
+// complete assignments; guarded to stay within a work budget.  The
+// embedded problem's counterpart, brute_force_penalized, is an oracle form
+// (oracle/embedding.hpp).
 #pragma once
 
 #include <cstdint>
@@ -25,14 +28,8 @@ struct BruteForceResult {
 [[nodiscard]] BruteForceResult brute_force_constrained(
     const PartitionProblem& problem);
 
-/// Exact minimum of the *embedded* problem QBP(Qhat): the penalized value
-/// y^T Qhat y over assignments satisfying only C1 (and C3) -- timing enters
-/// through the penalty, exactly as the transformed problem of Section 3.2.
-[[nodiscard]] BruteForceResult brute_force_penalized(
-    const PartitionProblem& problem, double penalty);
-
 /// Exhaustively enumerate complete assignments, calling `visit` on each.
-/// Exposed for property tests.  Asserts M^N <= 2^24.
+/// Asserts M^N <= 2^24.
 void enumerate_assignments(std::int32_t num_components,
                            std::int32_t num_partitions,
                            const std::function<void(const Assignment&)>& visit);

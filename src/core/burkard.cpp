@@ -1,10 +1,10 @@
 #include "core/burkard.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/delta_evaluator.hpp"
 #include "core/placement.hpp"
-#include "core/qhat.hpp"
 #include "util/log.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"
@@ -20,6 +20,60 @@ namespace {
 constexpr double kRestartPerturbation = 0.10;
 
 }  // namespace
+
+std::vector<double> omega_bounds(const PartitionProblem& problem,
+                                 double penalty) {
+  const std::int32_t m = problem.num_partitions();
+  const std::int32_t n = problem.num_components();
+  std::vector<double> omega(static_cast<std::size_t>(problem.flat_size()), 0.0);
+
+  const auto& adjacency = problem.netlist().connection_matrix();
+  const auto& topology = problem.topology();
+  const double beta = problem.beta();
+
+  // Worst-case wire cost from partition i1 to anywhere.
+  std::vector<double> max_b(static_cast<std::size_t>(m), 0.0);
+  for (std::int32_t i1 = 0; i1 < m; ++i1) {
+    for (std::int32_t i2 = 0; i2 < m; ++i2) {
+      max_b[static_cast<std::size_t>(i1)] =
+          std::max(max_b[static_cast<std::size_t>(i1)], topology.wire_cost(i1, i2));
+    }
+  }
+
+  for (std::int32_t j1 = 0; j1 < n; ++j1) {
+    const auto neighbors = adjacency.row_indices(j1);
+    const auto wires = adjacency.row_values(j1);
+    const auto partners = problem.timing().partners(j1);
+    for (PartitionId i1 = 0; i1 < m; ++i1) {
+      // Under C3 every other component contributes exactly one entry of its
+      // M-block; bound each block's max.  Constrained pairs can hit the
+      // penalty; connected pairs can hit beta * a * max_b.
+      double bound = problem.alpha() * problem.linear_cost(i1, j1);
+      std::size_t wire_at = 0;
+      std::size_t partner_at = 0;
+      while (wire_at < neighbors.size() || partner_at < partners.size()) {
+        const std::int32_t next_wire =
+            wire_at < neighbors.size() ? neighbors[wire_at] : n;
+        const std::int32_t next_partner =
+            partner_at < partners.size() ? partners[partner_at] : n;
+        if (next_wire < next_partner) {
+          bound += beta * wires[wire_at] * max_b[static_cast<std::size_t>(i1)];
+          ++wire_at;
+        } else if (next_partner < next_wire) {
+          bound += penalty;
+          ++partner_at;
+        } else {
+          bound += std::max(penalty, beta * wires[wire_at] *
+                                         max_b[static_cast<std::size_t>(i1)]);
+          ++wire_at;
+          ++partner_at;
+        }
+      }
+      omega[static_cast<std::size_t>(problem.flat_index(i1, j1))] = bound;
+    }
+  }
+  return omega;
+}
 
 /// Greedy descent on the penalized objective: per round, a best-move sweep
 /// over every (component, partition) pair, then a first-improvement swap
@@ -103,15 +157,14 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   QBP_CHECK(initial.is_complete()) << "the starting solution must satisfy C3";
 
   const Timer timer;
-  const QhatMatrix qhat(problem, options.penalty);
   DeltaEvaluator evaluator(problem, options.penalty);
-  const std::vector<double> omega = qhat.omega();  // STEP 2 bounds
+  const std::vector<double> omega = omega_bounds(problem, options.penalty);
 
   // The flat eta / h vectors (r = i + j * M) are exactly the column-major
-  // layout the GAP heuristic scans, so they bind zero-copy via cost_flat --
+  // layout the GAP heuristic scans, so they bind zero-copy as its cost --
   // no per-iteration reshape allocation.
   GapProblem gap;
-  gap.flat_agents = problem.num_partitions();
+  gap.agents = problem.num_partitions();
   gap.sizes = problem.netlist().sizes();
   gap.capacities = problem.topology().capacities();
 
@@ -119,7 +172,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
   // STEP 2: u* <- u(1), z* <- u*^T Qhat u*.
   Assignment u = initial;
   result.best = u;
-  result.best_penalized = qhat.penalized_value(u);
+  result.best_penalized = problem.penalized_value(u, options.penalty);
 
   const auto consider_feasible = [&](const Assignment& candidate) {
     if (!problem.satisfies_capacity(candidate) ||
@@ -163,7 +216,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     double z = 0.0;
     {
       QBP_PROF_SCOPE("burkard.step4_gap");
-      gap.cost_flat = std::span<const double>(eta);
+      gap.cost = std::span<const double>(eta);
       const GapResult step4 = solve_gap(gap, options.gap_step4);
       if (!step4.feasible) ++result.infeasible_inner_solves;
       z = step4.cost;
@@ -180,7 +233,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
     std::optional<GapResult> step6_result;
     {
       QBP_PROF_SCOPE("burkard.step6_gap");
-      gap.cost_flat = std::span<const double>(h);
+      gap.cost = std::span<const double>(h);
       step6_result = solve_gap(gap, options.gap_step6);
     }
     const GapResult& step6 = *step6_result;
@@ -196,7 +249,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
 
     // STEP 7: incumbent update by penalized value; feasible incumbent is
     // tracked separately (Theorem 2 certification needs C2 to hold).
-    const double penalized = qhat.penalized_value(next);
+    const double penalized = problem.penalized_value(next, options.penalty);
     if (penalized < result.best_penalized) {
       result.best_penalized = penalized;
       result.best = next;
@@ -232,7 +285,7 @@ BurkardResult solve_qbp(const PartitionProblem& problem, const Assignment& initi
       // global field re-absorbs it.
       polish_iterate(problem, evaluator, u, options.polish_sweeps,
                      0x15edu ^ static_cast<std::uint64_t>(k));
-      const double kicked = qhat.penalized_value(u);
+      const double kicked = problem.penalized_value(u, options.penalty);
       if (kicked < result.best_penalized) {
         result.best_penalized = kicked;
         result.best = u;

@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "assign/gap.hpp"
-#include "core/embedding.hpp"
 #include "core/outcome.hpp"
 #include "core/problem.hpp"
 
@@ -124,6 +123,13 @@ struct BurkardResult : Outcome {
 [[nodiscard]] BurkardResult solve_qbp(const PartitionProblem& problem,
                                       const Assignment& initial,
                                       const BurkardOptions& options = {});
+
+/// STEP 2's bounds omega_r >= max_{y in S} sum_s qhat(r, s) y_s of
+/// equation (2), one per flat index r = i + j * M; solve_qbp computes them
+/// once per solve.  Exploits C3: each other component contributes its worst
+/// single entry of Q-hat's (r, component) block.
+[[nodiscard]] std::vector<double> omega_bounds(const PartitionProblem& problem,
+                                               double penalty);
 
 class DeltaEvaluator;
 

@@ -2,15 +2,12 @@
 
 #include <utility>
 
-#include "core/qhat.hpp"
-
 namespace qbp {
 
 Outcome outcome_of(const PartitionProblem& problem, Assignment assignment,
                    double penalty, bool feasible) {
   Outcome outcome;
-  outcome.best_penalized =
-      QhatMatrix(problem, penalty).penalized_value(assignment);
+  outcome.best_penalized = problem.penalized_value(assignment, penalty);
   if (feasible) {
     outcome.best_feasible = assignment;
     outcome.best_feasible_objective = problem.objective(assignment);

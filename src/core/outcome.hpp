@@ -30,7 +30,7 @@ struct Outcome {
 /// value under `penalty`, and -- when the caller says the assignment is
 /// feasible -- the feasible incumbent is the same assignment with its true
 /// objective.  On a feasible assignment the penalized value equals the
-/// objective bit for bit (QhatMatrix::penalized_value adds nothing).
+/// objective bit for bit (PartitionProblem::penalized_value adds nothing).
 [[nodiscard]] Outcome outcome_of(const PartitionProblem& problem,
                                  Assignment assignment, double penalty,
                                  bool feasible);

@@ -22,31 +22,6 @@ PartitionProblem::PartitionProblem(Netlist netlist, PartitionTopology topology,
   timing_.finalize();
 }
 
-std::vector<std::uint8_t> PartitionProblem::to_y(const Assignment& assignment) const {
-  QBP_CHECK_EQ(assignment.num_components(), num_components());
-  QBP_CHECK(assignment.is_complete());
-  std::vector<std::uint8_t> y(static_cast<std::size_t>(flat_size()), 0);
-  for (std::int32_t j = 0; j < num_components(); ++j) {
-    y[static_cast<std::size_t>(flat_index(assignment[j], j))] = 1;
-  }
-  return y;
-}
-
-Assignment PartitionProblem::from_y(const std::vector<std::uint8_t>& y) const {
-  QBP_CHECK_EQ(static_cast<std::int64_t>(y.size()), flat_size());
-  Assignment assignment(num_components(), num_partitions());
-  for (std::int64_t r = 0; r < flat_size(); ++r) {
-    if (y[static_cast<std::size_t>(r)] != 0) {
-      QBP_CHECK(assignment[component_of(r)] == Assignment::kUnassigned)
-          << "y has more than one 1 in a component column (violates C3)";
-      assignment.set(component_of(r), partition_of(r));
-    }
-  }
-  QBP_CHECK(assignment.is_complete())
-      << "y misses a component (violates C3)";
-  return assignment;
-}
-
 bool PartitionProblem::satisfies_capacity(const Assignment& assignment) const {
   return qbp::satisfies_capacity(assignment, netlist_.sizes(),
                                  topology_.capacities());
@@ -63,6 +38,25 @@ bool PartitionProblem::is_feasible(const Assignment& assignment) const {
 
 double PartitionProblem::objective(const Assignment& assignment) const {
   return qbp::objective(netlist_, topology_, p_, alpha_, beta_, assignment);
+}
+
+double PartitionProblem::penalized_value(const Assignment& assignment,
+                                         double penalty) const {
+  QBP_CHECK_GT(penalty, 0.0) << "Q-hat penalty must be positive";
+  // y^T Qhat y = true objective + penalty for every ordered violating pair
+  // - the wire term those violating pairs would otherwise have contributed.
+  double value = objective(assignment);
+  const auto& adjacency = netlist_.connection_matrix();
+  timing_.matrix().for_each([&](std::int32_t j1, std::int32_t j2, double bound) {
+    const PartitionId p1 = assignment[j1];
+    const PartitionId p2 = assignment[j2];
+    if (p1 == Assignment::kUnassigned || p2 == Assignment::kUnassigned) return;
+    if (topology_.delay(p1, p2) > bound) {
+      const auto wires = adjacency.value_or(j1, j2, 0);
+      value += penalty - beta_ * wires * topology_.wire_cost(p1, p2);
+    }
+  });
+  return value;
 }
 
 double PartitionProblem::wirelength(const Assignment& assignment) const {

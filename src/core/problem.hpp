@@ -13,12 +13,14 @@
 //   r = i + j * M      (0-based; the paper writes r = i + (j-1)M, 1-based)
 //
 // so that y_r = x_ij.  flat_index / partition_of / component_of implement
-// the bijection.
+// the bijection.  Q-hat itself is never built (Section 4.3): a solve needs
+// only its quadratic form y^T Qhat y, which penalized_value computes next
+// to the true objective.  The entry-level Q-hat of the Section 3.3 example
+// is a test reference (oracle/qhat.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "netlist/netlist.hpp"
 #include "partition/assignment.hpp"
@@ -27,6 +29,12 @@
 #include "timing/constraints.hpp"
 
 namespace qbp {
+
+/// The paper's experimental penalty (Section 3.2: "In experiments we set
+/// q-hat = 50 ... high enough for the optimization procedure to 'reject'
+/// any timing violating assignments").  Theorem 2: any positive value
+/// works when the minimizer found is violation-free.
+inline constexpr double kPaperPenalty = 50.0;
 
 class PartitionProblem {
  public:
@@ -80,12 +88,6 @@ class PartitionProblem {
     return static_cast<std::int32_t>(r / num_partitions());
   }
 
-  /// Binary y vector of a complete assignment (C3 holds by construction).
-  [[nodiscard]] std::vector<std::uint8_t> to_y(const Assignment& assignment) const;
-
-  /// Assignment from a y vector; requires exactly one 1 per component (C3).
-  [[nodiscard]] Assignment from_y(const std::vector<std::uint8_t>& y) const;
-
   // --- constraints --------------------------------------------------------
   /// C1 for a complete assignment.
   [[nodiscard]] bool satisfies_capacity(const Assignment& assignment) const;
@@ -96,6 +98,14 @@ class PartitionProblem {
 
   /// The true objective alpha * linear + beta * quadratic (no penalties).
   [[nodiscard]] double objective(const Assignment& assignment) const;
+
+  /// y^T Qhat y for the y vector of a complete assignment: the objective,
+  /// with each ordered timing-violating pair's wire term replaced by
+  /// `penalty` (Section 3.2; must be positive).  O(bundles + constraints),
+  /// never O((MN)^2).  On a violation-free assignment it equals objective()
+  /// bit for bit.
+  [[nodiscard]] double penalized_value(const Assignment& assignment,
+                                       double penalty) const;
 
   /// Reported wirelength metric (each wire counted once); the tables'
   /// "cost" column.

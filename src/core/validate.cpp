@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/delta_evaluator.hpp"
-#include "core/qhat.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -83,8 +82,8 @@ ValidationReport validate_outcome(const PartitionProblem& problem,
                                   const ValidateOptions& options) {
   ValidationReport report;
   if (check_structure(problem, reported.best, "best", report)) {
-    const QhatMatrix qhat(problem, options.penalty);
-    const double recomputed = qhat.penalized_value(reported.best);
+    const double recomputed =
+        problem.penalized_value(reported.best, options.penalty);
     if (!check::within_relative(recomputed, reported.best_penalized,
                                 options.tolerance)) {
       std::ostringstream out;
@@ -130,9 +129,8 @@ ValidationReport validate_deltas(const PartitionProblem& problem,
   if (n == 0 || m < 2 || options.delta_samples <= 0) return report;
 
   Rng rng(options.seed);
-  const QhatMatrix qhat(problem, options.penalty);
   DeltaEvaluator evaluator(problem, options.penalty);
-  const double base = qhat.penalized_value(assignment);
+  const double base = problem.penalized_value(assignment, options.penalty);
   Assignment scratch = assignment;
 
   for (std::int32_t k = 0; k < options.delta_samples; ++k) {
@@ -148,7 +146,8 @@ ValidationReport validate_deltas(const PartitionProblem& problem,
     const double cached = row[static_cast<std::size_t>(target)];
     const double one_off = evaluator.move_delta(assignment, j, target);
     scratch.set(j, target);
-    const double full = qhat.penalized_value(scratch) - base;
+    const double full =
+        problem.penalized_value(scratch, options.penalty) - base;
     scratch.set(j, assignment[j]);
 
     if (!check::within_relative(cached, full, options.tolerance) ||
@@ -174,7 +173,8 @@ ValidationReport validate_deltas(const PartitionProblem& problem,
     const double one_off = evaluator.swap_delta(assignment, j1, j2);
     scratch.set(j1, assignment[j2]);
     scratch.set(j2, assignment[j1]);
-    const double full = qhat.penalized_value(scratch) - base;
+    const double full =
+        problem.penalized_value(scratch, options.penalty) - base;
     scratch.set(j1, assignment[j1]);
     scratch.set(j2, assignment[j2]);
 

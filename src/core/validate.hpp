@@ -12,8 +12,8 @@
 //     and (for a claimed-feasible incumbent) C1 capacity and C2 timing
 //     checked against the problem definition, not the solver's ledger;
 //   * reported numbers -- the penalized value and true objective recomputed
-//     via QhatMatrix / PartitionProblem::objective and compared within a
-//     tolerance;
+//     via PartitionProblem::penalized_value / objective and compared within
+//     a tolerance;
 //   * incremental machinery -- sampled moves and swaps, each evaluated
 //     three ways: DeltaEvaluator's cached path (the move_deltas row, or
 //     cached_swap_delta for a swap), its one-off move_delta / swap_delta,
@@ -39,7 +39,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/embedding.hpp"
 #include "core/outcome.hpp"
 #include "core/problem.hpp"
 
@@ -86,7 +85,7 @@ struct ValidationReport {
 /// moves and swaps, DeltaEvaluator's cached value (move_deltas row,
 /// cached_swap_delta) and one-off value (move_delta, swap_delta) must both
 /// agree with a full from-scratch re-evaluation of the mutated assignment
-/// through QhatMatrix::penalized_value.
+/// through PartitionProblem::penalized_value.
 [[nodiscard]] ValidationReport validate_deltas(
     const PartitionProblem& problem, const Assignment& assignment,
     const ValidateOptions& options = {});

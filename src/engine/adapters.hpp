@@ -13,6 +13,8 @@
 // already holds, otherwise the paper's B = 0 construction (Section 5), both
 // seeded by StartPoint::seed.  If no feasible start can be built the
 // adapter returns found_feasible = false with the start itself as `best`.
+// Their penalized value is their objective, and that fallback's is measured
+// at the base's penalized_with(), kPaperPenalty.
 #pragma once
 
 #include "baselines/gfm.hpp"
@@ -69,11 +71,6 @@ class GfmSolver final : public Solver {
   [[nodiscard]] SolverResult solve(const PartitionProblem& problem,
                                    const StartPoint& start,
                                    std::stop_token stop) const override;
-  /// Feasible-region walk: penalized == objective; the infeasible-start
-  /// fallback reports a kPaperPenalty-penalized value (the base default).
-  [[nodiscard]] double penalized_with() const override {
-    return kPaperPenalty;
-  }
 
  private:
   GfmOptions options_;
@@ -88,11 +85,6 @@ class GklSolver final : public Solver {
   [[nodiscard]] SolverResult solve(const PartitionProblem& problem,
                                    const StartPoint& start,
                                    std::stop_token stop) const override;
-  /// Feasible-region walk: penalized == objective; the infeasible-start
-  /// fallback reports a kPaperPenalty-penalized value (the base default).
-  [[nodiscard]] double penalized_with() const override {
-    return kPaperPenalty;
-  }
 
  private:
   GklOptions options_;
@@ -108,11 +100,6 @@ class SaSolver final : public Solver {
   [[nodiscard]] SolverResult solve(const PartitionProblem& problem,
                                    const StartPoint& start,
                                    std::stop_token stop) const override;
-  /// Feasible-region walk: penalized == objective; the infeasible-start
-  /// fallback reports a kPaperPenalty-penalized value (the base default).
-  [[nodiscard]] double penalized_with() const override {
-    return kPaperPenalty;
-  }
 
  private:
   SaOptions options_;

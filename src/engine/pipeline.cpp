@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/outcome.hpp"
-#include "core/qhat.hpp"
 #include "core/validate.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -37,8 +36,7 @@ void SolvePipeline::post_solve(SolverResult& result, double penalty) const {
   const bool lifted = reduced() || reduced_.rn_feasible;
   if (lifted) {
     result.best = reduced_.lift.lift(result.best);
-    result.best_penalized =
-        QhatMatrix(original_, penalty).penalized_value(result.best);
+    result.best_penalized = original_.penalized_value(result.best, penalty);
     if (result.found_feasible) {
       result.best_feasible = reduced_.lift.lift(result.best_feasible);
       result.best_feasible_objective += reduced_.lift.objective_offset;

@@ -29,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/embedding.hpp"
 #include "core/outcome.hpp"
 #include "core/problem.hpp"
 

@@ -31,8 +31,14 @@ std::optional<std::string_view> apply_rules(std::string_view rules,
 }  // namespace
 
 std::string check_spec(const SolverSpec& spec) {
+  // A portfolio starts min(threads, starts) threads and allocates a result
+  // slot per start before any deadline can fire, so one submit must not ask
+  // for unbounded amounts of either.  The caps sit far above every value in
+  // use (8 threads, 4,096 starts).
   if (spec.starts < 1) return "'starts' must be >= 1";
+  if (spec.starts > 16384) return "'starts' must be <= 16384";
   if (spec.threads < 0) return "'threads' must be >= 0";
+  if (spec.threads > 256) return "'threads' must be <= 256";
   if (spec.iterations < 1) return "'iterations' must be >= 1";
   // Above 2^53 doubles skip integers: a JSON client would send a neighbour.
   if (spec.seed >= std::uint64_t{1} << 53) {

@@ -39,7 +39,8 @@ struct SolverSpec {
 };
 
 /// The message for the first out-of-range field; empty when the spec is
-/// valid.  The method name is make_solver's to judge.
+/// valid.  `threads` may be at most 256 and `starts` at most 16,384.  The
+/// method name is make_solver's to judge.
 [[nodiscard]] std::string check_spec(const SolverSpec& spec);
 
 /// The solver `spec.method` names, with the spec's iteration budget and

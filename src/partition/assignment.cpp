@@ -1,9 +1,5 @@
 #include "partition/assignment.hpp"
 
-#include <sstream>
-
-#include "util/strings.hpp"
-
 #include "util/check.hpp"
 
 namespace qbp {
@@ -44,25 +40,6 @@ bool satisfies_capacity(const Assignment& assignment,
   if (!assignment.is_complete()) return false;
   const CapacityLedger ledger(assignment, sizes, capacities);
   return ledger.violations() == 0;
-}
-
-std::string capacity_report(const Assignment& assignment,
-                            std::span<const double> sizes,
-                            std::span<const double> capacities) {
-  const CapacityLedger ledger(assignment, sizes, capacities);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < capacities.size(); ++i) {
-    const auto partition = static_cast<PartitionId>(i);
-    out << "partition " << i << ": "
-        << format_double(ledger.usage(partition), 2) << " / "
-        << format_double(ledger.capacity(partition), 2)
-        << (ledger.usage(partition) >
-                    ledger.capacity(partition) + CapacityLedger::kTolerance
-                ? "  OVERFLOW"
-                : "")
-        << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace qbp

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "partition/topology.hpp"
@@ -107,10 +106,5 @@ class CapacityLedger {
 [[nodiscard]] bool satisfies_capacity(const Assignment& assignment,
                                       std::span<const double> sizes,
                                       std::span<const double> capacities);
-
-/// Human-readable capacity report (usage / capacity per partition).
-[[nodiscard]] std::string capacity_report(const Assignment& assignment,
-                                          std::span<const double> sizes,
-                                          std::span<const double> capacities);
 
 }  // namespace qbp

@@ -16,7 +16,7 @@ Matrix<double> deviation_cost_matrix(const PartitionTopology& topology,
   for (std::int32_t j = 0; j < n; ++j) {
     const PartitionId home = initial[j];
     for (PartitionId i = 0; i < m; ++i) {
-      p(i, j) = sizes[static_cast<std::size_t>(j)] * topology.slot_distance(i, home);
+      p(i, j) = sizes[static_cast<std::size_t>(j)] * topology.delay(i, home);
     }
   }
   return p;
@@ -29,7 +29,7 @@ double total_deviation(const PartitionTopology& topology,
   double total = 0.0;
   for (std::int32_t j = 0; j < current.num_components(); ++j) {
     total += sizes[static_cast<std::size_t>(j)] *
-             topology.slot_distance(current[j], initial[j]);
+             topology.delay(current[j], initial[j]);
   }
   return total;
 }

@@ -2,8 +2,10 @@
 //
 // Given an initial manual assignment A_initial, the linear cost matrix
 //
-//   p_ij = s_j * Manhattan_distance(i, A_initial(j))
+//   p_ij = s_j * D(i, A_initial(j))
 //
+// (D is the partitions' delay matrix: on a grid, the Manhattan distance
+// between the two slots)
 // makes PP(1, 0) the "minimum deviation re-assignment" problem: find a
 // feasible assignment that moves components as little as possible, with
 // larger components more expensive to move.
@@ -18,7 +20,8 @@
 namespace qbp {
 
 /// Build the M x N deviation-cost matrix from an initial assignment.
-/// Distances come from PartitionTopology::slot_distance.
+/// Distances are the topology's delays D: for a grid, exactly the
+/// Manhattan slot distance.
 [[nodiscard]] Matrix<double> deviation_cost_matrix(
     const PartitionTopology& topology, std::span<const double> sizes,
     const Assignment& initial);

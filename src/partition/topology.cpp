@@ -60,13 +60,6 @@ double PartitionTopology::total_capacity() const noexcept {
   return total;
 }
 
-double PartitionTopology::slot_distance(PartitionId i1, PartitionId i2) const noexcept {
-  if (grid_cols_ > 0) {
-    return std::abs(grid_x(i1) - grid_x(i2)) + std::abs(grid_y(i1) - grid_y(i2));
-  }
-  return d_(i1, i2);
-}
-
 std::string PartitionTopology::validate() const {
   const std::int32_t m = num_partitions();
   if (b_.rows() != m || b_.cols() != m) return "wire-cost matrix B is not M x M";

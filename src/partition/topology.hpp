@@ -69,20 +69,8 @@ class PartitionTopology {
 
   [[nodiscard]] double total_capacity() const noexcept;
 
-  /// For grid-built topologies: the slot coordinates of a partition.
-  /// (0, 0) for custom topologies.
-  [[nodiscard]] std::int32_t grid_x(PartitionId i) const noexcept {
-    return grid_cols_ > 0 ? i % grid_cols_ : 0;
-  }
-  [[nodiscard]] std::int32_t grid_y(PartitionId i) const noexcept {
-    return grid_cols_ > 0 ? i / grid_cols_ : 0;
-  }
-
-  /// Manhattan distance between two partitions' grid slots; falls back to
-  /// the delay matrix for custom topologies.
-  [[nodiscard]] double slot_distance(PartitionId i1, PartitionId i2) const noexcept;
-
-  /// Grid width for grid-built topologies, 0 for custom ones.
+  /// Grid width for grid-built topologies, 0 for custom ones (the .qp
+  /// writer keeps a grid in its compact form).
   [[nodiscard]] std::int32_t grid_cols() const noexcept { return grid_cols_; }
 
   /// Structural validation (square matrices, non-negative capacities, zero

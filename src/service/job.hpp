@@ -63,9 +63,13 @@ using Sink = std::function<void(const std::string&)>;
 
 /// Where a request's replies go: the sink of the connection it arrived on
 /// and the framing it arrived in, fixed where the request was decoded.
+/// `closed` fires when that connection can take no more replies (a TCP
+/// reply missed its deadline); a queued job of a closed connection is
+/// answered "cancelled" unsolved.  The default token never fires.
 struct ReplyTo {
   Sink sink;
   bool binary = false;
+  std::stop_token closed;
 };
 
 struct Job {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <list>
+#include <optional>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -126,14 +128,16 @@ void Server::start() {
   }
 }
 
-void Server::handle_line(std::string_view line, const Sink& respond) {
+void Server::handle_line(std::string_view line, const Sink& respond,
+                         std::stop_token closed) {
   Request request;
   const ParseResult parsed = parse_request(line, request);
-  dispatch(parsed, std::move(request), ReplyTo{respond, /*binary=*/false});
+  dispatch(parsed, std::move(request),
+           ReplyTo{respond, /*binary=*/false, std::move(closed)});
 }
 
 void Server::handle_frame(std::uint8_t type, std::string_view payload,
-                          const Sink& respond) {
+                          const Sink& respond, std::stop_token closed) {
   wire_frames_.inc();
   wire_bytes_in_.inc(
       static_cast<std::int64_t>(payload.size() + wire::kHeaderSize));
@@ -144,7 +148,8 @@ void Server::handle_frame(std::uint8_t type, std::string_view payload,
   if (decoded.ok && request.type == RequestType::kSubmit) {
     wire_decode_seconds_.observe(decode_timer.seconds());
   }
-  dispatch(decoded, std::move(request), ReplyTo{respond, /*binary=*/true});
+  dispatch(decoded, std::move(request),
+           ReplyTo{respond, /*binary=*/true, std::move(closed)});
 }
 
 void Server::dispatch(const ParseResult& parsed, Request request,
@@ -310,7 +315,12 @@ void Server::worker_loop(std::int32_t worker_index) {
         std::chrono::duration<double>(popped_at - job.submitted_at).count();
 
     JobResult result;
-    if (job.has_deadline && popped_at >= job.deadline) {
+    if (job.reply_to.closed.stop_requested()) {
+      // Its connection failed: nothing would read the answer.
+      job.stop->fire(StopCause::kCancel);
+      result.id = job.id;
+      result.status = "cancelled";
+    } else if (job.has_deadline && popped_at >= job.deadline) {
       // Expired while queued (or submitted already expired): answer without
       // burning solver time.
       job.stop->fire(StopCause::kDeadline);
@@ -482,15 +492,26 @@ void Server::drain() {
 
 namespace {
 
+/// How long the rest of one TCP reply may wait for a client that stopped
+/// reading.  Past it the connection fails: a client that never reads would
+/// otherwise hold a worker until it closes (and, with one worker, the
+/// daemon).  A reading client drains a reply in milliseconds.
+constexpr std::chrono::seconds kReplyDeadline{2};
+
 /// Write `message` (plus a trailing newline for NDJSON framing) with one
-/// vectored call per attempt -- no per-response concatenation copy.
-/// `use_send` routes through sendmsg(MSG_NOSIGNAL) so a vanished TCP
-/// client cannot SIGPIPE the daemon.
-void write_response(int fd, std::string_view message, bool append_newline,
-                    bool use_send) {
+/// vectored call per attempt -- no per-response concatenation copy.  False
+/// when the reply did not get through.  A pipe is written blocking.  A TCP
+/// socket (`socket`) is written with sendmsg(MSG_NOSIGNAL | MSG_DONTWAIT):
+/// a vanished client cannot SIGPIPE the daemon, and when the client's
+/// window is full the write waits in poll(2), at most kReplyDeadline from
+/// then until the whole message is out.  A write that never blocks reads
+/// no clock.
+bool write_response(int fd, std::string_view message, bool append_newline,
+                    bool socket) {
   char newline = '\n';
   const std::size_t total = message.size() + (append_newline ? 1 : 0);
   std::size_t sent = 0;
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   while (sent < total) {
     iovec iov[2];
     int count = 0;
@@ -505,20 +526,34 @@ void write_response(int fd, std::string_view message, bool append_newline,
       ++count;
     }
     ssize_t written = 0;
-    if (use_send) {
+    if (socket) {
       msghdr header{};
       header.msg_iov = iov;
       header.msg_iovlen = static_cast<std::size_t>(count);
-      written = ::sendmsg(fd, &header, MSG_NOSIGNAL);
+      written = ::sendmsg(fd, &header, MSG_NOSIGNAL | MSG_DONTWAIT);
     } else {
       written = ::writev(fd, iov, count);
     }
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return;  // client went away; results are dropped, not fatal
+    if (written >= 0) {
+      sent += static_cast<std::size_t>(written);
+      continue;
     }
-    sent += static_cast<std::size_t>(written);
+    if (errno == EINTR) continue;
+    if (!socket || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      return false;  // client went away
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (!deadline) deadline = now + kReplyDeadline;
+    if (now >= *deadline) return false;
+    pollfd pfd{fd, POLLOUT, 0};
+    const auto wait =
+        std::chrono::ceil<std::chrono::milliseconds>(*deadline - now);
+    const int ready = ::poll(&pfd, 1, static_cast<int>(wait.count()));
+    if (ready == 0 || (ready < 0 && errno != EINTR)) {
+      return false;  // no room until the deadline
+    }
   }
+  return true;
 }
 
 /// One client connection: the auto-detect decision, the NDJSON line
@@ -526,8 +561,11 @@ void write_response(int fd, std::string_view message, bool append_newline,
 /// the read loop and the sink of every job it submitted, which outlive the
 /// read loop.  Over TCP it owns the socket, closed when the last holder
 /// lets go: a job answered after its client half-closed still reaches that
-/// client, never another one handed the same fd number.  Pipe mode never
-/// closes its fd.
+/// client, never another one handed the same fd number.  A TCP reply that
+/// does not get through fails the connection: the socket is shut down, so
+/// its read loop ends, its queued jobs are answered unsolved, and every
+/// later reply to it is dropped unwritten.
+/// Pipe mode never closes its fd.
 class WireConnection {
  public:
   WireConnection(Server& server, WireMode mode, int out_fd, bool socket)
@@ -541,14 +579,19 @@ class WireConnection {
 
   /// The sink of this connection: writes one reply, serialized with the
   /// other replies to this connection only, so a client that stops reading
-  /// stalls its own replies and no one else's.
+  /// stalls its own replies, and for kReplyDeadline at most.
   [[nodiscard]] static Server::Sink sink(
       const std::shared_ptr<WireConnection>& conn) {
     return [conn](const std::string& message) {
       const sync::MutexLock lock(conn->write_mutex_);
-      write_response(conn->out_fd_, message,
-                     /*append_newline=*/!conn->is_binary(),
-                     /*use_send=*/conn->socket_);
+      if (conn->closed_.stop_requested()) return;
+      if (!write_response(conn->out_fd_, message,
+                          /*append_newline=*/!conn->is_binary(),
+                          conn->socket_) &&
+          conn->socket_) {
+        conn->closed_.request_stop();
+        ::shutdown(conn->out_fd_, SHUT_RDWR);
+      }
     };
   }
 
@@ -573,7 +616,9 @@ class WireConnection {
     lines_.append(std::string_view(data, size));
     std::string_view line;
     while (lines_.next(line)) {
-      if (!trim(line).empty()) server_.handle_line(line, sink);
+      if (!trim(line).empty()) {
+        server_.handle_line(line, sink, closed_.get_token());
+      }
       if (server_.shutdown_requested()) return false;
     }
     return true;
@@ -585,7 +630,7 @@ class WireConnection {
   void finish(const Server::Sink& sink) {
     if (framing_ != Framing::kBinary && !server_.shutdown_requested() &&
         !trim(lines_.rest()).empty()) {
-      server_.handle_line(lines_.rest(), sink);
+      server_.handle_line(lines_.rest(), sink, closed_.get_token());
     }
   }
 
@@ -604,11 +649,12 @@ class WireConnection {
         case wire::FrameStatus::kIncomplete:
           return true;
         case wire::FrameStatus::kBad:
-          server_.reply(ReplyTo{sink, /*binary=*/true},
+          server_.reply(ReplyTo{sink, /*binary=*/true, closed_.get_token()},
                         Note{NoteKind::kError, {}, std::move(error)});
           return false;
         case wire::FrameStatus::kFrame: {
-          server_.handle_frame(frame.type, frame.payload, sink);
+          server_.handle_frame(frame.type, frame.payload, sink,
+                               closed_.get_token());
           frames_.consume(frame.frame_size);
           if (server_.shutdown_requested()) return false;
           break;
@@ -622,6 +668,7 @@ class WireConnection {
   /// A TCP socket: owned, and written with sendmsg(MSG_NOSIGNAL).
   const bool socket_;
   sync::Mutex write_mutex_;  // one reply at a time on this connection
+  std::stop_source closed_;  // fired when a TCP reply fails
   Framing framing_ = Framing::kUnknown;
   LineBuffer lines_;          // NDJSON receive buffer
   wire::FrameBuffer frames_;  // binary receive arena, reused across requests

@@ -24,11 +24,12 @@
 //   + metrics: every lifecycle edge increments the registry; a `stats`
 //     request (and an optional periodic stderr line) renders the snapshot.
 //
-// The server takes no lock around a reply: a Sink must be safe to call
-// from several threads at once (service/job.hpp).  The serve loops give
-// each connection one sink that serializes its writes, so replies to one
-// connection never interleave while a client that stops reading stalls
-// only its own replies.  Each job remembers the sink of the connection that
+// The server takes no lock around a reply: a Sink must be safe to call from
+// several threads at once (service/job.hpp).  The serve loops give each
+// connection one sink that serializes its writes, so replies to one
+// connection never interleave while a client that stops reading stalls only
+// its own replies, and over TCP for one reply deadline: then its connection
+// fails (server.cpp).  Each job remembers the sink of the connection that
 // submitted it: in TCP mode results route back to the right client (the
 // connection owns its socket until its last job is answered), in pipe mode
 // everything shares the stdout sink.
@@ -109,15 +110,16 @@ class Server {
   /// errors, shutdown acknowledgement) are delivered to `respond` before
   /// returning, job results arrive on it later from a worker thread.  The
   /// sink is copied into accepted jobs and must stay callable until drain()
-  /// returns.  Thread-safe.
-  void handle_line(std::string_view line, const Sink& respond);
+  /// returns.  `closed` is the connection's ReplyTo::closed.  Thread-safe.
+  void handle_line(std::string_view line, const Sink& respond,
+                   std::stop_token closed = {});
 
   /// Dispatch one binary frame (already split from the byte stream by
   /// util/wire FrameBuffer).  The same contract as handle_line, except
   /// every response delivered to `respond` is a complete binary frame and
   /// the sink must write it verbatim (no newline framing).  Thread-safe.
   void handle_frame(std::uint8_t type, std::string_view payload,
-                    const Sink& respond);
+                    const Sink& respond, std::stop_token closed = {});
 
   /// Send one note to `to` in its framing, through its sink.  The serve
   /// loops answer a malformed frame header this way, as no request was

@@ -82,9 +82,8 @@ void encode_problem(const PartitionProblem& problem, wire::Writer& writer) {
   writer.i32_array(scratch);
 
   // Topology always travels in custom form (B, D, capacities).  For grid
-  // topologies this is value-identical: grid() materializes D as the
-  // Manhattan slot-distance matrix, which is exactly what the custom
-  // fallback of slot_distance() returns.
+  // topologies this is value-identical: grid() materializes B and D in
+  // full, so a custom topology of the same matrices reads the same.
   writer.f64_array(topology.wire_cost().flat());
   writer.f64_array(topology.delay().flat());
   writer.f64_array(topology.capacities());

@@ -2,8 +2,9 @@
 //
 // This is the backbone of the paper's Section 4.3 speedup: the MN x MN cost
 // matrix Q-hat is never materialized; instead the connection matrix A and
-// the timing-constraint matrix Dc are stored in CSR form and Q-hat entries
-// are generated on demand (see core/qhat.hpp).  For a circuit like cktf
+// the timing-constraint matrix Dc are stored in CSR form, and what a solve
+// needs of Q-hat is computed from them (PartitionProblem::penalized_value,
+// core/delta_evaluator.hpp's incident rows).  For a circuit like cktf
 // (N=607, M=16) the dense Q-hat would hold (MN)^2 ~ 94 million entries while
 // the CSR inputs hold a few thousand.
 #pragma once

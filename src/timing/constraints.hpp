@@ -119,21 +119,22 @@ class TimingConstraints {
   bool finalized_ = false;
 };
 
-/// Configuration for synthesizing a critical-constraint set.
+/// Configuration for synthesizing a critical-constraint set.  No cycle time
+/// is involved: pairs are ranked by the longest path through them, and
+/// each bound is the reference placement's delay plus a random margin.
 struct TimingSpec {
   /// Exact number of constrained unordered pairs to produce.
   std::int64_t target_count = 0;
-  /// Cycle time as a multiple of the critical path: T = (1 + cycle_slack) * CP.
-  double cycle_slack = 0.15;
-  /// Intrinsic component delays are uniform in [delay_min, delay_max].
+  /// Intrinsic component delays, uniform in [delay_min, delay_max], set
+  /// the path lengths that rank the pairs.
   double delay_min = 1.0;
   double delay_max = 10.0;
-  /// Probability of routing-delay margin 1 / 2 / 3 above the reference
-  /// placement's delay (must sum to 1); smaller margins = tighter problem.
-  /// Bounds are floored at 1 (a 0 bound would force co-location).
+  /// Routing-delay margin above the reference placement's delay: 1 with
+  /// probability margin_p1, 2 with margin_p2, otherwise 3; smaller margins
+  /// = tighter problem.  Bounds are floored at 1 (a 0 bound would force
+  /// co-location).
   double margin_p1 = 0.35;
   double margin_p2 = 0.40;
-  double margin_p3 = 0.25;
   std::uint64_t seed = 1;
 };
 

@@ -69,12 +69,6 @@ class TimingGraph {
     return up(arc.from) + down(arc.to);
   }
 
-  /// Slack of an arc under cycle time T: T - arc_path_delay.  Negative slack
-  /// means the arc cannot meet T even with zero routing delay.
-  [[nodiscard]] double arc_slack(const TimingArc& arc, double cycle_time) const noexcept {
-    return cycle_time - arc_path_delay(arc);
-  }
-
  private:
   std::vector<TimingArc> arcs_;
   std::vector<std::int32_t> rank_;

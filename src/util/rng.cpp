@@ -30,22 +30,6 @@ double Rng::next_log_normal(double mu, double sigma) noexcept {
   return std::exp(mu + sigma * next_gaussian());
 }
 
-std::size_t Rng::pick_weighted(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) return weights.size();
-  double ticket = next_double() * total;
-  for (std::size_t k = 0; k < weights.size(); ++k) {
-    ticket -= weights[k];
-    if (ticket < 0.0) return k;
-  }
-  // Floating-point slop: return the last positively weighted index.
-  for (std::size_t k = weights.size(); k-- > 0;) {
-    if (weights[k] > 0.0) return k;
-  }
-  return weights.size();
-}
-
 Rng Rng::fork(std::uint64_t stream_id) noexcept {
   std::uint64_t mix = state_[0] ^ (stream_id * 0xd1342543de82ef95ULL);
   mix = split_mix64(mix);

@@ -109,10 +109,6 @@ class Rng {
     return static_cast<std::size_t>(next_below(container.size()));
   }
 
-  /// Sample an index proportionally to the given non-negative weights.
-  /// Returns weights.size() if all weights are zero.
-  [[nodiscard]] std::size_t pick_weighted(std::span<const double> weights) noexcept;
-
   /// A derived, independent stream: deterministic function of this
   /// generator's current state and the stream id.  Used to give each
   /// sub-component of the netlist generator its own stream so that changing

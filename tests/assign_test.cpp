@@ -5,7 +5,8 @@
 #include <numeric>
 
 #include "assign/gap.hpp"
-#include "assign/lap.hpp"
+#include "oracle/lap.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
@@ -83,51 +84,13 @@ TEST(Lap, NegativeCostsHandled) {
 
 // ----------------------------------------------------------------- gap ----
 
-GapProblem random_gap(std::int32_t m, std::int32_t n, double slack,
-                      std::uint64_t seed) {
-  Rng rng(seed);
-  GapProblem problem;
-  problem.cost = Matrix<double>(m, n, 0.0);
-  for (std::int32_t i = 0; i < m; ++i) {
-    for (std::int32_t j = 0; j < n; ++j) {
-      problem.cost(i, j) = static_cast<double>(rng.next_int(0, 30));
-    }
-  }
-  problem.sizes.resize(n);
-  double total = 0.0;
-  for (auto& size : problem.sizes) {
-    size = rng.next_double(0.5, 2.0);
-    total += size;
-  }
-  problem.capacities.assign(m, total / m * slack);
-  return problem;
-}
-
-/// Exhaustive GAP optimum (m^n enumeration).
-double brute_force_gap(const GapProblem& problem, bool& feasible) {
-  const std::int32_t m = problem.cost.rows();
-  const std::int32_t n = problem.cost.cols();
-  std::vector<std::int32_t> assignment(n, 0);
-  double best = std::numeric_limits<double>::infinity();
-  feasible = false;
-  while (true) {
-    if (gap_feasible(problem, assignment)) {
-      feasible = true;
-      best = std::min(best, gap_cost(problem, assignment));
-    }
-    std::int32_t j = 0;
-    while (j < n) {
-      if (++assignment[j] < m) break;
-      assignment[j] = 0;
-      ++j;
-    }
-    if (j == n) break;
-  }
-  return best;
-}
+using test::brute_force_gap;
+using test::GapInstance;
+using test::random_gap;
 
 TEST(Gap, FeasibleOnEasyInstance) {
-  const auto problem = random_gap(4, 20, 1.8, 1);
+  const GapInstance instance = random_gap(4, 20, 1.8, 1);
+  const GapProblem problem = instance.problem();
   const auto result = solve_gap(problem);
   EXPECT_TRUE(result.feasible);
   EXPECT_TRUE(gap_feasible(problem, result.agent_of_item));
@@ -135,7 +98,8 @@ TEST(Gap, FeasibleOnEasyInstance) {
 }
 
 TEST(Gap, EveryItemAssigned) {
-  const auto problem = random_gap(3, 15, 2.0, 2);
+  const GapInstance instance = random_gap(3, 15, 2.0, 2);
+  const GapProblem problem = instance.problem();
   const auto result = solve_gap(problem);
   ASSERT_EQ(result.agent_of_item.size(), 15u);
   for (const auto agent : result.agent_of_item) {
@@ -147,7 +111,8 @@ TEST(Gap, EveryItemAssigned) {
 class GapQualitySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GapQualitySweep, WithinFactorOfBruteForceOptimum) {
-  const auto problem = random_gap(3, 7, 1.7, GetParam());
+  const GapInstance instance = random_gap(3, 7, 1.7, GetParam());
+  const GapProblem problem = instance.problem();
   bool exists = false;
   const double optimum = brute_force_gap(problem, exists);
   ASSERT_TRUE(exists);
@@ -163,7 +128,8 @@ TEST_P(GapQualitySweep, WithinFactorOfBruteForceOptimum) {
 
 TEST_P(GapQualitySweep, FeasibleWheneverBruteForceIsTight) {
   // slack 1.25: tight but feasible instances.
-  const auto problem = random_gap(3, 7, 1.25, GetParam() ^ 0x99);
+  const GapInstance instance = random_gap(3, 7, 1.25, GetParam() ^ 0x99);
+  const GapProblem problem = instance.problem();
   bool exists = false;
   (void)brute_force_gap(problem, exists);
   ASSERT_TRUE(exists) << "every seed of this sweep is feasible";
@@ -179,28 +145,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GapQualitySweep,
 TEST(Gap, RepairsOverflowWhenConstructionFails) {
   // One big item per agent fits only in a specific arrangement; greedy
   // construction by cost alone would overflow.
-  GapProblem problem;
-  problem.cost = Matrix<double>::from_rows({{0.0, 0.0}, {10.0, 10.0}});
-  problem.sizes = {1.0, 1.0};
-  problem.capacities = {1.0, 1.0};
-  const auto result = solve_gap(problem);
+  const GapInstance instance{
+      Matrix<double>::from_rows({{0.0, 0.0}, {10.0, 10.0}}), {1.0, 1.0},
+      {1.0, 1.0}, {}};
+  const auto result = solve_gap(instance.problem());
   EXPECT_TRUE(result.feasible);
   // One item must take the expensive agent.
   EXPECT_DOUBLE_EQ(result.cost, 10.0);
 }
 
 TEST(Gap, InfeasibleInstanceReported) {
-  GapProblem problem;
-  problem.cost = Matrix<double>(2, 3, 1.0);
-  problem.sizes = {1.0, 1.0, 1.0};
-  problem.capacities = {0.5, 0.5};  // nothing fits anywhere
-  const auto result = solve_gap(problem);
+  const GapInstance instance{Matrix<double>(2, 3, 1.0), {1.0, 1.0, 1.0},
+                             {0.5, 0.5}, {}};  // nothing fits anywhere
+  const auto result = solve_gap(instance.problem());
   EXPECT_FALSE(result.feasible);
   EXPECT_EQ(result.agent_of_item.size(), 3u);  // still complete (C3)
 }
 
 TEST(Gap, DeterministicAcrossRuns) {
-  const auto problem = random_gap(4, 30, 1.5, 77);
+  const GapInstance instance = random_gap(4, 30, 1.5, 77);
+  const GapProblem problem = instance.problem();
   const auto a = solve_gap(problem);
   const auto b = solve_gap(problem);
   EXPECT_EQ(a.agent_of_item, b.agent_of_item);
@@ -208,7 +172,8 @@ TEST(Gap, DeterministicAcrossRuns) {
 }
 
 TEST(Gap, ImprovementPassesNeverWorsen) {
-  const auto problem = random_gap(4, 25, 1.6, 31);
+  const GapInstance instance = random_gap(4, 25, 1.6, 31);
+  const GapProblem problem = instance.problem();
   GapOptions no_improve;
   no_improve.improvement_passes = 0;
   GapOptions improve;
@@ -222,11 +187,10 @@ TEST(Gap, ImprovementPassesNeverWorsen) {
 }
 
 TEST(Gap, HonorsZeroCapacityAgent) {
-  GapProblem problem;
-  problem.cost = Matrix<double>::from_rows({{0.0, 0.0}, {5.0, 5.0}});
-  problem.sizes = {1.0, 1.0};
-  problem.capacities = {0.0, 2.0};  // agent 0 is closed despite cheap costs
-  const auto result = solve_gap(problem);
+  const GapInstance instance{
+      Matrix<double>::from_rows({{0.0, 0.0}, {5.0, 5.0}}), {1.0, 1.0},
+      {0.0, 2.0}, {}};  // agent 0 is closed despite cheap costs
+  const auto result = solve_gap(instance.problem());
   EXPECT_TRUE(result.feasible);
   EXPECT_EQ(result.agent_of_item[0], 1);
   EXPECT_EQ(result.agent_of_item[1], 1);
@@ -234,22 +198,21 @@ TEST(Gap, HonorsZeroCapacityAgent) {
 
 /// Integer GAP instance: costs 0-30, sizes 1-3, every capacity
 /// ceil(sum of sizes / M), so every slack and every delta is exact.
-GapProblem integer_gap(std::int32_t m, std::int32_t n, std::uint64_t seed) {
+GapInstance integer_gap(std::int32_t m, std::int32_t n, std::uint64_t seed) {
   Rng rng(seed);
-  GapProblem problem;
-  problem.cost = Matrix<double>(m, n, 0.0);
+  GapInstance gap{Matrix<double>(m, n, 0.0), {}, {}, {}};
   for (std::int32_t i = 0; i < m; ++i) {
     for (std::int32_t j = 0; j < n; ++j) {
-      problem.cost(i, j) = static_cast<double>(rng.next_int(0, 30));
+      gap.cost(i, j) = static_cast<double>(rng.next_int(0, 30));
     }
   }
   double total = 0.0;
   for (std::int32_t j = 0; j < n; ++j) {
-    problem.sizes.push_back(static_cast<double>(rng.next_int(1, 3)));
-    total += problem.sizes.back();
+    gap.sizes.push_back(static_cast<double>(rng.next_int(1, 3)));
+    total += gap.sizes.back();
   }
-  problem.capacities.assign(m, std::ceil(total / m));
-  return problem;
+  gap.capacities.assign(m, std::ceil(total / m));
+  return gap;
 }
 
 struct WalkCounts {
@@ -275,7 +238,7 @@ WalkCounts plain_improvement_pass(const GapProblem& problem,
     double best_delta = -kEps;
     for (std::int32_t i = 0; i < m; ++i) {
       if (i == from || slack[i] + kTolerance < problem.sizes[j]) continue;
-      const double delta = problem.cost(i, j) - problem.cost(from, j);
+      const double delta = problem.cost_at(i, j) - problem.cost_at(from, j);
       if (delta < best_delta) {
         best_delta = delta;
         best_to = i;
@@ -293,8 +256,8 @@ WalkCounts plain_improvement_pass(const GapProblem& problem,
       const std::int32_t a1 = agent[j1];
       const std::int32_t a2 = agent[j2];
       if (a1 == a2) continue;
-      const double delta = problem.cost(a2, j1) + problem.cost(a1, j2) -
-                           problem.cost(a1, j1) - problem.cost(a2, j2);
+      const double delta = problem.cost_at(a2, j1) + problem.cost_at(a1, j2) -
+                           problem.cost_at(a1, j1) - problem.cost_at(a2, j2);
       if (!(delta < -kEps)) continue;
       const double s1 = problem.sizes[j1];
       const double s2 = problem.sizes[j2];
@@ -319,7 +282,8 @@ TEST(Gap, SwapPassMatchesPlainWalk) {
   // the one-pair-at-a-time walk.
   WalkCounts total;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const auto problem = integer_gap(4, 60, seed);
+    const GapInstance instance = integer_gap(4, 60, seed);
+    const GapProblem problem = instance.problem();
     GapOptions constructed;
     constructed.improvement_passes = 0;
     GapOptions one_pass;

@@ -11,9 +11,9 @@
 #include "core/brute_force.hpp"
 #include "core/delta_evaluator.hpp"
 #include "core/initial.hpp"
-#include "core/qhat.hpp"
 #include "engine/adapters.hpp"
 #include "engine/portfolio.hpp"
+#include "oracle/qhat.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -76,13 +76,12 @@ TEST_P(AsymmetricSweep, TopologyReallyAsymmetric) {
 
 TEST_P(AsymmetricSweep, PenalizedValueMatchesDenseForm) {
   const auto problem = make_asymmetric_problem(GetParam());
-  const QhatMatrix qhat(problem, 100.0);
-  const auto dense = qhat.materialize();
+  const auto dense = materialize_qhat(problem, 100.0);
   Rng rng(GetParam() ^ 0xaa);
   for (int trial = 0; trial < 20; ++trial) {
     const auto assignment = test::random_complete(
         problem.num_components(), problem.num_partitions(), rng);
-    const auto y = problem.to_y(assignment);
+    const auto y = to_y(problem, assignment);
     double direct = 0.0;
     for (std::int32_t r1 = 0; r1 < dense.rows(); ++r1) {
       for (std::int32_t r2 = 0; r2 < dense.cols(); ++r2) {
@@ -90,18 +89,17 @@ TEST_P(AsymmetricSweep, PenalizedValueMatchesDenseForm) {
                   y[static_cast<std::size_t>(r2)] * dense(r1, r2);
       }
     }
-    EXPECT_NEAR(qhat.penalized_value(assignment), direct, 1e-9);
+    EXPECT_NEAR(problem.penalized_value(assignment, 100.0), direct, 1e-9);
   }
 }
 
 TEST_P(AsymmetricSweep, EtaMatchesDenseGather) {
   const auto problem = make_asymmetric_problem(GetParam());
-  const QhatMatrix qhat(problem, 100.0);
-  const auto dense = qhat.materialize();
+  const auto dense = materialize_qhat(problem, 100.0);
   Rng rng(GetParam() ^ 0xbb);
   const auto u = test::random_complete(problem.num_components(),
                                        problem.num_partitions(), rng);
-  const auto y = problem.to_y(u);
+  const auto y = to_y(problem, u);
   std::vector<double> eta(static_cast<std::size_t>(problem.flat_size()));
   DeltaEvaluator(problem, 100.0).eta(u, eta);
   for (std::int64_t s = 0; s < problem.flat_size(); ++s) {
@@ -117,7 +115,6 @@ TEST_P(AsymmetricSweep, EtaMatchesDenseGather) {
 
 TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
   const auto problem = make_asymmetric_problem(GetParam());
-  const QhatMatrix qhat(problem, 100.0);
   DeltaEvaluator evaluator(problem, 100.0);
   Rng rng(GetParam() ^ 0xcc);
   Assignment assignment = test::random_complete(problem.num_components(),
@@ -127,11 +124,11 @@ TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
         rng.next_below(problem.num_components()));
     const auto target = static_cast<PartitionId>(
         rng.next_below(problem.num_partitions()));
-    const double before = qhat.penalized_value(assignment);
+    const double before = problem.penalized_value(assignment, 100.0);
     const double moved = [&] {
       Assignment copy = assignment;
       copy.set(j, target);
-      return qhat.penalized_value(copy);
+      return problem.penalized_value(copy, 100.0);
     }() - before;
     EXPECT_NEAR(evaluator.move_delta(assignment, j, target), moved, 1e-9);
     EXPECT_NEAR(evaluator.move_deltas(assignment, j)[static_cast<std::size_t>(
@@ -146,7 +143,7 @@ TEST_P(AsymmetricSweep, MoveAndSwapDeltasExact) {
         Assignment copy = assignment;
         copy.set(a, assignment[b]);
         copy.set(b, assignment[a]);
-        return qhat.penalized_value(copy);
+        return problem.penalized_value(copy, 100.0);
       }() - before;
       EXPECT_NEAR(evaluator.swap_delta(assignment, a, b), swapped, 1e-9);
       EXPECT_NEAR(evaluator.cached_swap_delta(assignment, a, b), swapped, 1e-9);

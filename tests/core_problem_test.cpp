@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/problem.hpp"
+#include "oracle/qhat.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -39,7 +40,7 @@ TEST(Flattening, ToYFromYRoundTrip) {
   Rng rng(3);
   const auto assignment = test::random_complete(problem.num_components(),
                                                 problem.num_partitions(), rng);
-  const auto y = problem.to_y(assignment);
+  const auto y = to_y(problem, assignment);
   ASSERT_EQ(static_cast<std::int64_t>(y.size()), problem.flat_size());
   // Exactly one 1 per component column (C3).
   for (std::int32_t j = 0; j < problem.num_components(); ++j) {
@@ -49,7 +50,7 @@ TEST(Flattening, ToYFromYRoundTrip) {
     }
     EXPECT_EQ(ones, 1);
   }
-  EXPECT_EQ(problem.from_y(y), assignment);
+  EXPECT_EQ(from_y(problem, y), assignment);
 }
 
 // ---------------------------------------------------------- accessors ----

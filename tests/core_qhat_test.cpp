@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "core/brute_force.hpp"
+#include "core/burkard.hpp"
 #include "core/delta_evaluator.hpp"
-#include "core/embedding.hpp"
-#include "core/qhat.hpp"
+#include "oracle/embedding.hpp"
+#include "oracle/qhat.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -15,7 +15,6 @@ namespace {
 
 TEST(QhatPaperExample, ReproducesTheWorkedMatrix) {
   const auto problem = test::make_paper_example();
-  const QhatMatrix qhat(problem, 50.0);
 
   // The paper's 12 x 12 matrix with p = 0 (no linear term in the example's
   // numeric entries).  Layout: rows/cols (a,1..4), (b,1..4), (c,1..4).
@@ -33,7 +32,7 @@ TEST(QhatPaperExample, ReproducesTheWorkedMatrix) {
       {0, 0, 0, 0, /**/ 2, 50, 0, 2, /**/ 0, 0, 0, 0},
       {0, 0, 0, 0, /**/ 50, 2, 2, 0, /**/ 0, 0, 0, 0},
   });
-  EXPECT_EQ(qhat.materialize(), expected);
+  EXPECT_EQ(materialize_qhat(problem, 50.0), expected);
 }
 
 TEST(QhatPaperExample, DiagonalCarriesLinearCosts) {
@@ -47,11 +46,10 @@ TEST(QhatPaperExample, DiagonalCarriesLinearCosts) {
   const auto base = test::make_paper_example();
   const PartitionProblem problem(base.netlist(), base.topology(), base.timing(),
                                  p);
-  const QhatMatrix qhat(problem, 50.0);
   for (std::int32_t j = 0; j < 3; ++j) {
     for (PartitionId i = 0; i < 4; ++i) {
       const auto r = problem.flat_index(i, j);
-      EXPECT_DOUBLE_EQ(qhat.entry(r, r), p(i, j));
+      EXPECT_DOUBLE_EQ(qhat_entry(problem, 50.0, r, r), p(i, j));
     }
   }
 }
@@ -60,10 +58,9 @@ TEST(QhatPaperExample, TimingViolationEntryExplained) {
   // Section 3.3: "the entry at row (a,2) and column (b,3) ... D(2,3) = 2
   // which exceeds Dc(a,b) = 1.  Therefore we set it to a high cost 50."
   const auto problem = test::make_paper_example();
-  const QhatMatrix qhat(problem, 50.0);
   const auto r1 = problem.flat_index(1, 0);  // (a, 2) 0-based partition 1
   const auto r2 = problem.flat_index(2, 1);  // (b, 3)
-  EXPECT_DOUBLE_EQ(qhat.entry(r1, r2), 50.0);
+  EXPECT_DOUBLE_EQ(qhat_entry(problem, 50.0, r1, r2), 50.0);
 }
 
 // -------------------------------------------------- generic semantics ----
@@ -77,14 +74,13 @@ TEST_P(QhatSweep, PenalizedValueMatchesDenseQuadraticForm) {
   spec.with_linear_term = true;
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
-  const QhatMatrix qhat(problem, 50.0);
-  const auto dense = qhat.materialize();
+  const auto dense = materialize_qhat(problem, 50.0);
 
   Rng rng(GetParam() ^ 0x5555);
   for (int trial = 0; trial < 25; ++trial) {
     const auto assignment = test::random_complete(
         problem.num_components(), problem.num_partitions(), rng);
-    const auto y = problem.to_y(assignment);
+    const auto y = to_y(problem, assignment);
     double direct = 0.0;
     for (std::int32_t r1 = 0; r1 < dense.rows(); ++r1) {
       for (std::int32_t r2 = 0; r2 < dense.cols(); ++r2) {
@@ -92,7 +88,7 @@ TEST_P(QhatSweep, PenalizedValueMatchesDenseQuadraticForm) {
                   y[static_cast<std::size_t>(r2)] * dense(r1, r2);
       }
     }
-    EXPECT_NEAR(qhat.penalized_value(assignment), direct, 1e-9);
+    EXPECT_NEAR(problem.penalized_value(assignment, 50.0), direct, 1e-9);
   }
 }
 
@@ -100,7 +96,6 @@ TEST_P(QhatSweep, PenalizedEqualsTrueObjectiveOnFeasibleAssignments) {
   // Lemma 1 in action: Q coincides with Qhat over the feasible region, so
   // y^T Qhat y == y^T Q y whenever y has no timing violations.
   const auto problem = test::make_tiny_problem({.seed = GetParam()});
-  const QhatMatrix qhat(problem, 50.0);
   Rng rng(GetParam() ^ 0x1234);
   int feasible_seen = 0;
   for (int trial = 0; trial < 200 && feasible_seen < 10; ++trial) {
@@ -108,23 +103,23 @@ TEST_P(QhatSweep, PenalizedEqualsTrueObjectiveOnFeasibleAssignments) {
         problem.num_components(), problem.num_partitions(), rng);
     if (!problem.satisfies_timing(assignment)) continue;
     ++feasible_seen;
-    EXPECT_NEAR(qhat.penalized_value(assignment), problem.objective(assignment),
-                1e-9);
-    EXPECT_EQ(qhat.ordered_violations(assignment), 0);
+    EXPECT_NEAR(problem.penalized_value(assignment, 50.0),
+                problem.objective(assignment), 1e-9);
+    EXPECT_EQ(ordered_violations(problem, assignment), 0);
   }
   EXPECT_GT(feasible_seen, 0);
 }
 
 TEST_P(QhatSweep, PenalizedExceedsObjectiveOnViolatingAssignments) {
   const auto problem = test::make_tiny_problem({.seed = GetParam()});
-  const QhatMatrix qhat(problem, 50.0);
   Rng rng(GetParam() ^ 0x4321);
   for (int trial = 0; trial < 100; ++trial) {
     const auto assignment = test::random_complete(
         problem.num_components(), problem.num_partitions(), rng);
-    const auto violations = qhat.ordered_violations(assignment);
+    const auto violations = ordered_violations(problem, assignment);
     if (violations == 0) continue;
-    EXPECT_GT(qhat.penalized_value(assignment), problem.objective(assignment));
+    EXPECT_GT(problem.penalized_value(assignment, 50.0),
+              problem.objective(assignment));
   }
 }
 
@@ -135,13 +130,12 @@ TEST_P(QhatSweep, EtaMatchesDenseColumnGather) {
   spec.with_linear_term = true;
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
-  const QhatMatrix qhat(problem, 50.0);
-  const auto dense = qhat.materialize();
+  const auto dense = materialize_qhat(problem, 50.0);
 
   Rng rng(GetParam() ^ 0xaaaa);
   const auto u = test::random_complete(problem.num_components(),
                                        problem.num_partitions(), rng);
-  const auto y = problem.to_y(u);
+  const auto y = to_y(problem, u);
   std::vector<double> eta(static_cast<std::size_t>(problem.flat_size()));
   DeltaEvaluator(problem, 50.0).eta(u, eta);
   for (std::int64_t s = 0; s < problem.flat_size(); ++s) {
@@ -166,7 +160,6 @@ TEST_P(QhatSweep, EtaMatchesDenseColumnGather) {
 void expect_patched_eta_matches_gather(const PartitionProblem& problem,
                                        const Assignment& start, bool exact,
                                        std::uint64_t seed) {
-  const QhatMatrix qhat(problem, 50.0);
   DeltaEvaluator evaluator(problem, 50.0);
   const std::int32_t n = problem.num_components();
   const std::int32_t m = problem.num_partitions();
@@ -188,9 +181,10 @@ void expect_patched_eta_matches_gather(const PartitionProblem& problem,
         double expected = 0.0;
         for (std::int32_t k = 0; k < n; ++k) {
           if (k == j) continue;
-          expected += qhat.entry(u[k] + static_cast<std::int64_t>(k) * m, s);
+          expected += qhat_entry(problem, 50.0,
+                                 u[k] + static_cast<std::int64_t>(k) * m, s);
         }
-        if (u[j] == i) expected += qhat.entry(s, s);
+        if (u[j] == i) expected += qhat_entry(problem, 50.0, s, s);
         const double have = eta[static_cast<std::size_t>(s)];
         ASSERT_TRUE(exact ? have == expected
                           : check::within_relative(have, expected, 1e-9))
@@ -239,15 +233,14 @@ TEST(QhatEta, PatchedSumsMatchGatherOnAsymmetricFractionalData) {
 TEST_P(QhatSweep, OmegaUpperBoundsRowActivity) {
   // Equation (2): omega_r >= sum_s qhat_{rs} y_s for every y in S.
   const auto problem = test::make_tiny_problem({.seed = GetParam()});
-  const QhatMatrix qhat(problem, 50.0);
-  const auto dense = qhat.materialize();
-  const auto omega = qhat.omega();
+  const auto dense = materialize_qhat(problem, 50.0);
+  const auto omega = omega_bounds(problem, 50.0);
 
   Rng rng(GetParam() ^ 0xbbbb);
   for (int trial = 0; trial < 50; ++trial) {
     const auto assignment = test::random_complete(
         problem.num_components(), problem.num_partitions(), rng);
-    const auto y = problem.to_y(assignment);
+    const auto y = to_y(problem, assignment);
     for (std::int64_t r = 0; r < problem.flat_size(); ++r) {
       double row_activity = 0.0;
       for (std::int64_t s = 0; s < problem.flat_size(); ++s) {
@@ -265,7 +258,6 @@ TEST_P(QhatSweep, MoveDeltaPenalizedMatchesRecomputation) {
   spec.with_linear_term = true;
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
-  const QhatMatrix qhat(problem, 50.0);
   const DeltaEvaluator evaluator(problem, 50.0);
   Rng rng(GetParam() ^ 0xcccc);
   Assignment assignment = test::random_complete(problem.num_components(),
@@ -275,11 +267,11 @@ TEST_P(QhatSweep, MoveDeltaPenalizedMatchesRecomputation) {
         rng.next_below(problem.num_components()));
     const auto target = static_cast<PartitionId>(
         rng.next_below(problem.num_partitions()));
-    const double before = qhat.penalized_value(assignment);
+    const double before = problem.penalized_value(assignment, 50.0);
     const double delta = evaluator.move_delta(assignment, j, target);
     Assignment moved = assignment;
     moved.set(j, target);
-    EXPECT_NEAR(delta, qhat.penalized_value(moved) - before, 1e-9);
+    EXPECT_NEAR(delta, problem.penalized_value(moved, 50.0) - before, 1e-9);
     assignment = moved;
   }
 }
@@ -289,7 +281,6 @@ TEST_P(QhatSweep, SwapDeltaPenalizedMatchesRecomputation) {
   spec.with_linear_term = true;
   spec.seed = GetParam();
   const auto problem = test::make_tiny_problem(spec);
-  const QhatMatrix qhat(problem, 50.0);
   const DeltaEvaluator evaluator(problem, 50.0);
   Rng rng(GetParam() ^ 0xdddd);
   Assignment assignment = test::random_complete(problem.num_components(),
@@ -300,12 +291,12 @@ TEST_P(QhatSweep, SwapDeltaPenalizedMatchesRecomputation) {
     const auto b = static_cast<std::int32_t>(
         rng.next_below(problem.num_components()));
     if (a == b) continue;
-    const double before = qhat.penalized_value(assignment);
+    const double before = problem.penalized_value(assignment, 50.0);
     const double delta = evaluator.swap_delta(assignment, a, b);
     Assignment swapped = assignment;
     swapped.set(a, assignment[b]);
     swapped.set(b, assignment[a]);
-    EXPECT_NEAR(delta, qhat.penalized_value(swapped) - before, 1e-9);
+    EXPECT_NEAR(delta, problem.penalized_value(swapped, 50.0) - before, 1e-9);
     assignment = swapped;
   }
 }
@@ -334,10 +325,9 @@ TEST(Embedding, Theorem1PenaltyExceedsThreshold) {
 
 TEST(Embedding, NominalNonzerosFarBelowDense) {
   const auto problem = test::make_tiny_problem({});
-  const QhatMatrix qhat(problem, 50.0);
   const double dense_entries = static_cast<double>(problem.flat_size()) *
                                static_cast<double>(problem.flat_size());
-  EXPECT_LE(static_cast<double>(qhat.nominal_nonzeros()), dense_entries);
+  EXPECT_LE(static_cast<double>(nominal_nonzeros(problem)), dense_entries);
 }
 
 }  // namespace

@@ -4,10 +4,9 @@
 
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
-#include "core/embedding.hpp"
 #include "core/initial.hpp"
-#include "core/qhat.hpp"
 #include "core/repair.hpp"
+#include "oracle/embedding.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -141,8 +140,7 @@ TEST_P(BurkardTinySweep, LiteralListingStaysSound) {
   options.polish_sweeps = 0;
   options.restart_period = 0;
   const auto result = solve_qbp(problem, initial, options);
-  const QhatMatrix qhat(problem, options.penalty);
-  EXPECT_NEAR(result.best_penalized, qhat.penalized_value(result.best), 1e-9);
+  EXPECT_NEAR(result.best_penalized, problem.penalized_value(result.best, options.penalty), 1e-9);
   if (result.found_feasible) {
     EXPECT_TRUE(problem.is_feasible(result.best_feasible));
   }

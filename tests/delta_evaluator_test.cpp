@@ -10,7 +10,6 @@
 
 #include "core/burkard.hpp"
 #include "core/delta_evaluator.hpp"
-#include "core/qhat.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -22,7 +21,6 @@ constexpr double kPenalty = 50.0;
 
 TEST(DeltaEvaluator, MoveDeltaMatchesPenalizedValueDifference) {
   const PartitionProblem problem = test::make_tiny_problem({.seed = 7});
-  const QhatMatrix qhat(problem, kPenalty);
   const DeltaEvaluator evaluator(problem, kPenalty);
   Rng rng(3);
 
@@ -34,10 +32,10 @@ TEST(DeltaEvaluator, MoveDeltaMatchesPenalizedValueDifference) {
     const auto target = static_cast<PartitionId>(
         rng.next_below(static_cast<std::uint64_t>(problem.num_partitions())));
 
-    const double before = qhat.penalized_value(assignment);
+    const double before = problem.penalized_value(assignment, kPenalty);
     Assignment moved = assignment;
     moved.set(j, target);
-    const double exact = qhat.penalized_value(moved) - before;
+    const double exact = problem.penalized_value(moved, kPenalty) - before;
 
     EXPECT_NEAR(evaluator.move_delta(assignment, j, target), exact, 1e-9);
 
@@ -51,7 +49,6 @@ TEST(DeltaEvaluator, MoveDeltaMatchesPenalizedValueDifference) {
 TEST(DeltaEvaluator, SwapDeltaMatchesPenalizedValueDifference) {
   const PartitionProblem problem =
       test::make_tiny_problem({.with_linear_term = true, .seed = 11});
-  const QhatMatrix qhat(problem, kPenalty);
   const DeltaEvaluator evaluator(problem, kPenalty);
   Rng rng(5);
 
@@ -63,11 +60,11 @@ TEST(DeltaEvaluator, SwapDeltaMatchesPenalizedValueDifference) {
     const auto b = static_cast<std::int32_t>(
         rng.next_below(static_cast<std::uint64_t>(problem.num_components())));
 
-    const double before = qhat.penalized_value(assignment);
+    const double before = problem.penalized_value(assignment, kPenalty);
     Assignment swapped = assignment;
     swapped.set(a, assignment[b]);
     swapped.set(b, assignment[a]);
-    const double exact = qhat.penalized_value(swapped) - before;
+    const double exact = problem.penalized_value(swapped, kPenalty) - before;
 
     EXPECT_NEAR(evaluator.swap_delta(assignment, a, b), exact, 1e-9);
   }
@@ -103,7 +100,6 @@ TEST(DeltaEvaluator, CacheStaysExactAcrossCommits) {
        .wire_probability = 0.4,
        .with_linear_term = true,
        .seed = 17});
-  const QhatMatrix qhat(problem, kPenalty);
   DeltaEvaluator evaluator(problem, kPenalty);
   Rng rng(21);
 
@@ -116,12 +112,12 @@ TEST(DeltaEvaluator, CacheStaysExactAcrossCommits) {
 
     // Every cached row entry must equal the brute difference.
     const auto deltas = evaluator.move_deltas(assignment, j);
-    const double before = qhat.penalized_value(assignment);
+    const double before = problem.penalized_value(assignment, kPenalty);
     for (PartitionId i = 0; i < problem.num_partitions(); ++i) {
       Assignment moved = assignment;
       moved.set(j, i);
       ASSERT_NEAR(deltas[static_cast<std::size_t>(i)],
-                  qhat.penalized_value(moved) - before, 1e-9)
+                  problem.penalized_value(moved, kPenalty) - before, 1e-9)
           << "step " << step << " component " << j << " target " << i;
     }
 
@@ -131,7 +127,7 @@ TEST(DeltaEvaluator, CacheStaysExactAcrossCommits) {
       swapped.set(j, assignment[b]);
       swapped.set(b, assignment[j]);
       ASSERT_NEAR(evaluator.cached_swap_delta(assignment, j, b),
-                  qhat.penalized_value(swapped) - before, 1e-9)
+                  problem.penalized_value(swapped, kPenalty) - before, 1e-9)
           << "step " << step << " swap (" << j << ", " << b << ")";
     }
 

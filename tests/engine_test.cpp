@@ -13,8 +13,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/qhat.hpp"
-#include "engine/engine.hpp"
+#include "engine/adapters.hpp"
+#include "engine/portfolio.hpp"
+#include "engine/spec.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -92,6 +93,12 @@ TEST(CheckSpec, EveryBoundIsRejectedWithItsMessage) {
             "'starts' must be >= 1");
   EXPECT_EQ(message([](SolverSpec& s) { s.threads = -1; }),
             "'threads' must be >= 0");
+  EXPECT_EQ(message([](SolverSpec& s) { s.starts = 16384; }), "");
+  EXPECT_EQ(message([](SolverSpec& s) { s.starts = 16385; }),
+            "'starts' must be <= 16384");
+  EXPECT_EQ(message([](SolverSpec& s) { s.threads = 256; }), "");
+  EXPECT_EQ(message([](SolverSpec& s) { s.threads = 257; }),
+            "'threads' must be <= 256");
   EXPECT_EQ(message([](SolverSpec& s) { s.iterations = 0; }),
             "'iterations' must be >= 1");
   EXPECT_EQ(message([](SolverSpec& s) { s.presolve_rn = -1; }),
@@ -229,7 +236,6 @@ TEST(Adapters, MultilevelReportsTheCoarsestSolvesIterations) {
 
 TEST(Adapters, EveryAdapterProducesConsistentNormalizedResult) {
   const PartitionProblem problem = engine_problem();
-  const QhatMatrix qhat(problem, kPaperPenalty);
   Rng rng(11);
   const StartPoint start{test::random_complete(problem.num_components(),
                                                problem.num_partitions(), rng),
@@ -242,7 +248,7 @@ TEST(Adapters, EveryAdapterProducesConsistentNormalizedResult) {
 
     EXPECT_EQ(result.solver, name);
     ASSERT_TRUE(result.best.is_complete());
-    EXPECT_NEAR(result.best_penalized, qhat.penalized_value(result.best), 1e-9);
+    EXPECT_NEAR(result.best_penalized, problem.penalized_value(result.best, kPaperPenalty), 1e-9);
     if (result.found_feasible) {
       ASSERT_TRUE(result.best_feasible.is_complete());
       EXPECT_TRUE(problem.is_feasible(result.best_feasible));

@@ -2,8 +2,8 @@
 
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
-#include "core/exact.hpp"
 #include "core/initial.hpp"
+#include "oracle/exact.hpp"
 #include "test_support.hpp"
 
 namespace qbp {

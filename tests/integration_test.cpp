@@ -4,9 +4,9 @@
 #include "baselines/gkl.hpp"
 #include "bench_support/circuits.hpp"
 #include "bench_support/experiment.hpp"
+#include "bench_support/netlist_stats.hpp"
 #include "core/burkard.hpp"
 #include "core/initial.hpp"
-#include "netlist/stats.hpp"
 
 namespace qbp {
 namespace {

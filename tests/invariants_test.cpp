@@ -11,7 +11,6 @@
 #include "baselines/sa.hpp"
 #include "core/burkard.hpp"
 #include "core/initial.hpp"
-#include "core/qhat.hpp"
 #include "test_support.hpp"
 
 namespace qbp {
@@ -61,8 +60,7 @@ TEST_P(SolverGrid, QbpInvariants) {
   // C3: complete assignments always.
   EXPECT_TRUE(result.best.is_complete());
   // The penalized incumbent matches re-evaluation.
-  const QhatMatrix qhat(problem_, options.penalty);
-  EXPECT_NEAR(result.best_penalized, qhat.penalized_value(result.best), 1e-9);
+  EXPECT_NEAR(result.best_penalized, problem_.penalized_value(result.best, options.penalty), 1e-9);
   if (result.found_feasible) {
     EXPECT_TRUE(problem_.is_feasible(result.best_feasible));
     EXPECT_NEAR(result.best_feasible_objective,

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "bench_support/netlist_stats.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
-#include "netlist/stats.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
 

@@ -9,17 +9,17 @@
 #include <string>
 #include <vector>
 
-#include "assign/lap.hpp"
 #include "bench_support/circuits.hpp"
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
 #include "core/initial.hpp"
 #include "core/multilevel.hpp"
-#include "core/special_cases.hpp"
 #include "core/validate.hpp"
 #include "engine/adapters.hpp"
 #include "engine/pipeline.hpp"
 #include "engine/spec.hpp"
+#include "oracle/lap.hpp"
+#include "oracle/special_cases.hpp"
 #include "test_support.hpp"
 
 namespace qbp {
@@ -386,6 +386,30 @@ TEST(PresolvePipeline, PortfolioRunLiftsAndValidates) {
   EXPECT_EQ(best.best.num_components(), problem.num_components());
   ASSERT_TRUE(best.found_feasible);
   EXPECT_TRUE(problem.is_feasible(best.best_feasible));
+}
+
+TEST(PresolvePipeline, InstanceThatPresolveFixesEntirelyStillSolves) {
+  // Only partition 0 can hold a component, so R0 fixes all six and the
+  // solver runs on no free component at all: its GAP steps see an empty
+  // cost vector over two agents.
+  Netlist netlist("forced");
+  for (std::int32_t j = 0; j < 6; ++j) {
+    netlist.add_component("c" + std::to_string(j), 1.0);
+  }
+  netlist.add_wires(0, 1, 2);
+  PartitionTopology topology =
+      PartitionTopology::grid(1, 2, CostKind::kManhattan, 6.0);
+  topology.set_capacity(1, 0.5);
+  const PartitionProblem problem(std::move(netlist), std::move(topology),
+                                 TimingConstraints(6));
+  const engine::SolvePipeline pipeline(problem);
+  ASSERT_EQ(pipeline.reduced_problem().num_components(), 0);
+  const engine::PipelineResult result =
+      pipeline.run(engine::BurkardSolver(BurkardOptions{}), 1);
+  const engine::SolverResult& best = result.portfolio.best;
+  ASSERT_TRUE(best.found_feasible);
+  EXPECT_EQ(best.best_feasible, Assignment(std::vector<PartitionId>(6, 0), 2));
+  EXPECT_EQ(best.best_feasible_objective, 0.0);
 }
 
 // With validation on, every answer passes the pipeline's one post-solve

@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "core/burkard.hpp"
-#include "engine/engine.hpp"
+#include "engine/adapters.hpp"
+#include "engine/portfolio.hpp"
 #include "test_support.hpp"
 #include "util/prof.hpp"
 #include "util/rng.hpp"

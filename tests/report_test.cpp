@@ -2,6 +2,7 @@
 
 #include "assign/gap.hpp"
 #include "core/report.hpp"
+#include "oracle/gap_bound.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -100,41 +101,12 @@ TEST(Report, RenderFlagsViolations) {
 class GapBoundSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GapBoundSweep, LowerBoundsTheOptimum) {
-  Rng rng(GetParam());
   const std::int32_t m = 3;
   const std::int32_t n = 7;
-  GapProblem problem;
-  problem.cost = Matrix<double>(m, n, 0.0);
-  for (std::int32_t i = 0; i < m; ++i) {
-    for (std::int32_t j = 0; j < n; ++j) {
-      problem.cost(i, j) = static_cast<double>(rng.next_int(0, 30));
-    }
-  }
-  problem.sizes.resize(n);
-  double total = 0.0;
-  for (auto& size : problem.sizes) {
-    size = rng.next_double(0.5, 2.0);
-    total += size;
-  }
-  problem.capacities.assign(m, total / m * 1.5);
-
-  // Exhaustive optimum.
-  std::vector<std::int32_t> assignment(n, 0);
-  double optimum = std::numeric_limits<double>::infinity();
+  const test::GapInstance instance = test::random_gap(m, n, 1.5, GetParam());
+  const GapProblem problem = instance.problem();
   bool feasible = false;
-  while (true) {
-    if (gap_feasible(problem, assignment)) {
-      feasible = true;
-      optimum = std::min(optimum, gap_cost(problem, assignment));
-    }
-    std::int32_t j = 0;
-    while (j < n) {
-      if (++assignment[j] < m) break;
-      assignment[j] = 0;
-      ++j;
-    }
-    if (j == n) break;
-  }
+  const double optimum = test::brute_force_gap(problem, feasible);
   ASSERT_TRUE(feasible) << "every seed of this sweep is feasible";
 
   const double bound = gap_lower_bound(problem);
@@ -143,30 +115,16 @@ TEST_P(GapBoundSweep, LowerBoundsTheOptimum) {
   double relax = 0.0;
   for (std::int32_t j = 0; j < n; ++j) {
     double best = std::numeric_limits<double>::infinity();
-    for (std::int32_t i = 0; i < m; ++i) best = std::min(best, problem.cost(i, j));
+    for (std::int32_t i = 0; i < m; ++i) best = std::min(best, problem.cost_at(i, j));
     relax += best;
   }
   EXPECT_GE(bound, relax - 1e-6);
 }
 
 TEST_P(GapBoundSweep, HeuristicWithinReasonableGapOfBound) {
-  Rng rng(GetParam() ^ 0xbeef);
-  const std::int32_t m = 4;
-  const std::int32_t n = 30;
-  GapProblem problem;
-  problem.cost = Matrix<double>(m, n, 0.0);
-  for (std::int32_t i = 0; i < m; ++i) {
-    for (std::int32_t j = 0; j < n; ++j) {
-      problem.cost(i, j) = static_cast<double>(rng.next_int(1, 40));
-    }
-  }
-  problem.sizes.resize(n);
-  double total = 0.0;
-  for (auto& size : problem.sizes) {
-    size = rng.next_double(0.5, 2.0);
-    total += size;
-  }
-  problem.capacities.assign(m, total / m * 1.6);
+  const test::GapInstance instance =
+      test::random_gap(4, 30, 1.6, GetParam() ^ 0xbeef, 1, 40);
+  const GapProblem problem = instance.problem();
 
   GapOptions options;
   options.swap_improvement = true;

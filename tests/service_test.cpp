@@ -20,7 +20,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <mutex>
 #include <sstream>
@@ -286,10 +288,10 @@ TEST(Protocol, MalformedRequestsFailWithMessages) {
                              "\"deadline_ms\":-5}",
                              out)
                    .ok);
-  // Seeds outside [0, 2^53) and unknown presolve rules: the same verdict
-  // and message as a binary frame (MessageCodec covers that half).  A
-  // negative seed used to fall back to the default silently, and 2^53 + 1
-  // arrives rounded to 2^53.
+  // Seeds outside [0, 2^53), unknown presolve rules and starts or threads
+  // above their caps: the same verdict and message as a binary frame
+  // (MessageCodec covers that half).  A negative seed used to fall back to
+  // the default silently, and 2^53 + 1 arrives rounded to 2^53.
   const std::string seed_range = "'seed' must be an integer in [0, 2^53)";
   for (const auto& [solver, message] :
        {std::pair<std::string, std::string>{"{\"seed\":-1}", seed_range},
@@ -297,7 +299,9 @@ TEST(Protocol, MalformedRequestsFailWithMessages) {
         {"{\"seed\":1e30}", seed_range},
         {"{\"presolve_rules\":\"bogus\"}",
          "'presolve_rules' has unknown rule 'bogus' (want a "
-         "comma-separated subset of r0,r1,r2,rn)"}}) {
+         "comma-separated subset of r0,r1,r2,rn)"},
+        {"{\"starts\":16385}", "'starts' must be <= 16384"},
+        {"{\"threads\":257}", "'threads' must be <= 256"}}) {
     const ParseResult parsed = parse_request(
         "{\"type\":\"submit\",\"problem\":\"p\",\"solver\":" + solver + "}",
         out);
@@ -1414,18 +1418,52 @@ TEST(ServeLoop, HalfClosedClientGetsItsOwnReply) {
       << "B received A's reply: " << to_b;
 }
 
+/// A raw client socket with a 4 KiB receive window, connected to `port`:
+/// when it never reads, the server's writes to it back up soon.  -1 on
+/// failure.
+int connect_small_window(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int window = 4096;
+  if (fd < 0 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &window, sizeof window) != 0 ||
+      !connect_socket(fd, port)) {
+    if (fd >= 0) ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Whether `client`'s next line contains `needle` and arrives within
+/// `limit`.  The line is read on a thread of its own, so a server that
+/// stalls fails the test instead of hanging it: `release` closes the
+/// stalling client, whose unread replies reset the connection and free
+/// such a server, before that thread is joined.
+bool next_line_within(TcpClient& client, std::string_view needle,
+                      std::chrono::steady_clock::duration limit,
+                      const std::function<void()>& release) {
+  const auto give_up = std::chrono::steady_clock::now() + limit;
+  std::atomic<bool> answered{false};
+  std::thread reader([&client, &answered, needle] {
+    std::string line;
+    answered.store(client.read_line(line) &&
+                   line.find(needle) != std::string::npos);
+  });
+  while (!answered.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool in_time = answered.load();
+  release();
+  reader.join();
+  return in_time;
+}
+
 TEST(ServeLoop, StalledClientDoesNotDelayOthers) {
   // Client X floods stats requests and never reads, so its reader blocks
   // writing X's replies.  That stalls X alone: client Y's stats request is
   // answered at once.
   TcpServerFixture fixture;
-  const int x = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int x = connect_small_window(fixture.port());
   ASSERT_GE(x, 0);
-  const int small_window = 4096;  // X's replies back up sooner
-  ASSERT_EQ(::setsockopt(x, SOL_SOCKET, SO_RCVBUF, &small_window,
-                         sizeof small_window),
-            0);
-  ASSERT_TRUE(connect_socket(x, fixture.port()));
   TcpClient y;
   ASSERT_TRUE(y.connect(fixture.port()));
 
@@ -1434,29 +1472,74 @@ TEST(ServeLoop, StalledClientDoesNotDelayOthers) {
   std::thread flooder([x, &flood] { (void)send_all(x, flood); });
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
 
-  // Y reads on a thread of its own, so a stalled server fails the test
-  // instead of hanging it.
   EXPECT_TRUE(y.send_line(R"({"type":"stats"})"));
-  std::atomic<bool> answered{false};
-  std::thread reader([&y, &answered] {
-    std::string line;
-    answered.store(y.read_line(line) &&
-                   line.find(R"("type":"stats")") != std::string::npos);
-  });
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (!answered.load() && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(answered.load()) << "Y's stats reply took longer than 2 s";
+  EXPECT_TRUE(next_line_within(y, R"("type":"stats")", std::chrono::seconds(2),
+                               [&] {
+                                 ::shutdown(x, SHUT_RDWR);
+                                 flooder.join();
+                                 ::close(x);
+                               }))
+      << "Y's stats reply took longer than 2 s";
+}
 
-  // Let X go: closing it with unread replies resets the connection, which
-  // fails X's blocked write (and, on a server that stalls every client,
-  // releases Y's reply) before the threads are joined.
-  ::shutdown(x, SHUT_RDWR);
-  flooder.join();
-  ::close(x);
-  reader.join();
+TEST(ServeLoop, ClientThatNeverReadsLosesItsConnectionNotTheWorker) {
+  // One worker.  Client X submits 600 jobs on a problem of 20,000
+  // components that presolve cuts to two (a few ms each, ~40 kB replies)
+  // and never reads, so the worker's write to X stalls once the loopback
+  // buffers are full.  The server gives a stalled reply 2 s, then fails
+  // X's connection: its queued jobs are answered unsolved and dropped.
+  // Client Y's job, queued behind X's, is answered within that deadline
+  // plus a margin: what X's jobs cost in this build, measured on Y first,
+  // and 1 s.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("qbpart_wide_" + std::to_string(::getpid()) + ".qp"))
+          .string();
+  {
+    // Only c0 and c1 fit partition 1: R0 fixes the rest in partition 0.
+    std::ofstream out(path);
+    out << "problem wide\ntopology grid 1 2 manhattan\ncapacities 20000 0.5\n";
+    for (int j = 0; j < 20000; ++j) {
+      out << "component c" << j << (j < 2 ? " 0.25\n" : " 1\n");
+    }
+  }
+  ServerOptions options;
+  options.cache_capacity = 0;
+  options.queue_capacity = 1024;
+  TcpServerFixture fixture(options);
+  const auto wide_job = [&path](const std::string& id) {
+    Request request;
+    request.type = RequestType::kSubmit;
+    request.id = id;
+    request.problem_file = path;
+    request.solver.iterations = 1;
+    return format_request(request) + "\n";
+  };
+
+  TcpClient y;
+  ASSERT_TRUE(y.connect(fixture.port()));
+  const auto calibration_start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(y.send_line(wide_job("c0") + wide_job("c1") + wide_job("c2")));
+  for (std::string line; line.empty() || line.find(R"("id":"c2")") == std::string::npos;) {
+    ASSERT_TRUE(y.read_line(line));
+  }
+  constexpr int kJobs = 600;
+  const auto limit = std::chrono::seconds(3) +
+                     (std::chrono::steady_clock::now() - calibration_start) *
+                         kJobs / 3;
+
+  const int x = connect_small_window(fixture.port());
+  ASSERT_GE(x, 0);
+  std::string jobs;
+  for (int k = 0; k < kJobs; ++k) jobs += wide_job("x" + std::to_string(k));
+  ASSERT_TRUE(send_all(x, jobs));
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  ASSERT_TRUE(y.send_line(submit_line("y", tiny_problem_text())));
+  EXPECT_TRUE(next_line_within(y, R"("id":"y")", limit, [x] { ::close(x); }))
+      << "Y waited over " << std::chrono::duration<double>(limit).count()
+      << " s behind X's stalled reply";
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------------ metrics ----

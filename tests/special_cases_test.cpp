@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "assign/gap.hpp"
-#include "assign/lap.hpp"
 #include "core/brute_force.hpp"
 #include "core/burkard.hpp"
 #include "core/initial.hpp"
-#include "core/special_cases.hpp"
 #include "engine/adapters.hpp"
 #include "engine/portfolio.hpp"
+#include "oracle/lap.hpp"
+#include "oracle/special_cases.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -122,10 +122,8 @@ TEST(SpecialCases, GapReductionMatchesDedicatedSolverSemantics) {
   EXPECT_DOUBLE_EQ(problem.beta(), 0.0);
 
   // Feasibility semantics match the dedicated GAP checker.
-  GapProblem gap;
-  gap.cost = cost;
-  gap.sizes = sizes;
-  gap.capacities = capacities;
+  const test::GapInstance instance{cost, sizes, capacities, {}};
+  const GapProblem gap = instance.problem();
   Rng walk(11);
   for (int trial = 0; trial < 30; ++trial) {
     const auto assignment = test::random_complete(n, m, walk);

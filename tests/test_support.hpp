@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "assign/gap.hpp"
 #include "core/placement.hpp"
 #include "core/problem.hpp"
 #include "netlist/netlist.hpp"
@@ -35,6 +37,70 @@ class FailModeGuard {
  private:
   check::FailMode saved_;
 };
+
+/// A GAP instance as an M x N cost matrix (rows are agents).  problem()
+/// views a column-major copy, item j's M costs at [j * M, (j + 1) * M),
+/// kept in `by_item` while the instance lives.
+struct GapInstance {
+  Matrix<double> cost;
+  std::vector<double> sizes;
+  std::vector<double> capacities;
+  mutable std::vector<double> by_item;
+
+  [[nodiscard]] GapProblem problem() const {
+    by_item.clear();
+    for (std::int32_t j = 0; j < cost.cols(); ++j) {
+      for (std::int32_t i = 0; i < cost.rows(); ++i) by_item.push_back(cost(i, j));
+    }
+    return {by_item, cost.rows(), sizes, capacities};
+  }
+};
+
+/// Random GAP: integer costs in [min_cost, max_cost], sizes in [0.5, 2),
+/// every capacity `slack` times an even share of the total size.
+inline GapInstance random_gap(std::int32_t m, std::int32_t n, double slack,
+                              std::uint64_t seed, std::int64_t min_cost = 0,
+                              std::int64_t max_cost = 30) {
+  Rng rng(seed);
+  GapInstance gap{Matrix<double>(m, n, 0.0), {}, {}, {}};
+  for (std::int32_t i = 0; i < m; ++i) {
+    for (std::int32_t j = 0; j < n; ++j) {
+      gap.cost(i, j) = static_cast<double>(rng.next_int(min_cost, max_cost));
+    }
+  }
+  gap.sizes.resize(static_cast<std::size_t>(n));
+  double total = 0.0;
+  for (auto& size : gap.sizes) {
+    size = rng.next_double(0.5, 2.0);
+    total += size;
+  }
+  gap.capacities.assign(static_cast<std::size_t>(m), total / m * slack);
+  return gap;
+}
+
+/// Exhaustive GAP optimum (M^N enumeration); `feasible` is false when no
+/// assignment fits.
+inline double brute_force_gap(const GapProblem& problem, bool& feasible) {
+  const std::int32_t m = problem.num_agents();
+  const std::int32_t n = problem.num_items();
+  std::vector<std::int32_t> assignment(static_cast<std::size_t>(n), 0);
+  double best = std::numeric_limits<double>::infinity();
+  feasible = false;
+  while (true) {
+    if (gap_feasible(problem, assignment)) {
+      feasible = true;
+      best = std::min(best, gap_cost(problem, assignment));
+    }
+    std::int32_t j = 0;
+    while (j < n) {
+      if (++assignment[static_cast<std::size_t>(j)] < m) break;
+      assignment[static_cast<std::size_t>(j)] = 0;
+      ++j;
+    }
+    if (j == n) break;
+  }
+  return best;
+}
 
 struct TinySpec {
   std::int32_t num_components = 6;

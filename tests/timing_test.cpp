@@ -69,7 +69,6 @@ TEST(TimingGraph, ArcPathDelayAndSlack) {
   ASSERT_EQ(graph.arcs().size(), 1u);
   const auto& arc = graph.arcs().front();
   EXPECT_DOUBLE_EQ(graph.arc_path_delay(arc), 7.0);
-  EXPECT_DOUBLE_EQ(graph.arc_slack(arc, 10.0), 3.0);
 }
 
 TEST(TimingGraph, DeterministicInSeed) {

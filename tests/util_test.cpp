@@ -5,12 +5,12 @@
 #include <set>
 #include <thread>
 
+#include "bench_support/table.hpp"
 #include "util/cli.hpp"
 #include "util/flat_map.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace qbp {
@@ -111,31 +111,6 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(std::span<int>(copy));
   std::sort(copy.begin(), copy.end());
   EXPECT_EQ(copy, values);
-}
-
-TEST(Rng, PickWeightedRespectsZeros) {
-  Rng rng(19);
-  const std::vector<double> weights{0.0, 1.0, 0.0};
-  for (int k = 0; k < 200; ++k) {
-    EXPECT_EQ(rng.pick_weighted(weights), 1u);
-  }
-}
-
-TEST(Rng, PickWeightedAllZeroReturnsSize) {
-  Rng rng(19);
-  const std::vector<double> weights{0.0, 0.0};
-  EXPECT_EQ(rng.pick_weighted(weights), weights.size());
-}
-
-TEST(Rng, PickWeightedFollowsWeights) {
-  Rng rng(23);
-  const std::vector<double> weights{1.0, 3.0};
-  int heavy = 0;
-  constexpr int kDraws = 20000;
-  for (int k = 0; k < kDraws; ++k) {
-    if (rng.pick_weighted(weights) == 1) ++heavy;
-  }
-  EXPECT_NEAR(heavy, kDraws * 0.75, kDraws * 0.03);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

@@ -12,7 +12,8 @@
 
 #include "core/outcome.hpp"
 #include "core/validate.hpp"
-#include "engine/engine.hpp"
+#include "engine/adapters.hpp"
+#include "engine/portfolio.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"

@@ -435,21 +435,27 @@ TEST(MessageCodec, MalformedPayloadsFailWithMessagesNeverAbort) {
       std::string(2, '\0'), note, error));
   EXPECT_EQ(error, "unexpected frame type 5");
 
-  // Seeds outside [0, 2^53) and unknown presolve rules fail with the
-  // NDJSON parser's message.  A binary frame carries the full uint64, so
-  // qbpart_submit's --seed -1 arrives as 2^64 - 1.
+  // Seeds outside [0, 2^53), unknown presolve rules and starts or threads
+  // above their caps fail with the NDJSON parser's message.  A binary frame
+  // carries the full uint64, so qbpart_submit's --seed -1 arrives as
+  // 2^64 - 1.
   const std::string seed_range = "'seed' must be an integer in [0, 2^53)";
-  for (const auto& [seed, rules, message] :
-       {std::tuple<std::uint64_t, std::string, std::string>{
-            std::numeric_limits<std::uint64_t>::max(), "r0", seed_range},
-        {9007199254740993ULL, "r0", seed_range},
-        {7, "bogus",
+  for (const auto& [seed, rules, starts, threads, message] :
+       {std::tuple<std::uint64_t, std::string, std::int32_t, std::int32_t,
+                   std::string>{std::numeric_limits<std::uint64_t>::max(),
+                                "r0", 3, 2, seed_range},
+        {9007199254740993ULL, "r0", 3, 2, seed_range},
+        {7, "bogus", 3, 2,
          "'presolve_rules' has unknown rule 'bogus' (want a "
-         "comma-separated subset of r0,r1,r2,rn)"}}) {
+         "comma-separated subset of r0,r1,r2,rn)"},
+        {7, "r0", 16385, 2, "'starts' must be <= 16384"},
+        {7, "r0", 3, 257, "'threads' must be <= 256"}}) {
     service::Request bad = submit_request();
     bad.problem_text = "problem p\n";
     bad.solver.seed = seed;
     bad.solver.presolve_rules = rules;
+    bad.solver.starts = starts;
+    bad.solver.threads = threads;
     std::string frame;
     service::encode_request_frame(bad, frame);
     std::uint8_t type = 0;

@@ -208,7 +208,7 @@ const std::vector<RuleInfo> kRules = {
 
 /// Accessors that return by value; binding a span to their result dangles.
 /// Netlist::sizes() used to belong here until it was fixed to return a
-/// reference -- QhatMatrix::omega() legitimately computes its vector.
+/// reference; an omega() accessor, which computes its vector, still would.
 const std::set<std::string> kByValueAccessors = {"omega"};
 
 bool path_contains(const std::string& path, const char* needle) {
