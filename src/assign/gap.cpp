@@ -108,9 +108,11 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
   QBP_PROF_SCOPE("gap.solve");
   {
     QBP_PROF_SCOPE("gap.construct");
+    // Each entry keeps the agent its key's scan found best.
     struct HeapEntry {
       double regret;
       std::int32_t item;
+      std::int32_t best_agent;
       bool operator<(const HeapEntry& other) const noexcept {
         // max-heap on regret; deterministic tie-break on the smaller item id.
         if (regret != other.regret) return regret < other.regret;
@@ -124,7 +126,7 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
       if (best.best_agent < 0) {
         hopeless.push_back(j);
       } else {
-        heap.push({best.regret(), j});
+        heap.push({best.regret(), j, best.best_agent});
       }
     }
 
@@ -139,7 +141,16 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
       heap.pop();
       const std::int32_t j = entry.item;
       if (result.agent_of_item[static_cast<std::size_t>(j)] >= 0) continue;
-      // Capacities may have changed since this key was computed: refresh.
+      // Slack only shrinks here.  While the agent this key's scan found best
+      // still fits the item, a rescan keeps it best and can only raise the
+      // regret (the second-best cost can only grow), and the popped key is
+      // the largest, so the item goes to that agent without a rescan.
+      if (!(slack[static_cast<std::size_t>(entry.best_agent)] + kCapTolerance <
+            sizes[static_cast<std::size_t>(j)])) {
+        assign(j, entry.best_agent);
+        continue;
+      }
+      // Its best agent filled since this key was computed: refresh.
       const BestPair best = best_agents(cost, sizes, slack, j);
       if (best.best_agent < 0) {
         hopeless.push_back(j);
@@ -147,7 +158,7 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
       }
       const double fresh = best.regret();
       if (!heap.empty() && fresh + kEps < heap.top().regret) {
-        heap.push({fresh, j});  // someone else is more urgent now
+        heap.push({fresh, j, best.best_agent});  // someone else is more urgent now
         continue;
       }
       assign(j, best.best_agent);

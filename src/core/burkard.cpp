@@ -97,14 +97,18 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
   constexpr double kEps = 1e-9;
   Rng rng(sweep_seed);
 
-  const auto try_swap = [&](std::int32_t a, std::int32_t b) {
-    if (a == b || u[a] == u[b] || !placement.swap_fits(a, b)) return false;
-    if (evaluator.cached_swap_delta(u, a, b) >= -kEps) return false;
+  const auto fits = [&](std::int32_t a, std::int32_t b) {
+    return a != b && u[a] != u[b] && placement.swap_fits(a, b);
+  };
+  const auto commit_if_improving = [&](std::int32_t a, std::int32_t b,
+                                       double delta) {
+    if (delta >= -kEps) return false;
     placement.swap(a, b);
     return true;
   };
 
   const auto& adjacency = problem.netlist().connection_matrix();
+  const auto& timing = problem.timing();
   for (std::int32_t sweep = 0; sweep < max_sweeps; ++sweep) {
     QBP_PROF_SCOPE("polish.sweep");
     bool improved = false;
@@ -130,13 +134,36 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
     }
 
     // Swap sweep (the move class GKL uses): connected pairs, constrained
-    // pairs, and a random sample for pure capacity exchanges.
+    // pairs, and a random sample for pure capacity exchanges.  The two pair
+    // loops read their own row's value at k and walk a's other row for the
+    // pair's other value, so their swaps look up neither wire count nor
+    // bound; only the sampled pairs do.
     for (std::int32_t a = 0; a < n; ++a) {
-      for (const std::int32_t b : adjacency.row_indices(a)) {
-        if (b > a && try_swap(a, b)) improved = true;
+      const auto neighbors = adjacency.row_indices(a);
+      const auto wires = adjacency.row_values(a);
+      const auto partners = timing.partners(a);
+      const auto bounds = timing.bounds(a);
+      RowCursor<double> bound_of(partners, bounds);
+      for (std::size_t k = 0; k < neighbors.size(); ++k) {
+        const std::int32_t b = neighbors[k];
+        if (b <= a || !fits(a, b)) continue;
+        const double bound =
+            bound_of.value_at(b, TimingConstraints::kUnconstrained);
+        if (commit_if_improving(
+                a, b, evaluator.cached_swap_delta(u, a, b, wires[k], bound))) {
+          improved = true;
+        }
       }
-      for (const std::int32_t b : problem.timing().partners(a)) {
-        if (b > a && try_swap(a, b)) improved = true;
+      RowCursor<std::int32_t> wires_of(neighbors, wires);
+      for (std::size_t k = 0; k < partners.size(); ++k) {
+        const std::int32_t b = partners[k];
+        if (b <= a || !fits(a, b)) continue;
+        if (commit_if_improving(
+                a, b,
+                evaluator.cached_swap_delta(u, a, b, wires_of.value_at(b, 0),
+                                            bounds[k]))) {
+          improved = true;
+        }
       }
     }
     for (std::int32_t k = 0; k < n; ++k) {
@@ -144,7 +171,10 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
           rng.next_below(static_cast<std::uint64_t>(n)));
       const auto b = static_cast<std::int32_t>(
           rng.next_below(static_cast<std::uint64_t>(n)));
-      if (try_swap(a, b)) improved = true;
+      if (fits(a, b) &&
+          commit_if_improving(a, b, evaluator.cached_swap_delta(u, a, b))) {
+        improved = true;
+      }
     }
 
     if (!improved) break;

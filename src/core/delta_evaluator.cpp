@@ -159,29 +159,32 @@ double swap_delta_penalized(const PartitionProblem& problem, double penalty,
          correction(pb, pa) - correction(pa, pb);
 }
 
-/// Add `sign` times the wire terms a neighbor at partition `at` contributes
-/// to every column i of an M-entry incident row: both ordered directions,
-/// scaled by `scale` = beta * a_jk.  The incoming direction B(at, i) also
-/// goes into a non-null `incoming`.  An unassigned neighbor contributes
-/// nothing.
-void add_wire_terms(const PartitionTopology& topology, double scale,
-                    PartitionId at, double sign, std::size_t m, double* row,
-                    double* incoming) {
-  if (at == Assignment::kUnassigned) return;
-  const double signed_scale = sign * scale;
-  const auto both = [&](std::size_t i) {
-    const auto column = static_cast<PartitionId>(i);
-    return topology.wire_cost(column, at) + topology.wire_cost(at, column);
+/// cached_swap_delta off both built rows: row_a[p_b] - row_a[p_a] +
+/// row_b[p_a] - row_b[p_b], plus the a-b pair term at the swapped positions
+/// minus the two co-located ones the rows counted.  The pair term with a at
+/// x and b at y is both ordered wire terms (scaled by `wire_scale` = beta *
+/// a_ab), the penalty replacing a direction that breaks `bound`.  Row a
+/// counts it with b fixed at pb, row b with a fixed at pa; the swap moves
+/// both ends at once.
+inline double swap_delta_off_rows(const PartitionTopology& topology,
+                                  double penalty, const double* row_a,
+                                  const double* row_b, PartitionId pa,
+                                  PartitionId pb, double wire_scale,
+                                  double bound) {
+  const auto pair = [&](PartitionId x, PartitionId y) {
+    const double forward = topology.delay(x, y) > bound
+                               ? penalty
+                               : wire_scale * topology.wire_cost(x, y);
+    const double backward = topology.delay(y, x) > bound
+                                ? penalty
+                                : wire_scale * topology.wire_cost(y, x);
+    return forward + backward;
   };
-  if (incoming == nullptr) {
-    for (std::size_t i = 0; i < m; ++i) row[i] += signed_scale * both(i);
-    return;
-  }
-  const double* b_row = topology.wire_cost().row(at).data();
-  for (std::size_t i = 0; i < m; ++i) {
-    row[i] += signed_scale * both(i);
-    incoming[i] += signed_scale * b_row[i];
-  }
+  const auto at = [](const double* row, PartitionId i) {
+    return row[static_cast<std::size_t>(i)];
+  };
+  return at(row_a, pb) - at(row_a, pa) + at(row_b, pa) - at(row_b, pb) +
+         pair(pb, pa) + pair(pa, pb) - pair(pa, pa) - pair(pb, pb);
 }
 
 }  // namespace
@@ -193,10 +196,17 @@ DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
       built_(static_cast<std::size_t>(problem.num_components()), 0),
       deltas_(m_, 0.0) {
   QBP_CHECK_GE(penalty, 0.0);
-  if (penalty_ == 0.0) return;
   const std::int32_t m = problem.num_partitions();
   const auto& topology = problem.topology();
   const auto square = static_cast<std::size_t>(m) * static_cast<std::size_t>(m);
+  wire_both_.resize(square);
+  for (PartitionId at = 0; at < m; ++at) {
+    double* both = wire_both_.data() + static_cast<std::size_t>(at) * m_;
+    for (PartitionId i = 0; i < m; ++i) {
+      both[i] = topology.wire_cost(i, at) + topology.wire_cost(at, i);
+    }
+  }
+  if (penalty_ == 0.0) return;
   by_delay_.resize(2 * square);
   for (PartitionId at = 0; at < m; ++at) {
     const auto order = [&](PartitionId* columns, auto delay) {
@@ -211,8 +221,23 @@ DeltaEvaluator::DeltaEvaluator(const PartitionProblem& problem, double penalty)
   }
 }
 
-void DeltaEvaluator::add_violation_terms(std::int32_t component,
-                                         std::int32_t partner, double bound,
+void DeltaEvaluator::add_wire_terms(double scale, PartitionId at, double sign,
+                                    double* row, double* incoming) const {
+  if (at == Assignment::kUnassigned) return;
+  const double signed_scale = sign * scale;
+  const double* both = wire_both_.data() + static_cast<std::size_t>(at) * m_;
+  if (incoming == nullptr) {
+    for (std::size_t i = 0; i < m_; ++i) row[i] += signed_scale * both[i];
+    return;
+  }
+  const double* b_row = problem_->topology().wire_cost().row(at).data();
+  for (std::size_t i = 0; i < m_; ++i) {
+    row[i] += signed_scale * both[i];
+    incoming[i] += signed_scale * b_row[i];
+  }
+}
+
+void DeltaEvaluator::add_violation_terms(std::int32_t wires, double bound,
                                          PartitionId at, double sign,
                                          double* row, double* incoming) const {
   const std::size_t m = m_;
@@ -221,16 +246,13 @@ void DeltaEvaluator::add_violation_terms(std::int32_t component,
   const PartitionId* into = by_delay_.data() + static_cast<std::size_t>(at) * m;
   const PartitionId* out_of = into + m * m;
   // Both orders descend in delay, so each scan stops at its first column
-  // that keeps the bound, and the a_jk lookup (a binary search) happens
-  // only once a violation fires.  A column still gets its D(i, at) term
-  // before its D(at, i) term, as in a column-by-column scan.
+  // that keeps the bound.  A column still gets its D(i, at) term before its
+  // D(at, i) term, as in a column-by-column scan.
   if (!(topology.delay(into[0], at) > bound) &&
       !(topology.delay(at, out_of[0]) > bound)) {
     return;
   }
-  const double wire_scale =
-      problem_->beta() *
-      problem_->netlist().connection_matrix().value_or(component, partner, 0);
+  const double wire_scale = problem_->beta() * wires;
   for (std::size_t r = 0; r < m && topology.delay(into[r], at) > bound; ++r) {
     const PartitionId i = into[r];
     row[static_cast<std::size_t>(i)] +=
@@ -269,7 +291,6 @@ void DeltaEvaluator::build_row(const Assignment& assignment,
                                std::int32_t component, double* row,
                                double* incoming) const {
   const std::int32_t m = problem_->num_partitions();
-  const auto& topology = problem_->topology();
   const auto& adjacency = problem_->netlist().connection_matrix();
   const double beta = problem_->beta();
 
@@ -287,15 +308,16 @@ void DeltaEvaluator::build_row(const Assignment& assignment,
   const auto neighbors = adjacency.row_indices(component);
   const auto wires = adjacency.row_values(component);
   for (std::size_t k = 0; k < neighbors.size(); ++k) {
-    add_wire_terms(topology, beta * wires[k], assignment[neighbors[k]], 1.0,
-                   m_, row, incoming);
+    add_wire_terms(beta * wires[k], assignment[neighbors[k]], 1.0, row,
+                   incoming);
   }
 
   if (penalty_ > 0.0) {
     const auto partners = problem_->timing().partners(component);
     const auto bounds = problem_->timing().bounds(component);
+    RowCursor<std::int32_t> wires_of(neighbors, wires);
     for (std::size_t k = 0; k < partners.size(); ++k) {
-      add_violation_terms(component, partners[k], bounds[k],
+      add_violation_terms(wires_of.value_at(partners[k], 0), bounds[k],
                           assignment[partners[k]], 1.0, row, incoming);
     }
   }
@@ -328,7 +350,6 @@ const double* DeltaEvaluator::cached_row(const Assignment& assignment,
 
 void DeltaEvaluator::patch_dependents(std::int32_t component,
                                       PartitionId source, PartitionId target) {
-  const auto& topology = problem_->topology();
   const auto& adjacency = problem_->netlist().connection_matrix();
   const double beta = problem_->beta();
 
@@ -342,22 +363,24 @@ void DeltaEvaluator::patch_dependents(std::int32_t component,
     double* row = incident_.data() + offset(dependent);
     double* in = incoming_row(dependent);
     const double scale = beta * wires[k];
-    add_wire_terms(topology, scale, source, -1.0, m_, row, in);
-    add_wire_terms(topology, scale, target, 1.0, m_, row, in);
+    add_wire_terms(scale, source, -1.0, row, in);
+    add_wire_terms(scale, target, 1.0, row, in);
   }
 
   if (penalty_ > 0.0) {
+    // A is symmetric, so the mover's own adjacency row holds each
+    // partner's wire count; the cursor walks it beside the partner row.
     const auto partners = problem_->timing().partners(component);
     const auto bounds = problem_->timing().bounds(component);
+    RowCursor<std::int32_t> wires_of(neighbors, wires);
     for (std::size_t k = 0; k < partners.size(); ++k) {
       const std::int32_t dependent = partners[k];
       if (built_[static_cast<std::size_t>(dependent)] == 0) continue;
       double* row = incident_.data() + offset(dependent);
       double* in = incoming_row(dependent);
-      add_violation_terms(dependent, component, bounds[k], source, -1.0, row,
-                          in);
-      add_violation_terms(dependent, component, bounds[k], target, 1.0, row,
-                          in);
+      const std::int32_t pair_wires = wires_of.value_at(dependent, 0);
+      add_violation_terms(pair_wires, bounds[k], source, -1.0, row, in);
+      add_violation_terms(pair_wires, bounds[k], target, 1.0, row, in);
     }
   }
 }
@@ -381,33 +404,29 @@ double DeltaEvaluator::cached_swap_delta(const Assignment& assignment,
   if (pa == pb) return 0.0;
   const double* row_a = cached_row(assignment, component_a);
   const double* row_b = cached_row(assignment, component_b);
-
-  // The a-b pair term with a at x and b at y: both ordered wire terms, the
-  // penalty replacing a direction that breaks the a-b bound.  Row a counts
-  // it with b fixed at pb, row b with a fixed at pa; the swap moves both
-  // ends at once.
-  const auto& topology = problem_->topology();
   const double wire_scale =
       problem_->beta() * problem_->netlist().connection_matrix().value_or(
                              component_a, component_b, 0);
   const double bound =
       penalty_ > 0.0 ? problem_->timing().max_delay(component_a, component_b)
                      : TimingConstraints::kUnconstrained;
-  const auto pair = [&](PartitionId x, PartitionId y) {
-    const double forward = topology.delay(x, y) > bound
-                               ? penalty_
-                               : wire_scale * topology.wire_cost(x, y);
-    const double backward = topology.delay(y, x) > bound
-                                ? penalty_
-                                : wire_scale * topology.wire_cost(y, x);
-    return forward + backward;
-  };
+  return swap_delta_off_rows(problem_->topology(), penalty_, row_a, row_b, pa,
+                             pb, wire_scale, bound);
+}
 
-  const auto at = [](const double* row, PartitionId i) {
-    return row[static_cast<std::size_t>(i)];
-  };
-  return at(row_a, pb) - at(row_a, pa) + at(row_b, pa) - at(row_b, pb) +
-         pair(pb, pa) + pair(pa, pb) - pair(pa, pa) - pair(pb, pb);
+double DeltaEvaluator::cached_swap_delta(const Assignment& assignment,
+                                         std::int32_t component_a,
+                                         std::int32_t component_b,
+                                         std::int32_t wires, double bound) {
+  const PartitionId pa = assignment[component_a];
+  const PartitionId pb = assignment[component_b];
+  if (pa == pb) return 0.0;
+  const double* row_a = cached_row(assignment, component_a);
+  const double* row_b = cached_row(assignment, component_b);
+  return swap_delta_off_rows(
+      problem_->topology(), penalty_, row_a, row_b, pa, pb,
+      problem_->beta() * wires,
+      penalty_ > 0.0 ? bound : TimingConstraints::kUnconstrained);
 }
 
 void DeltaEvaluator::commit_move(Assignment& assignment, std::int32_t component,

@@ -21,11 +21,18 @@
 //     their ledger and conflict table) patches every built row that
 //     depends on c -- its wire neighbors' and (penalized mode) its timing
 //     partners' -- by subtracting c's terms at s and adding them at t, in
-//     O(M) per row: the Fiduccia-Mattheyses gain update.  Rows never built stay lazy.  Loops that scan all M targets
-//     of a component (the polish move sweep, GFM's and GKL's gains, the
-//     ECO polish) get their deltas in O(M) instead of O(degree * M), and a
-//     pairwise swap delta comes from two row differences plus the a-b pair
-//     term (cached_swap_delta) instead of a rescan of both neighborhoods;
+//     O(M) per row: the Fiduccia-Mattheyses gain update.  A wire term reads
+//     the contiguous row of an M x M table of B(i, at) + B(at, i), built
+//     once per evaluator, and a timing partner's wire count comes from a
+//     cursor walking the mover's ascending adjacency row beside its
+//     ascending partner row, so neither a build nor a patch searches.  Rows
+//     never built stay lazy.  Loops that scan all M targets of a component
+//     (the polish move sweep, GFM's and GKL's gains, the ECO polish) get
+//     their deltas in O(M) instead of O(degree * M), and a pairwise swap
+//     delta comes from two row differences plus the a-b pair term
+//     (cached_swap_delta) instead of a rescan of both neighborhoods.  A
+//     caller that walks a's adjacency or partner row passes the pair's
+//     wire count and bound, and its swap delta does no lookup at all;
 //   * eta() is STEP 3's gather read off the same table.  A row's *incoming
 //     part* is what j's neighbors and partners contribute into candidate i
 //     -- beta * a * B(at, i), or the penalty where D(at, i) breaks the bound
@@ -56,6 +63,28 @@
 #include "core/problem.hpp"
 
 namespace qbp {
+
+/// A walk over one ascending CSR row (its column indices and values) for a
+/// caller that asks for columns in ascending order: value_at(column,
+/// fallback) returns what Csr::value_or does, in amortized O(1) instead of
+/// a binary search, since the cursor only moves forward.
+template <typename T>
+class RowCursor {
+ public:
+  RowCursor(std::span<const std::int32_t> columns, std::span<const T> values)
+      : columns_(columns), values_(values) {}
+
+  [[nodiscard]] T value_at(std::int32_t column, T fallback) noexcept {
+    while (at_ < columns_.size() && columns_[at_] < column) ++at_;
+    return at_ < columns_.size() && columns_[at_] == column ? values_[at_]
+                                                            : fallback;
+  }
+
+ private:
+  std::span<const std::int32_t> columns_;
+  std::span<const T> values_;
+  std::size_t at_ = 0;
+};
 
 class DeltaEvaluator {
  public:
@@ -92,10 +121,21 @@ class DeltaEvaluator {
   /// a-b pair term at the swapped positions minus the two co-located ones
   /// each row counted.  That is the Kernighan-Lin identity
   /// g = D_a + D_b - 2 c_ab, generalized to asymmetric B and to the penalty
-  /// of an (a, b) timing constraint.  O(log degree) once both rows exist.
+  /// of an (a, b) timing constraint.  O(log degree) once both rows exist:
+  /// the pair's wire count and bound are looked up (the bound only in
+  /// penalized mode).
   [[nodiscard]] double cached_swap_delta(const Assignment& assignment,
                                          std::int32_t component_a,
                                          std::int32_t component_b);
+  /// The same delta, bit for bit, for a caller that already holds the
+  /// pair's wire count a_ab (0 if unwired) and timing bound
+  /// (TimingConstraints::kUnconstrained if unconstrained), e.g. off the
+  /// row it walks: O(1) once both rows exist, no lookup.  Objective mode
+  /// ignores `bound`.
+  [[nodiscard]] double cached_swap_delta(const Assignment& assignment,
+                                         std::int32_t component_a,
+                                         std::int32_t component_b,
+                                         std::int32_t wires, double bound);
 
   /// Apply a move *through* the evaluator so the built rows are patched (a
   /// swap is two moves; core/placement commits both).  The cached reads
@@ -136,6 +176,13 @@ class DeltaEvaluator {
     return incoming_.empty() ? nullptr : incoming_.data() + offset(component);
   }
 
+  /// Add `sign` times the wire terms a neighbor at partition `at`
+  /// contributes to every column i of an M-entry incident row: both ordered
+  /// directions, B(i, at) + B(at, i) off wire_both_, scaled by `scale` =
+  /// beta * a_jk.  The incoming direction B(at, i) also goes into a
+  /// non-null `incoming`.  An unassigned neighbor contributes nothing.
+  void add_wire_terms(double scale, PartitionId at, double sign, double* row,
+                      double* incoming) const;
   /// Write `component`'s row at `assignment` into `row` (M entries):
   /// linear term, then both ordered wire terms per neighbor, then the
   /// penalty corrections per timing partner (penalized mode), with the
@@ -149,16 +196,15 @@ class DeltaEvaluator {
   /// The built row of `component` (building it on a miss).
   const double* cached_row(const Assignment& assignment,
                            std::int32_t component);
-  /// Penalized mode: add `sign` times the corrections timing partner
-  /// `partner` at partition `at` (pair bound `bound`) contributes to every
-  /// column i of `component`'s row: a violating direction's wire term
-  /// beta * a * B is replaced by the flat penalty.  The D(at, i) direction
-  /// is incoming and also goes into a non-null `incoming`.  Visits only the
-  /// violating columns (off by_delay_).  An unassigned partner contributes
-  /// nothing.
-  void add_violation_terms(std::int32_t component, std::int32_t partner,
-                           double bound, PartitionId at, double sign,
-                           double* row, double* incoming) const;
+  /// Penalized mode: add `sign` times the corrections a timing partner at
+  /// partition `at` (pair bound `bound`, `wires` = the pair's a_jk, which
+  /// the caller finds walking the rows) contributes to every column i of a
+  /// row: a violating direction's wire term beta * a * B is replaced by the
+  /// flat penalty.  The D(at, i) direction is incoming and also goes into a
+  /// non-null `incoming`.  Visits only the violating columns (off
+  /// by_delay_).  An unassigned partner contributes nothing.
+  void add_violation_terms(std::int32_t wires, double bound, PartitionId at,
+                           double sign, double* row, double* incoming) const;
   /// `component` moved from `source` to `target`: move its terms in every
   /// built row that depends on its position -- its neighbors' and timing
   /// partners' (never its own: a row does not depend on its own
@@ -179,6 +225,9 @@ class DeltaEvaluator {
   std::vector<std::uint8_t> built_;
   /// The rows' incoming parts, same layout; empty until the first eta().
   std::vector<double> incoming_;
+  /// B(i, at) + B(at, i) at [at * M + i]: the two ordered wire terms of a
+  /// neighbor at `at`, summed once per evaluator.
+  std::vector<double> wire_both_;
   /// Penalized mode: the partitions i in descending order of D(i, at) at
   /// [at * M, at * M + M), then in descending order of D(at, i) at
   /// [M * M + at * M, ...).

@@ -315,9 +315,13 @@ void Server::worker_loop(std::int32_t worker_index) {
         std::chrono::duration<double>(popped_at - job.submitted_at).count();
 
     JobResult result;
+    // A connection that fails while its job runs stops the solve too:
+    // nothing would read the answer.
+    const std::stop_callback stop_on_close(
+        job.reply_to.closed,
+        [&stop = *job.stop] { stop.fire(StopCause::kCancel); });
     if (job.reply_to.closed.stop_requested()) {
-      // Its connection failed: nothing would read the answer.
-      job.stop->fire(StopCause::kCancel);
+      // Its connection failed while the job was queued.
       result.id = job.id;
       result.status = "cancelled";
     } else if (job.has_deadline && popped_at >= job.deadline) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <queue>
 
 #include "assign/gap.hpp"
 #include "oracle/lap.hpp"
@@ -300,6 +302,185 @@ TEST(Gap, SwapPassMatchesPlainWalk) {
   // Both branches of the scan ran: commits and capacity rejections.
   EXPECT_GT(total.swaps, 0);
   EXPECT_GT(total.rejected, 0);
+}
+
+/// solve_gap at improvement_passes = 0 as it was while every pop of the
+/// construction rescanned its item's agents: max-regret construction with
+/// a full rescan per pop, hopeless items to the agent with the most slack,
+/// then the capacity repair.
+GapResult rescan_construction(const GapProblem& problem) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kEps = 1e-12;
+  constexpr double kTolerance = 1e-9;
+  const std::int32_t m = problem.num_agents();
+  const std::int32_t n = problem.num_items();
+  GapResult result;
+  result.agent_of_item.assign(static_cast<std::size_t>(n), -1);
+  std::vector<double> slack = problem.capacities;
+
+  struct Scan {
+    std::int32_t agent = -1;
+    double regret = -kInf;
+  };
+  const auto scan = [&](std::int32_t j) {
+    std::int32_t best_agent = -1;
+    double best = kInf;
+    double second = kInf;
+    for (std::int32_t i = 0; i < m; ++i) {
+      if (slack[i] + kTolerance < problem.sizes[j]) continue;
+      const double c = problem.cost_at(i, j);
+      if (c < best) {
+        second = best;
+        best = c;
+        best_agent = i;
+      } else if (c < second) {
+        second = c;
+      }
+    }
+    if (best_agent < 0) return Scan{};
+    return Scan{best_agent, second == kInf ? 1e18 : second - best};
+  };
+  struct Entry {
+    double regret;
+    std::int32_t item;
+    bool operator<(const Entry& other) const {
+      if (regret != other.regret) return regret < other.regret;
+      return item > other.item;
+    }
+  };
+  std::priority_queue<Entry> heap;
+  std::vector<std::int32_t> hopeless;
+  for (std::int32_t j = 0; j < n; ++j) {
+    const Scan best = scan(j);
+    if (best.agent < 0) {
+      hopeless.push_back(j);
+    } else {
+      heap.push({best.regret, j});
+    }
+  }
+  const auto assign = [&](std::int32_t j, std::int32_t agent) {
+    result.agent_of_item[j] = agent;
+    slack[agent] -= problem.sizes[j];
+  };
+  while (!heap.empty()) {
+    const Entry entry = heap.top();
+    heap.pop();
+    const std::int32_t j = entry.item;
+    if (result.agent_of_item[j] >= 0) continue;
+    const Scan best = scan(j);
+    if (best.agent < 0) {
+      hopeless.push_back(j);
+      continue;
+    }
+    if (!heap.empty() && best.regret + kEps < heap.top().regret) {
+      heap.push({best.regret, j});
+      continue;
+    }
+    assign(j, best.agent);
+  }
+  result.construction_failures = static_cast<std::int32_t>(hopeless.size());
+  for (const std::int32_t j : hopeless) {
+    std::int32_t chosen = 0;
+    for (std::int32_t i = 1; i < m; ++i) {
+      if (slack[i] > slack[chosen] + kEps ||
+          (std::abs(slack[i] - slack[chosen]) <= kEps &&
+           problem.cost_at(i, j) < problem.cost_at(chosen, j))) {
+        chosen = i;
+      }
+    }
+    assign(j, chosen);
+  }
+
+  for (std::int64_t budget = 8 * static_cast<std::int64_t>(n);
+       result.repair_moves < budget; ++result.repair_moves) {
+    std::int32_t worst = -1;
+    double worst_overflow = kTolerance;
+    for (std::int32_t i = 0; i < m; ++i) {
+      if (-slack[i] > worst_overflow) {
+        worst_overflow = -slack[i];
+        worst = i;
+      }
+    }
+    if (worst < 0) break;
+    std::int32_t move_item = -1;
+    std::int32_t move_target = -1;
+    double move_score = kInf;
+    std::int32_t fallback_item = -1;
+    std::int32_t fallback_target = -1;
+    double fallback_slack = -kInf;
+    for (std::int32_t j = 0; j < n; ++j) {
+      if (result.agent_of_item[j] != worst) continue;
+      const double size = problem.sizes[j];
+      for (std::int32_t i = 0; i < m; ++i) {
+        if (i == worst) continue;
+        if (slack[i] + kTolerance >= size) {
+          const double score =
+              (problem.cost_at(i, j) - problem.cost_at(worst, j)) / size;
+          if (score < move_score) {
+            move_score = score;
+            move_item = j;
+            move_target = i;
+          }
+        } else if (slack[i] > fallback_slack) {
+          fallback_slack = slack[i];
+          fallback_item = j;
+          fallback_target = i;
+        }
+      }
+    }
+    if (move_item < 0) {
+      if (fallback_item < 0) break;
+      move_item = fallback_item;
+      move_target = fallback_target;
+    }
+    slack[worst] += problem.sizes[move_item];
+    slack[move_target] -= problem.sizes[move_item];
+    result.agent_of_item[move_item] = move_target;
+  }
+  return result;
+}
+
+TEST(GapOracle, ConstructionRescansOnlyWhenAnAgentFilled) {
+  // A pop rescans its item only once the agent its key's scan found best
+  // no longer fits the item.  It must build the assignment the
+  // rescan-every-pop construction builds, on integer costs (where ties are
+  // common) and fractional ones, with capacities tight enough that some
+  // items find no agent.
+  GapOptions constructed;
+  constructed.improvement_passes = 0;
+  std::int32_t failures = 0;
+  std::int32_t clean = 0;
+  const auto expect_same_construction = [&](const GapInstance& instance) {
+    const GapProblem problem = instance.problem();
+    const GapResult expected = rescan_construction(problem);
+    const GapResult actual = solve_gap(problem, constructed);
+    EXPECT_EQ(actual.agent_of_item, expected.agent_of_item);
+    EXPECT_EQ(actual.construction_failures, expected.construction_failures);
+    EXPECT_EQ(actual.repair_moves, expected.repair_moves);
+    failures += expected.construction_failures;
+    if (expected.construction_failures == 0) ++clean;
+  };
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE(seed);
+    GapInstance integer = integer_gap(static_cast<std::int32_t>(2 + seed % 7),
+                                      60, seed);
+    if (seed % 2 == 0) {
+      for (double& capacity : integer.capacities) capacity *= 0.95;
+    }
+    expect_same_construction(integer);
+    GapInstance fractional = random_gap(static_cast<std::int32_t>(2 + seed % 7),
+                                        60, 0.9 + 0.05 * (seed % 5), seed);
+    Rng rng(seed);
+    for (std::int32_t i = 0; i < fractional.cost.rows(); ++i) {
+      for (std::int32_t j = 0; j < fractional.cost.cols(); ++j) {
+        fractional.cost(i, j) += rng.next_double(0.0, 1.0);
+      }
+    }
+    expect_same_construction(fractional);
+  }
+  // Not vacuous: some items found no agent, and some instances none.
+  EXPECT_GT(failures, 0);
+  EXPECT_GT(clean, 0);
 }
 
 }  // namespace

@@ -5,11 +5,16 @@
 // sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "bench_support/circuits.hpp"
+#include "bench_support/experiment.hpp"
 #include "core/burkard.hpp"
 #include "core/delta_evaluator.hpp"
+#include "core/initial.hpp"
+#include "core/placement.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -371,6 +376,262 @@ TEST(DeltaEvaluator, SameComponentRepeatedQueriesHitCache) {
   evaluator.commit_move(mutated, 0, target);
   (void)evaluator.move_deltas(mutated, 0);
   EXPECT_EQ(evaluator.cache_hits(), 6u);
+}
+
+/// A 12-component instance on an integer custom topology whose B is
+/// asymmetric with a nonzero diagonal (and D asymmetric): every row entry
+/// and delta is an integer, and B + B^T differs from 2B.
+PartitionProblem make_skewed_problem(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::int32_t n = 12;
+  const std::int32_t m = 4;
+  Netlist netlist("skewed");
+  for (std::int32_t j = 0; j < n; ++j) {
+    netlist.add_component("c" + std::to_string(j),
+                          static_cast<double>(rng.next_int(1, 3)));
+  }
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (rng.next_bool(0.4)) {
+        netlist.add_wires(a, b, static_cast<std::int32_t>(rng.next_int(1, 4)));
+      }
+    }
+  }
+  Matrix<double> wire_cost(m, m, 0.0);
+  Matrix<double> delay(m, m, 0.0);
+  for (PartitionId i = 0; i < m; ++i) {
+    for (PartitionId k = 0; k < m; ++k) {
+      wire_cost(i, k) = static_cast<double>(rng.next_int(i == k ? 1 : 0, 9));
+      if (i != k) delay(i, k) = static_cast<double>(rng.next_int(1, 4));
+    }
+  }
+  PartitionTopology topology = PartitionTopology::custom(
+      std::move(wire_cost), std::move(delay),
+      std::vector<double>(static_cast<std::size_t>(m),
+                          netlist.total_size() / m * 1.6));
+  TimingConstraints timing(n);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (rng.next_bool(0.35)) {
+        timing.add(a, b, static_cast<double>(rng.next_int(1, 3)));
+      }
+    }
+  }
+  return PartitionProblem(std::move(netlist), std::move(topology),
+                          std::move(timing));
+}
+
+TEST(DeltaEvaluator, PairOverloadEqualsLookup) {
+  // Every wired or constrained pair, in both modes: the swap delta from the
+  // wire count and bound its caller passes equals, bit for bit, the one
+  // that looks them up.  On the skewed integer instances both also equal
+  // the one-off delta and every row matches move_delta, which checks the
+  // B + B^T table where B != B^T, after commits patched the rows.
+  std::int64_t pairs = 0;
+  std::int64_t wired_and_constrained = 0;
+  const auto expect_same_deltas = [&](const PartitionProblem& problem,
+                                      double penalty, Assignment assignment,
+                                      bool exact) {
+    const auto& adjacency = problem.netlist().connection_matrix();
+    const auto& timing = problem.timing();
+    const std::int32_t n = problem.num_components();
+    const std::int32_t m = problem.num_partitions();
+    DeltaEvaluator evaluator(problem, penalty);
+    Rng rng(static_cast<std::uint64_t>(n) * 31 + 7);
+    for (std::int32_t j = 0; j < n; ++j) (void)evaluator.move_deltas(assignment, j);
+    for (std::int32_t step = 0; step < 3 * n; ++step) {
+      evaluator.commit_move(
+          assignment,
+          static_cast<std::int32_t>(rng.next_below(static_cast<std::uint64_t>(n))),
+          static_cast<PartitionId>(rng.next_below(static_cast<std::uint64_t>(m))));
+    }
+    const auto visit = [&](std::int32_t a, std::int32_t b) {
+      const std::int32_t wires = adjacency.value_or(a, b, 0);
+      const double bound = timing.max_delay(a, b);
+      const double walked =
+          evaluator.cached_swap_delta(assignment, a, b, wires, bound);
+      ASSERT_EQ(walked, evaluator.cached_swap_delta(assignment, a, b))
+          << "pair (" << a << ", " << b << "), penalty " << penalty;
+      if (exact) {
+        ASSERT_EQ(walked, evaluator.swap_delta(assignment, a, b));
+      }
+      ++pairs;
+      if (wires != 0 && bound != TimingConstraints::kUnconstrained) {
+        ++wired_and_constrained;
+      }
+    };
+    for (std::int32_t a = 0; a < n; ++a) {
+      for (const std::int32_t b : adjacency.row_indices(a)) visit(a, b);
+      for (const std::int32_t b : timing.partners(a)) visit(a, b);
+      if (!exact) continue;
+      const auto deltas = evaluator.move_deltas(assignment, a);
+      for (PartitionId i = 0; i < m; ++i) {
+        ASSERT_EQ(deltas[static_cast<std::size_t>(i)],
+                  evaluator.move_delta(assignment, a, i))
+            << "row " << a << " column " << i << ", penalty " << penalty;
+      }
+    }
+  };
+  for (const double penalty : {0.0, kPenalty}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(seed);
+      const PartitionProblem problem = make_skewed_problem(seed);
+      ASSERT_FALSE(problem.topology().wire_cost().is_symmetric());
+      ASSERT_NE(problem.topology().wire_cost(0, 0), 0.0);
+      Rng rng(seed);
+      expect_same_deltas(problem, penalty,
+                         test::random_complete(problem.num_components(),
+                                               problem.num_partitions(), rng),
+                         /*exact=*/true);
+    }
+    // Odd oracle seeds: asymmetric fractional B, D, bounds and weights.
+    for (std::uint64_t seed = 1; seed <= 40; seed += 2) {
+      SCOPED_TRACE(seed);
+      const test::OracleInstance instance = test::make_oracle_instance(seed);
+      expect_same_deltas(instance.problem, penalty, instance.start,
+                         /*exact=*/false);
+    }
+  }
+  EXPECT_GT(pairs, 1000);
+  EXPECT_GT(wired_and_constrained, 0);
+}
+
+// ------------------------------------------------------------- polish ----
+
+/// What the lookup polish's two pair loops did.
+struct SwapCounts {
+  std::int64_t wired = 0;        // swaps the connected-pair loop committed
+  std::int64_t constrained = 0;  // swaps the constrained-pair loop committed
+  std::int64_t both = 0;  // connected pairs that are also constrained
+};
+
+/// polish_iterate as it was while every swap looked up its pair's wire
+/// count and bound (the three-argument cached_swap_delta): the same move
+/// sweep, pairs, order and random sample.
+void lookup_polish(const PartitionProblem& problem, DeltaEvaluator& evaluator,
+                   Assignment& u, std::int32_t max_sweeps,
+                   std::uint64_t sweep_seed, SwapCounts& counts) {
+  if (max_sweeps <= 0) return;
+  evaluator.follow(u);
+  const std::int32_t n = problem.num_components();
+  const std::int32_t m = problem.num_partitions();
+  Placement placement(problem, u);
+  placement.attach(evaluator);
+  constexpr double kEps = 1e-9;
+  Rng rng(sweep_seed);
+
+  const auto try_swap = [&](std::int32_t a, std::int32_t b) {
+    if (a == b || u[a] == u[b] || !placement.swap_fits(a, b)) return false;
+    if (evaluator.cached_swap_delta(u, a, b) >= -kEps) return false;
+    placement.swap(a, b);
+    return true;
+  };
+
+  const auto& adjacency = problem.netlist().connection_matrix();
+  for (std::int32_t sweep = 0; sweep < max_sweeps; ++sweep) {
+    bool improved = false;
+    for (std::int32_t j = 0; j < n; ++j) {
+      const std::span<const double> deltas = evaluator.move_deltas(u, j);
+      PartitionId best_target = -1;
+      double best_delta = -kEps;
+      for (PartitionId i = 0; i < m; ++i) {
+        if (i == u[j] || !placement.fits(j, i)) continue;
+        const double delta = deltas[static_cast<std::size_t>(i)];
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_target = i;
+        }
+      }
+      if (best_target >= 0) {
+        placement.move(j, best_target);
+        improved = true;
+      }
+    }
+    for (std::int32_t a = 0; a < n; ++a) {
+      for (const std::int32_t b : adjacency.row_indices(a)) {
+        if (b <= a) continue;
+        if (problem.timing().max_delay(a, b) !=
+            TimingConstraints::kUnconstrained) {
+          ++counts.both;
+        }
+        if (try_swap(a, b)) {
+          improved = true;
+          ++counts.wired;
+        }
+      }
+      for (const std::int32_t b : problem.timing().partners(a)) {
+        if (b > a && try_swap(a, b)) {
+          improved = true;
+          ++counts.constrained;
+        }
+      }
+    }
+    for (std::int32_t k = 0; k < n; ++k) {
+      const auto a = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      const auto b = static_cast<std::int32_t>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      if (try_swap(a, b)) improved = true;
+    }
+    if (!improved) break;
+  }
+}
+
+TEST(PolishOracle, WalkedPairsMakeTheLookupPolishsMoves) {
+  // polish_iterate's pair loops pass each swap the wire count and bound
+  // they read off the rows they walk.  Round after round -- a polish, then
+  // a 20% jump -- it must commit the lookup polish's moves: the same
+  // assignment, the same rows and the same eta, bit for bit.
+  SwapCounts counts;
+  const auto expect_same_polishes = [&](const PartitionProblem& problem,
+                                        const Assignment& start,
+                                        std::uint64_t seed) {
+    const std::int32_t n = problem.num_components();
+    const auto size = static_cast<std::size_t>(problem.flat_size());
+    DeltaEvaluator walked(problem, kPenalty);
+    DeltaEvaluator looked_up(problem, kPenalty);
+    std::vector<double> walked_eta(size);
+    std::vector<double> looked_up_eta(size);
+    Assignment u = start;
+    Assignment expected = start;
+    Rng rng(seed);
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      polish_iterate(problem, walked, u, /*max_sweeps=*/4, seed ^ round);
+      lookup_polish(problem, looked_up, expected, 4, seed ^ round, counts);
+      ASSERT_EQ(u, expected) << "round " << round;
+      for (std::int32_t j = 0; j < n; ++j) {
+        const auto have = walked.move_deltas(u, j);
+        const std::vector<double> copy(have.begin(), have.end());
+        const auto want = looked_up.move_deltas(u, j);
+        ASSERT_TRUE(std::equal(copy.begin(), copy.end(), want.begin()))
+            << "round " << round << " row " << j;
+      }
+      walked.eta(u, walked_eta);
+      looked_up.eta(u, looked_up_eta);
+      ASSERT_EQ(walked_eta, looked_up_eta) << "round " << round;
+      u = test::random_jump(u, 0.2, rng);
+      expected = u;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    SCOPED_TRACE(seed);
+    const test::OracleInstance instance = test::make_oracle_instance(seed);
+    expect_same_polishes(instance.problem, instance.start, seed);
+  }
+  for (const char* name : {"ckta", "cktg"}) {
+    SCOPED_TRACE(name);
+    const CircuitInstance circuit = make_circuit(*find_preset(name));
+    const InitialResult start =
+        make_initial(circuit.problem, InitialStrategy::kQbpZeroWireCost,
+                     ExperimentConfig{}.seed);
+    ASSERT_TRUE(start.feasible);
+    expect_same_polishes(circuit.problem, start.assignment, 7);
+  }
+  // Not vacuous: both pair loops committed swaps, and some pairs were both
+  // wired and constrained, so the walked bound of a wired pair was read.
+  EXPECT_GT(counts.wired, 0);
+  EXPECT_GT(counts.constrained, 0);
+  EXPECT_GT(counts.both, 0);
 }
 
 }  // namespace

@@ -1542,6 +1542,84 @@ TEST(ServeLoop, ClientThatNeverReadsLosesItsConnectionNotTheWorker) {
   std::filesystem::remove(path);
 }
 
+TEST(ServeLoop, FailedConnectionStopsItsRunningJob) {
+  // Two workers.  Client X's long job -- ten million Burkard iterations,
+  // far longer than this test waits -- runs on one worker.  X then floods
+  // stats requests and never reads, so its connection's replies stall;
+  // 2 s after the first blocked write the connection fails.  Its running
+  // job must stop then, within a few solver iterations: answered
+  // "cancelled" (and the reply dropped), not solved to the end.  Client
+  // Y's job meanwhile runs on the other worker.
+  ServerOptions options;
+  options.workers = 2;
+  options.cache_capacity = 0;
+  TcpServerFixture fixture(options);
+  MetricsRegistry& metrics = fixture.server().metrics();
+
+  Request long_job;
+  long_job.type = RequestType::kSubmit;
+  long_job.id = "long";
+  {
+    std::ostringstream problem;
+    write_problem(problem,
+                  test::make_tiny_problem({.num_components = 150,
+                                           .num_partitions = 6,
+                                           .wire_probability = 0.05,
+                                           .constraint_probability = 0.02,
+                                           .seed = 5}));
+    long_job.problem_text = problem.str();
+  }
+  long_job.solver.iterations = 10'000'000;
+  long_job.solver.presolve = false;
+  const int x = connect_small_window(fixture.port());
+  ASSERT_GE(x, 0);
+  ASSERT_TRUE(send_all(x, format_request(long_job) + "\n"));
+  const auto running_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (metrics.gauge("workers_busy").value() < 1 &&
+         std::chrono::steady_clock::now() < running_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(metrics.gauge("workers_busy").value(), 1);
+  TcpClient y;
+  ASSERT_TRUE(y.connect(fixture.port()));
+
+  std::string flood;
+  for (int k = 0; k < 5000; ++k) flood += "{\"type\":\"stats\"}\n";
+  const auto flood_start = std::chrono::steady_clock::now();
+  std::thread flooder([x, &flood] { (void)send_all(x, flood); });
+
+  std::string line;
+  EXPECT_TRUE(y.send_line(submit_line("y", tiny_problem_text())) &&
+              y.read_line(line));
+  EXPECT_NE(line.find(R"("id":"y")"), std::string::npos) << line;
+
+  // The 2 s deadline, plus a margin for filling the buffers first and for
+  // the iteration in progress.
+  const auto limit = flood_start + std::chrono::seconds(5);
+  while (metrics.counter("jobs_completed").value() < 2 &&
+         std::chrono::steady_clock::now() < limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - flood_start)
+                            .count();
+  const bool stopped = metrics.counter("jobs_completed").value() == 2;
+  // A job the failure left running is cancelled here, so the fixture's
+  // shutdown does not wait for its full solve.
+  line.clear();
+  EXPECT_TRUE(y.send_line(R"({"type":"cancel","id":"long"})") &&
+              y.read_line(line));
+  ::shutdown(x, SHUT_RDWR);
+  flooder.join();
+  ::close(x);
+  EXPECT_TRUE(stopped) << "X's job still ran " << waited
+                       << " s after its connection started to stall";
+  EXPECT_NE(line.find("unknown job id"), std::string::npos) << line;
+  EXPECT_EQ(metrics.counter("jobs_cancelled").value(), 1);
+  EXPECT_EQ(metrics.counter("jobs_ok").value(), 1);  // Y's
+}
+
 // ------------------------------------------------------------ metrics ----
 
 TEST(Metrics, StripedCounterSumsConcurrentIncrements) {
