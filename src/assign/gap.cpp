@@ -1,9 +1,11 @@
 #include "assign/gap.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/prof.hpp"
@@ -66,6 +68,164 @@ BestPair best_agents(const ColCost& cost, std::span<const double> sizes,
     }
   }
   return best;
+}
+
+/// Phase 3's memo of the swap scan.  Costs are fixed within one solve_gap
+/// call, so a pair's swap delta depends only on its two items' agents: a
+/// pair whose items both kept their agents since it was last tested keeps
+/// its delta, and if that delta did not improve it still does not.  A
+/// logical clock stamps each item's last agent change and each row's last
+/// scan start.  A row whose own item has not moved since its last scan
+/// re-tests only two kinds of partner, in ascending order: those that
+/// moved since that scan, and those that scan found improving but could
+/// not fit (capacities change with every move), kept in the row's refused
+/// list.  The first swap pass treats every item as moved, so it scans in
+/// full and pays one stamp store per move and per row.
+class SwapMemo {
+ public:
+  SwapMemo() = default;
+  explicit SwapMemo(std::int32_t n)
+      : moved_at_(static_cast<std::size_t>(n), 0),
+        scanned_at_(static_cast<std::size_t>(n), -1),
+        refused_start_(static_cast<std::size_t>(n) + 1, 0) {}
+
+  /// Item j changed agents.
+  void moved(std::int32_t j) noexcept {
+    moved_at_[static_cast<std::size_t>(j)] = ++clock_;
+  }
+  /// Row j1's scan swapped j1 with j2 > j1.  In a pass after the first, j2
+  /// joins the moved set (j1 lies below every row still to come).
+  void swapped(std::int32_t j1, std::int32_t j2) noexcept {
+    moved(j1);
+    moved(j2);
+    if (!moved_set_.empty()) set_bit(j2);
+  }
+
+  /// Start of a swap pass after the first.  The moved set starts as every
+  /// item that moved since the previous pass's first row began; an item
+  /// that moved during that pass's row k leaves it as row k + 1 begins
+  /// (expiring_, in move order), unless it has moved again since.
+  void begin_later_pass() {
+    const std::int64_t first = scanned_at_.front();
+    const std::int64_t last = scanned_at_.back();
+    moved_set_.assign((moved_at_.size() + 63) / 64, 0);
+    expiring_.clear();
+    next_expiring_ = 0;
+    for (std::size_t j = 0; j < moved_at_.size(); ++j) {
+      const std::int64_t at = moved_at_[j];
+      if (at <= first) continue;
+      set_bit(static_cast<std::int32_t>(j));
+      if (at <= last) expiring_.push_back({at, static_cast<std::int32_t>(j)});
+    }
+    std::sort(expiring_.begin(), expiring_.end());
+  }
+
+  /// Row j1's scan starts.  Returns true when its item has not moved
+  /// since its previous scan: candidates() then yields every partner it
+  /// must test.  Either way the row's new refused list starts empty.
+  bool begin_row(std::int32_t j1) {
+    const auto row = static_cast<std::size_t>(j1);
+    const std::int64_t since = scanned_at_[row];
+    scanned_at_[row] = clock_;
+    for (; next_expiring_ < expiring_.size() &&
+           expiring_[next_expiring_].first <= since;
+         ++next_expiring_) {
+      const auto [at, j] = expiring_[next_expiring_];
+      if (moved_at_[static_cast<std::size_t>(j)] == at) clear_bit(j);
+    }
+    refused_ = {refused_list_.data() + refused_start_[row],
+                refused_list_.data() + refused_start_[row + 1]};
+    refused_start_[row] = next_refused_.size();
+    return moved_at_[row] <= since;
+  }
+  /// The row's candidates among items [base, base + 64), base a multiple
+  /// of 64, from `from` on, one bit each: the moved set and the refused
+  /// list.  Call with ascending bases.
+  [[nodiscard]] std::uint64_t candidates(std::int32_t base,
+                                         std::int32_t from) noexcept {
+    std::uint64_t bits = moved_set_[static_cast<std::size_t>(base) / 64];
+    for (; !refused_.empty() && refused_.front() < base + 64;
+         refused_ = refused_.subspan(1)) {
+      bits |= std::uint64_t{1} << (refused_.front() - base);
+    }
+    return from > base ? bits & (~std::uint64_t{0} << (from - base)) : bits;
+  }
+  /// The current row found `j2` improving but could not fit it.
+  void refuse(std::int32_t j2) { next_refused_.push_back(j2); }
+  /// End of a swap pass: this pass's refused lists become the next's.
+  void end_pass() {
+    refused_start_.back() = next_refused_.size();
+    refused_list_.swap(next_refused_);
+    next_refused_.clear();
+  }
+
+ private:
+  void set_bit(std::int32_t j) noexcept {
+    moved_set_[static_cast<std::size_t>(j) / 64] |= std::uint64_t{1} << (j % 64);
+  }
+  void clear_bit(std::int32_t j) noexcept {
+    moved_set_[static_cast<std::size_t>(j) / 64] &= ~(std::uint64_t{1} << (j % 64));
+  }
+
+  std::int64_t clock_ = 0;
+  std::vector<std::int64_t> moved_at_;    // per item: clock of its last move
+  std::vector<std::int64_t> scanned_at_;  // per row: clock at its last scan start
+  // Later passes: the items that moved since the current row's previous
+  // scan began, one bit each, and the (stamp, item) moves that leave it.
+  std::vector<std::uint64_t> moved_set_;
+  std::vector<std::pair<std::int64_t, std::int32_t>> expiring_;
+  std::size_t next_expiring_ = 0;
+  // Row j's refused list of the previous pass is refused_list_[
+  // refused_start_[j], refused_start_[j + 1]); each row overwrites its
+  // start as it begins, after reading it, with its offset in next_refused_.
+  std::vector<std::size_t> refused_start_;
+  std::vector<std::int32_t> refused_list_;
+  std::vector<std::int32_t> next_refused_;
+  std::span<const std::int32_t> refused_;
+};
+
+/// One row j1 of the swap scan: j1's cost column with its own agent's
+/// entry masked to +inf (a partner on that agent gets an infinite delta
+/// instead of a branch), the row of j1's agent in the row-major costs, and
+/// j1's assigned cost.
+struct SwapRow {
+  const double* masked;
+  const double* row;
+  double own;
+
+  /// The cost change if j1 and j swapped agents, in the association of the
+  /// one-pair-at-a-time walk.
+  [[nodiscard]] double delta(const std::int32_t* agent, const double* assigned,
+                             std::int32_t j) const noexcept {
+    return ((masked[agent[j]] + row[j]) - own) - assigned[j];
+  }
+};
+
+/// The first j in [from, n) whose swap with the row's item gains more than
+/// kEps, or n.  The profitability test runs over four sequential/L1
+/// streams, four items per branch: a block whose smallest delta misses is
+/// skipped whole; otherwise (and in the tail) the first hit is found one
+/// item at a time.  The running minimum keeps a NaN d0 and passes over a
+/// later NaN, and a NaN minimum also leaves the block to the one-at-a-time
+/// scan, so no hit is ever skipped.  Taken by value, the row stays in
+/// registers across the loop.
+std::int32_t first_improving(const SwapRow row, const std::int32_t* agent,
+                             const double* assigned, std::int32_t from,
+                             std::int32_t n) noexcept {
+  std::int32_t j = from;
+  for (; j + 3 < n; j += 4) {
+    const double d0 = row.delta(agent, assigned, j);
+    const double d1 = row.delta(agent, assigned, j + 1);
+    const double d2 = row.delta(agent, assigned, j + 2);
+    const double d3 = row.delta(agent, assigned, j + 3);
+    double least = d0;
+    least = d1 < least ? d1 : least;
+    least = d2 < least ? d2 : least;
+    least = d3 < least ? d3 : least;
+    if (!(least >= -kEps)) break;
+  }
+  while (j < n && !(row.delta(agent, assigned, j) < -kEps)) ++j;
+  return j;
 }
 
 }  // namespace
@@ -249,10 +409,14 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
   // the whole solve.  Two scratch arrays turn them into sequential streams:
   // a row-major transpose (cost(a1, j2) contiguous in j2 for the scan's
   // fixed a1) and the per-item assigned cost c(agent(j), j).  Values are
-  // copies of the same doubles, so results are bit-identical.
+  // copies of the same doubles, so results are bit-identical.  From the
+  // second pass on, SwapMemo leaves out the pairs that cannot have changed.
+  static const prof::PhaseId kSwapPairs = prof::register_phase("gap.swap_pairs");
   std::vector<double> row_major;
   std::vector<double> assigned_cost;
   std::vector<double> masked_column;
+  SwapMemo memo;
+  std::int64_t swap_pairs = 0;  // pairs the swap passes tested
   if (options.swap_improvement) {
     row_major.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
     for (std::int32_t j = 0; j < n; ++j) {
@@ -264,6 +428,7 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
     }
     assigned_cost.resize(static_cast<std::size_t>(n));
     masked_column.resize(static_cast<std::size_t>(m));
+    memo = SwapMemo(n);
   }
   // Both improvement passes are first-improvement walks: scan ascending
   // and commit each profitable item (or pair) as soon as it is found.
@@ -290,92 +455,101 @@ GapResult solve_gap(const GapProblem& problem, const GapOptions& options) {
       slack[static_cast<std::size_t>(from)] += size;
       slack[static_cast<std::size_t>(best_to)] -= size;
       result.agent_of_item[static_cast<std::size_t>(j)] = best_to;
+      if (options.swap_improvement) memo.moved(j);
       improved = true;
     }
     if (options.swap_improvement) {
       QBP_PROF_SCOPE("gap.improve_swap");
+      if (pass > 0) memo.begin_later_pass();
       std::int32_t* agent = result.agent_of_item.data();
       for (std::int32_t j = 0; j < n; ++j) {
         assigned_cost[static_cast<std::size_t>(j)] =
             cost.col(j)[agent[j]];
       }
       // The O(N^2) pair scan is the hottest loop of the whole solver.  The
-      // profitability test runs first, over four sequential/L1 streams, and
-      // only the rare candidates pay the capacity checks.  Reordering the
-      // conjunction commits the exact same swaps (the conditions are
-      // independent of evaluation order), and the delta arithmetic keeps the
-      // original association, so results are bit-identical.  The same-agent
-      // case (j2 already on a1) is masked by an infinite cost entry instead
-      // of a branch: its delta becomes +inf and never passes the test.
+      // profitability test (first_improving) runs first, and only the rare
+      // candidates pay the capacity checks.  Reordering the conjunction
+      // commits the exact same swaps (the conditions are independent of
+      // evaluation order), and the delta arithmetic keeps the original
+      // association, so results are bit-identical.
       const double* assigned = assigned_cost.data();
       double* masked = masked_column.data();
       for (std::int32_t j1 = 0; j1 < n; ++j1) {
+        const bool unmoved = memo.begin_row(j1);
         const double* column1 = cost.col(j1);
         const double s1 = problem.sizes[static_cast<std::size_t>(j1)];
-        // j1's agent, cost, slack bound and cost row change only when a swap
+        // j1's agent, slack bound and scan row change only when a swap
         // fires below; cache them across the inner scan, refresh on commit.
-        std::int32_t a1 = agent[j1];
-        double c11 = column1[a1];
-        double limit1 = slack[static_cast<std::size_t>(a1)] + s1 + kCapTolerance;
-        const double* row1 =
-            row_major.data() + static_cast<std::size_t>(a1) *
-                                   static_cast<std::size_t>(n);
-        for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
-        masked[a1] = kInf;
-        const auto swap_delta = [&](std::int32_t j) {
-          return ((masked[agent[j]] + row1[j]) - c11) - assigned[j];
+        std::int32_t a1 = -1;
+        double limit1 = 0.0;
+        SwapRow row{masked, nullptr, 0.0};
+        const auto take_agent = [&](std::int32_t a) {
+          a1 = a;
+          limit1 = slack[static_cast<std::size_t>(a1)] + s1 + kCapTolerance;
+          row.row = row_major.data() +
+                    static_cast<std::size_t>(a1) * static_cast<std::size_t>(n);
+          row.own = column1[a1];
+          for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
+          masked[a1] = kInf;
         };
-        // Four items per branch: a block whose smallest delta misses is
-        // skipped whole; otherwise (and in the tail) the first hit is found
-        // one item at a time.  A candidate the capacities reject resumes the
-        // scan one past itself, as does a committed swap.  The running
-        // minimum keeps a NaN d0 and passes over a later NaN, and a NaN
-        // minimum also leaves the block to the one-at-a-time scan, so no
-        // hit is ever skipped.
-        std::int32_t j2 = j1 + 1;
-        for (;;) {
-          for (; j2 + 3 < n; j2 += 4) {
-            const double d0 = swap_delta(j2);
-            const double d1 = swap_delta(j2 + 1);
-            const double d2 = swap_delta(j2 + 2);
-            const double d3 = swap_delta(j2 + 3);
-            double least = d0;
-            least = d1 < least ? d1 : least;
-            least = d2 < least ? d2 : least;
-            least = d3 < least ? d3 : least;
-            if (!(least >= -kEps)) break;
-          }
-          while (j2 < n && !(swap_delta(j2) < -kEps)) ++j2;
-          if (j2 >= n) break;
+        take_agent(agent[j1]);
+        // An improving pair: commit it if the capacities allow, else put it
+        // on the row's refused list.
+        const auto try_swap = [&](std::int32_t j2) {
           const std::int32_t a2 = agent[j2];
           const double s2 = problem.sizes[static_cast<std::size_t>(j2)];
           const bool fits =
               limit1 >= s2 &&
               slack[static_cast<std::size_t>(a2)] + s2 + kCapTolerance >= s1;
-          if (fits) {
-            const double c12 = row1[j2];  // cost(a1, j2)
-            slack[static_cast<std::size_t>(a1)] += s1 - s2;
-            slack[static_cast<std::size_t>(a2)] += s2 - s1;
-            agent[j1] = a2;
-            agent[j2] = a1;
-            assigned_cost[static_cast<std::size_t>(j1)] = column1[a2];
-            assigned_cost[static_cast<std::size_t>(j2)] = c12;
-            improved = true;
-            a1 = a2;
-            c11 = column1[a1];
-            limit1 = slack[static_cast<std::size_t>(a1)] + s1 + kCapTolerance;
-            row1 = row_major.data() + static_cast<std::size_t>(a1) *
-                                          static_cast<std::size_t>(n);
-            for (std::int32_t i = 0; i < m; ++i) masked[i] = column1[i];
-            masked[a1] = kInf;
+          if (!fits) {
+            memo.refuse(j2);
+            return false;
           }
+          const double c12 = row.row[j2];  // cost(a1, j2)
+          slack[static_cast<std::size_t>(a1)] += s1 - s2;
+          slack[static_cast<std::size_t>(a2)] += s2 - s1;
+          agent[j1] = a2;
+          agent[j2] = a1;
+          assigned_cost[static_cast<std::size_t>(j1)] = column1[a2];
+          assigned_cost[static_cast<std::size_t>(j2)] = c12;
+          memo.swapped(j1, j2);
+          improved = true;
+          take_agent(a2);
+          return true;
+        };
+
+        // The memo's candidates, up to the first commit: j1 has moved
+        // then, so the rest of the row falls back to the full scan.
+        const auto memo_walk = [&] {
+          const SwapRow scan = row;
+          for (std::int32_t base = (j1 + 1) / 64 * 64; base < n; base += 64) {
+            for (std::uint64_t bits = memo.candidates(base, j1 + 1); bits != 0;
+                 bits &= bits - 1) {
+              const std::int32_t j = base + std::countr_zero(bits);
+              ++swap_pairs;
+              if (scan.delta(agent, assigned, j) < -kEps && try_swap(j)) {
+                return j + 1;
+              }
+            }
+          }
+          return n;
+        };
+        std::int32_t j2 = unmoved ? memo_walk() : j1 + 1;
+        swap_pairs += n - j2;
+        // A candidate the capacities reject resumes the scan one past
+        // itself, as does a committed swap.
+        for (;;) {
+          j2 = first_improving(row, agent, assigned, j2, n);
+          if (j2 >= n) break;
+          try_swap(j2);
           ++j2;
         }
       }
+      memo.end_pass();
     }
     if (!improved) break;
   }
-
+  prof::record_events(kSwapPairs, swap_pairs);
   result.cost = gap_cost(problem, result.agent_of_item);
   result.feasible = gap_feasible(problem, result.agent_of_item);
   return result;

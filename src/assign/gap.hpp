@@ -13,7 +13,15 @@
 //      time (moves items out of overflowing agents, cheapest delta per unit
 //      size first, at most 8N moves);
 //   3. local improvement: single-item reassignment passes and (optionally)
-//      pairwise swap passes.
+//      pairwise swap passes.  Each swap pass is a first-improvement walk
+//      over the pairs j1 < j2 in ascending order.  Costs are fixed within
+//      one call, so a pair whose two items kept their agents keeps its
+//      delta: from the second swap pass on, a row j1 whose item has not
+//      moved since its last scan tests only the partners that moved since
+//      that scan and the pairs that scan found improving but could not
+//      fit, then falls back to the full scan after its first commit.  Every
+//      commit, rejection and answer is the full walk's; the pairs tested
+//      are published as the profiler event count "gap.swap_pairs".
 //
 // Inside the Burkard iteration (STEP 4 / STEP 6 of the paper) this is called
 // with the linearized cost vectors eta / h, whose flat layout r = i + j * M
@@ -55,8 +63,10 @@ struct GapProblem {
 struct GapOptions {
   /// Reassignment improvement passes after construction + repair.
   int improvement_passes = 2;
-  /// Also run pairwise swap improvement (O(N^2 M) worst case per pass);
-  /// valuable under tight capacities, off by default for inner-loop use.
+  /// Also run pairwise swap improvement (O(N^2 M) worst case per pass; the
+  /// first pass tests all N(N-1)/2 pairs, later ones mostly the pairs whose
+  /// items moved); valuable under tight capacities, off by default for
+  /// inner-loop use.
   bool swap_improvement = false;
 };
 

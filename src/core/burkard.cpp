@@ -137,12 +137,16 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
     // pairs, and a random sample for pure capacity exchanges.  The two pair
     // loops read their own row's value at k and walk a's other row for the
     // pair's other value, so their swaps look up neither wire count nor
-    // bound; only the sampled pairs do.
+    // bound; only the sampled pairs do.  Until a's row commits a swap, the
+    // constrained loop skips the partners that are also wired: the wired
+    // loop just scored each in the same state, with the same wire count and
+    // bound, and did not commit it.
     for (std::int32_t a = 0; a < n; ++a) {
       const auto neighbors = adjacency.row_indices(a);
       const auto wires = adjacency.row_values(a);
       const auto partners = timing.partners(a);
       const auto bounds = timing.bounds(a);
+      bool row_swapped = false;
       RowCursor<double> bound_of(partners, bounds);
       for (std::size_t k = 0; k < neighbors.size(); ++k) {
         const std::int32_t b = neighbors[k];
@@ -151,20 +155,23 @@ void polish_iterate(const PartitionProblem& problem, DeltaEvaluator& evaluator,
             bound_of.value_at(b, TimingConstraints::kUnconstrained);
         if (commit_if_improving(
                 a, b, evaluator.cached_swap_delta(u, a, b, wires[k], bound))) {
-          improved = true;
+          row_swapped = true;
         }
       }
       RowCursor<std::int32_t> wires_of(neighbors, wires);
       for (std::size_t k = 0; k < partners.size(); ++k) {
         const std::int32_t b = partners[k];
-        if (b <= a || !fits(a, b)) continue;
+        if (b <= a || (!row_swapped && wires_of.contains(b)) || !fits(a, b)) {
+          continue;
+        }
         if (commit_if_improving(
                 a, b,
                 evaluator.cached_swap_delta(u, a, b, wires_of.value_at(b, 0),
                                             bounds[k]))) {
-          improved = true;
+          row_swapped = true;
         }
       }
+      improved = improved || row_swapped;
     }
     for (std::int32_t k = 0; k < n; ++k) {
       const auto a = static_cast<std::int32_t>(

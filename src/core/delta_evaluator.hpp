@@ -64,28 +64,6 @@
 
 namespace qbp {
 
-/// A walk over one ascending CSR row (its column indices and values) for a
-/// caller that asks for columns in ascending order: value_at(column,
-/// fallback) returns what Csr::value_or does, in amortized O(1) instead of
-/// a binary search, since the cursor only moves forward.
-template <typename T>
-class RowCursor {
- public:
-  RowCursor(std::span<const std::int32_t> columns, std::span<const T> values)
-      : columns_(columns), values_(values) {}
-
-  [[nodiscard]] T value_at(std::int32_t column, T fallback) noexcept {
-    while (at_ < columns_.size() && columns_[at_] < column) ++at_;
-    return at_ < columns_.size() && columns_[at_] == column ? values_[at_]
-                                                            : fallback;
-  }
-
- private:
-  std::span<const std::int32_t> columns_;
-  std::span<const T> values_;
-  std::size_t at_ = 0;
-};
-
 class DeltaEvaluator {
  public:
   /// `penalty > 0`: deltas are on the penalized objective y^T Qhat y (the

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "partition/cost.hpp"
+#include "sparse/csr.hpp"
 
 #include "util/check.hpp"
 
@@ -45,17 +46,27 @@ double PartitionProblem::penalized_value(const Assignment& assignment,
   QBP_CHECK_GT(penalty, 0.0) << "Q-hat penalty must be positive";
   // y^T Qhat y = true objective + penalty for every ordered violating pair
   // - the wire term those violating pairs would otherwise have contributed.
+  // Dc's rows in order, each beside a cursor over j1's ascending adjacency
+  // row for the violators' wire counts.
   double value = objective(assignment);
   const auto& adjacency = netlist_.connection_matrix();
-  timing_.matrix().for_each([&](std::int32_t j1, std::int32_t j2, double bound) {
+  const auto& dc = timing_.matrix();
+  for (std::int32_t j1 = 0; j1 < dc.rows(); ++j1) {
     const PartitionId p1 = assignment[j1];
-    const PartitionId p2 = assignment[j2];
-    if (p1 == Assignment::kUnassigned || p2 == Assignment::kUnassigned) return;
-    if (topology_.delay(p1, p2) > bound) {
-      const auto wires = adjacency.value_or(j1, j2, 0);
-      value += penalty - beta_ * wires * topology_.wire_cost(p1, p2);
+    if (p1 == Assignment::kUnassigned) continue;
+    const auto partners = dc.row_indices(j1);
+    const auto bounds = dc.row_values(j1);
+    RowCursor<std::int32_t> wires_of(adjacency.row_indices(j1),
+                                     adjacency.row_values(j1));
+    for (std::size_t k = 0; k < partners.size(); ++k) {
+      const PartitionId p2 = assignment[partners[k]];
+      if (p2 == Assignment::kUnassigned) continue;
+      if (topology_.delay(p1, p2) > bounds[k]) {
+        const auto wires = wires_of.value_at(partners[k], 0);
+        value += penalty - beta_ * wires * topology_.wire_cost(p1, p2);
+      }
     }
-  });
+  }
   return value;
 }
 

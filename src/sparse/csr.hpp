@@ -105,6 +105,31 @@ class Csr {
   std::vector<T> values_;                // size nnz
 };
 
+/// A walk over one ascending CSR row (its column indices and values) for a
+/// caller that asks for columns in ascending order: value_at(column,
+/// fallback) returns what Csr::value_or does, and contains(column) whether
+/// the row stores it, each in amortized O(1) instead of a binary search,
+/// since the cursor only moves forward.
+template <typename T>
+class RowCursor {
+ public:
+  RowCursor(std::span<const std::int32_t> columns, std::span<const T> values)
+      : columns_(columns), values_(values) {}
+
+  [[nodiscard]] bool contains(std::int32_t column) noexcept {
+    while (at_ < columns_.size() && columns_[at_] < column) ++at_;
+    return at_ < columns_.size() && columns_[at_] == column;
+  }
+  [[nodiscard]] T value_at(std::int32_t column, T fallback) noexcept {
+    return contains(column) ? values_[at_] : fallback;
+  }
+
+ private:
+  std::span<const std::int32_t> columns_;
+  std::span<const T> values_;
+  std::size_t at_ = 0;
+};
+
 template <typename T>
 Csr<T> Csr<T>::from_symmetric_pairs(std::int32_t n,
                                     std::span<const Triplet<T>> pairs) {

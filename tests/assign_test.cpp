@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <queue>
+#include <set>
 
 #include "assign/gap.hpp"
 #include "oracle/lap.hpp"
 #include "test_support.hpp"
+#include "util/prof.hpp"
 #include "util/rng.hpp"
 
 namespace qbp {
@@ -217,16 +221,25 @@ GapInstance integer_gap(std::int32_t m, std::int32_t n, std::uint64_t seed) {
   return gap;
 }
 
+/// A profitable pair the capacities refused: (j1, j2, agent of j1, agent
+/// of j2).
+using RefusedPairs = std::set<std::array<std::int32_t, 4>>;
+
 struct WalkCounts {
+  std::int32_t moves = 0;  // reassignments of the move pass
   std::int32_t swaps = 0;
-  std::int32_t rejected = 0;  // profitable pairs the capacities refused
+  /// Swaps of pairs the previous pass refused at the same two agents.
+  std::int32_t refused_then_swapped = 0;
+  RefusedPairs refused;  // profitable pairs the capacities refused
 };
 
 /// One improvement pass of solve_gap, written as the plain walk: a
 /// best-improvement move pass, then a first-improvement swap scan that
-/// tests one pair at a time.
+/// tests one pair at a time.  `refused_before` is the previous pass's
+/// `refused`.
 WalkCounts plain_improvement_pass(const GapProblem& problem,
-                                  std::vector<std::int32_t>& agent) {
+                                  std::vector<std::int32_t>& agent,
+                                  const RefusedPairs& refused_before = {}) {
   constexpr double kEps = 1e-12;
   constexpr double kTolerance = 1e-9;
   const std::int32_t m = problem.num_agents();
@@ -234,6 +247,7 @@ WalkCounts plain_improvement_pass(const GapProblem& problem,
   std::vector<double> slack = problem.capacities;
   for (std::int32_t j = 0; j < n; ++j) slack[agent[j]] -= problem.sizes[j];
 
+  WalkCounts counts;
   for (std::int32_t j = 0; j < n; ++j) {
     const std::int32_t from = agent[j];
     std::int32_t best_to = -1;
@@ -250,9 +264,9 @@ WalkCounts plain_improvement_pass(const GapProblem& problem,
     slack[from] += problem.sizes[j];
     slack[best_to] -= problem.sizes[j];
     agent[j] = best_to;
+    ++counts.moves;
   }
 
-  WalkCounts counts;
   for (std::int32_t j1 = 0; j1 < n; ++j1) {
     for (std::int32_t j2 = j1 + 1; j2 < n; ++j2) {
       const std::int32_t a1 = agent[j1];
@@ -265,8 +279,11 @@ WalkCounts plain_improvement_pass(const GapProblem& problem,
       const double s2 = problem.sizes[j2];
       if (slack[a1] + s1 + kTolerance < s2 ||
           slack[a2] + s2 + kTolerance < s1) {
-        ++counts.rejected;
+        counts.refused.insert({j1, j2, a1, a2});
         continue;
+      }
+      if (refused_before.contains({j1, j2, a1, a2})) {
+        ++counts.refused_then_swapped;
       }
       slack[a1] += s1 - s2;
       slack[a2] += s2 - s1;
@@ -282,7 +299,8 @@ TEST(Gap, SwapPassMatchesPlainWalk) {
   // The swap scan tests its pairs in blocks and resumes one past each
   // candidate; whatever the blocking, it must commit exactly the swaps of
   // the one-pair-at-a-time walk.
-  WalkCounts total;
+  std::int32_t swaps = 0;
+  std::size_t refused = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const GapInstance instance = integer_gap(4, 60, seed);
     const GapProblem problem = instance.problem();
@@ -294,14 +312,97 @@ TEST(Gap, SwapPassMatchesPlainWalk) {
     std::vector<std::int32_t> expected =
         solve_gap(problem, constructed).agent_of_item;
     const WalkCounts counts = plain_improvement_pass(problem, expected);
-    total.swaps += counts.swaps;
-    total.rejected += counts.rejected;
+    swaps += counts.swaps;
+    refused += counts.refused.size();
     EXPECT_EQ(solve_gap(problem, one_pass).agent_of_item, expected)
         << "seed " << seed;
   }
   // Both branches of the scan ran: commits and capacity rejections.
-  EXPECT_GT(total.swaps, 0);
-  EXPECT_GT(total.rejected, 0);
+  EXPECT_GT(swaps, 0);
+  EXPECT_GT(refused, 0u);
+}
+
+/// The pairs solve_gap's swap passes tested so far (the profiler's
+/// gap.swap_pairs count).
+std::int64_t swap_pairs_tested() {
+  const prof::PhaseReport report = prof::snapshot();
+  const prof::PhaseStat* stat = report.find("gap.swap_pairs");
+  return stat == nullptr ? 0 : stat->count;
+}
+
+TEST(Gap, SwapMemoMatchesPlainPasses) {
+  // From the second swap pass on, a row whose item has not moved since its
+  // last scan tests only the partners that moved since, plus the pairs
+  // that scan found improving but could not fit.  Pass after pass it must
+  // commit the plain walk's swaps: plain_improvement_pass repeated until a
+  // pass changes nothing, on integer costs (where ties are common) and
+  // fractional ones, 2 to 64 agents, tight and loose capacities.
+  prof::set_enabled(true);
+  prof::reset();
+  std::int64_t later_pairs = 0;       // pairs the memo's later passes tested
+  std::int64_t later_full_pairs = 0;  // pairs full scans would have tested
+  std::int32_t refused_then_swapped = 0;
+  const auto expect_same_passes = [&](const GapInstance& instance,
+                                      int passes) {
+    const GapProblem problem = instance.problem();
+    const std::int64_t n = problem.num_items();
+    GapOptions constructed;
+    constructed.improvement_passes = 0;
+    std::vector<std::int32_t> expected =
+        solve_gap(problem, constructed).agent_of_item;
+    RefusedPairs refused;
+    std::int64_t passes_run = 0;
+    while (passes_run < passes) {
+      WalkCounts counts = plain_improvement_pass(problem, expected, refused);
+      ++passes_run;
+      refused_then_swapped += counts.refused_then_swapped;
+      refused = std::move(counts.refused);
+      if (counts.moves + counts.swaps == 0) break;
+    }
+
+    GapOptions options;
+    options.improvement_passes = passes;
+    options.swap_improvement = true;
+    const std::int64_t before = swap_pairs_tested();
+    const GapResult actual = solve_gap(problem, options);
+    const std::int64_t pairs = swap_pairs_tested() - before;
+    EXPECT_EQ(actual.agent_of_item, expected);
+    EXPECT_EQ(actual.cost, gap_cost(problem, expected));
+    EXPECT_EQ(actual.feasible, gap_feasible(problem, expected));
+    // The first swap pass scans every pair; later ones at most that.
+    const std::int64_t pass_pairs = n * (n - 1) / 2;
+    EXPECT_GE(pairs, pass_pairs);
+    EXPECT_LE(pairs, passes_run * pass_pairs);
+    later_pairs += pairs - pass_pairs;
+    later_full_pairs += (passes_run - 1) * pass_pairs;
+  };
+  constexpr std::int32_t kAgents[] = {2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64};
+  for (std::uint64_t seed = 1; seed <= 132; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::int32_t m = kAgents[seed % std::size(kAgents)];
+    const auto n = static_cast<std::int32_t>(60 + seed % 4 * 30);
+    const int passes = 2 + static_cast<int>(seed % 5);
+    const bool loose = seed % 2 == 0;
+    GapInstance integer = integer_gap(m, n, seed);
+    if (loose) {
+      for (double& capacity : integer.capacities) capacity *= 1.3;
+    }
+    expect_same_passes(integer, passes);
+    GapInstance fractional = random_gap(m, n, loose ? 1.3 : 1.02, seed);
+    Rng rng(seed);
+    for (std::int32_t i = 0; i < fractional.cost.rows(); ++i) {
+      for (std::int32_t j = 0; j < fractional.cost.cols(); ++j) {
+        fractional.cost(i, j) += rng.next_double(0.0, 1.0);
+      }
+    }
+    expect_same_passes(fractional, passes);
+  }
+  prof::set_enabled(false);
+  prof::reset();
+  // Not vacuous: later passes left pairs out, and some pair the capacities
+  // refused in one pass was swapped in the next at the same agents.
+  EXPECT_LT(later_pairs, later_full_pairs);
+  EXPECT_GT(refused_then_swapped, 0);
 }
 
 /// solve_gap at improvement_passes = 0 as it was while every pop of the

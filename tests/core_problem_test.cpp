@@ -193,5 +193,61 @@ TEST(Problem, ValidateRejectsMismatchedTiming) {
   EXPECT_FALSE(problem.validate().empty());
 }
 
+/// penalized_value as it was while every violated pair looked up its wire
+/// count: Dc's entries in for_each order, each wire count by
+/// Csr::value_or.
+double lookup_penalized_value(const PartitionProblem& problem,
+                              const Assignment& assignment, double penalty) {
+  double value = problem.objective(assignment);
+  const auto& adjacency = problem.netlist().connection_matrix();
+  problem.timing().matrix().for_each(
+      [&](std::int32_t j1, std::int32_t j2, double bound) {
+        const PartitionId p1 = assignment[j1];
+        const PartitionId p2 = assignment[j2];
+        if (p1 == Assignment::kUnassigned || p2 == Assignment::kUnassigned) {
+          return;
+        }
+        if (problem.topology().delay(p1, p2) > bound) {
+          const auto wires = adjacency.value_or(j1, j2, 0);
+          value += penalty - problem.beta() * wires *
+                                 problem.topology().wire_cost(p1, p2);
+        }
+      });
+  return value;
+}
+
+TEST(Problem, PenalizedValueWalksRowsLikeTheLookup) {
+  // penalized_value reads each violator's wire count off a cursor over
+  // j1's adjacency row.  It must sum the same terms in the same order as
+  // the lookup form, so the two agree bit for bit, on integer and
+  // fractional instances, at random assignments that break many bounds.
+  std::int64_t wired_violations = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE(seed);
+    const test::OracleInstance instance = test::make_oracle_instance(seed);
+    const PartitionProblem& problem = instance.problem;
+    Rng rng(seed ^ 0x5eed);
+    for (int trial = 0; trial < 5; ++trial) {
+      const Assignment u =
+          trial == 0 ? instance.start
+                     : test::random_complete(problem.num_components(),
+                                             problem.num_partitions(), rng);
+      for (const double penalty : {0.5, 50.0}) {
+        EXPECT_EQ(problem.penalized_value(u, penalty),
+                  lookup_penalized_value(problem, u, penalty));
+      }
+      problem.timing().matrix().for_each(
+          [&](std::int32_t j1, std::int32_t j2, double bound) {
+            if (problem.topology().delay(u[j1], u[j2]) > bound &&
+                problem.netlist().connection_matrix().value_or(j1, j2, 0) > 0) {
+              ++wired_violations;
+            }
+          });
+    }
+  }
+  // Not vacuous: violated pairs that also carry wires were summed.
+  EXPECT_GT(wired_violations, 0);
+}
+
 }  // namespace
 }  // namespace qbp

@@ -583,6 +583,8 @@ TEST(PolishOracle, WalkedPairsMakeTheLookupPolishsMoves) {
   // a 20% jump -- it must commit the lookup polish's moves: the same
   // assignment, the same rows and the same eta, bit for bit.
   SwapCounts counts;
+  std::uint64_t walked_hits = 0;
+  std::uint64_t looked_up_hits = 0;
   const auto expect_same_polishes = [&](const PartitionProblem& problem,
                                         const Assignment& start,
                                         std::uint64_t seed) {
@@ -612,6 +614,8 @@ TEST(PolishOracle, WalkedPairsMakeTheLookupPolishsMoves) {
       u = test::random_jump(u, 0.2, rng);
       expected = u;
     }
+    walked_hits += walked.cache_hits();
+    looked_up_hits += looked_up.cache_hits();
   };
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     SCOPED_TRACE(seed);
@@ -632,6 +636,9 @@ TEST(PolishOracle, WalkedPairsMakeTheLookupPolishsMoves) {
   EXPECT_GT(counts.wired, 0);
   EXPECT_GT(counts.constrained, 0);
   EXPECT_GT(counts.both, 0);
+  // The constrained loop skipped wired partners the wired loop had just
+  // scored, so the walked polish read fewer cached rows.
+  EXPECT_LT(walked_hits, looked_up_hits);
 }
 
 }  // namespace
