@@ -51,7 +51,40 @@ class Placement {
   [[nodiscard]] bool swap_fits(std::int32_t a, std::int32_t b) const noexcept {
     const PartitionId pa = (*assignment_)[a];
     const PartitionId pb = (*assignment_)[b];
-    return trade_fits(pa, size(a), size(b)) && trade_fits(pb, size(b), size(a));
+    return trade_fits(pa, size(a), size(b)) & trade_fits(pb, size(b), size(a));
+  }
+
+  /// a's side of swap_fits, taken once for a run of partners b: a scan
+  /// tests each partner with admits(b), no branch per condition.  Valid
+  /// until the next move() or swap(); take it again after one.
+  class SwapRow {
+   public:
+    /// Do a and b sit apart, and does swap_fits(a, b) hold?
+    [[nodiscard]] bool admits(std::int32_t b) const noexcept {
+      const Placement& p = *placement_;
+      const PartitionId pb = (*p.assignment_)[b];
+      const double sb = p.size(b);
+      return (pb != part_) & within(kept_, sb, room_) &
+             p.trade_fits(pb, sb, size_);
+    }
+
+   private:
+    friend class Placement;
+    SwapRow(const Placement& placement, std::int32_t a) noexcept
+        : placement_(&placement),
+          part_((*placement.assignment_)[a]),
+          size_(placement.size(a)),
+          kept_(placement.ledger_.usage(part_) - size_),
+          room_(placement.room(part_)) {}
+
+    const Placement* placement_;
+    PartitionId part_;  // p_a
+    double size_;       // s_a
+    double kept_;       // usage(p_a) - s_a
+    double room_;       // capacity(p_a) + kTolerance
+  };
+  [[nodiscard]] SwapRow swap_row(std::int32_t a) const noexcept {
+    return SwapRow(*this, a);
   }
 
   /// How many of j's timing partners break with j at partition i, each
@@ -90,8 +123,15 @@ class Placement {
   /// `leaving` leaves it and one of size `arriving` arrives?
   [[nodiscard]] bool trade_fits(PartitionId i, double leaving,
                                 double arriving) const noexcept {
-    return ledger_.usage(i) - leaving + arriving <=
-           ledger_.capacity(i) + CapacityLedger::kTolerance;
+    return within(ledger_.usage(i) - leaving, arriving, room(i));
+  }
+  [[nodiscard]] double room(PartitionId i) const noexcept {
+    return ledger_.capacity(i) + CapacityLedger::kTolerance;
+  }
+  /// The one capacity comparison of a trade: what stays plus what arrives.
+  [[nodiscard]] static bool within(double kept, double arriving,
+                                   double room) noexcept {
+    return kept + arriving <= room;
   }
 
   const PartitionProblem* problem_;
