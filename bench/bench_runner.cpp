@@ -10,6 +10,8 @@
 //
 // JSON schema (schema = 1):
 //   { "schema": 1, "mode": "smoke"|"full",
+//     "host": { "logical_cores", "cpu_model", "kernel", "compiler",
+//               "build_type" },                 (--check ignores it)
 //     "suites": { "<suite>": [ {row}, ... ], ... },
 //     "phases": { "<phase>": {"seconds","count"}, ... } }     (--profile)
 //
@@ -25,13 +27,17 @@
 // Nested members are addressed with dots ("qbp.final").  One generic checker
 // and one table printer read the declarations, so a newly measured layer is
 // one more key in one list.
+#include <sys/utsname.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -108,6 +114,41 @@ qbp::engine::SolverResult pipeline_solve(const qbp::PartitionProblem& problem,
   options.presolve.enabled = presolve;
   return qbp::engine::SolvePipeline(problem, options)
       .solve_one(solver, {start, 0});
+}
+
+/// The host a run measured its timed keys on: logical cores, CPU model,
+/// kernel release, compiler and build type ("unknown" where the platform
+/// does not say).
+Value host_json() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (line.starts_with("model name") && colon != std::string::npos) {
+      cpu_model = std::string(qbp::trim(std::string_view(line).substr(colon + 1)));
+      break;
+    }
+  }
+  utsname name{};
+  const std::string kernel =
+      uname(&name) == 0 ? std::string(name.sysname) + " " + name.release
+                        : "unknown";
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  const std::string build_type = QBP_BUILD_TYPE;
+  Value host = Value::object();
+  host.set("logical_cores",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  host.set("cpu_model", cpu_model);
+  host.set("kernel", kernel);
+  host.set("compiler", compiler);
+  host.set("build_type", build_type.empty() ? "unspecified" : build_type);
+  return host;
 }
 
 // --- suite runners: each returns its rows as a JSON array ------------------
@@ -999,7 +1040,8 @@ const std::vector<Suite>& declared_suites() {
          return run_paper_table(/*with_timing=*/false, config);
        },
        .key = {"circuit"},
-       .exact = {"start", "qbp.final", "gfm.final", "gkl.final", "sa.final"},
+       .exact = {"start", "qbp.final", "gfm.final", "gkl.final", "sa.final",
+                 "gkl.pairs_scored"},
        .timed = {"qbp.cpu_s", "gfm.cpu_s", "gkl.cpu_s", "sa.cpu_s"},
        .columns = paper_columns,
        .cross_check =
@@ -1012,7 +1054,8 @@ const std::vector<Suite>& declared_suites() {
          return run_paper_table(/*with_timing=*/true, config);
        },
        .key = {"circuit"},
-       .exact = {"start", "qbp.final", "gfm.final", "gkl.final", "sa.final"},
+       .exact = {"start", "qbp.final", "gfm.final", "gkl.final", "sa.final",
+                 "gkl.pairs_scored"},
        .timed = {"qbp.cpu_s", "gfm.cpu_s", "gkl.cpu_s", "sa.cpu_s"},
        .columns = paper_columns,
        .cross_check =
@@ -1328,6 +1371,7 @@ int main(int argc, char** argv) {
   Value out = Value::object();
   out.set("schema", 1);
   out.set("mode", config.smoke ? "smoke" : "full");
+  out.set("host", host_json());
   out.set("suites", results);
   if (profile) {
     const qbp::prof::PhaseReport phases = qbp::prof::snapshot();

@@ -27,11 +27,33 @@
 // move gains bound the delta from below (Kernighan & Lin's sorted-gain
 // cutoff, made exact).  Each step visits the unlocked components in
 // ascending order of their best bound and stops once a bound cannot beat
-// the best swap found, so it returns the pair an exhaustive scan returns,
-// ties included, at O(U * M) for the gains plus the pairs the bound cannot
-// rule out, instead of O(U^2) scored pairs.  A per-(component, partition)
-// count of blocking timing partners, updated for the moved components'
-// partners only, filters the swaps that timing forbids.
+// the best swap found.  Two things keep a step's work near the pairs that
+// matter:
+//
+//   * a capacity window.  The components are sorted once by (size, id), and
+//     each step lists every partition's unlocked members in that order.
+//     Both halves of the C1 test are monotone in the partner's size (IEEE
+//     addition rounds monotonically), so the partners that can trade with
+//     a component form one contiguous run of a target's list, which
+//     Placement::SwapRow::window finds by two binary searches with the
+//     placement's own comparisons.  Only that run is scanned, and a pair's
+//     delta is computed only when it fits;
+//   * a masked gain table kept across steps.  gain(j, t) is g_j(t), set to
+//     +inf at j's own partition and wherever a timing partner blocks j
+//     alone, so the per-target cheapest partner gain and every row's bound
+//     are branch-free minimums.  A swap changes only the rows of the movers'
+//     wire neighbors (their incident rows, DeltaEvaluator's
+//     Fiduccia-Mattheyses patch) and timing partners (their conflict rows):
+//     only those are recomputed, and every row after a loop's rollback.
+//
+// The answer does not depend on the order rows are visited in: it is the
+// (delta, lo, hi)-least feasible pair, and a row or pair is skipped only
+// when its bound clears the incumbent by a rounding margin, so any order
+// non-decreasing in the bound returns the exhaustive scan's swap, ties
+// included.  The timing filter reads the placement's per-(component,
+// partition) count of blocking partners, updated for the moved components'
+// partners only.  GklResult::pairs_scored (the profiler's gkl.pairs_scored,
+// beside gkl.partners and gkl.gain_rows) counts the deltas computed.
 //
 // Requires beta >= 0, B >= 0 with a zero diagonal and a zero D diagonal
 // (checked on entry; PartitionProblem::validate enforces them for file and
@@ -60,6 +82,9 @@ struct GklResult {
   std::int32_t outer_loops = 0;
   std::int64_t swaps_applied = 0;
   std::int64_t swaps_kept = 0;
+  /// Pairs whose swap delta the best-swap searches computed (the profiler's
+  /// gkl.pairs_scored): the same on every run and host.
+  std::int64_t pairs_scored = 0;
   double seconds = 0.0;
 };
 

@@ -80,6 +80,7 @@ ExperimentRow run_experiment_from(const std::string& circuit_name,
     const GklResult gkl = solve_gkl(problem, start, options);
     const double seconds = timer.seconds();
     row.gkl = outcome(gkl.assignment, seconds);
+    row.gkl_pairs_scored = gkl.pairs_scored;
   }
   {
     SaOptions options;
@@ -118,7 +119,9 @@ json::Value rows_to_json(const std::vector<ExperimentRow>& rows) {
     entry.set("start", row.start_cost);
     entry.set("qbp", method(row.qbp));
     entry.set("gfm", method(row.gfm));
-    entry.set("gkl", method(row.gkl));
+    json::Value gkl = method(row.gkl);
+    gkl.set("pairs_scored", row.gkl_pairs_scored);
+    entry.set("gkl", std::move(gkl));
     entry.set("sa", method(row.sa));
     out.push_back(std::move(entry));
   }

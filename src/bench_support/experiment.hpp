@@ -47,6 +47,8 @@ struct ExperimentRow {
   MethodOutcome gfm;
   MethodOutcome gkl;
   MethodOutcome sa;
+  /// GklResult::pairs_scored: a work count that is the same on every host.
+  std::int64_t gkl_pairs_scored = 0;
 };
 
 /// Run the four methods on one problem (timing constraints as present in
@@ -66,7 +68,8 @@ struct ExperimentRow {
                                                 const ExperimentConfig& config);
 
 /// Machine-readable dump: an array of row objects, one member per method
-/// (qbp, gfm, gkl, sa: {final, improvement_pct, cpu_s, feasible}).
+/// (qbp, gfm, gkl, sa: {final, improvement_pct, cpu_s, feasible}; gkl also
+/// carries pairs_scored).
 /// bench_runner writes these as its table2/table3 rows, so the perf
 /// trajectory (bench/BENCH_*.json) diffs cleanly across commits --
 /// wall-clock fields aside.

@@ -9,6 +9,7 @@
 // TimingConstraints::breaks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -55,8 +56,9 @@ class Placement {
   }
 
   /// a's side of swap_fits, taken once for a run of partners b: a scan
-  /// tests each partner with admits(b), no branch per condition.  Valid
-  /// until the next move() or swap(); take it again after one.
+  /// tests each partner with admits(b), no branch per condition, or cuts a
+  /// size-sorted run to the partners that fit with window().  Valid until
+  /// the next move() or swap(); take it again after one.
   class SwapRow {
    public:
     /// Do a and b sit apart, and does swap_fits(a, b) hold?
@@ -66,6 +68,28 @@ class Placement {
       const double sb = p.size(b);
       return (pb != part_) & within(kept_, sb, room_) &
              p.trade_fits(pb, sb, size_);
+    }
+    /// The run of `partners` that admits(b) accepts, for partners that all
+    /// sit at one partition other than p_a, in non-decreasing size.  Both
+    /// halves of swap_fits are monotone in s_b, since IEEE addition and
+    /// subtraction round monotonically: a's side holds up to some size and
+    /// b's side from some size on, so the accepted partners are one
+    /// contiguous window, found by two binary searches with the same
+    /// comparisons.  O(log |partners|).
+    [[nodiscard]] std::span<const std::int32_t> window(
+        std::span<const std::int32_t> partners) const {
+      if (partners.empty()) return partners;
+      const Placement& p = *placement_;
+      const PartitionId pb = (*p.assignment_)[partners.front()];
+      const auto first =
+          std::partition_point(partners.begin(), partners.end(),
+                               [&](std::int32_t b) {
+                                 return !p.trade_fits(pb, p.size(b), size_);
+                               });
+      const auto last = std::partition_point(
+          first, partners.end(),
+          [&](std::int32_t b) { return within(kept_, p.size(b), room_); });
+      return {first, last};
     }
 
    private:

@@ -597,6 +597,86 @@ TEST(GklOracle, BoundedSearchPicksTheExhaustiveScansSwaps) {
   EXPECT_GE(wide, 1);
 }
 
+/// An instance at the bounded search's edges, for the exhaustive scan to
+/// check: sizes drawn from three dyadic values, so runs of equal sizes sit
+/// at window edges and every trade sums exactly; every other partition's
+/// room (capacity + kTolerance) equal to its start usage, so equal-size
+/// swaps land exactly on the capacity edge; and timing partners drawn only
+/// among unwired pairs, so a swap changes their conflict rows and not their
+/// incident rows.
+test::OracleInstance make_edge_instance(std::uint64_t seed) {
+  constexpr double kSizes[] = {0.5, 1.25, 2.75};
+  Rng rng(seed);
+  const auto n = static_cast<std::int32_t>(rng.next_int(10, 40));
+  const auto rows = static_cast<std::int32_t>(rng.next_int(1, 3));
+  const auto cols = static_cast<std::int32_t>(rng.next_int(2, 3));
+  const std::int32_t m = rows * cols;
+
+  Netlist netlist("edge");
+  for (std::int32_t j = 0; j < n; ++j) {
+    netlist.add_component("c" + std::to_string(j), kSizes[rng.next_below(3)]);
+  }
+  std::vector<bool> wired(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  const double wire_probability = rng.next_double(0.1, 0.4);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (!rng.next_bool(wire_probability)) continue;
+      netlist.add_wires(a, b, static_cast<std::int32_t>(rng.next_int(1, 4)));
+      wired[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+            static_cast<std::size_t>(b)] = true;
+    }
+  }
+
+  PartitionTopology topology = PartitionTopology::grid(rows, cols);
+  Assignment start = test::random_complete(n, m, rng);
+  const CapacityLedger usage(start, netlist.sizes(),
+                             std::vector<double>(static_cast<std::size_t>(m)));
+  std::vector<double> capacities(static_cast<std::size_t>(m));
+  for (PartitionId i = 0; i < m; ++i) {
+    capacities[static_cast<std::size_t>(i)] =
+        i % 2 == 0 ? test::capacity_with_room(usage.usage(i))
+                   : usage.usage(i) + rng.next_double(0.0, 2.0);
+  }
+  topology.set_capacities(std::move(capacities));
+
+  TimingConstraints timing(n);
+  const double constraint_probability = rng.next_double(0.05, 0.3);
+  for (std::int32_t a = 0; a < n; ++a) {
+    for (std::int32_t b = a + 1; b < n; ++b) {
+      if (wired[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+                static_cast<std::size_t>(b)] ||
+          !rng.next_bool(constraint_probability)) {
+        continue;
+      }
+      const double reach = std::max(topology.delay(start[a], start[b]),
+                                    topology.delay(start[b], start[a]));
+      timing.add(a, b, reach + rng.next_double(0.0, 1.5));
+    }
+  }
+  return {PartitionProblem(std::move(netlist), std::move(topology),
+                           std::move(timing)),
+          std::move(start)};
+}
+
+TEST(GklOracle, CapacityEdgesAndUnwiredPartnersMatchTheExhaustiveScan) {
+  std::int64_t swaps = 0;
+  for (std::uint64_t seed = 1; seed <= 160; ++seed) {
+    SCOPED_TRACE(seed);
+    const test::OracleInstance instance = make_edge_instance(seed);
+    ASSERT_TRUE(instance.problem.is_feasible(instance.start));
+    const GklResult expected = exhaustive_gkl(instance.problem, instance.start);
+    const GklResult actual = solve_gkl(instance.problem, instance.start);
+    EXPECT_EQ(actual.assignment, expected.assignment);
+    EXPECT_EQ(actual.objective, expected.objective);
+    EXPECT_EQ(actual.swaps_applied, expected.swaps_applied);
+    EXPECT_EQ(actual.swaps_kept, expected.swaps_kept);
+    EXPECT_EQ(actual.outer_loops, expected.outer_loops);
+    swaps += expected.swaps_applied;
+  }
+  // Not vacuous: the passes swap.
+  EXPECT_GT(swaps, 1000);
+}
+
 // --------------------------------------------- cross-method comparison ----
 
 class MethodComparison : public ::testing::TestWithParam<std::uint64_t> {};

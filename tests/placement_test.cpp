@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/delta_evaluator.hpp"
@@ -166,6 +168,125 @@ TEST(PlacementOracle, EveryReadAndPartMatchesAFreshBuild) {
   EXPECT_GT(coverage.refused_swap_fits, 1000);
   EXPECT_GT(coverage.refused_swap_timing, 1000);
   EXPECT_GT(coverage.pair_corrected, 1000);
+}
+
+/// The components at `partition` in ascending (size, id) order: the lists
+/// GKL cuts with SwapRow::window.
+std::vector<std::int32_t> by_size_at(const PartitionProblem& problem,
+                                     const Assignment& assignment,
+                                     PartitionId partition) {
+  const auto& sizes = problem.netlist().sizes();
+  std::vector<std::int32_t> list;
+  for (std::int32_t j = 0; j < problem.num_components(); ++j) {
+    if (assignment[j] == partition) list.push_back(j);
+  }
+  std::sort(list.begin(), list.end(), [&](std::int32_t x, std::int32_t y) {
+    return std::tie(sizes[static_cast<std::size_t>(x)], x) <
+           std::tie(sizes[static_cast<std::size_t>(y)], y);
+  });
+  return list;
+}
+
+/// Components of these sizes on a 1 x M grid with these capacities and no
+/// timing constraints.
+PartitionProblem window_problem(const std::vector<double>& sizes,
+                                std::vector<double> capacities) {
+  Netlist netlist("window");
+  for (std::size_t j = 0; j < sizes.size(); ++j) {
+    netlist.add_component("c" + std::to_string(j), sizes[j]);
+  }
+  PartitionTopology topology =
+      PartitionTopology::grid(1, static_cast<std::int32_t>(capacities.size()));
+  topology.set_capacities(std::move(capacities));
+  return {std::move(netlist), std::move(topology),
+          TimingConstraints(static_cast<std::int32_t>(sizes.size()))};
+}
+
+// SwapRow::window over random placements: every (size, id)-sorted member
+// list of another partition is cut to exactly the partners swap_fits(a, .)
+// accepts.  Even seeds draw sizes from three values, so runs of equal sizes
+// straddle the window's edges; odd seeds draw fractional sizes.  About a
+// quarter of the partitions get a room exactly at their usage.
+TEST(PlacementWindow, CutsSizeSortedListsToThePartnersThatFit) {
+  constexpr double kRepeated[] = {1.0, 2.0, 3.0};
+  std::int64_t windows = 0;
+  std::int64_t cut_both = 0;  // windows that lost partners at both ends
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto n = static_cast<std::int32_t>(rng.next_int(4, 40));
+    const auto m = static_cast<std::int32_t>(rng.next_int(2, 5));
+    std::vector<double> sizes(static_cast<std::size_t>(n));
+    for (double& size : sizes) {
+      size = seed % 2 == 0 ? kRepeated[rng.next_below(3)]
+                           : rng.next_double(0.25, 4.0);
+    }
+    Assignment assignment = test::random_complete(n, m, rng);
+    const CapacityLedger count(assignment, sizes,
+                               std::vector<double>(static_cast<std::size_t>(m)));
+    std::vector<double> capacities(static_cast<std::size_t>(m));
+    for (PartitionId i = 0; i < m; ++i) {
+      capacities[static_cast<std::size_t>(i)] =
+          rng.next_below(4) == 0 ? test::capacity_with_room(count.usage(i))
+                                 : count.usage(i) + rng.next_double(0.0, 3.0);
+    }
+    const PartitionProblem problem = window_problem(sizes, std::move(capacities));
+    const Placement placement(problem, assignment);
+    for (std::int32_t a = 0; a < n; ++a) {
+      const Placement::SwapRow row = placement.swap_row(a);
+      for (PartitionId t = 0; t < m; ++t) {
+        if (t == assignment[a]) continue;
+        const std::vector<std::int32_t> list = by_size_at(problem, assignment, t);
+        std::vector<std::int32_t> fitting;
+        for (const std::int32_t b : list) {
+          if (placement.swap_fits(a, b)) fitting.push_back(b);
+        }
+        const auto window = row.window(list);
+        ASSERT_EQ(std::vector<std::int32_t>(window.begin(), window.end()),
+                  fitting)
+            << "a = " << a << ", t = " << t;
+        ++windows;
+        if (!fitting.empty() && fitting.front() != list.front() &&
+            fitting.back() != list.back()) {
+          ++cut_both;
+        }
+      }
+    }
+  }
+  // Not vacuous: thousands of windows, and many cut at both ends.
+  EXPECT_GT(windows, 1000);
+  EXPECT_GT(cut_both, 100);
+}
+
+// A trade whose sum lands exactly on a capacity plus kTolerance fits, and
+// one ulp less room refuses it, at either end of the window.  a (1.5) sits
+// at partition 0 beside 0.75; partition 1 holds 1.0, 1.75, 1.75 and 2.5.
+// a's side, 0.75 + s_b <= 2.5, admits s_b <= 1.75; b's side,
+// (7.0 - s_b) + 1.5 <= 7.5, admits s_b >= 1.0.  Every sum is exact.
+TEST(PlacementWindow, TradesLandingExactlyOnTheRoomFit) {
+  const std::vector<double> sizes = {1.5, 0.75, 1.0, 1.75, 1.75, 2.5};
+  Assignment assignment(6, 2);
+  for (std::int32_t j = 0; j < 6; ++j) assignment.set(j, j < 2 ? 0 : 1);
+  const auto window_at = [&](double room0, double room1) {
+    const PartitionProblem problem =
+        window_problem(sizes, {test::capacity_with_room(room0),
+                               test::capacity_with_room(room1)});
+    const Placement placement(problem, assignment);
+    const std::vector<std::int32_t> list = by_size_at(problem, assignment, 1);
+    const auto window = placement.swap_row(0).window(list);
+    std::vector<std::int32_t> fitting;
+    for (const std::int32_t b : list) {
+      if (placement.swap_fits(0, b)) fitting.push_back(b);
+    }
+    EXPECT_EQ(std::vector<std::int32_t>(window.begin(), window.end()), fitting);
+    return fitting;
+  };
+  const double below = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(window_at(2.5, 7.5), (std::vector<std::int32_t>{2, 3, 4}));
+  EXPECT_EQ(window_at(std::nextafter(2.5, below), 7.5),
+            (std::vector<std::int32_t>{2}));
+  EXPECT_EQ(window_at(2.5, std::nextafter(7.5, below)),
+            (std::vector<std::int32_t>{3, 4}));
 }
 
 }  // namespace

@@ -277,6 +277,22 @@ inline OracleInstance make_oracle_instance(std::uint64_t seed) {
           std::move(start)};
 }
 
+/// A capacity whose room, capacity + CapacityLedger::kTolerance in double
+/// arithmetic, is exactly `room`: a trade whose sum lands on `room` sits on
+/// the capacity edge, which `<=` admits and `<` would not.
+inline double capacity_with_room(double room) {
+  double capacity = room - CapacityLedger::kTolerance;
+  while (capacity + CapacityLedger::kTolerance > room) {
+    capacity = std::nextafter(capacity, -std::numeric_limits<double>::infinity());
+  }
+  while (capacity + CapacityLedger::kTolerance < room) {
+    capacity = std::nextafter(capacity, std::numeric_limits<double>::infinity());
+  }
+  QBP_CHECK_EQ(capacity + CapacityLedger::kTolerance, room)
+      << "no capacity has room " << room;
+  return capacity;
+}
+
 /// Does any complete assignment satisfy C1 and C2?  An exhaustive
 /// depth-first search over components in id order that prunes a branch as
 /// soon as a partition overflows or a constraint to an already-placed
